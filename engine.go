@@ -740,22 +740,29 @@ func (e *Engine) joinPartitionPhase(ctx context.Context, src Source, spec *JoinS
 		}
 	}
 
-	processFeature := func(fr *fragOf, f *geom.Feature) {
+	processFeature := func(fr *fragOf, f *geom.Feature, box geom.Box) {
 		if rec != nil {
-			rec.Add(f.Offset, f.ID, featBox(f.Geom))
+			rec.Add(f.Offset, f.ID, box)
+		}
+		if box.IsEmpty() {
+			return // no geometry, or an empty one: nothing to bin
 		}
 		if spec.SeparatePartitionPhase {
-			fr.feats = append(fr.feats, geom.Feature{
-				ID: f.ID, Offset: f.Offset,
-				Geom: boundsOnly(f.Geom),
-			})
+			// The partition pass only needs bounds; keeps the
+			// separate-phase buffers small.
+			fr.feats = append(fr.feats, geom.Feature{ID: f.ID, Offset: f.Offset, Geom: box.AsPolygon()})
 			return
 		}
-		fr.sink.Consume(f)
+		if f.Geom == nil && spec.Mask != nil {
+			// Bounds-only extraction: a bounds-safe mask may still read
+			// the bounds, which it finds where the warm rebuild puts them.
+			f.Geom = box.AsPolygon()
+		}
+		fr.sink.ConsumeBox(f, box)
 	}
 
 	var firstErr error
-	stats, err := e.partitionPass(ctx, src, opt, processFeature, func(fr *fragOf) {
+	stats, err := e.partitionPass(ctx, src, opt, boundsSafe, processFeature, func(fr *fragOf) {
 		if fr.err != nil && firstErr == nil {
 			firstErr = fr.err
 			return
@@ -792,15 +799,6 @@ func (e *Engine) joinPartitionPhase(ctx context.Context, src Source, spec *JoinS
 	return merged, extent, stats, nil
 }
 
-// boundsOnly replaces a geometry by its MBR polygon (partition pass only
-// needs bounds; keeps the separate-phase buffers small).
-func boundsOnly(g geom.Geometry) geom.Geometry {
-	if g == nil {
-		return nil
-	}
-	return g.Bound().AsPolygon()
-}
-
 // fragOf is the per-block fragment of the join's partition pipeline.
 type fragOf struct {
 	sink  *query.PartitionSink
@@ -809,11 +807,15 @@ type fragOf struct {
 }
 
 // partitionPass runs the first (partition/bounding) pipeline for joins.
+// boundsOnly lets a format that can (GeoJSON) skip building geometry the
+// pass would only take the bounds of; features then arrive with a nil
+// Geom. It must be false when the side mask reads real geometry.
 func (e *Engine) partitionPass(
 	ctx context.Context,
 	src Source,
 	opt Options,
-	processFeature func(fr *fragOf, f *geom.Feature),
+	boundsOnly bool,
+	processFeature func(fr *fragOf, f *geom.Feature, box geom.Box),
 	foldFrag func(fr *fragOf),
 	newFrag func() *fragOf,
 ) (pipeline.Stats, error) {
@@ -823,8 +825,8 @@ func (e *Engine) partitionPass(
 		// Same PAT/FAT pipeline as queries, minus the fused Eval.
 		foldSink := newFrag()
 		st, _, _, err := e.runGeoJSONWith(
-			ctx, data, &geojson.Config{PropKeys: opt.PropKeys}, opt,
-			func(f geojson.FeatureOut) { processFeature(foldSink, &f.Feature) },
+			ctx, data, &geojson.Config{PropKeys: opt.PropKeys, BoundsOnly: boundsOnly}, opt,
+			func(f geojson.FeatureOut) { processFeature(foldSink, &f.Feature, f.Box) },
 		)
 		if err != nil {
 			return st, err
@@ -844,7 +846,7 @@ func (e *Engine) partitionPass(
 					if err != nil {
 						return err
 					}
-					processFeature(fr, &f)
+					processFeature(fr, &f, f.Bound())
 					return nil
 				})
 				return fr
@@ -853,7 +855,7 @@ func (e *Engine) partitionPass(
 		)
 	default:
 		fr := newFrag()
-		st, err := e.runOSM(ctx, data, opt, func(f *geom.Feature) { processFeature(fr, f) })
+		st, err := e.runOSM(ctx, data, opt, func(f *geom.Feature) { processFeature(fr, f, f.Bound()) })
 		if err != nil {
 			return st, err
 		}

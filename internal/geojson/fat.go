@@ -274,10 +274,7 @@ type shadowFrame struct {
 // reprocess re-parses a block sequentially with full context after a
 // failed validation.
 func (fd *Fold) reprocess(br BlockResult) {
-	block := fd.input[br.Start:br.End]
-	fd.lex = lexer.ScanJSON(fd.lex, block, br.Start, func(t lexer.Token) {
-		fd.m.OnToken(t)
-	})
+	fd.lex = fd.m.scan(fd.lex, br.Start, br.End)
 }
 
 // Finish validates the final state after all blocks were folded.

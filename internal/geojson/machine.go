@@ -20,6 +20,13 @@
 // spans into the shared input, and property strings only materialise
 // when a feature is emitted. The only per-feature allocations left are
 // the exact-size geometry slices that escape into the result.
+//
+// Resolved machines own their lexing (Machine.scan) and take a second,
+// fused path through "coordinates" values: coords.go parses a regular
+// coordinates array straight from the bytes — one numparse call per
+// number, depth counters instead of frames — and accumulates the
+// bounding box every FeatureOut carries. Anything irregular falls back
+// to the token path below, which stays the reference.
 package geojson
 
 import (
@@ -120,6 +127,12 @@ type geoBuild struct {
 	rootX, rootY float64
 	rootN        uint8
 	children     []geom.Geometry
+	// depth and box are set by the fused coordinate scanner: the nesting
+	// depth of the positions (1 = bare position … 4 = MultiPolygon) and
+	// the bounding box a geometry of that depth has. depth 0 means the
+	// token path built the root and the box comes from the geometry.
+	depth uint8
+	box   geom.Box
 }
 
 // propSpan records one captured property as raw byte spans into the
@@ -171,6 +184,10 @@ type frame struct {
 type FeatureOut struct {
 	Feature geom.Feature
 	Val     any
+	// Box is the geometry's bounding box — exactly Feature.Geom.Bound(),
+	// the empty box for a feature without geometry. It is set even when
+	// Config.Window or Config.BoundsOnly left Feature.Geom nil.
+	Box geom.Box
 }
 
 // Event is one deferred item on a speculative block's spec tape: either a
@@ -190,6 +207,23 @@ type Config struct {
 	// Eval, if set, runs on every extracted feature inside the parallel
 	// phase and its result is carried on FeatureOut.Val.
 	Eval func(*geom.Feature) any
+	// EvalBox is Eval for callers that want the feature's bounding box
+	// (FeatureOut.Box) rather than recomputing Geom.Bound(); when set it
+	// runs instead of Eval.
+	EvalBox func(*geom.Feature, geom.Box) any
+	// Window, if set, rejects every feature whose bounding box misses it
+	// before anything is materialised: the feature is still emitted, with
+	// its ID, Offset and Box, but with no geometry, no properties and no
+	// Eval — what a warm pass concludes about a feature the sidecar
+	// pruned.
+	Window *geom.Box
+	// BoundsOnly extracts ID, Offset and Box only (the join's partition
+	// pass): no geometry, no properties, no Eval.
+	BoundsOnly bool
+
+	// tokenOnly keeps resolved machines on the token path; the
+	// differential tests set it to obtain the reference.
+	tokenOnly bool
 }
 
 func (c *Config) wantsProp(key []byte) bool {
@@ -233,6 +267,19 @@ type Machine struct {
 	// feature boundary: top-level objects are features and base-level
 	// closes (the document tail) are ignored.
 	patBase bool
+	// single stops scan once the first top-level value has closed
+	// (ReparseFeature).
+	single bool
+
+	// scanEnd bounds the current scan call; the fused coordinate scanner
+	// never reads at or past it.
+	scanEnd int64
+	// Scratch of the fused coordinate scanner: the positions of the value
+	// being scanned, and the ends of its rings (indexes into coordPts) and
+	// polygons (indexes into coordRings).
+	coordPts   []geom.Point
+	coordRings []int
+	coordPolys []int
 }
 
 // NewResolvedMachine returns a machine parsing from the document root
@@ -255,10 +302,10 @@ func acquireMachine(input []byte, cfg *Config, onFeature func(FeatureOut)) *Mach
 	m.gapStart = 0
 	m.strOpen = -1
 	m.spec = m.spec[:0]
-	m.features = nil
+	m.features = m.features[:0]
 	m.tokenCount = 0
 	m.err = nil
-	m.anchorPending, m.forceFeature, m.patBase = false, false, false
+	m.anchorPending, m.forceFeature, m.patBase, m.single = false, false, false, false
 	return m
 }
 
@@ -690,7 +737,12 @@ func (m *Machine) closeFrame(tok lexer.Token) {
 		m.closeCoord(f)
 	case semGeometry:
 		if f.geoParentList != nil {
-			f.geoParentList.children = append(f.geoParentList.children, m.buildGeo(f.geo))
+			// A member without usable coordinates builds no geometry and
+			// is left out: a nil member would panic the collection's
+			// Bound and point walks.
+			if child := m.buildGeo(f.geo); child != nil {
+				f.geoParentList.children = append(f.geoParentList.children, child)
+			}
 			m.releaseGeo(f.geo)
 		}
 	case semFeature:
@@ -722,6 +774,7 @@ func (m *Machine) closeCoord(f *frame) {
 		// Coordinates root closed.
 		f.geo.root = f.coord
 		f.geo.rootX, f.geo.rootY, f.geo.rootN = f.numX, f.numY, f.numCount
+		f.geo.depth = 0
 		return
 	}
 	if f.numCount >= 2 {
@@ -756,6 +809,12 @@ func (m *Machine) closeCoord(f *frame) {
 	m.releaseLvl(lvl)
 }
 
+// isCollection reports whether buildGeo yields a Collection of g's
+// children rather than a geometry of its own coordinates.
+func (g *geoBuild) isCollection() bool {
+	return g.kind == kindCollection || len(g.children) > 0
+}
+
 // buildGeo converts the accumulated coordinate tree into a Geometry.
 // All returned slices are exact-size copies owned by the geometry, so
 // the builder's buffers stay recyclable.
@@ -763,7 +822,7 @@ func (m *Machine) buildGeo(g *geoBuild) geom.Geometry {
 	if g == nil {
 		return nil
 	}
-	if g.kind == kindCollection || len(g.children) > 0 {
+	if g.isCollection() {
 		children := make([]geom.Geometry, len(g.children))
 		copy(children, g.children)
 		return geom.Collection(children)
@@ -817,33 +876,59 @@ func (m *Machine) buildGeo(g *geoBuild) geom.Geometry {
 	return nil
 }
 
+// emitFeature finishes a feature. Its bounding box is known before its
+// geometry exists when the fused scanner parsed the coordinates, so a
+// feature that misses Config.Window (or any feature under BoundsOnly) is
+// emitted without building geometry, properties or the Eval value.
 func (m *Machine) emitFeature(fb *featBuild, closeOff int64) {
 	if fb == nil {
 		return
 	}
-	out := FeatureOut{Feature: geom.Feature{
-		ID:         fb.id,
-		Geom:       m.buildGeo(fb.geo),
-		Properties: m.buildProps(fb),
-		Offset:     fb.openOff,
-	}}
-	m.releaseFeat(fb)
-	if m.cfg.Eval != nil {
-		out.Val = m.cfg.Eval(&out.Feature)
+	out := FeatureOut{Feature: geom.Feature{ID: fb.id, Offset: fb.openOff}}
+	scanned := fb.geo != nil && fb.geo.depth > 0 && !fb.geo.isCollection()
+	if scanned {
+		out.Box = fb.geo.scannedBox()
+	} else {
+		out.Feature.Geom = m.buildGeo(fb.geo)
+		out.Box = out.Feature.Bound()
 	}
-	if m.resolved || m.onFeature != nil {
+	cfg := m.cfg
+	if cfg.BoundsOnly || (cfg.Window != nil && !out.Box.Intersects(*cfg.Window)) {
+		out.Feature.Geom = nil
+	} else {
+		if scanned {
+			out.Feature.Geom = m.buildGeo(fb.geo)
+		}
+		out.Feature.Properties = m.buildProps(fb)
+		if cfg.EvalBox != nil || cfg.Eval != nil {
+			// The callee may keep its argument, which therefore lives on
+			// the heap: give it a copy made on this path only, so that a
+			// rejected feature costs no allocation.
+			f := out.Feature
+			if cfg.EvalBox != nil {
+				out.Val = cfg.EvalBox(&f, out.Box)
+			} else {
+				out.Val = cfg.Eval(&f)
+			}
+		}
+	}
+	m.releaseFeat(fb)
+	if m.onFeature != nil {
 		m.onFeature(out)
 		return
 	}
-	// Speculative: buffer the feature and place a skip marker on the
-	// spec tape so merge-time replay validates it in order.
+	// No sink: buffer the feature (speculative blocks, ReparseFeature).
+	// A speculative block also places a skip marker on the spec tape so
+	// merge-time replay validates the feature in order.
 	idx := int32(len(m.features))
 	m.features = append(m.features, out)
-	m.spec = append(m.spec, Event{
-		Tok:     lexer.Token{Off: out.Feature.Offset},
-		FeatIdx: idx,
-		EndOff:  closeOff + 1,
-	})
+	if !m.resolved {
+		m.spec = append(m.spec, Event{
+			Tok:     lexer.Token{Off: out.Feature.Offset},
+			FeatIdx: idx,
+			EndOff:  closeOff + 1,
+		})
+	}
 }
 
 // buildProps materialises the captured property spans into the feature's
@@ -1088,6 +1173,10 @@ func unescape(b []byte) string {
 			out = append(out, '\t')
 		case 'r':
 			out = append(out, '\r')
+		case 'b':
+			out = append(out, '\b')
+		case 'f':
+			out = append(out, '\f')
 		case 'u':
 			// Keep the raw sequence: metadata filters in AT-GIS compare
 			// raw values, and the datasets avoid non-ASCII escapes.

@@ -21,7 +21,7 @@ import (
 // machine: the oracle every parallel mode must reproduce.
 func ParseSequential(input []byte, cfg *Config, sink func(FeatureOut)) error {
 	m := NewResolvedMachine(input, cfg, sink)
-	lexer.ScanJSON(lexer.JSONDefault, input, 0, m.OnToken)
+	m.scan(lexer.JSONDefault, 0, int64(len(input)))
 	return m.Err()
 }
 
@@ -141,11 +141,15 @@ type PATBlockResult struct {
 // boundary.
 func ProcessBlockPAT(input []byte, start, end int64, cfg *Config) PATBlockResult {
 	res := PATBlockResult{Start: start, End: end, IncompleteOff: -1}
-	m := acquireMachine(input, cfg, func(f FeatureOut) {
-		res.Features = append(res.Features, f)
-	})
+	// The features accumulate in the pooled machine's buffer and leave it
+	// as one exact-size copy: a block lists every feature it scanned,
+	// matched or not, so growing a fresh slice per block would be most of
+	// what a selective pass allocates.
+	m := acquireMachine(input, cfg, nil)
 	m.patBase = true
-	endState := lexer.ScanJSON(lexer.JSONDefault, input[start:end], start, m.OnToken)
+	endState := m.scan(lexer.JSONDefault, start, end)
+	res.Features = append(res.Features, m.features...)
+	clear(m.features) // the pooled machine must not pin the geometries
 	if len(m.frames) > 0 {
 		res.IncompleteOff = m.frames[0].openOff
 	}
@@ -195,7 +199,7 @@ func (fd *PATFold) Header(end int64) {
 
 func (fd *PATFold) seqParse(from, to int64) {
 	fd.seqM.gapStart = from
-	fd.seqLex = lexer.ScanJSON(fd.seqLex, fd.input[from:to], from, fd.seqM.OnToken)
+	fd.seqLex = fd.seqM.scan(fd.seqLex, from, to)
 	fd.resume = to
 }
 
@@ -273,30 +277,28 @@ func max64(a, b int64) int64 {
 	return b
 }
 
+// reparseConfig materialises geometry only: no properties, no Eval.
+var reparseConfig Config
+
 // ReparseFeature re-parses the single feature object starting at off in
 // the shared input, used by the join pipeline's PARSER/BUFFER stage
 // (paper §4.5: partitions store offsets, geometries rebuild on demand).
+// The scan stops where the object closes.
 func ReparseFeature(input []byte, off int64) (geom.Geometry, error) {
-	var out geom.Geometry
-	done := false
-	m := NewResolvedMachine(input, &Config{}, func(f FeatureOut) {
-		if !done {
-			out = f.Feature.Geom
-			done = true
-		}
-	})
-	m.patBase = true
+	m := acquireMachine(input, &reparseConfig, nil)
+	m.patBase, m.single = true, true
 	m.gapStart = off
-	q := lexer.JSONDefault
-	const chunk = 4096
-	for pos := off; pos < int64(len(input)) && !done; pos += chunk {
-		end := pos + chunk
-		if end > int64(len(input)) {
-			end = int64(len(input))
-		}
-		q = lexer.ScanJSON(q, input[pos:end], pos, m.OnToken)
+	if off >= 0 && off < int64(len(input)) {
+		m.scan(lexer.JSONDefault, off, int64(len(input)))
 	}
-	if !done {
+	var out geom.Geometry
+	found := len(m.features) > 0
+	if found {
+		out = m.features[0].Feature.Geom
+	}
+	clear(m.features) // the pooled machine must not pin the geometry
+	releaseMachine(m)
+	if !found {
 		return nil, fmt.Errorf("geojson: no feature at offset %d", off)
 	}
 	return out, nil

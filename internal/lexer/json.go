@@ -121,59 +121,115 @@ func ScanJSON(q at.State, block []byte, baseOff int64, emit func(Token)) at.Stat
 				}
 			}
 		case JSONInString:
-			for i < n {
-				j := bytes.IndexByte(block[i:], '"')
-				if j < 0 {
-					// No closing quote in this block: consume the tail,
-					// tracking escape parity for the finishing state.
-					for s := i; ; {
-						e := bytes.IndexByte(block[s:], '\\')
-						if e < 0 {
-							break
-						}
-						if s+e == n-1 {
-							// A trailing backslash leaves the block in
-							// the escape state.
-							q = JSONInEscape
-							break
-						}
-						s += e + 2
-					}
-					i = n
-					break
-				}
-				// Walk the escapes in [i, i+j) without re-finding the
-				// quote (a re-scan per escape is quadratic on
-				// escape-dense strings). Each escape consumes two
-				// bytes; one may consume the candidate quote itself.
-				quote := i + j
-				escaped := false
-				for s := i; ; {
-					e := bytes.IndexByte(block[s:quote], '\\')
-					if e < 0 {
-						break
-					}
-					if s+e+1 == quote {
-						escaped = true
-						break
-					}
-					s += e + 2
-				}
-				if escaped {
-					i = quote + 1 // the quote was \" payload; keep scanning
-					continue
-				}
+			quote, end := scanJSONString(block, i)
+			if end == JSONDefault {
 				emit(Token{KindStrEnd, baseOff + int64(quote)})
-				q = JSONDefault
-				i = quote + 1
-				break
 			}
+			q, i = end, quote+1
 		case JSONInEscape:
 			q = JSONInString
 			i++
 		}
 	}
 	return q
+}
+
+// ScanJSONResume is ScanJSON for consumers that parse some values
+// themselves (the GeoJSON machine's fused coordinate scanner): emit
+// returns the absolute offset at which lexing resumes, and any value not
+// past the token just emitted means "the next byte". The consumer may
+// only skip whole JSON values, so the lexer resumes in the default state;
+// an offset at or past the block end stops the scan.
+//
+//atgis:hotpath
+func ScanJSONResume(q at.State, block []byte, baseOff int64, emit func(Token) int64) at.State {
+	n := len(block)
+	i := 0
+	for i < n {
+		switch q {
+		case JSONDefault:
+			for i < n {
+				k := jsonStructural[block[i]]
+				if k == 0 {
+					i++
+					continue
+				}
+				resume := emit(Token{k, baseOff + int64(i)}) - baseOff
+				i++
+				if resume > int64(i) {
+					i = n
+					if resume < int64(n) {
+						i = int(resume)
+					}
+					continue
+				}
+				if k == KindStrBegin {
+					q = JSONInString
+					break
+				}
+			}
+		case JSONInString:
+			quote, end := scanJSONString(block, i)
+			if end == JSONDefault {
+				emit(Token{KindStrEnd, baseOff + int64(quote)})
+			}
+			q, i = end, quote+1
+		case JSONInEscape:
+			q = JSONInString
+			i++
+		}
+	}
+	return q
+}
+
+// scanJSONString consumes string payload from block[i:], the lexer being
+// inside a string at i. It returns the index of the closing quote and
+// JSONDefault, or len(block)-1 and the in-string or in-escape state the
+// block ends in when the string does not close.
+func scanJSONString(block []byte, i int) (int, at.State) {
+	n := len(block)
+	for i < n {
+		j := bytes.IndexByte(block[i:], '"')
+		if j < 0 {
+			// No closing quote in this block: consume the tail,
+			// tracking escape parity for the finishing state.
+			for s := i; ; {
+				e := bytes.IndexByte(block[s:], '\\')
+				if e < 0 {
+					break
+				}
+				if s+e == n-1 {
+					// A trailing backslash leaves the block in the
+					// escape state.
+					return n - 1, JSONInEscape
+				}
+				s += e + 2
+			}
+			break
+		}
+		// Walk the escapes in [i, i+j) without re-finding the quote (a
+		// re-scan per escape is quadratic on escape-dense strings). Each
+		// escape consumes two bytes; one may consume the candidate quote
+		// itself.
+		quote := i + j
+		escaped := false
+		for s := i; ; {
+			e := bytes.IndexByte(block[s:quote], '\\')
+			if e < 0 {
+				break
+			}
+			if s+e+1 == quote {
+				escaped = true
+				break
+			}
+			s += e + 2
+		}
+		if !escaped {
+			return quote, JSONDefault
+		}
+		i = quote + 1 // the quote was \" payload; keep scanning
+	}
+	return n - 1, JSONInString
 }
 
 // NewJSONFST builds the table-driven FST equivalent of ScanJSON, used by

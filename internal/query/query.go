@@ -140,11 +140,18 @@ func (r *Result) Hull() geom.Polygon { return geom.HullOfPoints(r.HullPts) }
 
 // FeatureVal is the per-feature outcome of a Spec, computable inside the
 // parallel phase with no shared state (the transformation stage of
-// Fig. 6). Matched features carry their aggregates.
+// Fig. 6). Matched features carry their aggregates and, when the Spec
+// reads it (a reference to prefilter against, WantMBR, KeepMatches),
+// their bounding box.
 type FeatureVal struct {
 	Matched         bool
 	Area, Perimeter float64
+	Box             geom.Box
 }
+
+// needsBox reports whether evaluating the spec reads a feature's
+// bounding box: the MBR prefilter, the MBR aggregate, the match records.
+func (s *Spec) needsBox() bool { return s.Ref != nil || s.WantMBR || s.KeepMatches }
 
 // Apply computes the Spec's per-feature outcome. The streaming/buffered
 // distinction (Fig. 7) places the aggregate computation before or after
@@ -153,20 +160,35 @@ func Apply(s *Spec, f *geom.Feature) FeatureVal {
 	if f.Geom == nil {
 		return FeatureVal{}
 	}
+	var box geom.Box
+	if s.needsBox() {
+		box = f.Geom.Bound()
+	}
+	return ApplyBox(s, f, box)
+}
+
+// ApplyBox is Apply for a caller that already holds f.Geom.Bound() (the
+// GeoJSON scanner computes it while parsing).
+func ApplyBox(s *Spec, f *geom.Feature, box geom.Box) FeatureVal {
+	if f.Geom == nil {
+		return FeatureVal{}
+	}
 	e := Evaluator{Spec: s}
 	switch s.Mode {
 	case Buffered:
-		if !e.match(f) {
+		// Test first ("buffer" the geometry), compute only on match.
+		if !e.match(f, box) {
 			return FeatureVal{}
 		}
 		area, perim := e.compute(f)
-		return FeatureVal{Matched: true, Area: area, Perimeter: perim}
+		return FeatureVal{Matched: true, Area: area, Perimeter: perim, Box: box}
 	default:
+		// Streaming: compute the aggregate concurrently with the test.
 		area, perim := e.compute(f)
-		if !e.match(f) {
+		if !e.match(f, box) {
 			return FeatureVal{}
 		}
-		return FeatureVal{Matched: true, Area: area, Perimeter: perim}
+		return FeatureVal{Matched: true, Area: area, Perimeter: perim, Box: box}
 	}
 }
 
@@ -180,7 +202,7 @@ func (r *Result) Absorb(s *Spec, f *geom.Feature, v FeatureVal) {
 	r.SumArea += v.Area
 	r.SumPerimeter += v.Perimeter
 	if s.WantMBR {
-		r.MBR = r.MBR.Union(f.Geom.Bound())
+		r.MBR = r.MBR.Union(v.Box)
 	}
 	if s.WantHull {
 		f.Geom.EachPoint(func(p geom.Point) bool {
@@ -189,7 +211,7 @@ func (r *Result) Absorb(s *Spec, f *geom.Feature, v FeatureVal) {
 		})
 	}
 	if s.KeepMatches {
-		r.Matches = append(r.Matches, Match{ID: f.ID, Offset: f.Offset, Box: f.Geom.Bound()})
+		r.Matches = append(r.Matches, Match{ID: f.ID, Offset: f.Offset, Box: v.Box})
 	}
 }
 
@@ -208,35 +230,16 @@ func NewEvaluator(s *Spec) *Evaluator {
 
 // Consume evaluates one feature.
 func (e *Evaluator) Consume(f *geom.Feature) {
-	e.Res.Scanned++
-	if f.Geom == nil {
-		return
-	}
-	s := e.Spec
-	switch s.Mode {
-	case Buffered:
-		// Test first ("buffer" the geometry), compute only on match.
-		if !e.match(f) {
-			return
-		}
-		e.accept(f)
-	default:
-		// Streaming: compute the aggregate concurrently with the test.
-		area, perim := e.compute(f)
-		if !e.match(f) {
-			return
-		}
-		e.acceptPrecomputed(f, area, perim)
-	}
+	e.Res.Absorb(e.Spec, f, Apply(e.Spec, f))
 }
 
-// match runs the MBR prefilter followed by the exact predicate.
-func (e *Evaluator) match(f *geom.Feature) bool {
+// match runs the MBR prefilter on b, the feature's bounding box, followed
+// by the exact predicate.
+func (e *Evaluator) match(f *geom.Feature, b geom.Box) bool {
 	s := e.Spec
 	if s.Ref == nil {
 		return true
 	}
-	b := f.Geom.Bound()
 	switch s.Pred {
 	case PredDisjoint:
 		// MBR disjointness proves geometry disjointness.
@@ -295,31 +298,6 @@ func (e *Evaluator) compute(f *geom.Feature) (area, perim float64) {
 	return area, perim
 }
 
-func (e *Evaluator) accept(f *geom.Feature) {
-	area, perim := e.compute(f)
-	e.acceptPrecomputed(f, area, perim)
-}
-
-func (e *Evaluator) acceptPrecomputed(f *geom.Feature, area, perim float64) {
-	s := e.Spec
-	r := e.Res
-	r.Count++
-	r.SumArea += area
-	r.SumPerimeter += perim
-	if s.WantMBR {
-		r.MBR = r.MBR.Union(f.Geom.Bound())
-	}
-	if s.WantHull {
-		f.Geom.EachPoint(func(p geom.Point) bool {
-			r.HullPts = append(r.HullPts, p)
-			return true
-		})
-	}
-	if s.KeepMatches {
-		r.Matches = append(r.Matches, Match{ID: f.ID, Offset: f.Offset, Box: f.Geom.Bound()})
-	}
-}
-
 // SideA and SideB are the bits of a PartitionSink side mask.
 const (
 	SideA uint8 = 1 << iota
@@ -347,14 +325,19 @@ func NewPartitionSink(g partition.Grid, kind partition.StoreKind, mask func(f *g
 
 // Consume bins one feature.
 func (p *PartitionSink) Consume(f *geom.Feature) {
-	if f.Geom == nil {
-		return
+	if f.Geom != nil {
+		p.ConsumeBox(f, f.Geom.Bound())
 	}
+}
+
+// ConsumeBox bins one feature whose bounding box the caller already
+// holds; f.Geom is read by the mask only.
+func (p *PartitionSink) ConsumeBox(f *geom.Feature, box geom.Box) {
 	mask := SideA
 	if p.Mask != nil {
 		mask = p.Mask(f)
 	}
-	e := partition.Entry{Box: f.Geom.Bound(), Off: f.Offset, ID: f.ID}
+	e := partition.Entry{Box: box, Off: f.Offset, ID: f.ID}
 	if mask&SideA != 0 {
 		p.Sets[0].Insert(e)
 	}

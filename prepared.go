@@ -11,6 +11,10 @@ import (
 	"atgis/internal/sidecar"
 )
 
+// noWindowPushdown keeps Prepare from setting geojson.Config.Window; the
+// pushdown-invariant tests set it to obtain the reference pass.
+var noWindowPushdown bool
+
 // PreparedQuery is a single-pass query (containment or aggregation)
 // compiled once and executable many times, against the same or different
 // Sources, from any number of goroutines concurrently. Preparation
@@ -43,9 +47,15 @@ func (e *Engine) Prepare(spec *query.Spec, opt Options) (*PreparedQuery, error) 
 	p.spec.Normalize()
 	p.cfg = &geojson.Config{
 		PropKeys: p.opt.PropKeys,
-		Eval: func(f *geom.Feature) any {
-			return query.Apply(&p.spec, f)
+		EvalBox: func(f *geom.Feature, box geom.Box) any {
+			return query.ApplyBox(&p.spec, f, box)
 		},
+	}
+	// Cold reject ≡ warm prune: the extraction machine drops a feature
+	// whose bounding box misses the window the sidecar planner would
+	// prune it against, before building its geometry.
+	if win, ok := pruneWindow(&p.spec); ok && !noWindowPushdown {
+		p.cfg.Window = &win
 	}
 	return p, nil
 }
@@ -183,11 +193,11 @@ func (p *PreparedQuery) run(ctx context.Context, src Source, onFeature func(*geo
 	if rec != nil {
 		innerSink, innerConsume := sink, consume
 		sink = func(f geojson.FeatureOut) {
-			rec.Add(f.Feature.Offset, f.Feature.ID, featBox(f.Feature.Geom))
+			rec.Add(f.Feature.Offset, f.Feature.ID, f.Box)
 			innerSink(f)
 		}
 		consume = func(f *geom.Feature) {
-			rec.Add(f.Offset, f.ID, featBox(f.Geom))
+			rec.Add(f.Offset, f.ID, f.Bound())
 			innerConsume(f)
 		}
 	}

@@ -264,17 +264,6 @@ func (e *Engine) sidecarFor(src Source) (*MappedSource, *sidecar.Index) {
 	return ms, ms.sidecarIndex()
 }
 
-// featBox records a feature's bounding box for the tape;
-// geometry-less features record the empty box, which warm passes
-// prune and partition rebuilds skip — exactly what a cold pass does
-// with a nil geometry.
-func featBox(g geom.Geometry) geom.Box {
-	if g == nil {
-		return geom.EmptyBox()
-	}
-	return g.Bound()
-}
-
 // warmJoinPartition rebuilds the join's merged partition sink from the
 // sidecar tape, replacing the whole first join pass: one linear walk
 // over (id, offset, bbox) in consume order reproduces exactly the
@@ -290,7 +279,7 @@ func warmJoinPartition(ix *sidecar.Index, merged *query.PartitionSink) {
 			continue
 		}
 		f = geom.Feature{ID: ix.IDs[i], Offset: ix.Offs[i], Geom: bx.AsPolygon()}
-		merged.Consume(&f)
+		merged.ConsumeBox(&f, bx)
 	}
 }
 

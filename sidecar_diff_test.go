@@ -374,3 +374,45 @@ func TestSidecarDifferential(t *testing.T) {
 		})
 	}
 }
+
+// TestSidecarTapeIndependentOfWindow: the recorder is fed every
+// feature's id, offset and box whether or not the window rejected it,
+// so the .atgx a selective first pass writes is byte-identical to the
+// one a pass that materialises everything writes.
+func TestSidecarTapeIndependentOfWindow(t *testing.T) {
+	path := writeSidecarCorpus(t, GeoJSON)
+	record := func(spec *query.Spec, mode Mode) []byte {
+		t.Helper()
+		eng := NewEngine(EngineConfig{Workers: 4, Sidecar: SidecarReadWrite})
+		defer eng.Close()
+		src := mustOpen(t, path)
+		if _, err := eng.Query(context.Background(), src, spec, Options{Mode: mode, Workers: 4, BlockSize: 8 << 10}); err != nil {
+			t.Fatal(err)
+		}
+		if st := src.SidecarStats(); !st.Built || st.WriteError != "" {
+			t.Fatalf("sidecar not recorded: %+v", st)
+		}
+		tape, err := os.ReadFile(sidecar.PathFor(path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Remove(sidecar.PathFor(path)); err != nil {
+			t.Fatal(err)
+		}
+		return tape
+	}
+	full := diffSpec(query.PredIntersects, 0.2, false)
+	full.Ref = nil // no window: every geometry is built
+	want := record(full, PAT)
+	selective := diffSpec(query.PredIntersects, 0.02, false)
+	for _, mode := range []Mode{PAT, FAT} {
+		if got := record(selective, mode); string(got) != string(want) {
+			t.Errorf("%v: tape recorded by a selective pass differs from the full pass's (%d vs %d bytes)", mode, len(got), len(want))
+		}
+	}
+	withoutPushdown(func() {
+		if got := record(selective, PAT); string(got) != string(want) {
+			t.Errorf("tape recorded without pushdown differs (%d vs %d bytes)", len(got), len(want))
+		}
+	})
+}

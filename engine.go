@@ -407,7 +407,8 @@ func (e *Engine) CollectFeatures(ctx context.Context, src Source, opt Options) (
 		_, _, _, err = e.runGeoJSONWith(ctx, data, &geojson.Config{PropKeys: opt.PropKeys}, opt,
 			func(f geojson.FeatureOut) { feats = append(feats, f.Feature) })
 	case WKT:
-		_, err = e.runWKT(ctx, data, opt, consume)
+		pl := coldPlan(WKT, data, ShardRange{0, int64(len(data))})
+		_, err = e.runWKTPlan(ctx, data, &pl, opt, consume)
 	case OSMXML:
 		_, err = e.runOSM(ctx, data, opt, consume)
 	default:
@@ -441,78 +442,11 @@ func (e *Engine) runGeoJSONWith(ctx context.Context, data []byte, cfg *geojson.C
 		}
 		return st, 0, fold.Reprocessed, fold.Finish()
 	}
-	// PAT: boundary-searching splitter plus optimised per-block parser.
-	// The boundary scan streams cuts so block parsing starts while the
-	// scan is still running.
-	fold := geojson.NewPATFold(data, cfg, sink)
-	headerDone := false
-	st, err := pipeline.RunCtx(ctx, data,
-		pipeline.StreamSplitterFunc(func(input []byte, yield func(int64) bool) {
-			geojson.FindFeatureBoundariesStream(input, opt.blockSize(), yield)
-		}),
-		e.exec(ctx, opt, data),
-		func(b pipeline.Block) *geojson.PATBlockResult {
-			if b.Index == 0 {
-				return nil // header handled by the fold
-			}
-			r := geojson.ProcessBlockPAT(data, b.Start, b.End, cfg)
-			return &r
-		},
-		func(b pipeline.Block, r *geojson.PATBlockResult) {
-			if r == nil {
-				fold.Header(b.End)
-				headerDone = true
-				return
-			}
-			if !headerDone {
-				fold.Header(0)
-				headerDone = true
-			}
-			fold.Add(*r)
-		},
-	)
-	if err != nil {
-		return st, fold.Repaired, 0, err
-	}
-	return st, fold.Repaired, 0, fold.Finish(int64(len(data)))
-}
-
-func (e *Engine) runWKT(ctx context.Context, data []byte, opt Options, consume func(*geom.Feature)) (pipeline.Stats, error) {
-	type frag struct {
-		feats []geom.Feature
-		err   error
-	}
-	var firstErr error
-	st, err := pipeline.RunCtx(ctx, data,
-		pipeline.StreamSplitterFunc(func(input []byte, yield func(int64) bool) {
-			wkt.SplitLinesStream(input, opt.blockSize(), yield)
-		}),
-		e.exec(ctx, opt, data),
-		func(b pipeline.Block) frag {
-			var fr frag
-			fr.err = wkt.EachLine(data, b.Start, b.End, func(line []byte, off int64) error {
-				f, err := wkt.ParseLine(line, off)
-				if err != nil {
-					return err
-				}
-				fr.feats = append(fr.feats, f)
-				return nil
-			})
-			return fr
-		},
-		func(b pipeline.Block, fr frag) {
-			if fr.err != nil && firstErr == nil {
-				firstErr = fr.err
-			}
-			for i := range fr.feats {
-				consume(&fr.feats[i])
-			}
-		},
-	)
-	if err != nil {
-		return st, err
-	}
-	return st, firstErr
+	// PAT: the cold plan over the whole source — boundary-searching
+	// splitter plus optimised per-block parser.
+	pl := coldPlan(GeoJSON, data, ShardRange{0, int64(len(data))})
+	st, repaired, err := e.runGeoJSONPlan(ctx, data, &pl, cfg, opt, sink)
+	return st, repaired, 0, err
 }
 
 // runOSM executes the multi-pass OSM XML pipeline: pass 1 builds the

@@ -24,7 +24,11 @@ import (
 // handleShardQuery is the worker side of a scattered query: the pass
 // restricted to the request's raw byte range, with the shard handshake
 // record prepended so the coordinator can verify range continuity
-// across workers before interleaving their records.
+// across workers before interleaving their records. The pass uses the
+// worker's sidecar like any other (warm from the tape, or — on a
+// readwrite worker's first miss — the full recording pass filtered to
+// the range), so workers with and without a tape mix freely: alignment
+// is read off the bytes either way.
 func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request, req *queryRequest) {
 	entry, ok := s.source(req.Source)
 	if !ok {
@@ -40,8 +44,10 @@ func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request, req *q
 		writeError(w, http.StatusBadRequest, 0, "timeout_ms must be >= 0")
 		return
 	}
-	shard := atgis.ShardRange{Start: req.Shard.Start, End: req.Shard.End}
-	aligned, err := atgis.AlignShard(entry.src, shard)
+	// Align once: the head reports the aligned range and the pass takes
+	// it as its shard (re-aligning an aligned range is two constant-time
+	// look-ups, not two more boundary scans).
+	aligned, err := atgis.AlignShard(entry.src, atgis.ShardRange{Start: req.Shard.Start, End: req.Shard.End})
 	if err != nil {
 		// Unshardable format (OSM XML) or an out-of-order range.
 		writeError(w, http.StatusBadRequest, 0, "shard: %v", err)
@@ -53,7 +59,7 @@ func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request, req *q
 		return
 	}
 	head := cluster.ShardHead{
-		Type: "shard", Start: shard.Start, End: shard.End,
+		Type: "shard", Start: req.Shard.Start, End: req.Shard.End,
 		AlignedStart: aligned.Start, AlignedEnd: aligned.End,
 	}
 
@@ -64,7 +70,7 @@ func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request, req *q
 	defer out.stop()
 
 	if spec.Kind == query.Aggregation {
-		res, err := pq.ExecuteShard(ctx, entry.src, shard)
+		res, err := pq.ExecuteShard(ctx, entry.src, aligned)
 		if err != nil {
 			if errors.Is(err, atgis.ErrSourceFault) {
 				entry.markFault(err)
@@ -83,7 +89,7 @@ func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request, req *q
 		return
 	}
 
-	res := pq.StreamShard(ctx, entry.src, shard)
+	res := pq.StreamShard(ctx, entry.src, aligned)
 	defer res.Close()
 	if !out.write(head) {
 		return

@@ -10,11 +10,14 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -22,6 +25,9 @@ import (
 	"atgis"
 	"atgis/internal/cluster"
 	"atgis/internal/faultinject"
+	"atgis/internal/geom"
+	"atgis/internal/query"
+	"atgis/internal/sidecar"
 )
 
 // startWorker stands up one worker node serving path as "data".
@@ -29,6 +35,31 @@ func startWorker(t *testing.T, path string) *httptest.Server {
 	t.Helper()
 	_, ts := newTestServerWithPath(t, path, atgis.EngineConfig{Workers: 2})
 	return ts
+}
+
+// sidecarOf is the worker's sidecar state for its "data" source.
+func sidecarOf(t *testing.T, srv *Server) atgis.SidecarStats {
+	t.Helper()
+	e, ok := srv.source("data")
+	if !ok {
+		t.Fatal("worker has no data source")
+	}
+	return e.src.(*atgis.MappedSource).SidecarStats()
+}
+
+// copyOf gives a worker its own copy of the dataset, so that its sidecar
+// is its own too (same bytes: the coordinator sees one source).
+func copyOf(t *testing.T, path string) string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dup := filepath.Join(t.TempDir(), filepath.Base(path))
+	if err := os.WriteFile(dup, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dup
 }
 
 // startCoordinator assembles a coordinator Server over the worker URLs,
@@ -113,10 +144,59 @@ func samePayload(t *testing.T, got, want []string) {
 
 func TestClusterQueryMatchesSingleNode(t *testing.T) {
 	path := writeSynthetic(t, 400)
-	w1, w2 := startWorker(t, path), startWorker(t, path)
 	_, single := newTestServerWithPath(t, path, atgis.EngineConfig{Workers: 2})
-	_, coord := startCoordinator(t, w1.URL, w2.URL)
 
+	t.Run("cold workers", func(t *testing.T) {
+		w1, w2 := startWorker(t, path), startWorker(t, path)
+		_, coord := startCoordinator(t, w1.URL, w2.URL)
+		checkClusterQuery(t, single, coord)
+	})
+
+	// Workers that may write sidecars: the first scattered request is each
+	// worker's recording pass, every later one is planned from the tape.
+	t.Run("readwrite workers", func(t *testing.T) {
+		rw := atgis.EngineConfig{Workers: 2, Sidecar: atgis.SidecarReadWrite}
+		s1, w1 := newTestServerWithPath(t, copyOf(t, path), rw)
+		s2, w2 := newTestServerWithPath(t, copyOf(t, path), rw)
+		_, coord := startCoordinator(t, w1.URL, w2.URL)
+		checkClusterQuery(t, single, coord)
+		for i, srv := range []*Server{s1, s2} {
+			if st := sidecarOf(t, srv); !st.Built || st.Misses != 1 {
+				t.Fatalf("worker %d: first shard pass did not record the tape: %+v", i+1, st)
+			}
+		}
+		before := []int64{sidecarOf(t, s1).Hits, sidecarOf(t, s2).Hits}
+		checkClusterQuery(t, single, coord)
+		for i, srv := range []*Server{s1, s2} {
+			if st := sidecarOf(t, srv); st.Hits <= before[i] || st.Misses != 1 {
+				t.Fatalf("worker %d: second request not served warm: %+v (hits before: %d)", i+1, st, before[i])
+			}
+		}
+	})
+
+	// One worker warm, the other read-only with no tape to read (so cold
+	// for ever): alignment comes from the bytes on both, and the shards
+	// still tile exactly.
+	t.Run("warm and cold workers mixed", func(t *testing.T) {
+		s1, w1 := newTestServerWithPath(t, copyOf(t, path), atgis.EngineConfig{Workers: 2, Sidecar: atgis.SidecarReadWrite})
+		s2, w2 := newTestServerWithPath(t, copyOf(t, path), atgis.EngineConfig{Workers: 2, Sidecar: atgis.SidecarRead})
+		_, coord := startCoordinator(t, w1.URL, w2.URL)
+		checkClusterQuery(t, single, coord)
+		checkClusterQuery(t, single, coord)
+		if st := sidecarOf(t, s1); st.Hits == 0 {
+			t.Fatalf("readwrite worker never ran warm: %+v", st)
+		}
+		if st := sidecarOf(t, s2); st.Hits != 0 || st.Misses == 0 || st.State != "none" {
+			t.Fatalf("read-only worker without a tape did not stay cold: %+v", st)
+		}
+	})
+}
+
+// checkClusterQuery requires the coordinator's answers to an
+// aggregation, a streamed containment and a limited stream to match the
+// single node's.
+func checkClusterQuery(t *testing.T, single, coord *httptest.Server) {
+	t.Helper()
 	// Aggregation: counts and the MBR merge exactly across shards; the
 	// float sums regroup, so they get a relative tolerance instead.
 	agg := `{"source":"data","kind":"aggregation","ref":[-180,-90,180,90],"want":["area","perimeter","mbr"]}`
@@ -162,6 +242,103 @@ func TestClusterQueryMatchesSingleNode(t *testing.T) {
 	if len(gotPay) != 5 {
 		t.Fatalf("limit 5 streamed %d records", len(gotPay))
 	}
+}
+
+// poisonedTape writes, next to path, a sidecar that passes every
+// load-time check but lies about the source: wherever the window's
+// survivors are followed by a pruned feature, that feature's offset is
+// moved back into the middle of its surviving neighbour. A warm pass
+// over the window then finds a live block ending mid-feature, starts a
+// repair, and has to abandon the pass at the gap that follows.
+func poisonedTape(t *testing.T, path string, win geom.Box) {
+	t.Helper()
+	eng := atgis.NewEngine(atgis.EngineConfig{Workers: 2, Sidecar: atgis.SidecarReadWrite})
+	defer eng.Close()
+	src, err := atgis.OpenMapped(path, atgis.AutoDetect)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	pq, err := eng.Prepare(&query.Spec{Kind: query.Aggregation}, atgis.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pq.Execute(context.Background(), src); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := sidecar.Load(path)
+	if err != nil {
+		t.Fatalf("no tape to poison: %v", err)
+	}
+	keep := make([]bool, ix.N())
+	ix.Prune(win, keep)
+	poisoned := 0
+	for j := 1; j < ix.N(); j++ {
+		if keep[j-1] && !keep[j] {
+			ix.Offs[j] -= (ix.Offs[j] - ix.Offs[j-1]) / 2
+			poisoned++
+		}
+	}
+	if poisoned < 4 {
+		t.Fatalf("only %d live-to-pruned transitions to poison", poisoned)
+	}
+	if err := sidecar.Write(path, ix); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestClusterPoisonedTapeOnOneWorker: a warm shard pass that finds its
+// tape inconsistent with the bytes rejects that worker's sidecar. A
+// streaming shard has already sent records, so it ends with the in-band
+// error record and the coordinator resumes the shard (on either worker —
+// the poisoned one is cold from now on); an aggregate shard reruns cold
+// in place and the coordinator never notices. Both answers equal the
+// single node's.
+func TestClusterPoisonedTapeOnOneWorker(t *testing.T) {
+	path := writeSynthetic(t, 400)
+	_, single := newTestServerWithPath(t, path, atgis.EngineConfig{Workers: 2})
+	win := geom.Box{MinX: -90, MinY: -45, MaxX: 90, MaxY: 45}
+	for _, tc := range []struct {
+		name, body string
+		retried    bool
+	}{
+		{"streaming", `{"source":"data","kind":"containment","ref":[-90,-45,90,45],"want":["area"]}`, true},
+		{"aggregate", `{"source":"data","kind":"aggregation","ref":[-90,-45,90,45],"want":["mbr"]}`, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			good, bad := copyOf(t, path), copyOf(t, path)
+			poisonedTape(t, bad, win)
+			ro := atgis.EngineConfig{Workers: 2, Sidecar: atgis.SidecarRead}
+			_, w1 := newTestServerWithPath(t, good, ro)
+			s2, w2 := newTestServerWithPath(t, bad, ro)
+			cl, coord := startCoordinator(t, w1.URL, w2.URL)
+
+			wantPay, wantSum := fetchStream(t, single, "/v1/query", tc.body)
+			gotPay, gotSum := fetchStream(t, coord, "/v1/query", tc.body)
+			samePayload(t, gotPay, wantPay)
+			for _, k := range []string{"matched", "scanned", "mbr"} {
+				if g, w := gotSum[k], wantSum[k]; !equalJSON(g, w) {
+					t.Fatalf("%s = %v, want %v", k, g, w)
+				}
+			}
+			if gotSum["shards_failed"] != nil {
+				t.Fatalf("shards_failed = %v", gotSum["shards_failed"])
+			}
+			if st := sidecarOf(t, s2); st.State != "rejected" || st.Hits != 1 {
+				t.Fatalf("poisoned tape was not used once and then rejected: %+v", st)
+			}
+			if n := cl.Snapshot().ShardRetries; (n >= 1) != tc.retried {
+				t.Fatalf("ShardRetries = %d, want retried = %v", n, tc.retried)
+			}
+		})
+	}
+}
+
+// equalJSON compares two decoded JSON values.
+func equalJSON(a, b any) bool {
+	x, _ := json.Marshal(a)
+	y, _ := json.Marshal(b)
+	return bytes.Equal(x, y)
 }
 
 func TestClusterJoinOrderedMatchesSingleNode(t *testing.T) {

@@ -1,5 +1,7 @@
-//go:build (darwin || freebsd || netbsd || openbsd || dragonfly) && !linux
+//go:build !linux
 
 package atgis
 
 func madviseSequential([]byte) error { return nil }
+
+func madviseDontNeed([]byte) error { return nil }

@@ -76,13 +76,17 @@ func (p *PreparedQuery) Spec() query.Spec { return p.spec }
 // tenants' EngineConfig.TenantWeights, and a pass running alone still
 // uses the whole pool.
 func (p *PreparedQuery) Execute(ctx context.Context, src Source) (*Result, error) {
-	return p.run(ctx, src, nil)
+	return p.run(ctx, src, nil, nil)
 }
 
-// run is the shared execution core: aggregates into a fresh Result and,
-// when onFeature is set, streams every scanned feature with its
-// per-feature outcome.
-func (p *PreparedQuery) run(ctx context.Context, src Source, onFeature func(*geom.Feature, query.FeatureVal)) (*Result, error) {
+// run is the shared execution core of Execute, Stream and their shard
+// forms: it aggregates into a fresh Result and, when onFeature is set,
+// streams every scanned feature with its per-feature outcome. A non-nil
+// shard restricts the pass to the features owned by that range's
+// aligned form (AlignShard; aligning an aligned range again costs two
+// constant-time look-ups, so callers that need the aligned range up
+// front pass it down).
+func (p *PreparedQuery) run(ctx context.Context, src Source, shard *ShardRange, onFeature func(*geom.Feature, query.FeatureVal)) (*Result, error) {
 	if err := p.engine.check(); err != nil {
 		return nil, err
 	}
@@ -98,8 +102,22 @@ func (p *PreparedQuery) run(ctx context.Context, src Source, onFeature func(*geo
 	}
 	defer release()
 	data := src.Bytes()
-	spec := &p.spec
+	format := src.DataFormat()
+	whole := ShardRange{0, int64(len(data))}
+	rng := whole
 	out := &Result{Res: query.NewResult()}
+	if shard != nil {
+		if rng, err = AlignShard(src, *shard); err != nil {
+			return nil, err
+		}
+		if rng.Start >= rng.End {
+			// Nothing owned by this shard (a range entirely inside the
+			// document wrapper, or at EOF).
+			out.Stats.Workers = p.opt.workers()
+			return out, nil
+		}
+	}
+	spec := &p.spec
 	// The sinks come in an aggregate-only and a streaming flavour; the
 	// aggregate-only ones call Absorb directly (no func-value hop) so
 	// escape analysis keeps the per-feature FeatureOut off the heap.
@@ -122,15 +140,26 @@ func (p *PreparedQuery) run(ctx context.Context, src Source, onFeature func(*geo
 			onFeature(f, v)
 		}
 	}
-	format := src.DataFormat()
-	runCold := func() error {
-		var err error
-		switch format {
-		case GeoJSON:
+	// runPlan executes one block plan with the current sinks; runCold
+	// plans r without the sidecar — the whole source through the format's
+	// full runner (FAT or PAT per opt.Mode, OSM's two passes), a proper
+	// sub-range through the cold plan.
+	runPlan := func(pl *blockPlan) (err error) {
+		if format == GeoJSON {
+			out.Stats, out.Repaired, err = p.engine.runGeoJSONPlan(ctx, data, pl, p.cfg, p.opt, sink)
+		} else {
+			out.Stats, err = p.engine.runWKTPlan(ctx, data, pl, p.opt, consume)
+		}
+		return err
+	}
+	runCold := func(r ShardRange) (err error) {
+		switch {
+		case format == GeoJSON && r == whole:
 			out.Stats, out.Repaired, out.Reprocessed, err = p.engine.runGeoJSONWith(ctx, data, p.cfg, p.opt, sink)
-		case WKT:
-			out.Stats, err = p.engine.runWKT(ctx, data, p.opt, consume)
-		case OSMXML:
+		case format == GeoJSON || format == WKT:
+			pl := coldPlan(format, data, r)
+			err = runPlan(&pl)
+		case format == OSMXML:
 			out.Stats, err = p.engine.runOSM(ctx, data, p.opt, consume)
 		default:
 			err = fmt.Errorf("atgis: unsupported format %v", format)
@@ -148,26 +177,21 @@ func (p *PreparedQuery) run(ctx context.Context, src Source, onFeature func(*geo
 	ms, ix := p.engine.sidecarFor(src)
 	if ms != nil && ix != nil && format != OSMXML {
 		ms.sc.hits.Add(1)
-		var pruned int64
-		switch format {
-		case GeoJSON:
-			out.Stats, pruned, out.Repaired, err = p.engine.runGeoJSONWarm(ctx, data, ix, p.cfg, p.opt, spec, sink)
-		case WKT:
-			out.Stats, pruned, err = p.engine.runWKTWarm(ctx, data, ix, p.opt, spec, consume)
-		}
+		pl := tapePlan(ix, spec, rng, whole.End, p.opt.blockSize())
+		err = runPlan(&pl)
 		if errors.Is(err, errWarmAbort) {
 			// The tape disagreed with the bytes mid-pass (load-time
 			// validation makes this near-impossible). Reject the sidecar
 			// for all future passes; an aggregate-only pass can simply
 			// rerun cold, a streaming pass has already emitted features
-			// and must surface the error instead.
+			// and must surface the error instead (a coordinator retries
+			// the shard on seeing it).
 			ms.rejectSidecar(err)
 			if onFeature != nil {
 				return nil, err
 			}
 			out.Res = query.NewResult()
-			err = runCold()
-			if err != nil {
+			if err = runCold(rng); err != nil {
 				return nil, err
 			}
 			return out, nil
@@ -175,14 +199,16 @@ func (p *PreparedQuery) run(ctx context.Context, src Source, onFeature func(*geo
 		if err != nil {
 			return nil, err
 		}
-		out.Res.Scanned += pruned
+		out.Res.Scanned += pl.pruned
 		return out, nil
 	}
 
 	// Cold pass, recording the structural tape when this engine may
 	// write sidecars and no other pass holds the recorder. The recorder
 	// is fed from the merge fold (single-threaded, consume order) and
-	// is only persisted after the pass completes successfully.
+	// is only persisted after the pass completes successfully. Only a
+	// pass over the whole source may feed it, so a recording shard runs
+	// that pass and keeps what its range owns; the next shard is warm.
 	var rec *sidecar.Builder
 	if ms != nil && ix == nil {
 		ms.sc.misses.Add(1)
@@ -190,23 +216,32 @@ func (p *PreparedQuery) run(ctx context.Context, src Source, onFeature func(*geo
 			rec = ms.beginSidecarRecord()
 		}
 	}
+	own := rng
 	if rec != nil {
 		innerSink, innerConsume := sink, consume
+		rng = whole
 		sink = func(f geojson.FeatureOut) {
 			rec.Add(f.Feature.Offset, f.Feature.ID, f.Box)
-			innerSink(f)
+			if f.Feature.Offset >= own.Start && f.Feature.Offset < own.End {
+				innerSink(f)
+			}
 		}
 		consume = func(f *geom.Feature) {
 			rec.Add(f.Offset, f.ID, f.Bound())
-			innerConsume(f)
+			if f.Offset >= own.Start && f.Offset < own.End {
+				innerConsume(f)
+			}
 		}
 	}
-	err = runCold()
+	err = runCold(rng)
 	if rec != nil {
 		if err != nil {
 			ms.abortSidecarRecord()
 		} else {
 			ms.finishSidecarRecord(rec)
+		}
+		if shard != nil {
+			ms.releaseOutside(own)
 		}
 	}
 	if err != nil {

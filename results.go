@@ -124,10 +124,15 @@ type StreamedFeature struct {
 // engine's workers; cancelling ctx or calling Close stops it without
 // waiting for the full pass.
 func (p *PreparedQuery) Stream(ctx context.Context, src Source) *Results {
+	return p.stream(ctx, src, nil)
+}
+
+// stream is Stream over the whole source (shard nil) or one shard range.
+func (p *PreparedQuery) stream(ctx context.Context, src Source, shard *ShardRange) *Results {
 	r := &Results{}
 	ctx = r.init(ctx, 64)
 	go func() {
-		sum, err := p.run(ctx, src, func(f *geom.Feature, v query.FeatureVal) {
+		sum, err := p.run(ctx, src, shard, func(f *geom.Feature, v query.FeatureVal) {
 			if !v.Matched {
 				return
 			}

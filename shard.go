@@ -5,9 +5,6 @@ import (
 	"fmt"
 
 	"atgis/internal/geojson"
-	"atgis/internal/geom"
-	"atgis/internal/pipeline"
-	"atgis/internal/query"
 	"atgis/internal/wkt"
 )
 
@@ -21,17 +18,25 @@ import (
 // feature boundary at or after it, a computation that depends only on
 // the bytes from that offset onward, so the worker ending shard k at
 // raw offset X and the worker starting shard k+1 at X agree on the
-// aligned boundary with no coordination. Adjacent aligned ranges
-// therefore tile the feature set with no gap and no overlap, and
+// aligned boundary with no coordination, and a feature belongs to the
+// shard whose aligned range contains its start offset. Adjacent aligned
+// ranges therefore tile the feature set with no gap and no overlap, and
 // per-shard results merge into exactly the single-pass result (integer
 // counts and MBR merge bit-exactly; floating-point sum aggregates may
 // differ in the last ulp because shard merging regroups the additions).
 //
-// Shard passes always run the PAT machinery (boundary-aligned blocks
-// need the known-state splits; FAT speculation has no shard-local
-// repair story) and never touch the sidecar: the warm planner prunes
-// against the whole tape, and a recorder fed by a partial pass must
-// never persist a partial tape.
+// A shard is not a runner of its own but a restriction of a block plan
+// (plan.go), so it runs warm whenever an unsharded pass would: with a
+// validated sidecar the worker plans the range from the tape — no
+// boundary scan, pruned features never parsed, a range with no survivor
+// not read at all. Without one it runs the cold plan over the range,
+// always with the PAT machinery (boundary-aligned blocks need the
+// known-state splits; FAT speculation has no shard-local repair story).
+// A partial pass must never persist a partial tape, so a worker that may
+// write sidecars answers its first shard miss with the full recording
+// pass and serves the shard from it, the sink filtered to the range.
+// Alignment reads the bytes either way, which is what lets a warm and a
+// cold worker agree on every boundary.
 
 // ShardRange is a half-open raw byte range [Start, End) of a source.
 // Callers may pass arbitrary offsets; execution aligns both ends
@@ -77,210 +82,17 @@ func AlignShard(src Source, r ShardRange) (ShardRange, error) {
 }
 
 // ExecuteShard runs the prepared query over only the features whose
-// boundaries fall in the aligned form of r, blocking until the partial
-// summary is complete. Summing ExecuteShard results over ranges that
-// tile the source reproduces Execute's counts and MBR exactly (see the
-// package comment above for the float-sum caveat).
+// start offsets fall in the aligned form of r, blocking until the
+// partial summary is complete. Summing ExecuteShard results over ranges
+// that tile the source reproduces Execute's counts and MBR exactly (see
+// the comment above for the float-sum caveat).
 func (p *PreparedQuery) ExecuteShard(ctx context.Context, src Source, r ShardRange) (*Result, error) {
-	return p.runShard(ctx, src, r, nil)
+	return p.run(ctx, src, &r, nil)
 }
 
 // StreamShard is the streaming form of ExecuteShard: matching features
 // of the aligned range stream in input order, exactly the subsequence
 // of Stream's output that falls inside the range.
 func (p *PreparedQuery) StreamShard(ctx context.Context, src Source, r ShardRange) *Results {
-	res := &Results{}
-	ctx = res.init(ctx, 64)
-	go func() {
-		sum, err := p.runShard(ctx, src, r, func(f *geom.Feature, v query.FeatureVal) {
-			if !v.Matched {
-				return
-			}
-			select {
-			case res.ch <- StreamedFeature{Feature: *f, Val: v}:
-			case <-ctx.Done():
-			}
-		})
-		res.finish(sum, err)
-	}()
-	return res
-}
-
-// runShard is the shard execution core: Prepare's fused spec over the
-// aligned range, bypassing the sidecar in both directions.
-func (p *PreparedQuery) runShard(ctx context.Context, src Source, r ShardRange, onFeature func(*geom.Feature, query.FeatureVal)) (*Result, error) {
-	if err := p.engine.check(); err != nil {
-		return nil, err
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	release, err := p.engine.admit(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	aligned, err := AlignShard(src, r)
-	if err != nil {
-		return nil, err
-	}
-	data := src.Bytes()
-	spec := &p.spec
-	out := &Result{Res: query.NewResult()}
-	sink := func(f geojson.FeatureOut) {
-		v, _ := f.Val.(query.FeatureVal)
-		out.Res.Absorb(spec, &f.Feature, v)
-		if onFeature != nil {
-			onFeature(&f.Feature, v)
-		}
-	}
-	consume := func(f *geom.Feature) {
-		v := query.Apply(spec, f)
-		out.Res.Absorb(spec, f, v)
-		if onFeature != nil {
-			onFeature(f, v)
-		}
-	}
-	if aligned.Start >= aligned.End {
-		// Nothing owned by this shard (a range entirely inside the
-		// document wrapper, or at EOF).
-		out.Stats = pipeline.Stats{Workers: p.opt.workers()}
-		return out, nil
-	}
-	switch src.DataFormat() {
-	case GeoJSON:
-		out.Stats, out.Repaired, err = p.engine.runGeoJSONShard(ctx, data, aligned, p.cfg, p.opt, sink)
-	case WKT:
-		out.Stats, err = p.engine.runWKTShard(ctx, data, aligned, p.opt, consume)
-	default:
-		err = fmt.Errorf("atgis: cannot shard %v source by byte range", src.DataFormat())
-	}
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// runGeoJSONShard executes a PAT pass over the aligned range [s, e):
-// the document wrapper [0, hdr) parses sequentially via the fold's
-// Header (establishing the open root-object/features-array context
-// every PAT block assumes), the gap [hdr, s) is skipped unparsed, and
-// [s, e) splits into boundary-aligned blocks parsed in parallel. The
-// pipeline input is truncated at e so the final block — and the fold's
-// Finish — never read the bytes owned by the next shard.
-func (e *Engine) runGeoJSONShard(ctx context.Context, data []byte, r ShardRange, cfg *geojson.Config, opt Options, sink func(geojson.FeatureOut)) (pipeline.Stats, int, error) {
-	hdr := geojson.NextFeatureBoundary(data, 0)
-	if hdr > r.Start {
-		hdr = r.Start
-	}
-	input := data[:r.End]
-	fold := geojson.NewPATFold(input, cfg, sink)
-	headerDone := false
-	shardOK := true
-	st, err := pipeline.RunCtx(ctx, input,
-		pipeline.StreamSplitterFunc(func(_ []byte, yield func(int64) bool) {
-			if hdr > 0 && !yield(hdr) {
-				return
-			}
-			if r.Start > hdr && !yield(r.Start) {
-				return
-			}
-			geojson.FindFeatureBoundariesStream(data[r.Start:r.End], opt.blockSize(), func(cut int64) bool {
-				abs := r.Start + cut
-				if abs <= r.Start {
-					return true // the range starts on a boundary; already cut
-				}
-				return yield(abs)
-			})
-		}),
-		e.exec(ctx, opt, input),
-		func(b pipeline.Block) *geojson.PATBlockResult {
-			if b.Start < r.Start {
-				return nil // header or gap block: the fold handles it
-			}
-			br := geojson.ProcessBlockPAT(data, b.Start, b.End, cfg)
-			return &br
-		},
-		func(b pipeline.Block, br *geojson.PATBlockResult) {
-			switch {
-			case br == nil && b.Start < hdr:
-				fold.Header(b.End)
-				headerDone = true
-			case br == nil:
-				if !headerDone {
-					fold.Header(hdr)
-					headerDone = true
-				}
-				if !fold.Skip(b.End) {
-					shardOK = false
-				}
-			default:
-				if !headerDone {
-					fold.Header(hdr)
-					headerDone = true
-				}
-				fold.Add(*br)
-			}
-		},
-	)
-	if err != nil {
-		return st, fold.Repaired, err
-	}
-	if !shardOK {
-		// The wrapper parse spilled past the first boundary — the bytes
-		// between header and range start would need sequential parsing,
-		// which would double-count features owned by earlier shards.
-		return st, fold.Repaired, fmt.Errorf("atgis: shard gap [%d, %d) not skippable (malformed document wrapper)", hdr, r.Start)
-	}
-	return st, fold.Repaired, fold.Finish(r.End)
-}
-
-// runWKTShard executes the line-parallel WKT pass over [s, e): the
-// prefix [0, s) is never touched (WKT has no document wrapper) and the
-// input is truncated at e.
-func (e *Engine) runWKTShard(ctx context.Context, data []byte, r ShardRange, opt Options, consume func(*geom.Feature)) (pipeline.Stats, error) {
-	type frag struct {
-		feats []geom.Feature
-		err   error
-	}
-	input := data[:r.End]
-	var firstErr error
-	st, err := pipeline.RunCtx(ctx, input,
-		pipeline.StreamSplitterFunc(func(_ []byte, yield func(int64) bool) {
-			if r.Start > 0 && !yield(r.Start) {
-				return
-			}
-			wkt.SplitLinesStream(data[r.Start:r.End], opt.blockSize(), func(cut int64) bool {
-				return yield(r.Start + cut)
-			})
-		}),
-		e.exec(ctx, opt, input),
-		func(b pipeline.Block) frag {
-			var fr frag
-			if b.End <= r.Start {
-				return fr // prefix owned by earlier shards
-			}
-			fr.err = wkt.EachLine(data, b.Start, b.End, func(line []byte, off int64) error {
-				f, err := wkt.ParseLine(line, off)
-				if err != nil {
-					return err
-				}
-				fr.feats = append(fr.feats, f)
-				return nil
-			})
-			return fr
-		},
-		func(b pipeline.Block, fr frag) {
-			if fr.err != nil && firstErr == nil {
-				firstErr = fr.err
-			}
-			for i := range fr.feats {
-				consume(&fr.feats[i])
-			}
-		},
-	)
-	if err != nil {
-		return st, err
-	}
-	return st, firstErr
+	return p.stream(ctx, src, &r)
 }

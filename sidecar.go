@@ -250,6 +250,20 @@ func (s *MappedSource) finishSidecarRecord(b *sidecar.Builder) {
 	}
 }
 
+// releaseOutside drops the mapping's pages outside r from the resident
+// set. A shard that ran the recording pass has touched every other
+// shard's bytes once and will plan from the tape from now on; without
+// this the worker stays as resident as a single node.
+func (s *MappedSource) releaseOutside(r ShardRange) {
+	page := int64(os.Getpagesize())
+	if lo := r.Start &^ (page - 1); lo > 0 {
+		_ = madviseDontNeed(s.data[:lo]) // advisory: failure costs memory only
+	}
+	if hi := (r.End + page - 1) &^ (page - 1); hi < int64(len(s.data)) {
+		_ = madviseDontNeed(s.data[hi:])
+	}
+}
+
 // sidecarFor resolves the source's sidecar under the engine's mode:
 // the mapped source (nil when sidecars don't apply at all) and its
 // validated index (nil when absent or rejected — run cold).

@@ -6,7 +6,11 @@ package atgis
 // deliberately stale sidecars (bit-flipped, truncated, source mtime
 // bumped). The rendered output — NDJSON record lines plus the
 // result-bearing summary fields — must be byte-identical in every
-// configuration.
+// configuration. The shard axis runs the same queries over raw byte
+// ranges (1, 2, 3 and 7 tiles cut wherever the arithmetic falls, plus a
+// range inside the document wrapper): a shard is a restriction of the
+// same block plan, so it must render identically under every sidecar
+// state too, and its streams must concatenate into the unsharded one.
 //
 // The rendering deliberately covers only result-bearing state: Count,
 // Scanned, the aggregate sums (compared as exact IEEE-754 bit
@@ -130,6 +134,28 @@ func queryCase(name string, spec *query.Spec, mode Mode) sidecarDiffCase {
 	}}
 }
 
+// renderStream drains a streamed query: one diffRecord line per match,
+// then the summary.
+func renderStream(t *testing.T, name string, res *Results) string {
+	t.Helper()
+	var b strings.Builder
+	for res.Next() {
+		f, v := res.Feature(), res.Value()
+		line, err := json.Marshal(diffRecord{ID: f.ID, Off: f.Offset, Area: bits(v.Area), Perim: bits(v.Perimeter)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Write(line)
+		b.WriteByte('\n')
+	}
+	sum, err := res.Summary()
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	b.WriteString(renderQueryResult(sum))
+	return b.String()
+}
+
 func streamCase(name string, spec *query.Spec, mode Mode) sidecarDiffCase {
 	return sidecarDiffCase{name: name, run: func(t *testing.T, eng *Engine, src Source) string {
 		t.Helper()
@@ -137,22 +163,49 @@ func streamCase(name string, spec *query.Spec, mode Mode) sidecarDiffCase {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		var b strings.Builder
-		res := pq.Stream(context.Background(), src)
-		for res.Next() {
-			f, v := res.Feature(), res.Value()
-			line, err := json.Marshal(diffRecord{ID: f.ID, Off: f.Offset, Area: bits(v.Area), Perim: bits(v.Perimeter)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			b.Write(line)
-			b.WriteByte('\n')
+		return renderStream(t, name, pq.Stream(context.Background(), src))
+	}}
+}
+
+// diffShardRanges is the shard axis: k raw tiles for k in {1, 2, 3, 7},
+// cut mid-feature wherever total/k falls, plus a range that aligns to
+// nothing (inside the GeoJSON wrapper, or inside WKT's first line).
+func diffShardRanges(total int64) []ShardRange {
+	out := []ShardRange{{1, 2}}
+	for _, k := range []int{1, 2, 3, 7} {
+		out = append(out, rawTiles(total, k)...)
+	}
+	return out
+}
+
+// renderShard renders one shard pass, streamed or aggregated.
+func renderShard(t *testing.T, name string, pq *PreparedQuery, src Source, r ShardRange, stream bool) string {
+	t.Helper()
+	if stream {
+		return renderStream(t, name, pq.StreamShard(context.Background(), src, r))
+	}
+	res, err := pq.ExecuteShard(context.Background(), src, r)
+	if err != nil {
+		t.Fatalf("%s %+v: %v", name, r, err)
+	}
+	return renderQueryResult(res)
+}
+
+// shardCase renders every range of the shard axis, one after another.
+func shardCase(name string, spec *query.Spec, stream bool) sidecarDiffCase {
+	return sidecarDiffCase{name: name, run: func(t *testing.T, eng *Engine, src Source) string {
+		t.Helper()
+		if src.DataFormat() == OSMXML {
+			return "" // cannot be sharded by byte range
 		}
-		sum, err := res.Summary()
+		pq, err := eng.Prepare(spec, Options{Workers: 4, BlockSize: 8 << 10})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		b.WriteString(renderQueryResult(sum))
+		var b strings.Builder
+		for _, r := range diffShardRanges(int64(len(src.Bytes()))) {
+			fmt.Fprintf(&b, "shard [%d,%d)\n%s", r.Start, r.End, renderShard(t, name, pq, src, r, stream))
+		}
 		return b.String()
 	}}
 }
@@ -237,6 +290,9 @@ func sidecarDiffCases() []sidecarDiffCase {
 		queryCase("contain-buffered", diffSpec(query.PredIntersects, 0.25, true), PAT),
 		streamCase("contain-stream-pat", diffSpec(query.PredIntersects, 0.25, false), PAT),
 		streamCase("contain-stream-fat", diffSpec(query.PredIntersects, 0.25, false), FAT),
+		shardCase("shards-agg-intersects", diffSpec(query.PredIntersects, 0.2, false), false),
+		shardCase("shards-agg-disjoint", diffSpec(query.PredDisjoint, 0.2, false), false),
+		shardCase("shards-contain-stream", diffSpec(query.PredIntersects, 0.25, false), true),
 		joinCase("join-buffered"),
 		orderedJoinCase("join-ordered-stream"),
 	}
@@ -415,4 +471,150 @@ func TestSidecarTapeIndependentOfWindow(t *testing.T) {
 			t.Errorf("tape recorded without pushdown differs (%d vs %d bytes)", len(got), len(want))
 		}
 	})
+}
+
+// TestSidecarShardPlans pins what the matrix above cannot see from the
+// renders alone: the first shard pass on a readwrite engine is the
+// recording pass (whole tape persisted, shard answer already correct),
+// tape offsets are exactly the offsets AlignShard lands on (a warm and a
+// cold worker must agree on every boundary), a range with no survivor
+// runs no block, and shard streams concatenate into the unsharded stream
+// whether the shards ran cold, warm or against an absent read-only tape.
+func TestSidecarShardPlans(t *testing.T) {
+	ctx := context.Background()
+	opt := Options{Workers: 4, BlockSize: 8 << 10}
+	for _, format := range []Format{GeoJSON, WKT} {
+		format := format
+		t.Run(format.String(), func(t *testing.T) {
+			path := writeSidecarCorpus(t, format)
+			spec := diffSpec(query.PredIntersects, 0.25, false)
+
+			coldEng := NewEngine(EngineConfig{Workers: 4})
+			defer coldEng.Close()
+			coldSrc := mustOpen(t, path)
+			coldPQ, err := coldEng.Prepare(spec, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total := int64(len(coldSrc.Bytes()))
+			whole := renderStream(t, "whole", coldPQ.Stream(ctx, coldSrc))
+			matches := whole[:strings.LastIndex(whole, "count=")]
+			if matches == "" {
+				t.Fatal("reference stream matched nothing")
+			}
+
+			// A read-only engine with no tape to read runs cold shards and
+			// writes nothing.
+			roEng := NewEngine(EngineConfig{Workers: 4, Sidecar: SidecarRead})
+			defer roEng.Close()
+			roSrc := mustOpen(t, path)
+			roPQ, err := roEng.Prepare(spec, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tile := rawTiles(total, 3)[1]
+			want := renderShard(t, "cold", coldPQ, coldSrc, tile, true)
+			if got := renderShard(t, "read-only, no tape", roPQ, roSrc, tile, true); got != want {
+				t.Fatalf("read-only shard without a tape diverged:\ncold:\n%s\ngot:\n%s", want, got)
+			}
+			if _, err := os.Stat(sidecar.PathFor(path)); !os.IsNotExist(err) {
+				t.Fatalf("read-only shard pass left a sidecar behind: %v", err)
+			}
+
+			// First pass on a readwrite engine is a shard pass: it records
+			// the whole tape and answers for its range alone.
+			rwEng := NewEngine(EngineConfig{Workers: 4, Sidecar: SidecarReadWrite})
+			defer rwEng.Close()
+			rwSrc := mustOpen(t, path)
+			rwPQ, err := rwEng.Prepare(spec, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := renderShard(t, "recording", rwPQ, rwSrc, tile, true); got != want {
+				t.Fatalf("recording shard pass diverged:\ncold:\n%s\ngot:\n%s", want, got)
+			}
+			st := rwSrc.SidecarStats()
+			if !st.Built || st.State != "active" || st.Misses != 1 || st.Hits != 0 || st.WriteError != "" {
+				t.Fatalf("first shard pass did not record the tape: %+v", st)
+			}
+			ix, err := sidecar.Load(path)
+			if err != nil {
+				t.Fatalf("no loadable .atgx after the recording shard pass: %v", err)
+			}
+			if ix.N() != 400 {
+				t.Fatalf("recording shard pass persisted %d features, want the whole tape (400)", ix.N())
+			}
+			prev := int64(-1)
+			for i, off := range ix.Offs {
+				a, err := AlignShard(rwSrc, ShardRange{prev + 1, off})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if a.Start != off || a.End != off {
+					t.Fatalf("tape offset %d = %d, but AlignShard lands on %d from %d and on %d from itself",
+						i, off, a.Start, prev+1, a.End)
+				}
+				prev = off
+			}
+			if got := renderShard(t, "warm", rwPQ, rwSrc, tile, true); got != want {
+				t.Fatalf("warm shard pass diverged:\ncold:\n%s\ngot:\n%s", want, got)
+			}
+			if st := rwSrc.SidecarStats(); st.Hits != 1 || st.Misses != 1 {
+				t.Fatalf("warm shard pass not counted as a hit: %+v", st)
+			}
+
+			// A range whose only feature misses the window has no survivor:
+			// the warm pass counts it from the tape and runs no block.
+			win := rwPQ.Spec().RefBox
+			pruned := -1
+			for i, bx := range ix.Boxes {
+				if !bx.Intersects(win) {
+					pruned = i
+					break
+				}
+			}
+			if pruned < 0 {
+				t.Fatal("every feature survives the window: the zero-survivor plan went untested")
+			}
+			one := ShardRange{ix.Offs[pruned], ix.Offs[pruned] + 1}
+			res, err := rwPQ.ExecuteShard(ctx, rwSrc, one)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Res.Count != 0 || res.Res.Scanned != 1 || res.Stats.Blocks != 0 {
+				t.Fatalf("zero-survivor shard: count=%d scanned=%d blocks=%d, want 0/1/0",
+					res.Res.Count, res.Res.Scanned, res.Stats.Blocks)
+			}
+			if got, want := renderQueryResult(res), renderShard(t, "cold", coldPQ, coldSrc, one, false); got != want {
+				t.Fatalf("zero-survivor shard diverged:\ncold:\n%s\ngot:\n%s", want, got)
+			}
+
+			// Tiling: shard streams concatenate into the unsharded stream
+			// and the counts add up, cold and warm.
+			for _, k := range []int{1, 2, 3, 7} {
+				for _, side := range []struct {
+					name string
+					pq   *PreparedQuery
+					src  Source
+				}{{"cold", coldPQ, coldSrc}, {"warm", rwPQ, rwSrc}} {
+					var cat strings.Builder
+					var count, scanned int64
+					for _, r := range rawTiles(total, k) {
+						res := side.pq.StreamShard(ctx, side.src, r)
+						out := renderStream(t, side.name, res)
+						cat.WriteString(out[:strings.LastIndex(out, "count=")])
+						sum, _ := res.Summary()
+						count += sum.Res.Count
+						scanned += sum.Res.Scanned
+					}
+					if cat.String() != matches {
+						t.Fatalf("%s k=%d: shard streams do not concatenate into the unsharded stream", side.name, k)
+					}
+					if tail := fmt.Sprintf("count=%d scanned=%d ", count, scanned); !strings.Contains(whole, tail) {
+						t.Fatalf("%s k=%d: shards add up to %s, unsharded summary is %s", side.name, k, tail, whole[len(matches):])
+					}
+				}
+			}
+		})
+	}
 }

@@ -66,11 +66,11 @@ func TestOpenMappedLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := aggSpec()
-	rm, err := defaultEngine.Query(context.Background(), src, spec, Options{Workers: 2, BlockSize: 8192})
+	rm, err := new(Engine).Query(context.Background(), src, spec, Options{Workers: 2, BlockSize: 8192})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := defaultEngine.Query(context.Background(), mem, spec, Options{Workers: 2, BlockSize: 8192})
+	rb, err := new(Engine).Query(context.Background(), mem, spec, Options{Workers: 2, BlockSize: 8192})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestReaderSource(t *testing.T) {
 	if src.DataFormat() != GeoJSON {
 		t.Fatalf("format = %v", src.DataFormat())
 	}
-	res, err := defaultEngine.Query(context.Background(), src, aggSpec(), Options{Workers: 2})
+	res, err := new(Engine).Query(context.Background(), src, aggSpec(), Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestCancelOneOfTwoQueries(t *testing.T) {
 // pipelines must terminate their splitter and transient workers.
 func TestCancelledContextNoGoroutineLeak(t *testing.T) {
 	ds := genDataset(t, GeoJSON, 1000)
-	pq, err := defaultEngine.Prepare(aggSpec(), Options{Workers: 4, BlockSize: 1024})
+	pq, err := new(Engine).Prepare(aggSpec(), Options{Workers: 4, BlockSize: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,13 +290,13 @@ func TestStreamMatchesBufferedQuery(t *testing.T) {
 		ds := genDataset(t, GeoJSON, 300)
 		spec := aggSpec()
 		spec.KeepMatches = true
-		buffered, err := ds.Query(spec, Options{Mode: mode, Workers: 2, BlockSize: 4096})
+		buffered, err := new(Engine).Query(context.Background(), ds, spec, Options{Mode: mode, Workers: 2, BlockSize: 4096})
 		if err != nil {
 			t.Fatal(err)
 		}
 
 		streamSpec := aggSpec() // no KeepMatches: nothing buffers
-		pq, err := defaultEngine.Prepare(streamSpec, Options{Mode: mode, Workers: 2, BlockSize: 4096})
+		pq, err := new(Engine).Prepare(streamSpec, Options{Mode: mode, Workers: 2, BlockSize: 4096})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,7 +338,7 @@ func TestJoinStreamMatchesJoin(t *testing.T) {
 	// are guaranteed non-empty.
 	mask := func(*geom.Feature) uint8 { return query.SideA | query.SideB }
 	spec := JoinSpec{Mask: mask, CellSize: 15}
-	jr, err := ds.Join(spec, Options{Workers: 2})
+	jr, err := new(Engine).Join(context.Background(), ds, spec, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestJoinStreamMatchesJoin(t *testing.T) {
 		want[[2]int64{p.AOff, p.BOff}] = true
 	}
 
-	stream := defaultEngine.JoinStream(context.Background(), ds, spec, Options{Workers: 2})
+	stream := new(Engine).JoinStream(context.Background(), ds, spec, Options{Workers: 2})
 	got := make(map[[2]int64]bool)
 	for stream.Next() {
 		p := stream.Pair()
@@ -394,10 +394,10 @@ func TestEngineClose(t *testing.T) {
 }
 
 func TestPrepareRejectsJoinKinds(t *testing.T) {
-	if _, err := defaultEngine.Prepare(&query.Spec{Kind: query.Join}, Options{}); err == nil {
+	if _, err := new(Engine).Prepare(&query.Spec{Kind: query.Join}, Options{}); err == nil {
 		t.Fatal("preparing a join spec should fail")
 	}
-	if _, err := defaultEngine.Prepare(nil, Options{}); err == nil {
+	if _, err := new(Engine).Prepare(nil, Options{}); err == nil {
 		t.Fatal("preparing a nil spec should fail")
 	}
 }
@@ -426,7 +426,7 @@ func TestDetectBareWKT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := src.Query(&query.Spec{
+	res, err := new(Engine).Query(context.Background(), src, &query.Spec{
 		Kind: query.Containment,
 		Ref:  geom.Box{MinX: -1, MinY: -1, MaxX: 30, MaxY: 30}.AsPolygon(),
 		Pred: query.PredIntersects,
@@ -457,11 +457,11 @@ func TestDetectBareWKT(t *testing.T) {
 func TestSummaryWithoutDraining(t *testing.T) {
 	ds := genDataset(t, GeoJSON, 500)
 	spec := aggSpec() // matches >> the 64-item stream buffer
-	want, err := ds.Query(spec, Options{Workers: 2, BlockSize: 4096})
+	want, err := new(Engine).Query(context.Background(), ds, spec, Options{Workers: 2, BlockSize: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pq, err := defaultEngine.Prepare(spec, Options{Workers: 2, BlockSize: 4096})
+	pq, err := new(Engine).Prepare(spec, Options{Workers: 2, BlockSize: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,7 +496,7 @@ func TestSummaryWithoutDraining(t *testing.T) {
 	jdone := make(chan struct{})
 	go func() {
 		defer close(jdone)
-		if _, err := defaultEngine.JoinStream(context.Background(), dsw,
+		if _, err := new(Engine).JoinStream(context.Background(), dsw,
 			JoinSpec{Mask: mask, CellSize: 15}, Options{Workers: 2}).Summary(); err != nil {
 			t.Error(err)
 		}
@@ -520,7 +520,7 @@ func TestPooledEngineJoin(t *testing.T) {
 		return query.SideB
 	}
 	spec := JoinSpec{Mask: mask, CellSize: 15}
-	want, err := ds.Join(spec, Options{Workers: 2})
+	want, err := new(Engine).Join(context.Background(), ds, spec, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -687,7 +687,7 @@ func TestJoinStreamCloseFreesPool(t *testing.T) {
 	eng := NewEngine(EngineConfig{Workers: 2, TenantWeights: map[string]int{"keeper": 3}})
 	defer eng.Close()
 
-	want, err := ds.Join(spec, Options{Workers: 2})
+	want, err := new(Engine).Join(context.Background(), ds, spec, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,13 +35,9 @@
 //	}, atgis.Options{})
 //	res, err := pq.Execute(ctx, src)
 //	fmt.Println(res.Res.Count, res.Res.SumArea, res.Stats.ThroughputMBs())
-//
-// The original Dataset type and its Open/Query/Join methods remain as
-// deprecated wrappers over a default Engine.
 package atgis
 
 import (
-	"context"
 	"runtime"
 
 	"atgis/internal/geom"
@@ -198,36 +194,4 @@ type CombinedResult struct {
 	Pairs        int
 	SumUnionArea float64 // m², spherical
 	JoinResult   *JoinResult
-}
-
-// Query executes a single-pass containment or aggregation query over
-// the dataset.
-//
-// Deprecated: prepare the query on an Engine and call Execute, which
-// adds context cancellation, shared worker pools and streaming results.
-func (d *Dataset) Query(spec *query.Spec, opt Options) (*Result, error) {
-	return defaultEngine.Query(context.Background(), d, spec, opt)
-}
-
-// Join executes the two-pass PBSM join (Fig. 6 then Fig. 8).
-//
-// Deprecated: use Engine.Join (or Engine.JoinStream for unbuffered
-// pair iteration).
-func (d *Dataset) Join(spec JoinSpec, opt Options) (*JoinResult, error) {
-	return defaultEngine.Join(context.Background(), d, spec, opt)
-}
-
-// Combined executes the combined filter+join+union-area query.
-//
-// Deprecated: use Engine.Combined.
-func (d *Dataset) Combined(spec CombinedSpec, opt Options) (*CombinedResult, error) {
-	return defaultEngine.Combined(context.Background(), d, spec, opt)
-}
-
-// CollectFeatures parses the whole dataset into features (used by the
-// baseline engines, which require loaded data — the phase AT-GIS skips).
-//
-// Deprecated: use Engine.CollectFeatures.
-func (d *Dataset) CollectFeatures(opt Options) ([]geom.Feature, error) {
-	return defaultEngine.CollectFeatures(context.Background(), d, opt)
 }

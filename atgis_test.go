@@ -2,6 +2,7 @@ package atgis
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
@@ -88,7 +89,7 @@ func TestQueryModesAgreeGeoJSON(t *testing.T) {
 	results := map[string]*Result{}
 	for _, mode := range []Mode{PAT, FAT} {
 		for _, workers := range []int{1, 2, 4} {
-			r, err := ds.Query(spec, Options{Mode: mode, Workers: workers, BlockSize: 4096})
+			r, err := new(Engine).Query(context.Background(), ds, spec, Options{Mode: mode, Workers: workers, BlockSize: 4096})
 			if err != nil {
 				t.Fatalf("%v workers=%d: %v", mode, workers, err)
 			}
@@ -125,11 +126,11 @@ func TestQueryFormatsAgree(t *testing.T) {
 	dsG := genDataset(t, GeoJSON, 200)
 	dsW := genDataset(t, WKT, 200)
 	spec := aggSpec()
-	rg, err := dsG.Query(spec, Options{Workers: 2})
+	rg, err := new(Engine).Query(context.Background(), dsG, spec, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rw, err := dsW.Query(spec, Options{Workers: 2})
+	rw, err := new(Engine).Query(context.Background(), dsW, spec, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestQueryFormatsAgree(t *testing.T) {
 func TestQueryOSMXML(t *testing.T) {
 	ds := genDataset(t, OSMXML, 150)
 	spec := aggSpec()
-	r, err := ds.Query(spec, Options{Workers: 2})
+	r, err := new(Engine).Query(context.Background(), ds, spec, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,12 +170,12 @@ func TestJoinAcrossFormats(t *testing.T) {
 			}
 			return query.SideB
 		}
-		jr, err := ds.Join(JoinSpec{Mask: mask, CellSize: 30}, Options{Workers: 2})
+		jr, err := new(Engine).Join(context.Background(), ds, JoinSpec{Mask: mask, CellSize: 30}, Options{Workers: 2})
 		if err != nil {
 			t.Fatalf("%v: %v", format, err)
 		}
 		// Oracle: nested loop over collected features.
-		feats, err := ds.CollectFeatures(Options{Workers: 2})
+		feats, err := new(Engine).CollectFeatures(context.Background(), ds, Options{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +234,7 @@ func TestJoinPartitionOptions(t *testing.T) {
 	var baseline int
 	for _, sep := range []bool{false, true} {
 		for _, store := range []partition.StoreKind{partition.ArrayStore, partition.ListStore} {
-			jr, err := ds.Join(JoinSpec{
+			jr, err := new(Engine).Join(context.Background(), ds, JoinSpec{
 				Mask: mask, CellSize: 15, Store: store,
 				SeparatePartitionPhase: sep,
 			}, Options{Workers: 2})
@@ -281,7 +282,7 @@ func TestCombinedQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Perimeters: big ≈ 32° ≈ 3.5e6 m; small ≈ 4° ≈ 4.4e5 m.
-	cr, err := ds.Combined(CombinedSpec{
+	cr, err := new(Engine).Combined(context.Background(), ds, CombinedSpec{
 		T1: 2e6, T2: 1e6, Dist: geom.Haversine, CellSize: 15,
 	}, Options{Workers: 2})
 	if err != nil {
@@ -303,7 +304,7 @@ func TestCombinedQuery(t *testing.T) {
 
 func TestCollectFeaturesSorted(t *testing.T) {
 	ds := genDataset(t, GeoJSON, 50)
-	feats, err := ds.CollectFeatures(Options{Workers: 2})
+	feats, err := new(Engine).CollectFeatures(context.Background(), ds, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +324,7 @@ func TestQueryWorkerCountInvariance(t *testing.T) {
 	var want int64 = -1
 	for _, w := range []int{1, 2, 3, 8} {
 		for _, bs := range []int{512, 4096, 1 << 20} {
-			r, err := ds.Query(spec, Options{Mode: FAT, Workers: w, BlockSize: bs})
+			r, err := new(Engine).Query(context.Background(), ds, spec, Options{Mode: FAT, Workers: w, BlockSize: bs})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,6 +6,7 @@ package atgis
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -70,7 +71,7 @@ func runQueryBench(b *testing.B, ds *Dataset, kind query.Kind, mode Mode) {
 	b.SetBytes(int64(len(ds.Data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ds.Query(spec, opt); err != nil {
+		if _, err := new(Engine).Query(context.Background(), ds, spec, opt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -109,7 +110,7 @@ func BenchmarkFig9cJoin(b *testing.B) {
 	b.SetBytes(int64(len(ds.Data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ds.Join(JoinSpec{Mask: mask, CellSize: 10}, Options{Mode: FAT, BlockSize: 64 << 10}); err != nil {
+		if _, err := new(Engine).Join(context.Background(), ds, JoinSpec{Mask: mask, CellSize: 10}, Options{Mode: FAT, BlockSize: 64 << 10}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -122,7 +123,7 @@ func BenchmarkFig9cJoin(b *testing.B) {
 func BenchmarkFig10Systems(b *testing.B) {
 	ds := benchDataset(b, GeoJSON, 2000, 0)
 	spec := benchSpec(query.Aggregation)
-	feats, err := ds.CollectFeatures(Options{})
+	feats, err := new(Engine).CollectFeatures(context.Background(), ds, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func BenchmarkFig11PartitionVsJoin(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		jr, err := ds.Join(JoinSpec{Mask: mask, CellSize: 5}, Options{Mode: FAT, BlockSize: 64 << 10})
+		jr, err := new(Engine).Join(context.Background(), ds, JoinSpec{Mask: mask, CellSize: 5}, Options{Mode: FAT, BlockSize: 64 << 10})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -208,7 +209,7 @@ func BenchmarkFig13Filtering(b *testing.B) {
 					b.SetBytes(int64(len(ds.Data)))
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						if _, err := ds.Query(spec, opt); err != nil {
+						if _, err := new(Engine).Query(context.Background(), ds, spec, opt); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -246,7 +247,7 @@ func BenchmarkFig15Partitioning(b *testing.B) {
 				name := fmt.Sprintf("cell=%g/%v/sep=%v", cell, store, sep)
 				b.Run(name, func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						_, err := ds.Join(JoinSpec{
+						_, err := new(Engine).Join(context.Background(), ds, JoinSpec{
 							Mask: mask, CellSize: cell, Store: store,
 							SeparatePartitionPhase: sep,
 						}, Options{Mode: FAT, BlockSize: 64 << 10})

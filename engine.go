@@ -11,11 +11,9 @@ import (
 	"atgis/internal/geojson"
 	"atgis/internal/geom"
 	"atgis/internal/join"
-	"atgis/internal/osmxml"
 	"atgis/internal/partition"
 	"atgis/internal/pipeline"
 	"atgis/internal/query"
-	"atgis/internal/sidecar"
 	"atgis/internal/wkt"
 )
 
@@ -128,8 +126,8 @@ type PassPanicError = pipeline.PassPanicError
 //
 // An Engine is safe for concurrent use. The zero value is valid: it
 // runs each query on its own transient workers (Options.Workers many),
-// which is what the package-level compatibility wrappers use. NewEngine
-// attaches the shared pool; Close releases it.
+// which is what a core-count sweep needs. NewEngine attaches the shared
+// pool; Close releases it.
 type Engine struct {
 	blockSize int
 	pool      *pipeline.Pool
@@ -371,10 +369,6 @@ func (e *Engine) opts(opt Options) Options {
 	return opt
 }
 
-// defaultEngine backs the Dataset compatibility wrappers: no shared
-// pool, transient workers per call, never closed.
-var defaultEngine = &Engine{}
-
 // Query executes a single-pass containment or aggregation query (Fig. 6:
 // parse/extract → transform/filter → aggregate) in one parallel pass
 // over the raw input of src. It is the one-shot form of
@@ -399,21 +393,10 @@ func (e *Engine) CollectFeatures(ctx context.Context, src Source, opt Options) (
 	}
 	defer release()
 	opt = e.opts(opt)
-	data := src.Bytes()
 	var feats []geom.Feature
-	consume := func(f *geom.Feature) { feats = append(feats, *f) }
-	switch src.DataFormat() {
-	case GeoJSON:
-		_, _, _, err = e.runGeoJSONWith(ctx, data, &geojson.Config{PropKeys: opt.PropKeys}, opt,
-			func(f geojson.FeatureOut) { feats = append(feats, f.Feature) })
-	case WKT:
-		pl := coldPlan(WKT, data, ShardRange{0, int64(len(data))})
-		_, err = e.runWKTPlan(ctx, data, &pl, opt, consume)
-	case OSMXML:
-		_, err = e.runOSM(ctx, data, opt, consume)
-	default:
-		err = fmt.Errorf("atgis: unsupported format %v", src.DataFormat())
-	}
+	_, err = wholePass(ctx, e, src, opt, inOrder(&geojson.Config{PropKeys: opt.PropKeys},
+		func(f geojson.FeatureOut) { feats = append(feats, f.Feature) },
+		func(f *geom.Feature) { feats = append(feats, *f) }))
 	if err != nil {
 		return nil, err
 	}
@@ -421,122 +404,15 @@ func (e *Engine) CollectFeatures(ctx context.Context, src Source, opt Options) (
 	return feats, nil
 }
 
-// runGeoJSONWith executes the GeoJSON pipeline (FAT or PAT per opt.Mode)
-// with an explicit extraction config, streaming features into sink. It
-// returns the pipeline stats plus the repaired (PAT) and reprocessed
-// (FAT) block counts. The query path and the join partition pass share
-// this one pipeline assembly.
-func (e *Engine) runGeoJSONWith(ctx context.Context, data []byte, cfg *geojson.Config, opt Options, sink func(geojson.FeatureOut)) (pipeline.Stats, int, int, error) {
-	if opt.Mode == FAT {
-		fold := geojson.NewFold(data, cfg, sink)
-		st, err := pipeline.RunCtx(ctx, data,
-			pipeline.FixedSplitter{BlockSize: opt.blockSize()},
-			e.exec(ctx, opt, data),
-			func(b pipeline.Block) geojson.BlockResult {
-				return geojson.ProcessBlockFAT(data, b.Start, b.End, cfg)
-			},
-			func(b pipeline.Block, r geojson.BlockResult) { fold.Add(r) },
-		)
-		if err != nil {
-			return st, 0, fold.Reprocessed, err
-		}
-		return st, 0, fold.Reprocessed, fold.Finish()
-	}
-	// PAT: the cold plan over the whole source — boundary-searching
-	// splitter plus optimised per-block parser.
-	pl := coldPlan(GeoJSON, data, ShardRange{0, int64(len(data))})
-	st, repaired, err := e.runGeoJSONPlan(ctx, data, &pl, cfg, opt, sink)
-	return st, repaired, 0, err
-}
-
-// runOSM executes the multi-pass OSM XML pipeline: pass 1 builds the
-// node table and collects ways/relations in parallel; pass 2 assembles
-// geometries and evaluates the query.
-func (e *Engine) runOSM(ctx context.Context, data []byte, opt Options, consume func(*geom.Feature)) (pipeline.Stats, error) {
-	nodes := osmxml.NewNodeTable()
-	wayTab := osmxml.NewWayTable()
-	type frag struct {
-		ways []*osmxml.Way
-		rels []*osmxml.Relation
-		err  error
-	}
-	var firstErr error
-	var allWays []*osmxml.Way
-	var allRels []*osmxml.Relation
-	st, err := pipeline.RunCtx(ctx, data,
-		pipeline.StreamSplitterFunc(func(input []byte, yield func(int64) bool) {
-			osmxml.SplitElementsStream(input, opt.blockSize(), yield)
-		}),
-		e.exec(ctx, opt, data),
-		func(b pipeline.Block) frag {
-			var fr frag
-			fr.err = osmxml.ParseBlock(data, b.Start, b.End, &osmxml.Handler{
-				OnNode: nodes.Put,
-				OnWay:  func(w *osmxml.Way) { fr.ways = append(fr.ways, w) },
-				OnRelation: func(r *osmxml.Relation) {
-					fr.rels = append(fr.rels, r)
-				},
-			})
-			return fr
-		},
-		func(b pipeline.Block, fr frag) {
-			if fr.err != nil && firstErr == nil {
-				firstErr = fr.err
-			}
-			allWays = append(allWays, fr.ways...)
-			allRels = append(allRels, fr.rels...)
-		},
-	)
-	if err != nil {
-		return st, err
-	}
-	if firstErr != nil {
-		return st, firstErr
-	}
-	for _, w := range allWays {
-		wayTab.Put(w)
-	}
-	// Pass 2: assemble + evaluate. Ways referenced by multipolygon
-	// relations are consumed by the relation, not emitted standalone.
-	inRelation := make(map[int64]bool)
-	for _, r := range allRels {
-		for _, m := range r.Members {
-			if m.Type == "way" {
-				inRelation[m.Ref] = true
-			}
-		}
-	}
-	for i, w := range allWays {
-		if i&1023 == 0 && ctx.Err() != nil {
-			return st, ctx.Err()
-		}
-		if inRelation[w.ID] {
-			continue
-		}
-		g, err := osmxml.AssembleWay(w, nodes)
-		if err != nil {
-			return st, err
-		}
-		f := geom.Feature{ID: w.ID, Geom: g, Offset: w.Off}
-		consume(&f)
-	}
-	for i, r := range allRels {
-		if i&1023 == 0 && ctx.Err() != nil {
-			return st, ctx.Err()
-		}
-		g, err := osmxml.AssembleRelation(r, wayTab, nodes)
-		if err != nil {
-			return st, err
-		}
-		f := geom.Feature{ID: r.ID, Geom: g, Offset: r.Off}
-		consume(&f)
-	}
-	return st, nil
-}
-
 // Join executes the two-pass PBSM join (Fig. 6 then Fig. 8) over src,
 // buffering the full pair set; JoinStream is the iterator form.
 func (e *Engine) Join(ctx context.Context, src Source, spec JoinSpec, opt Options) (*JoinResult, error) {
+	return e.joinAdmitted(ctx, src, spec, opt, nil)
+}
+
+// joinAdmitted is Join (emit nil) and JoinStream's producer body: the
+// two passes inside one admission slot.
+func (e *Engine) joinAdmitted(ctx context.Context, src Source, spec JoinSpec, opt Options, emit func(join.Pair)) (*JoinResult, error) {
 	// Check before admitting (like every other entry point): a closed
 	// engine must report ErrEngineClosed, not occupy a slot and risk
 	// being misreported as overload.
@@ -548,16 +424,18 @@ func (e *Engine) Join(ctx context.Context, src Source, spec JoinSpec, opt Option
 		return nil, err
 	}
 	defer release()
-	jr, _, err := e.join(ctx, src, spec, opt)
+	jr, _, err := e.join(ctx, src, spec, opt, emit)
 	return jr, err
 }
 
-// join is Join plus the reparser it built, so callers that keep
-// re-parsing joined objects (Combined's union aggregate) reuse it —
-// for OSM XML the reparser costs a full parallel pass to build. The
-// caller admits (Join, Combined): admission must span everything the
-// caller does with the reparser, not just the join passes.
-func (e *Engine) join(ctx context.Context, src Source, spec JoinSpec, opt Options) (*JoinResult, join.Reparser, error) {
+// join runs the partition pass and then the sweep — buffered, sorted and
+// globally deduplicated when emit is nil, streamed to emit otherwise —
+// and also returns the reparser it built, so callers that keep
+// re-parsing joined objects (Combined's union aggregate) reuse it: for
+// OSM XML the reparser costs a full parallel pass to build. The caller
+// admits: admission must span everything the caller does with the
+// reparser, not just the join passes.
+func (e *Engine) join(ctx context.Context, src Source, spec JoinSpec, opt Options, emit func(join.Pair)) (*JoinResult, join.Reparser, error) {
 	if err := e.check(); err != nil {
 		return nil, nil, err
 	}
@@ -571,17 +449,17 @@ func (e *Engine) join(ctx context.Context, src Source, spec JoinSpec, opt Option
 		return nil, nil, err
 	}
 	jcfg, done := e.joinConfig(ctx, &spec, opt, reparse, pipeline.SourceKey(src.Bytes()))
-	pairs, jstats, err := join.Run(merged.Sets[0], merged.Sets[1], jcfg)
+	jr := &JoinResult{PartitionStats: stats, Extent: extent}
+	if emit == nil {
+		jr.Pairs, jr.JoinStats, err = join.Run(merged.Sets[0], merged.Sets[1], jcfg)
+	} else {
+		jr.JoinStats, err = join.RunStream(merged.Sets[0], merged.Sets[1], jcfg, emit)
+	}
 	done()
 	if err != nil {
 		return nil, nil, err
 	}
-	return &JoinResult{
-		Pairs:          pairs,
-		PartitionStats: stats,
-		JoinStats:      jstats,
-		Extent:         extent,
-	}, reparse, nil
+	return jr, reparse, nil
 }
 
 // joinConfig assembles the join sweep configuration plus a release the
@@ -655,7 +533,7 @@ func (e *Engine) joinPartitionPhase(ctx context.Context, src Source, spec *JoinS
 	// by query passes only).
 	ms, ix := e.sidecarFor(src)
 	boundsSafe := spec.BoundsSafeMask || spec.Mask == nil
-	if ms != nil && ix != nil && boundsSafe {
+	if ix != nil && boundsSafe {
 		ms.sc.hits.Add(1)
 		t0 := time.Now()
 		warmJoinPartition(ix, merged)
@@ -666,136 +544,92 @@ func (e *Engine) joinPartitionPhase(ctx context.Context, src Source, spec *JoinS
 		}
 		return merged, extent, st, nil
 	}
-	var rec *sidecar.Builder
-	if ms != nil && ix == nil {
-		ms.sc.misses.Add(1)
-		if e.sidecar == SidecarReadWrite && src.DataFormat() != WKT {
-			rec = ms.beginSidecarRecord()
-		}
-	}
+	rec, recDone := e.recorder(ms, ix, src.DataFormat() != WKT)
 
-	processFeature := func(fr *fragOf, f *geom.Feature, box geom.Box) {
+	// bin puts one feature into fragment fr and returns it. A fragment
+	// costs a grid of cells, so a pass makes each on demand: nil is the
+	// fragment nothing was binned into yet.
+	bin := func(fr *fragOf, f *geom.Feature, box geom.Box) *fragOf {
+		if fr == nil {
+			fr = &fragOf{}
+			if !spec.SeparatePartitionPhase {
+				fr.sink = query.NewPartitionSink(grid, spec.Store, mask)
+			}
+		}
 		if rec != nil {
 			rec.Add(f.Offset, f.ID, box)
 		}
-		if box.IsEmpty() {
-			return // no geometry, or an empty one: nothing to bin
-		}
-		if spec.SeparatePartitionPhase {
+		switch {
+		case box.IsEmpty():
+			// no geometry, or an empty one: nothing to bin
+		case spec.SeparatePartitionPhase:
 			// The partition pass only needs bounds; keeps the
 			// separate-phase buffers small.
 			fr.feats = append(fr.feats, geom.Feature{ID: f.ID, Offset: f.Offset, Geom: box.AsPolygon()})
-			return
-		}
-		if f.Geom == nil && spec.Mask != nil {
-			// Bounds-only extraction: a bounds-safe mask may still read
-			// the bounds, which it finds where the warm rebuild puts them.
-			f.Geom = box.AsPolygon()
-		}
-		fr.sink.ConsumeBox(f, box)
-	}
-
-	var firstErr error
-	stats, err := e.partitionPass(ctx, src, opt, boundsSafe, processFeature, func(fr *fragOf) {
-		if fr.err != nil && firstErr == nil {
-			firstErr = fr.err
-			return
-		}
-		if spec.SeparatePartitionPhase {
-			for i := range fr.feats {
-				merged.Consume(&fr.feats[i])
+		default:
+			if f.Geom == nil && spec.Mask != nil {
+				// Bounds-only extraction: a bounds-safe mask may still read
+				// the bounds, which it finds where the warm rebuild puts them.
+				f.Geom = box.AsPolygon()
 			}
-			return
-		}
-		if err := merged.Merge(fr.sink); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}, func() *fragOf {
-		fr := &fragOf{}
-		if !spec.SeparatePartitionPhase {
-			fr.sink = query.NewPartitionSink(grid, spec.Store, mask)
+			fr.sink.ConsumeBox(f, box)
 		}
 		return fr
-	})
-	if err == nil {
-		err = firstErr
 	}
-	if rec != nil {
-		if err != nil {
-			ms.abortSidecarRecord()
-		} else {
-			ms.finishSidecarRecord(rec)
+	fold := func(fr *fragOf) error {
+		if fr == nil {
+			return nil // nothing was binned
 		}
+		if !spec.SeparatePartitionPhase {
+			return merged.Merge(fr.sink)
+		}
+		for i := range fr.feats {
+			merged.Consume(&fr.feats[i])
+		}
+		return nil
 	}
+	stats, err := e.partitionPass(ctx, src, opt, boundsSafe, bin, fold)
+	recDone(err)
 	if err != nil {
 		return nil, extent, stats, err
 	}
 	return merged, extent, stats, nil
 }
 
-// fragOf is the per-block fragment of the join's partition pipeline.
+// fragOf is one fragment of the join's partition pipeline.
 type fragOf struct {
 	sink  *query.PartitionSink
 	feats []geom.Feature // separate-phase mode buffers bounds only
-	err   error
 }
 
-// partitionPass runs the first (partition/bounding) pipeline for joins.
-// boundsOnly lets a format that can (GeoJSON) skip building geometry the
-// pass would only take the bounds of; features then arrive with a nil
-// Geom. It must be false when the side mask reads real geometry.
+// partitionPass runs the first (partition/bounding) pipeline for joins:
+// the whole cold pass — PAT or FAT, like a query's — minus the fused
+// Eval. Features that arrive on the fold goroutine (GeoJSON, OSM XML)
+// bin into one fragment, folded after the pass; WKT workers bin into
+// their block's own. boundsOnly lets a format that can (GeoJSON) skip
+// building geometry the pass would only take the bounds of; features
+// then arrive with a nil Geom. It must be false when the side mask reads
+// real geometry.
 func (e *Engine) partitionPass(
 	ctx context.Context,
 	src Source,
 	opt Options,
 	boundsOnly bool,
-	processFeature func(fr *fragOf, f *geom.Feature, box geom.Box),
-	foldFrag func(fr *fragOf),
-	newFrag func() *fragOf,
+	bin func(fr *fragOf, f *geom.Feature, box geom.Box) *fragOf,
+	fold func(fr *fragOf) error,
 ) (pipeline.Stats, error) {
-	data := src.Bytes()
-	switch src.DataFormat() {
-	case GeoJSON:
-		// Same PAT/FAT pipeline as queries, minus the fused Eval.
-		foldSink := newFrag()
-		st, _, _, err := e.runGeoJSONWith(
-			ctx, data, &geojson.Config{PropKeys: opt.PropKeys, BoundsOnly: boundsOnly}, opt,
-			func(f geojson.FeatureOut) { processFeature(foldSink, &f.Feature, f.Box) },
-		)
-		if err != nil {
-			return st, err
-		}
-		foldFrag(foldSink)
-		return st, nil
-	case WKT:
-		return pipeline.RunCtx(ctx, data,
-			pipeline.StreamSplitterFunc(func(input []byte, yield func(int64) bool) {
-				wkt.SplitLinesStream(input, opt.blockSize(), yield)
-			}),
-			e.exec(ctx, opt, data),
-			func(b pipeline.Block) *fragOf {
-				fr := newFrag()
-				fr.err = wkt.EachLine(data, b.Start, b.End, func(line []byte, off int64) error {
-					f, err := wkt.ParseLine(line, off)
-					if err != nil {
-						return err
-					}
-					processFeature(fr, &f, f.Bound())
-					return nil
-				})
-				return fr
-			},
-			func(b pipeline.Block, fr *fragOf) { foldFrag(fr) },
-		)
-	default:
-		fr := newFrag()
-		st, err := e.runOSM(ctx, data, opt, func(f *geom.Feature) { processFeature(fr, f, f.Bound()) })
-		if err != nil {
-			return st, err
-		}
-		foldFrag(fr)
-		return st, nil
+	var one *fragOf
+	st, err := wholePass(ctx, e, src, opt, featureOps[*fragOf]{
+		cfg:     &geojson.Config{PropKeys: opt.PropKeys, BoundsOnly: boundsOnly},
+		out:     func(f geojson.FeatureOut) { one = bin(one, &f.Feature, f.Box) },
+		feature: func(f *geom.Feature) { one = bin(one, f, f.Bound()) },
+		each:    func(fr *fragOf, f geom.Feature) *fragOf { return bin(fr, &f, f.Bound()) },
+		fold:    fold,
+	})
+	if err != nil {
+		return st, err
 	}
+	return st, fold(one)
 }
 
 // Combined executes the combined query of Table 3: the perimeter filters
@@ -829,7 +663,7 @@ func (e *Engine) Combined(ctx context.Context, src Source, spec CombinedSpec, op
 		}
 		return m
 	}
-	jr, reparse, err := e.join(ctx, src, JoinSpec{Mask: mask, CellSize: spec.CellSize}, opt)
+	jr, reparse, err := e.join(ctx, src, JoinSpec{Mask: mask, CellSize: spec.CellSize}, opt, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -899,8 +733,8 @@ func (e *Engine) reparser(ctx context.Context, src Source, opt Options) (join.Re
 		// data lives in the node table, paper §5.3's random-access
 		// penalty). Build an offset-keyed geometry table once.
 		table := make(map[int64]geom.Geometry)
-		_, err := e.runOSM(ctx, data, opt, func(f *geom.Feature) { table[f.Offset] = f.Geom })
-		if err != nil {
+		put := func(f *geom.Feature) { table[f.Offset] = f.Geom }
+		if _, err := wholePass(ctx, e, src, opt, inOrder(nil, nil, put)); err != nil {
 			return nil, err
 		}
 		return func(off int64) (geom.Geometry, error) {

@@ -7,6 +7,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"runtime"
@@ -225,9 +226,13 @@ func Table2(cfg Config) *Report {
 	return r
 }
 
+// transient is the zero-value engine: no shared pool, so every call runs
+// on Options.Workers transient workers — what the core-count sweeps vary.
+var transient = &atgis.Engine{}
+
 // runQueryTimed executes a query and returns throughput MB/s.
 func runQueryTimed(ds *atgis.Dataset, spec *query.Spec, opt atgis.Options) (float64, *atgis.Result) {
-	res, err := ds.Query(spec, opt)
+	res, err := transient.Query(context.Background(), ds, spec, opt)
 	if err != nil {
 		panic(err)
 	}
@@ -264,7 +269,7 @@ func Fig9(cfg Config, sub string) *Report {
 		jds := mustDataset(jdata, atgis.GeoJSON)
 		for w := 1; w <= cfg.MaxWorkers; w *= 2 {
 			start := time.Now()
-			_, err := jds.Join(atgis.JoinSpec{
+			_, err := transient.Join(context.Background(), jds, atgis.JoinSpec{
 				Mask:     idParityMask,
 				CellSize: 10,
 			}, atgis.Options{Mode: atgis.FAT, Workers: w, BlockSize: 64 << 10})
@@ -291,7 +296,7 @@ func Fig10(cfg Config) *Report {
 	cfg = cfg.Defaults()
 	data := genGeoJSON(cfg, cfg.Features)
 	ds := mustDataset(data, atgis.GeoJSON)
-	feats, err := ds.CollectFeatures(atgis.Options{})
+	feats, err := transient.CollectFeatures(context.Background(), ds, atgis.Options{})
 	if err != nil {
 		panic(err)
 	}
@@ -315,7 +320,7 @@ func Fig10(cfg Config) *Report {
 		cT := timeIt(func() { runQueryTimed(ds, stdSpec(query.Containment), opt) })
 		aT := timeIt(func() { runQueryTimed(ds, stdSpec(query.Aggregation), opt) })
 		jT := timeIt(func() {
-			if _, err := ds.Join(joinSpec, opt); err != nil {
+			if _, err := transient.Join(context.Background(), ds, joinSpec, opt); err != nil {
 				panic(err)
 			}
 		})
@@ -438,7 +443,7 @@ func Fig11(cfg Config) *Report {
 	}
 	for w := 1; w <= cfg.MaxWorkers; w *= 2 {
 		start := time.Now()
-		jr, err := ds.Join(atgis.JoinSpec{Mask: idParityMask, CellSize: 5},
+		jr, err := transient.Join(context.Background(), ds, atgis.JoinSpec{Mask: idParityMask, CellSize: 5},
 			atgis.Options{Mode: atgis.FAT, Workers: w, BlockSize: 64 << 10})
 		if err != nil {
 			panic(err)
@@ -521,12 +526,12 @@ func Fig12(cfg Config) *Report {
 		if v.jdata != nil {
 			jds := mustDataset(v.jdata, v.format)
 			start := time.Now()
-			if _, err := jds.Join(atgis.JoinSpec{Mask: idParityMask, CellSize: 10}, opt); err != nil {
+			if _, err := transient.Join(context.Background(), jds, atgis.JoinSpec{Mask: idParityMask, CellSize: 10}, opt); err != nil {
 				panic(err)
 			}
 			jcol = f2(float64(len(v.jdata)) / (1 << 20) / time.Since(start).Seconds())
 			start = time.Now()
-			if _, err := jds.Combined(atgis.CombinedSpec{
+			if _, err := transient.Combined(context.Background(), jds, atgis.CombinedSpec{
 				T1: 100e3, T2: 80e3, Dist: geom.Haversine, CellSize: 10,
 			}, opt); err != nil {
 				panic(err)
@@ -639,7 +644,7 @@ func Fig15(cfg Config) *Report {
 					phase = "separate"
 				}
 				start := time.Now()
-				jr, err := ds.Join(atgis.JoinSpec{
+				jr, err := transient.Join(context.Background(), ds, atgis.JoinSpec{
 					Mask: idParityMask, CellSize: cell,
 					Store: store, SeparatePartitionPhase: sep,
 				}, atgis.Options{Mode: atgis.FAT, BlockSize: 64 << 10})

@@ -102,7 +102,7 @@ func Micro(cfg Config) []MicroResult {
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := ds.Query(spec, opt); err != nil {
+				if _, err := transient.Query(context.Background(), ds, spec, opt); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -115,8 +115,8 @@ func Micro(cfg Config) []MicroResult {
 	queryBench("Fig9aContainment/FAT", gj, qspec(), atgis.FAT)
 
 	// The same containment pass through the layered API: shared engine
-	// pool + query compiled once + per-run context. Tracks the redesign's
-	// overhead relative to the legacy Dataset path above.
+	// pool + query compiled once + per-run context. Tracks the pool's
+	// overhead relative to the transient-worker rows above.
 	engineBench := func(name string, mode atgis.Mode) {
 		eng := atgis.NewEngine(atgis.EngineConfig{Workers: cfg.MaxWorkers})
 		defer eng.Close()
@@ -189,8 +189,8 @@ func Micro(cfg Config) []MicroResult {
 	sidecarBench("Fig9aContainmentWarm/cold", atgis.SidecarOff)
 	sidecarBench("Fig9aContainmentWarm/warm", atgis.SidecarReadWrite)
 
-	// Join throughput (Fig. 9c's setup): the two-pass PBSM join, legacy
-	// buffered path. Gated in -compare alongside the Fig9a pair so join
+	// Join throughput (Fig. 9c's setup): the two-pass PBSM join, buffered,
+	// on transient workers. Gated in -compare alongside the Fig9a pair so join
 	// regressions — partition pass or cell-batch sweep — fail CI too.
 	joinN := 600
 	if cfg.Features > 0 {
@@ -208,7 +208,7 @@ func Micro(cfg Config) []MicroResult {
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := jds.Join(jspec, jopt); err != nil {
+			if _, err := transient.Join(context.Background(), jds, jspec, jopt); err != nil {
 				b.Fatal(err)
 			}
 		}

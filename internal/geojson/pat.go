@@ -42,7 +42,7 @@ func FindFeatureBoundaries(input []byte, minGap int) []int64 {
 
 // FindFeatureBoundariesStream yields feature-boundary cut offsets in
 // increasing order as they are found, the incremental form that lets
-// pipeline.Run dispatch PAT blocks while the boundary scan is still
+// pipeline.RunCtx dispatch PAT blocks while the boundary scan is still
 // running. The scan stops early when yieldCut returns false, so a
 // cancelled run does not pay for scanning the rest of the input.
 func FindFeatureBoundariesStream(input []byte, minGap int, yieldCut func(int64) bool) {

@@ -26,10 +26,10 @@
 // Position in the system (docs/ARCHITECTURE.md has the full layer
 // diagram): every execution path of the public API bottoms out here —
 // PreparedQuery passes, the join's partition pass, and CollectFeatures
-// all assemble a splitter + per-block processor + ordered fold and hand
-// them to RunCtx; join sweeps feed their cell-batch tasks through a
-// TaskGroup over the same per-pass dispatch queues. An atgis.Engine
-// owns one Pool for all of them; the
+// are all block plans whose one executor (atgis.runPlan) hands a
+// splitter + per-block processor + ordered fold to RunCtx; join sweeps
+// feed their cell-batch tasks through a TaskGroup over the same per-pass
+// dispatch queues. An atgis.Engine owns one Pool for all of them; the
 // Pool's Busy gauge and scheduler snapshot are what Engine.Stats and
 // the atgis-serve /v1/stats endpoint report. The pipeline itself never
 // bounds how many runs are in flight — that is admission control's job
@@ -99,53 +99,25 @@ func (s Stats) ThroughputMBs() float64 {
 	return float64(s.Bytes) / (1 << 20) / t
 }
 
-// Splitter produces block boundaries for an input.
-type Splitter interface {
-	// Split returns the cut offsets strictly inside (0, len(input));
-	// blocks are the regions between consecutive cuts.
-	Split(input []byte) []int64
-}
-
-// StreamSplitter is the incremental splitting API: cuts are yielded as
-// they are found so processing can start before splitting completes.
+// StreamSplitter finds the block boundaries of an input incrementally:
+// cuts are yielded as they are found, so processing starts before
+// splitting completes. Blocks are the regions between consecutive cuts.
 type StreamSplitter interface {
-	Splitter
-	// SplitStream yields cut offsets in increasing order. The scan must
-	// stop when yield returns false (a cancelled run refuses further
-	// blocks).
+	// SplitStream yields cut offsets strictly inside (0, len(input)) in
+	// increasing order. The scan must stop when yield returns false (a
+	// cancelled run refuses further blocks).
 	SplitStream(input []byte, yield func(cut int64) bool)
 }
 
-// SplitterFunc adapts a batch function to the Splitter interface.
-type SplitterFunc func(input []byte) []int64
-
-// Split implements Splitter.
-func (f SplitterFunc) Split(input []byte) []int64 { return f(input) }
-
-// StreamSplitterFunc adapts an incremental cut generator to both
-// splitter interfaces.
+// StreamSplitterFunc adapts a cut generator to StreamSplitter.
 type StreamSplitterFunc func(input []byte, yield func(cut int64) bool)
 
 // SplitStream implements StreamSplitter.
 func (f StreamSplitterFunc) SplitStream(input []byte, yield func(cut int64) bool) { f(input, yield) }
 
-// Split implements Splitter by collecting the streamed cuts.
-func (f StreamSplitterFunc) Split(input []byte) []int64 {
-	var cuts []int64
-	f(input, func(c int64) bool { cuts = append(cuts, c); return true })
-	return cuts
-}
-
 // FixedSplitter cuts the input into fixed-size blocks: the zero-cost
 // split used by fully-associative pipelines.
 type FixedSplitter struct{ BlockSize int }
-
-// Split implements Splitter.
-func (s FixedSplitter) Split(input []byte) []int64 {
-	var cuts []int64
-	s.SplitStream(input, func(c int64) bool { cuts = append(cuts, c); return true })
-	return cuts
-}
 
 // SplitStream implements StreamSplitter.
 func (s FixedSplitter) SplitStream(input []byte, yield func(cut int64) bool) {
@@ -158,23 +130,6 @@ func (s FixedSplitter) SplitStream(input []byte, yield func(cut int64) bool) {
 			return
 		}
 	}
-}
-
-// BlocksFromCuts materialises Block descriptors from cut offsets.
-func BlocksFromCuts(n int64, cuts []int64) []Block {
-	var blocks []Block
-	prev := int64(0)
-	idx := 0
-	for _, c := range cuts {
-		if c <= prev || c >= n {
-			continue
-		}
-		blocks = append(blocks, Block{Index: idx, Start: prev, End: c})
-		prev = c
-		idx++
-	}
-	blocks = append(blocks, Block{Index: idx, Start: prev, End: n})
-	return blocks
 }
 
 // item carries one block through the engine: workers fill r and close
@@ -251,20 +206,6 @@ func (e Exec) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Run executes process over every block on workers goroutines and folds
-// the results in input order; the uncancellable form of RunCtx kept for
-// callers without a context.
-func Run[R any](
-	input []byte,
-	splitter Splitter,
-	workers int,
-	process func(b Block) R,
-	fold func(b Block, r R),
-) Stats {
-	st, _ := RunCtx(context.Background(), input, splitter, Exec{Workers: workers}, process, fold) //lint:atgis-allow ctxflow Run is the documented uncancellable legacy form; serving paths use RunCtx
-	return st
-}
-
 // RunCtx executes process over every block and folds the results in
 // input order. Splitting, processing and merging overlap: block
 // descriptors stream from the splitter as cuts are found (see
@@ -288,7 +229,7 @@ func Run[R any](
 func RunCtx[R any](
 	ctx context.Context,
 	input []byte,
-	splitter Splitter,
+	splitter StreamSplitter,
 	exec Exec,
 	process func(b Block) R,
 	fold func(b Block, r R),
@@ -430,15 +371,7 @@ func RunCtx[R any](
 		// this run instead of the process.
 		if err := Guarded(exec.Label, "split", 0, func() {
 			faultinject.Fire("pipeline.split", exec.Label, 0)
-			if ss, ok := splitter.(StreamSplitter); ok {
-				ss.SplitStream(input, yield)
-			} else {
-				for _, c := range splitter.Split(input) {
-					if !yield(c) {
-						break
-					}
-				}
-			}
+			splitter.SplitStream(input, yield)
 		}); err != nil {
 			cancelled = true
 			failRun(err)

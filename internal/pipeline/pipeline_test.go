@@ -9,9 +9,27 @@ import (
 	"time"
 )
 
+// run is RunCtx on run-local workers under a background context, for the
+// tests that exercise neither cancellation nor the pool.
+func run[R any](t *testing.T, input []byte, splitter StreamSplitter, workers int, process func(Block) R, fold func(Block, R)) Stats {
+	t.Helper()
+	st, err := RunCtx(context.Background(), input, splitter, Exec{Workers: workers}, process, fold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// cutsOf collects what a splitter streams.
+func cutsOf(s StreamSplitter, input []byte) []int64 {
+	var cuts []int64
+	s.SplitStream(input, func(c int64) bool { cuts = append(cuts, c); return true })
+	return cuts
+}
+
 func TestFixedSplitter(t *testing.T) {
 	input := make([]byte, 100)
-	cuts := FixedSplitter{BlockSize: 30}.Split(input)
+	cuts := cutsOf(FixedSplitter{BlockSize: 30}, input)
 	want := []int64{30, 60, 90}
 	if len(cuts) != len(want) {
 		t.Fatalf("cuts = %v, want %v", cuts, want)
@@ -22,24 +40,8 @@ func TestFixedSplitter(t *testing.T) {
 		}
 	}
 	// Default block size when unset.
-	if got := (FixedSplitter{}).Split(make([]byte, 10)); len(got) != 0 {
+	if got := cutsOf(FixedSplitter{}, make([]byte, 10)); len(got) != 0 {
 		t.Errorf("small input cuts = %v", got)
-	}
-}
-
-func TestBlocksFromCuts(t *testing.T) {
-	blocks := BlocksFromCuts(100, []int64{0, 30, 30, 60, 150})
-	// Invalid cuts (0, duplicate, beyond end) are dropped.
-	if len(blocks) != 3 {
-		t.Fatalf("blocks = %+v", blocks)
-	}
-	if blocks[0] != (Block{0, 0, 30}) || blocks[1] != (Block{1, 30, 60}) || blocks[2] != (Block{2, 60, 100}) {
-		t.Fatalf("blocks = %+v", blocks)
-	}
-	// No cuts: a single block.
-	one := BlocksFromCuts(42, nil)
-	if len(one) != 1 || one[0] != (Block{0, 0, 42}) {
-		t.Fatalf("single block = %+v", one)
 	}
 }
 
@@ -48,7 +50,7 @@ func TestRunSumsAllBytes(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		var total int64
 		var calls int32
-		st := Run(input, FixedSplitter{BlockSize: 117}, workers,
+		st := run(t, input, FixedSplitter{BlockSize: 117}, workers,
 			func(b Block) int64 {
 				atomic.AddInt32(&calls, 1)
 				var s int64
@@ -77,7 +79,7 @@ func TestRunSumsAllBytes(t *testing.T) {
 func TestRunFoldsInOrder(t *testing.T) {
 	input := make([]byte, 1000)
 	var order []int
-	Run(input, FixedSplitter{BlockSize: 37}, 4,
+	run(t, input, FixedSplitter{BlockSize: 37}, 4,
 		func(b Block) int { return b.Index },
 		func(b Block, r int) { order = append(order, r) },
 	)
@@ -94,7 +96,7 @@ func TestRunFoldsInOrder(t *testing.T) {
 func TestRunSingleBlock(t *testing.T) {
 	input := []byte("hello")
 	n := 0
-	st := Run(input, FixedSplitter{BlockSize: 1 << 20}, 2,
+	st := run(t, input, FixedSplitter{BlockSize: 1 << 20}, 2,
 		func(b Block) int { return int(b.End - b.Start) },
 		func(b Block, r int) { n += r },
 	)
@@ -106,7 +108,7 @@ func TestRunSingleBlock(t *testing.T) {
 func TestRunEmptyInput(t *testing.T) {
 	var input []byte
 	called := 0
-	st := Run(input, FixedSplitter{BlockSize: 10}, 2,
+	st := run(t, input, FixedSplitter{BlockSize: 10}, 2,
 		func(b Block) int { called++; return 0 },
 		func(b Block, r int) {},
 	)
@@ -142,7 +144,7 @@ func TestRunOverlapsSplitAndProcess(t *testing.T) {
 		yield(3072)
 	})
 	var processed atomic.Int32
-	st := Run(input, splitter, 2,
+	st := run(t, input, splitter, 2,
 		func(b Block) int {
 			processed.Add(1)
 			once.Do(func() { close(firstProcessed) })
@@ -162,7 +164,7 @@ func TestRunOutOfOrderCompletion(t *testing.T) {
 	const blocks = 16
 	input := make([]byte, 64*blocks)
 	var order []int
-	st := Run(input, FixedSplitter{BlockSize: 64}, 8,
+	st := run(t, input, FixedSplitter{BlockSize: 64}, 8,
 		func(b Block) int {
 			// Later blocks finish first.
 			time.Sleep(time.Duration(blocks-b.Index) * time.Millisecond)
@@ -197,7 +199,7 @@ func TestRunStreamSplitterRejectsBadCuts(t *testing.T) {
 		yield(200) // beyond end: dropped
 	})
 	var got []Block
-	st := Run(input, splitter, 2,
+	st := run(t, input, splitter, 2,
 		func(b Block) Block { return b },
 		func(b Block, r Block) { got = append(got, r) },
 	)
@@ -212,14 +214,6 @@ func TestRunStreamSplitterRejectsBadCuts(t *testing.T) {
 	}
 	if st.Blocks != 3 {
 		t.Errorf("st.Blocks = %d", st.Blocks)
-	}
-}
-
-func TestSplitterFunc(t *testing.T) {
-	s := SplitterFunc(func(input []byte) []int64 { return []int64{int64(len(input) / 2)} })
-	cuts := s.Split(make([]byte, 10))
-	if len(cuts) != 1 || cuts[0] != 5 {
-		t.Fatalf("cuts = %v", cuts)
 	}
 }
 

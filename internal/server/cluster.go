@@ -10,137 +10,13 @@ import (
 
 	"atgis"
 	"atgis/internal/cluster"
-	"atgis/internal/query"
 )
 
-// This file holds both halves of cluster mode:
-//
-//   - the worker side: handleShardQuery runs a scattered sub-query over
-//     its byte range and speaks the shard-handshake protocol;
-//   - the coordinator side: the handleCluster* handlers scatter plain
-//     client requests over the workers and merge the streams (the
-//     mechanics live in internal/cluster).
-
-// handleShardQuery is the worker side of a scattered query: the pass
-// restricted to the request's raw byte range, with the shard handshake
-// record prepended so the coordinator can verify range continuity
-// across workers before interleaving their records. The pass uses the
-// worker's sidecar like any other (warm from the tape, or — on a
-// readwrite worker's first miss — the full recording pass filtered to
-// the range), so workers with and without a tape mix freely: alignment
-// is read off the bytes either way.
-func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request, req *queryRequest) {
-	entry, ok := s.source(req.Source)
-	if !ok {
-		writeError(w, http.StatusNotFound, 0, "unknown source %q", req.Source)
-		return
-	}
-	spec, opt, err := req.compile(s.opt)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, 0, "%v", err)
-		return
-	}
-	if req.TimeoutMS < 0 {
-		writeError(w, http.StatusBadRequest, 0, "timeout_ms must be >= 0")
-		return
-	}
-	// Align once: the head reports the aligned range and the pass takes
-	// it as its shard (re-aligning an aligned range is two constant-time
-	// look-ups, not two more boundary scans).
-	aligned, err := atgis.AlignShard(entry.src, atgis.ShardRange{Start: req.Shard.Start, End: req.Shard.End})
-	if err != nil {
-		// Unshardable format (OSM XML) or an out-of-order range.
-		writeError(w, http.StatusBadRequest, 0, "shard: %v", err)
-		return
-	}
-	pq, err := s.eng.Prepare(spec, opt)
-	if err != nil {
-		writeExecError(w, err)
-		return
-	}
-	head := cluster.ShardHead{
-		Type: "shard", Start: req.Shard.Start, End: req.Shard.End,
-		AlignedStart: aligned.Start, AlignedEnd: aligned.End,
-	}
-
-	ctx := atgis.WithTenant(r.Context(), tenantOf(r))
-	ctx, cancel := s.withDeadline(ctx, req.TimeoutMS)
-	defer cancel()
-	out := newNDJSONWriter(w, r)
-	defer out.stop()
-
-	if spec.Kind == query.Aggregation {
-		res, err := pq.ExecuteShard(ctx, entry.src, aligned)
-		if err != nil {
-			if errors.Is(err, atgis.ErrSourceFault) {
-				entry.markFault(err)
-			}
-			if r.Context().Err() != nil {
-				return // client gone; nowhere to report
-			}
-			writeExecError(w, err)
-			return
-		}
-		// A shard pass is partial: count it, but never clear a recorded
-		// source fault — only a full pass proves the mapping readable.
-		entry.passes.Add(1)
-		out.write(head)
-		out.writeFinal(summarize(res))
-		return
-	}
-
-	res := pq.StreamShard(ctx, entry.src, aligned)
-	defer res.Close()
-	if !out.write(head) {
-		return
-	}
-	streamed := 0
-	for res.Next() {
-		if req.Limit > 0 && streamed >= req.Limit {
-			break
-		}
-		f := res.Feature()
-		v := res.Value()
-		b := f.Geom.Bound()
-		rec := featureRecord{
-			Type:   "feature",
-			ID:     f.ID,
-			Offset: f.Offset,
-			BBox:   [4]float64{b.MinX, b.MinY, b.MaxX, b.MaxY},
-		}
-		if spec.WantArea {
-			rec.Area = v.Area
-		}
-		if spec.WantPerimeter {
-			rec.Perimeter = v.Perimeter
-		}
-		if len(opt.PropKeys) > 0 {
-			rec.Properties = f.Properties
-		}
-		if !out.write(rec) {
-			return
-		}
-		streamed++
-	}
-	sum, err := res.Summary()
-	if err != nil {
-		if errors.Is(err, atgis.ErrSourceFault) {
-			entry.markFault(err)
-		}
-		if r.Context().Err() != nil {
-			return
-		}
-		// The head already committed the 200; report in-band. The
-		// coordinator treats the error record as a failed attempt and
-		// retries the shard elsewhere.
-		out.writeFinal(execErrorRecord(err))
-		return
-	}
-	entry.passes.Add(1)
-	out.writeFinal(summarize(sum))
-}
-
-// --- coordinator handlers ---
+// This file is the coordinator half of cluster mode: the handleCluster*
+// handlers scatter plain client requests over the workers and merge the
+// streams (the mechanics live in internal/cluster). The worker half is
+// handleQuery and handleJoin themselves — a scattered sub-request is the
+// same handler with a shard range or a cell band set.
 
 func (s *Server) handleClusterHealthz(w http.ResponseWriter, r *http.Request) {
 	workers := s.cl.Workers()
@@ -247,6 +123,24 @@ func shardFaultRecord(idx int, err error) errorRecord {
 		Type: "error", Kind: "shard_fault",
 		Error: fmt.Sprintf("shard %d failed after retries: %v", idx, err),
 	}
+}
+
+// scatterFailed is the epilogue of a scatter: it reports whether err ended
+// the request, having told the client what it still can — nothing when
+// the client is gone, a 502 when no record was streamed yet, an in-band
+// cluster error once the 200 is committed.
+func scatterFailed(w http.ResponseWriter, r *http.Request, out *ndjsonWriter, err error) bool {
+	switch {
+	case err == nil:
+		return false
+	case r.Context().Err() != nil:
+		// client gone; nowhere to report
+	case !out.started:
+		writeErrorKind(w, http.StatusBadGateway, "cluster", 0, "scatter failed: %v", err)
+	default:
+		out.writeFinal(errorRecord{Type: "error", Kind: "cluster", Error: err.Error()})
+	}
+	return true
 }
 
 func (s *Server) handleClusterQuery(w http.ResponseWriter, r *http.Request) {
@@ -363,15 +257,7 @@ func (s *Server) handleClusterQuery(w http.ResponseWriter, r *http.Request) {
 			return out.write(shardFaultRecord(idx, ferr))
 		},
 	})
-	if err != nil {
-		if r.Context().Err() != nil {
-			return // client gone; nowhere to report
-		}
-		if !out.started {
-			writeErrorKind(w, http.StatusBadGateway, "cluster", 0, "scatter failed: %v", err)
-			return
-		}
-		out.writeFinal(errorRecord{Type: "error", Kind: "cluster", Error: err.Error()})
+	if scatterFailed(w, r, out, err) {
 		return
 	}
 	merged.MBR = mbr
@@ -399,26 +285,8 @@ func (s *Server) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, 0, "cell_band is coordinator-internal; send plain joins")
 		return
 	}
-	if req.Limit < 0 {
-		writeError(w, http.StatusBadRequest, 0, "limit must be >= 0")
-		return
-	}
-	if req.Cell != 0 && (req.Cell < minJoinCell || req.Cell > 360) {
-		writeError(w, http.StatusBadRequest, 0, "cell must be between %g and 360 degrees", minJoinCell)
-		return
-	}
-	if req.OrderWindow < 0 {
-		writeError(w, http.StatusBadRequest, 0, "order_window must be >= 0")
-		return
-	}
-	if req.TimeoutMS < 0 {
-		writeError(w, http.StatusBadRequest, 0, "timeout_ms must be >= 0")
-		return
-	}
-	switch req.Mask {
-	case "", "parity", "both":
-	default:
-		writeError(w, http.StatusBadRequest, 0, "mask must be parity or both, got %q", req.Mask)
+	if err := req.validate(); err != nil {
+		writeError(w, http.StatusBadRequest, 0, "%v", err)
 		return
 	}
 	ctx, cancel := s.withDeadline(r.Context(), req.TimeoutMS)
@@ -491,15 +359,7 @@ func (s *Server) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
 			return out.write(shardFaultRecord(idx, ferr))
 		},
 	})
-	if err != nil {
-		if r.Context().Err() != nil {
-			return
-		}
-		if !out.started {
-			writeErrorKind(w, http.StatusBadGateway, "cluster", 0, "scatter failed: %v", err)
-			return
-		}
-		out.writeFinal(errorRecord{Type: "error", Kind: "cluster", Error: err.Error()})
+	if scatterFailed(w, r, out, err) {
 		return
 	}
 	merged.Streamed = streamed

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"atgis"
+	"atgis/internal/cluster"
 	"atgis/internal/geom"
 	"atgis/internal/query"
 )
@@ -672,13 +673,40 @@ func (n *ndjsonWriter) stop() {
 	}
 }
 
+// newFeatureRecord builds the wire form of one streamed match. The box
+// travels with the per-feature value (every wire query has a reference,
+// so the evaluator computed it).
+func newFeatureRecord(spec *query.Spec, opt atgis.Options, f *geom.Feature, v query.FeatureVal) featureRecord {
+	rec := featureRecord{
+		Type:   "feature",
+		ID:     f.ID,
+		Offset: f.Offset,
+		BBox:   [4]float64{v.Box.MinX, v.Box.MinY, v.Box.MaxX, v.Box.MaxY},
+	}
+	if spec.WantArea {
+		rec.Area = v.Area
+	}
+	if spec.WantPerimeter {
+		rec.Perimeter = v.Perimeter
+	}
+	if len(opt.PropKeys) > 0 {
+		rec.Properties = f.Properties
+	}
+	return rec
+}
+
+// handleQuery serves POST /v1/query, for plain clients and — with
+// req.Shard set — as the worker side of a scattered query: the same pass
+// restricted to the request's raw byte range, with the shard handshake
+// record prepended so the coordinator can verify range continuity across
+// workers before interleaving their records. A shard pass uses the
+// worker's sidecar like any other (warm from the tape, or — on a
+// readwrite worker's first miss — the full recording pass filtered to
+// the range), so workers with and without a tape mix freely: alignment
+// is read off the bytes either way.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
 	if !decodeBody(w, r, &req) {
-		return
-	}
-	if req.Shard != nil {
-		s.handleShardQuery(w, r, &req)
 		return
 	}
 	entry, ok := s.source(req.Source)
@@ -695,10 +723,36 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, 0, "timeout_ms must be >= 0")
 		return
 	}
+	var head *cluster.ShardHead
+	var shard atgis.ShardRange
+	if req.Shard != nil {
+		// Align once: the head reports the aligned range and the pass takes
+		// it as its shard (re-aligning an aligned range is two constant-time
+		// look-ups, not two more boundary scans).
+		shard, err = atgis.AlignShard(entry.src, atgis.ShardRange{Start: req.Shard.Start, End: req.Shard.End})
+		if err != nil {
+			// Unshardable format (OSM XML) or an out-of-order range.
+			writeError(w, http.StatusBadRequest, 0, "shard: %v", err)
+			return
+		}
+		head = &cluster.ShardHead{
+			Type: "shard", Start: req.Shard.Start, End: req.Shard.End,
+			AlignedStart: shard.Start, AlignedEnd: shard.End,
+		}
+	}
 	pq, err := s.eng.Prepare(spec, opt)
 	if err != nil {
 		writeExecError(w, err)
 		return
+	}
+	execute, stream := pq.Execute, pq.Stream
+	if head != nil {
+		execute = func(ctx context.Context, src atgis.Source) (*atgis.Result, error) {
+			return pq.ExecuteShard(ctx, src, shard)
+		}
+		stream = func(ctx context.Context, src atgis.Source) *atgis.Results {
+			return pq.StreamShard(ctx, src, shard)
+		}
 	}
 
 	// The request context carries the tenant for admission and feeds
@@ -712,7 +766,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer out.stop() // flush the gzip tail and disarm the interval timer
 
 	if spec.Kind == query.Aggregation {
-		res, err := pq.Execute(ctx, entry.src)
+		res, err := execute(ctx, entry.src)
 		if err != nil {
 			if errors.Is(err, atgis.ErrSourceFault) {
 				entry.markFault(err)
@@ -723,38 +777,26 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			writeExecError(w, err)
 			return
 		}
-		entry.passDone()
+		entry.passDone(head == nil)
+		if head != nil {
+			out.write(head)
+		}
 		out.writeFinal(summarize(res))
 		return
 	}
 
 	// Containment: stream matches as the pipeline merges them.
-	res := pq.Stream(ctx, entry.src)
+	res := stream(ctx, entry.src)
 	defer res.Close()
+	if head != nil && !out.write(head) {
+		return
+	}
 	streamed := 0
 	for res.Next() {
 		if req.Limit > 0 && streamed >= req.Limit {
 			break // summary below still covers the full pass
 		}
-		f := res.Feature()
-		v := res.Value()
-		b := f.Geom.Bound()
-		rec := featureRecord{
-			Type:   "feature",
-			ID:     f.ID,
-			Offset: f.Offset,
-			BBox:   [4]float64{b.MinX, b.MinY, b.MaxX, b.MaxY},
-		}
-		if spec.WantArea {
-			rec.Area = v.Area
-		}
-		if spec.WantPerimeter {
-			rec.Perimeter = v.Perimeter
-		}
-		if len(opt.PropKeys) > 0 {
-			rec.Properties = f.Properties
-		}
-		if !out.write(rec) {
+		if !out.write(newFeatureRecord(spec, opt, res.Feature(), res.Value())) {
 			return // client gone; deferred Close aborts the pass
 		}
 		streamed++
@@ -771,11 +813,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			writeExecError(w, err)
 			return
 		}
-		// The stream already committed a 200; report in-band.
+		// The stream already committed a 200 — a shard's head always has —
+		// so report in-band. A coordinator treats the error record as a
+		// failed attempt and retries the shard elsewhere.
 		out.writeFinal(execErrorRecord(err))
 		return
 	}
-	entry.passDone()
+	entry.passDone(head == nil)
 	out.writeFinal(summarize(sum))
 }
 
@@ -840,6 +884,28 @@ type joinSummary struct {
 	ShardsFailed int `json:"shards_failed,omitempty"`
 }
 
+// validate range-checks the request (shared by the worker's handleJoin
+// and the coordinator, which fails malformed joins before any worker RPC).
+func (j *joinRequest) validate() error {
+	switch {
+	case j.Limit < 0:
+		return fmt.Errorf("limit must be >= 0")
+	case j.Cell != 0 && (j.Cell < minJoinCell || j.Cell > 360):
+		return fmt.Errorf("cell must be between %g and 360 degrees", minJoinCell)
+	case j.OrderWindow < 0:
+		return fmt.Errorf("order_window must be >= 0")
+	case j.TimeoutMS < 0:
+		return fmt.Errorf("timeout_ms must be >= 0")
+	case j.CellBand != nil && (j.CellBand[0] < 0 || j.CellBand[1] < j.CellBand[0]):
+		return fmt.Errorf("cell_band must be [lo, hi) with 0 <= lo <= hi")
+	}
+	switch j.Mask {
+	case "", "parity", "both":
+		return nil
+	}
+	return fmt.Errorf("mask must be parity or both, got %q", j.Mask)
+}
+
 func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var req joinRequest
 	if !decodeBody(w, r, &req) {
@@ -850,24 +916,8 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, 0, "unknown source %q", req.Source)
 		return
 	}
-	if req.Limit < 0 {
-		writeError(w, http.StatusBadRequest, 0, "limit must be >= 0")
-		return
-	}
-	if req.Cell != 0 && (req.Cell < minJoinCell || req.Cell > 360) {
-		writeError(w, http.StatusBadRequest, 0, "cell must be between %g and 360 degrees", minJoinCell)
-		return
-	}
-	if req.OrderWindow < 0 {
-		writeError(w, http.StatusBadRequest, 0, "order_window must be >= 0")
-		return
-	}
-	if req.TimeoutMS < 0 {
-		writeError(w, http.StatusBadRequest, 0, "timeout_ms must be >= 0")
-		return
-	}
-	if req.CellBand != nil && (req.CellBand[0] < 0 || req.CellBand[1] < req.CellBand[0]) {
-		writeError(w, http.StatusBadRequest, 0, "cell_band must be [lo, hi) with 0 <= lo <= hi")
+	if err := req.validate(); err != nil {
+		writeError(w, http.StatusBadRequest, 0, "%v", err)
 		return
 	}
 	// Both wire masks split purely by feature ID, so sidecar-enabled
@@ -888,9 +938,6 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	case "both":
 		selfJoin = true
 		spec.Mask = func(*geom.Feature) uint8 { return query.SideA | query.SideB }
-	default:
-		writeError(w, http.StatusBadRequest, 0, "mask must be parity or both, got %q", req.Mask)
-		return
 	}
 	opt := s.opt
 	if req.BlockSize > 0 {
@@ -934,13 +981,7 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		out.writeFinal(execErrorRecord(err))
 		return
 	}
-	if req.CellBand != nil {
-		// A banded sweep is a partial pass: count it, but only a full
-		// pass may clear a recorded source fault.
-		entry.passes.Add(1)
-	} else {
-		entry.passDone()
-	}
+	entry.passDone(req.CellBand == nil)
 	out.writeFinal(joinSummary{
 		Type:        "summary",
 		Streamed:    streamed,

@@ -121,11 +121,14 @@ func (e *sourceEntry) markFault(err error) {
 	e.fault.Store(&sourceFault{Error: err.Error(), At: time.Now()})
 }
 
-// passDone records one fully completed pass; a complete pass proves the
-// whole mapping readable, so it also clears any recorded fault.
-func (e *sourceEntry) passDone() {
+// passDone records one completed pass. Only a full pass proves the whole
+// mapping readable, so only it clears a recorded fault; a partial one (a
+// shard's byte range, a join's cell band) is counted and no more.
+func (e *sourceEntry) passDone(full bool) {
 	e.passes.Add(1)
-	e.fault.Store(nil)
+	if full {
+		e.fault.Store(nil)
+	}
 }
 
 // New builds a Server around cfg.Engine with an empty source table.

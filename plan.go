@@ -5,20 +5,18 @@ import (
 	"sort"
 
 	"atgis/internal/geojson"
-	"atgis/internal/geom"
 	"atgis/internal/pipeline"
 	"atgis/internal/query"
 	"atgis/internal/sidecar"
-	"atgis/internal/wkt"
 )
 
-// Block plans. Every PAT GeoJSON pass and every WKT pass — whole source
-// or shard range, cold or warm — is one plan run by the format's plan
-// executor: an ordered, contiguous sequence of typed blocks from offset
-// 0 to the plan's stop. The document header parses sequentially (it
-// opens the root object and features array every PAT block assumes),
-// live blocks parse in parallel exactly as cold PAT blocks do, and gaps
-// are skipped unparsed. Two planners produce plans:
+// Block plans. Every pass of every format — whole source or shard range,
+// cold or warm, query or join partition — is one plan run by runPlan
+// through the format's driver (drivers.go): an ordered, contiguous
+// sequence of typed blocks from offset 0 to the plan's stop. The document
+// header parses sequentially (it opens the root object and features array
+// every PAT block assumes), live blocks parse in parallel, and gaps are
+// skipped unparsed. Two planners produce plans:
 //
 //   - coldPlan knows only where the range starts: header · gap up to the
 //     range · the range itself, cut by the format's boundary splitter
@@ -59,12 +57,14 @@ type blockPlan struct {
 	pruned int64 // features of the range skipped on the tape's word
 }
 
-// coldPlan plans r without a tape. The document wrapper ends at the
-// first feature boundary (WKT has none); r.Start is clamped to it, so
-// the whole source is the plan of [0, len).
-func coldPlan(format Format, data []byte, r ShardRange) blockPlan {
+// coldPlan plans r without a tape. Under PAT a GeoJSON document's
+// wrapper ends at the first feature boundary and r.Start is clamped to
+// it; FAT speculates over any block start and WKT and OSM XML cut at
+// line and element starts, so they have no header block. Either way the
+// whole source is the plan of [0, len).
+func coldPlan(format Format, mode Mode, data []byte, r ShardRange) blockPlan {
 	hdr := int64(0)
-	if format == GeoJSON {
+	if format == GeoJSON && mode == PAT {
 		hdr = geojson.NextFeatureBoundary(data, 0)
 	}
 	if r.Start < hdr {
@@ -90,8 +90,13 @@ func coldPlan(format Format, data []byte, r ShardRange) blockPlan {
 // stops where the tape says the next shard's first feature starts. With
 // no survivor the plan is empty and the pass touches no bytes — not even
 // the wrapper: a cold pass proved the document well-formed when the
-// tape was recorded.
-func tapePlan(ix *sidecar.Index, spec *query.Spec, r ShardRange, total int64, blockSize int) blockPlan {
+// tape was recorded. An OSM XML tape has no plan (false): it lists the
+// features in pass-2 order, and none of them parses without the node
+// table only a whole pass builds, so it serves joins only.
+func tapePlan(ix *sidecar.Index, spec *query.Spec, r ShardRange, total int64, blockSize int) (blockPlan, bool) {
+	if ix.Format == sidecar.FormatOSMXML {
+		return blockPlan{}, false
+	}
 	offs := ix.Offs
 	i0 := sort.Search(len(offs), func(i int) bool { return offs[i] >= r.Start })
 	i1 := sort.Search(len(offs), func(i int) bool { return offs[i] >= r.End })
@@ -113,7 +118,7 @@ func tapePlan(ix *sidecar.Index, spec *query.Spec, r ShardRange, total int64, bl
 	}
 	pl := blockPlan{split: -1, stop: total, pruned: int64(i1 - i0 - live)}
 	if live == 0 {
-		return pl
+		return pl, true
 	}
 	if i1 < len(offs) {
 		pl.stop = offs[i1]
@@ -147,7 +152,7 @@ func tapePlan(ix *sidecar.Index, spec *query.Spec, r ShardRange, total int64, bl
 	if pos < pl.stop {
 		pl.blocks = append(pl.blocks, planBlock{pos, pl.stop, blockGap})
 	}
-	return pl
+	return pl, true
 }
 
 // empty reports a plan with nothing to run.
@@ -181,103 +186,89 @@ func (pl *blockPlan) splitter(blockSize int, cuts func(tail []byte, minGap int, 
 	}
 }
 
-// runGeoJSONPlan executes a GeoJSON plan through the PAT fold, streaming
-// features into sink, and returns the pipeline stats and the repaired
-// block count. errWarmAbort means a repair was in progress where the
-// plan skips bytes — its gaps disagree with the source — and the pass
-// stopped right there: what the sink saw until then is a true prefix of
-// the pass's output, so a coordinator can resume the shard elsewhere.
-func (e *Engine) runGeoJSONPlan(ctx context.Context, data []byte, pl *blockPlan, cfg *geojson.Config, opt Options, sink func(geojson.FeatureOut)) (pipeline.Stats, int, error) {
+// driver adapts one format to runPlan. F is the fragment a worker makes
+// of one live block; it travels to the fold by value, so nothing is boxed
+// per block. cuts and process run off the fold goroutine; header, skip,
+// add and finish run on it, in block order, and may be nil where the
+// format has nothing to do. A driver holds the fold state of one pass and
+// serves exactly one runPlan.
+type driver[F any] struct {
+	// input is the source truncated at the plan's stop.
+	input []byte
+	// cuts scans the live tail for block boundaries at least minGap apart.
+	cuts func(tail []byte, minGap int, yield func(int64) bool)
+	// process parses one live block.
+	process func(b pipeline.Block) F
+	// header consumes the document wrapper [0, end).
+	header func(end int64)
+	// skip steps the fold over a gap ending at end; false means the fold
+	// cannot leave those bytes unparsed — the plan disagrees with the source.
+	skip func(end int64) bool
+	// add folds the fragment of live block b; an error fails the pass there.
+	add func(b pipeline.Block, fr F) error
+	// finish completes the fold. lastLive is where the last live block
+	// ended: a skipped tail must not be sequentially parsed back in.
+	finish func(ctx context.Context, lastLive int64) error
+	// counts reports the blocks whose parallel results were discarded and
+	// parsed again: repaired mis-splits (PAT), invalidated speculation (FAT).
+	counts func() (repaired, reprocessed int)
+}
+
+// runPlan executes pl through d — the one place a pass is assembled from
+// splitter, block function and ordered fold — and returns the pipeline
+// stats and d's repair counts.
+//
+// One failure rule for every format: the pass stops at the first block
+// that fails. The fold's context is cancelled, nothing after that block
+// is folded, and the block's error is returned, so what the driver's
+// sinks saw until then is a true prefix of the pass's output. A failed
+// skip is errWarmAbort — a repair was in progress where the plan skips
+// bytes — and the true prefix is what lets a coordinator resume the
+// shard elsewhere.
+func runPlan[F any](ctx context.Context, e *Engine, pl *blockPlan, opt Options, d *driver[F]) (st pipeline.Stats, repaired, reprocessed int, err error) {
 	if pl.empty() {
-		return pipeline.Stats{Bytes: int64(len(data)), Workers: opt.workers()}, 0, nil
+		return pipeline.Stats{Bytes: int64(len(d.input)), Workers: opt.workers()}, 0, 0, nil
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	input := data[:pl.stop]
-	fold := geojson.NewPATFold(input, cfg, sink)
-	if len(pl.blocks) == 0 || pl.blocks[0].kind != blockHeader {
-		fold.Header(0) // no wrapper to parse: the blocks start in the features array
-	}
-	aborted := false
+	var failed error
 	lastLive := int64(0)
-	st, err := pipeline.RunCtx(ctx, input,
-		pl.splitter(opt.blockSize(), geojson.FindFeatureBoundariesStream),
-		e.exec(ctx, opt, input),
-		func(b pipeline.Block) *geojson.PATBlockResult {
-			if pl.kind(b) != blockLive {
-				return nil // the fold handles headers and gaps
+	st, err = pipeline.RunCtx(ctx, d.input,
+		pl.splitter(opt.blockSize(), d.cuts),
+		e.exec(ctx, opt, d.input),
+		func(b pipeline.Block) (fr F) {
+			if pl.kind(b) == blockLive {
+				fr = d.process(b)
 			}
-			r := geojson.ProcessBlockPAT(input, b.Start, b.End, cfg)
-			return &r
+			return fr // the fold handles headers and gaps
 		},
-		func(b pipeline.Block, r *geojson.PATBlockResult) {
+		func(b pipeline.Block, fr F) {
 			switch pl.kind(b) {
 			case blockHeader:
-				fold.Header(b.End)
+				if d.header != nil {
+					d.header(b.End)
+				}
 			case blockGap:
-				if !fold.Skip(b.End) {
-					aborted = true
-					cancel() // the merge loop folds nothing after this
+				if d.skip != nil && !d.skip(b.End) {
+					failed = errWarmAbort
 				}
 			default:
-				fold.Add(*r)
+				failed = d.add(b, fr)
 				lastLive = b.End
 			}
-		},
-	)
-	if aborted {
-		return st, fold.Repaired, errWarmAbort
-	}
-	if err != nil {
-		return st, fold.Repaired, err
-	}
-	// Finish at the last live block: a skipped tail must not be
-	// sequentially parsed back in.
-	return st, fold.Repaired, fold.Finish(lastLive)
-}
-
-// runWKTPlan executes a WKT plan: live blocks parse their lines in
-// parallel, gaps are never touched, features reach consume in input
-// order.
-func (e *Engine) runWKTPlan(ctx context.Context, data []byte, pl *blockPlan, opt Options, consume func(*geom.Feature)) (pipeline.Stats, error) {
-	if pl.empty() {
-		return pipeline.Stats{Bytes: int64(len(data)), Workers: opt.workers()}, nil
-	}
-	type frag struct {
-		feats []geom.Feature
-		err   error
-	}
-	input := data[:pl.stop]
-	var firstErr error
-	st, err := pipeline.RunCtx(ctx, input,
-		pl.splitter(opt.blockSize(), wkt.SplitLinesStream),
-		e.exec(ctx, opt, input),
-		func(b pipeline.Block) frag {
-			var fr frag
-			if pl.kind(b) != blockLive {
-				return fr
-			}
-			fr.err = wkt.EachLine(input, b.Start, b.End, func(line []byte, off int64) error {
-				f, err := wkt.ParseLine(line, off)
-				if err != nil {
-					return err
-				}
-				fr.feats = append(fr.feats, f)
-				return nil
-			})
-			return fr
-		},
-		func(b pipeline.Block, fr frag) {
-			if fr.err != nil && firstErr == nil {
-				firstErr = fr.err
-			}
-			for i := range fr.feats {
-				consume(&fr.feats[i])
+			if failed != nil {
+				cancel() // the merge loop folds nothing after this
 			}
 		},
 	)
-	if err != nil {
-		return st, err
+	if failed != nil {
+		err = failed
 	}
-	return st, firstErr
+	if err == nil && d.finish != nil {
+		err = d.finish(ctx, lastLive)
+	}
+	if d.counts != nil {
+		repaired, reprocessed = d.counts()
+	}
+	return st, repaired, reprocessed, err
 }

@@ -1,0 +1,442 @@
+package atgis
+
+// Tests of the driver seam: runPlan's contract with a driver (which calls,
+// in which order, with which arguments, and the one failure rule), and
+// every real driver under every plan shape — the same synthetic features
+// as GeoJSON, WKT and OSM XML must give the answer of that format's
+// one-block sequential run wherever the blocks are cut, however many
+// workers run, cold or from a tape, whole or sharded.
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"reflect"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+
+	"atgis/internal/geojson"
+	"atgis/internal/geom"
+	"atgis/internal/pipeline"
+	"atgis/internal/query"
+	"atgis/internal/sidecar"
+	"atgis/internal/synth"
+)
+
+// fakeDriver is a driver over n bytes of nothing that logs every call
+// runPlan makes on the fold goroutine and lists the blocks it is asked
+// to process.
+func fakeDriver(n int, log *[]string, processed *[]int) *driver[int] {
+	var mu sync.Mutex // process runs on the workers
+	return &driver[int]{
+		input: make([]byte, n),
+		cuts: func(tail []byte, stride int, yield func(int64) bool) {
+			pipeline.FixedSplitter{BlockSize: stride}.SplitStream(tail, yield)
+		},
+		process: func(b pipeline.Block) int {
+			mu.Lock()
+			defer mu.Unlock()
+			*processed = append(*processed, b.Index)
+			return b.Index
+		},
+		header: func(end int64) { *log = append(*log, fmt.Sprintf("header %d", end)) },
+		skip: func(end int64) bool {
+			*log = append(*log, fmt.Sprintf("skip %d", end))
+			return true
+		},
+		add: func(b pipeline.Block, fr int) error {
+			*log = append(*log, fmt.Sprintf("add %d [%d,%d)", fr, b.Start, b.End))
+			return nil
+		},
+		finish: func(_ context.Context, lastLive int64) error {
+			*log = append(*log, fmt.Sprintf("finish %d", lastLive))
+			return nil
+		},
+	}
+}
+
+// TestRunPlanDriverContract runs an explicit plan through a fake driver:
+// only live blocks are processed, the fold sees header, skip and add in
+// block order, and finish gets the end of the last live block — not the
+// plan's stop, which lies past a trailing gap.
+func TestRunPlanDriverContract(t *testing.T) {
+	pl := blockPlan{split: -1, stop: 100, blocks: []planBlock{
+		{0, 10, blockHeader}, {10, 30, blockGap}, {30, 50, blockLive},
+		{50, 70, blockGap}, {70, 90, blockLive}, {90, 100, blockGap},
+	}}
+	var log []string
+	var processed []int
+	// One worker, so that processed is in block order.
+	st, _, _, err := runPlan(context.Background(), new(Engine), &pl, Options{Workers: 1}, fakeDriver(100, &log, &processed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{2, 4}; !reflect.DeepEqual(processed, want) {
+		t.Errorf("processed blocks %v, want only the live ones %v", processed, want)
+	}
+	want := []string{"header 10", "skip 30", "add 2 [30,50)", "skip 70", "add 4 [70,90)", "skip 100", "finish 90"}
+	if !reflect.DeepEqual(log, want) {
+		t.Errorf("fold calls\n got %v\nwant %v", log, want)
+	}
+	if st.Blocks != 6 {
+		t.Errorf("blocks = %d, want 6", st.Blocks)
+	}
+
+	// A live tail is cut by the driver's scan; an empty plan runs nothing.
+	log, processed = nil, nil
+	tail := blockPlan{split: 40, stop: 100, blocks: []planBlock{{0, 40, blockGap}}}
+	if _, _, _, err := runPlan(context.Background(), new(Engine), &tail, Options{Workers: 1, BlockSize: 25}, fakeDriver(100, &log, &processed)); err != nil {
+		t.Fatal(err)
+	}
+	want = []string{"skip 40", "add 1 [40,65)", "add 2 [65,90)", "add 3 [90,100)", "finish 100"}
+	if !reflect.DeepEqual(log, want) {
+		t.Errorf("live tail\n got %v\nwant %v", log, want)
+	}
+	log = nil
+	empty := blockPlan{split: -1, stop: 100}
+	st, _, _, err = runPlan(context.Background(), new(Engine), &empty, Options{}, fakeDriver(100, &log, &processed))
+	if err != nil || st.Blocks != 0 || len(log) != 0 {
+		t.Errorf("empty plan: err %v, %d blocks, calls %v", err, st.Blocks, log)
+	}
+}
+
+// TestRunPlanStopsAtFirstFailure checks the one failure rule on a fake
+// driver: a failing add, a refused skip and a cancelled context each end
+// the pass at that block — nothing later is folded, finish never runs —
+// and surface as the block's error, errWarmAbort and ctx.Err().
+func TestRunPlanStopsAtFirstFailure(t *testing.T) {
+	boom := errors.New("boom")
+	cases := []struct {
+		name string
+		arm  func(d *driver[int], cancel context.CancelFunc)
+		want error
+	}{
+		{"add fails", func(d *driver[int], _ context.CancelFunc) {
+			add := d.add
+			d.add = func(b pipeline.Block, fr int) error {
+				if add(b, fr); fr == 5 {
+					return boom
+				}
+				return nil
+			}
+		}, boom},
+		{"skip refused", func(d *driver[int], _ context.CancelFunc) {
+			d.skip = func(int64) bool { return false }
+		}, errWarmAbort},
+		{"cancelled", func(d *driver[int], cancel context.CancelFunc) {
+			add := d.add
+			d.add = func(b pipeline.Block, fr int) error {
+				if fr == 5 {
+					cancel()
+				}
+				return add(b, fr)
+			}
+		}, context.Canceled},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var log []string
+			var processed []int
+			d := fakeDriver(4096, &log, &processed)
+			tc.arm(d, cancel)
+			// Live blocks 0..5, a gap as block 6, then a live tail.
+			pl := blockPlan{split: 448, stop: 4096}
+			for off := int64(0); off < 384; off += 64 {
+				pl.blocks = append(pl.blocks, planBlock{off, off + 64, blockLive})
+			}
+			pl.blocks = append(pl.blocks, planBlock{384, 448, blockGap})
+			_, _, _, err := runPlan(ctx, new(Engine), &pl, Options{Workers: 4, BlockSize: 64}, d)
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want %v", err, tc.want)
+			}
+			if last := log[len(log)-1]; last != "add 5 [320,384)" {
+				t.Errorf("fold went on after the failing block: %v", log)
+			}
+		})
+	}
+}
+
+// seamFormats are the three renderings of one synthetic dataset.
+var seamFormats = []Format{GeoJSON, WKT, OSMXML}
+
+func seamSource(t *testing.T, format Format) *Dataset {
+	t.Helper()
+	g := synth.New(synth.Config{Seed: 14, N: 120, MultiPolyFrac: 0.15, LineFrac: 0.15, MetadataBytes: 40})
+	var buf bytes.Buffer
+	var err error
+	switch format {
+	case GeoJSON:
+		err = g.WriteGeoJSON(&buf)
+	case WKT:
+		err = g.WriteWKT(&buf)
+	case OSMXML:
+		err = g.WriteOSMXML(&buf)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := FromBytes(buf.Bytes(), format)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
+// seamRec is one matched feature as a pass's sinks saw it: identity plus
+// the exact bits of its per-feature values.
+type seamRec struct {
+	id, off     int64
+	area, perim uint64
+}
+
+// seamOut is everything one pass told its sinks.
+type seamOut struct {
+	recs []seamRec
+	res  *query.Result
+	tape *sidecar.Builder // every scanned feature, for building a tape
+}
+
+// seamPass runs pl over src through the driver of its format, with the
+// sinks wired the way PreparedQuery.run wires them.
+func seamPass(ctx context.Context, p *PreparedQuery, src Source, mode Mode, pl *blockPlan, opt Options) (seamOut, error) {
+	out := seamOut{res: query.NewResult(), tape: sidecar.NewBuilder(sidecarFormat(src.DataFormat()))}
+	see := func(f *geom.Feature, box geom.Box, v query.FeatureVal) {
+		out.tape.Add(f.Offset, f.ID, box)
+		out.res.Absorb(&p.spec, f, v)
+		if v.Matched {
+			out.recs = append(out.recs, seamRec{f.ID, f.Offset, math.Float64bits(v.Area), math.Float64bits(v.Perimeter)})
+		}
+	}
+	_, _, _, err := runPass(ctx, p.engine, src, mode, pl, opt, inOrder(p.cfg,
+		func(f geojson.FeatureOut) {
+			v, _ := f.Val.(query.FeatureVal)
+			see(&f.Feature, f.Box, v)
+		},
+		func(f *geom.Feature) { see(f, f.Bound(), query.Apply(&p.spec, f)) }))
+	out.res.Scanned += pl.pruned
+	return out, err
+}
+
+func sameSummary(a, b *query.Result) bool {
+	return a.Count == b.Count && a.Scanned == b.Scanned && a.MBR == b.MBR
+}
+
+// TestDriversSplitInvariant is the matrix: four drivers × block size ×
+// workers × plan shape against each format's one-block sequential run,
+// then formats against each other.
+func TestDriversSplitInvariant(t *testing.T) {
+	spec := diffSpec(query.PredIntersects, 0.45, true)
+	refs := map[string]seamOut{}
+	for _, format := range seamFormats {
+		src := seamSource(t, format)
+		data := src.Bytes()
+		whole := ShardRange{0, int64(len(data))}
+		modes := []Mode{PAT}
+		if format == GeoJSON {
+			modes = append(modes, FAT)
+		}
+		for _, mode := range modes {
+			name := format.String() + "/" + mode.String()
+			p, err := new(Engine).Prepare(spec, Options{Mode: mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			seqPlan := coldPlan(format, mode, data, whole)
+			ref, err := seamPass(context.Background(), p, src, mode, &seqPlan, Options{Workers: 1, BlockSize: 1 << 30})
+			if err != nil {
+				t.Fatalf("%s: sequential run: %v", name, err)
+			}
+			if ref.res.Scanned != 120 || len(ref.recs) == 0 || len(ref.recs) == 120 {
+				t.Fatalf("%s: reference scanned %d, matched %d of 120", name, ref.res.Scanned, len(ref.recs))
+			}
+			refs[name] = ref
+			check := func(t *testing.T, got seamOut, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got.recs, ref.recs) {
+					t.Errorf("matched sequence differs: %d records, want %d", len(got.recs), len(ref.recs))
+				}
+				if !sameSummary(got.res, ref.res) {
+					t.Errorf("summary %+v, want %+v", got.res, ref.res)
+				}
+			}
+			var ix *sidecar.Index
+			if format != OSMXML && mode == PAT {
+				if ix, err = ref.tape.Build(whole.End, 0, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, bs := range []int{64, 4 << 10, 1 << 20} {
+				for _, workers := range []int{1, 4} {
+					opt := Options{Mode: mode, Workers: workers, BlockSize: bs}
+					t.Run(fmt.Sprintf("%s/block%d/w%d", name, bs, workers), func(t *testing.T) {
+						pl := coldPlan(format, mode, data, whole)
+						got, err := seamPass(context.Background(), p, src, mode, &pl, opt)
+						check(t, got, err)
+						if ix == nil {
+							return // FAT and OSM XML: the cold whole-source plan only
+						}
+						warm, ok := tapePlan(ix, &p.spec, whole, whole.End, bs)
+						if !ok || warm.pruned == 0 {
+							t.Fatalf("tape plan: ok %v, pruned %d", ok, warm.pruned)
+						}
+						got, err = seamPass(context.Background(), p, src, mode, &warm, opt)
+						check(t, got, err)
+						for _, k := range []int{2, 3, 7} {
+							for _, planner := range []string{"cold", "tape"} {
+								sum := seamOut{res: query.NewResult()}
+								for _, raw := range rawTiles(whole.End, k) {
+									r, err := AlignShard(src, raw)
+									if err != nil {
+										t.Fatal(err)
+									}
+									pl := coldPlan(format, mode, data, r)
+									if planner == "tape" {
+										pl, _ = tapePlan(ix, &p.spec, r, whole.End, bs)
+									}
+									part, err := seamPass(context.Background(), p, src, mode, &pl, opt)
+									if err != nil {
+										t.Fatalf("k=%d %s %v: %v", k, planner, r, err)
+									}
+									sum.recs = append(sum.recs, part.recs...)
+									sum.res.Merge(part.res)
+								}
+								check(t, sum, nil)
+							}
+						}
+					})
+				}
+			}
+		}
+	}
+
+	// Across formats: the same features, so the same counts everywhere and —
+	// where the format keeps the generator's ids (the OSM XML writer numbers
+	// ways and relations itself) — the same matched ids.
+	ids := func(o seamOut) []int64 {
+		var out []int64
+		for _, r := range o.recs {
+			out = append(out, r.id)
+		}
+		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		return out
+	}
+	base := refs["geojson/PAT"]
+	for name, ref := range refs {
+		if ref.res.Count != base.res.Count || ref.res.Scanned != base.res.Scanned {
+			t.Errorf("%s: count %d scanned %d, geojson/PAT has %d and %d", name, ref.res.Count, ref.res.Scanned, base.res.Count, base.res.Scanned)
+		}
+		if !strings.HasPrefix(name, "osmxml") && !reflect.DeepEqual(ids(ref), ids(base)) {
+			t.Errorf("%s: matched id set differs from geojson/PAT", name)
+		}
+	}
+}
+
+// TestPlanSkipFailureLeavesTruePrefix runs a GeoJSON plan that lies — a
+// live block ending inside a feature, followed by a gap — so a repair is
+// in progress where the plan skips: the pass must stop there with
+// errWarmAbort, having shown its sinks a true prefix of the real output.
+func TestPlanSkipFailureLeavesTruePrefix(t *testing.T) {
+	src := seamSource(t, GeoJSON)
+	data := src.Bytes()
+	whole := ShardRange{0, int64(len(data))}
+	p, err := new(Engine).Prepare(&query.Spec{Kind: query.Containment, WantArea: true}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqPlan := coldPlan(GeoJSON, PAT, data, whole)
+	ref, err := seamPass(context.Background(), p, src, PAT, &seqPlan, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := ref.tape.Build(whole.End, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offs := ix.Offs
+	lie := blockPlan{split: -1, stop: whole.End, blocks: []planBlock{
+		{0, offs[0], blockHeader},
+		{offs[0], offs[5] + 10, blockLive}, // ends ten bytes into feature 5
+		{offs[5] + 10, offs[9], blockGap},
+		{offs[9], whole.End, blockLive},
+	}}
+	got, err := seamPass(context.Background(), p, src, PAT, &lie, Options{Workers: 4})
+	if !errors.Is(err, errWarmAbort) {
+		t.Fatalf("err = %v, want errWarmAbort", err)
+	}
+	if n := len(got.recs); n != 5 || !reflect.DeepEqual(got.recs, ref.recs[:n]) {
+		t.Errorf("sinks saw %d records, want exactly the first 5 of the real output", n)
+	}
+}
+
+// corrupt returns a copy of data with the first occurrence of old at or
+// after from replaced by new, and the offset where that line starts.
+func corrupt(t *testing.T, data []byte, from int, old, new string) ([]byte, int64) {
+	t.Helper()
+	i := bytes.Index(data[from:], []byte(old))
+	if i < 0 {
+		t.Fatalf("no %q after offset %d", old, from)
+	}
+	i += from
+	out := append(append(append([]byte(nil), data[:i]...), new...), data[i+len(old):]...)
+	return out, int64(bytes.LastIndexByte(out[:i], '\n') + 1)
+}
+
+// TestMalformedBlockEndsStream is the failure rule end to end: a source
+// with one malformed element mid-file, tiny blocks, four workers. Stream
+// emits only features that precede the failing block and then the parse
+// error (OSM XML features leave in pass 2, so none do); Execute returns
+// the same error.
+func TestMalformedBlockEndsStream(t *testing.T) {
+	cases := []struct {
+		format   Format
+		old, new string
+		wantErr  string
+	}{
+		{WKT, "POLYGON ((", "POLYGON ((oops ", "wkt"},
+		{OSMXML, " lat=", " lax=", "osmxml: bad node"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.format.String(), func(t *testing.T) {
+			clean := seamSource(t, tc.format).Bytes()
+			data, badLine := corrupt(t, clean, len(clean)/2, tc.old, tc.new)
+			src, err := FromBytes(data, tc.format)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := new(Engine).Prepare(&query.Spec{Kind: query.Containment}, Options{Workers: 4, BlockSize: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := p.Stream(context.Background(), src)
+			n := 0
+			for res.Next() {
+				n++
+				if off := res.Feature().Offset; off >= badLine {
+					t.Fatalf("feature at %d emitted past the malformed line at %d", off, badLine)
+				}
+			}
+			streamErr := res.Err()
+			if streamErr == nil || !strings.Contains(streamErr.Error(), tc.wantErr) {
+				t.Fatalf("stream error = %v, want the %q parse error", streamErr, tc.wantErr)
+			}
+			if tc.format == OSMXML && n != 0 {
+				t.Errorf("OSM XML emitted %d features before failing in pass 1", n)
+			}
+			if tc.format == WKT && n == 0 {
+				t.Error("WKT emitted nothing before the malformed line")
+			}
+			if _, err := p.Execute(context.Background(), src); err == nil || err.Error() != streamErr.Error() {
+				t.Errorf("Execute error = %v, want %v", err, streamErr)
+			}
+		})
+	}
+}

@@ -8,7 +8,6 @@ import (
 	"atgis/internal/geojson"
 	"atgis/internal/geom"
 	"atgis/internal/query"
-	"atgis/internal/sidecar"
 )
 
 // noWindowPushdown keeps Prepare from setting geojson.Config.Window; the
@@ -102,7 +101,6 @@ func (p *PreparedQuery) run(ctx context.Context, src Source, shard *ShardRange, 
 	}
 	defer release()
 	data := src.Bytes()
-	format := src.DataFormat()
 	whole := ShardRange{0, int64(len(data))}
 	rng := whole
 	out := &Result{Res: query.NewResult()}
@@ -140,67 +138,53 @@ func (p *PreparedQuery) run(ctx context.Context, src Source, shard *ShardRange, 
 			onFeature(f, v)
 		}
 	}
-	// runPlan executes one block plan with the current sinks; runCold
-	// plans r without the sidecar — the whole source through the format's
-	// full runner (FAT or PAT per opt.Mode, OSM's two passes), a proper
-	// sub-range through the cold plan.
-	runPlan := func(pl *blockPlan) (err error) {
-		if format == GeoJSON {
-			out.Stats, out.Repaired, err = p.engine.runGeoJSONPlan(ctx, data, pl, p.cfg, p.opt, sink)
-		} else {
-			out.Stats, err = p.engine.runWKTPlan(ctx, data, pl, p.opt, consume)
-		}
+	// pass runs one block plan into the current sinks; cold plans r
+	// without the sidecar. Options.Mode applies to the cold pass over the
+	// whole source only (shard.go).
+	pass := func(mode Mode, pl *blockPlan) (err error) {
+		out.Stats, out.Repaired, out.Reprocessed, err = runPass(ctx, p.engine, src, mode, pl, p.opt, inOrder(p.cfg, sink, consume))
 		return err
 	}
-	runCold := func(r ShardRange) (err error) {
-		switch {
-		case format == GeoJSON && r == whole:
-			out.Stats, out.Repaired, out.Reprocessed, err = p.engine.runGeoJSONWith(ctx, data, p.cfg, p.opt, sink)
-		case format == GeoJSON || format == WKT:
-			pl := coldPlan(format, data, r)
-			err = runPlan(&pl)
-		case format == OSMXML:
-			out.Stats, err = p.engine.runOSM(ctx, data, p.opt, consume)
-		default:
-			err = fmt.Errorf("atgis: unsupported format %v", format)
+	cold := func(r ShardRange) error {
+		mode := PAT
+		if r == whole {
+			mode = p.opt.Mode
 		}
-		return err
+		pl := coldPlan(src.DataFormat(), mode, data, r)
+		return pass(mode, &pl)
 	}
 
 	// Sidecar fast path: a mapped source on a sidecar-enabled engine
-	// runs warm when a validated index exists — the boundary scan is
-	// skipped and byte ranges whose features provably miss the query
-	// window are never parsed, with the pruned features folded into
-	// Scanned so the summary is identical to a cold pass. OSM XML has
-	// no warm query path (its point data needs the node table, which
-	// only a full pass builds); its sidecar still serves joins.
+	// runs warm when its validated index yields a plan — the boundary
+	// scan is skipped and byte ranges whose features provably miss the
+	// query window are never parsed, with the pruned features folded into
+	// Scanned so the summary is identical to a cold pass.
 	ms, ix := p.engine.sidecarFor(src)
-	if ms != nil && ix != nil && format != OSMXML {
-		ms.sc.hits.Add(1)
-		pl := tapePlan(ix, spec, rng, whole.End, p.opt.blockSize())
-		err = runPlan(&pl)
-		if errors.Is(err, errWarmAbort) {
-			// The tape disagreed with the bytes mid-pass (load-time
-			// validation makes this near-impossible). Reject the sidecar
-			// for all future passes; an aggregate-only pass can simply
-			// rerun cold, a streaming pass has already emitted features
-			// and must surface the error instead (a coordinator retries
-			// the shard on seeing it).
-			ms.rejectSidecar(err)
-			if onFeature != nil {
+	if ix != nil {
+		if pl, ok := tapePlan(ix, spec, rng, whole.End, p.opt.blockSize()); ok {
+			ms.sc.hits.Add(1)
+			err = pass(PAT, &pl)
+			if errors.Is(err, errWarmAbort) {
+				// The tape disagreed with the bytes mid-pass (load-time
+				// validation makes this near-impossible). Reject the sidecar
+				// for all future passes; an aggregate-only pass can simply
+				// rerun cold, a streaming pass has already emitted features
+				// and must surface the error instead (a coordinator retries
+				// the shard on seeing it).
+				ms.rejectSidecar(err)
+				if onFeature == nil {
+					out.Res = query.NewResult()
+					if err = cold(rng); err == nil {
+						return out, nil
+					}
+				}
+			}
+			if err != nil {
 				return nil, err
 			}
-			out.Res = query.NewResult()
-			if err = runCold(rng); err != nil {
-				return nil, err
-			}
+			out.Res.Scanned += pl.pruned
 			return out, nil
 		}
-		if err != nil {
-			return nil, err
-		}
-		out.Res.Scanned += pl.pruned
-		return out, nil
 	}
 
 	// Cold pass, recording the structural tape when this engine may
@@ -209,13 +193,7 @@ func (p *PreparedQuery) run(ctx context.Context, src Source, shard *ShardRange, 
 	// is only persisted after the pass completes successfully. Only a
 	// pass over the whole source may feed it, so a recording shard runs
 	// that pass and keeps what its range owns; the next shard is warm.
-	var rec *sidecar.Builder
-	if ms != nil && ix == nil {
-		ms.sc.misses.Add(1)
-		if p.engine.sidecar == SidecarReadWrite {
-			rec = ms.beginSidecarRecord()
-		}
-	}
+	rec, recDone := p.engine.recorder(ms, ix, true)
 	own := rng
 	if rec != nil {
 		innerSink, innerConsume := sink, consume
@@ -233,16 +211,10 @@ func (p *PreparedQuery) run(ctx context.Context, src Source, shard *ShardRange, 
 			}
 		}
 	}
-	err = runCold(rng)
-	if rec != nil {
-		if err != nil {
-			ms.abortSidecarRecord()
-		} else {
-			ms.finishSidecarRecord(rec)
-		}
-		if shard != nil {
-			ms.releaseOutside(own)
-		}
+	err = cold(rng)
+	recDone(err)
+	if rec != nil && shard != nil {
+		ms.releaseOutside(own)
 	}
 	if err != nil {
 		return nil, err

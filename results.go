@@ -7,7 +7,6 @@ import (
 
 	"atgis/internal/geom"
 	"atgis/internal/join"
-	"atgis/internal/pipeline"
 	"atgis/internal/query"
 )
 
@@ -199,7 +198,7 @@ func (e *Engine) JoinStream(ctx context.Context, src Source, spec JoinSpec, opt 
 	r := &JoinPairs{}
 	ctx = r.init(ctx, 256)
 	go func() {
-		sum, err := e.joinStreamed(ctx, src, spec, opt, func(p join.Pair) {
+		sum, err := e.joinAdmitted(ctx, src, spec, opt, func(p join.Pair) {
 			select {
 			case r.ch <- p:
 			case <-ctx.Done():
@@ -208,39 +207,6 @@ func (e *Engine) JoinStream(ctx context.Context, src Source, spec JoinSpec, opt 
 		r.finish(sum, err)
 	}()
 	return r
-}
-
-// joinStreamed is the JoinStream producer body: partition phase, then
-// the streaming join sweep.
-func (e *Engine) joinStreamed(ctx context.Context, src Source, spec JoinSpec, opt Options, emit func(join.Pair)) (*JoinResult, error) {
-	if err := e.check(); err != nil {
-		return nil, err
-	}
-	release, err := e.admit(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	opt = e.opts(opt)
-	merged, extent, stats, err := e.joinPartitionPhase(ctx, src, &spec, opt)
-	if err != nil {
-		return nil, err
-	}
-	reparse, err := e.reparser(ctx, src, opt)
-	if err != nil {
-		return nil, err
-	}
-	jcfg, done := e.joinConfig(ctx, &spec, opt, reparse, pipeline.SourceKey(src.Bytes()))
-	jstats, err := join.RunStream(merged.Sets[0], merged.Sets[1], jcfg, emit)
-	done()
-	if err != nil {
-		return nil, err
-	}
-	return &JoinResult{
-		PartitionStats: stats,
-		JoinStats:      jstats,
-		Extent:         extent,
-	}, nil
 }
 
 // Next advances to the next joined pair, blocking until one is found or

@@ -250,6 +250,32 @@ func (s *MappedSource) finishSidecarRecord(b *sidecar.Builder) {
 	}
 }
 
+// recorder is the sidecar prologue of a cold pass over a source that
+// sidecarFor resolved to (ms, ix): it counts the miss and, on an engine
+// that may write sidecars, claims the recorder. The pass feeds rec (nil
+// when there is nothing to record) from its fold and reports its outcome
+// to done, which persists the tape after a success and releases the claim
+// after a failure. A pass that does not see its features on the fold
+// goroutine in consume order (inOrder false) never records.
+func (e *Engine) recorder(ms *MappedSource, ix *sidecar.Index, inOrder bool) (rec *sidecar.Builder, done func(error)) {
+	if ms != nil && ix == nil {
+		ms.sc.misses.Add(1)
+		if e.sidecar == SidecarReadWrite && inOrder {
+			rec = ms.beginSidecarRecord()
+		}
+	}
+	if rec == nil {
+		return nil, func(error) {}
+	}
+	return rec, func(err error) {
+		if err != nil {
+			ms.abortSidecarRecord()
+		} else {
+			ms.finishSidecarRecord(rec)
+		}
+	}
+}
+
 // releaseOutside drops the mapping's pages outside r from the resident
 // set. A shard that ran the recording pass has touched every other
 // shard's bytes once and will plan from the tape from now on; without

@@ -78,12 +78,8 @@ type Source interface {
 	Close() error
 }
 
-// Dataset is a raw spatial input held in memory. It implements Source
-// and also carries the original one-shot query methods (Query, Join,
-// Combined), which remain as thin wrappers over a default Engine.
-//
-// Deprecated: new code should open inputs through OpenMapped, FromBytes
-// or ReaderSource and run queries through an Engine and PreparedQuery.
+// Dataset is a raw spatial input held in memory: the Source FromBytes
+// returns.
 type Dataset struct {
 	Data   []byte
 	Format Format
@@ -97,19 +93,6 @@ func (d *Dataset) DataFormat() Format { return d.Format }
 
 // Close implements Source; in-memory datasets hold no resources.
 func (d *Dataset) Close() error { return nil }
-
-// Open loads a dataset file into memory, detecting the format from its
-// content when format is AutoDetect.
-//
-// Deprecated: use OpenMapped, which maps the file instead of copying it
-// into the heap.
-func Open(path string) (*Dataset, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return FromBytes(data, AutoDetect)
-}
 
 // FromBytes wraps an in-memory dataset as a Source.
 func FromBytes(data []byte, format Format) (*Dataset, error) {

@@ -8,19 +8,11 @@
 // It is also the machine-readable perf-trajectory tool:
 //
 //	atgis-bench -json            # headline micro-benchmarks as JSON
-//	atgis-bench -json -quick     # CI scale: smaller data, shorter runs
-//	atgis-bench -compare BENCH_pr3.json -against current.json
+//	atgis-bench -json -quick     # smaller data, shorter runs
 //
-// The -compare mode is CI's perf-regression gate: it matches current
-// results against a committed baseline by benchmark name and compares
-// MB/s throughput. The headline Fig. 9a PAT/FAT containment benchmarks
-// and the Fig9cJoin two-pass join gate the build — a regression beyond
-// -fail-below (default 15%) exits non-zero, beyond -warn-below (default
-// 7%) prints a warning; all other benchmarks are reported
-// informationally. Absolute numbers vary
-// between hosts, so the gate is meant to compare runs from the same
-// class of machine (the committed BENCH_prN.json baselines record the
-// host they were measured on).
+// Performance claims are not decided here: bench/run.sh (BENCHMARK.json)
+// measures parent and change end to end; the BENCH_prN.json files are
+// the -json record of PRs 1-14.
 package main
 
 import (
@@ -28,7 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"testing"
 
 	"atgis/internal/experiments"
@@ -37,17 +28,6 @@ import (
 var ids = []string{
 	"table1", "table2", "fig9a", "fig9b", "fig9c", "fig10", "fig11",
 	"fig12", "fig13a", "fig13b", "fig14a", "fig14b", "fig15",
-}
-
-// gated lists the benchmarks whose regression fails the -compare gate;
-// everything else in the suite is reported but informational. Fig9cJoin
-// extends the gate to the join path (partition pass + cell-batch
-// sweep); baselines that predate it are simply reported as "(no
-// baseline)" and do not gate.
-var gated = map[string]bool{
-	"Fig9aContainment/PAT": true,
-	"Fig9aContainment/FAT": true,
-	"Fig9cJoin":            true,
 }
 
 // quickFeatures is the -quick dataset scale: small enough for a CI
@@ -65,13 +45,7 @@ func main() {
 	jsonOut := flag.Bool("json", false,
 		"run the headline micro-benchmarks and emit a machine-readable JSON summary (name, ns/op, MB/s, allocs/op)")
 	quick := flag.Bool("quick", false,
-		"CI scale for -json/-compare: smaller datasets and ~300ms benchtime instead of 1s")
-	compare := flag.String("compare", "",
-		"perf-gate mode: baseline results file (a BENCH_prN.json envelope or a bare results array); compares MB/s and fails the Fig9a benchmarks on regression")
-	against := flag.String("against", "",
-		"with -compare: current results file; empty means run the micro suite now")
-	failBelow := flag.Float64("fail-below", 15, "with -compare: regression %% that fails the gate")
-	warnBelow := flag.Float64("warn-below", 7, "with -compare: regression %% that warns")
+		"CI scale for -json: smaller datasets and ~300ms benchtime instead of 1s")
 	flag.Parse()
 
 	if *list {
@@ -99,9 +73,6 @@ func main() {
 		}
 	}
 
-	if *compare != "" {
-		os.Exit(runCompare(*compare, *against, cfg, *failBelow, *warnBelow))
-	}
 	if *jsonOut {
 		if *exp != "all" {
 			fmt.Fprintln(os.Stderr, "atgis-bench: -json runs the fixed micro-benchmark suite; -exp is ignored")
@@ -126,126 +97,4 @@ func main() {
 		os.Exit(1)
 	}
 	r.Print(os.Stdout)
-}
-
-// benchEnvelope is the committed BENCH_prN.json shape; "after" holds
-// the PR's measured results.
-type benchEnvelope struct {
-	After []experiments.MicroResult `json:"after"`
-}
-
-// loadResults reads either a BENCH_prN.json envelope or a bare
-// MicroResult array, keyed by benchmark name.
-func loadResults(path string) (map[string]experiments.MicroResult, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var env benchEnvelope
-	if err := json.Unmarshal(raw, &env); err != nil || len(env.After) == 0 {
-		var bare []experiments.MicroResult
-		if jerr := json.Unmarshal(raw, &bare); jerr != nil || len(bare) == 0 {
-			return nil, fmt.Errorf("%s: neither a BENCH envelope with an \"after\" array nor a results array", path)
-		}
-		env.After = bare
-	}
-	out := make(map[string]experiments.MicroResult, len(env.After))
-	for _, r := range env.After {
-		out[r.Name] = r
-	}
-	return out, nil
-}
-
-// runCompare is the perf-regression gate: exit status 0 (pass, possibly
-// with warnings) or 1 (a gated benchmark regressed beyond failBelow, or
-// inputs were unusable).
-func runCompare(basePath, againstPath string, cfg experiments.Config, failBelow, warnBelow float64) int {
-	base, err := loadResults(basePath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "atgis-bench: baseline:", err)
-		return 1
-	}
-	var cur []experiments.MicroResult
-	if againstPath == "" {
-		fmt.Fprintln(os.Stderr, "atgis-bench: running micro suite for comparison...")
-		cur = experiments.Micro(cfg)
-	} else {
-		m, err := loadResults(againstPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "atgis-bench: current:", err)
-			return 1
-		}
-		for _, r := range m {
-			cur = append(cur, r)
-		}
-		sort.Slice(cur, func(i, j int) bool { return cur[i].Name < cur[j].Name })
-	}
-
-	fmt.Printf("%-34s %12s %12s %8s  %s\n", "benchmark", "base MB/s", "cur MB/s", "delta", "gate")
-	failed := false
-	gatedSeen := 0
-	for _, name := range orderedNames(cur) {
-		c := curByName(cur, name)
-		b, ok := base[name]
-		if !ok || b.MBPerSec <= 0 || c.MBPerSec <= 0 {
-			fmt.Printf("%-34s %12s %12.2f %8s  (no baseline)\n", name, "-", c.MBPerSec, "-")
-			continue
-		}
-		delta := (c.MBPerSec - b.MBPerSec) / b.MBPerSec * 100
-		verdict := "ok"
-		if gated[name] {
-			gatedSeen++
-			switch {
-			case delta < -failBelow:
-				verdict = fmt.Sprintf("FAIL (> %.0f%% regression)", failBelow)
-				failed = true
-			case delta < -warnBelow:
-				verdict = fmt.Sprintf("WARN (> %.0f%% regression)", warnBelow)
-			}
-		} else {
-			verdict = "info"
-		}
-		fmt.Printf("%-34s %12.2f %12.2f %+7.1f%%  %s\n", name, b.MBPerSec, c.MBPerSec, delta, verdict)
-	}
-	if gatedSeen == 0 {
-		fmt.Fprintln(os.Stderr, "atgis-bench: no gated benchmarks present in the comparison")
-		return 1
-	}
-	if failed {
-		fmt.Fprintln(os.Stderr, "atgis-bench: perf-regression gate FAILED")
-		return 1
-	}
-	fmt.Println("perf-regression gate passed")
-	return 0
-}
-
-// orderedNames returns result names in their suite order (results from
-// a map-loaded -against file get a deterministic order too).
-func orderedNames(rs []experiments.MicroResult) []string {
-	names := make([]string, 0, len(rs))
-	for _, r := range rs {
-		names = append(names, r.Name)
-	}
-	// Gated benchmarks print first so the gate verdict leads the table.
-	ordered := names[:0:0]
-	for _, n := range names {
-		if gated[n] {
-			ordered = append(ordered, n)
-		}
-	}
-	for _, n := range names {
-		if !gated[n] {
-			ordered = append(ordered, n)
-		}
-	}
-	return ordered
-}
-
-func curByName(rs []experiments.MicroResult, name string) experiments.MicroResult {
-	for _, r := range rs {
-		if r.Name == name {
-			return r
-		}
-	}
-	return experiments.MicroResult{}
 }

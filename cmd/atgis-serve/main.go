@@ -99,8 +99,6 @@ func main() {
 		"how long graceful shutdown waits for in-flight streams before cutting their connections")
 	sidecarFlag := flag.String("sidecar", "off",
 		"structural sidecar index (<path>.atgx): off | read | readwrite")
-	pinWorkers := flag.Bool("pin-workers", false,
-		"pin each pool worker's OS thread to one CPU (Linux sched_setaffinity, best-effort; no-op elsewhere) so the scheduler's locality-aware dispatch keeps warm source mappings on one core")
 	coordinator := flag.Bool("coordinator", false,
 		"run as a cluster coordinator: scatter queries and joins over the -worker set and merge their streams (no local engine or sources)")
 	healthInterval := flag.Duration("health-interval", time.Second,
@@ -157,7 +155,6 @@ func main() {
 			TenantQueue:   *tenantQueue,
 			TenantWeights: weights,
 			Sidecar:       sidecarMode,
-			PinWorkers:    *pinWorkers,
 		})
 		defer eng.Close()
 		srv = server.New(server.Config{

@@ -61,15 +61,6 @@ type EngineConfig struct {
 	// only apply to OpenMapped sources; a missing, stale or corrupt
 	// sidecar always degrades to a cold pass.
 	Sidecar SidecarMode
-
-	// PinWorkers pins each pool worker's OS thread to one CPU (Linux
-	// sched_setaffinity; a no-op elsewhere), complementing the
-	// scheduler's locality tie-break: a worker that keeps streaming the
-	// same source mapping also keeps running on the same core, so the
-	// mapping's pages stay in that core's cache hierarchy. Best-effort —
-	// workers whose pin fails run unpinned. PoolStats.PinnedWorkers
-	// reports how many pins took effect.
-	PinWorkers bool
 }
 
 // defaultTenantQueue is the per-tenant queue cap when admission is
@@ -141,7 +132,7 @@ type Engine struct {
 // cfg.MaxInFlight is positive, an admission gate in front of query
 // execution.
 func NewEngine(cfg EngineConfig) *Engine {
-	e := &Engine{blockSize: cfg.BlockSize, pool: pipeline.NewPoolPinned(cfg.Workers, cfg.PinWorkers), sidecar: cfg.Sidecar}
+	e := &Engine{blockSize: cfg.BlockSize, pool: pipeline.NewPool(cfg.Workers), sidecar: cfg.Sidecar}
 	if len(cfg.TenantWeights) > 0 {
 		// Private copy: the gate and the pool scheduler read these on
 		// every pass, and the caller's map must stay free to mutate
@@ -182,9 +173,6 @@ type PoolStats struct {
 	Workers int `json:"workers"`
 	// Busy is the number of workers currently executing a task.
 	Busy int `json:"busy"`
-	// PinnedWorkers is how many workers are pinned to a CPU
-	// (EngineConfig.PinWorkers; 0 when pinning is off or unsupported).
-	PinnedWorkers int `json:"pinned_workers,omitempty"`
 }
 
 // SchedulerTenantStats describes one tenant currently registered with
@@ -263,7 +251,7 @@ func (e *Engine) Stats() EngineStats {
 		return st
 	}
 	if e.pool != nil {
-		st.Pool = PoolStats{Workers: e.pool.Size(), Busy: e.pool.Busy(), PinnedWorkers: e.pool.Pinned()}
+		st.Pool = PoolStats{Workers: e.pool.Size(), Busy: e.pool.Busy()}
 		snap := e.pool.SchedSnapshot()
 		sched := &SchedulerStats{
 			TotalGrantedBlocks:      snap.TotalGranted,

@@ -190,8 +190,7 @@ func Micro(cfg Config) []MicroResult {
 	sidecarBench("Fig9aContainmentWarm/warm", atgis.SidecarReadWrite)
 
 	// Join throughput (Fig. 9c's setup): the two-pass PBSM join, buffered,
-	// on transient workers. Gated in -compare alongside the Fig9a pair so join
-	// regressions — partition pass or cell-batch sweep — fail CI too.
+	// on transient workers.
 	joinN := 600
 	if cfg.Features > 0 {
 		joinN = cfg.Features * 3 / 4

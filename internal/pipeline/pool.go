@@ -26,29 +26,16 @@ var ErrPoolClosed = errors.New("pipeline: worker pool closed during run")
 // proportional to their weights, while idle share redistributes
 // work-conservingly; a sole pass uses the whole pool.
 type Pool struct {
-	s      *sched
-	size   int
-	busy   atomic.Int64
-	pinned atomic.Int64
-	wg     sync.WaitGroup
-	once   sync.Once
+	s    *sched
+	size int
+	busy atomic.Int64
+	wg   sync.WaitGroup
+	once sync.Once
 }
 
 // NewPool starts a pool of size worker goroutines (GOMAXPROCS when
 // size <= 0).
 func NewPool(size int) *Pool {
-	return NewPoolPinned(size, false)
-}
-
-// NewPoolPinned is NewPool with optional CPU-affinity pinning: with pin
-// set, each worker locks its goroutine to an OS thread and pins that
-// thread to CPU (worker id mod NumCPU) so the scheduler's locality
-// tie-break — which keeps a worker on the source mapping it last
-// touched — also keeps the mapping's cache-resident pages on one core.
-// Pinning is best-effort (Linux sched_setaffinity behind a build tag, a
-// no-op elsewhere); workers whose pin fails run unpinned and the pool
-// still works. Pinned reports how many pins took effect.
-func NewPoolPinned(size int, pin bool) *Pool {
 	if size < 1 {
 		size = runtime.GOMAXPROCS(0)
 	}
@@ -57,9 +44,6 @@ func NewPoolPinned(size int, pin bool) *Pool {
 	for i := 0; i < size; i++ {
 		go func(id int) {
 			defer p.wg.Done()
-			if pin && pinWorkerCPU(id) {
-				p.pinned.Add(1)
-			}
 			for {
 				f := p.s.next(id)
 				if f == nil {
@@ -94,11 +78,6 @@ func (p *Pool) Size() int { return p.size }
 // stats endpoint. Every task is one scheduling quantum (a block or a
 // cell batch), so residency is bounded by the quantum.
 func (p *Pool) Busy() int { return int(p.busy.Load()) }
-
-// Pinned returns how many workers are successfully pinned to a CPU
-// (always 0 for NewPool pools and on platforms without affinity
-// support).
-func (p *Pool) Pinned() int { return int(p.pinned.Load()) }
 
 // Register adds a pass to the pool's weighted scheduler: label names it
 // in SchedSnapshot (engines pass the tenant), weight is its

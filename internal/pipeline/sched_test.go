@@ -680,31 +680,3 @@ func TestSchedLocalityNeverOverridesFairness(t *testing.T) {
 		}
 	}
 }
-
-// TestPoolPinnedWorkers exercises NewPoolPinned: on Linux the pins
-// should take effect (best-effort — tolerate restricted environments),
-// and the pool must work identically either way.
-func TestPoolPinnedWorkers(t *testing.T) {
-	pool := NewPoolPinned(2, true)
-	defer pool.Close()
-	h := pool.Register(context.Background(), "pin", 1, QueryPass, 42)
-	defer h.Close()
-	var ran atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		if !h.Submit(func() { ran.Add(1); wg.Done() }) {
-			t.Fatalf("Submit failed")
-		}
-	}
-	wg.Wait()
-	if ran.Load() != 8 {
-		t.Fatalf("ran = %d, want 8", ran.Load())
-	}
-	if p := pool.Pinned(); p < 0 || p > 2 {
-		t.Fatalf("Pinned() = %d, want within [0, 2]", p)
-	}
-	if runtime.GOOS == "linux" && pool.Pinned() == 0 {
-		t.Logf("no workers pinned on linux (restricted environment?)")
-	}
-}

@@ -8,15 +8,14 @@ import (
 	"net/http"
 	"time"
 
-	"atgis"
 	"atgis/internal/cluster"
 )
 
-// This file is the coordinator half of cluster mode: the handleCluster*
-// handlers scatter plain client requests over the workers and merge the
-// streams (the mechanics live in internal/cluster). The worker half is
-// handleQuery and handleJoin themselves — a scattered sub-request is the
-// same handler with a shard range or a cell band set.
+// This file is the coordinator half of cluster mode: its control-plane
+// handlers, and scatter — where serve's record stream comes from when
+// the server fronts workers (the mechanics live in internal/cluster).
+// The worker half is the local side of the same endpoints: a scattered
+// sub-request is a plain request with a shard range or a cell band set.
 
 func (s *Server) handleClusterHealthz(w http.ResponseWriter, r *http.Request) {
 	workers := s.cl.Workers()
@@ -26,8 +25,7 @@ func (s *Server) handleClusterHealthz(w http.ResponseWriter, r *http.Request) {
 			status = "degraded"
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{"status": status, "workers": workers})
+	writeJSON(w, http.StatusOK, map[string]any{"status": status, "workers": workers})
 }
 
 // clusterStatsBlock is the cluster section of the coordinator's
@@ -56,8 +54,7 @@ func (s *Server) handleClusterStats(w http.ResponseWriter, r *http.Request) {
 			block.WorkerStats[ws.URL] = raw
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
+	writeJSON(w, http.StatusOK, map[string]any{
 		"uptime_seconds": time.Since(s.started).Seconds(),
 		"cluster":        block,
 	})
@@ -83,285 +80,93 @@ func (s *Server) handleClusterSources(w http.ResponseWriter, r *http.Request) {
 			Workers: v.Workers, Conflict: v.Conflict,
 		})
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{"sources": infos})
+	writeJSON(w, http.StatusOK, map[string]any{"sources": infos})
 }
 
 func (s *Server) handleClusterRegister(w http.ResponseWriter, r *http.Request) {
-	writeError(w, http.StatusForbidden, 0,
-		"coordinator does not register sources; register the file on every worker")
+	writeFailure(w, failf(http.StatusForbidden,
+		"coordinator does not register sources; register the file on every worker"))
 }
 
-// writeLookupError maps a cluster source-lookup failure onto a status:
-// unknown source → 404, split-brain registration → 409 (no merge of
-// divergent copies is meaningful), workers unreachable → 502.
-func writeLookupError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, cluster.ErrNoWorkers):
-		writeError(w, http.StatusNotFound, 0, "%v", err)
-	case errors.Is(err, cluster.ErrSplitBrain):
-		writeError(w, http.StatusConflict, 0, "%v", err)
-	default:
-		writeErrorKind(w, http.StatusBadGateway, "cluster", 0, "source lookup: %v", err)
+// scatter is a coordinator's source of the record stream: req is cut
+// into one sub-request per shard over the workers serving the source,
+// their streams merged strictly in shard order (payload lines forwarded
+// as the workers wrote them, never re-encoded), their summaries folded
+// into one. A shard that exhausts its retries leaves an in-band
+// shard_fault record and the pass goes on.
+func scatter[R, S any](ctx context.Context, cl *cluster.Coordinator, ep *endpoint[R, S], req *R, c common, tenant string, out *ndjsonWriter, t *tally) (merged S, err error) {
+	if c.partial != "" {
+		return merged, failf(http.StatusBadRequest, "%s is coordinator-internal; send plain requests", c.partial)
 	}
-}
-
-// affinityOrder is the stable per-source worker layout shards spread
-// over round-robin: rendezvous-sorted by source name, so a source's
-// shard k keeps landing on the same worker (warm page cache) while the
-// worker set is stable.
-func affinityOrder(view cluster.SourceView) []string {
-	out := append([]string(nil), view.Workers...)
-	cluster.Affinity(out, "src:"+view.Name)
-	return out
-}
-
-// shardFaultRecord is the in-band degradation record the coordinator
-// writes when a shard exhausts its retries.
-func shardFaultRecord(idx int, err error) errorRecord {
-	return errorRecord{
-		Type: "error", Kind: "shard_fault",
-		Error: fmt.Sprintf("shard %d failed after retries: %v", idx, err),
-	}
-}
-
-// scatterFailed is the epilogue of a scatter: it reports whether err ended
-// the request, having told the client what it still can — nothing when
-// the client is gone, a 502 when no record was streamed yet, an in-band
-// cluster error once the 200 is committed.
-func scatterFailed(w http.ResponseWriter, r *http.Request, out *ndjsonWriter, err error) bool {
+	view, err := cl.LookupSource(ctx, c.source)
 	switch {
 	case err == nil:
-		return false
-	case r.Context().Err() != nil:
-		// client gone; nowhere to report
-	case !out.started:
-		writeErrorKind(w, http.StatusBadGateway, "cluster", 0, "scatter failed: %v", err)
+	case errors.Is(err, cluster.ErrNoWorkers):
+		return merged, failf(http.StatusNotFound, "%v", err)
+	case errors.Is(err, cluster.ErrSplitBrain):
+		// No merge of divergent copies is meaningful.
+		return merged, failf(http.StatusConflict, "%v", err)
 	default:
-		out.writeFinal(errorRecord{Type: "error", Kind: "cluster", Error: err.Error()})
+		return merged, failf(http.StatusBadGateway, "source lookup: %v", err)
 	}
-	return true
-}
-
-func (s *Server) handleClusterQuery(w http.ResponseWriter, r *http.Request) {
-	var req queryRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if req.Shard != nil {
-		writeError(w, http.StatusBadRequest, 0, "shard is coordinator-internal; send plain queries")
-		return
-	}
-	// Validate before any worker RPC so malformed requests fail fast
-	// with a clean 400 (workers re-validate their sub-requests anyway).
-	if _, _, err := req.compile(s.opt); err != nil {
-		writeError(w, http.StatusBadRequest, 0, "%v", err)
-		return
-	}
-	if req.TimeoutMS < 0 {
-		writeError(w, http.StatusBadRequest, 0, "timeout_ms must be >= 0")
-		return
-	}
-	ctx, cancel := s.withDeadline(r.Context(), req.TimeoutMS)
-	defer cancel()
-	view, err := s.cl.LookupSource(ctx, req.Source)
-	if err != nil {
-		writeLookupError(w, err)
-		return
-	}
-
-	var subs []cluster.SubRequest
-	if view.Format == atgis.OSMXML.String() {
-		// OSM XML needs a whole-document pass (the node table is global),
-		// so the query proxies to one worker unsharded instead of
-		// scattering — cluster mode still buys failover, not speedup.
-		sub := req
-		sub.Limit = 0
-		body, merr := json.Marshal(&sub)
-		if merr != nil {
-			writeError(w, http.StatusInternalServerError, 0, "marshal sub-request: %v", merr)
-			return
+	// Shards spread round-robin over the source's workers in rendezvous
+	// order by source name, so a source's shard k keeps landing on the
+	// same worker (warm page cache, warm sidecar) while the worker set is
+	// stable.
+	assign := append([]string(nil), view.Workers...)
+	cluster.Affinity(assign, "src:"+view.Name)
+	reqs, raw := ep.cut(req, view)
+	subs := make([]cluster.SubRequest, len(reqs))
+	for i := range reqs {
+		body, err := json.Marshal(&reqs[i])
+		if err != nil {
+			return merged, failf(http.StatusInternalServerError, "marshal sub-request: %v", err)
 		}
-		subs = []cluster.SubRequest{{Body: body, Key: "query:" + req.Source}}
-	} else {
-		assign := affinityOrder(view)
-		for i, sh := range cluster.PlanBytes(view.Bytes, len(view.Workers)) {
-			sub := req
-			sub.Limit = 0 // the coordinator applies the client limit globally
-			sub.Shard = &shardSpec{Start: sh.Start, End: sh.End}
-			body, merr := json.Marshal(&sub)
-			if merr != nil {
-				writeError(w, http.StatusInternalServerError, 0, "marshal sub-request: %v", merr)
-				return
-			}
-			subs = append(subs, cluster.SubRequest{
-				Body:   body,
-				Key:    fmt.Sprintf("query:%s:%d", req.Source, i),
-				Raw:    &cluster.Range{Start: sh.Start, End: sh.End},
-				Prefer: assign[i%len(assign)],
-			})
+		subs[i] = cluster.SubRequest{
+			Body:   body,
+			Key:    fmt.Sprintf("%s:%s:%d", ep.name, c.source, i),
+			Prefer: assign[i%len(assign)],
+		}
+		if raw != nil {
+			subs[i].Raw = &raw[i]
 		}
 	}
 
-	out := newNDJSONWriter(w, r)
-	defer out.stop()
 	start := time.Now()
-	merged := querySummary{Type: "summary"}
-	var mbr *[4]float64
-	streamed := 0
-	err = s.cl.Scatter(ctx, cluster.ScatterSpec{
-		Path:    "/v1/query",
-		Tenant:  tenantOf(r),
+	err = cl.Scatter(ctx, cluster.ScatterSpec{
+		Path:    "/v1/" + ep.name,
+		Tenant:  tenant,
 		Workers: view.Workers,
 		Subs:    subs,
 		Emit: func(line []byte) bool {
-			if req.Limit > 0 && streamed >= req.Limit {
+			if !t.open() {
 				return true // drain silently; the summary covers the full pass
 			}
 			if !out.writeRaw(line) {
 				return false
 			}
-			streamed++
+			t.streamed++
 			return true
 		},
 		OnSummary: func(idx int, line []byte) error {
-			var ws querySummary
-			if uerr := json.Unmarshal(line, &ws); uerr != nil {
-				return fmt.Errorf("shard %d summary: %w", idx, uerr)
+			var ws S
+			if err := json.Unmarshal(line, &ws); err != nil {
+				return fmt.Errorf("shard %d summary: %w", idx, err)
 			}
-			merged.Matched += ws.Matched
-			merged.Scanned += ws.Scanned
-			merged.SumArea += ws.SumArea
-			merged.SumPerimeter += ws.SumPerimeter
-			merged.Blocks += ws.Blocks
-			if ws.Workers > merged.Workers {
-				merged.Workers = ws.Workers
-			}
-			merged.Repaired += ws.Repaired
-			merged.Reprocessed += ws.Reprocessed
-			if ws.MBR != nil {
-				if mbr == nil {
-					m := *ws.MBR
-					mbr = &m
-				} else {
-					mbr[0] = min(mbr[0], ws.MBR[0])
-					mbr[1] = min(mbr[1], ws.MBR[1])
-					mbr[2] = max(mbr[2], ws.MBR[2])
-					mbr[3] = max(mbr[3], ws.MBR[3])
-				}
-			}
+			ep.fold(&merged, &ws)
 			return nil
 		},
 		OnFault: func(idx int, ferr error) bool {
-			merged.ShardsFailed++
-			return out.write(shardFaultRecord(idx, ferr))
+			t.failed++
+			return out.write(errorRecord{
+				Type: "error", Kind: "shard_fault",
+				Error: fmt.Sprintf("shard %d failed after retries: %v", idx, ferr),
+			})
 		},
 	})
-	if scatterFailed(w, r, out, err) {
-		return
-	}
-	merged.MBR = mbr
-	wall := time.Since(start)
-	merged.WallMS = float64(wall.Microseconds()) / 1e3
-	if wall > 0 {
-		merged.MBPerS = float64(view.Bytes) / (1 << 20) / wall.Seconds()
-	}
-	out.writeFinal(merged)
-}
-
-// scatterOrderWindow is the cell-order window forced onto scattered
-// join sub-requests. Scattered joins always run ordered — deterministic
-// band output is what makes a mid-stream retry resumable and the merged
-// stream reproducible — and the emitted order does not depend on the
-// window size (it only bounds worker-side buffering).
-const scatterOrderWindow = 64
-
-func (s *Server) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
-	var req joinRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if req.CellBand != nil {
-		writeError(w, http.StatusBadRequest, 0, "cell_band is coordinator-internal; send plain joins")
-		return
-	}
-	if err := req.validate(); err != nil {
-		writeError(w, http.StatusBadRequest, 0, "%v", err)
-		return
-	}
-	ctx, cancel := s.withDeadline(r.Context(), req.TimeoutMS)
-	defer cancel()
-	view, err := s.cl.LookupSource(ctx, req.Source)
 	if err != nil {
-		writeLookupError(w, err)
-		return
+		return merged, failf(http.StatusBadGateway, "scatter failed: %v", err)
 	}
-
-	cells := cluster.GridCells(req.Cell)
-	assign := affinityOrder(view)
-	bands := cluster.PlanCells(cells, len(view.Workers))
-	subs := make([]cluster.SubRequest, 0, len(bands))
-	for i, b := range bands {
-		sub := req
-		sub.Limit = 0
-		band := b
-		sub.CellBand = &band
-		if sub.OrderWindow < scatterOrderWindow {
-			sub.OrderWindow = scatterOrderWindow
-		}
-		body, merr := json.Marshal(&sub)
-		if merr != nil {
-			writeError(w, http.StatusInternalServerError, 0, "marshal sub-request: %v", merr)
-			return
-		}
-		subs = append(subs, cluster.SubRequest{
-			Body:   body,
-			Key:    fmt.Sprintf("join:%s:%d", req.Source, i),
-			Prefer: assign[i%len(assign)],
-		})
-	}
-
-	out := newNDJSONWriter(w, r)
-	defer out.stop()
-	merged := joinSummary{Type: "summary"}
-	streamed := 0
-	err = s.cl.Scatter(ctx, cluster.ScatterSpec{
-		Path:    "/v1/join",
-		Tenant:  tenantOf(r),
-		Workers: view.Workers,
-		Subs:    subs,
-		Emit: func(line []byte) bool {
-			if req.Limit > 0 && streamed >= req.Limit {
-				return true
-			}
-			if !out.writeRaw(line) {
-				return false
-			}
-			streamed++
-			return true
-		},
-		OnSummary: func(idx int, line []byte) error {
-			var ws joinSummary
-			if uerr := json.Unmarshal(line, &ws); uerr != nil {
-				return fmt.Errorf("shard %d summary: %w", idx, uerr)
-			}
-			merged.Candidates += ws.Candidates
-			merged.Refined += ws.Refined
-			merged.Duplicates += ws.Duplicates
-			// Bands partition-scan the full input in parallel: wall time
-			// is the slowest band, not the sum.
-			merged.PartitionMS = max(merged.PartitionMS, ws.PartitionMS)
-			merged.MBPerS = max(merged.MBPerS, ws.MBPerS)
-			return nil
-		},
-		OnFault: func(idx int, ferr error) bool {
-			merged.ShardsFailed++
-			return out.write(shardFaultRecord(idx, ferr))
-		},
-	})
-	if scatterFailed(w, r, out, err) {
-		return
-	}
-	merged.Streamed = streamed
-	out.writeFinal(merged)
+	t.bytes, t.wall = view.Bytes, time.Since(start)
+	return merged, nil
 }

@@ -18,6 +18,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -630,5 +631,109 @@ func TestClusterStatsSourcesAndRegister(t *testing.T) {
 	defer rr.Body.Close()
 	if rr.StatusCode != http.StatusForbidden {
 		t.Fatalf("register on coordinator: HTTP %d, want 403", rr.StatusCode)
+	}
+}
+
+// exchange posts body and returns what a client can tell apart: the
+// status, the error kind of a refused request, and a 200's payload lines
+// and summary.
+func exchange(t *testing.T, ts *httptest.Server, path, body string) (status int, kind string, payload []string, sum map[string]any) {
+	t.Helper()
+	resp := postJSON(t, ts.Client(), ts.URL+path, body, "")
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		var eb errorBody
+		if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+			t.Fatalf("%s %s: HTTP %d with an undecodable body: %v", path, body, resp.StatusCode, err)
+		}
+		return resp.StatusCode, eb.Kind, nil, nil
+	}
+	payload, sum = splitStream(t, rawLines(t, resp.Body))
+	return resp.StatusCode, "", payload, sum
+}
+
+// TestWorkerAndCoordinatorOfOneAgree: a worker and a coordinator fronting
+// that one worker are the same request path, so on the request surface a
+// client cannot tell them apart — same status, same error kind, the same
+// records byte for byte and the same summary counts. The two documented
+// exceptions are the coordinator-internal fields.
+func TestWorkerAndCoordinatorOfOneAgree(t *testing.T) {
+	worker := startWorker(t, writeSyntheticScaled(t, 200, 0.05))
+	_, coord := startCoordinator(t, worker.URL)
+
+	const q, j = "/v1/query", "/v1/join"
+	for _, tc := range []struct {
+		name, path, body string
+		status           int    // expected of both
+		kind             string // expected of both when refused
+		records          int    // exact payload count, -1 = at least one
+	}{
+		{"containment", q, `{"source":"data","kind":"containment","ref":[-180,-90,180,90],"want":["area"]}`, 200, "", -1},
+		{"aggregation", q, `{"source":"data","kind":"aggregation","ref":[-180,-90,180,90],"want":["area","perimeter","mbr"]}`, 200, "", 0},
+		{"limit 1", q, `{"source":"data","kind":"containment","ref":[-180,-90,180,90],"limit":1}`, 200, "", 1},
+		{"limit above matches", q, `{"source":"data","kind":"containment","ref":[-180,-90,180,90],"limit":100000}`, 200, "", 200},
+		{"join parity", j, `{"source":"data","mask":"parity","order_window":64}`, 200, "", -1},
+		{"join both", j, `{"source":"data","mask":"both","cell":15,"order_window":8}`, 200, "", -1},
+		{"join limit 1", j, `{"source":"data","order_window":64,"limit":1}`, 200, "", 1},
+		{"bad kind", q, `{"source":"data","kind":"wat","ref":[0,0,1,1]}`, 400, "bad_request", 0},
+		{"ref of length 3", q, `{"source":"data","kind":"aggregation","ref":[0,0,1]}`, 400, "bad_request", 0},
+		{"negative limit", q, `{"source":"data","kind":"containment","ref":[0,0,1,1],"limit":-1}`, 400, "bad_request", 0},
+		{"negative timeout_ms", q, `{"source":"data","kind":"aggregation","ref":[0,0,1,1],"timeout_ms":-1}`, 400, "bad_request", 0},
+		{"join negative limit", j, `{"source":"data","limit":-1}`, 400, "bad_request", 0},
+		{"join negative timeout_ms", j, `{"source":"data","timeout_ms":-1}`, 400, "bad_request", 0},
+		{"join negative order_window", j, `{"source":"data","order_window":-1}`, 400, "bad_request", 0},
+		{"join cell 0.01", j, `{"source":"data","cell":0.01}`, 400, "bad_request", 0},
+		{"join bad mask", j, `{"source":"data","mask":"odd"}`, 400, "bad_request", 0},
+		{"removed field mode", q, `{"source":"data","kind":"aggregation","ref":[0,0,1,1],"mode":"fat"}`, 400, "bad_request", 0},
+		{"removed field filter", q, `{"source":"data","kind":"aggregation","ref":[0,0,1,1],"filter":"buffered"}`, 400, "bad_request", 0},
+		{"unknown source", q, `{"source":"nope","kind":"aggregation","ref":[0,0,1,1]}`, 404, "not_found", 0},
+		{"join unknown source", j, `{"source":"nope"}`, 404, "not_found", 0},
+		// Validation comes before any source lookup, in both modes.
+		{"bad kind and unknown source", q, `{"source":"nope","kind":"wat","ref":[0,0,1,1]}`, 400, "bad_request", 0},
+		{"join bad cell and unknown source", j, `{"source":"nope","cell":0.01}`, 400, "bad_request", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ws, wk, wpay, wsum := exchange(t, worker, tc.path, tc.body)
+			cs, ck, cpay, csum := exchange(t, coord, tc.path, tc.body)
+			if ws != tc.status || cs != tc.status || wk != tc.kind || ck != tc.kind {
+				t.Fatalf("worker answered %d %q, coordinator %d %q; want %d %q of both", ws, wk, cs, ck, tc.status, tc.kind)
+			}
+			if tc.status != 200 {
+				return
+			}
+			if n := len(wpay); n != tc.records && (tc.records >= 0 || n == 0) {
+				t.Fatalf("worker streamed %d records, want %d (-1 = some)", n, tc.records)
+			}
+			samePayload(t, cpay, wpay)
+			keys := []string{"matched", "scanned", "sum_area", "sum_perimeter", "mbr"}
+			if tc.path == j {
+				keys = []string{"streamed", "candidates", "refined", "duplicates"}
+			}
+			for _, k := range keys {
+				if !equalJSON(csum[k], wsum[k]) {
+					t.Fatalf("summary %s: coordinator %v, worker %v", k, csum[k], wsum[k])
+				}
+			}
+			if csum["shards_failed"] != nil {
+				t.Fatalf("clean pass reported shards_failed = %v", csum["shards_failed"])
+			}
+		})
+	}
+
+	// The scatter units are coordinator-internal: a coordinator refuses a
+	// request that carries one, the worker it would send it to serves it.
+	for _, tc := range []struct{ name, path, body, first string }{
+		{"shard", q, `{"source":"data","kind":"containment","ref":[-180,-90,180,90],"shard":{"start":0,"end":4096}}`, `{"type":"shard","start":0,"end":4096,`},
+		{"cell_band", j, `{"source":"data","order_window":64,"cell_band":[0,32400]}`, `{"type":"pair",`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if cs, ck, _, _ := exchange(t, coord, tc.path, tc.body); cs != 400 || ck != "bad_request" {
+				t.Fatalf("coordinator answered %d %q, want 400 bad_request", cs, ck)
+			}
+			ws, _, wpay, _ := exchange(t, worker, tc.path, tc.body)
+			if ws != 200 || len(wpay) == 0 || !strings.HasPrefix(wpay[0], tc.first) {
+				t.Fatalf("worker answered %d with records %q, want 200 and a stream opening with %s", ws, wpay, tc.first)
+			}
+		})
 	}
 }

@@ -11,6 +11,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -282,5 +286,54 @@ func TestJoinTimeout(t *testing.T) {
 	default:
 		b, _ := io.ReadAll(resp.Body)
 		t.Fatalf("status %d: %s", resp.StatusCode, b)
+	}
+}
+
+// TestEncodeFailureEndsStreamInBand: a record that cannot be marshalled
+// — here a polygon so large its spherical area overflows to +Inf — ends
+// the stream with the documented in-band error record (type, kind and
+// all) and nothing after it: no later feature, no summary.
+func TestEncodeFailureEndsStreamInBand(t *testing.T) {
+	square := func(id int, side string) string {
+		return `{"type":"Feature","id":` + strconv.Itoa(id) + `,"properties":{},"geometry":{"type":"Polygon","coordinates":` +
+			`[[[0,0],[` + side + `,0],[` + side + `,` + side + `],[0,` + side + `],[0,0]]]}}`
+	}
+	path := filepath.Join(t.TempDir(), "huge.geojson")
+	doc := `{"type":"FeatureCollection","features":[` + "\n" +
+		square(1, "1") + ",\n" + square(2, "1e300") + ",\n" + square(3, "2") + "\n]}\n"
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServerWithPath(t, path, atgis.EngineConfig{Workers: 2})
+
+	for _, tc := range []struct {
+		name, body string
+		features   int
+	}{
+		{"feature record", `{"source":"data","kind":"containment","ref":[-5,-5,5,5],"want":["area"]}`, 1},
+		{"summary record", `{"source":"data","kind":"aggregation","ref":[-5,-5,5,5],"want":["area"]}`, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp := postJSON(t, ts.Client(), ts.URL+"/v1/query", tc.body, "")
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				b, _ := io.ReadAll(resp.Body)
+				t.Fatalf("status %d: %s", resp.StatusCode, b)
+			}
+			recs := ndjsonLines(t, resp.Body)
+			if len(recs) != tc.features+1 {
+				t.Fatalf("stream = %v, want %d feature(s) then the error record", recs, tc.features)
+			}
+			for _, r := range recs[:tc.features] {
+				if r["type"] != "feature" {
+					t.Fatalf("record before the error = %v", r)
+				}
+			}
+			last := recs[len(recs)-1]
+			msg, _ := last["error"].(string)
+			if last["type"] != "error" || last["kind"] != "internal" || !strings.HasPrefix(msg, "encode record: ") {
+				t.Fatalf("terminal record = %v, want in-band internal encode error", last)
+			}
+		})
 	}
 }

@@ -50,7 +50,7 @@ type Config struct {
 	// flooding tenants.
 	Engine *atgis.Engine
 	// Options supplies per-query defaults (block size, PAT/FAT mode);
-	// requests may override block size and mode per call.
+	// requests may override the block size per call.
 	Options atgis.Options
 	// AllowRegister enables POST /v1/sources (opening server-local
 	// files named by the client). Disable when the server fronts
@@ -214,25 +214,24 @@ func (s *Server) Close() error {
 	return first
 }
 
-// Handler returns the routed HTTP handler for the full /v1 surface. In
-// coordinator mode the same routes are served by the scatter-gather
-// handlers instead of local execution.
+// Handler returns the routed HTTP handler for the full /v1 surface.
+// Queries and joins are the same handlers in both modes (serve); the
+// control-plane routes answer different questions on a worker and on a
+// coordinator, so each mode has its own.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/query", serve(s, &queryEndpoint))
+	mux.HandleFunc("POST /v1/join", serve(s, &joinEndpoint))
 	if s.cl != nil {
 		mux.HandleFunc("GET /healthz", s.handleClusterHealthz)
 		mux.HandleFunc("GET /v1/stats", s.handleClusterStats)
 		mux.HandleFunc("GET /v1/sources", s.handleClusterSources)
 		mux.HandleFunc("POST /v1/sources", s.handleClusterRegister)
-		mux.HandleFunc("POST /v1/query", s.handleClusterQuery)
-		mux.HandleFunc("POST /v1/join", s.handleClusterJoin)
 	} else {
 		mux.HandleFunc("GET /healthz", s.handleHealthz)
 		mux.HandleFunc("GET /v1/stats", s.handleStats)
 		mux.HandleFunc("GET /v1/sources", s.handleListSources)
 		mux.HandleFunc("POST /v1/sources", s.handleRegisterSource)
-		mux.HandleFunc("POST /v1/query", s.handleQuery)
-		mux.HandleFunc("POST /v1/join", s.handleJoin)
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		s.inflight.Add(1)
@@ -248,12 +247,6 @@ func (s *Server) Handler() http.Handler {
 // Inflight reports how many requests are currently inside handlers —
 // what a bounded shutdown drain abandons when it gives up waiting.
 func (s *Server) Inflight() int64 { return s.inflightN.Load() }
-
-// tenantOf extracts the admission tenant from a request: the
-// X-Atgis-Tenant header, or the anonymous tenant when absent.
-func tenantOf(r *http.Request) string {
-	return r.Header.Get("X-Atgis-Tenant")
-}
 
 // parseFormat maps the wire format names onto atgis.Format.
 func parseFormat(s string) (atgis.Format, error) {

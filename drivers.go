@@ -19,21 +19,19 @@ import (
 // hand them over at different points of a pass, so a pass says what
 // happens at each:
 //
-//   - GeoJSON features leave the ordered fold as the extraction machine's
-//     FeatureOut — bounding box included, cfg.Eval already run on a worker
-//     (out);
-//   - OSM XML features leave pass 2, in input order (feature);
+//   - GeoJSON and OSM XML features leave the ordered fold as the extraction
+//     machine's FeatureOut — bounding box included, cfg's Window, BoundsOnly
+//     and Eval already applied on a worker (out);
 //   - WKT lines parse to whole features on the workers, so the pass chooses
 //     what a worker does with each one (each, threading the block's
 //     fragment from its zero value) and what the fold does with the
 //     fragments, in input order (fold). The query pass collects and then
 //     consumes; the join's partition pass bins inside the worker.
 type featureOps[F any] struct {
-	cfg     *geojson.Config
-	out     func(geojson.FeatureOut)
-	feature func(*geom.Feature)
-	each    func(fr F, f geom.Feature) F
-	fold    func(fr F) error
+	cfg  *geojson.Config
+	out  func(geojson.FeatureOut)
+	each func(fr F, f geom.Feature) F
+	fold func(fr F) error
 }
 
 // inOrder is the featureOps of a pass that wants every feature on the
@@ -41,10 +39,9 @@ type featureOps[F any] struct {
 // features and the fold hands them to feature.
 func inOrder(cfg *geojson.Config, out func(geojson.FeatureOut), feature func(*geom.Feature)) featureOps[[]geom.Feature] {
 	return featureOps[[]geom.Feature]{
-		cfg:     cfg,
-		out:     out,
-		feature: feature,
-		each:    func(fr []geom.Feature, f geom.Feature) []geom.Feature { return append(fr, f) },
+		cfg:  cfg,
+		out:  out,
+		each: func(fr []geom.Feature, f geom.Feature) []geom.Feature { return append(fr, f) },
 		fold: func(fr []geom.Feature) error {
 			for i := range fr {
 				feature(&fr[i])
@@ -67,7 +64,15 @@ func runPass[F any](ctx context.Context, e *Engine, src Source, mode Mode, pl *b
 	case format == WKT:
 		return runPlan(ctx, e, pl, opt, wktDriver(input, ops))
 	case format == OSMXML:
-		return runPlan(ctx, e, pl, opt, osmDriver(input, ops.feature))
+		// Two plans, one pass: the second is cut from what the first found.
+		o := &osmPass{input: input, cfg: ops.cfg, out: ops.out, nodes: osmxml.NewNodeTable()}
+		st, _, _, err := runPlan(ctx, e, pl, opt, o.pass1())
+		if err != nil {
+			return st, 0, 0, err
+		}
+		pl2 := o.plan2()
+		st2, _, _, err := runPlan(ctx, e, &pl2, opt, o.pass2())
+		return st.Add(st2), 0, 0, err
 	default:
 		return pipeline.Stats{}, 0, 0, fmt.Errorf("atgis: unsupported format %v", format)
 	}
@@ -161,79 +166,207 @@ func wktDriver[F any](input []byte, ops featureOps[F]) *driver[wktFrag[F]] {
 	}
 }
 
-// osmFrag is pass 1's fragment of one OSM XML block.
-type osmFrag struct {
-	ways []*osmxml.Way
-	rels []*osmxml.Relation
-	err  error
+// osmPass is what the two plans of an OSM XML pass share. Pass 1 is the
+// cold plan over the bytes: workers parse their block into columns, the
+// fold hands the node columns to the table and keeps the blocks that hold
+// ways or relations, and finish links the two (osmxml.Link). Pass 2 is a
+// plan over those same blocks — an element belongs to the block holding
+// its start offset, the shard rule — whose workers resolve each way and
+// relation against the frozen table, bounding box first: a feature that
+// misses cfg.Window is dropped before its points, its geometry or its
+// value exist, exactly as the GeoJSON machine drops it. The fold emits
+// the features as that machine does, through out, in the order a serial
+// pass 2 would: every standalone way in input order, then the relations.
+type osmPass struct {
+	input []byte
+	cfg   *geojson.Config
+	out   func(geojson.FeatureOut)
+
+	nodes  *osmxml.NodeTable
+	blocks []osmxml.Elements // pass 1 fragments holding a way or a relation, in input order
+	spans  []pipeline.Block  // where each of them lies
+	topo   *osmxml.Topology
+
+	at       []*osmxml.Elements   // pass 2: the fragment behind each plan block, nil for a gap
+	lastWays int                  // the last plan block holding a way
+	held     []geojson.FeatureOut // relations waiting for that block
+	relErr   error                // the first relation that failed
 }
 
-// osmDriver is the multi-pass OSM XML pipeline: the blocks are pass 1,
-// which fills the node table from the workers and collects ways and
-// relations in input order; finish is pass 2, which assembles geometries
-// and hands each feature on. Ways referenced by multipolygon relations
-// are consumed by the relation, not emitted standalone.
-func osmDriver(input []byte, feature func(*geom.Feature)) *driver[osmFrag] {
-	nodes := osmxml.NewNodeTable()
-	var ways []*osmxml.Way
-	var rels []*osmxml.Relation
+// osmFrag is pass 1's fragment of one block.
+type osmFrag struct {
+	el  osmxml.Elements
+	err error
+}
+
+func (o *osmPass) pass1() *driver[osmFrag] {
 	return &driver[osmFrag]{
-		input: input,
+		input: o.input,
 		cuts:  osmxml.SplitElementsStream,
-		process: func(b pipeline.Block) osmFrag {
-			var fr osmFrag
-			fr.err = osmxml.ParseBlock(input, b.Start, b.End, &osmxml.Handler{
-				OnNode:     nodes.Put,
-				OnWay:      func(w *osmxml.Way) { fr.ways = append(fr.ways, w) },
-				OnRelation: func(r *osmxml.Relation) { fr.rels = append(fr.rels, r) },
-			})
+		process: func(b pipeline.Block) (fr osmFrag) {
+			fr.el, fr.err = osmxml.ParseElements(o.input, b.Start, b.End)
 			return fr
 		},
-		add: func(_ pipeline.Block, fr osmFrag) error {
+		add: func(b pipeline.Block, fr osmFrag) error {
 			if fr.err != nil {
 				return fr.err
 			}
-			ways = append(ways, fr.ways...)
-			rels = append(rels, fr.rels...)
+			o.nodes.Append(fr.el.NodeIDs, fr.el.NodePts, fr.el.Ascending)
+			if len(fr.el.Ways)+len(fr.el.Rels) > 0 {
+				o.blocks = append(o.blocks, fr.el)
+				o.spans = append(o.spans, b)
+			}
 			return nil
 		},
-		finish: func(ctx context.Context, _ int64) error {
-			wayTab := osmxml.NewWayTable()
-			for _, w := range ways {
-				wayTab.Put(w)
-			}
-			inRelation := make(map[int64]bool)
-			for _, r := range rels {
-				for _, m := range r.Members {
-					if m.Type == "way" {
-						inRelation[m.Ref] = true
-					}
-				}
-			}
-			for i, w := range ways {
-				if i&1023 == 0 && ctx.Err() != nil {
-					return ctx.Err()
-				}
-				if inRelation[w.ID] {
-					continue
-				}
-				g, err := osmxml.AssembleWay(w, nodes)
-				if err != nil {
-					return err
-				}
-				feature(&geom.Feature{ID: w.ID, Geom: g, Offset: w.Off})
-			}
-			for i, r := range rels {
-				if i&1023 == 0 && ctx.Err() != nil {
-					return ctx.Err()
-				}
-				g, err := osmxml.AssembleRelation(r, wayTab, nodes)
-				if err != nil {
-					return err
-				}
-				feature(&geom.Feature{ID: r.ID, Geom: g, Offset: r.Off})
-			}
+		finish: func(context.Context, int64) error {
+			o.topo = osmxml.Link(o.nodes, o.blocks)
 			return nil
 		},
 	}
+}
+
+// plan2 is pass 2's plan: pass 1's blocks again, those without a way or
+// a relation as gaps.
+func (o *osmPass) plan2() blockPlan {
+	pl := blockPlan{split: -1, stop: int64(len(o.input))}
+	o.lastWays = -1
+	pos := int64(0)
+	gap := func(end int64) {
+		if end > pos {
+			pl.blocks = append(pl.blocks, planBlock{pos, end, blockGap})
+			o.at = append(o.at, nil)
+		}
+	}
+	for i, s := range o.spans {
+		gap(s.Start)
+		if len(o.blocks[i].Ways) > 0 {
+			o.lastWays = len(pl.blocks)
+		}
+		pl.blocks = append(pl.blocks, planBlock{s.Start, s.End, blockLive})
+		o.at = append(o.at, &o.blocks[i])
+		pos = s.End
+	}
+	if len(pl.blocks) > 0 {
+		gap(pl.stop)
+	}
+	return pl
+}
+
+// osmFeats is pass 2's fragment of one block: the boxes of its standalone
+// ways and then of its relations, as far as they resolved, and what the
+// worker built for those that passed the window.
+type osmFeats struct {
+	boxes          []geom.Box
+	ways           int // how many of boxes are ways'
+	kept           []osmKept
+	wayErr, relErr error
+}
+
+type osmKept struct {
+	n    int // index in boxes
+	geom geom.Geometry
+	val  any
+}
+
+func (o *osmPass) pass2() *driver[osmFeats] {
+	return &driver[osmFeats]{
+		input:   o.input,
+		process: func(b pipeline.Block) osmFeats { return o.resolve(o.at[b.Index]) },
+		add: func(b pipeline.Block, fr osmFeats) error {
+			el := o.at[b.Index]
+			n, k := 0, 0
+			next := func(id, off int64) geojson.FeatureOut {
+				f := geojson.FeatureOut{Feature: geom.Feature{ID: id, Offset: off}, Box: fr.boxes[n]}
+				if k < len(fr.kept) && fr.kept[k].n == n {
+					f.Feature.Geom, f.Val = fr.kept[k].geom, fr.kept[k].val
+					k++
+				}
+				n++
+				return f
+			}
+			for i := 0; i < len(el.Ways) && n < fr.ways; i++ {
+				if w := &el.Ways[i]; !w.InRelation {
+					o.out(next(w.ID, w.Off))
+				}
+			}
+			if fr.wayErr != nil {
+				return fr.wayErr
+			}
+			// Relations stop at the first that failed, and wait until no way
+			// can follow them.
+			hold := b.Index < o.lastWays
+			if !hold {
+				for _, f := range o.held {
+					o.out(f)
+				}
+				o.held = nil
+			}
+			if o.relErr == nil {
+				for i := 0; i < len(el.Rels) && n < len(fr.boxes); i++ {
+					if f := next(el.Rels[i].ID, el.Rels[i].Off); hold {
+						o.held = append(o.held, f)
+					} else {
+						o.out(f)
+					}
+				}
+				o.relErr = fr.relErr
+			}
+			if hold {
+				return nil
+			}
+			return o.relErr
+		},
+	}
+}
+
+// resolve is pass 2 over one block, on a worker.
+func (o *osmPass) resolve(el *osmxml.Elements) (fr osmFeats) {
+	r := o.topo.Resolver()
+	n := len(el.Rels)
+	for i := range el.Ways {
+		if !el.Ways[i].InRelation {
+			n++
+		}
+	}
+	fr.boxes = make([]geom.Box, 0, n)
+	cfg := o.cfg
+	keep := func(id, off int64, box geom.Box) {
+		n := len(fr.boxes)
+		fr.boxes = append(fr.boxes, box)
+		if cfg.BoundsOnly || (cfg.Window != nil && !box.Intersects(*cfg.Window)) {
+			return
+		}
+		kept := osmKept{n: n, geom: r.Build()}
+		if cfg.EvalBox != nil || cfg.Eval != nil {
+			f := &geom.Feature{ID: id, Geom: kept.geom, Offset: off}
+			if cfg.EvalBox != nil {
+				kept.val = cfg.EvalBox(f, box)
+			} else {
+				kept.val = cfg.Eval(f)
+			}
+		}
+		fr.kept = append(fr.kept, kept)
+	}
+	for i := range el.Ways {
+		w := &el.Ways[i]
+		if w.InRelation {
+			continue
+		}
+		box, err := r.Way(el, i)
+		if err != nil {
+			fr.ways, fr.wayErr = len(fr.boxes), err
+			return fr
+		}
+		keep(w.ID, w.Off, box)
+	}
+	fr.ways = len(fr.boxes)
+	for i := range el.Rels {
+		box, err := r.Relation(el, i)
+		if err != nil {
+			fr.relErr = err
+			break
+		}
+		keep(el.Rels[i].ID, el.Rels[i].Off, box)
+	}
+	return fr
 }

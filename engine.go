@@ -594,10 +594,10 @@ type fragOf struct {
 // the whole cold pass — PAT or FAT, like a query's — minus the fused
 // Eval. Features that arrive on the fold goroutine (GeoJSON, OSM XML)
 // bin into one fragment, folded after the pass; WKT workers bin into
-// their block's own. boundsOnly lets a format that can (GeoJSON) skip
-// building geometry the pass would only take the bounds of; features
-// then arrive with a nil Geom. It must be false when the side mask reads
-// real geometry.
+// their block's own. boundsOnly lets a format that can (GeoJSON, OSM
+// XML) skip building geometry the pass would only take the bounds of;
+// features then arrive with a nil Geom. It must be false when the side
+// mask reads real geometry.
 func (e *Engine) partitionPass(
 	ctx context.Context,
 	src Source,
@@ -608,11 +608,10 @@ func (e *Engine) partitionPass(
 ) (pipeline.Stats, error) {
 	var one *fragOf
 	st, err := wholePass(ctx, e, src, opt, featureOps[*fragOf]{
-		cfg:     &geojson.Config{PropKeys: opt.PropKeys, BoundsOnly: boundsOnly},
-		out:     func(f geojson.FeatureOut) { one = bin(one, &f.Feature, f.Box) },
-		feature: func(f *geom.Feature) { one = bin(one, f, f.Bound()) },
-		each:    func(fr *fragOf, f geom.Feature) *fragOf { return bin(fr, &f, f.Bound()) },
-		fold:    fold,
+		cfg:  &geojson.Config{PropKeys: opt.PropKeys, BoundsOnly: boundsOnly},
+		out:  func(f geojson.FeatureOut) { one = bin(one, &f.Feature, f.Box) },
+		each: func(fr *fragOf, f geom.Feature) *fragOf { return bin(fr, &f, f.Bound()) },
+		fold: fold,
 	})
 	if err != nil {
 		return st, err
@@ -721,8 +720,8 @@ func (e *Engine) reparser(ctx context.Context, src Source, opt Options) (join.Re
 		// data lives in the node table, paper §5.3's random-access
 		// penalty). Build an offset-keyed geometry table once.
 		table := make(map[int64]geom.Geometry)
-		put := func(f *geom.Feature) { table[f.Offset] = f.Geom }
-		if _, err := wholePass(ctx, e, src, opt, inOrder(nil, nil, put)); err != nil {
+		put := func(f geojson.FeatureOut) { table[f.Feature.Offset] = f.Feature.Geom }
+		if _, err := wholePass(ctx, e, src, opt, featureOps[struct{}]{cfg: &geojson.Config{}, out: put}); err != nil {
 			return nil, err
 		}
 		return func(off int64) (geom.Geometry, error) {

@@ -63,7 +63,7 @@ func TestFindMarkedFuncs(t *testing.T) {
 		"atgis/internal/numparse:Prefix",
 		"atgis/internal/geojson:Machine.OnToken",
 		"atgis/internal/wkt:ParseLine",
-		"atgis/internal/osmxml:ParseBlock",
+		"atgis/internal/osmxml:Elements.parse",
 	} {
 		if !byName[want] {
 			t.Errorf("marked function %s not found (have %v)", want, byName)

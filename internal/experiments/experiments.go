@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§5) on synthetic stand-ins for the OpenStreetMap datasets
-// (substitutions documented in DESIGN.md). Each experiment returns a
-// Report whose rows mirror the series the paper plots; EXPERIMENTS.md
-// records the expected shapes.
+// (substitutions documented in the paper map of docs/ARCHITECTURE.md).
+// Each experiment returns a Report whose rows mirror the series the paper
+// plots; EXPERIMENTS.md records the expected shapes.
 package experiments
 
 import (
@@ -177,7 +177,7 @@ func Table1(cfg Config) *Report {
 }
 
 // Table2 generates every dataset variant and reports sizes (paper
-// Table 2, scaled down; substitution documented in DESIGN.md).
+// Table 2, scaled down; substitution documented in docs/ARCHITECTURE.md).
 func Table2(cfg Config) *Report {
 	cfg = cfg.Defaults()
 	r := &Report{

@@ -1,94 +1,77 @@
 // Package osmxml processes OpenStreetMap XML, the most complex input
 // format AT-GIS supports (paper §4.4(1)): point data (nodes) is separated
-// from topology (ways and relations), so query execution makes multiple
-// passes, building a temporary node/way table during the first pass and
-// assembling geometries from references afterwards.
+// from topology (ways and relations), so query execution makes two
+// passes. Pass 1 parses every block into columns (Elements) and builds
+// the temporary node table from them; pass 2 resolves each way and
+// relation against the frozen table (Resolver), bounding box first, so a
+// caller can drop an element before any geometry exists.
 //
 // Planet-style dumps keep one element per line, so blocks split at
 // element boundaries — the partially-associative strategy the paper finds
 // optimal for line-structured data. The paper's on-disk temporary table
-// is substituted by an in-memory sharded table (documented in DESIGN.md).
+// is substituted by in-memory sorted columns, built in bulk (NodeTable;
+// docs/ARCHITECTURE.md's paper map records the substitution).
 package osmxml
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
-	"sync"
 
 	"atgis/internal/geom"
 	"atgis/internal/numparse"
 )
 
-// NodeTable maps node ids to positions. It is sharded to allow the
-// parallel first pass to insert with low contention, standing in for the
-// paper's on-disk temporary table.
-type NodeTable struct {
-	shards [64]nodeShard
+// Elements is what pass 1 extracts from one block, as columns: node ids
+// and positions, and compact way and relation records over one arena of
+// node refs and one of members. Nothing in it aliases the input.
+type Elements struct {
+	NodeIDs []int64
+	NodePts []geom.Point
+	// Ascending reports NodeIDs strictly ascending.
+	Ascending bool
+
+	Ways    []WayRec
+	Refs    []int64 // node refs of every way, in order
+	Rels    []RelRec
+	Members []Member // members of every relation, in order
+
+	tags []tagRec // ParseBlock's handler wants them; the engine reads none
 }
 
-type nodeShard struct {
-	mu sync.Mutex
-	m  map[int64]geom.Point
+// WayRec is one way; Elements.WayRefs are its refs.
+type WayRec struct {
+	ID, Off int64
+	Lo      int // where its refs start in Refs; they end where the next way's start
+	// InRelation marks a way some relation lists as a member: the relation
+	// consumes it and it is not a feature of its own. Set by Link.
+	InRelation bool
 }
 
-// NewNodeTable returns an empty table.
-func NewNodeTable() *NodeTable {
-	t := &NodeTable{}
-	for i := range t.shards {
-		t.shards[i].m = make(map[int64]geom.Point)
+// RelRec is one relation; Elements.RelMembers are its members.
+type RelRec struct {
+	ID, Off int64
+	Lo      int // where its members start in Members, as WayRec.Lo
+}
+
+// WayRefs returns the node refs of way i.
+func (el *Elements) WayRefs(i int) []int64 {
+	if i+1 < len(el.Ways) {
+		return el.Refs[el.Ways[i].Lo:el.Ways[i+1].Lo]
 	}
-	return t
+	return el.Refs[el.Ways[i].Lo:]
 }
 
-func (t *NodeTable) shard(id int64) *nodeShard {
-	return &t.shards[uint64(id)%uint64(len(t.shards))]
-}
-
-// Put inserts a node.
-func (t *NodeTable) Put(id int64, p geom.Point) {
-	s := t.shard(id)
-	s.mu.Lock()
-	s.m[id] = p
-	s.mu.Unlock()
-}
-
-// Get looks up a node.
-func (t *NodeTable) Get(id int64) (geom.Point, bool) {
-	s := t.shard(id)
-	s.mu.Lock()
-	p, ok := s.m[id]
-	s.mu.Unlock()
-	return p, ok
-}
-
-// Len returns the number of stored nodes.
-func (t *NodeTable) Len() int {
-	n := 0
-	for i := range t.shards {
-		t.shards[i].mu.Lock()
-		n += len(t.shards[i].m)
-		t.shards[i].mu.Unlock()
+// RelMembers returns the members of relation i.
+func (el *Elements) RelMembers(i int) []Member {
+	if i+1 < len(el.Rels) {
+		return el.Members[el.Rels[i].Lo:el.Rels[i+1].Lo]
 	}
-	return n
-}
-
-// Way is a parsed way element.
-type Way struct {
-	ID   int64
-	Refs []int64
-	Tags map[string]string
-	Off  int64
-}
-
-// Relation is a parsed relation element.
-type Relation struct {
-	ID      int64
-	Members []Member
-	Tags    map[string]string
-	Off     int64
+	return el.Members[el.Rels[i].Lo:]
 }
 
 // Member references a way or node from a relation.
@@ -98,79 +81,344 @@ type Member struct {
 	Role string // "outer" or "inner"
 }
 
-// WayTable stores parsed ways for relation assembly.
-type WayTable struct {
-	mu sync.Mutex
-	m  map[int64]*Way
+type tagRec struct {
+	rel  bool // of Rels[elem], not Ways[elem]
+	elem int
+	k, v string
 }
 
-// NewWayTable returns an empty table.
-func NewWayTable() *WayTable { return &WayTable{m: make(map[int64]*Way)} }
-
-// Put inserts a way.
-func (t *WayTable) Put(w *Way) {
-	t.mu.Lock()
-	t.m[w.ID] = w
-	t.mu.Unlock()
+// ParseElements is pass 1 over the element lines in input[start:end).
+// Blocks must begin at line starts; multi-line elements (way, relation)
+// must be fully contained, which SplitElements guarantees.
+func ParseElements(input []byte, start, end int64) (Elements, error) {
+	var el Elements
+	err := el.parse(input, start, end, false)
+	return el, err
 }
 
-// Get looks up a way.
-func (t *WayTable) Get(id int64) (*Way, bool) {
-	t.mu.Lock()
-	w, ok := t.m[id]
-	t.mu.Unlock()
-	return w, ok
+// room bounds how many elements of one kind the rest of a block can hold:
+// one per line still unread, each at least as long as shortest. The
+// columns with an entry per line (nodes, refs, members) are allocated
+// once, on first use, with that capacity — exact for a block of nodes,
+// which is most of a file — instead of growing by reallocation.
+func room(lines int, bytes int64, shortest string) int {
+	return min(lines, int(bytes/int64(len(shortest)))+1)
 }
 
-// attrScanner extracts attribute values from one XML element line.
-type attrScanner struct {
-	b []byte
+// linesPerElement is how many lines a way or a relation is assumed to
+// span when its column is first allocated (lines left / linesPerElement
+// records); the column grows as usual if the block's are shorter.
+const linesPerElement = 12
+
+var nl = []byte{'\n'}
+
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' }
+
+// elemName reports whether the markup after a '<' names the element name:
+// the name must end the line or be followed by whitespace, '/' or '>'
+// ("<nd" is not "<ndx"). It returns where the attributes start.
+func elemName(rest []byte, name string) (int, bool) {
+	n := len(name)
+	if len(rest) < n || string(rest[:n]) != name {
+		return 0, false
+	}
+	if len(rest) > n && !isSpace(rest[n]) && rest[n] != '/' && rest[n] != '>' {
+		return 0, false
+	}
+	return n, true
 }
 
-// attr returns the value of the named attribute, or nil if absent.
-// The name is matched in place (no pattern materialisation) so the
-// parallel first pass stays allocation-free per attribute.
+// nextAttr reads the name="value" pair at or after line[i], left to
+// right, so text inside a value is never taken for a name. Values may be
+// quoted with either quote character. ok is false at the end of the tag
+// and at anything that is not a well-formed pair; next is then where the
+// scan stopped ('/' for a self-closing tag).
 //
 //atgis:hotpath
-func (s attrScanner) attr(name string) []byte {
-	n := len(name)
-	for i := 0; i+n+2 < len(s.b); i++ {
-		if s.b[i] != name[0] {
-			continue
-		}
-		if string(s.b[i:i+n]) != name || s.b[i+n] != '=' || s.b[i+n+1] != '"' {
-			continue
-		}
-		// Attribute names are preceded by whitespace.
-		if i > 0 && s.b[i-1] != ' ' && s.b[i-1] != '\t' {
-			continue
-		}
-		start := i + n + 2
-		j := start
-		for j < len(s.b) && s.b[j] != '"' {
-			j++
-		}
-		return s.b[start:j]
+func nextAttr(line []byte, i int) (name, val []byte, next int, ok bool) {
+	for i < len(line) && isSpace(line[i]) {
+		i++
 	}
+	s := i
+	for i < len(line) && line[i] != '=' && line[i] != '/' && line[i] != '>' && !isSpace(line[i]) {
+		i++
+	}
+	if i == s {
+		return nil, nil, i, false
+	}
+	name = line[s:i]
+	for i < len(line) && isSpace(line[i]) {
+		i++
+	}
+	if i >= len(line) || line[i] != '=' {
+		return nil, nil, i, false
+	}
+	i++
+	for i < len(line) && isSpace(line[i]) {
+		i++
+	}
+	if i >= len(line) || (line[i] != '"' && line[i] != '\'') {
+		return nil, nil, i, false
+	}
+	q := bytes.IndexByte(line[i+1:], line[i])
+	if q < 0 {
+		return nil, nil, i, false
+	}
+	return name, line[i+1 : i+1+q], i + q + 2, true
+}
+
+// attrs scans an element's attributes from rest[i] on, once, and returns
+// the values of up to three wanted names — nil for an absent one, and the
+// first of a name wins, as in XML it is the only one — and where the scan
+// stopped: past the last wanted value or, when whole is set or a wanted
+// name is missing, at the end of the tag ('/' for a self-closing one).
+//
+//atgis:hotpath
+func attrs(rest []byte, i int, whole bool, want [3]string) (vals [3][]byte, end int) {
+	missing := 0
+	for _, w := range want {
+		if w != "" {
+			missing++
+		}
+	}
+	for whole || missing > 0 {
+		name, val, next, ok := nextAttr(rest, i)
+		if !ok {
+			return vals, next
+		}
+		i = next
+		for k, w := range want {
+			if vals[k] == nil && string(name) == w { // a name is never empty
+				vals[k] = val
+				missing--
+				break
+			}
+		}
+	}
+	return vals, i
+}
+
+// parse appends the elements of input[start:end) to el's empty columns,
+// scanning every element line once, left to right. A way or relation
+// still open where the next top-level element starts — where
+// SplitElements may cut — is dropped, so no state crosses a cut and the
+// blocks of any bytes parse to the same elements as the whole.
+//
+//atgis:hotpath
+func (el *Elements) parse(input []byte, start, end int64, keepTags bool) (err error) {
+	el.Ascending = true
+	way, rel := -1, -1                            // the open way or relation, if any: never both
+	left := bytes.Count(input[start:end], nl) + 1 // lines from the current one on
+	for pos := start; pos < end && err == nil; left-- {
+		lineOff := pos
+		line := input[pos:end]
+		if nl := bytes.IndexByte(line, '\n'); nl >= 0 {
+			line = line[:nl]
+		}
+		pos += int64(len(line)) + 1
+		i := 0
+		for i < len(line) && isSpace(line[i]) {
+			i++
+		}
+		if len(line)-i < 3 || line[i] != '<' {
+			continue
+		}
+		rest := line[i+1:]
+		switch rest[0] {
+		case 'n':
+			if a, ok := elemName(rest, "node"); ok {
+				way, rel = el.dropWay(way), el.dropRel(rel)
+				err = el.node(rest, a, lineOff, left, end)
+			} else if a, ok := elemName(rest, "nd"); ok && way >= 0 {
+				if ref, ok := firstInt(rest, a, "ref"); ok {
+					if el.Refs == nil {
+						el.Refs = make([]int64, 0, room(left, end-lineOff, `<nd ref="1"/>`)) //lint:atgis-allow hotalloc once per block: the refs arena
+					}
+					el.Refs = append(el.Refs, ref)
+				}
+			}
+		case 'w':
+			if a, ok := elemName(rest, "way"); ok {
+				v, tagEnd := attrs(rest, a, true, [3]string{"id"})
+				id, ok := numparse.IntExact(v[0])
+				if !ok {
+					err = badElement("way", lineOff)
+					break
+				}
+				el.dropWay(way)
+				rel = el.dropRel(rel)
+				way = len(el.Ways)
+				if el.Ways == nil {
+					el.Ways = make([]WayRec, 0, left/linesPerElement+1) //lint:atgis-allow hotalloc once per block: the way records
+				}
+				el.Ways = append(el.Ways, WayRec{ID: id, Off: lineOff, Lo: len(el.Refs)})
+				if tagEnd < len(rest) && rest[tagEnd] == '/' { // self-closing
+					way = -1
+				}
+			}
+		case 'r':
+			if a, ok := elemName(rest, "relation"); ok {
+				v, tagEnd := attrs(rest, a, true, [3]string{"id"})
+				id, ok := numparse.IntExact(v[0])
+				if !ok {
+					err = badElement("relation", lineOff)
+					break
+				}
+				way = el.dropWay(way)
+				el.dropRel(rel)
+				rel = len(el.Rels)
+				if el.Rels == nil {
+					el.Rels = make([]RelRec, 0, left/linesPerElement+1) //lint:atgis-allow hotalloc once per block: the relation records
+				}
+				el.Rels = append(el.Rels, RelRec{ID: id, Off: lineOff, Lo: len(el.Members)})
+				if tagEnd < len(rest) && rest[tagEnd] == '/' { // self-closing
+					rel = -1
+				}
+			}
+		case 'm':
+			if a, ok := elemName(rest, "member"); ok && rel >= 0 {
+				if el.Members == nil {
+					el.Members = make([]Member, 0, room(left, end-lineOff, `<member ref="1"/>`)) //lint:atgis-allow hotalloc once per block: the members arena
+				}
+				el.member(rest, a)
+			}
+		case 't':
+			if a, ok := elemName(rest, "tag"); ok && keepTags && (way >= 0 || rel >= 0) {
+				el.tag(rest, a, way, rel)
+			}
+		case '/':
+			if _, ok := elemName(rest[1:], "way"); ok {
+				way = -1
+			} else if _, ok := elemName(rest[1:], "relation"); ok {
+				rel = -1
+			}
+		}
+	}
+	el.dropWay(way)
+	el.dropRel(rel)
+	return err
+}
+
+// node parses a <node> line whose attributes start at rest[i].
+//
+//atgis:hotpath
+func (el *Elements) node(rest []byte, i int, lineOff int64, left int, end int64) error {
+	// Spelt out rather than through attrs: node lines are most of a file,
+	// and the generic scan made the whole parser 45 % slower.
+	const idBit, latBit, lonBit = 1, 2, 4
+	var id int64
+	var lat, lon float64
+	seen, good := 0, 0 // which attributes were met, which of them parsed
+	for seen != idBit|latBit|lonBit {
+		name, val, next, ok := nextAttr(rest, i)
+		if !ok {
+			break
+		}
+		i = next
+		switch {
+		case string(name) == "id" && seen&idBit == 0:
+			seen |= idBit
+			if id, ok = numparse.IntExact(val); ok {
+				good |= idBit
+			}
+		case string(name) == "lat" && seen&latBit == 0:
+			seen |= latBit
+			if lat, ok = numparse.FloatExact(val); ok {
+				good |= latBit
+			}
+		case string(name) == "lon" && seen&lonBit == 0:
+			seen |= lonBit
+			if lon, ok = numparse.FloatExact(val); ok {
+				good |= lonBit
+			}
+		}
+	}
+	if good != idBit|latBit|lonBit {
+		return badNode(rest, lineOff)
+	}
+	if el.NodeIDs == nil {
+		n := room(left, end-lineOff, `<node id="1" lat="1" lon="1"/>`)
+		el.NodeIDs = make([]int64, 0, n)      //lint:atgis-allow hotalloc once per block: the id column
+		el.NodePts = make([]geom.Point, 0, n) //lint:atgis-allow hotalloc once per block: the position column
+	}
+	if n := len(el.NodeIDs); n > 0 && id <= el.NodeIDs[n-1] {
+		el.Ascending = false
+	}
+	el.NodeIDs = append(el.NodeIDs, id)
+	el.NodePts = append(el.NodePts, geom.Point{X: lon, Y: lat})
 	return nil
 }
 
-func (s attrScanner) attrInt(name string) (int64, bool) {
-	v := s.attr(name)
-	if v == nil {
-		return 0, false
+// firstInt returns the first attribute called name, if it is an integer:
+// attrs for the one-attribute <nd> line, every other line of a file.
+//
+//atgis:hotpath
+func firstInt(rest []byte, i int, name string) (int64, bool) {
+	for {
+		n, val, next, ok := nextAttr(rest, i)
+		if !ok {
+			return 0, false
+		}
+		if string(n) == name {
+			return numparse.IntExact(val)
+		}
+		i = next
 	}
-	// Exact parses: a malformed or overflowing attribute must be
-	// rejected (as strconv did), not silently prefix-parsed.
-	return numparse.IntExact(v)
 }
 
-func (s attrScanner) attrFloat(name string) (float64, bool) {
-	v := s.attr(name)
-	if v == nil {
-		return 0, false
+// member appends a <member> line's record to the open relation.
+func (el *Elements) member(rest []byte, i int) {
+	v, _ := attrs(rest, i, false, [3]string{"type", "ref", "role"})
+	ref, _ := numparse.IntExact(v[1]) // 0 when malformed
+	el.Members = append(el.Members, Member{Type: internAttr(v[0]), Ref: ref, Role: internAttr(v[2])})
+}
+
+// tag records a <tag> line of the open way or relation, for ParseBlock.
+func (el *Elements) tag(rest []byte, i, way, rel int) {
+	v, _ := attrs(rest, i, false, [3]string{"k", "v"})
+	el.tags = append(el.tags, tagRec{rel: way < 0, elem: max(way, rel), k: string(v[0]), v: string(v[1])})
+}
+
+// The malformed-element errors, built out of line so that the parser
+// itself allocates nothing per line; each ends its block and the pass.
+
+//go:noinline
+func badElement(name string, lineOff int64) error {
+	return fmt.Errorf("osmxml: bad %s at offset %d", name, lineOff)
+}
+
+//go:noinline
+func badNode(rest []byte, lineOff int64) error {
+	return fmt.Errorf("osmxml: bad node at offset %d: %.60q", lineOff, "<"+string(bytes.TrimRight(rest, " \t\r")))
+}
+
+// dropWay forgets a way that never closed, as if its lines were absent.
+func (el *Elements) dropWay(way int) int {
+	if way >= 0 {
+		el.Refs = el.Refs[:el.Ways[way].Lo]
+		el.Ways = el.Ways[:way]
+		el.dropTags(false, way)
 	}
-	return numparse.FloatExact(v)
+	return -1
+}
+
+func (el *Elements) dropRel(rel int) int {
+	if rel >= 0 {
+		el.Members = el.Members[:el.Rels[rel].Lo]
+		el.Rels = el.Rels[:rel]
+		el.dropTags(true, rel)
+	}
+	return -1
+}
+
+func (el *Elements) dropTags(rel bool, elem int) {
+	kept := el.tags[:0]
+	for _, t := range el.tags {
+		if t.rel != rel || t.elem != elem {
+			kept = append(kept, t)
+		}
+	}
+	el.tags = kept
 }
 
 // internAttr maps the small closed vocabulary of member attributes to
@@ -195,6 +443,68 @@ func internAttr(b []byte) string {
 	return string(b) //lint:atgis-allow hotalloc one copy on intern miss is the point: members outlive the mapped block (mmapalias)
 }
 
+// Way is a parsed way element, as ParseBlock's Handler receives it.
+type Way struct {
+	ID   int64
+	Refs []int64
+	Tags map[string]string
+	Off  int64
+}
+
+// Relation is a parsed relation element, as ParseBlock's Handler
+// receives it.
+type Relation struct {
+	ID      int64
+	Members []Member
+	Tags    map[string]string
+	Off     int64
+}
+
+// Handler receives parsed elements.
+type Handler struct {
+	OnNode     func(id int64, p geom.Point)
+	OnWay      func(w *Way)
+	OnRelation func(r *Relation)
+}
+
+// ParseBlock is ParseElements for a caller that wants one object per
+// element, tags included: it parses the block into columns and hands h
+// the block's nodes, then its ways, then its relations, each in input
+// order — everything that precedes a malformed element when the block
+// has one.
+func ParseBlock(input []byte, start, end int64, h *Handler) error {
+	var el Elements
+	err := el.parse(input, start, end, true)
+	if h.OnNode != nil {
+		for i, id := range el.NodeIDs {
+			h.OnNode(id, el.NodePts[i])
+		}
+	}
+	wayTags := make([]map[string]string, len(el.Ways))
+	relTags := make([]map[string]string, len(el.Rels))
+	for _, t := range el.tags {
+		of := wayTags
+		if t.rel {
+			of = relTags
+		}
+		if of[t.elem] == nil {
+			of[t.elem] = make(map[string]string)
+		}
+		of[t.elem][t.k] = t.v
+	}
+	if h.OnWay != nil {
+		for i, w := range el.Ways {
+			h.OnWay(&Way{ID: w.ID, Refs: slices.Clone(el.WayRefs(i)), Tags: wayTags[i], Off: w.Off})
+		}
+	}
+	if h.OnRelation != nil {
+		for i, r := range el.Rels {
+			h.OnRelation(&Relation{ID: r.ID, Members: slices.Clone(el.RelMembers(i)), Tags: relTags[i], Off: r.Off})
+		}
+	}
+	return err
+}
+
 // ElementKind classifies a top-level OSM element.
 type ElementKind uint8
 
@@ -211,147 +521,23 @@ const (
 //atgis:hotpath
 func lineKind(line []byte) ElementKind {
 	i := 0
-	for i < len(line) && (line[i] == ' ' || line[i] == '\t') {
+	for i < len(line) && isSpace(line[i]) {
 		i++
 	}
-	rest := line[i:]
-	switch {
-	case hasPrefix(rest, "<node"):
-		return ElemNode
-	case hasPrefix(rest, "<way"):
-		return ElemWay
-	case hasPrefix(rest, "<relation"):
-		return ElemRelation
-	default:
+	if i >= len(line) || line[i] != '<' {
 		return ElemOther
 	}
-}
-
-func hasPrefix(b []byte, p string) bool {
-	if len(b) < len(p) {
-		return false
+	rest := line[i+1:]
+	if _, ok := elemName(rest, "node"); ok {
+		return ElemNode
 	}
-	return string(b[:len(p)]) == p
-}
-
-// Handler receives parsed elements.
-type Handler struct {
-	OnNode     func(id int64, p geom.Point)
-	OnWay      func(w *Way)
-	OnRelation func(r *Relation)
-}
-
-// ParseBlock parses the element lines in input[start:end). Blocks must
-// begin at line starts; multi-line elements (way, relation) must be fully
-// contained, which SplitElements guarantees.
-//
-//atgis:hotpath
-func ParseBlock(input []byte, start, end int64, h *Handler) error {
-	pos := start
-	var way *Way
-	var rel *Relation
-	for pos < end {
-		nl := pos
-		for nl < end && input[nl] != '\n' {
-			nl++
-		}
-		line := trimLine(input[pos:nl])
-		lineOff := pos
-		pos = nl + 1
-		if len(line) == 0 {
-			continue
-		}
-		sc := attrScanner{line}
-		switch {
-		case hasPrefix(line, "<node"):
-			id, ok1 := sc.attrInt("id")
-			lat, ok2 := sc.attrFloat("lat")
-			lon, ok3 := sc.attrFloat("lon")
-			if !ok1 || !ok2 || !ok3 {
-				return fmt.Errorf("osmxml: bad node at offset %d: %.60q", lineOff, line) //lint:atgis-allow hotalloc cold malformed-input error path, aborts the block
-			}
-			if h.OnNode != nil {
-				h.OnNode(id, geom.Point{X: lon, Y: lat})
-			}
-		case hasPrefix(line, "<way"):
-			id, ok := sc.attrInt("id")
-			if !ok {
-				return fmt.Errorf("osmxml: bad way at offset %d", lineOff) //lint:atgis-allow hotalloc cold malformed-input error path, aborts the block
-			}
-			way = &Way{ID: id, Off: lineOff}
-			if line[len(line)-2] == '/' { // self-closing
-				if h.OnWay != nil {
-					h.OnWay(way)
-				}
-				way = nil
-			}
-		case hasPrefix(line, "</way"):
-			if way != nil && h.OnWay != nil {
-				h.OnWay(way)
-			}
-			way = nil
-		case hasPrefix(line, "<relation"):
-			id, ok := sc.attrInt("id")
-			if !ok {
-				return fmt.Errorf("osmxml: bad relation at offset %d", lineOff) //lint:atgis-allow hotalloc cold malformed-input error path, aborts the block
-			}
-			rel = &Relation{ID: id, Off: lineOff}
-			if line[len(line)-2] == '/' {
-				if h.OnRelation != nil {
-					h.OnRelation(rel)
-				}
-				rel = nil
-			}
-		case hasPrefix(line, "</relation"):
-			if rel != nil && h.OnRelation != nil {
-				h.OnRelation(rel)
-			}
-			rel = nil
-		case hasPrefix(line, "<nd"):
-			if way != nil {
-				if ref, ok := sc.attrInt("ref"); ok {
-					way.Refs = append(way.Refs, ref)
-				}
-			}
-		case hasPrefix(line, "<member"):
-			if rel != nil {
-				ref, _ := sc.attrInt("ref")
-				rel.Members = append(rel.Members, Member{
-					Type: internAttr(sc.attr("type")),
-					Ref:  ref,
-					Role: internAttr(sc.attr("role")),
-				})
-			}
-		case hasPrefix(line, "<tag"):
-			k := string(sc.attr("k")) //lint:atgis-allow hotalloc tag keys are retained in the element map beyond the mapped block, so the copy is required
-			v := string(sc.attr("v")) //lint:atgis-allow hotalloc tag values are retained in the element map beyond the mapped block, so the copy is required
-			switch {
-			case way != nil:
-				if way.Tags == nil {
-					way.Tags = make(map[string]string) //lint:atgis-allow hotalloc lazy per-element map, allocated only for the minority of tagged ways
-				}
-				way.Tags[k] = v
-			case rel != nil:
-				if rel.Tags == nil {
-					rel.Tags = make(map[string]string) //lint:atgis-allow hotalloc lazy per-element map, allocated only for the minority of tagged relations
-				}
-				rel.Tags[k] = v
-			}
-		}
+	if _, ok := elemName(rest, "way"); ok {
+		return ElemWay
 	}
-	return nil
-}
-
-func trimLine(line []byte) []byte {
-	start := 0
-	for start < len(line) && (line[start] == ' ' || line[start] == '\t' || line[start] == '\r') {
-		start++
+	if _, ok := elemName(rest, "relation"); ok {
+		return ElemRelation
 	}
-	end := len(line)
-	for end > start && (line[end-1] == ' ' || line[end-1] == '\t' || line[end-1] == '\r') {
-		end--
-	}
-	return line[start:end]
+	return ElemOther
 }
 
 // SplitElements returns block cut offsets that fall on top-level element
@@ -373,19 +559,23 @@ func SplitElementsStream(input []byte, blockSize int, yieldCut func(int64) bool)
 	for target := blockSize; target < len(input); {
 		// Advance to the next line start at or after target.
 		i := target
-		for i < len(input) && input[i-1] != '\n' {
-			i++
+		if input[i-1] != '\n' {
+			nl := bytes.IndexByte(input[i:], '\n')
+			if nl < 0 {
+				break
+			}
+			i += nl + 1
 		}
 		// Advance further to a line opening a top-level element.
 		for i < len(input) {
-			nl := i
-			for nl < len(input) && input[nl] != '\n' {
-				nl++
+			nl := bytes.IndexByte(input[i:], '\n')
+			if nl < 0 {
+				nl = len(input) - i
 			}
-			if lineKind(trimLine(input[i:nl])) != ElemOther {
+			if lineKind(input[i:i+nl]) != ElemOther {
 				break
 			}
-			i = nl + 1
+			i += nl + 1
 		}
 		if i >= len(input) {
 			break
@@ -395,77 +585,6 @@ func SplitElementsStream(input []byte, blockSize int, yieldCut func(int64) bool)
 		}
 		target = i + blockSize
 	}
-}
-
-// AssembleWay converts a way into a geometry using the node table:
-// closed ways become polygons (the building/area convention), open ways
-// linestrings.
-func AssembleWay(w *Way, nodes *NodeTable) (geom.Geometry, error) {
-	pts := make([]geom.Point, 0, len(w.Refs))
-	for _, ref := range w.Refs {
-		p, ok := nodes.Get(ref)
-		if !ok {
-			return nil, fmt.Errorf("osmxml: way %d references missing node %d", w.ID, ref)
-		}
-		pts = append(pts, p)
-	}
-	if len(pts) >= 4 && pts[0].Equal(pts[len(pts)-1]) {
-		return geom.Polygon{geom.Ring(pts)}, nil
-	}
-	return geom.LineString(pts), nil
-}
-
-// AssembleRelation builds a multipolygon from a relation's way members.
-// Outer members become polygon shells and inner members holes of the
-// shell that contains them.
-func AssembleRelation(r *Relation, ways *WayTable, nodes *NodeTable) (geom.Geometry, error) {
-	var outers []geom.Ring
-	var inners []geom.Ring
-	for _, m := range r.Members {
-		if m.Type != "way" {
-			continue
-		}
-		w, ok := ways.Get(m.Ref)
-		if !ok {
-			return nil, fmt.Errorf("osmxml: relation %d references missing way %d", r.ID, m.Ref)
-		}
-		pts := make([]geom.Point, 0, len(w.Refs))
-		for _, ref := range w.Refs {
-			p, ok := nodes.Get(ref)
-			if !ok {
-				return nil, fmt.Errorf("osmxml: way %d references missing node %d", w.ID, ref)
-			}
-			pts = append(pts, p)
-		}
-		ring := geom.Ring(pts).Canonical()
-		if m.Role == "inner" {
-			inners = append(inners, ring)
-		} else {
-			outers = append(outers, ring)
-		}
-	}
-	if len(outers) == 0 {
-		return nil, fmt.Errorf("osmxml: relation %d has no outer ways", r.ID)
-	}
-	mp := make(geom.MultiPolygon, 0, len(outers))
-	for _, o := range outers {
-		mp = append(mp, geom.Polygon{o})
-	}
-	for _, in := range inners {
-		if len(in) == 0 {
-			continue
-		}
-		for i := range mp {
-			if geom.LocatePointInRing(in[0], mp[i][0]) == geom.Inside {
-				mp[i] = append(mp[i], in)
-				break
-			}
-		}
-	}
-	if len(mp) == 1 {
-		return mp[0], nil
-	}
-	return mp, nil
 }
 
 // Writer emits planet-style OSM XML.

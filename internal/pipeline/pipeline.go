@@ -99,6 +99,23 @@ func (s Stats) ThroughputMBs() float64 {
 	return float64(s.Bytes) / (1 << 20) / t
 }
 
+// Add returns the stats of s followed by o — two runs, or a run and the
+// fold work after it, that together are one pass over the same input:
+// times, blocks and allocation deltas add up, the input is counted once.
+func (s Stats) Add(o Stats) Stats {
+	s.SplitTime += o.SplitTime
+	s.ProcessTime += o.ProcessTime
+	s.MergeTime += o.MergeTime
+	s.WallTime += o.WallTime
+	s.Blocks += o.Blocks
+	s.Bytes = max(s.Bytes, o.Bytes)
+	s.Workers = max(s.Workers, o.Workers)
+	s.AllocBytes += o.AllocBytes
+	s.AllocObjects += o.AllocObjects
+	s.GCCycles += o.GCCycles
+	return s
+}
+
 // StreamSplitter finds the block boundaries of an input incrementally:
 // cuts are yielded as they are found, so processing starts before
 // splitting completes. Blocks are the regions between consecutive cuts.
@@ -143,20 +160,55 @@ type item[R any] struct {
 	ready   chan struct{}
 }
 
-var allocMetrics = []string{
-	"/gc/heap/allocs:bytes",
-	"/gc/heap/allocs:objects",
-	"/gc/cycles/total:gc-cycles",
+// span measures a stretch of a pass the way Stats reports it: the wall
+// clock and the process-wide allocation counters.
+type span struct {
+	t0      time.Time
+	samples [3]metrics.Sample
+	base    [3]uint64
 }
 
-func readAllocMetrics(samples []metrics.Sample) (bytes, objects, cycles uint64) {
-	metrics.Read(samples)
-	for i := range samples {
-		if samples[i].Value.Kind() != metrics.KindUint64 {
-			return 0, 0, 0
+func startSpan() *span {
+	sp := &span{samples: [3]metrics.Sample{
+		{Name: "/gc/heap/allocs:bytes"},
+		{Name: "/gc/heap/allocs:objects"},
+		{Name: "/gc/cycles/total:gc-cycles"},
+	}}
+	sp.base = sp.read()
+	sp.t0 = time.Now()
+	return sp
+}
+
+func (sp *span) read() (v [3]uint64) {
+	metrics.Read(sp.samples[:])
+	for i := range sp.samples {
+		if sp.samples[i].Value.Kind() != metrics.KindUint64 {
+			return [3]uint64{}
 		}
+		v[i] = sp.samples[i].Value.Uint64()
 	}
-	return samples[0].Value.Uint64(), samples[1].Value.Uint64(), samples[2].Value.Uint64()
+	return v
+}
+
+// end sets st's wall time and allocation deltas to the span's.
+func (sp *span) end(st *Stats) {
+	st.WallTime = time.Since(sp.t0)
+	now := sp.read()
+	st.AllocBytes = now[0] - sp.base[0]
+	st.AllocObjects = now[1] - sp.base[1]
+	st.GCCycles = now[2] - sp.base[2]
+}
+
+// Tail measures f, the work a pass does on the fold goroutine after its
+// run (a fold's finish), as stats to Add to the run's: wall and merge
+// time, and what it allocated.
+func Tail(f func()) Stats {
+	var st Stats
+	sp := startSpan()
+	f()
+	sp.end(&st)
+	st.MergeTime = st.WallTime
+	return st
 }
 
 // Exec selects where a run's processing happens: on a shared persistent
@@ -239,13 +291,7 @@ func RunCtx[R any](
 	st.Workers = workers
 	st.Bytes = int64(len(input))
 
-	samples := make([]metrics.Sample, len(allocMetrics))
-	for i, name := range allocMetrics {
-		samples[i].Name = name
-	}
-	ab0, ao0, gc0 := readAllocMetrics(samples)
-
-	t0 := time.Now()
+	sp := startSpan()
 	// failRun cancels the run with a typed pass error as the cause; the
 	// splitter, workers and fold all observe the cancellation through
 	// ctx, and the cause is what RunCtx returns.
@@ -415,7 +461,7 @@ func RunCtx[R any](
 	}
 	<-splitDone
 
-	st.WallTime = time.Since(t0)
+	sp.end(&st)
 	st.Blocks = blocks
 	st.SplitTime = splitDur
 	st.MergeTime = mergeTime
@@ -423,10 +469,6 @@ func RunCtx[R any](
 	if st.ProcessTime < 0 {
 		st.ProcessTime = 0
 	}
-	ab1, ao1, gc1 := readAllocMetrics(samples)
-	st.AllocBytes = ab1 - ab0
-	st.AllocObjects = ao1 - ao0
-	st.GCCycles = gc1 - gc0
 	if err := ctx.Err(); err != nil {
 		// Prefer the cancellation cause: a pass failure (panic, source
 		// fault) cancelled the run with its typed error as cause. Plain

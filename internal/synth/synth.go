@@ -1,6 +1,7 @@
 // Package synth generates the evaluation datasets of the paper's Table 2
 // as deterministic, seeded synthetic equivalents (the substitution for
-// the 592 GB OpenStreetMap planet dump is documented in DESIGN.md):
+// the 592 GB OpenStreetMap planet dump is recorded in the paper map of
+// docs/ARCHITECTURE.md):
 //
 //   - OSM-like feature collections: mixed polygons, multipolygons and
 //     linestrings with ids and free-form metadata, written as GeoJSON

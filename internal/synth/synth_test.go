@@ -138,37 +138,29 @@ func TestGeneratedOSMXMLParsesAndAssembles(t *testing.T) {
 		t.Fatal(err)
 	}
 	input := buf.Bytes()
-	nodes := osmxml.NewNodeTable()
-	wayTab := osmxml.NewWayTable()
-	var ways []*osmxml.Way
-	var rels []*osmxml.Relation
-	err := osmxml.ParseBlock(input, 0, int64(len(input)), &osmxml.Handler{
-		OnNode: nodes.Put,
-		OnWay: func(w *osmxml.Way) {
-			wayTab.Put(w)
-			ways = append(ways, w)
-		},
-		OnRelation: func(r *osmxml.Relation) { rels = append(rels, r) },
-	})
+	el, err := osmxml.ParseElements(input, 0, int64(len(input)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nodes.Len() == 0 || len(ways) == 0 {
-		t.Fatalf("nodes=%d ways=%d", nodes.Len(), len(ways))
+	if len(el.NodeIDs) == 0 || len(el.Ways) == 0 || len(el.Rels) == 0 {
+		t.Fatalf("nodes=%d ways=%d relations=%d", len(el.NodeIDs), len(el.Ways), len(el.Rels))
 	}
+	nodes := osmxml.NewNodeTable()
+	nodes.Append(el.NodeIDs, el.NodePts, el.Ascending)
+	blocks := []osmxml.Elements{el}
+	r := osmxml.Link(nodes, blocks).Resolver()
 	// All ways and relations must assemble.
-	for _, w := range ways {
-		if _, err := osmxml.AssembleWay(w, nodes); err != nil {
+	for i := range blocks[0].Ways {
+		if _, err := r.Way(&blocks[0], i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, r := range rels {
-		g, err := osmxml.AssembleRelation(r, wayTab, nodes)
-		if err != nil {
+	for i, rel := range blocks[0].Rels {
+		if _, err := r.Relation(&blocks[0], i); err != nil {
 			t.Fatal(err)
 		}
-		if g.NumPoints() == 0 {
-			t.Fatalf("relation %d empty", r.ID)
+		if r.Build().NumPoints() == 0 {
+			t.Fatalf("relation %d empty", rel.ID)
 		}
 	}
 }

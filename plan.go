@@ -265,7 +265,8 @@ func runPlan[F any](ctx context.Context, e *Engine, pl *blockPlan, opt Options, 
 		err = failed
 	}
 	if err == nil && d.finish != nil {
-		err = d.finish(ctx, lastLive)
+		// Still the pass: its wall clock, merge time and allocations count.
+		st = st.Add(pipeline.Tail(func() { err = d.finish(ctx, lastLive) }))
 	}
 	if d.counts != nil {
 		repaired, reprocessed = d.counts()

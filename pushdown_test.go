@@ -3,11 +3,13 @@ package atgis
 // Invariants of the cold window pushdown: Prepare hands the extraction
 // machine the window the sidecar planner would prune against
 // (pruneWindow), and the machine drops a feature whose bounding box
-// misses it before building anything. That may change cost only. Every
-// cell of {PAT, FAT} × {intersects, within, disjoint, no reference} ×
-// {Streaming, Buffered} runs with the pushdown and with it forced off
-// (noWindowPushdown); the summary and the streamed records must be
-// byte-identical, float aggregates compared as bit patterns.
+// misses it before building anything (OSM XML's pass 2 does the same
+// before resolving a way into geometry). That may change cost only. Every
+// cell of {GeoJSON PAT, GeoJSON FAT, OSM XML} × {intersects, within,
+// disjoint, no reference} × {Streaming, Buffered} runs with the pushdown
+// and with it forced off (noWindowPushdown); the summary and the streamed
+// records must be byte-identical, float aggregates compared as bit
+// patterns.
 
 import (
 	"context"
@@ -30,11 +32,18 @@ func withoutPushdown(f func()) {
 }
 
 func TestWindowPushdownInvariant(t *testing.T) {
-	path := writeSidecarCorpus(t, GeoJSON)
-	src := mustOpen(t, path)
 	eng := NewEngine(EngineConfig{Workers: 4})
 	defer eng.Close()
+	for _, format := range []Format{GeoJSON, OSMXML} {
+		modes := []Mode{PAT}
+		if format == GeoJSON {
+			modes = append(modes, FAT)
+		}
+		testWindowPushdown(t, eng, mustOpen(t, writeSidecarCorpus(t, format)), modes)
+	}
+}
 
+func testWindowPushdown(t *testing.T, eng *Engine, src *MappedSource, modes []Mode) {
 	type predCase struct {
 		name   string
 		pred   query.Predicate
@@ -47,10 +56,10 @@ func TestWindowPushdownInvariant(t *testing.T) {
 		{"disjoint", query.PredDisjoint, false, false},
 		{"noref", query.PredIntersects, true, false},
 	}
-	for _, mode := range []Mode{PAT, FAT} {
+	for _, mode := range modes {
 		for _, pc := range preds {
 			for _, fm := range []query.FilterMode{query.Streaming, query.Buffered} {
-				name := fmt.Sprintf("%v/%s/%v", mode, pc.name, fm)
+				name := fmt.Sprintf("%v/%v/%s/%v", src.DataFormat(), mode, pc.name, fm)
 				spec := diffSpec(pc.pred, 0.15, true)
 				spec.Mode = fm
 				spec.WantHull = true

@@ -436,7 +436,16 @@ func TestSidecarDifferential(t *testing.T) {
 // so the .atgx a selective first pass writes is byte-identical to the
 // one a pass that materialises everything writes.
 func TestSidecarTapeIndependentOfWindow(t *testing.T) {
-	path := writeSidecarCorpus(t, GeoJSON)
+	for _, format := range []Format{GeoJSON, OSMXML} {
+		modes := []Mode{PAT}
+		if format == GeoJSON {
+			modes = append(modes, FAT)
+		}
+		t.Run(format.String(), func(t *testing.T) { testTapeIndependentOfWindow(t, writeSidecarCorpus(t, format), modes) })
+	}
+}
+
+func testTapeIndependentOfWindow(t *testing.T, path string, modes []Mode) {
 	record := func(spec *query.Spec, mode Mode) []byte {
 		t.Helper()
 		eng := NewEngine(EngineConfig{Workers: 4, Sidecar: SidecarReadWrite})
@@ -461,7 +470,7 @@ func TestSidecarTapeIndependentOfWindow(t *testing.T) {
 	full.Ref = nil // no window: every geometry is built
 	want := record(full, PAT)
 	selective := diffSpec(query.PredIntersects, 0.02, false)
-	for _, mode := range []Mode{PAT, FAT} {
+	for _, mode := range modes {
 		if got := record(selective, mode); string(got) != string(want) {
 			t.Errorf("%v: tape recorded by a selective pass differs from the full pass's (%d vs %d bytes)", mode, len(got), len(want))
 		}

@@ -109,7 +109,12 @@ type Result struct {
 
 // JoinSpec describes a two-pass spatial join (Table 3): the dataset is
 // split into two sides by Mask and intersecting pairs across sides are
-// reported.
+// reported. The first pass is the parallel bounding pipeline of every
+// format — workers extract each feature's bounding box, the ordered fold
+// bins it into the one pair of partition sets — so per-cell insertion
+// order is input order whatever the block size or worker count. (Fig. 15's
+// other arm, a partition set per thread merged afterwards, is not
+// reproduced: a fragment costs a full grid of cells per block.)
 type JoinSpec struct {
 	// Mask routes each feature to side A (bit query.SideA) and/or side B.
 	Mask func(f *geom.Feature) uint8
@@ -119,10 +124,6 @@ type JoinSpec struct {
 	Store partition.StoreKind
 	// Predicate refines candidate pairs; nil means ST_Intersects.
 	Predicate func(a, b geom.Geometry) bool
-	// SeparatePartitionPhase runs partition insertion as a sequential
-	// phase after the parallel bounding pipeline instead of merging
-	// per-block partition sets (paper Fig. 15 (c)/(d)).
-	SeparatePartitionPhase bool
 	// SortThreshold bounds the join's candidate batches.
 	SortThreshold int
 	// BatchCells is the sweep's scheduling quantum in grid cells (0 =

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"atgis/internal/geom"
@@ -199,6 +200,32 @@ func TestJoinAcrossFormats(t *testing.T) {
 	}
 }
 
+// TestJoinCRLF: the join's WKT reparser hands a line over with its
+// carriage return, which the parser must keep accepting now that it
+// rejects trailing bytes: a CRLF rendering joins to the same id pairs.
+func TestJoinCRLF(t *testing.T) {
+	lf := genDataset(t, WKT, 150)
+	crlf, err := FromBytes(bytes.ReplaceAll(lf.Bytes(), []byte("\n"), []byte("\r\n")), WKT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := func(ds *Dataset) [][2]int64 {
+		jr, err := new(Engine).Join(context.Background(), ds, JoinSpec{CellSize: 30}, Options{Workers: 2, BlockSize: 4 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([][2]int64, len(jr.Pairs))
+		for i, p := range jr.Pairs {
+			out[i] = [2]int64{p.AID, p.BID}
+		}
+		return out
+	}
+	want, got := ids(lf), ids(crlf)
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("CRLF join: %d pairs, LF join: %d", len(got), len(want))
+	}
+}
+
 func TestJoinPartitionOptions(t *testing.T) {
 	// Dense deterministic grid of overlapping squares guarantees pairs.
 	var buf bytes.Buffer
@@ -232,25 +259,22 @@ func TestJoinPartitionOptions(t *testing.T) {
 		return query.SideB
 	}
 	var baseline int
-	for _, sep := range []bool{false, true} {
-		for _, store := range []partition.StoreKind{partition.ArrayStore, partition.ListStore} {
-			jr, err := new(Engine).Join(context.Background(), ds, JoinSpec{
-				Mask: mask, CellSize: 15, Store: store,
-				SeparatePartitionPhase: sep,
-			}, Options{Workers: 2})
-			if err != nil {
-				t.Fatalf("sep=%v store=%v: %v", sep, store, err)
-			}
+	for _, store := range []partition.StoreKind{partition.ArrayStore, partition.ListStore} {
+		jr, err := new(Engine).Join(context.Background(), ds, JoinSpec{
+			Mask: mask, CellSize: 15, Store: store,
+		}, Options{Workers: 2})
+		if err != nil {
+			t.Fatalf("store=%v: %v", store, err)
+		}
+		if baseline == 0 {
+			baseline = len(jr.Pairs)
 			if baseline == 0 {
-				baseline = len(jr.Pairs)
-				if baseline == 0 {
-					t.Fatal("no join results; bad test data")
-				}
-				continue
+				t.Fatal("no join results; bad test data")
 			}
-			if len(jr.Pairs) != baseline {
-				t.Fatalf("sep=%v store=%v: pairs %d != %d", sep, store, len(jr.Pairs), baseline)
-			}
+			continue
+		}
+		if len(jr.Pairs) != baseline {
+			t.Fatalf("store=%v: pairs %d != %d", store, len(jr.Pairs), baseline)
 		}
 	}
 }

@@ -231,8 +231,8 @@ func BenchmarkFig14Skew(b *testing.B) {
 	}
 }
 
-// BenchmarkFig15Partitioning covers Fig. 15: store kind and phase
-// placement at two cell sizes.
+// BenchmarkFig15Partitioning covers Fig. 15: store kind at two cell
+// sizes.
 func BenchmarkFig15Partitioning(b *testing.B) {
 	ds := benchDataset(b, GeoJSON, 600, 0)
 	mask := func(f *geom.Feature) uint8 {
@@ -243,20 +243,17 @@ func BenchmarkFig15Partitioning(b *testing.B) {
 	}
 	for _, cell := range []float64{0.5, 4} {
 		for _, store := range []partition.StoreKind{partition.ArrayStore, partition.ListStore} {
-			for _, sep := range []bool{false, true} {
-				name := fmt.Sprintf("cell=%g/%v/sep=%v", cell, store, sep)
-				b.Run(name, func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						_, err := new(Engine).Join(context.Background(), ds, JoinSpec{
-							Mask: mask, CellSize: cell, Store: store,
-							SeparatePartitionPhase: sep,
-						}, Options{Mode: FAT, BlockSize: 64 << 10})
-						if err != nil {
-							b.Fatal(err)
-						}
+			name := fmt.Sprintf("cell=%g/%v", cell, store)
+			b.Run(name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					_, err := new(Engine).Join(context.Background(), ds, JoinSpec{
+						Mask: mask, CellSize: cell, Store: store,
+					}, Options{Mode: FAT, BlockSize: 64 << 10})
+					if err != nil {
+						b.Fatal(err)
 					}
-				})
-			}
+				}
+			})
 		}
 	}
 }

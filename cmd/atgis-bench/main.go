@@ -5,22 +5,16 @@
 //	atgis-bench -exp fig10 -features 8000
 //	atgis-bench -list
 //
-// It is also the machine-readable perf-trajectory tool:
-//
-//	atgis-bench -json            # headline micro-benchmarks as JSON
-//	atgis-bench -json -quick     # smaller data, shorter runs
-//
 // Performance claims are not decided here: bench/run.sh (BENCHMARK.json)
-// measures parent and change end to end; the BENCH_prN.json files are
-// the -json record of PRs 1-14.
+// measures parent and change end to end. The frozen micro series this
+// command used to print (PRs 1-14) is kept in docs/bench-history.json;
+// bench/README.md maps its names to the metrics that replaced them.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"testing"
 
 	"atgis/internal/experiments"
 )
@@ -30,11 +24,6 @@ var ids = []string{
 	"fig12", "fig13a", "fig13b", "fig14a", "fig14b", "fig15",
 }
 
-// quickFeatures is the -quick dataset scale: small enough for a CI
-// runner, large enough that per-block scheduling and parsing dominate
-// fixed per-op overheads (MB/s stays comparable across scales).
-const quickFeatures = 800
-
 func main() {
 	exp := flag.String("exp", "all", "experiment id or 'all'")
 	features := flag.Int("features", 0, "dataset size in objects (0 = default)")
@@ -42,10 +31,6 @@ func main() {
 	workers := flag.Int("workers", 0, "max workers for scaling sweeps (0 = NumCPU)")
 	seed := flag.Int64("seed", 0, "dataset seed (0 = default)")
 	list := flag.Bool("list", false, "list experiment ids")
-	jsonOut := flag.Bool("json", false,
-		"run the headline micro-benchmarks and emit a machine-readable JSON summary (name, ns/op, MB/s, allocs/op)")
-	quick := flag.Bool("quick", false,
-		"CI scale for -json: smaller datasets and ~300ms benchtime instead of 1s")
 	flag.Parse()
 
 	if *list {
@@ -59,31 +44,6 @@ func main() {
 		JoinFeatures: *joinFeatures,
 		MaxWorkers:   *workers,
 		Seed:         *seed,
-	}
-	if *quick {
-		if cfg.Features == 0 {
-			cfg.Features = quickFeatures
-		}
-		// testing.Benchmark honours the standard -test.benchtime flag;
-		// registering the testing flags late keeps them off our CLI.
-		testing.Init()
-		if err := flag.Set("test.benchtime", "300ms"); err != nil {
-			fmt.Fprintln(os.Stderr, "atgis-bench: set benchtime:", err)
-			os.Exit(1)
-		}
-	}
-
-	if *jsonOut {
-		if *exp != "all" {
-			fmt.Fprintln(os.Stderr, "atgis-bench: -json runs the fixed micro-benchmark suite; -exp is ignored")
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(experiments.Micro(cfg)); err != nil {
-			fmt.Fprintln(os.Stderr, "atgis-bench:", err)
-			os.Exit(1)
-		}
-		return
 	}
 	if *exp == "all" {
 		for _, r := range experiments.All(cfg) {

@@ -15,57 +15,29 @@ import (
 // what its format package exports, and the one lookup that picks among
 // them.
 
-// featureOps is what a pass does with its source's features. The formats
-// hand them over at different points of a pass, so a pass says what
-// happens at each:
-//
-//   - GeoJSON and OSM XML features leave the ordered fold as the extraction
-//     machine's FeatureOut — bounding box included, cfg's Window, BoundsOnly
-//     and Eval already applied on a worker (out);
-//   - WKT lines parse to whole features on the workers, so the pass chooses
-//     what a worker does with each one (each, threading the block's
-//     fragment from its zero value) and what the fold does with the
-//     fragments, in input order (fold). The query pass collects and then
-//     consumes; the join's partition pass bins inside the worker.
-type featureOps[F any] struct {
-	cfg  *geojson.Config
-	out  func(geojson.FeatureOut)
-	each func(fr F, f geom.Feature) F
-	fold func(fr F) error
-}
-
-// inOrder is the featureOps of a pass that wants every feature on the
-// fold goroutine in input order: WKT workers collect their block's
-// features and the fold hands them to feature.
-func inOrder(cfg *geojson.Config, out func(geojson.FeatureOut), feature func(*geom.Feature)) featureOps[[]geom.Feature] {
-	return featureOps[[]geom.Feature]{
-		cfg:  cfg,
-		out:  out,
-		each: func(fr []geom.Feature, f geom.Feature) []geom.Feature { return append(fr, f) },
-		fold: func(fr []geom.Feature) error {
-			for i := range fr {
-				feature(&fr[i])
-			}
-			return nil
-		},
-	}
-}
+// Every driver honours one extraction contract — geojson.Config in,
+// geojson.FeatureOut out — on its workers: a feature leaves its block with
+// ID, Offset and bounding box, and, unless cfg rejected it on that box
+// before anything was built (Config.Rejects: Window, BoundsOnly), with
+// its geometry, its properties and cfg's evaluation of it. The ordered
+// fold emits the features to the pass's one sink, out, in input order on
+// the fold goroutine.
 
 // runPass is the single driver lookup: it runs pl over src through the
 // driver of src's format. mode matters for GeoJSON only, and FAT only
 // ever sees the cold plan of the whole source (shard.go).
-func runPass[F any](ctx context.Context, e *Engine, src Source, mode Mode, pl *blockPlan, opt Options, ops featureOps[F]) (pipeline.Stats, int, int, error) {
+func runPass(ctx context.Context, e *Engine, src Source, mode Mode, pl *blockPlan, opt Options, cfg *geojson.Config, out func(geojson.FeatureOut)) (pipeline.Stats, int, int, error) {
 	input := src.Bytes()[:pl.stop]
 	switch format := src.DataFormat(); {
 	case format == GeoJSON && mode == FAT:
-		return runPlan(ctx, e, pl, opt, fatDriver(input, ops.cfg, ops.out))
+		return runPlan(ctx, e, pl, opt, fatDriver(input, cfg, out))
 	case format == GeoJSON:
-		return runPlan(ctx, e, pl, opt, patDriver(input, ops.cfg, ops.out))
+		return runPlan(ctx, e, pl, opt, patDriver(input, cfg, out))
 	case format == WKT:
-		return runPlan(ctx, e, pl, opt, wktDriver(input, ops))
+		return runPlan(ctx, e, pl, opt, wktDriver(input, cfg, out))
 	case format == OSMXML:
 		// Two plans, one pass: the second is cut from what the first found.
-		o := &osmPass{input: input, cfg: ops.cfg, out: ops.out, nodes: osmxml.NewNodeTable()}
+		o := &osmPass{input: input, cfg: cfg, out: out, nodes: osmxml.NewNodeTable()}
 		st, _, _, err := runPlan(ctx, e, pl, opt, o.pass1())
 		if err != nil {
 			return st, 0, 0, err
@@ -80,10 +52,10 @@ func runPass[F any](ctx context.Context, e *Engine, src Source, mode Mode, pl *b
 
 // wholePass runs the cold plan of the whole source: what CollectFeatures,
 // the join's partition pass and the OSM reparser all are.
-func wholePass[F any](ctx context.Context, e *Engine, src Source, opt Options, ops featureOps[F]) (pipeline.Stats, error) {
+func wholePass(ctx context.Context, e *Engine, src Source, opt Options, cfg *geojson.Config, out func(geojson.FeatureOut)) (pipeline.Stats, error) {
 	data := src.Bytes()
 	pl := coldPlan(src.DataFormat(), opt.Mode, data, ShardRange{0, int64(len(data))})
-	st, _, _, err := runPass(ctx, e, src, opt.Mode, &pl, opt, ops)
+	st, _, _, err := runPass(ctx, e, src, opt.Mode, &pl, opt, cfg, out)
 	return st, err
 }
 
@@ -132,36 +104,38 @@ func fatDriver(input []byte, cfg *geojson.Config, out func(geojson.FeatureOut)) 
 	}
 }
 
-// wktFrag is a WKT block's fragment: what ops.each made of its features,
-// or the line that failed to parse.
-type wktFrag[F any] struct {
-	fr  F
-	err error
+// wktFeats is a WKT block's fragment: its features, or the line that
+// failed to parse.
+type wktFeats struct {
+	feats []geojson.FeatureOut
+	err   error
 }
 
-// wktDriver parses the lines of each live block on a worker; gaps are
-// never touched and there is no wrapper.
-func wktDriver[F any](input []byte, ops featureOps[F]) *driver[wktFrag[F]] {
-	return &driver[wktFrag[F]]{
+// wktDriver parses the lines of each live block on a worker — box, window
+// reject, build, evaluation, in that order (wkt.ParseFeature) — and the
+// fold only emits; gaps are never touched and there is no wrapper.
+func wktDriver(input []byte, cfg *geojson.Config, out func(geojson.FeatureOut)) *driver[wktFeats] {
+	return &driver[wktFeats]{
 		input: input,
 		cuts:  wkt.SplitLinesStream,
-		process: func(b pipeline.Block) wktFrag[F] {
-			var out wktFrag[F]
-			out.err = wkt.EachLine(input, b.Start, b.End, func(line []byte, off int64) error {
-				f, err := wkt.ParseLine(line, off)
-				if err != nil {
-					return err
+		process: func(b pipeline.Block) (fr wktFeats) {
+			fr.err = wkt.EachLine(input, b.Start, b.End, func(line []byte, off int64) error {
+				f, err := wkt.ParseFeature(line, off, cfg)
+				if err == nil {
+					fr.feats = append(fr.feats, f)
 				}
-				out.fr = ops.each(out.fr, f)
-				return nil
+				return err
 			})
-			return out
+			return fr
 		},
-		add: func(_ pipeline.Block, fr wktFrag[F]) error {
+		add: func(_ pipeline.Block, fr wktFeats) error {
 			if fr.err != nil {
 				return fr.err
 			}
-			return ops.fold(fr.fr)
+			for _, f := range fr.feats {
+				out(f)
+			}
+			return nil
 		},
 	}
 }
@@ -329,23 +303,14 @@ func (o *osmPass) resolve(el *osmxml.Elements) (fr osmFeats) {
 		}
 	}
 	fr.boxes = make([]geom.Box, 0, n)
-	cfg := o.cfg
 	keep := func(id, off int64, box geom.Box) {
 		n := len(fr.boxes)
 		fr.boxes = append(fr.boxes, box)
-		if cfg.BoundsOnly || (cfg.Window != nil && !box.Intersects(*cfg.Window)) {
+		if o.cfg.Rejects(box) {
 			return
 		}
-		kept := osmKept{n: n, geom: r.Build()}
-		if cfg.EvalBox != nil || cfg.Eval != nil {
-			f := &geom.Feature{ID: id, Geom: kept.geom, Offset: off}
-			if cfg.EvalBox != nil {
-				kept.val = cfg.EvalBox(f, box)
-			} else {
-				kept.val = cfg.Eval(f)
-			}
-		}
-		fr.kept = append(fr.kept, kept)
+		f := geom.Feature{ID: id, Geom: r.Build(), Offset: off}
+		fr.kept = append(fr.kept, osmKept{n: n, geom: f.Geom, val: o.cfg.Value(&f, box)})
 	}
 	for i := range el.Ways {
 		w := &el.Ways[i]

@@ -382,9 +382,8 @@ func (e *Engine) CollectFeatures(ctx context.Context, src Source, opt Options) (
 	defer release()
 	opt = e.opts(opt)
 	var feats []geom.Feature
-	_, err = wholePass(ctx, e, src, opt, inOrder(&geojson.Config{PropKeys: opt.PropKeys},
-		func(f geojson.FeatureOut) { feats = append(feats, f.Feature) },
-		func(f *geom.Feature) { feats = append(feats, *f) }))
+	_, err = wholePass(ctx, e, src, opt, &geojson.Config{PropKeys: opt.PropKeys},
+		func(f geojson.FeatureOut) { feats = append(feats, f.Feature) })
 	if err != nil {
 		return nil, err
 	}
@@ -514,11 +513,8 @@ func (e *Engine) joinPartitionPhase(ctx context.Context, src Source, spec *JoinS
 
 	// Sidecar: with a validated index and a bounds-safe mask, the whole
 	// partition pass collapses to a linear walk over the recorded
-	// (id, offset, bbox) tape — no bytes are read. Otherwise a cold
-	// pass may record the tape for next time (GeoJSON and OSM feed the
-	// recorder from their single-threaded folds; the WKT partition pass
-	// bins features inside parallel workers, so WKT tapes are recorded
-	// by query passes only).
+	// (id, offset, bbox) tape — no bytes are read. Otherwise a cold pass
+	// may record the tape for next time.
 	ms, ix := e.sidecarFor(src)
 	boundsSafe := spec.BoundsSafeMask || spec.Mask == nil
 	if ix != nil && boundsSafe {
@@ -532,91 +528,33 @@ func (e *Engine) joinPartitionPhase(ctx context.Context, src Source, spec *JoinS
 		}
 		return merged, extent, st, nil
 	}
-	rec, recDone := e.recorder(ms, ix, src.DataFormat() != WKT)
+	rec, recDone := e.recorder(ms, ix)
 
-	// bin puts one feature into fragment fr and returns it. A fragment
-	// costs a grid of cells, so a pass makes each on demand: nil is the
-	// fragment nothing was binned into yet.
-	bin := func(fr *fragOf, f *geom.Feature, box geom.Box) *fragOf {
-		if fr == nil {
-			fr = &fragOf{}
-			if !spec.SeparatePartitionPhase {
-				fr.sink = query.NewPartitionSink(grid, spec.Store, mask)
-			}
-		}
+	// The partition pass is the whole cold pass — PAT or FAT, like a
+	// query's — minus the fused Eval: every feature bins straight into the
+	// merged sink, on the fold goroutine and in input order. A bounds-safe
+	// mask lets the workers skip building geometry the pass would only take
+	// the bounds of; features then arrive with a nil Geom.
+	cfg := &geojson.Config{PropKeys: opt.PropKeys, BoundsOnly: boundsSafe}
+	stats, err := wholePass(ctx, e, src, opt, cfg, func(f geojson.FeatureOut) {
 		if rec != nil {
-			rec.Add(f.Offset, f.ID, box)
+			rec.Add(f.Feature.Offset, f.Feature.ID, f.Box)
 		}
-		switch {
-		case box.IsEmpty():
-			// no geometry, or an empty one: nothing to bin
-		case spec.SeparatePartitionPhase:
-			// The partition pass only needs bounds; keeps the
-			// separate-phase buffers small.
-			fr.feats = append(fr.feats, geom.Feature{ID: f.ID, Offset: f.Offset, Geom: box.AsPolygon()})
-		default:
-			if f.Geom == nil && spec.Mask != nil {
-				// Bounds-only extraction: a bounds-safe mask may still read
-				// the bounds, which it finds where the warm rebuild puts them.
-				f.Geom = box.AsPolygon()
-			}
-			fr.sink.ConsumeBox(f, box)
+		if f.Box.IsEmpty() {
+			return // no geometry, or an empty one: nothing to bin
 		}
-		return fr
-	}
-	fold := func(fr *fragOf) error {
-		if fr == nil {
-			return nil // nothing was binned
+		if f.Feature.Geom == nil && spec.Mask != nil {
+			// Bounds-only extraction: a bounds-safe mask may still read
+			// the bounds, which it finds where the warm rebuild puts them.
+			f.Feature.Geom = f.Box.AsPolygon()
 		}
-		if !spec.SeparatePartitionPhase {
-			return merged.Merge(fr.sink)
-		}
-		for i := range fr.feats {
-			merged.Consume(&fr.feats[i])
-		}
-		return nil
-	}
-	stats, err := e.partitionPass(ctx, src, opt, boundsSafe, bin, fold)
+		merged.ConsumeBox(&f.Feature, f.Box)
+	})
 	recDone(err)
 	if err != nil {
 		return nil, extent, stats, err
 	}
 	return merged, extent, stats, nil
-}
-
-// fragOf is one fragment of the join's partition pipeline.
-type fragOf struct {
-	sink  *query.PartitionSink
-	feats []geom.Feature // separate-phase mode buffers bounds only
-}
-
-// partitionPass runs the first (partition/bounding) pipeline for joins:
-// the whole cold pass — PAT or FAT, like a query's — minus the fused
-// Eval. Features that arrive on the fold goroutine (GeoJSON, OSM XML)
-// bin into one fragment, folded after the pass; WKT workers bin into
-// their block's own. boundsOnly lets a format that can (GeoJSON, OSM
-// XML) skip building geometry the pass would only take the bounds of;
-// features then arrive with a nil Geom. It must be false when the side
-// mask reads real geometry.
-func (e *Engine) partitionPass(
-	ctx context.Context,
-	src Source,
-	opt Options,
-	boundsOnly bool,
-	bin func(fr *fragOf, f *geom.Feature, box geom.Box) *fragOf,
-	fold func(fr *fragOf) error,
-) (pipeline.Stats, error) {
-	var one *fragOf
-	st, err := wholePass(ctx, e, src, opt, featureOps[*fragOf]{
-		cfg:  &geojson.Config{PropKeys: opt.PropKeys, BoundsOnly: boundsOnly},
-		out:  func(f geojson.FeatureOut) { one = bin(one, &f.Feature, f.Box) },
-		each: func(fr *fragOf, f geom.Feature) *fragOf { return bin(fr, &f, f.Bound()) },
-		fold: fold,
-	})
-	if err != nil {
-		return st, err
-	}
-	return st, fold(one)
 }
 
 // Combined executes the combined query of Table 3: the perimeter filters
@@ -721,7 +659,7 @@ func (e *Engine) reparser(ctx context.Context, src Source, opt Options) (join.Re
 		// penalty). Build an offset-keyed geometry table once.
 		table := make(map[int64]geom.Geometry)
 		put := func(f geojson.FeatureOut) { table[f.Feature.Offset] = f.Feature.Geom }
-		if _, err := wholePass(ctx, e, src, opt, featureOps[struct{}]{cfg: &geojson.Config{}, out: put}); err != nil {
+		if _, err := wholePass(ctx, e, src, opt, &geojson.Config{}, put); err != nil {
 			return nil, err
 		}
 		return func(off int64) (geom.Geometry, error) {

@@ -62,7 +62,7 @@ func TestFindMarkedFuncs(t *testing.T) {
 		"atgis/internal/lexer:ScanXML",
 		"atgis/internal/numparse:Prefix",
 		"atgis/internal/geojson:Machine.OnToken",
-		"atgis/internal/wkt:ParseLine",
+		"atgis/internal/wkt:parser.feature",
 		"atgis/internal/osmxml:Elements.parse",
 	} {
 		if !byName[want] {

@@ -622,46 +622,41 @@ func Fig14(cfg Config, sub string) *Report {
 	return r
 }
 
-// Fig15 sweeps partition size, store kind and partitioning phase for the
-// join (paper Fig. 15), reporting processing (P) and merge (M) times of
-// the partition pipeline plus the join time.
+// Fig15 sweeps partition size and store kind for the join (paper
+// Fig. 15), reporting processing (P) and merge (M) times of the partition
+// pipeline plus the join time. Partitions are inserted by the ordered
+// fold, the figure's separate-phase arm; the per-thread-sets arm is not
+// reproduced (docs/ARCHITECTURE.md, paper map).
 func Fig15(cfg Config) *Report {
 	cfg = cfg.Defaults()
 	data := genJoinGeoJSON(cfg, cfg.JoinFeatures)
 	ds := mustDataset(data, atgis.GeoJSON)
 	r := &Report{
 		ID:    "fig15",
-		Title: "Effect of partition size, storage format and pipeline (ms)",
+		Title: "Effect of partition size and storage format (ms)",
 		Header: []string{
-			"cell(deg)", "store", "phase", "partP(ms)", "partM(ms)", "join(ms)", "total(ms)",
+			"cell(deg)", "store", "partP(ms)", "partM(ms)", "join(ms)", "total(ms)",
 		},
 	}
 	for _, cell := range []float64{0.25, 0.5, 1, 2, 4} {
 		for _, store := range []partition.StoreKind{partition.ArrayStore, partition.ListStore} {
-			for _, sep := range []bool{false, true} {
-				phase := "associative"
-				if sep {
-					phase = "separate"
-				}
-				start := time.Now()
-				jr, err := transient.Join(context.Background(), ds, atgis.JoinSpec{
-					Mask: idParityMask, CellSize: cell,
-					Store: store, SeparatePartitionPhase: sep,
-				}, atgis.Options{Mode: atgis.FAT, BlockSize: 64 << 10})
-				if err != nil {
-					panic(err)
-				}
-				total := time.Since(start)
-				// Splitting overlaps processing, so ProcessTime (wall
-				// minus merge) already covers the split phase; adding
-				// SplitTime would double-count it.
-				pp := jr.PartitionStats.ProcessTime
-				pm := jr.PartitionStats.MergeTime
-				r.Rows = append(r.Rows, []string{
-					fmt.Sprintf("%.2f", cell), store.String(), phase,
-					ms(pp), ms(pm), ms(total - pp - pm), ms(total),
-				})
+			start := time.Now()
+			jr, err := transient.Join(context.Background(), ds, atgis.JoinSpec{
+				Mask: idParityMask, CellSize: cell, Store: store,
+			}, atgis.Options{Mode: atgis.FAT, BlockSize: 64 << 10})
+			if err != nil {
+				panic(err)
 			}
+			total := time.Since(start)
+			// Splitting overlaps processing, so ProcessTime (wall
+			// minus merge) already covers the split phase; adding
+			// SplitTime would double-count it.
+			pp := jr.PartitionStats.ProcessTime
+			pm := jr.PartitionStats.MergeTime
+			r.Rows = append(r.Rows, []string{
+				fmt.Sprintf("%.2f", cell), store.String(),
+				ms(pp), ms(pm), ms(total - pp - pm), ms(total),
+			})
 		}
 	}
 	return r

@@ -109,8 +109,8 @@ func TestFig13Fig14Fig15Smoke(t *testing.T) {
 	checkReport(t, Fig14(tiny(), "b"))
 	r := Fig15(tiny())
 	checkReport(t, r)
-	if len(r.Rows) != 5*2*2 {
-		t.Errorf("fig15 rows = %d, want 20 (5 cells x 2 stores x 2 phases)", len(r.Rows))
+	if len(r.Rows) != 5*2 {
+		t.Errorf("fig15 rows = %d, want 10 (5 cells x 2 stores)", len(r.Rows))
 	}
 }
 

@@ -226,6 +226,29 @@ type Config struct {
 	tokenOnly bool
 }
 
+// Rejects is the reject-before-build rule every format's workers apply to
+// a feature once its bounding box is known and before anything of it is
+// built: under BoundsOnly nothing is ever built, under Window only what
+// meets it. A rejected feature leaves its block as ID, Offset and Box.
+func (c *Config) Rejects(box geom.Box) bool {
+	return c.BoundsOnly || (c.Window != nil && !box.Intersects(*c.Window))
+}
+
+// Value runs EvalBox, or else Eval, on a feature Rejects let through. The
+// callee may keep its argument, which therefore lives on the heap: it
+// gets a copy made here, past the early return, so that a feature nobody
+// evaluates costs no allocation.
+func (c *Config) Value(f *geom.Feature, box geom.Box) any {
+	if c.EvalBox == nil && c.Eval == nil {
+		return nil
+	}
+	held := *f
+	if c.EvalBox != nil {
+		return c.EvalBox(&held, box)
+	}
+	return c.Eval(&held)
+}
+
 func (c *Config) wantsProp(key []byte) bool {
 	for _, k := range c.PropKeys {
 		if string(key) == k {
@@ -892,25 +915,14 @@ func (m *Machine) emitFeature(fb *featBuild, closeOff int64) {
 		out.Feature.Geom = m.buildGeo(fb.geo)
 		out.Box = out.Feature.Bound()
 	}
-	cfg := m.cfg
-	if cfg.BoundsOnly || (cfg.Window != nil && !out.Box.Intersects(*cfg.Window)) {
+	if m.cfg.Rejects(out.Box) {
 		out.Feature.Geom = nil
 	} else {
 		if scanned {
 			out.Feature.Geom = m.buildGeo(fb.geo)
 		}
 		out.Feature.Properties = m.buildProps(fb)
-		if cfg.EvalBox != nil || cfg.Eval != nil {
-			// The callee may keep its argument, which therefore lives on
-			// the heap: give it a copy made on this path only, so that a
-			// rejected feature costs no allocation.
-			f := out.Feature
-			if cfg.EvalBox != nil {
-				out.Val = cfg.EvalBox(&f, out.Box)
-			} else {
-				out.Val = cfg.Eval(&f)
-			}
-		}
+		out.Val = m.cfg.Value(&out.Feature, out.Box)
 	}
 	m.releaseFeat(fb)
 	if m.onFeature != nil {

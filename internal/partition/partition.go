@@ -5,11 +5,10 @@
 // cell, following the PBSM convention; the join stage removes the
 // resulting duplicates.
 //
-// Two storage layouts are provided — arrays (better locality, linear
-// merge) and linked lists (constant-time merge, worse locality) — and
-// partitioning can run either inside the associative pipeline (merged
-// per block) or as a separate sequential phase, the trade-offs measured
-// by the paper's Fig. 15.
+// Two storage layouts are provided — arrays (better locality) and linked
+// lists of chunks (no regrowth copies, worse locality) — the store axis of
+// the paper's Fig. 15. Sets are filled by one inserter, the partition
+// pass's ordered fold; nothing merges them.
 //
 // The grid is the hand-off point between a join's two passes: the
 // partition pass (query.PartitionSink, fed by the same parallel
@@ -23,7 +22,6 @@
 package partition
 
 import (
-	"fmt"
 	"math"
 
 	"atgis/internal/geom"
@@ -42,8 +40,6 @@ type Entry struct {
 type Store interface {
 	// Add appends an entry to cell c.
 	Add(c int, e Entry)
-	// Merge absorbs other (same geometry/cell layout) into the store.
-	Merge(other Store)
 	// Cell returns the entries of cell c (shared storage; do not
 	// modify).
 	Cell(c int) []Entry
@@ -174,20 +170,6 @@ func (s *Set) Insert(e Entry) {
 	}
 }
 
-// Merge absorbs another set built over the same grid and store kind.
-// This is the associative ⊗ of the partition aggregation transducer
-// (paper Fig. 3).
-func (s *Set) Merge(other *Set) error {
-	if other == nil {
-		return nil
-	}
-	if s.Grid != other.Grid || s.Kind != other.Kind {
-		return fmt.Errorf("partition: merging incompatible sets")
-	}
-	s.store.Merge(other.store)
-	return nil
-}
-
 // Cell returns the entries in cell c.
 func (s *Set) Cell(c int) []Entry { return s.store.Cell(c) }
 
@@ -195,7 +177,7 @@ func (s *Set) Cell(c int) []Entry { return s.store.Cell(c) }
 // cells).
 func (s *Set) Len() int { return s.store.Len() }
 
-// arrayStore keeps one slice per cell: good locality, linear merge.
+// arrayStore keeps one slice per cell: good locality.
 type arrayStore struct {
 	cells [][]Entry
 	n     int
@@ -210,26 +192,11 @@ func (s *arrayStore) Add(c int, e Entry) {
 	s.n++
 }
 
-func (s *arrayStore) Merge(other Store) {
-	o := other.(*arrayStore)
-	for c, es := range o.cells {
-		if len(es) == 0 {
-			continue
-		}
-		if len(s.cells[c]) == 0 {
-			s.cells[c] = es // steal the slice
-		} else {
-			s.cells[c] = append(s.cells[c], es...)
-		}
-	}
-	s.n += o.n
-}
-
 func (s *arrayStore) Cell(c int) []Entry { return s.cells[c] }
 func (s *arrayStore) Len() int           { return s.n }
 
-// listStore keeps a linked list of chunks per cell: constant-time merge,
-// cache-unfriendly iteration — the trade-off of paper Fig. 15(b)/(d).
+// listStore keeps a linked list of chunks per cell: appends never copy,
+// iteration is cache-unfriendly — the trade-off of paper Fig. 15(b)/(d).
 type listChunk struct {
 	entries []Entry
 	next    *listChunk
@@ -263,23 +230,6 @@ func (s *listStore) Add(c int, e Entry) {
 	}
 	t.entries = append(t.entries, e)
 	s.n++
-}
-
-func (s *listStore) Merge(other Store) {
-	o := other.(*listStore)
-	for c := range s.heads {
-		if o.heads[c] == nil {
-			continue
-		}
-		if s.heads[c] == nil {
-			s.heads[c] = o.heads[c]
-			s.tails[c] = o.tails[c]
-		} else {
-			s.tails[c].next = o.heads[c]
-			s.tails[c] = o.tails[c]
-		}
-	}
-	s.n += o.n
 }
 
 func (s *listStore) Cell(c int) []Entry {

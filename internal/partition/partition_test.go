@@ -2,7 +2,7 @@ package partition
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"atgis/internal/geom"
@@ -70,76 +70,26 @@ func TestInsertAndDuplication(t *testing.T) {
 	}
 }
 
-func cellIDs(s *Set, c int) []int64 {
-	var ids []int64
-	for _, e := range s.Cell(c) {
-		ids = append(ids, e.ID)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-func TestMergeEquivalentToSequential(t *testing.T) {
+// TestStoreKindsAgree: both stores hold every cell's entries in insertion
+// order — the order the join's output order rests on.
+func TestStoreKindsAgree(t *testing.T) {
 	g := NewGrid(box(0, 0, 100, 100), 10)
 	rng := rand.New(rand.NewSource(7))
-	entries := make([]Entry, 500)
-	for i := range entries {
+	arr, list := NewSet(g, ArrayStore), NewSet(g, ListStore)
+	for i := 0; i < 500; i++ {
 		x := rng.Float64() * 95
 		y := rng.Float64() * 95
-		entries[i] = Entry{
-			Box: box(x, y, x+rng.Float64()*8, y+rng.Float64()*8),
-			ID:  int64(i),
-			Off: int64(i * 100),
-		}
+		e := Entry{Box: box(x, y, x+rng.Float64()*8, y+rng.Float64()*8), ID: int64(i), Off: int64(i * 100)}
+		arr.Insert(e)
+		list.Insert(e)
 	}
-	for _, kind := range []StoreKind{ArrayStore, ListStore} {
-		seq := NewSet(g, kind)
-		for _, e := range entries {
-			seq.Insert(e)
-		}
-		// Partition into 7 chunks, insert separately, merge.
-		parts := make([]*Set, 7)
-		for i := range parts {
-			parts[i] = NewSet(g, kind)
-		}
-		for i, e := range entries {
-			parts[i%7].Insert(e)
-		}
-		merged := parts[0]
-		for _, p := range parts[1:] {
-			if err := merged.Merge(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if merged.Len() != seq.Len() {
-			t.Fatalf("%v: merged len %d != sequential %d", kind, merged.Len(), seq.Len())
-		}
-		for c := 0; c < g.NumCells(); c++ {
-			a, b := cellIDs(seq, c), cellIDs(merged, c)
-			if len(a) != len(b) {
-				t.Fatalf("%v: cell %d count %d != %d", kind, c, len(a), len(b))
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("%v: cell %d ids differ", kind, c)
-				}
-			}
-		}
+	if arr.Len() != list.Len() {
+		t.Fatalf("len %d != %d", arr.Len(), list.Len())
 	}
-}
-
-func TestMergeIncompatible(t *testing.T) {
-	a := NewSet(NewGrid(box(0, 0, 10, 10), 1), ArrayStore)
-	b := NewSet(NewGrid(box(0, 0, 10, 10), 2), ArrayStore)
-	if err := a.Merge(b); err == nil {
-		t.Error("incompatible grids should fail to merge")
-	}
-	c := NewSet(NewGrid(box(0, 0, 10, 10), 1), ListStore)
-	if err := a.Merge(c); err == nil {
-		t.Error("incompatible store kinds should fail to merge")
-	}
-	if err := a.Merge(nil); err != nil {
-		t.Errorf("nil merge should be a no-op: %v", err)
+	for c := 0; c < g.NumCells(); c++ {
+		if a, l := arr.Cell(c), list.Cell(c); !slices.Equal(a, l) {
+			t.Fatalf("cell %d: array store holds %d entries, list store %d, or in another order", c, len(a), len(l))
+		}
 	}
 }
 

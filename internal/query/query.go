@@ -346,14 +346,6 @@ func (p *PartitionSink) ConsumeBox(f *geom.Feature, box geom.Box) {
 	}
 }
 
-// Merge absorbs another sink.
-func (p *PartitionSink) Merge(o *PartitionSink) error {
-	if err := p.Sets[0].Merge(o.Sets[0]); err != nil {
-		return err
-	}
-	return p.Sets[1].Merge(o.Sets[1])
-}
-
 // SelectivityArea returns the fraction of the data extent covered by the
 // reference box — the x-axis of the paper's Fig. 13.
 func SelectivityArea(ref, extent geom.Box) float64 {

@@ -209,17 +209,6 @@ func TestPartitionSinkSides(t *testing.T) {
 	if sink.Sets[0].Len() == 0 || sink.Sets[1].Len() == 0 {
 		t.Fatalf("sides = %d / %d", sink.Sets[0].Len(), sink.Sets[1].Len())
 	}
-	// Merge two sinks.
-	other := NewPartitionSink(g, partition.ArrayStore, nil)
-	f := sqf(100, 50, 50, 2)
-	other.Consume(&f)
-	before := sink.Sets[0].Len()
-	if err := sink.Merge(other); err != nil {
-		t.Fatal(err)
-	}
-	if sink.Sets[0].Len() != before+1 {
-		t.Errorf("merged len = %d", sink.Sets[0].Len())
-	}
 	// A feature may land on both sides (combined query filters).
 	both := NewPartitionSink(g, partition.ArrayStore, func(*geom.Feature) uint8 { return SideA | SideB })
 	f2 := sqf(3, 1, 1, 1)

@@ -3,9 +3,24 @@ package wkt
 // FuzzWKTParseLine feeds arbitrary bytes to the tab-separated WKT line
 // parser. Like the GeoJSON block parsers it runs directly over mmap'd
 // user data inside worker goroutines, so the fuzz contract is strict
-// no-panic: malformed lines must return an error, never crash.
+// no-panic: malformed lines must return an error, never crash. On top of
+// that, the box the parser accumulates must be the built geometry's
+// Bound() bit for bit, and the bounds-only parse — which builds nothing —
+// must agree with the full parse on that box and on whether the line is
+// an error.
 
-import "testing"
+import (
+	"math"
+	"testing"
+
+	"atgis/internal/geojson"
+	"atgis/internal/geom"
+)
+
+func sameBits(a, b geom.Box) bool {
+	eq := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	return eq(a.MinX, b.MinX) && eq(a.MinY, b.MinY) && eq(a.MaxX, b.MaxX) && eq(a.MaxY, b.MaxY)
+}
 
 func FuzzWKTParseLine(f *testing.F) {
 	f.Add([]byte("42\tPOINT (1 2)"))
@@ -17,8 +32,23 @@ func FuzzWKTParseLine(f *testing.F) {
 	f.Add([]byte("1\tPOINT (1e309 -1e309)"))
 	f.Add([]byte("\t\t\t"))
 	f.Add([]byte("2\tGEOMETRYCOLLECTION (POINT (1 2))"))
+	f.Add([]byte("1\tPOINT (2 2) trailing junk"))
+	f.Add([]byte("7\tPOINT (1 2)9\tPOINT (3 4)"))
+	f.Add([]byte("7\tPOINT (1 2) \t\r"))
+	f.Add([]byte("3\tPOLYGON ((0 0, 9 0, 9 9, 0 0), (-5 -5, 20 20, 2 3, -5 -5))"))
+	f.Add([]byte("4\tGEOMETRYCOLLECTION (GEOMETRYCOLLECTION (POINT (-0 0)), MULTIPOLYGON (((0 -0, 1 0, 1 1, 0 -0))))"))
 
 	f.Fuzz(func(t *testing.T, line []byte) {
-		ParseLine(line, 0)
+		full, err := ParseLine(line, 0)
+		bounds, boundsErr := ParseFeature(line, 0, &geojson.Config{BoundsOnly: true})
+		if (err == nil) != (boundsErr == nil) {
+			t.Fatalf("full parse: %v; bounds-only parse: %v", err, boundsErr)
+		}
+		if err != nil {
+			return
+		}
+		if bounds.Feature.Geom != nil || !sameBits(bounds.Box, full.Geom.Bound()) {
+			t.Fatalf("bounds-only parse: geometry %v, box %+v; Bound() = %+v", bounds.Feature.Geom, bounds.Box, full.Geom.Bound())
+		}
 	})
 }

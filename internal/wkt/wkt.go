@@ -7,11 +7,13 @@ package wkt
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
 	"sync"
 
+	"atgis/internal/geojson"
 	"atgis/internal/geom"
 	"atgis/internal/numparse"
 )
@@ -20,79 +22,132 @@ import (
 // geometry ("POINT (1 2)") with no id prefix, in which case the line's
 // byte offset doubles as the feature id. off is the byte offset of the
 // line start, recorded on the feature for join re-parsing.
+func ParseLine(line []byte, off int64) (geom.Feature, error) {
+	out, err := ParseFeature(line, off, &buildAll)
+	return out.Feature, err
+}
+
+// buildAll is the extraction contract of a caller that wants every
+// geometry and nothing else.
+var buildAll geojson.Config
+
+// ParseFeature is ParseLine under the extraction contract the GeoJSON
+// machine and OSM XML's pass 2 honour: ID, Offset and Box always, the
+// geometry and cfg's evaluation only for a feature cfg does not reject.
+// The box accumulates while the line is scanned and equals Geom.Bound()
+// bit for bit; the rejection is decided on it before a point, a ring or a
+// geometry is allocated. Only blanks and one carriage return may follow
+// the geometry: a lost newline must not swallow the next record.
+func ParseFeature(line []byte, off int64, cfg *geojson.Config) (geojson.FeatureOut, error) {
+	p := parserPool.Get().(*parser)
+	defer p.release()
+	return p.feature(line, off, cfg)
+}
+
+// feature is ParseFeature on this parser's scratch buffers.
 //
 //atgis:hotpath
-func ParseLine(line []byte, off int64) (geom.Feature, error) {
-	f := geom.Feature{Offset: off}
+func (p *parser) feature(line []byte, off int64, cfg *geojson.Config) (geojson.FeatureOut, error) {
+	out := geojson.FeatureOut{Feature: geom.Feature{ID: off, Offset: off}}
 	i := 0
-	if len(line) > 0 && isAlpha(line[0]) {
-		// Bare geometry line: no numeric id column.
-		g, _, err := ParseGeometry(line)
-		if err != nil {
-			return f, err
+	if len(line) == 0 || !isAlpha(line[0]) {
+		// Not a bare geometry line: parse the id column.
+		id, neg := int64(0), false
+		if i < len(line) && line[i] == '-' {
+			neg = true
+			i++
 		}
-		f.ID = off
-		f.Geom = g
-		return f, nil
+		start := i
+		for i < len(line) && line[i] >= '0' && line[i] <= '9' {
+			id = id*10 + int64(line[i]-'0')
+			i++
+		}
+		if i == start {
+			return out, fmt.Errorf("wkt: missing id in %.40q", line) //lint:atgis-allow hotalloc cold malformed-line error path
+		}
+		if neg {
+			id = -id
+		}
+		out.Feature.ID = id
+		for i < len(line) && (line[i] == '\t' || line[i] == ' ') {
+			i++
+		}
 	}
-	// Parse the id.
-	neg := false
-	if i < len(line) && line[i] == '-' {
-		neg = true
-		i++
+	p.reset(line[i:], !cfg.BoundsOnly)
+	box, err := p.scan()
+	if err == nil {
+		err = p.end()
 	}
-	start := i
-	for i < len(line) && line[i] >= '0' && line[i] <= '9' {
-		f.ID = f.ID*10 + int64(line[i]-'0')
-		i++
-	}
-	if i == start {
-		return f, fmt.Errorf("wkt: missing id in %.40q", line) //lint:atgis-allow hotalloc cold malformed-line error path
-	}
-	if neg {
-		f.ID = -f.ID
-	}
-	for i < len(line) && (line[i] == '\t' || line[i] == ' ') {
-		i++
-	}
-	g, _, err := ParseGeometry(line[i:])
 	if err != nil {
-		return f, err
+		return out, err
 	}
-	f.Geom = g
-	return f, nil
+	out.Box = box
+	if !cfg.Rejects(box) {
+		out.Feature.Geom = p.build()
+		out.Val = cfg.Value(&out.Feature, box)
+	}
+	return out, nil
 }
 
 func isAlpha(c byte) bool { return (c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z') }
 
-// parserPool recycles parsers (and their point/ring scratch buffers)
-// across lines, so steady-state parsing allocates only the exact-size
-// slices that escape into geometries.
+// parserPool recycles parsers (and their scratch buffers) across lines,
+// so steady-state parsing allocates only the exact-size slices that
+// escape into geometries.
 var parserPool = sync.Pool{New: func() any { return new(parser) }}
 
 // ParseGeometry parses a WKT geometry, returning the geometry and the
 // number of bytes consumed.
 func ParseGeometry(b []byte) (geom.Geometry, int, error) {
 	p := parserPool.Get().(*parser)
-	p.b, p.i = b, 0
-	p.pts, p.rings = p.pts[:0], p.rings[:0]
-	g, err := p.geometry()
-	n := p.i
-	p.b = nil
-	parserPool.Put(p)
-	if err != nil {
-		return nil, n, err
+	defer p.release()
+	p.reset(b, true)
+	if _, err := p.scan(); err != nil {
+		return nil, p.i, err
 	}
-	return g, n, nil
+	return p.build(), p.i, nil
 }
 
+// parser scans a geometry before it builds it. scan validates the text
+// and returns the bounding box; what it read stays in scratch buffers —
+// every position of the line in pts, in order, and what the positions
+// form in shape — from which build makes the geometry if the caller
+// still wants it. A line that is rejected on its box therefore allocates
+// nothing.
 type parser struct {
 	b []byte
 	i int
-	// pts/rings are stack-disciplined scratch accumulators: each list
-	// parse appends above its mark and copies an exact-size slice out.
-	pts   []geom.Point
-	rings []geom.Ring
+	// keep is false for a caller that will never build: positions are
+	// then not even copied to pts.
+	keep bool
+	pts  []geom.Point
+	// shape is the geometry in prefix form: a kind, then for a
+	// LineString its length, for a Polygon its ring count and each
+	// ring's length, for a MultiPolygon its polygon count and each
+	// polygon as such, for a collection its member count and each member
+	// from its kind on.
+	shape []int
+	// build's read positions in shape and pts.
+	si, pi int
+}
+
+const (
+	shapePoint = iota
+	shapeLine
+	shapePolygon
+	shapeMulti
+	shapeCollection
+)
+
+func (p *parser) reset(b []byte, keep bool) {
+	p.b, p.i, p.keep = b, 0, keep
+	p.pts, p.shape, p.si, p.pi = p.pts[:0], p.shape[:0], 0, 0
+}
+
+// release returns p to the pool, letting go of the caller's bytes.
+func (p *parser) release() {
+	p.b = nil
+	parserPool.Put(p)
 }
 
 func (p *parser) ws() {
@@ -106,13 +161,8 @@ func (p *parser) ws() {
 func (p *parser) keyword() []byte {
 	p.ws()
 	start := p.i
-	for p.i < len(p.b) {
-		c := p.b[p.i]
-		if (c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z') {
-			p.i++
-			continue
-		}
-		break
+	for p.i < len(p.b) && isAlpha(p.b[p.i]) {
+		p.i++
 	}
 	return p.b[start:p.i]
 }
@@ -132,6 +182,18 @@ func (p *parser) peek() byte {
 		return 0
 	}
 	return p.b[p.i]
+}
+
+// end accepts blanks and one carriage return after the geometry (the
+// join's reparser hands a CRLF line over with its CR) and nothing else.
+func (p *parser) end() error {
+	if p.peek() == '\r' {
+		p.i++
+	}
+	if p.i < len(p.b) {
+		return fmt.Errorf("wkt: unexpected bytes after the geometry at %d in %.60q", p.i, p.b)
+	}
+	return nil
 }
 
 func (p *parser) number() (float64, error) {
@@ -162,121 +224,162 @@ func (p *parser) point() (geom.Point, error) {
 	if err != nil {
 		return geom.Point{}, err
 	}
-	return geom.Point{X: x, Y: y}, nil
+	pt := geom.Point{X: x, Y: y}
+	if p.keep {
+		p.pts = append(p.pts, pt)
+	}
+	return pt, nil
 }
 
-// pointList parses "(x y, x y, ...)" through the pts scratch buffer,
-// copying one exact-size slice out (a single allocation per list
-// instead of an append growth chain).
-func (p *parser) pointList() ([]geom.Point, error) {
-	if err := p.expect('('); err != nil {
-		return nil, err
+// more reports whether a list goes on, stepping over the comma if so.
+func (p *parser) more() bool {
+	if p.peek() != ',' {
+		return false
 	}
-	mark := len(p.pts)
-	defer func() { p.pts = p.pts[:mark] }()
-	for {
+	p.i++
+	return true
+}
+
+// points scans "(x y, x y, ...)", notes its length in shape and returns
+// its box.
+func (p *parser) points() (geom.Box, error) {
+	box, n := geom.EmptyBox(), 0
+	if err := p.expect('('); err != nil {
+		return box, err
+	}
+	for ok := true; ok; ok = p.more() {
 		pt, err := p.point()
 		if err != nil {
-			return nil, err
+			return box, err
 		}
-		p.pts = append(p.pts, pt)
-		if p.peek() == ',' {
-			p.i++
-			continue
-		}
-		break
+		box = box.ExtendPoint(pt)
+		n++
 	}
-	pts := make([]geom.Point, len(p.pts)-mark)
-	copy(pts, p.pts[mark:])
-	return pts, p.expect(')')
+	p.shape = append(p.shape, n)
+	return box, p.expect(')')
 }
 
-// ringList parses "((...),(...))" through the rings scratch buffer.
-func (p *parser) ringList() ([]geom.Ring, error) {
+// rings scans a polygon, "((...),(...))". Its box is the outer ring's,
+// as Polygon.Bound has it.
+func (p *parser) rings() (geom.Box, error) {
+	var box geom.Box
 	if err := p.expect('('); err != nil {
-		return nil, err
+		return box, err
 	}
-	mark := len(p.rings)
-	defer func() { p.rings = p.rings[:mark] }()
-	for {
-		pts, err := p.pointList()
+	count := len(p.shape)
+	p.shape = append(p.shape, 0)
+	for ok := true; ok; ok = p.more() {
+		b, err := p.points()
 		if err != nil {
-			return nil, err
+			return box, err
 		}
-		p.rings = append(p.rings, geom.Ring(pts))
-		if p.peek() == ',' {
-			p.i++
-			continue
+		if p.shape[count] == 0 {
+			box = b
 		}
-		break
+		p.shape[count]++
 	}
-	rings := make([]geom.Ring, len(p.rings)-mark)
-	copy(rings, p.rings[mark:])
-	return rings, p.expect(')')
+	return box, p.expect(')')
 }
 
-func (p *parser) geometry() (geom.Geometry, error) {
+// scan reads one geometry into the scratch buffers and returns its
+// bounding box, computed the way the built geometry's Bound computes it.
+func (p *parser) scan() (geom.Box, error) {
 	kw := p.keyword()
 	switch string(kw) {
 	case "POINT":
+		p.shape = append(p.shape, shapePoint)
 		if err := p.expect('('); err != nil {
-			return nil, err
+			return geom.Box{}, err
 		}
 		pt, err := p.point()
 		if err != nil {
-			return nil, err
+			return geom.Box{}, err
 		}
-		return geom.PointGeom{P: pt}, p.expect(')')
+		return geom.BoxOf(pt), p.expect(')')
 	case "LINESTRING":
-		pts, err := p.pointList()
-		if err != nil {
-			return nil, err
-		}
-		return geom.LineString(pts), nil
+		p.shape = append(p.shape, shapeLine)
+		return p.points()
 	case "POLYGON":
-		rings, err := p.ringList()
-		if err != nil {
-			return nil, err
-		}
-		return geom.Polygon(rings), nil
+		p.shape = append(p.shape, shapePolygon)
+		return p.rings()
 	case "MULTIPOLYGON":
-		if err := p.expect('('); err != nil {
-			return nil, err
-		}
-		var mp geom.MultiPolygon
-		for {
-			rings, err := p.ringList()
-			if err != nil {
-				return nil, err
-			}
-			mp = append(mp, geom.Polygon(rings))
-			if p.peek() == ',' {
-				p.i++
-				continue
-			}
-			break
-		}
-		return mp, p.expect(')')
+		return p.members(shapeMulti)
 	case "GEOMETRYCOLLECTION":
-		if err := p.expect('('); err != nil {
-			return nil, err
-		}
-		var coll geom.Collection
-		for {
-			g, err := p.geometry()
-			if err != nil {
-				return nil, err
-			}
-			coll = append(coll, g)
-			if p.peek() == ',' {
-				p.i++
-				continue
-			}
-			break
-		}
-		return coll, p.expect(')')
+		return p.members(shapeCollection)
 	default:
-		return nil, fmt.Errorf("wkt: unknown geometry %q", kw)
+		return geom.Box{}, fmt.Errorf("wkt: unknown geometry %q", kw)
+	}
+}
+
+// members scans the parenthesised list of a MultiPolygon's polygons or a
+// collection's geometries; its box is the union of theirs.
+func (p *parser) members(kind int) (geom.Box, error) {
+	count := len(p.shape) + 1
+	p.shape = append(p.shape, kind, 0)
+	box := geom.EmptyBox()
+	if err := p.expect('('); err != nil {
+		return box, err
+	}
+	for ok := true; ok; ok = p.more() {
+		var b geom.Box
+		var err error
+		if kind == shapeMulti {
+			b, err = p.rings()
+		} else {
+			b, err = p.scan()
+		}
+		if err != nil {
+			return box, err
+		}
+		box = box.Union(b)
+		p.shape[count]++
+	}
+	return box, p.expect(')')
+}
+
+// next reads one entry of shape.
+func (p *parser) next() int {
+	p.si++
+	return p.shape[p.si-1]
+}
+
+// takePoints copies the next list out of pts: one exact-size allocation.
+func (p *parser) takePoints() []geom.Point {
+	pts := make([]geom.Point, p.next())
+	p.pi += copy(pts, p.pts[p.pi:])
+	return pts
+}
+
+func (p *parser) takePolygon() geom.Polygon {
+	rings := make(geom.Polygon, p.next())
+	for i := range rings {
+		rings[i] = p.takePoints()
+	}
+	return rings
+}
+
+// build makes the geometry scan read (keep must have been set).
+func (p *parser) build() geom.Geometry {
+	switch p.next() {
+	case shapePoint:
+		p.pi++
+		return geom.PointGeom{P: p.pts[p.pi-1]}
+	case shapeLine:
+		return geom.LineString(p.takePoints())
+	case shapePolygon:
+		return p.takePolygon()
+	case shapeMulti:
+		mp := make(geom.MultiPolygon, p.next())
+		for i := range mp {
+			mp[i] = p.takePolygon()
+		}
+		return mp
+	default:
+		coll := make(geom.Collection, p.next())
+		for i := range coll {
+			coll[i] = p.build()
+		}
+		return coll
 	}
 }
 
@@ -337,9 +440,9 @@ func NextLineStart(input []byte, from int64) int64 {
 func EachLine(input []byte, start, end int64, fn func(line []byte, off int64) error) error {
 	pos := start
 	for pos < end {
-		nl := pos
-		for nl < end && input[nl] != '\n' {
-			nl++
+		nl := end
+		if i := bytes.IndexByte(input[pos:end], '\n'); i >= 0 {
+			nl = pos + int64(i)
 		}
 		line := input[pos:nl]
 		if len(line) > 0 && line[len(line)-1] == '\r' {

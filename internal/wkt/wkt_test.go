@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"atgis/internal/geojson"
 	"atgis/internal/geom"
 )
 
@@ -190,5 +191,105 @@ func TestMalformedNumberRejected(t *testing.T) {
 	}
 	if _, _, err := ParseGeometry([]byte("LINESTRING (0 1, 2 3)")); err != nil {
 		t.Errorf("valid linestring rejected: %v", err)
+	}
+}
+
+// TestTrailingBytesRejected: nothing but blanks and one carriage return
+// may follow the geometry, so a lost newline is an error, not a silently
+// dropped record.
+func TestTrailingBytesRejected(t *testing.T) {
+	for _, tc := range []struct {
+		line string
+		ok   bool
+	}{
+		{"1\tPOINT (2 2)", true},
+		{"1\tPOINT (2 2) \t ", true},
+		{"1\tPOINT (2 2)\r", true},
+		{"1\tPOINT (2 2) \t\r", true},
+		{"POLYGON ((0 0, 1 0, 1 1, 0 0))\r", true},
+		{"1\tPOINT (2 2) trailing junk", false},
+		{"7\tPOINT (1 2)9\tPOINT (3 4)", false},
+		{"7\tLINESTRING (0 0, 1 1))", false},
+		{"POINT (1 2) POINT (3 4)", false},
+		{"1\tPOINT (2 2)\r\r", false},
+		{"1\tPOINT (2 2)\r ", false},
+		{"1\tPOINT (2 2)\n", false},
+	} {
+		_, err := ParseLine([]byte(tc.line), 0)
+		if (err == nil) != tc.ok {
+			t.Errorf("%q: err = %v, want ok = %v", tc.line, err, tc.ok)
+		}
+	}
+}
+
+// TestParseFeatureContract: ID, Offset and Box always; the geometry and
+// the evaluation only for a feature the config does not reject.
+func TestParseFeatureContract(t *testing.T) {
+	line := []byte("9\tPOLYGON ((0 0, 4 0, 4 4, 0 4, 0 0), (1 1, 2 1, 2 2, 1 1))")
+	box := geom.Box{MinX: 0, MinY: 0, MaxX: 4, MaxY: 4}
+	hit, miss := geom.Box{MinX: 3, MinY: 3, MaxX: 9, MaxY: 9}, geom.Box{MinX: 5, MinY: 5, MaxX: 9, MaxY: 9}
+	evals := 0
+	eval := func(f *geom.Feature, b geom.Box) any {
+		evals++
+		if f.ID != 9 || f.Offset != 70 || b != box || f.Geom.NumPoints() != 9 {
+			t.Errorf("EvalBox saw %+v, box %+v", f, b)
+		}
+		return "val"
+	}
+	for _, tc := range []struct {
+		name  string
+		cfg   geojson.Config
+		built bool
+	}{
+		{"plain", geojson.Config{EvalBox: eval}, true},
+		{"window hit", geojson.Config{EvalBox: eval, Window: &hit}, true},
+		{"window miss", geojson.Config{EvalBox: eval, Window: &miss}, false},
+		{"bounds only", geojson.Config{EvalBox: eval, BoundsOnly: true}, false},
+	} {
+		evals = 0
+		out, err := ParseFeature(line, 70, &tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if out.Feature.ID != 9 || out.Feature.Offset != 70 || out.Box != box {
+			t.Errorf("%s: id/offset/box = %d/%d/%+v", tc.name, out.Feature.ID, out.Feature.Offset, out.Box)
+		}
+		if (out.Feature.Geom != nil) != tc.built || (out.Val != nil) != tc.built || (evals == 1) != tc.built {
+			t.Errorf("%s: geometry %v, value %v, %d evaluations; want built = %v", tc.name, out.Feature.Geom, out.Val, evals, tc.built)
+		}
+	}
+}
+
+// TestRejectedWKTLineAllocatesNothing: a line whose box misses the window,
+// and any line of a bounds-only pass, is scanned in the parser's scratch
+// buffers and costs no allocation once they have grown. (On a parser of
+// the test's own: under the race detector the pool drops parsers at
+// random.)
+func TestRejectedWKTLineAllocatesNothing(t *testing.T) {
+	lines := [][]byte{
+		[]byte("1\tPOINT (1 2)"),
+		[]byte("2\tLINESTRING (0 0, 1 1, 2 0)"),
+		[]byte("3\tPOLYGON ((0 0, 9 0, 9 9, 0 9, 0 0), (2 2, 3 2, 3 3, 2 3, 2 2))"),
+		[]byte("4\tMULTIPOLYGON (((0 0, 1 0, 1 1, 0 0)), ((5 5, 6 5, 6 6, 5 5)))"),
+		[]byte("5\tGEOMETRYCOLLECTION (POINT (3 4), LINESTRING (0 0, 1 1))"),
+	}
+	far := geom.Box{MinX: 100, MinY: 100, MaxX: 101, MaxY: 101}
+	eval := func(*geom.Feature, geom.Box) any { return 1 }
+	for name, cfg := range map[string]*geojson.Config{
+		"window":      {Window: &far, EvalBox: eval},
+		"bounds only": {BoundsOnly: true, EvalBox: eval},
+	} {
+		p := new(parser)
+		allocs := testing.AllocsPerRun(100, func() {
+			for _, line := range lines {
+				out, err := p.feature(line, 0, cfg)
+				if err != nil || out.Feature.Geom != nil || out.Box.IsEmpty() {
+					t.Fatalf("%s: %q: %+v, %v", name, line, out, err)
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: rejected lines allocate %v objects per run, want 0", name, allocs)
+		}
 	}
 }

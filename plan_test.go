@@ -17,7 +17,9 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"atgis/internal/geojson"
 	"atgis/internal/geom"
@@ -203,22 +205,17 @@ type seamOut struct {
 }
 
 // seamPass runs pl over src through the driver of its format, with the
-// sinks wired the way PreparedQuery.run wires them.
+// sink wired the way PreparedQuery.run wires it.
 func seamPass(ctx context.Context, p *PreparedQuery, src Source, mode Mode, pl *blockPlan, opt Options) (seamOut, error) {
 	out := seamOut{res: query.NewResult(), tape: sidecar.NewBuilder(sidecarFormat(src.DataFormat()))}
-	see := func(f *geom.Feature, box geom.Box, v query.FeatureVal) {
-		out.tape.Add(f.Offset, f.ID, box)
-		out.res.Absorb(&p.spec, f, v)
+	_, _, _, err := runPass(ctx, p.engine, src, mode, pl, opt, p.cfg, func(f geojson.FeatureOut) {
+		v, _ := f.Val.(query.FeatureVal)
+		out.tape.Add(f.Feature.Offset, f.Feature.ID, f.Box)
+		out.res.Absorb(&p.spec, &f.Feature, v)
 		if v.Matched {
-			out.recs = append(out.recs, seamRec{f.ID, f.Offset, math.Float64bits(v.Area), math.Float64bits(v.Perimeter)})
+			out.recs = append(out.recs, seamRec{f.Feature.ID, f.Feature.Offset, math.Float64bits(v.Area), math.Float64bits(v.Perimeter)})
 		}
-	}
-	_, _, _, err := runPass(ctx, p.engine, src, mode, pl, opt, inOrder(p.cfg,
-		func(f geojson.FeatureOut) {
-			v, _ := f.Val.(query.FeatureVal)
-			see(&f.Feature, f.Box, v)
-		},
-		func(f *geom.Feature) { see(f, f.Bound(), query.Apply(&p.spec, f)) }))
+	})
 	out.res.Scanned += pl.pruned
 	return out, err
 }
@@ -340,6 +337,65 @@ func TestDriversSplitInvariant(t *testing.T) {
 	}
 }
 
+// TestEvalRunsOnWorkers: every driver evaluates a feature where it parsed
+// it, in the data-parallel phase. A gauge round the prepared EvalBox must
+// see a call for each feature that survived the window, and — the first
+// caller waits for company — two calls in flight at once, which the fold
+// goroutine alone cannot produce.
+func TestEvalRunsOnWorkers(t *testing.T) {
+	spec := diffSpec(query.PredIntersects, 0.45, true)
+	for _, format := range seamFormats {
+		modes := []Mode{PAT}
+		if format == GeoJSON {
+			modes = append(modes, FAT)
+		}
+		for _, mode := range modes {
+			t.Run(format.String()+"/"+mode.String(), func(t *testing.T) {
+				p, err := new(Engine).Prepare(spec, Options{Mode: mode})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var calls, inFlight atomic.Int64
+				overlap := make(chan struct{})
+				var once sync.Once
+				eval := p.cfg.EvalBox
+				p.cfg.EvalBox = func(f *geom.Feature, box geom.Box) any {
+					calls.Add(1)
+					if inFlight.Add(1) >= 2 {
+						once.Do(func() { close(overlap) })
+					}
+					defer inFlight.Add(-1)
+					select {
+					case <-overlap:
+					case <-time.After(5 * time.Second):
+					}
+					return eval(f, box)
+				}
+				src := seamSource(t, format)
+				pl := coldPlan(format, mode, src.Bytes(), ShardRange{0, int64(len(src.Bytes()))})
+				survivors := int64(0)
+				_, _, _, err = runPass(context.Background(), p.engine, src, mode, &pl, Options{Mode: mode, Workers: 4, BlockSize: 4 << 10}, p.cfg,
+					func(f geojson.FeatureOut) {
+						if f.Feature.Geom != nil {
+							survivors++
+						}
+					})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n := calls.Load(); survivors == 0 || n < survivors {
+					t.Errorf("EvalBox ran %d times for %d surviving features", n, survivors)
+				}
+				select {
+				case <-overlap:
+				default:
+					t.Error("EvalBox was never in flight twice at once: it runs on the fold goroutine")
+				}
+			})
+		}
+	}
+}
+
 // TestPlanSkipFailureLeavesTruePrefix runs a GeoJSON plan that lies — a
 // live block ending inside a feature, followed by a gap — so a repair is
 // in progress where the plan skips: the pass must stop there with
@@ -402,6 +458,7 @@ func TestMalformedBlockEndsStream(t *testing.T) {
 		wantErr  string
 	}{
 		{WKT, "POLYGON ((", "POLYGON ((oops ", "wkt"},
+		{WKT, "\n", "", "wkt: unexpected bytes after the geometry"}, // a lost newline
 		{OSMXML, " lat=", " lax=", "osmxml: bad node"},
 	}
 	for _, tc := range cases {

@@ -24,7 +24,7 @@ type PreparedQuery struct {
 	engine *Engine
 	spec   query.Spec // private normalized copy; read-only after Prepare
 	opt    Options
-	cfg    *geojson.Config // fused extraction+eval config (GeoJSON path)
+	cfg    *geojson.Config // fused extraction+eval config, the same for every format
 }
 
 // Prepare compiles spec for repeated execution on the engine. Only
@@ -79,13 +79,13 @@ func (p *PreparedQuery) Execute(ctx context.Context, src Source) (*Result, error
 }
 
 // run is the shared execution core of Execute, Stream and their shard
-// forms: it aggregates into a fresh Result and, when onFeature is set,
-// streams every scanned feature with its per-feature outcome. A non-nil
+// forms: it aggregates into a fresh Result and, when emit is set, hands
+// every scanned feature on with its per-feature outcome. A non-nil
 // shard restricts the pass to the features owned by that range's
 // aligned form (AlignShard; aligning an aligned range again costs two
 // constant-time look-ups, so callers that need the aligned range up
 // front pass it down).
-func (p *PreparedQuery) run(ctx context.Context, src Source, shard *ShardRange, onFeature func(*geom.Feature, query.FeatureVal)) (*Result, error) {
+func (p *PreparedQuery) run(ctx context.Context, src Source, shard *ShardRange, emit func(geojson.FeatureOut)) (*Result, error) {
 	if err := p.engine.check(); err != nil {
 		return nil, err
 	}
@@ -116,33 +116,20 @@ func (p *PreparedQuery) run(ctx context.Context, src Source, shard *ShardRange, 
 		}
 	}
 	spec := &p.spec
-	// The sinks come in an aggregate-only and a streaming flavour; the
-	// aggregate-only ones call Absorb directly (no func-value hop) so
-	// escape analysis keeps the per-feature FeatureOut off the heap.
+	// emit takes the feature by value, so neither flavour of the pass
+	// moves the per-feature FeatureOut to the heap.
 	sink := func(f geojson.FeatureOut) {
 		v, _ := f.Val.(query.FeatureVal)
 		out.Res.Absorb(spec, &f.Feature, v)
-	}
-	consume := func(f *geom.Feature) {
-		out.Res.Absorb(spec, f, query.Apply(spec, f))
-	}
-	if onFeature != nil {
-		sink = func(f geojson.FeatureOut) {
-			v, _ := f.Val.(query.FeatureVal)
-			out.Res.Absorb(spec, &f.Feature, v)
-			onFeature(&f.Feature, v)
-		}
-		consume = func(f *geom.Feature) {
-			v := query.Apply(spec, f)
-			out.Res.Absorb(spec, f, v)
-			onFeature(f, v)
+		if emit != nil {
+			emit(f)
 		}
 	}
-	// pass runs one block plan into the current sinks; cold plans r
+	// pass runs one block plan into the current sink; cold plans run
 	// without the sidecar. Options.Mode applies to the cold pass over the
 	// whole source only (shard.go).
 	pass := func(mode Mode, pl *blockPlan) (err error) {
-		out.Stats, out.Repaired, out.Reprocessed, err = runPass(ctx, p.engine, src, mode, pl, p.opt, inOrder(p.cfg, sink, consume))
+		out.Stats, out.Repaired, out.Reprocessed, err = runPass(ctx, p.engine, src, mode, pl, p.opt, p.cfg, sink)
 		return err
 	}
 	cold := func(r ShardRange) error {
@@ -172,7 +159,7 @@ func (p *PreparedQuery) run(ctx context.Context, src Source, shard *ShardRange, 
 				// and must surface the error instead (a coordinator retries
 				// the shard on seeing it).
 				ms.rejectSidecar(err)
-				if onFeature == nil {
+				if emit == nil {
 					out.Res = query.NewResult()
 					if err = cold(rng); err == nil {
 						return out, nil
@@ -193,21 +180,15 @@ func (p *PreparedQuery) run(ctx context.Context, src Source, shard *ShardRange, 
 	// is only persisted after the pass completes successfully. Only a
 	// pass over the whole source may feed it, so a recording shard runs
 	// that pass and keeps what its range owns; the next shard is warm.
-	rec, recDone := p.engine.recorder(ms, ix, true)
+	rec, recDone := p.engine.recorder(ms, ix)
 	own := rng
 	if rec != nil {
-		innerSink, innerConsume := sink, consume
+		inner := sink
 		rng = whole
 		sink = func(f geojson.FeatureOut) {
 			rec.Add(f.Feature.Offset, f.Feature.ID, f.Box)
 			if f.Feature.Offset >= own.Start && f.Feature.Offset < own.End {
-				innerSink(f)
-			}
-		}
-		consume = func(f *geom.Feature) {
-			rec.Add(f.Offset, f.ID, f.Bound())
-			if f.Offset >= own.Start && f.Offset < own.End {
-				innerConsume(f)
+				inner(f)
 			}
 		}
 	}

@@ -4,12 +4,13 @@ package atgis
 // machine the window the sidecar planner would prune against
 // (pruneWindow), and the machine drops a feature whose bounding box
 // misses it before building anything (OSM XML's pass 2 does the same
-// before resolving a way into geometry). That may change cost only. Every
-// cell of {GeoJSON PAT, GeoJSON FAT, OSM XML} × {intersects, within,
-// disjoint, no reference} × {Streaming, Buffered} runs with the pushdown
-// and with it forced off (noWindowPushdown); the summary and the streamed
-// records must be byte-identical, float aggregates compared as bit
-// patterns.
+// before resolving a way into geometry, the WKT worker before copying a
+// scanned line out of its scratch buffers). That may change cost only.
+// Every cell of {GeoJSON PAT, GeoJSON FAT, OSM XML, WKT} × {intersects,
+// within, disjoint, no reference} × {Streaming, Buffered} runs with the
+// pushdown and with it forced off (noWindowPushdown); the summary and the
+// streamed records must be byte-identical, float aggregates compared as
+// bit patterns.
 
 import (
 	"context"
@@ -34,7 +35,7 @@ func withoutPushdown(f func()) {
 func TestWindowPushdownInvariant(t *testing.T) {
 	eng := NewEngine(EngineConfig{Workers: 4})
 	defer eng.Close()
-	for _, format := range []Format{GeoJSON, OSMXML} {
+	for _, format := range []Format{GeoJSON, OSMXML, WKT} {
 		modes := []Mode{PAT}
 		if format == GeoJSON {
 			modes = append(modes, FAT)
@@ -125,12 +126,10 @@ func testWindowPushdown(t *testing.T, eng *Engine, src *MappedSource, modes []Mo
 	}
 }
 
-// TestJoinBoundsOnlyPartition: with a bounds-safe mask the GeoJSON
-// partition pass extracts boxes only; the join must not notice, also when
-// the mask reads the bounds it is allowed to read.
+// TestJoinBoundsOnlyPartition: with a bounds-safe mask the GeoJSON and
+// WKT partition passes extract boxes only; the join must not notice, also
+// when the mask reads the bounds it is allowed to read.
 func TestJoinBoundsOnlyPartition(t *testing.T) {
-	path := writeSidecarCorpus(t, GeoJSON)
-	src := mustOpen(t, path)
 	eng := NewEngine(EngineConfig{Workers: 4})
 	defer eng.Close()
 	westEast := func(f *geom.Feature) uint8 {
@@ -139,31 +138,39 @@ func TestJoinBoundsOnlyPartition(t *testing.T) {
 		}
 		return query.SideA | query.SideB
 	}
-	for name, mask := range map[string]func(*geom.Feature) uint8{"parity": paritySideMask, "bounds": westEast, "nil": nil} {
-		for _, mode := range []Mode{PAT, FAT} {
-			render := func(boundsSafe bool) string {
-				spec := JoinSpec{Mask: mask, CellSize: 10, BoundsSafeMask: boundsSafe}
-				jr, err := eng.Join(context.Background(), src, spec, Options{Mode: mode, Workers: 4, BlockSize: 8 << 10})
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
+	for _, format := range []Format{GeoJSON, WKT} {
+		src := mustOpen(t, writeSidecarCorpus(t, format))
+		modes := []Mode{PAT}
+		if format == GeoJSON {
+			modes = append(modes, FAT)
+		}
+		for name, mask := range map[string]func(*geom.Feature) uint8{"parity": paritySideMask, "bounds": westEast, "nil": nil} {
+			for _, mode := range modes {
+				name := fmt.Sprintf("%v/%s/%v", format, name, mode)
+				render := func(boundsSafe bool) string {
+					spec := JoinSpec{Mask: mask, CellSize: 10, BoundsSafeMask: boundsSafe}
+					jr, err := eng.Join(context.Background(), src, spec, Options{Mode: mode, Workers: 4, BlockSize: 8 << 10})
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					lines := make([]string, 0, len(jr.Pairs))
+					for _, p := range jr.Pairs {
+						lines = append(lines, fmt.Sprintf("a=%d/%d b=%d/%d", p.AID, p.AOff, p.BID, p.BOff))
+					}
+					sort.Strings(lines)
+					return fmt.Sprintf("pairs=%d candidates=%d duplicates=%d\n%s", len(jr.Pairs),
+						jr.JoinStats.Candidates, jr.JoinStats.Duplicates, strings.Join(lines, "\n"))
 				}
-				lines := make([]string, 0, len(jr.Pairs))
-				for _, p := range jr.Pairs {
-					lines = append(lines, fmt.Sprintf("a=%d/%d b=%d/%d", p.AID, p.AOff, p.BID, p.BOff))
+				boxes, full := render(true), render(false)
+				if mask == nil {
+					continue // a nil mask is bounds-safe either way; the run is the smoke test
 				}
-				sort.Strings(lines)
-				return fmt.Sprintf("pairs=%d candidates=%d duplicates=%d\n%s", len(jr.Pairs),
-					jr.JoinStats.Candidates, jr.JoinStats.Duplicates, strings.Join(lines, "\n"))
-			}
-			boxes, full := render(true), render(false)
-			if mask == nil {
-				continue // a nil mask is bounds-safe either way; the run is the smoke test
-			}
-			if boxes != full {
-				t.Errorf("%s/%v: bounds-only partition pass changed the join\nbounds-only:\n%.400s\nfull:\n%.400s", name, mode, boxes, full)
-			}
-			if !strings.Contains(full, "a=") {
-				t.Fatalf("%s/%v: no pairs", name, mode)
+				if boxes != full {
+					t.Errorf("%s: bounds-only partition pass changed the join\nbounds-only:\n%.400s\nfull:\n%.400s", name, boxes, full)
+				}
+				if !strings.Contains(full, "a=") {
+					t.Fatalf("%s: no pairs", name)
+				}
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sync/atomic"
 
+	"atgis/internal/geojson"
 	"atgis/internal/geom"
 	"atgis/internal/join"
 	"atgis/internal/query"
@@ -131,12 +132,13 @@ func (p *PreparedQuery) stream(ctx context.Context, src Source, shard *ShardRang
 	r := &Results{}
 	ctx = r.init(ctx, 64)
 	go func() {
-		sum, err := p.run(ctx, src, shard, func(f *geom.Feature, v query.FeatureVal) {
+		sum, err := p.run(ctx, src, shard, func(f geojson.FeatureOut) {
+			v, _ := f.Val.(query.FeatureVal)
 			if !v.Matched {
 				return
 			}
 			select {
-			case r.ch <- StreamedFeature{Feature: *f, Val: v}:
+			case r.ch <- StreamedFeature{Feature: f.Feature, Val: v}:
 			case <-ctx.Done():
 			}
 		})

@@ -253,14 +253,13 @@ func (s *MappedSource) finishSidecarRecord(b *sidecar.Builder) {
 // recorder is the sidecar prologue of a cold pass over a source that
 // sidecarFor resolved to (ms, ix): it counts the miss and, on an engine
 // that may write sidecars, claims the recorder. The pass feeds rec (nil
-// when there is nothing to record) from its fold and reports its outcome
+// when there is nothing to record) from its sink and reports its outcome
 // to done, which persists the tape after a success and releases the claim
-// after a failure. A pass that does not see its features on the fold
-// goroutine in consume order (inOrder false) never records.
-func (e *Engine) recorder(ms *MappedSource, ix *sidecar.Index, inOrder bool) (rec *sidecar.Builder, done func(error)) {
+// after a failure.
+func (e *Engine) recorder(ms *MappedSource, ix *sidecar.Index) (rec *sidecar.Builder, done func(error)) {
 	if ms != nil && ix == nil {
 		ms.sc.misses.Add(1)
-		if e.sidecar == SidecarReadWrite && inOrder {
+		if e.sidecar == SidecarReadWrite {
 			rec = ms.beginSidecarRecord()
 		}
 	}

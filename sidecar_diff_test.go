@@ -434,9 +434,11 @@ func TestSidecarDifferential(t *testing.T) {
 // TestSidecarTapeIndependentOfWindow: the recorder is fed every
 // feature's id, offset and box whether or not the window rejected it,
 // so the .atgx a selective first pass writes is byte-identical to the
-// one a pass that materialises everything writes.
+// one a pass that materialises everything writes — and to the one a join's
+// bounds-only partition pass writes, when a join is the source's first
+// pass.
 func TestSidecarTapeIndependentOfWindow(t *testing.T) {
-	for _, format := range []Format{GeoJSON, OSMXML} {
+	for _, format := range []Format{GeoJSON, OSMXML, WKT} {
 		modes := []Mode{PAT}
 		if format == GeoJSON {
 			modes = append(modes, FAT)
@@ -446,12 +448,13 @@ func TestSidecarTapeIndependentOfWindow(t *testing.T) {
 }
 
 func testTapeIndependentOfWindow(t *testing.T, path string, modes []Mode) {
-	record := func(spec *query.Spec, mode Mode) []byte {
+	// record returns the tape the first pass over a fresh mapping writes.
+	record := func(pass func(*Engine, *MappedSource) error) []byte {
 		t.Helper()
 		eng := NewEngine(EngineConfig{Workers: 4, Sidecar: SidecarReadWrite})
 		defer eng.Close()
 		src := mustOpen(t, path)
-		if _, err := eng.Query(context.Background(), src, spec, Options{Mode: mode, Workers: 4, BlockSize: 8 << 10}); err != nil {
+		if err := pass(eng, src); err != nil {
 			t.Fatal(err)
 		}
 		if st := src.SidecarStats(); !st.Built || st.WriteError != "" {
@@ -466,20 +469,33 @@ func testTapeIndependentOfWindow(t *testing.T, path string, modes []Mode) {
 		}
 		return tape
 	}
+	queryPass := func(spec *query.Spec, mode Mode) func(*Engine, *MappedSource) error {
+		return func(eng *Engine, src *MappedSource) error {
+			_, err := eng.Query(context.Background(), src, spec, Options{Mode: mode, Workers: 4, BlockSize: 8 << 10})
+			return err
+		}
+	}
 	full := diffSpec(query.PredIntersects, 0.2, false)
 	full.Ref = nil // no window: every geometry is built
-	want := record(full, PAT)
+	want := record(queryPass(full, PAT))
 	selective := diffSpec(query.PredIntersects, 0.02, false)
 	for _, mode := range modes {
-		if got := record(selective, mode); string(got) != string(want) {
+		if got := record(queryPass(selective, mode)); string(got) != string(want) {
 			t.Errorf("%v: tape recorded by a selective pass differs from the full pass's (%d vs %d bytes)", mode, len(got), len(want))
 		}
 	}
 	withoutPushdown(func() {
-		if got := record(selective, PAT); string(got) != string(want) {
+		if got := record(queryPass(selective, PAT)); string(got) != string(want) {
 			t.Errorf("tape recorded without pushdown differs (%d vs %d bytes)", len(got), len(want))
 		}
 	})
+	join := func(eng *Engine, src *MappedSource) error {
+		_, err := eng.Join(context.Background(), src, JoinSpec{CellSize: 10}, Options{Workers: 4, BlockSize: 8 << 10})
+		return err
+	}
+	if got := record(join); string(got) != string(want) {
+		t.Errorf("tape recorded by a lone join differs from a query's (%d vs %d bytes)", len(got), len(want))
+	}
 }
 
 // TestSidecarShardPlans pins what the matrix above cannot see from the

@@ -3,6 +3,7 @@ package atgis
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -66,11 +67,11 @@ func TestOpenMappedLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := aggSpec()
-	rm, err := new(Engine).Query(context.Background(), src, spec, Options{Workers: 2, BlockSize: 8192})
+	rm, err := testEngine(t, 2).Query(context.Background(), src, spec, Options{BlockSize: 8192})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := new(Engine).Query(context.Background(), mem, spec, Options{Workers: 2, BlockSize: 8192})
+	rb, err := testEngine(t, 2).Query(context.Background(), mem, spec, Options{BlockSize: 8192})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestReaderSource(t *testing.T) {
 	if src.DataFormat() != GeoJSON {
 		t.Fatalf("format = %v", src.DataFormat())
 	}
-	res, err := new(Engine).Query(context.Background(), src, aggSpec(), Options{Workers: 2})
+	res, err := testEngine(t, 2).Query(context.Background(), src, aggSpec(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,10 +246,10 @@ func TestCancelOneOfTwoQueries(t *testing.T) {
 
 // TestCancelledContextNoGoroutineLeak runs many cancelled executions and
 // asserts the process goroutine count returns to its baseline: cancelled
-// pipelines must terminate their splitter and transient workers.
+// pipelines must terminate their splitter and their registration's watcher.
 func TestCancelledContextNoGoroutineLeak(t *testing.T) {
 	ds := genDataset(t, GeoJSON, 1000)
-	pq, err := new(Engine).Prepare(aggSpec(), Options{Workers: 4, BlockSize: 1024})
+	pq, err := testEngine(t, 4).Prepare(aggSpec(), Options{BlockSize: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,13 +291,13 @@ func TestStreamMatchesBufferedQuery(t *testing.T) {
 		ds := genDataset(t, GeoJSON, 300)
 		spec := aggSpec()
 		spec.KeepMatches = true
-		buffered, err := new(Engine).Query(context.Background(), ds, spec, Options{Mode: mode, Workers: 2, BlockSize: 4096})
+		buffered, err := testEngine(t, 2).Query(context.Background(), ds, spec, Options{Mode: mode, BlockSize: 4096})
 		if err != nil {
 			t.Fatal(err)
 		}
 
 		streamSpec := aggSpec() // no KeepMatches: nothing buffers
-		pq, err := new(Engine).Prepare(streamSpec, Options{Mode: mode, Workers: 2, BlockSize: 4096})
+		pq, err := testEngine(t, 2).Prepare(streamSpec, Options{Mode: mode, BlockSize: 4096})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,7 +339,7 @@ func TestJoinStreamMatchesJoin(t *testing.T) {
 	// are guaranteed non-empty.
 	mask := func(*geom.Feature) uint8 { return query.SideA | query.SideB }
 	spec := JoinSpec{Mask: mask, CellSize: 15}
-	jr, err := new(Engine).Join(context.Background(), ds, spec, Options{Workers: 2})
+	jr, err := testEngine(t, 2).Join(context.Background(), ds, spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +351,7 @@ func TestJoinStreamMatchesJoin(t *testing.T) {
 		want[[2]int64{p.AOff, p.BOff}] = true
 	}
 
-	stream := new(Engine).JoinStream(context.Background(), ds, spec, Options{Workers: 2})
+	stream := testEngine(t, 2).JoinStream(context.Background(), ds, spec, Options{})
 	got := make(map[[2]int64]bool)
 	for stream.Next() {
 		p := stream.Pair()
@@ -393,11 +394,39 @@ func TestEngineClose(t *testing.T) {
 	}
 }
 
+// TestZeroValueEngine: an Engine that NewEngine did not build has no pool
+// and is no engine — every entry point fails like a closed one, and
+// nothing dereferences the pool that is not there.
+func TestZeroValueEngine(t *testing.T) {
+	var eng Engine
+	ctx := context.Background()
+	ds := genDataset(t, GeoJSON, 20)
+	_, queryErr := eng.Query(ctx, ds, aggSpec(), Options{})
+	_, prepareErr := eng.Prepare(aggSpec(), Options{})
+	_, joinErr := eng.Join(ctx, ds, JoinSpec{CellSize: 10}, Options{})
+	_, streamErr := eng.JoinStream(ctx, ds, JoinSpec{CellSize: 10}, Options{}).Summary()
+	_, collectErr := eng.CollectFeatures(ctx, ds, Options{})
+	for name, err := range map[string]error{
+		"Query": queryErr, "Prepare": prepareErr, "Join": joinErr,
+		"JoinStream": streamErr, "CollectFeatures": collectErr,
+	} {
+		if !errors.Is(err, ErrEngineClosed) {
+			t.Errorf("%s on a zero-value Engine: %v, want ErrEngineClosed", name, err)
+		}
+	}
+	if st := eng.Stats(); st.Pool.Workers != 0 || st.Scheduler != nil {
+		t.Errorf("zero-value Engine reports %+v", st)
+	}
+	if err := eng.Close(); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestPrepareRejectsJoinKinds(t *testing.T) {
-	if _, err := new(Engine).Prepare(&query.Spec{Kind: query.Join}, Options{}); err == nil {
+	if _, err := testEngine(t, 0).Prepare(&query.Spec{Kind: query.Join}, Options{}); err == nil {
 		t.Fatal("preparing a join spec should fail")
 	}
-	if _, err := new(Engine).Prepare(nil, Options{}); err == nil {
+	if _, err := testEngine(t, 0).Prepare(nil, Options{}); err == nil {
 		t.Fatal("preparing a nil spec should fail")
 	}
 }
@@ -426,11 +455,11 @@ func TestDetectBareWKT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := new(Engine).Query(context.Background(), src, &query.Spec{
+	res, err := testEngine(t, 2).Query(context.Background(), src, &query.Spec{
 		Kind: query.Containment,
 		Ref:  geom.Box{MinX: -1, MinY: -1, MaxX: 30, MaxY: 30}.AsPolygon(),
 		Pred: query.PredIntersects,
-	}, Options{Workers: 2})
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,11 +486,11 @@ func TestDetectBareWKT(t *testing.T) {
 func TestSummaryWithoutDraining(t *testing.T) {
 	ds := genDataset(t, GeoJSON, 500)
 	spec := aggSpec() // matches >> the 64-item stream buffer
-	want, err := new(Engine).Query(context.Background(), ds, spec, Options{Workers: 2, BlockSize: 4096})
+	want, err := testEngine(t, 2).Query(context.Background(), ds, spec, Options{BlockSize: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pq, err := new(Engine).Prepare(spec, Options{Workers: 2, BlockSize: 4096})
+	pq, err := testEngine(t, 2).Prepare(spec, Options{BlockSize: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,8 +525,8 @@ func TestSummaryWithoutDraining(t *testing.T) {
 	jdone := make(chan struct{})
 	go func() {
 		defer close(jdone)
-		if _, err := new(Engine).JoinStream(context.Background(), dsw,
-			JoinSpec{Mask: mask, CellSize: 15}, Options{Workers: 2}).Summary(); err != nil {
+		if _, err := testEngine(t, 2).JoinStream(context.Background(), dsw,
+			JoinSpec{Mask: mask, CellSize: 15}, Options{}).Summary(); err != nil {
 			t.Error(err)
 		}
 	}()
@@ -520,7 +549,7 @@ func TestPooledEngineJoin(t *testing.T) {
 		return query.SideB
 	}
 	spec := JoinSpec{Mask: mask, CellSize: 15}
-	want, err := new(Engine).Join(context.Background(), ds, spec, Options{Workers: 2})
+	want, err := testEngine(t, 2).Join(context.Background(), ds, spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -687,7 +716,7 @@ func TestJoinStreamCloseFreesPool(t *testing.T) {
 	eng := NewEngine(EngineConfig{Workers: 2, TenantWeights: map[string]int{"keeper": 3}})
 	defer eng.Close()
 
-	want, err := new(Engine).Join(context.Background(), ds, spec, Options{Workers: 2})
+	want, err := testEngine(t, 2).Join(context.Background(), ds, spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,8 +38,6 @@
 package atgis
 
 import (
-	"runtime"
-
 	"atgis/internal/geom"
 	"atgis/internal/join"
 	"atgis/internal/partition"
@@ -68,12 +66,9 @@ func (m Mode) String() string {
 	return "PAT"
 }
 
-// Options tunes execution.
+// Options tunes one query's execution. How many workers run it is not
+// among them: that is the engine pool's size (EngineConfig.Workers).
 type Options struct {
-	// Workers is the number of processing threads for engines without a
-	// shared pool (0 = GOMAXPROCS). Engines built with NewEngine size
-	// their pool once and ignore this.
-	Workers int
 	// BlockSize is the target block size in bytes (0 = the engine
 	// default, which itself defaults to 1 MiB).
 	BlockSize int
@@ -82,13 +77,6 @@ type Options struct {
 	Mode Mode
 	// PropKeys lists metadata property keys to extract (GeoJSON).
 	PropKeys []string
-}
-
-func (o Options) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 func (o Options) blockSize() int {
@@ -124,8 +112,6 @@ type JoinSpec struct {
 	Store partition.StoreKind
 	// Predicate refines candidate pairs; nil means ST_Intersects.
 	Predicate func(a, b geom.Geometry) bool
-	// SortThreshold bounds the join's candidate batches.
-	SortThreshold int
 	// BatchCells is the sweep's scheduling quantum in grid cells (0 =
 	// join.DefaultBatchCells). Each batch is one task on the engine's
 	// worker pool, so smaller batches preempt sooner at more dispatch

@@ -44,6 +44,16 @@ func genDataset(t *testing.T, format Format, n int) *Dataset {
 	return ds
 }
 
+// testEngine is how a test gets its engine: a pool of the given size
+// (0 = GOMAXPROCS), closed when the test ends. There is no other executor
+// to test on.
+func testEngine(t testing.TB, workers int) *Engine {
+	t.Helper()
+	eng := NewEngine(EngineConfig{Workers: workers})
+	t.Cleanup(func() { eng.Close() })
+	return eng
+}
+
 // newTestWKT wraps the wkt writer for test data construction.
 func newTestWKT(buf *bytes.Buffer) *wkt.Writer { return wkt.NewWriter(buf) }
 
@@ -90,7 +100,7 @@ func TestQueryModesAgreeGeoJSON(t *testing.T) {
 	results := map[string]*Result{}
 	for _, mode := range []Mode{PAT, FAT} {
 		for _, workers := range []int{1, 2, 4} {
-			r, err := new(Engine).Query(context.Background(), ds, spec, Options{Mode: mode, Workers: workers, BlockSize: 4096})
+			r, err := testEngine(t, workers).Query(context.Background(), ds, spec, Options{Mode: mode, BlockSize: 4096})
 			if err != nil {
 				t.Fatalf("%v workers=%d: %v", mode, workers, err)
 			}
@@ -127,11 +137,11 @@ func TestQueryFormatsAgree(t *testing.T) {
 	dsG := genDataset(t, GeoJSON, 200)
 	dsW := genDataset(t, WKT, 200)
 	spec := aggSpec()
-	rg, err := new(Engine).Query(context.Background(), dsG, spec, Options{Workers: 2})
+	rg, err := testEngine(t, 2).Query(context.Background(), dsG, spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rw, err := new(Engine).Query(context.Background(), dsW, spec, Options{Workers: 2})
+	rw, err := testEngine(t, 2).Query(context.Background(), dsW, spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +157,7 @@ func TestQueryFormatsAgree(t *testing.T) {
 func TestQueryOSMXML(t *testing.T) {
 	ds := genDataset(t, OSMXML, 150)
 	spec := aggSpec()
-	r, err := new(Engine).Query(context.Background(), ds, spec, Options{Workers: 2})
+	r, err := testEngine(t, 2).Query(context.Background(), ds, spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,12 +181,12 @@ func TestJoinAcrossFormats(t *testing.T) {
 			}
 			return query.SideB
 		}
-		jr, err := new(Engine).Join(context.Background(), ds, JoinSpec{Mask: mask, CellSize: 30}, Options{Workers: 2})
+		jr, err := testEngine(t, 2).Join(context.Background(), ds, JoinSpec{Mask: mask, CellSize: 30}, Options{})
 		if err != nil {
 			t.Fatalf("%v: %v", format, err)
 		}
 		// Oracle: nested loop over collected features.
-		feats, err := new(Engine).CollectFeatures(context.Background(), ds, Options{Workers: 2})
+		feats, err := testEngine(t, 2).CollectFeatures(context.Background(), ds, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +220,7 @@ func TestJoinCRLF(t *testing.T) {
 		t.Fatal(err)
 	}
 	ids := func(ds *Dataset) [][2]int64 {
-		jr, err := new(Engine).Join(context.Background(), ds, JoinSpec{CellSize: 30}, Options{Workers: 2, BlockSize: 4 << 10})
+		jr, err := testEngine(t, 2).Join(context.Background(), ds, JoinSpec{CellSize: 30}, Options{BlockSize: 4 << 10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,9 +270,9 @@ func TestJoinPartitionOptions(t *testing.T) {
 	}
 	var baseline int
 	for _, store := range []partition.StoreKind{partition.ArrayStore, partition.ListStore} {
-		jr, err := new(Engine).Join(context.Background(), ds, JoinSpec{
+		jr, err := testEngine(t, 2).Join(context.Background(), ds, JoinSpec{
 			Mask: mask, CellSize: 15, Store: store,
-		}, Options{Workers: 2})
+		}, Options{})
 		if err != nil {
 			t.Fatalf("store=%v: %v", store, err)
 		}
@@ -306,9 +316,9 @@ func TestCombinedQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Perimeters: big ≈ 32° ≈ 3.5e6 m; small ≈ 4° ≈ 4.4e5 m.
-	cr, err := new(Engine).Combined(context.Background(), ds, CombinedSpec{
+	cr, err := testEngine(t, 2).Combined(context.Background(), ds, CombinedSpec{
 		T1: 2e6, T2: 1e6, Dist: geom.Haversine, CellSize: 15,
-	}, Options{Workers: 2})
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +338,7 @@ func TestCombinedQuery(t *testing.T) {
 
 func TestCollectFeaturesSorted(t *testing.T) {
 	ds := genDataset(t, GeoJSON, 50)
-	feats, err := new(Engine).CollectFeatures(context.Background(), ds, Options{Workers: 2})
+	feats, err := testEngine(t, 2).CollectFeatures(context.Background(), ds, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +358,7 @@ func TestQueryWorkerCountInvariance(t *testing.T) {
 	var want int64 = -1
 	for _, w := range []int{1, 2, 3, 8} {
 		for _, bs := range []int{512, 4096, 1 << 20} {
-			r, err := new(Engine).Query(context.Background(), ds, spec, Options{Mode: FAT, Workers: w, BlockSize: bs})
+			r, err := testEngine(t, w).Query(context.Background(), ds, spec, Options{Mode: FAT, BlockSize: bs})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -68,10 +68,11 @@ func runQueryBench(b *testing.B, ds *Dataset, kind query.Kind, mode Mode) {
 	b.Helper()
 	spec := benchSpec(kind)
 	opt := Options{Mode: mode, BlockSize: 64 << 10}
+	eng := testEngine(b, 0) // GOMAXPROCS workers: -cpu sweeps the pool
 	b.SetBytes(int64(len(ds.Data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := new(Engine).Query(context.Background(), ds, spec, opt); err != nil {
+		if _, err := eng.Query(context.Background(), ds, spec, opt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -107,10 +108,11 @@ func BenchmarkFig9cJoin(b *testing.B) {
 		}
 		return query.SideB
 	}
+	eng := testEngine(b, 0)
 	b.SetBytes(int64(len(ds.Data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := new(Engine).Join(context.Background(), ds, JoinSpec{Mask: mask, CellSize: 10}, Options{Mode: FAT, BlockSize: 64 << 10}); err != nil {
+		if _, err := eng.Join(context.Background(), ds, JoinSpec{Mask: mask, CellSize: 10}, Options{Mode: FAT, BlockSize: 64 << 10}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -123,7 +125,7 @@ func BenchmarkFig9cJoin(b *testing.B) {
 func BenchmarkFig10Systems(b *testing.B) {
 	ds := benchDataset(b, GeoJSON, 2000, 0)
 	spec := benchSpec(query.Aggregation)
-	feats, err := new(Engine).CollectFeatures(context.Background(), ds, Options{})
+	feats, err := testEngine(b, 0).CollectFeatures(context.Background(), ds, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -161,9 +163,10 @@ func BenchmarkFig11PartitionVsJoin(b *testing.B) {
 		}
 		return query.SideB
 	}
+	eng := testEngine(b, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		jr, err := new(Engine).Join(context.Background(), ds, JoinSpec{Mask: mask, CellSize: 5}, Options{Mode: FAT, BlockSize: 64 << 10})
+		jr, err := eng.Join(context.Background(), ds, JoinSpec{Mask: mask, CellSize: 5}, Options{Mode: FAT, BlockSize: 64 << 10})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -206,10 +209,11 @@ func BenchmarkFig13Filtering(b *testing.B) {
 						Mode: mode, Dist: dist, WantPerimeter: true,
 					}
 					opt := Options{BlockSize: 64 << 10}
+					eng := testEngine(b, 0)
 					b.SetBytes(int64(len(ds.Data)))
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						if _, err := new(Engine).Query(context.Background(), ds, spec, opt); err != nil {
+						if _, err := eng.Query(context.Background(), ds, spec, opt); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -245,8 +249,9 @@ func BenchmarkFig15Partitioning(b *testing.B) {
 		for _, store := range []partition.StoreKind{partition.ArrayStore, partition.ListStore} {
 			name := fmt.Sprintf("cell=%g/%v", cell, store)
 			b.Run(name, func(b *testing.B) {
+				eng := testEngine(b, 0)
 				for i := 0; i < b.N; i++ {
-					_, err := new(Engine).Join(context.Background(), ds, JoinSpec{
+					_, err := eng.Join(context.Background(), ds, JoinSpec{
 						Mask: mask, CellSize: cell, Store: store,
 					}, Options{Mode: FAT, BlockSize: 64 << 10})
 					if err != nil {

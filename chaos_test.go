@@ -71,7 +71,7 @@ func TestChaosPanicConfinedToTenant(t *testing.T) {
 	eng := chaosEngine(t)
 	opt := Options{BlockSize: 8 << 10}
 
-	want, err := new(Engine).Query(context.Background(), ds, aggSpec(), opt)
+	want, err := testEngine(t, 0).Query(context.Background(), ds, aggSpec(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}

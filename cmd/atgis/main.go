@@ -81,7 +81,7 @@ func main() {
 	eng := atgis.NewEngine(atgis.EngineConfig{Workers: *workers, BlockSize: *blockSize, Sidecar: sidecarMode})
 	defer eng.Close()
 
-	opt := atgis.Options{Workers: *workers, BlockSize: *blockSize}
+	opt := atgis.Options{BlockSize: *blockSize}
 	if strings.EqualFold(*mode, "fat") {
 		opt.Mode = atgis.FAT
 	}

@@ -115,10 +115,11 @@ type PassPanicError = pipeline.PassPanicError
 // of each spawning their own; parser machines recycle through pools
 // across blocks and across queries.
 //
-// An Engine is safe for concurrent use. The zero value is valid: it
-// runs each query on its own transient workers (Options.Workers many),
-// which is what a core-count sweep needs. NewEngine attaches the shared
-// pool; Close releases it.
+// An Engine is safe for concurrent use. NewEngine is the only way to
+// build one — the pool's size is the one answer to how many workers ran a
+// pass, so a core-count sweep builds an engine per point — and Close
+// releases the pool; an Engine that NewEngine did not build has no pool
+// and fails every query like a closed one (ErrEngineClosed).
 type Engine struct {
 	blockSize int
 	pool      *pipeline.Pool
@@ -160,7 +161,7 @@ func NewEngine(cfg EngineConfig) *Engine {
 // returning the release to defer. The tenant comes from ctx
 // (WithTenant); engines without admission admit immediately.
 func (e *Engine) admit(ctx context.Context) (func(), error) {
-	if e == nil || e.gate == nil {
+	if e.gate == nil {
 		return func() {}, nil
 	}
 	return e.gate.Acquire(ctx, admission.Tenant(ctx))
@@ -168,8 +169,8 @@ func (e *Engine) admit(ctx context.Context) (func(), error) {
 
 // PoolStats reports shared-pool utilisation.
 type PoolStats struct {
-	// Workers is the pool size (0 for pool-less engines, whose queries
-	// run on transient goroutines).
+	// Workers is the pool size: the Stats.Workers of every pass the
+	// engine runs.
 	Workers int `json:"workers"`
 	// Busy is the number of workers currently executing a task.
 	Busy int `json:"busy"`
@@ -239,7 +240,7 @@ type EngineStats struct {
 	Pool PoolStats `json:"pool"`
 	// Admission is nil when admission control is disabled.
 	Admission *AdmissionStats `json:"admission,omitempty"`
-	// Scheduler is nil for pool-less engines.
+	// Scheduler is the pool's weighted scheduler; every engine has one.
 	Scheduler *SchedulerStats `json:"scheduler,omitempty"`
 }
 
@@ -247,47 +248,45 @@ type EngineStats struct {
 // admission-queue state.
 func (e *Engine) Stats() EngineStats {
 	var st EngineStats
-	if e == nil {
-		return st
+	if e.pool == nil {
+		return st // not built by NewEngine: nothing to report
 	}
-	if e.pool != nil {
-		st.Pool = PoolStats{Workers: e.pool.Size(), Busy: e.pool.Busy()}
-		snap := e.pool.SchedSnapshot()
-		sched := &SchedulerStats{
-			TotalGrantedBlocks:      snap.TotalGranted,
-			TotalGrantedCellBatches: snap.TotalGrantedBatches,
-			LocalityHits:            snap.LocalityHits,
-			LocalityMisses:          snap.LocalityMisses,
-		}
-		// Shares are computed over the trailing window, not since
-		// activation: a tenant that burst minutes ago and has been
-		// quiet since should not read as holding the pool today.
-		var recentGrants uint64
-		for _, p := range snap.Passes {
-			recentGrants += p.RecentGranted
-		}
-		for _, p := range snap.Passes {
-			ts := SchedulerTenantStats{
-				Weight:              p.Weight,
-				Passes:              p.Passes,
-				JoinPasses:          p.JoinPasses,
-				QueuedBlocks:        p.Queued,
-				QueuedCellBatches:   p.QueuedBatches,
-				GrantedBlocks:       p.Granted,
-				GrantedCellBatches:  p.GrantedBatches,
-				RecentGrantedBlocks: p.RecentGranted,
-				Deficit:             p.Deficit,
-			}
-			if recentGrants > 0 {
-				ts.WorkerShare = float64(p.RecentGranted) / float64(recentGrants)
-			}
-			if sched.Tenants == nil {
-				sched.Tenants = make(map[string]SchedulerTenantStats, len(snap.Passes))
-			}
-			sched.Tenants[p.Label] = ts
-		}
-		st.Scheduler = sched
+	st.Pool = PoolStats{Workers: e.pool.Size(), Busy: e.pool.Busy()}
+	snap := e.pool.SchedSnapshot()
+	sched := &SchedulerStats{
+		TotalGrantedBlocks:      snap.TotalGranted,
+		TotalGrantedCellBatches: snap.TotalGrantedBatches,
+		LocalityHits:            snap.LocalityHits,
+		LocalityMisses:          snap.LocalityMisses,
 	}
+	// Shares are computed over the trailing window, not since
+	// activation: a tenant that burst minutes ago and has been
+	// quiet since should not read as holding the pool today.
+	var recentGrants uint64
+	for _, p := range snap.Passes {
+		recentGrants += p.RecentGranted
+	}
+	for _, p := range snap.Passes {
+		ts := SchedulerTenantStats{
+			Weight:              p.Weight,
+			Passes:              p.Passes,
+			JoinPasses:          p.JoinPasses,
+			QueuedBlocks:        p.Queued,
+			QueuedCellBatches:   p.QueuedBatches,
+			GrantedBlocks:       p.Granted,
+			GrantedCellBatches:  p.GrantedBatches,
+			RecentGrantedBlocks: p.RecentGranted,
+			Deficit:             p.Deficit,
+		}
+		if recentGrants > 0 {
+			ts.WorkerShare = float64(p.RecentGranted) / float64(recentGrants)
+		}
+		if sched.Tenants == nil {
+			sched.Tenants = make(map[string]SchedulerTenantStats, len(snap.Passes))
+		}
+		sched.Tenants[p.Label] = ts
+	}
+	st.Scheduler = sched
 	if e.gate != nil {
 		snap := e.gate.Snapshot()
 		st.Admission = &snap
@@ -304,11 +303,12 @@ func (e *Engine) Close() error {
 	return nil
 }
 
-// ErrEngineClosed is returned by queries on a closed engine.
+// ErrEngineClosed is returned by queries on a closed engine, and on an
+// Engine that NewEngine did not build: no pool is no engine.
 var ErrEngineClosed = fmt.Errorf("atgis: engine closed")
 
 func (e *Engine) check() error {
-	if e != nil && e.closed.Load() {
+	if e.pool == nil || e.closed.Load() {
 		return ErrEngineClosed
 	}
 	return nil
@@ -319,9 +319,6 @@ func (e *Engine) check() error {
 // layers share one accounting), else the engine's own TenantWeights
 // copy; 1 everywhere else.
 func (e *Engine) weightFor(tenant string) int {
-	if e == nil {
-		return 1
-	}
 	if e.gate != nil {
 		return e.gate.Weight(tenant)
 	}
@@ -331,27 +328,23 @@ func (e *Engine) weightFor(tenant string) int {
 	return 1
 }
 
-// exec selects the processing resources for one run: the engine's
-// shared pool when present (registered with the pool's weighted
-// scheduler under ctx's tenant and weight), else transient per-run
-// workers. data is the run's input bytes; its mapping identity becomes
-// the pass's scheduler locality key.
-func (e *Engine) exec(ctx context.Context, opt Options, data []byte) pipeline.Exec {
-	if e != nil && e.pool != nil {
-		tenant := admission.Tenant(ctx)
-		return pipeline.Exec{
-			Pool:   e.pool,
-			Weight: e.weightFor(tenant),
-			Label:  tenant,
-			Source: pipeline.SourceKey(data),
-		}
-	}
-	return pipeline.Exec{Workers: opt.workers()}
+// register is the one place a pass reaches the pool: a block plan
+// (QueryPass) or a join sweep (JoinPass) over data registers with the
+// weighted scheduler under ctx's tenant and weight, and the caller closes
+// the handle when the pass ends — on completion and on cancellation alike
+// — returning its share to the pool. data's mapping identity becomes the
+// pass's scheduler locality key. Registering with ctx also arms the
+// drain-on-cancel watcher: a cancelled pass must not wait for pool
+// workers to free up before its queued tasks can run — drained tasks see
+// the cancelled context and return immediately.
+func (e *Engine) register(ctx context.Context, kind pipeline.PassKind, data []byte) *pipeline.PassHandle {
+	tenant := admission.Tenant(ctx)
+	return e.pool.Register(ctx, tenant, e.weightFor(tenant), kind, pipeline.SourceKey(data))
 }
 
 // opts applies the engine's defaults to per-query options.
 func (e *Engine) opts(opt Options) Options {
-	if opt.BlockSize == 0 && e != nil && e.blockSize > 0 {
+	if opt.BlockSize == 0 && e.blockSize > 0 {
 		opt.BlockSize = e.blockSize
 	}
 	return opt
@@ -435,58 +428,37 @@ func (e *Engine) join(ctx context.Context, src Source, spec JoinSpec, opt Option
 	if err != nil {
 		return nil, nil, err
 	}
-	jcfg, done := e.joinConfig(ctx, &spec, opt, reparse, pipeline.SourceKey(src.Bytes()))
+	// The sweep's cell-batch tasks feed the pool's weighted dispatch queue,
+	// so concurrent joins and queries contend for the same bounded worker
+	// set at the same scheduling quantum: a worker returns to the pool
+	// after every batch, making the join preemptible by other passes and
+	// weight-schedulable mid-sweep. A streaming-join consumer that stalls
+	// without calling Close still blocks the workers currently emitting to
+	// it, but never more than the in-flight batch window.
+	handle := e.register(ctx, pipeline.JoinPass, src.Bytes())
+	defer handle.Close()
+	jcfg := join.Config{
+		Ctx:          ctx,
+		Handle:       handle,
+		Predicate:    spec.Predicate,
+		KernelRefine: spec.kernelEligible,
+		ReparseA:     reparse,
+		ReparseB:     reparse,
+		BatchCells:   spec.BatchCells,
+		OrderWindow:  spec.OrderWindow,
+		CellLo:       spec.CellLo,
+		CellHi:       spec.CellHi,
+	}
 	jr := &JoinResult{PartitionStats: stats, Extent: extent}
 	if emit == nil {
 		jr.Pairs, jr.JoinStats, err = join.Run(merged.Sets[0], merged.Sets[1], jcfg)
 	} else {
 		jr.JoinStats, err = join.RunStream(merged.Sets[0], merged.Sets[1], jcfg, emit)
 	}
-	done()
 	if err != nil {
 		return nil, nil, err
 	}
 	return jr, reparse, nil
-}
-
-// joinConfig assembles the join sweep configuration plus a release the
-// caller must invoke once the sweep completes. Engines with a shared
-// pool feed the sweep's cell-batch tasks into the pool's weighted
-// dispatch queue (Config.Handle), so concurrent joins and queries
-// contend for the same bounded worker set at the same scheduling
-// quantum: a worker returns to the pool after every batch, making the
-// join preemptible by other passes and weight-schedulable mid-sweep. A
-// streaming-join consumer that stalls without calling Close still
-// blocks the workers currently emitting to it, but never more than the
-// in-flight batch window. The sweep registers with the pool's weighted
-// scheduler under ctx's tenant — granted batch by batch by tenant
-// weight — and the release deregisters it.
-func (e *Engine) joinConfig(ctx context.Context, spec *JoinSpec, opt Options, reparse join.Reparser, srcKey uint64) (join.Config, func()) {
-	cfg := join.Config{
-		Ctx:           ctx,
-		Predicate:     spec.Predicate,
-		KernelRefine:  spec.kernelEligible,
-		ReparseA:      reparse,
-		ReparseB:      reparse,
-		Workers:       opt.workers(),
-		SortThreshold: spec.SortThreshold,
-		BatchCells:    spec.BatchCells,
-		OrderWindow:   spec.OrderWindow,
-		CellLo:        spec.CellLo,
-		CellHi:        spec.CellHi,
-	}
-	if e != nil && e.pool != nil {
-		tenant := admission.Tenant(ctx)
-		// Register(ctx, ...) also arms the drain-on-cancel watcher: a
-		// cancelled join must not wait for pool workers to free up
-		// before its accepted-but-ungranted batch tasks can run (the
-		// sweep's task group counts them) — drained tasks see the
-		// cancelled context and return immediately.
-		cfg.Handle = e.pool.Register(ctx, tenant, e.weightFor(tenant), pipeline.JoinPass, srcKey)
-		cfg.Workers = e.pool.Size()
-		return cfg, cfg.Handle.Close
-	}
-	return cfg, func() {}
 }
 
 // joinPartitionPhase runs the first join pass: the parallel bounding

@@ -8,7 +8,8 @@ import (
 
 // PairedRelease enforces the engine's paired acquire/release protocols:
 // an admission slot (Gate.Acquire / Engine.admit) must be released, a
-// scheduler registration (Pool.Register) must be Closed, an mmap
+// scheduler registration (Pool.Register / Engine.register) must be Closed,
+// a worker pool started for one run (pipeline.NewPool) must be Closed, an mmap
 // (OpenMapped / mmapFile) must be unmapped, a gzip writer must be
 // Closed (the trailer is part of the wire format), an NDJSON stream
 // writer must be stopped (its interval timer must not outlive the
@@ -24,7 +25,7 @@ import (
 // own error result are exempt.
 var PairedRelease = &Analyzer{
 	Name: "pairedrelease",
-	Doc: "admission slots, scheduler registrations, mmaps, gzip writers, stream writers and pooled " +
+	Doc: "admission slots, scheduler registrations, run-scoped pools, mmaps, gzip writers, stream writers and pooled " +
 		"scratch must be released on every return path (prefer defer)",
 	Run: runPairedRelease,
 }
@@ -57,6 +58,15 @@ var acquireSpecs = []acquireSpec{
 	{call: "Register", recvHint: "Pool", result: 0, errResult: -1,
 		releaseMethods: []string{"Close", "Drain"},
 		what:           "scheduler pass registration (*PassHandle)"},
+	{call: "register", recvHint: "Engine", result: 0, errResult: -1,
+		releaseMethods: []string{"Close"},
+		what:           "scheduler pass registration (Engine.register handle)"},
+	// A pool started for one run (join.run without a handle) must stop
+	// its workers when the run ends; an engine's pool is stored in the
+	// engine, which transfers ownership.
+	{call: "NewPool", result: 0, errResult: -1,
+		releaseMethods: []string{"Close"},
+		what:           "run-scoped worker pool (pipeline.NewPool)"},
 	{call: "OpenMapped", result: 0, errResult: 1,
 		releaseMethods: []string{"Close"},
 		what:           "mmap'd source"},

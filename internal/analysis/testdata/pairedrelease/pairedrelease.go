@@ -1,7 +1,8 @@
 // Package fixture exercises the pairedrelease protocols with local
 // stand-ins for the engine's paired resources: an admission Gate whose
-// Acquire returns a release func, a Pool whose Register returns a
-// handle that must be Closed, and the real compress/gzip writer.
+// Acquire returns a release func, a Pool that must be Closed when it was
+// started for one run and whose Register returns a handle that must be
+// Closed, and the real compress/gzip writer.
 package fixture
 
 import (
@@ -24,6 +25,17 @@ func (h *PassHandle) Close() {}
 type Pool struct{}
 
 func (p *Pool) Register(label string) *PassHandle { return &PassHandle{} }
+
+func (p *Pool) Close() {}
+
+// NewPool doubles for pipeline.NewPool: a pool started for one run.
+func NewPool(size int) *Pool { return &Pool{} }
+
+// Engine doubles for atgis.Engine, whose register is the root package's
+// one Pool.Register call site.
+type Engine struct{ pool *Pool }
+
+func (e *Engine) register(label string) *PassHandle { return e.pool.Register(label) }
 
 func work() {}
 
@@ -94,6 +106,50 @@ func goodRegister(p *Pool) {
 func badRegister(p *Pool) bool {
 	h := p.Register("tenant") // want `scheduler pass registration .* never released`
 	return h != nil
+}
+
+func goodEngineRegister(e *Engine) {
+	pass := e.register("tenant")
+	defer pass.Close()
+	work()
+}
+
+func badEngineRegister(e *Engine) bool {
+	pass := e.register("tenant") // want `scheduler pass registration .* never released`
+	return pass != nil
+}
+
+// goodRunScopedPool is join.run's shape: the pool lives as long as the
+// sweep, whichever way the sweep ends.
+func goodRunScopedPool(fail bool) error {
+	pool := NewPool(3)
+	defer pool.Close()
+	h := pool.Register("sweep")
+	defer h.Close()
+	if fail {
+		return errors.New("sweep failed")
+	}
+	return nil
+}
+
+// goodPoolStored is NewEngine's shape: the engine owns the pool.
+func goodPoolStored() *struct{ pool *Pool } {
+	return &struct{ pool *Pool }{pool: NewPool(0)}
+}
+
+func badPoolLeaked() {
+	pool := NewPool(2) // want `run-scoped worker pool .* never released`
+	h := pool.Register("sweep")
+	defer h.Close()
+}
+
+func badPoolEarlyReturn(fail bool) error {
+	pool := NewPool(2)
+	if fail {
+		return errors.New("leaked") // want `return leaks run-scoped worker pool`
+	}
+	pool.Close()
+	return nil
 }
 
 func goodGzip(w io.Writer) error {

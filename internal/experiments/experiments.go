@@ -226,13 +226,9 @@ func Table2(cfg Config) *Report {
 	return r
 }
 
-// transient is the zero-value engine: no shared pool, so every call runs
-// on Options.Workers transient workers — what the core-count sweeps vary.
-var transient = &atgis.Engine{}
-
 // runQueryTimed executes a query and returns throughput MB/s.
-func runQueryTimed(ds *atgis.Dataset, spec *query.Spec, opt atgis.Options) (float64, *atgis.Result) {
-	res, err := transient.Query(context.Background(), ds, spec, opt)
+func runQueryTimed(eng *atgis.Engine, ds *atgis.Dataset, spec *query.Spec, opt atgis.Options) (float64, *atgis.Result) {
+	res, err := eng.Query(context.Background(), ds, spec, opt)
 	if err != nil {
 		panic(err)
 	}
@@ -240,7 +236,9 @@ func runQueryTimed(ds *atgis.Dataset, spec *query.Spec, opt atgis.Options) (floa
 }
 
 // Fig9 runs the core-count scaling sweeps: (a) containment,
-// (b) aggregation, both FAT and PAT; (c) join (FAT partition pass).
+// (b) aggregation, both FAT and PAT; (c) join (FAT partition pass). The
+// pool's size is the only worker count there is, so a sweep over cores
+// is an engine per point.
 func Fig9(cfg Config, sub string) *Report {
 	cfg = cfg.Defaults()
 	data := genGeoJSON(cfg, cfg.Features)
@@ -258,8 +256,10 @@ func Fig9(cfg Config, sub string) *Report {
 		r.Header = []string{"cores", "AT-GIS-PAT", "AT-GIS-FAT"}
 		for w := 1; w <= cfg.MaxWorkers; w *= 2 {
 			spec := stdSpec(kind)
-			patT, _ := runQueryTimed(ds, spec, atgis.Options{Mode: atgis.PAT, Workers: w, BlockSize: 64 << 10})
-			fatT, _ := runQueryTimed(ds, spec, atgis.Options{Mode: atgis.FAT, Workers: w, BlockSize: 64 << 10})
+			eng := atgis.NewEngine(atgis.EngineConfig{Workers: w})
+			patT, _ := runQueryTimed(eng, ds, spec, atgis.Options{Mode: atgis.PAT, BlockSize: 64 << 10})
+			fatT, _ := runQueryTimed(eng, ds, spec, atgis.Options{Mode: atgis.FAT, BlockSize: 64 << 10})
+			eng.Close()
 			r.Rows = append(r.Rows, []string{fmt.Sprintf("%d", w), f2(patT), f2(fatT)})
 		}
 	case "c":
@@ -268,15 +268,18 @@ func Fig9(cfg Config, sub string) *Report {
 		jdata := genJoinGeoJSON(cfg, cfg.JoinFeatures)
 		jds := mustDataset(jdata, atgis.GeoJSON)
 		for w := 1; w <= cfg.MaxWorkers; w *= 2 {
+			eng := atgis.NewEngine(atgis.EngineConfig{Workers: w})
 			start := time.Now()
-			_, err := transient.Join(context.Background(), jds, atgis.JoinSpec{
+			_, err := eng.Join(context.Background(), jds, atgis.JoinSpec{
 				Mask:     idParityMask,
 				CellSize: 10,
-			}, atgis.Options{Mode: atgis.FAT, Workers: w, BlockSize: 64 << 10})
+			}, atgis.Options{Mode: atgis.FAT, BlockSize: 64 << 10})
+			elapsed := time.Since(start)
+			eng.Close()
 			if err != nil {
 				panic(err)
 			}
-			mbs := float64(len(jdata)) / (1 << 20) / time.Since(start).Seconds()
+			mbs := float64(len(jdata)) / (1 << 20) / elapsed.Seconds()
 			r.Rows = append(r.Rows, []string{fmt.Sprintf("%d", w), f2(mbs)})
 		}
 	}
@@ -296,7 +299,9 @@ func Fig10(cfg Config) *Report {
 	cfg = cfg.Defaults()
 	data := genGeoJSON(cfg, cfg.Features)
 	ds := mustDataset(data, atgis.GeoJSON)
-	feats, err := transient.CollectFeatures(context.Background(), ds, atgis.Options{})
+	eng := atgis.NewEngine(atgis.EngineConfig{})
+	defer eng.Close()
+	feats, err := eng.CollectFeatures(context.Background(), ds, atgis.Options{})
 	if err != nil {
 		panic(err)
 	}
@@ -317,10 +322,10 @@ func Fig10(cfg Config) *Report {
 	// AT-GIS PAT / FAT: no load phase.
 	for _, mode := range []atgis.Mode{atgis.PAT, atgis.FAT} {
 		opt := atgis.Options{Mode: mode, BlockSize: 64 << 10}
-		cT := timeIt(func() { runQueryTimed(ds, stdSpec(query.Containment), opt) })
-		aT := timeIt(func() { runQueryTimed(ds, stdSpec(query.Aggregation), opt) })
+		cT := timeIt(func() { runQueryTimed(eng, ds, stdSpec(query.Containment), opt) })
+		aT := timeIt(func() { runQueryTimed(eng, ds, stdSpec(query.Aggregation), opt) })
 		jT := timeIt(func() {
-			if _, err := transient.Join(context.Background(), ds, joinSpec, opt); err != nil {
+			if _, err := eng.Join(context.Background(), ds, joinSpec, opt); err != nil {
 				panic(err)
 			}
 		})
@@ -442,13 +447,15 @@ func Fig11(cfg Config) *Report {
 		Header: []string{"cores", "partition(ms)", "join(ms)", "total(ms)"},
 	}
 	for w := 1; w <= cfg.MaxWorkers; w *= 2 {
+		eng := atgis.NewEngine(atgis.EngineConfig{Workers: w})
 		start := time.Now()
-		jr, err := transient.Join(context.Background(), ds, atgis.JoinSpec{Mask: idParityMask, CellSize: 5},
-			atgis.Options{Mode: atgis.FAT, Workers: w, BlockSize: 64 << 10})
+		jr, err := eng.Join(context.Background(), ds, atgis.JoinSpec{Mask: idParityMask, CellSize: 5},
+			atgis.Options{Mode: atgis.FAT, BlockSize: 64 << 10})
+		total := time.Since(start)
+		eng.Close()
 		if err != nil {
 			panic(err)
 		}
-		total := time.Since(start)
 		part := jr.PartitionStats.Total()
 		r.Rows = append(r.Rows, []string{
 			fmt.Sprintf("%d", w), ms(part), ms(total - part), ms(total),
@@ -517,21 +524,23 @@ func Fig12(cfg Config) *Report {
 		variants = append(variants, variant{"OSM-5G(rep)", atgis.GeoJSON, atgis.PAT, b.Bytes(), nil})
 	}
 
+	eng := atgis.NewEngine(atgis.EngineConfig{})
+	defer eng.Close()
 	for _, v := range variants {
 		ds := mustDataset(v.data, v.format)
 		opt := atgis.Options{Mode: v.mode, BlockSize: 64 << 10}
-		cT, _ := runQueryTimed(ds, stdSpec(query.Containment), opt)
-		aT, _ := runQueryTimed(ds, stdSpec(query.Aggregation), opt)
+		cT, _ := runQueryTimed(eng, ds, stdSpec(query.Containment), opt)
+		aT, _ := runQueryTimed(eng, ds, stdSpec(query.Aggregation), opt)
 		jcol, ccol := "-", "-"
 		if v.jdata != nil {
 			jds := mustDataset(v.jdata, v.format)
 			start := time.Now()
-			if _, err := transient.Join(context.Background(), jds, atgis.JoinSpec{Mask: idParityMask, CellSize: 10}, opt); err != nil {
+			if _, err := eng.Join(context.Background(), jds, atgis.JoinSpec{Mask: idParityMask, CellSize: 10}, opt); err != nil {
 				panic(err)
 			}
 			jcol = f2(float64(len(v.jdata)) / (1 << 20) / time.Since(start).Seconds())
 			start = time.Now()
-			if _, err := transient.Combined(context.Background(), jds, atgis.CombinedSpec{
+			if _, err := eng.Combined(context.Background(), jds, atgis.CombinedSpec{
 				T1: 100e3, T2: 80e3, Dist: geom.Haversine, CellSize: 10,
 			}, opt); err != nil {
 				panic(err)
@@ -549,6 +558,8 @@ func Fig13(cfg Config, method geom.DistanceMethod) *Report {
 	cfg = cfg.Defaults()
 	data := genGeoJSON(cfg, cfg.Features)
 	ds := mustDataset(data, atgis.GeoJSON)
+	eng := atgis.NewEngine(atgis.EngineConfig{})
+	defer eng.Close()
 	sub := "a"
 	if method == geom.Andoyer {
 		sub = "b"
@@ -565,7 +576,7 @@ func Fig13(cfg Config, method geom.DistanceMethod) *Report {
 				Kind: query.Aggregation, Ref: ref, Pred: query.PredIntersects,
 				Mode: mode, Dist: method, WantPerimeter: true,
 			}
-			t, _ := runQueryTimed(ds, spec, atgis.Options{Mode: atgis.PAT, BlockSize: 64 << 10})
+			t, _ := runQueryTimed(eng, ds, spec, atgis.Options{Mode: atgis.PAT, BlockSize: 64 << 10})
 			return t
 		}
 		r.Rows = append(r.Rows, []string{
@@ -580,11 +591,13 @@ func Fig13(cfg Config, method geom.DistanceMethod) *Report {
 func Fig14(cfg Config, sub string) *Report {
 	cfg = cfg.Defaults()
 	r := &Report{ID: "fig14" + sub}
+	eng := atgis.NewEngine(atgis.EngineConfig{})
+	defer eng.Close()
 	run := func(data []byte) (pat, fat float64) {
 		ds := mustDataset(data, atgis.GeoJSON)
 		spec := stdSpec(query.Aggregation)
-		pat, _ = runQueryTimed(ds, spec, atgis.Options{Mode: atgis.PAT, BlockSize: 64 << 10})
-		fat, _ = runQueryTimed(ds, spec, atgis.Options{Mode: atgis.FAT, BlockSize: 64 << 10})
+		pat, _ = runQueryTimed(eng, ds, spec, atgis.Options{Mode: atgis.PAT, BlockSize: 64 << 10})
+		fat, _ = runQueryTimed(eng, ds, spec, atgis.Options{Mode: atgis.FAT, BlockSize: 64 << 10})
 		return pat, fat
 	}
 	switch sub {
@@ -631,6 +644,8 @@ func Fig15(cfg Config) *Report {
 	cfg = cfg.Defaults()
 	data := genJoinGeoJSON(cfg, cfg.JoinFeatures)
 	ds := mustDataset(data, atgis.GeoJSON)
+	eng := atgis.NewEngine(atgis.EngineConfig{})
+	defer eng.Close()
 	r := &Report{
 		ID:    "fig15",
 		Title: "Effect of partition size and storage format (ms)",
@@ -641,7 +656,7 @@ func Fig15(cfg Config) *Report {
 	for _, cell := range []float64{0.25, 0.5, 1, 2, 4} {
 		for _, store := range []partition.StoreKind{partition.ArrayStore, partition.ListStore} {
 			start := time.Now()
-			jr, err := transient.Join(context.Background(), ds, atgis.JoinSpec{
+			jr, err := eng.Join(context.Background(), ds, atgis.JoinSpec{
 				Mask: idParityMask, CellSize: cell, Store: store,
 			}, atgis.Options{Mode: atgis.FAT, BlockSize: 64 << 10})
 			if err != nil {

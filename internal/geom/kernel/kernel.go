@@ -53,10 +53,10 @@ import (
 )
 
 // disabled force-disables every kernel consumer (join refinement, query
-// evaluators, PFT reference-edge batching fall back to scalar). It
-// exists for the differential matrix — sidecar_diff-style harnesses run
+// evaluators, PFT reference-edge batching fall back to scalar). It is
+// the differential harness's switch — sidecar_diff-style harnesses run
 // identical passes with kernels on and off and require byte-identical
-// output — and as an operational escape hatch.
+// output — and nothing else: no flag, option or config reaches it.
 var disabled atomic.Bool
 
 // SetDisabled toggles the kernels off (true) or on (false, default).

@@ -21,11 +21,12 @@
 //
 // The sweep is quantised: the grid's cell range is carved into batches
 // of Config.BatchCells cells and each batch is one independent task.
-// With Config.Handle set, tasks feed incrementally into a shared
-// pipeline.Pool's weighted dispatch queue (via pipeline.TaskGroup), so
-// a join is preemptible, weight-schedulable and cancellable at the same
-// quantum as query passes — a worker returns to the pool after every
-// batch instead of being held for the whole sweep. Per-task scratch
+// Tasks feed incrementally into a pipeline.Pool's weighted dispatch
+// queue (via pipeline.TaskGroup) — the shared pool Config.Handle is
+// registered with, or a pool of Config.Workers started for this sweep
+// alone — so a join is preemptible, weight-schedulable and cancellable
+// at the same quantum as query passes: a worker returns to the pool after
+// every batch instead of being held for the whole sweep. Per-task scratch
 // state (emit buffers, the reparse cache) comes from a bounded pool
 // sized by the in-flight window, and a reacquired state keeps its warm
 // cache (cache handoff across batches). Partitions store only MBRs and
@@ -80,16 +81,9 @@ type Config struct {
 	Predicate func(a, b geom.Geometry) bool
 	// ReparseA / ReparseB rebuild geometries by offset.
 	ReparseA, ReparseB Reparser
-	// SortThreshold bounds how many candidates buffer before a sorted
-	// refinement batch runs (paper: limits how long objects stay in
-	// memory). Zero means one batch per cell.
-	SortThreshold int
-	// CacheSize bounds the non-adjacent side's geometry cache entries
-	// per scratch state. Zero means unbounded within a batch.
-	CacheSize int
-	// Workers sets the parallelism across cell batches when Handle is
-	// nil (transient goroutines). With a Handle it only sizes the
-	// default in-flight window — the pool bounds concurrency.
+	// Workers sizes the pool a sweep without a Handle starts for itself
+	// and closes when it ends (0 = GOMAXPROCS). Ignored with a Handle:
+	// the handle's pool bounds concurrency.
 	Workers int
 	// Handle, when set, feeds each cell-batch task into a shared
 	// pipeline.Pool's weighted dispatch queue: the sweep contends for
@@ -97,11 +91,6 @@ type Config struct {
 	// workers batch by batch (preemptible at the batch quantum). The
 	// caller registers and closes the handle.
 	Handle *pipeline.PassHandle
-	// Window bounds how many cell-batch tasks may be in flight (queued
-	// or running) at once. Zero means Workers for transient sweeps and
-	// 2·Workers+2 for pooled ones (enough to keep every worker fed
-	// while the producer refills).
-	Window int
 	// BatchCells is the number of grid cells per sweep task (0 =
 	// DefaultBatchCells).
 	BatchCells int
@@ -133,13 +122,6 @@ type Config struct {
 	// left corner) of its MBR intersection, so no global sort/dedup pass
 	// is needed. Set by RunStream.
 	refPointDedup bool
-}
-
-func (c Config) done() <-chan struct{} {
-	if c.Ctx == nil {
-		return nil
-	}
-	return c.Ctx.Done()
 }
 
 // Stats reports join-phase measurements.
@@ -207,9 +189,6 @@ func RunStream(a, b *partition.Set, cfg Config, emit func(Pair)) (Stats, error) 
 type sweep struct {
 	a, b *partition.Set
 	cfg  Config
-	// label attributes fault errors to the pass (the tenant on pooled
-	// sweeps; "" for transient ones).
-	label string
 	// stream receives pairs as found (nil in Run's buffered mode, where
 	// pairs collect in the scratch states instead).
 	stream func(Pair)
@@ -234,7 +213,7 @@ type sweep struct {
 // keeps its warm geometry cache; the pool is bounded by the in-flight
 // task window.
 type sweepState struct {
-	cache *geomCache
+	cache geomCache
 	pairs []Pair
 	st    Stats
 	// kern is the pooled kernel scratch, acquired lazily by the first
@@ -252,7 +231,7 @@ func (s *sweep) acquire() *sweepState {
 		s.free = s.free[:n-1]
 		return st
 	}
-	st := &sweepState{cache: newGeomCache(s.cfg.CacheSize)}
+	st := &sweepState{cache: make(geomCache)}
 	s.all = append(s.all, st)
 	return st
 }
@@ -305,13 +284,11 @@ func (s *sweep) failed() bool {
 }
 
 // cancelled reports whether the join's context is done.
-func (s *sweep) cancelled() bool {
-	return s.cfg.Ctx != nil && s.cfg.Ctx.Err() != nil
-}
+func (s *sweep) cancelled() bool { return s.cfg.Ctx.Err() != nil }
 
 // task processes the cell batch [start, end) — one scheduling quantum.
-// Every submitted task runs exactly once (granted a pool worker, run by
-// a transient goroutine, or reclaimed inline by drain-on-cancel) and,
+// Every submitted task runs exactly once (granted a pool worker, or
+// reclaimed inline by drain-on-cancel) and,
 // when ordered, reports to the sequencer exactly once, so the sequencer
 // head always advances.
 func (s *sweep) task(idx, start, end int) {
@@ -338,10 +315,13 @@ func (s *sweep) task(idx, start, end int) {
 	// predicate or a memory fault in a reparse (source truncated under
 	// its mmap) fails this sweep with a typed error — the pool worker
 	// granting the batch, and every other pass on it, are unaffected.
-	if err := pipeline.Guarded(s.label, "join-batch", idx, func() {
-		faultinject.Fire("join.batch", s.label, int64(idx))
+	// The pass's label attributes fault errors (the tenant on an engine's
+	// sweeps; "" on a run-scoped pool).
+	label := s.cfg.Handle.Label()
+	if err := pipeline.Guarded(label, "join-batch", idx, func() {
+		faultinject.Fire("join.batch", label, int64(idx))
 		if st.kern != nil {
-			faultinject.Fire("kernel.batch", s.label, int64(idx))
+			faultinject.Fire("kernel.batch", label, int64(idx))
 		}
 		for c := start; c < end; c++ {
 			if (c-start)&63 == 0 && s.cancelled() {
@@ -372,25 +352,24 @@ func (s *sweep) task(idx, start, end int) {
 // states; otherwise pairs go to stream as found and the returned slice
 // is nil.
 func run(a, b *partition.Set, cfg Config, stream func(Pair)) ([]Pair, Stats, error) {
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
+	if cfg.Ctx == nil {
+		cfg.Ctx = context.Background() //lint:atgis-allow ctxflow a nil Config.Ctx asks for an uncancellable sweep (library callers, probes), not a request path
+	}
+	if cfg.Handle == nil {
+		// No pool to share: the sweep runs on one of its own, the same
+		// dispatch path at a run's scope.
+		pool := pipeline.NewPool(cfg.Workers)
+		defer pool.Close()
+		cfg.Handle = pool.Register(cfg.Ctx, "", 1, pipeline.JoinPass, 0)
+		defer cfg.Handle.Close()
 	}
 	batch := cfg.BatchCells
 	if batch < 1 {
 		batch = DefaultBatchCells
 	}
-	window := cfg.Window
-	if window < 1 {
-		if cfg.Handle != nil {
-			// Queued + running: keep every granted worker fed while the
-			// producer refills (mirrors the pipeline's order-channel
-			// bound).
-			window = 2*workers + 2
-		} else {
-			window = workers
-		}
-	}
+	// Queued + running: keep every granted worker fed while the producer
+	// refills (mirrors the pipeline's order-channel bound).
+	window := 2*cfg.Handle.Workers() + 2
 	// The swept band: the whole grid unless a shard restricted it.
 	// Sequencer indices are band-relative so ordered bands start emitting
 	// immediately at index 0.
@@ -407,9 +386,6 @@ func run(a, b *partition.Set, cfg Config, stream func(Pair)) ([]Pair, Stats, err
 	}
 
 	s := &sweep{a: a, b: b, cfg: cfg, stream: stream}
-	if cfg.Handle != nil {
-		s.label = cfg.Handle.Label()
-	}
 	if stream != nil && cfg.OrderWindow > 0 {
 		ahead := cfg.OrderWindow / batch
 		if ahead < 1 {
@@ -427,7 +403,7 @@ func run(a, b *partition.Set, cfg Config, stream func(Pair)) ([]Pair, Stats, err
 		if end > hi {
 			end = hi
 		}
-		if s.seq != nil && !s.seq.reserve(cfg.done(), idx) {
+		if s.seq != nil && !s.seq.reserve(cfg.Ctx.Done(), idx) {
 			break
 		}
 		if !g.Go(func() { s.task(idx, start, end) }) {
@@ -453,13 +429,10 @@ func run(a, b *partition.Set, cfg Config, stream func(Pair)) ([]Pair, Stats, err
 			all = append(all, ss.pairs...)
 		}
 	}
-	if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
-		// Prefer the cancellation cause (typed pass failures cancel with
-		// cause); plain cancellation and deadlines pass through as-is.
-		if cause := context.Cause(cfg.Ctx); cause != nil {
-			return nil, st, cause
-		}
-		return nil, st, cfg.Ctx.Err()
+	if cfg.Ctx.Err() != nil {
+		// The cancellation cause: a typed pass failure that cancelled with
+		// cause, else the plain cancellation or deadline error itself.
+		return nil, st, context.Cause(cfg.Ctx)
 	}
 	if s.err != nil {
 		return nil, st, s.err
@@ -549,82 +522,25 @@ func (s *sequencer) done(idx int, pairs []Pair) {
 // joinCell joins one partition cell, reporting pairs through emit. With
 // ks non-nil the MBR compare and the refinement both run through the
 // batched slab kernels; results are bit-identical either way.
-func joinCell(a, b *partition.Set, cfg Config, c int, cache *geomCache, ks *kernel.Scratch, emit func(Pair), st *Stats) error {
+func joinCell(a, b *partition.Set, cfg Config, c int, cache geomCache, ks *kernel.Scratch, emit func(Pair), st *Stats) error {
 	ea := a.Cell(c)
 	eb := b.Cell(c)
 	if len(ea) == 0 || len(eb) == 0 {
 		return nil
 	}
-	// MBR COMPARE: candidate pairs within the cell.
+	// MBR COMPARE: candidate pairs within the cell. consider applies dedup
+	// ownership and candidate accounting to one MBR-intersecting pair;
+	// shared by the scalar and batched compares.
 	var cands []candidate
-	flush := func() error {
-		if len(cands) == 0 {
-			return nil
-		}
-		// SORT: order by the offset of the larger side so its
-		// objects are processed adjacently (paper: "AT-GIS makes
-		// the largest set adjacent").
-		sort.Slice(cands, func(i, j int) bool { return cands[i].aOff < cands[j].aOff })
-		var curOff int64 = -1
-		var curGeom geom.Geometry
-		for _, cd := range cands {
-			if cd.aOff != curOff {
-				g, err := cfg.ReparseA(cd.aOff)
-				if err != nil {
-					return err
-				}
-				st.Reparses++
-				curOff, curGeom = cd.aOff, g
-				if ks != nil {
-					// One slab fill per run of adjacent candidates — the
-					// sort above is what makes runs long, so the prepared
-					// A side amortises across every B it meets.
-					ks.A.Reset()
-					ks.A.AppendGeometry(curGeom)
-				}
-			}
-			gb, hit, err := cache.get(cd.bOff, cfg.ReparseB)
-			if err != nil {
-				return err
-			}
-			if hit {
-				st.CacheHits++
-			} else {
-				st.Reparses++
-			}
-			// REFINE: exact predicate (batched when kernel-refined).
-			refined := false
-			if ks != nil {
-				refined = kernel.IntersectsPreparedA(curGeom, &ks.A, gb, ks)
-			} else {
-				refined = cfg.Predicate(curGeom, gb)
-			}
-			if refined {
-				emit(Pair{AID: cd.aID, BID: cd.bID, AOff: cd.aOff, BOff: cd.bOff})
-				st.Refined++
-			}
-		}
-		cands = cands[:0]
-		// Per-batch cache reset bounds memory (paper: "Once a block
-		// is processed, the hash map is cleared").
-		cache.clear()
-		return nil
-	}
-	// consider applies dedup ownership and candidate accounting to one
-	// MBR-intersecting pair; shared by the scalar and batched compares.
-	consider := func(x, y partition.Entry) error {
+	consider := func(x, y partition.Entry) {
 		if cfg.refPointDedup && !ownsPair(a.Grid, c, x.Box, y.Box) {
 			// Another cell owns this pair's reference point and will
 			// report it; skip the duplicate before refinement.
 			st.Duplicates++
-			return nil
+			return
 		}
 		st.Candidates++
 		cands = append(cands, candidate{aOff: x.Off, bOff: y.Off, aID: x.ID, bID: y.ID})
-		if cfg.SortThreshold > 0 && len(cands) >= cfg.SortThreshold {
-			return flush()
-		}
-		return nil
 	}
 	if ks != nil && len(eb) >= kernelBoxBatchMin {
 		// Fused MBR prefilter: the B side's boxes fill a slab once per
@@ -646,27 +562,70 @@ func joinCell(a, b *partition.Set, cfg Config, c int, cache *geomCache, ks *kern
 				for word != 0 {
 					yi := base + bits.TrailingZeros64(word)
 					word &= word - 1
-					if err := consider(x, eb[yi]); err != nil {
-						return err
-					}
+					consider(x, eb[yi])
 				}
 			}
 		}
-		return flush()
-	}
-	for _, x := range ea {
-		for _, y := range eb {
-			if !x.Box.Intersects(y.Box) {
-				continue
-			}
-			if err := consider(x, y); err != nil {
-				return err
+	} else {
+		for _, x := range ea {
+			for _, y := range eb {
+				if x.Box.Intersects(y.Box) {
+					consider(x, y)
+				}
 			}
 		}
 	}
-	if err := flush(); err != nil {
-		return err
+	if len(cands) == 0 {
+		return nil
 	}
+	// SORT: one batch per cell, ordered by the offset of the larger side
+	// so its objects are processed adjacently (paper: "AT-GIS makes the
+	// largest set adjacent").
+	sort.Slice(cands, func(i, j int) bool { return cands[i].aOff < cands[j].aOff })
+	var curOff int64 = -1
+	var curGeom geom.Geometry
+	for _, cd := range cands {
+		if cd.aOff != curOff {
+			g, err := cfg.ReparseA(cd.aOff)
+			if err != nil {
+				return err
+			}
+			st.Reparses++
+			curOff, curGeom = cd.aOff, g
+			if ks != nil {
+				// One slab fill per run of adjacent candidates — the
+				// sort above is what makes runs long, so the prepared
+				// A side amortises across every B it meets.
+				ks.A.Reset()
+				ks.A.AppendGeometry(curGeom)
+			}
+		}
+		gb, hit := cache[cd.bOff]
+		if hit {
+			st.CacheHits++
+		} else {
+			var err error
+			if gb, err = cfg.ReparseB(cd.bOff); err != nil {
+				return err
+			}
+			cache[cd.bOff] = gb
+			st.Reparses++
+		}
+		// REFINE: exact predicate (batched when kernel-refined).
+		refined := false
+		if ks != nil {
+			refined = kernel.IntersectsPreparedA(curGeom, &ks.A, gb, ks)
+		} else {
+			refined = cfg.Predicate(curGeom, gb)
+		}
+		if refined {
+			emit(Pair{AID: cd.aID, BID: cd.bID, AOff: cd.aOff, BOff: cd.bOff})
+			st.Refined++
+		}
+	}
+	// Once the cell is processed the hash map is cleared (paper §4.5),
+	// which bounds the PARSER/BUFFER memory by one cell's B side.
+	clear(cache)
 	return nil
 }
 
@@ -687,37 +646,10 @@ func ownsPair(g partition.Grid, c int, a, b geom.Box) bool {
 	return g.CellOf(rx, ry) == c
 }
 
-// geomCache is the PARSER/BUFFER hash map for the non-adjacent side.
-type geomCache struct {
-	max int
-	m   map[int64]geom.Geometry
-}
-
-func newGeomCache(max int) *geomCache {
-	return &geomCache{max: max, m: make(map[int64]geom.Geometry)}
-}
-
-func (c *geomCache) get(off int64, re Reparser) (geom.Geometry, bool, error) {
-	if g, ok := c.m[off]; ok {
-		return g, true, nil
-	}
-	g, err := re(off)
-	if err != nil {
-		return nil, false, err
-	}
-	if c.max > 0 && len(c.m) >= c.max {
-		// Simple eviction: drop everything (batch-local cache). The map
-		// itself is retained — cache states recycle across batches, so
-		// the allocation would otherwise repeat per eviction.
-		clear(c.m)
-	}
-	c.m[off] = g
-	return g, false, nil
-}
-
-func (c *geomCache) clear() {
-	clear(c.m)
-}
+// geomCache is the PARSER/BUFFER hash map for the non-adjacent side. The
+// map itself is retained across cells and batches — scratch states
+// recycle — so only its entries are dropped per cell.
+type geomCache map[int64]geom.Geometry
 
 // NestedLoop is the oracle join used by tests: every pair of features
 // compared directly.

@@ -3,7 +3,11 @@ package join
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"atgis/internal/geom"
 	"atgis/internal/partition"
@@ -125,30 +129,6 @@ func TestJoinDuplicateElimination(t *testing.T) {
 	}
 }
 
-func TestJoinSortThresholdAndCache(t *testing.T) {
-	as, bs, reA, reB := makeWorld(7, 60, 60)
-	want := NestedLoop(as, bs, geom.Intersects)
-	sa, sb := buildSets(as, bs, 10, partition.ArrayStore)
-	for _, thr := range []int{1, 3, 16, 1000} {
-		for _, cache := range []int{0, 1, 8} {
-			got, _, err := Run(sa, sb, Config{
-				Predicate:     geom.Intersects,
-				ReparseA:      reA,
-				ReparseB:      reB,
-				SortThreshold: thr,
-				CacheSize:     cache,
-				Workers:       2,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !pairsEqual(got, want) {
-				t.Fatalf("thr %d cache %d: %d pairs, want %d", thr, cache, len(got), len(want))
-			}
-		}
-	}
-}
-
 func TestJoinCacheCountsHits(t *testing.T) {
 	as, bs, reA, reB := makeWorld(13, 40, 5)
 	sa, sb := buildSets(as, bs, 100, partition.ArrayStore) // one cell
@@ -195,30 +175,70 @@ func TestJoinEmptySides(t *testing.T) {
 	}
 }
 
-// TestJoinBatchSizes: the cell-batch quantum and in-flight window are
-// tuning knobs, never correctness knobs — every combination produces
-// the oracle pair set.
+// TestJoinBatchSizes: the cell-batch quantum is a tuning knob, never a
+// correctness knob — every size produces the oracle pair set.
 func TestJoinBatchSizes(t *testing.T) {
 	as, bs, reA, reB := makeWorld(21, 70, 60)
 	want := NestedLoop(as, bs, geom.Intersects)
 	sa, sb := buildSets(as, bs, 5, partition.ArrayStore)
 	for _, batch := range []int{1, 3, 64, 100000} {
-		for _, window := range []int{0, 1, 7} {
-			got, _, err := Run(sa, sb, Config{
-				Predicate:  geom.Intersects,
-				ReparseA:   reA,
-				ReparseB:   reB,
-				Workers:    3,
-				BatchCells: batch,
-				Window:     window,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !pairsEqual(got, want) {
-				t.Fatalf("batch %d window %d: %d pairs, want %d", batch, window, len(got), len(want))
-			}
+		got, _, err := Run(sa, sb, Config{
+			Predicate:  geom.Intersects,
+			ReparseA:   reA,
+			ReparseB:   reB,
+			Workers:    3,
+			BatchCells: batch,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
+		if !pairsEqual(got, want) {
+			t.Fatalf("batch %d: %d pairs, want %d", batch, len(got), len(want))
+		}
+	}
+}
+
+// TestJoinRunScopedPool: a sweep without a Handle runs on a pool of
+// Config.Workers that lives exactly as long as the sweep — never more
+// than that many batches at once, and no goroutine left behind.
+func TestJoinRunScopedPool(t *testing.T) {
+	as, bs, reA, reB := makeWorld(21, 70, 60)
+	sa, sb := buildSets(as, bs, 5, partition.ArrayStore)
+	var inflight, maxSeen atomic.Int32
+	gauged := func(re Reparser) Reparser {
+		return func(off int64) (geom.Geometry, error) {
+			n := inflight.Add(1)
+			for m := maxSeen.Load(); n > m && !maxSeen.CompareAndSwap(m, n); m = maxSeen.Load() {
+			}
+			time.Sleep(20 * time.Microsecond) // let batches overlap
+			inflight.Add(-1)
+			return re(off)
+		}
+	}
+	before := runtime.NumGoroutine()
+	want := NestedLoop(as, bs, geom.Intersects)
+	var mu sync.Mutex
+	got := 0
+	_, err := RunStream(sa, sb, Config{
+		Predicate: geom.Intersects, ReparseA: gauged(reA), ReparseB: reB,
+		Workers: 3, BatchCells: 1,
+	}, func(Pair) { mu.Lock(); got++; mu.Unlock() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != len(want) {
+		t.Fatalf("%d pairs, want %d", got, len(want))
+	}
+	if m := maxSeen.Load(); m > 3 {
+		t.Fatalf("%d batches ran at once on a pool of 3", m)
+	}
+	// The pool's workers and the registration's watcher exit before
+	// RunStream returns; anything above the baseline is a leak.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the sweep, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -281,9 +301,10 @@ func TestJoinOrderedStream(t *testing.T) {
 
 	// Same set as the unordered stream.
 	unordered := make(map[Pair]bool)
+	var mu sync.Mutex // an unordered stream emits from every worker at once
 	if _, err := RunStream(sa, sb, Config{
 		Predicate: geom.Intersects, ReparseA: reA, ReparseB: reB, Workers: 4,
-	}, func(p Pair) { unordered[p] = true }); err != nil {
+	}, func(p Pair) { mu.Lock(); unordered[p] = true; mu.Unlock() }); err != nil {
 		t.Fatal(err)
 	}
 	if len(unordered) != len(first) {

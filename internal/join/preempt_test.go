@@ -180,9 +180,11 @@ func TestJoinDoesNotStarveQueryPass(t *testing.T) {
 
 	// A small query pass on the same (fully join-occupied) pool.
 	input := make([]byte, 16<<10)
+	query := pool.Register(context.Background(), "query", 1, pipeline.QueryPass, 0)
+	defer query.Close()
 	_, err := pipeline.RunCtx(context.Background(), input,
 		pipeline.FixedSplitter{BlockSize: 1 << 10},
-		pipeline.Exec{Pool: pool, Weight: 1, Label: "query"},
+		query,
 		func(b pipeline.Block) int { return 0 },
 		func(pipeline.Block, int) {},
 	)

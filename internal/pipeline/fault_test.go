@@ -89,14 +89,14 @@ func faultRun(t *testing.T, site string, hook faultinject.Hook) error {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		_, poisonErr = RunCtx(context.Background(), input, FixedSplitter{BlockSize: 997},
-			Exec{Pool: pool, Label: "poison"}, sum, func(b Block, r int64) {})
+		_, poisonErr = runOn(context.Background(), input, FixedSplitter{BlockSize: 997},
+			pool, "poison", 1, sum, func(b Block, r int64) {})
 	}()
 	go func() {
 		defer wg.Done()
 		var total int64
-		_, cleanErr = RunCtx(context.Background(), input, FixedSplitter{BlockSize: 997},
-			Exec{Pool: pool, Label: "clean"}, sum, func(b Block, r int64) { total += r })
+		_, cleanErr = runOn(context.Background(), input, FixedSplitter{BlockSize: 997},
+			pool, "clean", 1, sum, func(b Block, r int64) { total += r })
 		cleanTotal = total
 	}()
 	wg.Wait()

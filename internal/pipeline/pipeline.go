@@ -14,14 +14,15 @@
 //
 // Runs are cancellable: RunCtx threads a context through all three
 // phases, so a cancelled request stops splitting, dispatches no further
-// blocks and skips unprocessed ones. Workers come either from a run-local
-// set of goroutines or from a shared persistent Pool, which lets many
-// concurrent queries share one bounded set of processing threads. A
-// pooled run registers a weighted PassHandle for its duration: freed
-// workers are granted block-by-block to the registered pass with the
-// largest weighted deficit (stride scheduling, see sched.go), so
-// concurrent passes converge to worker shares proportional to their
-// weights while idle share redistributes work-conservingly.
+// blocks and skips unprocessed ones. Workers come from a persistent Pool
+// and from nowhere else, which lets many concurrent queries share one
+// bounded set of processing threads: the caller registers a weighted
+// PassHandle for the run's duration, and freed workers are granted
+// block-by-block to the registered pass with the largest weighted deficit
+// (stride scheduling, see sched.go), so concurrent passes converge to
+// worker shares proportional to their weights while idle share
+// redistributes work-conservingly. A caller with no pool to share starts
+// one for the run and closes it afterwards (join.Run without a handle).
 //
 // Position in the system (docs/ARCHITECTURE.md has the full layer
 // diagram): every execution path of the public API bottoms out here —
@@ -42,7 +43,6 @@ package pipeline
 
 import (
 	"context"
-	"runtime"
 	"runtime/metrics"
 	"time"
 	"unsafe"
@@ -211,30 +211,6 @@ func Tail(f func()) Stats {
 	return st
 }
 
-// Exec selects where a run's processing happens: on a shared persistent
-// Pool (set Pool) or on Workers run-local goroutines (Pool nil).
-type Exec struct {
-	// Workers is the run-local goroutine count when Pool is nil
-	// (0 = GOMAXPROCS).
-	Workers int
-	// Pool, when set, processes blocks on the shared pool instead of
-	// spawning run-local workers. The run registers with the pool's
-	// weighted scheduler for its duration.
-	Pool *Pool
-	// Weight is the run's share in the pool's weighted scheduler
-	// (values below 1 count as 1; ignored without Pool). Engines derive
-	// it from the admission tenant weights.
-	Weight int
-	// Label names the run in the pool's scheduler stats (engines pass
-	// the tenant; ignored without Pool).
-	Label string
-	// Source is the run's source-mapping key (SourceKey of the input
-	// bytes; 0 = unknown). The pool's scheduler uses it to break
-	// exact virtual-time ties toward the pass whose mapping the freed
-	// worker last streamed (ignored without Pool).
-	Source uint64
-}
-
 // SourceKey derives a scheduler locality key from a run's input bytes:
 // the address of the first mapped byte, which identifies the backing
 // mmap (or heap buffer) for the run's lifetime — runs over the same
@@ -248,23 +224,17 @@ func SourceKey(data []byte) uint64 {
 	return uint64(uintptr(unsafe.Pointer(&data[0])))
 }
 
-func (e Exec) workers() int {
-	if e.Pool != nil {
-		return e.Pool.Size()
-	}
-	if e.Workers > 0 {
-		return e.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // RunCtx executes process over every block and folds the results in
 // input order. Splitting, processing and merging overlap: block
 // descriptors stream from the splitter as cuts are found (see
-// StreamSplitter), each worker publishes its result on the block's ready
-// channel, and the fold — running on the caller's goroutine — consumes
-// results as soon as their predecessors are merged, the ordered
-// associative reduction of §3.2.
+// StreamSplitter), each block is one task on the pass's dispatch queue —
+// pass is the registration the caller made with Pool.Register and closes
+// when the run returns — each worker publishes its result on the block's
+// ready channel, and the fold — running on the caller's goroutine —
+// consumes results as soon as their predecessors are merged, the ordered
+// associative reduction of §3.2. RunCtx starts no worker of its own:
+// freed pool workers are granted block by block, by weighted deficit
+// across all registered passes.
 //
 // Cancelling ctx stops the run promptly: the splitter dispatches no
 // further blocks, queued blocks are skipped instead of processed, no
@@ -282,33 +252,39 @@ func RunCtx[R any](
 	ctx context.Context,
 	input []byte,
 	splitter StreamSplitter,
-	exec Exec,
+	pass *PassHandle,
 	process func(b Block) R,
 	fold func(b Block, r R),
 ) (Stats, error) {
-	workers := exec.workers()
-	var st Stats
-	st.Workers = workers
-	st.Bytes = int64(len(input))
+	label := pass.Label()
+	st := Stats{Workers: pass.Workers(), Bytes: int64(len(input))}
 
 	sp := startSpan()
 	// failRun cancels the run with a typed pass error as the cause; the
 	// splitter, workers and fold all observe the cancellation through
-	// ctx, and the cause is what RunCtx returns.
-	ctx, failRun := context.WithCancelCause(ctx)
-	defer failRun(nil)
+	// ctx, and the cause is what RunCtx returns. The pass's queued blocks
+	// are reclaimed inline (they see the cancelled run and skip), so a
+	// failed run never waits for workers other passes hold.
+	ctx, cancelRun := context.WithCancelCause(ctx)
+	defer cancelRun(nil)
+	failRun := func(err error) {
+		cancelRun(err)
+		pass.Drain()
+	}
 	done := ctx.Done()
 	// The order channel must hold every block that can be in flight
-	// beyond the merge head (work buffer + workers) so the splitter
-	// never blocks on it while the merger waits for the head block.
-	order := make(chan *item[R], 3*workers+4)
+	// beyond the merge head (queued + running) so the splitter never
+	// blocks on it while the merger waits for the head block; its bound
+	// is also what paces the splitter against the workers, because
+	// Submit never blocks.
+	order := make(chan *item[R], 3*st.Workers+4)
 
 	// run processes one block unless the run was cancelled first. A
 	// panic or memory fault inside process fails this run only.
 	run := func(it *item[R]) {
 		if ctx.Err() == nil {
-			if err := Guarded(exec.Label, "block", it.b.Index, func() {
-				faultinject.Fire("pipeline.block", exec.Label, int64(it.b.Index))
+			if err := Guarded(label, "block", it.b.Index, func() {
+				faultinject.Fire("pipeline.block", label, int64(it.b.Index))
 				it.r = process(it.b)
 			}); err != nil {
 				it.skipped = true
@@ -320,55 +296,23 @@ func RunCtx[R any](
 		close(it.ready)
 	}
 
-	// submit hands a block to the processing workers, giving up (and
-	// marking the block skipped) once ctx is cancelled. poolClosed is
-	// written by the splitter goroutine and read after splitDone.
-	var submit func(it *item[R]) bool
-	var work chan *item[R]
+	// submit queues a block on the pass, giving up (and marking the block
+	// skipped) once ctx is cancelled. poolClosed is written by the
+	// splitter goroutine and read after splitDone.
 	var poolClosed bool
-	if exec.Pool != nil {
-		// Register this run with the pool's weighted scheduler: its
-		// blocks queue on a per-pass dispatch queue and freed workers
-		// are granted by weighted deficit across all registered passes.
-		// The deferred Close deregisters the pass — on completion and on
-		// cancellation alike — returning its share to the pool. Submit
-		// never blocks; the bounded order channel below is what paces
-		// the splitter against the workers.
-		handle := exec.Pool.Register(ctx, exec.Label, exec.Weight, QueryPass, exec.Source)
-		defer handle.Close()
-		submit = func(it *item[R]) bool {
-			if ctx.Err() == nil && handle.Submit(func() { run(it) }) {
-				return true
-			}
-			if ctx.Err() == nil {
-				// Submit refused without cancellation: the pool was
-				// closed underneath the run. Mark it so the run fails
-				// loudly instead of folding a truncated result.
-				poolClosed = true
-			}
-			it.skipped = true
-			close(it.ready)
-			return false
+	submit := func(it *item[R]) bool {
+		if ctx.Err() == nil && pass.Submit(func() { run(it) }) {
+			return true
 		}
-	} else {
-		work = make(chan *item[R], 2*workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				for it := range work {
-					run(it)
-				}
-			}()
+		if ctx.Err() == nil {
+			// Submit refused without cancellation: the pool was closed
+			// underneath the run. Mark it so the run fails loudly instead
+			// of folding a truncated result.
+			poolClosed = true
 		}
-		submit = func(it *item[R]) bool {
-			select {
-			case work <- it:
-				return true
-			case <-done:
-				it.skipped = true
-				close(it.ready)
-				return false
-			}
-		}
+		it.skipped = true
+		close(it.ready)
+		return false
 	}
 
 	// Splitter goroutine: stream block descriptors as cuts are found.
@@ -415,8 +359,8 @@ func RunCtx[R any](
 		// The splitter scans raw input bytes, so it runs guarded like the
 		// workers: a panic (or mmap fault) while finding boundaries fails
 		// this run instead of the process.
-		if err := Guarded(exec.Label, "split", 0, func() {
-			faultinject.Fire("pipeline.split", exec.Label, 0)
+		if err := Guarded(label, "split", 0, func() {
+			faultinject.Fire("pipeline.split", label, 0)
 			splitter.SplitStream(input, yield)
 		}); err != nil {
 			cancelled = true
@@ -426,13 +370,10 @@ func RunCtx[R any](
 			dispatch(Block{Index: idx, Start: prev, End: n})
 		}
 		// Report only the time spent finding boundaries: waiting for a
-		// full work/order queue is the workers' time, not the split
+		// full order queue is the workers' time, not the split
 		// phase's, and counting it would double-bill overlapped phases.
 		splitDur = time.Since(s0) - blocked
 		close(order)
-		if work != nil {
-			close(work)
-		}
 	}()
 
 	// Ordered merge on the caller's goroutine. On cancellation the loop
@@ -449,8 +390,8 @@ func RunCtx[R any](
 		// The fold also reads input bytes (fragment repair reaches into
 		// neighbouring blocks), so it is guarded too; a fold panic fails
 		// the run and the loop keeps draining without folding further.
-		if err := Guarded(exec.Label, "merge", it.b.Index, func() {
-			faultinject.Fire("pipeline.merge", exec.Label, int64(it.b.Index))
+		if err := Guarded(label, "merge", it.b.Index, func() {
+			faultinject.Fire("pipeline.merge", label, int64(it.b.Index))
 			fold(it.b, it.r)
 		}); err != nil {
 			failRun(err)
@@ -469,14 +410,11 @@ func RunCtx[R any](
 	if st.ProcessTime < 0 {
 		st.ProcessTime = 0
 	}
-	if err := ctx.Err(); err != nil {
-		// Prefer the cancellation cause: a pass failure (panic, source
-		// fault) cancelled the run with its typed error as cause. Plain
-		// parent cancellation or deadline expiry leaves cause == err.
-		if cause := context.Cause(ctx); cause != nil {
-			return st, cause
-		}
-		return st, err
+	if ctx.Err() != nil {
+		// The cancellation cause: a pass failure (panic, source fault)
+		// cancelled the run with its typed error as cause. Plain parent
+		// cancellation or deadline expiry leaves cause == ctx.Err().
+		return st, context.Cause(ctx)
 	}
 	if poolClosed {
 		return st, ErrPoolClosed

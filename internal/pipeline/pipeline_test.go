@@ -9,11 +9,22 @@ import (
 	"time"
 )
 
-// run is RunCtx on run-local workers under a background context, for the
-// tests that exercise neither cancellation nor the pool.
+// runOn is RunCtx the way an engine drives it: the pass registers on pool
+// under label and weight for the duration of the run.
+func runOn[R any](ctx context.Context, input []byte, splitter StreamSplitter, pool *Pool, label string, weight int, process func(Block) R, fold func(Block, R)) (Stats, error) {
+	h := pool.Register(ctx, label, weight, QueryPass, 0)
+	defer h.Close()
+	return RunCtx(ctx, input, splitter, h, process, fold)
+}
+
+// run is runOn a pool of the given size started for the call, under a
+// background context: for the tests that exercise neither cancellation
+// nor sharing.
 func run[R any](t *testing.T, input []byte, splitter StreamSplitter, workers int, process func(Block) R, fold func(Block, R)) Stats {
 	t.Helper()
-	st, err := RunCtx(context.Background(), input, splitter, Exec{Workers: workers}, process, fold)
+	pool := NewPool(workers)
+	defer pool.Close()
+	st, err := runOn(context.Background(), input, splitter, pool, "", 1, process, fold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +248,9 @@ func TestRunCtxCancelStopsDispatch(t *testing.T) {
 		}
 	})
 	folded := 0
-	_, err := RunCtx(ctx, input, splitter, Exec{Workers: 2},
+	pool := NewPool(2)
+	defer pool.Close()
+	_, err := runOn(ctx, input, splitter, pool, "", 1,
 		func(b Block) int {
 			processed.Add(1)
 			return b.Index
@@ -270,7 +283,7 @@ func TestRunCtxPool(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			var total int64
-			st, err := RunCtx(context.Background(), input, FixedSplitter{BlockSize: 997}, Exec{Pool: pool},
+			st, err := runOn(context.Background(), input, FixedSplitter{BlockSize: 997}, pool, "", 1,
 				func(b Block) int64 {
 					var s int64
 					for _, v := range input[b.Start:b.End] {
@@ -312,7 +325,7 @@ func TestRunCtxPoolCancel(t *testing.T) {
 	var okErr error
 	go func() {
 		defer wg.Done()
-		_, err := RunCtx(ctx, input, FixedSplitter{BlockSize: 512}, Exec{Pool: pool},
+		_, err := runOn(ctx, input, FixedSplitter{BlockSize: 512}, pool, "", 1,
 			func(b Block) int {
 				if b.Index == 3 {
 					cancel()
@@ -327,7 +340,7 @@ func TestRunCtxPoolCancel(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
-		_, okErr = RunCtx(context.Background(), input, FixedSplitter{BlockSize: 4096}, Exec{Pool: pool},
+		_, okErr = runOn(context.Background(), input, FixedSplitter{BlockSize: 4096}, pool, "", 1,
 			func(b Block) int64 {
 				var s int64
 				for _, v := range input[b.Start:b.End] {

@@ -14,9 +14,9 @@ import (
 // result.
 var ErrPoolClosed = errors.New("pipeline: worker pool closed during run")
 
-// Pool is a persistent worker pool shared by many pipeline runs. An
-// Engine owns one pool so concurrent queries share a bounded set of
-// processing threads instead of each run spawning its own goroutines.
+// Pool is a persistent worker pool shared by many pipeline runs, and the
+// only place a run's tasks execute. An Engine owns one pool so concurrent
+// queries share a bounded set of processing threads.
 //
 // Work reaches the pool through per-pass dispatch queues: every run
 // registers a PassHandle (Register) carrying a scheduling weight, and
@@ -95,22 +95,21 @@ func (p *Pool) Busy() int { return int(p.busy.Load()) }
 // Close stops the watcher.
 func (p *Pool) Register(ctx context.Context, label string, weight int, kind PassKind, src uint64) *PassHandle {
 	h := p.s.register(label, weight, kind, src)
-	if ctx != nil {
-		if done := ctx.Done(); done != nil {
-			h.watch = make(chan struct{})
-			go func(stop chan struct{}) {
-				// Shielded like the workers: a panic while draining a
-				// cancelled pass (a scheduler bug) must fail that pass,
-				// never the process every other tenant runs in.
-				runShielded(func() {
-					select {
-					case <-done:
-						h.Drain()
-					case <-stop:
-					}
-				})
-			}(h.watch)
-		}
+	h.workers = p.size
+	if done := ctx.Done(); done != nil {
+		h.watch = make(chan struct{})
+		go func(stop chan struct{}) {
+			// Shielded like the workers: a panic while draining a
+			// cancelled pass (a scheduler bug) must fail that pass,
+			// never the process every other tenant runs in.
+			runShielded(func() {
+				select {
+				case <-done:
+					h.Drain()
+				case <-stop:
+				}
+			})
+		}(h.watch)
 	}
 	return h
 }

@@ -68,7 +68,10 @@ type PassHandle struct {
 	// the locality tie-break prefers granting a worker a pass whose src
 	// matches the worker's previous grant, so a worker keeps streaming
 	// the mapping whose pages are warm in its cache hierarchy.
-	src      uint64
+	src uint64
+	// workers is the size of the pool the pass registered with: the most
+	// tasks of the pass that can run at once.
+	workers  int
 	vtime    float64
 	queue    []func()
 	granted  uint64
@@ -84,6 +87,10 @@ func (h *PassHandle) Label() string { return h.label }
 
 // Weight returns the pass's scheduling weight.
 func (h *PassHandle) Weight() int { return h.weight }
+
+// Workers returns the size of the pool the pass is registered with; runs
+// size their in-flight windows by it.
+func (h *PassHandle) Workers() int { return h.workers }
 
 // Granted returns how many tasks the scheduler has granted workers for
 // this pass so far.

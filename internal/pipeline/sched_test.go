@@ -206,8 +206,8 @@ func TestPoolWeightedConvergence(t *testing.T) {
 	defer stopLight()
 	go func() { // weight-1 pass
 		defer wg.Done()
-		_, err := RunCtx(lightCtx, lightIn, FixedSplitter{BlockSize: blockSize},
-			Exec{Pool: pool, Weight: 1, Label: "light"},
+		_, err := runOn(lightCtx, lightIn, FixedSplitter{BlockSize: blockSize},
+			pool, "light", 1,
 			func(b Block) int64 {
 				lightCount.Add(1)
 				return work(lightIn, b)
@@ -235,8 +235,8 @@ func TestPoolWeightedConvergence(t *testing.T) {
 
 	go func() { // weight-3 pass
 		defer wg.Done()
-		_, errs[1] = RunCtx(context.Background(), heavyIn, FixedSplitter{BlockSize: blockSize},
-			Exec{Pool: pool, Weight: 3, Label: "heavy"},
+		_, errs[1] = runOn(context.Background(), heavyIn, FixedSplitter{BlockSize: blockSize},
+			pool, "heavy", 3,
 			func(b Block) int64 {
 				// The contention window opens at the heavy pass's first
 				// grant; the light pass's progress before that is a solo
@@ -287,8 +287,8 @@ func TestPoolSolePassWorkConserving(t *testing.T) {
 	timeout := time.AfterFunc(10*time.Second, func() { once.Do(func() { close(allBusy) }) })
 	defer timeout.Stop()
 
-	_, err := RunCtx(context.Background(), input, FixedSplitter{BlockSize: 64},
-		Exec{Pool: pool, Weight: 1, Label: "solo"},
+	_, err := runOn(context.Background(), input, FixedSplitter{BlockSize: 64},
+		pool, "solo", 1,
 		func(b Block) int {
 			n := inflight.Add(1)
 			for {
@@ -345,7 +345,7 @@ func TestPoolCancelDeregisters(t *testing.T) {
 			}
 		}
 	})
-	_, err := RunCtx(ctx, input, splitter, Exec{Pool: pool, Weight: 7, Label: "doomed"},
+	_, err := runOn(ctx, input, splitter, pool, "doomed", 7,
 		func(b Block) int { return b.Index },
 		func(b Block, r int) {},
 	)
@@ -367,8 +367,8 @@ func TestPoolCancelDeregisters(t *testing.T) {
 	// same pool sums every byte.
 	data := bytes.Repeat([]byte{1}, 50000)
 	var total int64
-	_, err = RunCtx(context.Background(), data, FixedSplitter{BlockSize: 997},
-		Exec{Pool: pool, Weight: 1, Label: "after"},
+	_, err = runOn(context.Background(), data, FixedSplitter{BlockSize: 997},
+		pool, "after", 1,
 		func(b Block) int64 {
 			var s int64
 			for _, v := range data[b.Start:b.End] {
@@ -412,8 +412,8 @@ func TestPoolCancelUnblocksWithoutWorkers(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunCtx(ctx, make([]byte, 64*1024), FixedSplitter{BlockSize: 64},
-			Exec{Pool: pool, Weight: 1, Label: "victim"},
+		_, err := runOn(ctx, make([]byte, 64*1024), FixedSplitter{BlockSize: 64},
+			pool, "victim", 1,
 			func(b Block) int { return 0 },
 			func(Block, int) {},
 		)
@@ -450,8 +450,8 @@ func TestPoolClosedMidRunFailsLoudly(t *testing.T) {
 	})
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunCtx(context.Background(), make([]byte, 256), splitter,
-			Exec{Pool: pool, Label: "late"},
+		_, err := runOn(context.Background(), make([]byte, 256), splitter,
+			pool, "late", 1,
 			func(b Block) int { return 0 },
 			func(Block, int) {},
 		)

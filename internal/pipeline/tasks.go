@@ -7,25 +7,19 @@ import (
 
 // TaskGroup feeds a dynamically generated stream of independent tasks
 // through a pass's dispatch queue, bounding how many are in flight
-// (queued or granted) at once. It is the incremental alternative to the
-// old spawn-N-long-lived-workers-then-feed-a-channel arrangement the
-// join sweep used: each task is one scheduling quantum, so the pass is
-// preemptible and cancellable between tasks, and no feeder-ordering
-// invariant exists — the producer simply blocks in Go until the window
-// has room.
-//
-// With a nil handle the group runs tasks on transient goroutines, the
-// window doubling as the concurrency bound; with a PassHandle the tasks
-// queue on the pool's weighted scheduler and the window paces the
-// producer against the grants (the pool's worker count bounds
-// concurrency). Either way Wait blocks until every accepted task
-// returned.
+// (queued or granted) at once. Each task is one scheduling quantum, so
+// the pass is preemptible and cancellable between tasks, and no
+// feeder-ordering invariant exists — the producer simply blocks in Go
+// until the window has room. The tasks queue on the pool's weighted
+// scheduler: the pool's worker count bounds concurrency, the window
+// paces the producer against the grants. Wait blocks until every
+// accepted task returned.
 //
 // A group is single-producer: Go and Wait are called from one
 // goroutine; only the tasks themselves run concurrently.
 type TaskGroup struct {
 	ctx    context.Context
-	handle *PassHandle // nil = transient goroutines
+	handle *PassHandle
 	sem    chan struct{}
 	wg     sync.WaitGroup
 	// refused is set when Submit rejected a task while ctx was still
@@ -34,15 +28,9 @@ type TaskGroup struct {
 	refused bool
 }
 
-// NewTaskGroup builds a group over handle (nil for transient
-// goroutines) admitting at most window in-flight tasks (minimum 1).
+// NewTaskGroup builds a group over handle admitting at most window
+// in-flight tasks (minimum 1).
 func NewTaskGroup(ctx context.Context, handle *PassHandle, window int) *TaskGroup {
-	if ctx == nil {
-		// A nil ctx means the caller runs uncancellable by choice
-		// (transient, pool-less sweeps in tests and benchmarks); every
-		// serving path passes a real request context.
-		ctx = context.Background() //lint:atgis-allow ctxflow nil-ctx fallback for pool-less callers, not a request path
-	}
 	if window < 1 {
 		window = 1
 	}
@@ -64,21 +52,11 @@ func (g *TaskGroup) Go(task func()) bool {
 		return false
 	}
 	g.wg.Add(1)
-	run := func() {
+	if !g.handle.Submit(func() {
 		defer g.wg.Done()
 		defer func() { <-g.sem }()
 		task()
-	}
-	if g.handle == nil {
-		// Transient goroutines get the same last-line shield pool
-		// workers have (runShielded in pool.go): tasks submitted here
-		// wrap their own panics into typed pass errors via Guarded, so
-		// a panic reaching this recover is a task that skipped the
-		// envelope — it must not take down the process.
-		go func() { runShielded(run) }()
-		return true
-	}
-	if !g.handle.Submit(run) {
+	}) {
 		g.wg.Done()
 		<-g.sem
 		if g.ctx.Err() == nil {

@@ -8,12 +8,17 @@ import (
 	"time"
 )
 
-// TestTaskGroupTransientWindow: with a nil handle the window is the
-// concurrency bound — at no point do more than `window` tasks run, and
-// every task completes before Wait returns.
-func TestTaskGroupTransientWindow(t *testing.T) {
+// TestTaskGroupWindow: the window bounds the tasks in flight — queued or
+// running — whatever the pool could run at once: on a pool wider than the
+// window, at no point do more than `window` tasks run, and every task
+// completes before Wait returns.
+func TestTaskGroupWindow(t *testing.T) {
 	const window, total = 3, 50
-	g := NewTaskGroup(context.Background(), nil, window)
+	pool := NewPool(2 * window)
+	defer pool.Close()
+	h := pool.Register(context.Background(), "windowed", 1, JoinPass, 0)
+	defer h.Close()
+	g := NewTaskGroup(context.Background(), h, window)
 	var inflight, maxSeen, done atomic.Int32
 	for i := 0; i < total; i++ {
 		ok := g.Go(func() {

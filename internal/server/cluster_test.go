@@ -18,6 +18,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -156,7 +157,9 @@ func TestClusterQueryMatchesSingleNode(t *testing.T) {
 	// Workers that may write sidecars: the first scattered request is each
 	// worker's recording pass, every later one is planned from the tape.
 	t.Run("readwrite workers", func(t *testing.T) {
-		rw := atgis.EngineConfig{Workers: 2, Sidecar: atgis.SidecarReadWrite}
+		// A pool size GOMAXPROCS cannot be mistaken for.
+		poolSize := runtime.GOMAXPROCS(0) + 1
+		rw := atgis.EngineConfig{Workers: poolSize, Sidecar: atgis.SidecarReadWrite}
 		s1, w1 := newTestServerWithPath(t, copyOf(t, path), rw)
 		s2, w2 := newTestServerWithPath(t, copyOf(t, path), rw)
 		_, coord := startCoordinator(t, w1.URL, w2.URL)
@@ -171,6 +174,21 @@ func TestClusterQueryMatchesSingleNode(t *testing.T) {
 		for i, srv := range []*Server{s1, s2} {
 			if st := sidecarOf(t, srv); st.Hits <= before[i] || st.Misses != 1 {
 				t.Fatalf("worker %d: second request not served warm: %+v (hits before: %d)", i+1, st, before[i])
+			}
+		}
+		// A warm query whose window prunes every feature runs no block; it
+		// still ran on the pool, and reports the pool's size like the same
+		// query with survivors does.
+		for _, tc := range []struct {
+			ref   string
+			empty bool
+		}{{"[-10,89.5,10,89.9]", true}, {"[-90,-45,90,45]", false}} {
+			_, sum := fetchStream(t, w1, "/v1/query", `{"source":"data","kind":"aggregation","ref":`+tc.ref+`}`)
+			if empty := sum["blocks"] == nil || sum["blocks"].(float64) == 0; empty != tc.empty || sum["scanned"].(float64) != 400 {
+				t.Fatalf("ref %s: summary %v, want an empty plan: %v", tc.ref, sum, tc.empty)
+			}
+			if got := sum["workers"]; got != float64(poolSize) {
+				t.Fatalf("ref %s: workers = %v, want the pool size %d", tc.ref, got, poolSize)
 			}
 		}
 	})

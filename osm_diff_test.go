@@ -286,15 +286,14 @@ type osmRender struct{ query, stream, join, reparse string }
 // renderOSM runs a containment query, its stream, a join (once with a
 // bounds-only partition pass, once with geometry) and the join's
 // reparser over data.
-func renderOSM(t *testing.T, data []byte, spec *query.Spec, opt Options) (osmRender, error) {
+func renderOSM(t *testing.T, data []byte, spec *query.Spec, workers int, opt Options) (osmRender, error) {
 	t.Helper()
 	var out osmRender
 	src, err := FromBytes(data, OSMXML)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngine(EngineConfig{Workers: opt.Workers})
-	defer eng.Close()
+	eng := testEngine(t, workers)
 	ctx := context.Background()
 	pq, err := eng.Prepare(spec, opt)
 	if err != nil {
@@ -411,7 +410,7 @@ func TestOSMDifferential(t *testing.T) {
 	for _, bs := range []int{64, 200, 1 << 10, 4 << 10, 1 << 30} {
 		for _, workers := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("block%d/w%d", bs, workers), func(t *testing.T) {
-				got, err := renderOSM(t, data, spec, Options{Workers: workers, BlockSize: bs})
+				got, err := renderOSM(t, data, spec, workers, Options{BlockSize: bs})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -460,7 +459,7 @@ func TestOSMDifferentialErrors(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				pq, err := new(Engine).Prepare(&query.Spec{Kind: query.Containment}, Options{Workers: workers, BlockSize: bs})
+				pq, err := testEngine(t, workers).Prepare(&query.Spec{Kind: query.Containment}, Options{BlockSize: bs})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -227,15 +227,17 @@ type driver[F any] struct {
 // shard elsewhere.
 func runPlan[F any](ctx context.Context, e *Engine, pl *blockPlan, opt Options, d *driver[F]) (st pipeline.Stats, repaired, reprocessed int, err error) {
 	if pl.empty() {
-		return pipeline.Stats{Bytes: int64(len(d.input)), Workers: opt.workers()}, 0, 0, nil
+		return pipeline.Stats{Bytes: int64(len(d.input)), Workers: e.pool.Size()}, 0, 0, nil
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	pass := e.register(ctx, pipeline.QueryPass, d.input)
+	defer pass.Close()
 	var failed error
 	lastLive := int64(0)
 	st, err = pipeline.RunCtx(ctx, d.input,
 		pl.splitter(opt.blockSize(), d.cuts),
-		e.exec(ctx, opt, d.input),
+		pass,
 		func(b pipeline.Block) (fr F) {
 			if pl.kind(b) == blockLive {
 				fr = d.process(b)

@@ -73,7 +73,7 @@ func TestRunPlanDriverContract(t *testing.T) {
 	var log []string
 	var processed []int
 	// One worker, so that processed is in block order.
-	st, _, _, err := runPlan(context.Background(), new(Engine), &pl, Options{Workers: 1}, fakeDriver(100, &log, &processed))
+	st, _, _, err := runPlan(context.Background(), testEngine(t, 1), &pl, Options{}, fakeDriver(100, &log, &processed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestRunPlanDriverContract(t *testing.T) {
 	// A live tail is cut by the driver's scan; an empty plan runs nothing.
 	log, processed = nil, nil
 	tail := blockPlan{split: 40, stop: 100, blocks: []planBlock{{0, 40, blockGap}}}
-	if _, _, _, err := runPlan(context.Background(), new(Engine), &tail, Options{Workers: 1, BlockSize: 25}, fakeDriver(100, &log, &processed)); err != nil {
+	if _, _, _, err := runPlan(context.Background(), testEngine(t, 1), &tail, Options{BlockSize: 25}, fakeDriver(100, &log, &processed)); err != nil {
 		t.Fatal(err)
 	}
 	want = []string{"skip 40", "add 1 [40,65)", "add 2 [65,90)", "add 3 [90,100)", "finish 100"}
@@ -100,7 +100,7 @@ func TestRunPlanDriverContract(t *testing.T) {
 	}
 	log = nil
 	empty := blockPlan{split: -1, stop: 100}
-	st, _, _, err = runPlan(context.Background(), new(Engine), &empty, Options{}, fakeDriver(100, &log, &processed))
+	st, _, _, err = runPlan(context.Background(), testEngine(t, 0), &empty, Options{}, fakeDriver(100, &log, &processed))
 	if err != nil || st.Blocks != 0 || len(log) != 0 {
 		t.Errorf("empty plan: err %v, %d blocks, calls %v", err, st.Blocks, log)
 	}
@@ -153,7 +153,7 @@ func TestRunPlanStopsAtFirstFailure(t *testing.T) {
 				pl.blocks = append(pl.blocks, planBlock{off, off + 64, blockLive})
 			}
 			pl.blocks = append(pl.blocks, planBlock{384, 448, blockGap})
-			_, _, _, err := runPlan(ctx, new(Engine), &pl, Options{Workers: 4, BlockSize: 64}, d)
+			_, _, _, err := runPlan(ctx, testEngine(t, 4), &pl, Options{BlockSize: 64}, d)
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("err = %v, want %v", err, tc.want)
 			}
@@ -204,11 +204,14 @@ type seamOut struct {
 	tape *sidecar.Builder // every scanned feature, for building a tape
 }
 
-// seamPass runs pl over src through the driver of its format, with the
-// sink wired the way PreparedQuery.run wires it.
-func seamPass(ctx context.Context, p *PreparedQuery, src Source, mode Mode, pl *blockPlan, opt Options) (seamOut, error) {
+// seamPass runs pl over src on eng through the driver of its format, with
+// the sink wired the way PreparedQuery.run wires it. Every block it folded
+// must have been granted a worker by eng's scheduler: the harness runs on
+// the dispatch path that serves requests, not beside it.
+func seamPass(ctx context.Context, eng *Engine, p *PreparedQuery, src Source, mode Mode, pl *blockPlan, opt Options) (seamOut, error) {
 	out := seamOut{res: query.NewResult(), tape: sidecar.NewBuilder(sidecarFormat(src.DataFormat()))}
-	_, _, _, err := runPass(ctx, p.engine, src, mode, pl, opt, p.cfg, func(f geojson.FeatureOut) {
+	granted := eng.Stats().Scheduler.TotalGrantedBlocks
+	st, _, _, err := runPass(ctx, eng, src, mode, pl, opt, p.cfg, func(f geojson.FeatureOut) {
 		v, _ := f.Val.(query.FeatureVal)
 		out.tape.Add(f.Feature.Offset, f.Feature.ID, f.Box)
 		out.res.Absorb(&p.spec, &f.Feature, v)
@@ -217,6 +220,9 @@ func seamPass(ctx context.Context, p *PreparedQuery, src Source, mode Mode, pl *
 		}
 	})
 	out.res.Scanned += pl.pruned
+	if granted = eng.Stats().Scheduler.TotalGrantedBlocks - granted; err == nil && granted < uint64(st.Blocks) {
+		err = fmt.Errorf("pass folded %d blocks but the scheduler granted %d", st.Blocks, granted)
+	}
 	return out, err
 }
 
@@ -230,6 +236,7 @@ func sameSummary(a, b *query.Result) bool {
 func TestDriversSplitInvariant(t *testing.T) {
 	spec := diffSpec(query.PredIntersects, 0.45, true)
 	refs := map[string]seamOut{}
+	engines := map[int]*Engine{1: testEngine(t, 1), 4: testEngine(t, 4)}
 	for _, format := range seamFormats {
 		src := seamSource(t, format)
 		data := src.Bytes()
@@ -240,12 +247,12 @@ func TestDriversSplitInvariant(t *testing.T) {
 		}
 		for _, mode := range modes {
 			name := format.String() + "/" + mode.String()
-			p, err := new(Engine).Prepare(spec, Options{Mode: mode})
+			p, err := engines[1].Prepare(spec, Options{Mode: mode})
 			if err != nil {
 				t.Fatal(err)
 			}
 			seqPlan := coldPlan(format, mode, data, whole)
-			ref, err := seamPass(context.Background(), p, src, mode, &seqPlan, Options{Workers: 1, BlockSize: 1 << 30})
+			ref, err := seamPass(context.Background(), engines[1], p, src, mode, &seqPlan, Options{BlockSize: 1 << 30})
 			if err != nil {
 				t.Fatalf("%s: sequential run: %v", name, err)
 			}
@@ -273,10 +280,10 @@ func TestDriversSplitInvariant(t *testing.T) {
 			}
 			for _, bs := range []int{64, 4 << 10, 1 << 20} {
 				for _, workers := range []int{1, 4} {
-					opt := Options{Mode: mode, Workers: workers, BlockSize: bs}
+					eng, opt := engines[workers], Options{Mode: mode, BlockSize: bs}
 					t.Run(fmt.Sprintf("%s/block%d/w%d", name, bs, workers), func(t *testing.T) {
 						pl := coldPlan(format, mode, data, whole)
-						got, err := seamPass(context.Background(), p, src, mode, &pl, opt)
+						got, err := seamPass(context.Background(), eng, p, src, mode, &pl, opt)
 						check(t, got, err)
 						if ix == nil {
 							return // FAT and OSM XML: the cold whole-source plan only
@@ -285,7 +292,7 @@ func TestDriversSplitInvariant(t *testing.T) {
 						if !ok || warm.pruned == 0 {
 							t.Fatalf("tape plan: ok %v, pruned %d", ok, warm.pruned)
 						}
-						got, err = seamPass(context.Background(), p, src, mode, &warm, opt)
+						got, err = seamPass(context.Background(), eng, p, src, mode, &warm, opt)
 						check(t, got, err)
 						for _, k := range []int{2, 3, 7} {
 							for _, planner := range []string{"cold", "tape"} {
@@ -299,7 +306,7 @@ func TestDriversSplitInvariant(t *testing.T) {
 									if planner == "tape" {
 										pl, _ = tapePlan(ix, &p.spec, r, whole.End, bs)
 									}
-									part, err := seamPass(context.Background(), p, src, mode, &pl, opt)
+									part, err := seamPass(context.Background(), eng, p, src, mode, &pl, opt)
 									if err != nil {
 										t.Fatalf("k=%d %s %v: %v", k, planner, r, err)
 									}
@@ -351,7 +358,7 @@ func TestEvalRunsOnWorkers(t *testing.T) {
 		}
 		for _, mode := range modes {
 			t.Run(format.String()+"/"+mode.String(), func(t *testing.T) {
-				p, err := new(Engine).Prepare(spec, Options{Mode: mode})
+				p, err := testEngine(t, 4).Prepare(spec, Options{Mode: mode})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -374,7 +381,7 @@ func TestEvalRunsOnWorkers(t *testing.T) {
 				src := seamSource(t, format)
 				pl := coldPlan(format, mode, src.Bytes(), ShardRange{0, int64(len(src.Bytes()))})
 				survivors := int64(0)
-				_, _, _, err = runPass(context.Background(), p.engine, src, mode, &pl, Options{Mode: mode, Workers: 4, BlockSize: 4 << 10}, p.cfg,
+				_, _, _, err = runPass(context.Background(), p.engine, src, mode, &pl, Options{Mode: mode, BlockSize: 4 << 10}, p.cfg,
 					func(f geojson.FeatureOut) {
 						if f.Feature.Geom != nil {
 							survivors++
@@ -404,12 +411,13 @@ func TestPlanSkipFailureLeavesTruePrefix(t *testing.T) {
 	src := seamSource(t, GeoJSON)
 	data := src.Bytes()
 	whole := ShardRange{0, int64(len(data))}
-	p, err := new(Engine).Prepare(&query.Spec{Kind: query.Containment, WantArea: true}, Options{})
+	eng := testEngine(t, 4)
+	p, err := eng.Prepare(&query.Spec{Kind: query.Containment, WantArea: true}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	seqPlan := coldPlan(GeoJSON, PAT, data, whole)
-	ref, err := seamPass(context.Background(), p, src, PAT, &seqPlan, Options{Workers: 1})
+	ref, err := seamPass(context.Background(), eng, p, src, PAT, &seqPlan, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +432,7 @@ func TestPlanSkipFailureLeavesTruePrefix(t *testing.T) {
 		{offs[5] + 10, offs[9], blockGap},
 		{offs[9], whole.End, blockLive},
 	}}
-	got, err := seamPass(context.Background(), p, src, PAT, &lie, Options{Workers: 4})
+	got, err := seamPass(context.Background(), eng, p, src, PAT, &lie, Options{})
 	if !errors.Is(err, errWarmAbort) {
 		t.Fatalf("err = %v, want errWarmAbort", err)
 	}
@@ -469,7 +477,7 @@ func TestMalformedBlockEndsStream(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, err := new(Engine).Prepare(&query.Spec{Kind: query.Containment}, Options{Workers: 4, BlockSize: 64})
+			p, err := testEngine(t, 4).Prepare(&query.Spec{Kind: query.Containment}, Options{BlockSize: 64})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -69,8 +69,8 @@ func (p *PreparedQuery) Spec() query.Spec { return p.spec }
 // the same Source — because every run keeps its state thread-local and
 // merges it per run, exactly as the per-block fragments do.
 //
-// On engines with a shared pool, the pass registers with the pool's
-// weighted block-dispatch scheduler under ctx's tenant (WithTenant):
+// The pass registers with the engine pool's weighted block-dispatch
+// scheduler under ctx's tenant (WithTenant):
 // concurrent passes receive worker grants in proportion to their
 // tenants' EngineConfig.TenantWeights, and a pass running alone still
 // uses the whole pool.
@@ -111,7 +111,7 @@ func (p *PreparedQuery) run(ctx context.Context, src Source, shard *ShardRange, 
 		if rng.Start >= rng.End {
 			// Nothing owned by this shard (a range entirely inside the
 			// document wrapper, or at EOF).
-			out.Stats.Workers = p.opt.workers()
+			out.Stats.Workers = p.engine.pool.Size()
 			return out, nil
 		}
 	}

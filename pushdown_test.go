@@ -67,7 +67,7 @@ func testWindowPushdown(t *testing.T, eng *Engine, src *MappedSource, modes []Mo
 				if pc.noRef {
 					spec.Ref = nil
 				}
-				opt := Options{Mode: mode, Workers: 4, BlockSize: 8 << 10, PropKeys: []string{"name"}}
+				opt := Options{Mode: mode, BlockSize: 8 << 10, PropKeys: []string{"name"}}
 				run := func() (string, *geojson.Config) {
 					pq, err := eng.Prepare(spec, opt)
 					if err != nil {
@@ -149,7 +149,7 @@ func TestJoinBoundsOnlyPartition(t *testing.T) {
 				name := fmt.Sprintf("%v/%s/%v", format, name, mode)
 				render := func(boundsSafe bool) string {
 					spec := JoinSpec{Mask: mask, CellSize: 10, BoundsSafeMask: boundsSafe}
-					jr, err := eng.Join(context.Background(), src, spec, Options{Mode: mode, Workers: 4, BlockSize: 8 << 10})
+					jr, err := eng.Join(context.Background(), src, spec, Options{Mode: mode, BlockSize: 8 << 10})
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}

@@ -84,7 +84,7 @@ func TestAlignShardRejectsOSM(t *testing.T) {
 	if _, err := AlignShard(src, ShardRange{0, 10}); err == nil {
 		t.Fatal("OSM XML byte-range alignment should be rejected (global node table)")
 	}
-	pq, err := new(Engine).Prepare(aggSpec(), Options{})
+	pq, err := testEngine(t, 0).Prepare(aggSpec(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,12 +55,7 @@ func ParseSidecarMode(s string) (SidecarMode, error) {
 }
 
 // SidecarMode reports the engine's configured sidecar mode.
-func (e *Engine) SidecarMode() SidecarMode {
-	if e == nil {
-		return SidecarOff
-	}
-	return e.sidecar
-}
+func (e *Engine) SidecarMode() SidecarMode { return e.sidecar }
 
 // errWarmAbort marks a warm pass that discovered a mid-pass
 // inconsistency between the sidecar tape and the bytes (a repair
@@ -293,7 +288,7 @@ func (s *MappedSource) releaseOutside(r ShardRange) {
 // the mapped source (nil when sidecars don't apply at all) and its
 // validated index (nil when absent or rejected — run cold).
 func (e *Engine) sidecarFor(src Source) (*MappedSource, *sidecar.Index) {
-	if e == nil || e.sidecar == SidecarOff {
+	if e.sidecar == SidecarOff {
 		return nil, nil
 	}
 	ms, ok := src.(*MappedSource)

@@ -28,7 +28,7 @@ func coldReference(t *testing.T, path string) string {
 	eng := NewEngine(EngineConfig{Workers: 2})
 	defer eng.Close()
 	src := mustOpen(t, path)
-	res, err := eng.Query(context.Background(), src, diffSpec(query.PredIntersects, 0.2, false), Options{Workers: 2, BlockSize: 8 << 10})
+	res, err := eng.Query(context.Background(), src, diffSpec(query.PredIntersects, 0.2, false), Options{BlockSize: 8 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestChaosSidecarLoadPanicFallsBackCold(t *testing.T) {
 	buildEng := NewEngine(EngineConfig{Workers: 2, Sidecar: SidecarReadWrite})
 	defer buildEng.Close()
 	buildSrc := mustOpen(t, path)
-	if _, err := buildEng.Query(context.Background(), buildSrc, diffSpec(query.PredIntersects, 0.2, false), Options{Workers: 2}); err != nil {
+	if _, err := buildEng.Query(context.Background(), buildSrc, diffSpec(query.PredIntersects, 0.2, false), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if st := buildSrc.SidecarStats(); !st.Built || st.WriteError != "" {
@@ -69,7 +69,7 @@ func TestChaosSidecarLoadPanicFallsBackCold(t *testing.T) {
 			eng := NewEngine(EngineConfig{Workers: 2, Sidecar: SidecarRead})
 			defer eng.Close()
 			src := mustOpen(t, path)
-			res, err := eng.Query(context.Background(), src, diffSpec(query.PredIntersects, 0.2, false), Options{Workers: 2, BlockSize: 8 << 10})
+			res, err := eng.Query(context.Background(), src, diffSpec(query.PredIntersects, 0.2, false), Options{BlockSize: 8 << 10})
 			if err != nil {
 				t.Fatalf("pass failed instead of degrading to cold: %v", err)
 			}
@@ -87,11 +87,11 @@ func TestChaosSidecarLoadPanicFallsBackCold(t *testing.T) {
 			// serving once the hook disarms (the rejection is sticky for
 			// this mapping, which is correct — a fresh mapping reloads).
 			faultinject.Reset()
-			if _, err := eng.Query(context.Background(), src, diffSpec(query.PredIntersects, 0.2, false), Options{Workers: 2}); err != nil {
+			if _, err := eng.Query(context.Background(), src, diffSpec(query.PredIntersects, 0.2, false), Options{}); err != nil {
 				t.Fatalf("source unhealthy after sidecar rejection: %v", err)
 			}
 			fresh := mustOpen(t, path)
-			if _, err := eng.Query(context.Background(), fresh, diffSpec(query.PredIntersects, 0.2, false), Options{Workers: 2}); err != nil {
+			if _, err := eng.Query(context.Background(), fresh, diffSpec(query.PredIntersects, 0.2, false), Options{}); err != nil {
 				t.Fatal(err)
 			}
 			if st := fresh.SidecarStats(); st.State != "active" || st.Hits == 0 {
@@ -114,7 +114,7 @@ func TestChaosSidecarWritePanicLeavesNoPartialFile(t *testing.T) {
 	eng := NewEngine(EngineConfig{Workers: 2, Sidecar: SidecarReadWrite})
 	defer eng.Close()
 	src := mustOpen(t, path)
-	res, err := eng.Query(context.Background(), src, diffSpec(query.PredIntersects, 0.2, false), Options{Workers: 2, BlockSize: 8 << 10})
+	res, err := eng.Query(context.Background(), src, diffSpec(query.PredIntersects, 0.2, false), Options{BlockSize: 8 << 10})
 	if err != nil {
 		t.Fatalf("recording pass failed because its persist failed: %v", err)
 	}
@@ -131,7 +131,7 @@ func TestChaosSidecarWritePanicLeavesNoPartialFile(t *testing.T) {
 	if !strings.Contains(st.WriteError, "panic") {
 		t.Fatalf("write error does not surface the panic: %q", st.WriteError)
 	}
-	if _, err := eng.Query(context.Background(), src, diffSpec(query.PredIntersects, 0.2, false), Options{Workers: 2}); err != nil {
+	if _, err := eng.Query(context.Background(), src, diffSpec(query.PredIntersects, 0.2, false), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if st := src.SidecarStats(); st.Hits == 0 {
@@ -153,7 +153,7 @@ func TestChaosSidecarWritePanicLeavesNoPartialFile(t *testing.T) {
 	// Once the fault clears, a fresh mapping rebuilds and persists.
 	faultinject.Reset()
 	fresh := mustOpen(t, path)
-	if _, err := eng.Query(context.Background(), fresh, diffSpec(query.PredIntersects, 0.2, false), Options{Workers: 2}); err != nil {
+	if _, err := eng.Query(context.Background(), fresh, diffSpec(query.PredIntersects, 0.2, false), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if st := fresh.SidecarStats(); st.WriteError != "" || !st.Built {

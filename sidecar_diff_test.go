@@ -126,7 +126,7 @@ func diffSpec(pred query.Predicate, scale float64, keep bool) *query.Spec {
 func queryCase(name string, spec *query.Spec, mode Mode) sidecarDiffCase {
 	return sidecarDiffCase{name: name, run: func(t *testing.T, eng *Engine, src Source) string {
 		t.Helper()
-		res, err := eng.Query(context.Background(), src, spec, Options{Mode: mode, Workers: 4, BlockSize: 8 << 10})
+		res, err := eng.Query(context.Background(), src, spec, Options{Mode: mode, BlockSize: 8 << 10})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -159,7 +159,7 @@ func renderStream(t *testing.T, name string, res *Results) string {
 func streamCase(name string, spec *query.Spec, mode Mode) sidecarDiffCase {
 	return sidecarDiffCase{name: name, run: func(t *testing.T, eng *Engine, src Source) string {
 		t.Helper()
-		pq, err := eng.Prepare(spec, Options{Mode: mode, Workers: 4, BlockSize: 8 << 10})
+		pq, err := eng.Prepare(spec, Options{Mode: mode, BlockSize: 8 << 10})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -198,7 +198,7 @@ func shardCase(name string, spec *query.Spec, stream bool) sidecarDiffCase {
 		if src.DataFormat() == OSMXML {
 			return "" // cannot be sharded by byte range
 		}
-		pq, err := eng.Prepare(spec, Options{Workers: 4, BlockSize: 8 << 10})
+		pq, err := eng.Prepare(spec, Options{BlockSize: 8 << 10})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -221,7 +221,7 @@ func joinCase(name string) sidecarDiffCase {
 	return sidecarDiffCase{name: name, run: func(t *testing.T, eng *Engine, src Source) string {
 		t.Helper()
 		spec := JoinSpec{Mask: paritySideMask, CellSize: 10, BoundsSafeMask: true}
-		jr, err := eng.Join(context.Background(), src, spec, Options{Workers: 4, BlockSize: 8 << 10})
+		jr, err := eng.Join(context.Background(), src, spec, Options{BlockSize: 8 << 10})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -253,7 +253,7 @@ func orderedJoinCase(name string) sidecarDiffCase {
 		t.Helper()
 		spec := JoinSpec{Mask: func(*geom.Feature) uint8 { return query.SideA | query.SideB },
 			CellSize: 5, BatchCells: 2, OrderWindow: 16, BoundsSafeMask: true}
-		stream := eng.JoinStream(context.Background(), src, spec, Options{Workers: 4, BlockSize: 8 << 10})
+		stream := eng.JoinStream(context.Background(), src, spec, Options{BlockSize: 8 << 10})
 		var b strings.Builder
 		for stream.Next() {
 			p := stream.Pair()
@@ -471,7 +471,7 @@ func testTapeIndependentOfWindow(t *testing.T, path string, modes []Mode) {
 	}
 	queryPass := func(spec *query.Spec, mode Mode) func(*Engine, *MappedSource) error {
 		return func(eng *Engine, src *MappedSource) error {
-			_, err := eng.Query(context.Background(), src, spec, Options{Mode: mode, Workers: 4, BlockSize: 8 << 10})
+			_, err := eng.Query(context.Background(), src, spec, Options{Mode: mode, BlockSize: 8 << 10})
 			return err
 		}
 	}
@@ -490,7 +490,7 @@ func testTapeIndependentOfWindow(t *testing.T, path string, modes []Mode) {
 		}
 	})
 	join := func(eng *Engine, src *MappedSource) error {
-		_, err := eng.Join(context.Background(), src, JoinSpec{CellSize: 10}, Options{Workers: 4, BlockSize: 8 << 10})
+		_, err := eng.Join(context.Background(), src, JoinSpec{CellSize: 10}, Options{BlockSize: 8 << 10})
 		return err
 	}
 	if got := record(join); string(got) != string(want) {
@@ -507,7 +507,7 @@ func testTapeIndependentOfWindow(t *testing.T, path string, modes []Mode) {
 // whether the shards ran cold, warm or against an absent read-only tape.
 func TestSidecarShardPlans(t *testing.T) {
 	ctx := context.Background()
-	opt := Options{Workers: 4, BlockSize: 8 << 10}
+	opt := Options{BlockSize: 8 << 10}
 	for _, format := range []Format{GeoJSON, WKT} {
 		format := format
 		t.Run(format.String(), func(t *testing.T) {

@@ -72,8 +72,9 @@ type Options struct {
 	// BlockSize is the target block size in bytes (0 = the engine
 	// default, which itself defaults to 1 MiB).
 	BlockSize int
-	// Mode selects FAT or PAT execution (GeoJSON only; WKT and OSM XML
-	// always use boundary splitting).
+	// Mode selects FAT or PAT execution of the cold pass over a whole
+	// GeoJSON source. Shard ranges and warm passes are always PAT, and WKT
+	// and OSM XML always use boundary splitting.
 	Mode Mode
 	// PropKeys lists metadata property keys to extract (GeoJSON).
 	PropKeys []string
@@ -91,7 +92,8 @@ type Result struct {
 	Res   *query.Result
 	Stats pipeline.Stats
 	// Repaired counts PAT blocks re-parsed after mis-splits; Reprocessed
-	// counts FAT blocks whose speculation was invalidated.
+	// counts FAT blocks re-parsed in context: speculation invalidated, or
+	// a structural error to report where the sequential parser does.
 	Repaired, Reprocessed int
 }
 

@@ -294,8 +294,9 @@ func BenchmarkTable1Operators(b *testing.B) {
 // BenchmarkLexerThroughput isolates the first pipeline stage: the JSON
 // structural lexer (the dominant cost, paper §4.4 reports ≥90% of CPU
 // time in parsing/extraction). Sequential covers the known-start-state
-// scan; Speculative covers the full start-state set with convergence
-// deduplication.
+// scan; Speculative covers the full start-state set (the reference model
+// of FAT's lexer speculation); Summary is what the FAT splitter runs
+// instead, the tokenless start-state → end-state scan.
 func BenchmarkLexerThroughput(b *testing.B) {
 	ds := benchDataset(b, GeoJSON, 2000, 0)
 	b.Run("Sequential", func(b *testing.B) {
@@ -309,7 +310,8 @@ func BenchmarkLexerThroughput(b *testing.B) {
 		}
 	})
 	b.Run("Speculative", func(b *testing.B) {
-		// Pooled speculator: the steady-state path ProcessBlockFAT runs.
+		// Pooled speculator: buffers warm, as bench/'s lexer.json_spec_mb_s
+		// probe runs it. No engine pass lexes this way any more.
 		s := lexer.AcquireSpeculator()
 		defer lexer.ReleaseSpeculator(s)
 		b.SetBytes(int64(len(ds.Data)))
@@ -317,6 +319,14 @@ func BenchmarkLexerThroughput(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if variants := s.Lex(ds.Data, 0); len(variants) == 0 {
 				b.Fatal("no variants")
+			}
+		}
+	})
+	b.Run("Summary", func(b *testing.B) {
+		b.SetBytes(int64(len(ds.Data)))
+		for i := 0; i < b.N; i++ {
+			if end := lexer.SummarizeJSON(lexer.JSONDefault, ds.Data); end != lexer.JSONDefault {
+				b.Fatalf("document ends in lexer state %d", end)
 			}
 		}
 	})

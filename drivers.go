@@ -3,9 +3,12 @@ package atgis
 import (
 	"context"
 	"fmt"
+	"sync"
 
+	"atgis/internal/at"
 	"atgis/internal/geojson"
 	"atgis/internal/geom"
+	"atgis/internal/lexer"
 	"atgis/internal/osmxml"
 	"atgis/internal/pipeline"
 	"atgis/internal/wkt"
@@ -83,17 +86,30 @@ func patDriver(input []byte, cfg *geojson.Config, out func(geojson.FeatureOut)) 
 
 // fatDriver is fully-associative GeoJSON: fixed-stride cuts anywhere in
 // the document and speculative blocks the fold validates in order
-// (geojson.Fold). The whole source is one live tail — no header block,
-// and no gap: speculation has no shard-local repair story.
+// (geojson.Fold). What a block speculates over is the pushdown stack under
+// its first byte; the lexer state there is known, because the splitter
+// composes lexer.SummarizeJSON over the bytes between cuts as it yields
+// them — a scan for quotes and backslashes that runs several times ahead
+// of the workers — so every block is extracted once. The whole source is
+// one live tail — no header block, and no gap: speculation has no
+// shard-local repair story.
 func fatDriver(input []byte, cfg *geojson.Config, out func(geojson.FeatureOut)) *driver[geojson.BlockResult] {
 	fold := geojson.NewFold(input, cfg, out)
+	starts := lexStarts{at: map[int64]at.State{}}
 	return &driver[geojson.BlockResult]{
 		input: input,
 		cuts: func(tail []byte, stride int, yield func(int64) bool) {
-			pipeline.FixedSplitter{BlockSize: stride}.SplitStream(tail, yield)
+			base := int64(len(input) - len(tail))
+			q, prev := lexer.JSONDefault, int64(0) // the fold starts there too
+			starts.put(base, q)
+			pipeline.FixedSplitter{BlockSize: stride}.SplitStream(tail, func(cut int64) bool {
+				q, prev = lexer.SummarizeJSON(q, tail[prev:cut]), cut
+				starts.put(base+cut, q)
+				return yield(cut)
+			})
 		},
 		process: func(b pipeline.Block) geojson.BlockResult {
-			return geojson.ProcessBlockFAT(input, b.Start, b.End, cfg)
+			return geojson.ProcessBlockFATFrom(input, b.Start, b.End, starts.take(b.Start), cfg)
 		},
 		add: func(_ pipeline.Block, r geojson.BlockResult) error {
 			fold.Add(r)
@@ -102,6 +118,29 @@ func fatDriver(input []byte, cfg *geojson.Config, out func(geojson.FeatureOut)) 
 		finish: func(context.Context, int64) error { return fold.Finish() },
 		counts: func() (int, int) { return 0, fold.Reprocessed },
 	}
+}
+
+// lexStarts hands the lexer state at each block start from the splitter
+// that composes it to the worker that gets the block. The splitter puts a
+// cut's state before it yields the cut, and a block forms only after the
+// cut it starts at, so take always finds it.
+type lexStarts struct {
+	mu sync.Mutex
+	at map[int64]at.State
+}
+
+func (s *lexStarts) put(off int64, q at.State) {
+	s.mu.Lock()
+	s.at[off] = q
+	s.mu.Unlock()
+}
+
+func (s *lexStarts) take(off int64) at.State {
+	s.mu.Lock()
+	q := s.at[off]
+	delete(s.at, off)
+	s.mu.Unlock()
+	return q
 }
 
 // wktFeats is a WKT block's fragment: its features, or the line that

@@ -10,8 +10,10 @@ import (
 // The fused coordinate path. Most bytes of a GeoJSON file sit inside
 // "coordinates" values, where only [ ] , whitespace and numbers can
 // occur. Lexing them into tokens and pushing a frame per position costs
-// several times what reading them does, so a resolved machine that sees
-// a coordinates root open parses the whole value here instead: one pass
+// several times what reading them does, so a machine that sees the
+// coordinates root of a resolved geometry open — any geometry of a
+// resolved machine, the geometry of an anchored feature in a speculative
+// one — parses the whole value here instead: one pass
 // over the bytes, one numparse call per number, nesting kept in counters.
 // The scanner accepts only regular values — every position at the same
 // depth (at most MultiPolygon's), at least two numbers per position, no
@@ -20,9 +22,9 @@ import (
 // the token path parses the value as if the scanner had never run.
 
 // scan lexes input[from:to) into the machine, starting in lexer state q,
-// and returns the lexer's finishing state. It is how every resolved
-// machine is driven; speculative machines are fed recorded tokens
-// through OnToken.
+// and returns the lexer's finishing state. It is how every machine is
+// driven, resolved or speculative. The scanner only ever skips a value
+// without quotes, so that state is SummarizeJSON's of the same bytes.
 func (m *Machine) scan(q at.State, from, to int64) at.State {
 	m.scanEnd = to
 	return lexer.ScanJSONResume(q, m.input[from:to], from, m.step)

@@ -8,8 +8,20 @@ import (
 	"atgis/internal/lexer"
 )
 
+// Fully-associative execution (paper §3.2–3.3): a block may start
+// anywhere, so two things about its first byte are unknown — the lexer
+// state and the pushdown stack. Only the stack is speculated over. The
+// lexer state is a function of the quotes and backslashes before the
+// block, which lexer.SummarizeJSON reads far faster than anything that
+// extracts, so a caller that walks the blocks in order composes it and has
+// each block run once, from its true state (ProcessBlockFATFrom); a caller
+// that cannot gets one run per distinct start state (ProcessBlockFAT) and
+// the fold picks. Either way a run is the machine scanning the block's
+// bytes itself, exactly as PAT blocks and the sequential parser do: fused
+// coordinate scan, reject before build, no token tape.
+
 // BlockVariant is the result of fully-associative extraction over one
-// block under one family of speculated lexer start states.
+// block under one family of lexer start states.
 type BlockVariant struct {
 	// LexEnd is the lexer finishing state.
 	LexEnd at.State
@@ -29,41 +41,58 @@ func (v BlockVariant) Features() []FeatureOut { return v.state.features }
 // BlockResult is the fully-associative fragment of one input block: the
 // composite of the lexer FST fragment and the downstream extraction
 // fragments, predicated on the lexer starting state exactly as §3.2
-// prescribes for transducer composition.
+// prescribes for transducer composition. It holds what the block's
+// features and deferred events take, never anything per token.
 type BlockResult struct {
 	Start, End int64
 	Variants   []BlockVariant
 }
 
-// ProcessBlockFAT runs the full fully-associative pipeline over one block
-// of input: speculative lexing from every start state, then extraction
-// per surviving lexer variant. Lexer token buffers and the extraction
-// machine are pooled and reused across blocks; only the per-variant
-// payload that must travel to the ordered merge (spec tape, buffered
-// features, open frames) is detached into pooled state objects.
+// ProcessBlockFAT extracts one block for a caller that does not know the
+// lexer state at its start: one speculative run per distinct start state.
+// The in-escape run is the in-string run unless the block's first byte
+// tells them apart (lexer.JSONEscapeAsString), so that is two runs for
+// nearly every block. The extraction machine is pooled and reused across
+// runs and blocks; only the per-variant payload that must travel to the
+// ordered merge is detached into pooled state objects.
 func ProcessBlockFAT(input []byte, start, end int64, cfg *Config) BlockResult {
-	spec := lexer.AcquireSpeculator()
-	lexVariants := spec.Lex(input[start:end], start)
-	out := BlockResult{Start: start, End: end, Variants: make([]BlockVariant, 0, len(lexVariants))}
 	m := acquireSpecMachine(input, cfg)
-	for _, lv := range lexVariants {
-		m.resetSpecRun(start)
-		if lv.Starts[0] != lexer.JSONDefault {
-			// Starting mid-string: content before the first StrEnd token
-			// is string payload, never a primitive gap.
-			m.strOpen = -2 // sentinel: open string with unknown begin
-		}
-		for _, tok := range lv.Tokens {
-			m.OnToken(tok)
-		}
-		out.Variants = append(out.Variants, BlockVariant{
-			LexEnd: lv.End,
-			state:  m.detachState(lv.Starts),
-		})
+	out := BlockResult{Start: start, End: end}
+	if lexer.JSONEscapeAsString(input[start:end]) {
+		out.Variants = append(make([]BlockVariant, 0, 2),
+			m.specRun(start, end, lexer.JSONDefault),
+			m.specRun(start, end, lexer.JSONInString, lexer.JSONInEscape))
+	} else {
+		out.Variants = append(make([]BlockVariant, 0, 3),
+			m.specRun(start, end, lexer.JSONDefault),
+			m.specRun(start, end, lexer.JSONInString),
+			m.specRun(start, end, lexer.JSONInEscape))
 	}
 	releaseSpecMachine(m)
-	lexer.ReleaseSpeculator(spec)
 	return out
+}
+
+// ProcessBlockFATFrom extracts one block whose lexer start state q the
+// caller knows — it summarised the bytes before it — in a single run.
+func ProcessBlockFATFrom(input []byte, start, end int64, q at.State, cfg *Config) BlockResult {
+	m := acquireSpecMachine(input, cfg)
+	v := m.specRun(start, end, q)
+	releaseSpecMachine(m)
+	return BlockResult{Start: start, End: end, Variants: append(make([]BlockVariant, 0, 1), v)}
+}
+
+// specRun is one speculative run over input[start:end): the lexer starts
+// in starts[0], the pushdown stack under the block is unknown. The other
+// starts are states whose run this one also is.
+func (m *Machine) specRun(start, end int64, starts ...at.State) BlockVariant {
+	m.resetSpecRun(start)
+	if starts[0] != lexer.JSONDefault {
+		// Starting mid-string: content before the first StrEnd token is
+		// string payload, never a primitive gap.
+		m.strOpen = -2 // sentinel: open string with unknown begin
+	}
+	lexEnd := m.scan(starts[0], start, end)
+	return BlockVariant{LexEnd: lexEnd, state: m.detachState(starts)}
 }
 
 // Release returns every variant's detached state to the pool. Fold.Add
@@ -97,22 +126,22 @@ func variantFor(br BlockResult, q at.State) (BlockVariant, bool) {
 // continue seamlessly.
 type Fold struct {
 	input []byte
-	cfg   *Config
 	m     *Machine
 	lex   at.State
 	sink  func(FeatureOut)
 
-	// Reprocessed counts blocks whose speculation was invalidated and
-	// that were re-parsed with full context (paper §3.5's fallback).
+	// Reprocessed counts blocks that were re-parsed with full context
+	// (paper §3.5's fallback): those whose speculation was invalidated and
+	// the one a structural error stopped.
 	Reprocessed int
 	err         error
+	shadow      []shadowFrame // validate's stack, reused across blocks
 }
 
 // NewFold starts an empty fold over the shared input buffer.
 func NewFold(input []byte, cfg *Config, sink func(FeatureOut)) *Fold {
 	return &Fold{
 		input: input,
-		cfg:   cfg,
 		m:     NewResolvedMachine(input, cfg, sink),
 		lex:   lexer.JSONDefault,
 		sink:  sink,
@@ -131,7 +160,7 @@ func (fd *Fold) Err() error {
 // and recycles the block's detached variant states.
 func (fd *Fold) Add(br BlockResult) {
 	defer br.Release()
-	if fd.err != nil {
+	if fd.Err() != nil {
 		return
 	}
 	v, ok := variantFor(br, fd.lex)
@@ -139,23 +168,28 @@ func (fd *Fold) Add(br BlockResult) {
 		fd.err = fmt.Errorf("geojson: lexer state %d not speculated for block at %d", fd.lex, br.Start)
 		return
 	}
-	if !fd.validate(v) {
-		// Speculation invalidated (e.g. a "type":"Feature" string inside
-		// free-form metadata): reprocess the block with known context.
+	st := v.state
+	if st.err != nil || !fd.validate(v) {
+		// The run stopped at a structural error, which cut its tape and its
+		// features short, or its speculation is invalidated (e.g. a real
+		// "type":"Feature" object inside free-form metadata). Reprocess the
+		// block with known context: the sequential parser's features, and
+		// its error where it reports it.
 		fd.Reprocessed++
-		fd.reprocess(br)
+		fd.reprocess(br.Start, br.End)
 		return
 	}
 	// Replay the spec tape, emitting validated features at their skip
-	// markers.
-	st := v.state
+	// markers. An error ends the output where the sequential parser ends it.
 	for _, ev := range st.spec {
 		if ev.FeatIdx >= 0 {
 			fd.sink(st.features[ev.FeatIdx])
 			fd.m.gapStart = ev.EndOff
 			continue
 		}
-		fd.m.OnToken(ev.Tok)
+		if fd.m.OnToken(ev.Tok); fd.m.err != nil {
+			return
+		}
 	}
 	// Graft the block's open resolved frames (anchored feature still
 	// open at block end) on top of the replayed context.
@@ -177,16 +211,17 @@ func (fd *Fold) Add(br BlockResult) {
 // shadow of the accumulated machine and checks that every anchored
 // feature (skip marker and still-open graft) sits in a features array.
 func (fd *Fold) validate(v BlockVariant) bool {
-	shadow := make([]shadowFrame, 0, len(fd.m.frames)+8)
-	for _, f := range fd.m.frames {
-		shadow = append(shadow, shadowFrame{f.isArr, f.sem, f.resolved, f.expectKey, fd.m.key(&f)})
+	fd.shadow = fd.shadow[:0]
+	for i := range fd.m.frames {
+		f := &fd.m.frames[i]
+		fd.shadow = append(fd.shadow, shadowFrame{f.isArr, f.sem, f.resolved, f.expectKey, fd.m.key(f)})
 	}
 	rootResolved := fd.m.resolved
 	top := func() *shadowFrame {
-		if len(shadow) == 0 {
+		if len(fd.shadow) == 0 {
 			return nil
 		}
-		return &shadow[len(shadow)-1]
+		return &fd.shadow[len(fd.shadow)-1]
 	}
 	inFeatures := func() bool {
 		t := top()
@@ -220,10 +255,10 @@ func (fd *Fold) validate(v BlockVariant) bool {
 				s = classifySem(t.sem, t.key, isArr)
 				t.key = nil
 			}
-			shadow = append(shadow, shadowFrame{isArr: isArr, sem: s, resolved: resolved, expectKey: !isArr})
+			fd.shadow = append(fd.shadow, shadowFrame{isArr: isArr, sem: s, resolved: resolved, expectKey: !isArr})
 		case lexer.KindObjClose, lexer.KindArrClose:
-			if len(shadow) > 0 {
-				shadow = shadow[:len(shadow)-1]
+			if len(fd.shadow) > 0 {
+				fd.shadow = fd.shadow[:len(fd.shadow)-1]
 			}
 		case lexer.KindComma:
 			if t := top(); t != nil && !t.isArr {
@@ -250,8 +285,8 @@ func (fd *Fold) validate(v BlockVariant) bool {
 	}
 	// A still-open anchored feature at block end must also sit in a
 	// features array.
-	for _, f := range v.state.frames {
-		if f.resolved {
+	for i := range v.state.frames {
+		if f := &v.state.frames[i]; f.resolved {
 			if f.sem == semFeature && !inFeatures() {
 				return false
 			}
@@ -273,8 +308,8 @@ type shadowFrame struct {
 
 // reprocess re-parses a block sequentially with full context after a
 // failed validation.
-func (fd *Fold) reprocess(br BlockResult) {
-	fd.lex = fd.m.scan(fd.lex, br.Start, br.End)
+func (fd *Fold) reprocess(start, end int64) {
+	fd.lex = fd.m.scan(fd.lex, start, end)
 }
 
 // Finish validates the final state after all blocks were folded.

@@ -1,13 +1,17 @@
 package geojson
 
-// FuzzGeoJSONBlock drives both block parsers (speculative PAT and the
-// sequential-equivalent FAT) over arbitrary bytes. The parsers sit
+// FuzzGeoJSONBlock drives both block parsers (boundary-assuming PAT and
+// speculative FAT, from every lexer state) over arbitrary bytes. The parsers sit
 // directly on memory-mapped user data, so the contract under fuzzing is
 // strict no-panic: malformed input may yield zero features or repair
 // requests, never a crash — a panic here would otherwise surface as a
 // *pipeline.PassPanicError failing a tenant's query in production.
 
-import "testing"
+import (
+	"testing"
+
+	"atgis/internal/lexer"
+)
 
 func FuzzGeoJSONBlock(f *testing.F) {
 	f.Add([]byte(`{"type":"FeatureCollection","features":[{"type":"Feature","properties":{"name":"a"},"geometry":{"type":"Polygon","coordinates":[[[0,0],[1,0],[1,1],[0,0]]]}}]}`))
@@ -29,6 +33,9 @@ func FuzzGeoJSONBlock(f *testing.F) {
 			mid := int64(len(data) / 2)
 			ProcessBlockPAT(data, mid, int64(len(data)), cfg)
 			ProcessBlockPAT(data, 1, mid, cfg)
+			for _, q := range lexer.JSONStartStates() {
+				ProcessBlockFATFrom(data, mid, int64(len(data)), q, cfg).Release()
+			}
 		}
 	})
 }

@@ -8,11 +8,13 @@
 //
 //   - resolved mode: the document context is known (sequential parsing,
 //     PAT blocks, merge-time replay, reprocessing fallback);
-//   - speculative mode: the block's base context is unknown; tokens
-//     governed by unresolved frames are deferred to a spec tape, feature
-//     objects anchor on their "type":"Feature" member (the paper's
-//     format-structure speculation reduction), and deferred events are
-//     resolved during the ordered merge.
+//   - speculative mode: the block's base context — the pushdown stack
+//     under its first byte — is unknown; tokens governed by unresolved
+//     frames are deferred to a spec tape, feature objects anchor on their
+//     "type":"Feature" member (the paper's format-structure speculation
+//     reduction), and deferred events are resolved during the ordered
+//     merge. The lexer state at the block start is an input of the run,
+//     not part of the speculation (fat.go).
 //
 // The machine is built for a zero-allocation steady state: frames live
 // by value in a reused stack, coordinate levels and feature/geometry
@@ -21,12 +23,15 @@
 // when a feature is emitted. The only per-feature allocations left are
 // the exact-size geometry slices that escape into the result.
 //
-// Resolved machines own their lexing (Machine.scan) and take a second,
-// fused path through "coordinates" values: coords.go parses a regular
-// coordinates array straight from the bytes — one numparse call per
-// number, depth counters instead of frames — and accumulates the
-// bounding box every FeatureOut carries. Anything irregular falls back
-// to the token path below, which stays the reference.
+// Every machine owns its lexing (Machine.scan) and takes a second, fused
+// path through the "coordinates" values of resolved frames: coords.go
+// parses a regular coordinates array straight from the bytes — one
+// numparse call per number, depth counters instead of frames — and
+// accumulates the bounding box every FeatureOut carries. Anything
+// irregular falls back to the token path below, which stays the
+// reference. Recorded tokens reach OnToken from two places only: the
+// anchor replay of the frame a "type":"Feature" member just resolved, and
+// the fold's replay of a block's spec tape.
 package geojson
 
 import (
@@ -343,9 +348,8 @@ func releaseMachine(m *Machine) {
 // acquireSpecMachine checks a pooled machine out for the speculative
 // (FAT) runs of one block. The machine shell — frame stack, builder free
 // lists, spec/feature accumulation buffers — recycles across blocks;
-// resetSpecRun prepares it for each lexer-start variant and detachState
-// moves the variant's merge-travelling payload out so the shell can be
-// reused immediately.
+// resetSpecRun prepares it for each run and detachState moves the run's
+// merge-travelling payload out so the shell can be reused immediately.
 func acquireSpecMachine(input []byte, cfg *Config) *Machine {
 	m := machinePool.Get().(*Machine)
 	m.input, m.cfg, m.onFeature = input, cfg, nil
@@ -356,7 +360,10 @@ func acquireSpecMachine(input []byte, cfg *Config) *Machine {
 	return m
 }
 
-// resetSpecRun readies the machine for the next speculative variant.
+// resetSpecRun readies the machine for the next speculative run. The
+// pooled shell may come from any resolved parse: every per-run flag is
+// cleared, single included, or a machine ReparseFeature used last would
+// stop this run at its first base-level close.
 func (m *Machine) resetSpecRun(gapStart int64) {
 	m.frames = m.frames[:0]
 	m.gapStart = gapStart
@@ -365,7 +372,7 @@ func (m *Machine) resetSpecRun(gapStart int64) {
 	m.features = m.features[:0]
 	m.tokenCount = 0
 	m.err = nil
-	m.anchorPending, m.forceFeature, m.patBase = false, false, false
+	m.anchorPending, m.forceFeature, m.patBase, m.single = false, false, false, false
 }
 
 // releaseSpecMachine returns a speculative machine to the shared pool.
@@ -380,10 +387,10 @@ func releaseSpecMachine(m *Machine) {
 
 // specState is the detached payload of one speculative block variant:
 // everything that must travel to the ordered merge (deferred spec tape,
-// buffered features, open frames, end-of-block scalars), copied out of
-// the machine so the machine shell recycles through the pool like PAT
-// machines do. The states themselves are pooled; the fold releases them
-// once a block is merged.
+// buffered features, open frames, end-of-block scalars, the error that
+// stopped the run), copied out of the machine so the machine shell
+// recycles through the pool like PAT machines do. The states themselves
+// are pooled; the fold releases them once a block is merged.
 type specState struct {
 	lexStarts  []at.State
 	spec       []Event
@@ -392,6 +399,7 @@ type specState struct {
 	gapStart   int64
 	strOpen    int64
 	tokenCount int
+	err        error
 }
 
 var specStatePool = sync.Pool{New: func() any { return new(specState) }}
@@ -404,7 +412,7 @@ func (m *Machine) detachState(lexStarts []at.State) *specState {
 	st.spec = append(st.spec[:0], m.spec...)
 	st.features = append(st.features[:0], m.features...)
 	st.frames = append(st.frames[:0], m.frames...)
-	st.gapStart, st.strOpen, st.tokenCount = m.gapStart, m.strOpen, m.tokenCount
+	st.gapStart, st.strOpen, st.tokenCount, st.err = m.gapStart, m.strOpen, m.tokenCount, m.err
 	return st
 }
 

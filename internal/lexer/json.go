@@ -8,6 +8,14 @@
 // the first unescaped quote (paper §3.3: format structure bounds the
 // start-state set).
 //
+// The engine does not speculate over them at all: the state at a block
+// start is a function of the quotes and backslashes before it, which
+// SummarizeJSON reads an order of magnitude faster than any run that emits
+// tokens, so the FAT splitter composes it cut by cut and each block is
+// extracted once, from its true state (atgis.fatDriver). Speculator is the
+// reference model of the three-way speculation and the oracle the summary
+// is tested against.
+//
 // Primitive values (numbers, literals) are not tokenised; downstream
 // extraction reads them from the raw input between structural tokens,
 // which keeps the lexer's transition table minimal and is exactly the
@@ -232,6 +240,64 @@ func scanJSONString(block []byte, i int) (int, at.State) {
 	return n - 1, JSONInString
 }
 
+// SummarizeJSON is ScanJSON without the tokens: the state a lexer started
+// in q finishes block in. Only quotes and backslashes move the lexer
+// between states, and between two backslashes every quote is a real one,
+// so the summary walks from backslash to backslash (bytes.IndexByte),
+// flips between default and in-string on the parity of the quotes in
+// between (bytes.Count), and at each backslash knows whether it sits in a
+// string, where it escapes the next byte, or outside one, where it is a
+// byte like any other — no byte is classified and nothing is emitted.
+// Summaries compose like the scans they stand for: the result over one
+// block is the start state of the next.
+//
+//atgis:hotpath
+func SummarizeJSON(q at.State, block []byte) at.State {
+	n := len(block)
+	i := 0
+	if q == JSONInEscape && n > 0 {
+		q, i = JSONInString, 1
+	}
+	for i < n {
+		// A stretch short enough to still be in cache for the second look.
+		seg := block[i:min(i+summaryStretch, n)]
+		esc := bytes.IndexByte(seg, '\\')
+		if esc >= 0 {
+			seg = seg[:esc]
+		}
+		if bytes.Count(seg, jsonQuote)&1 == 1 {
+			q = JSONInString - q // default <-> in-string
+		}
+		i += len(seg)
+		if esc < 0 {
+			continue
+		}
+		if q == JSONDefault {
+			i++
+			continue
+		}
+		if i+1 == n {
+			return JSONInEscape
+		}
+		i += 2
+	}
+	return q
+}
+
+const summaryStretch = 16 << 10
+
+var jsonQuote = []byte{'"'}
+
+// JSONEscapeAsString reports whether a lexer started in the in-escape state
+// does over block exactly what one started in the in-string state does.
+// The escaped byte is string payload either way unless it is a quote, which
+// only the in-string run takes for the closing one, or a backslash, which
+// only the in-string run takes for the start of an escape; an empty block
+// leaves each run in its own state.
+func JSONEscapeAsString(block []byte) bool {
+	return len(block) > 0 && block[0] != '"' && block[0] != '\\'
+}
+
 // NewJSONFST builds the table-driven FST equivalent of ScanJSON, used by
 // the at-framework tests and as the reference model.
 func NewJSONFST() *at.FST[Token] {
@@ -275,9 +341,8 @@ func NewJSONFST() *at.FST[Token] {
 }
 
 // JSONVariant is the result of lexing one block from one or more
-// speculated starting states whose runs produced identical token streams
-// (the paper's convergence property, §3.1, lets converged runs share one
-// tape).
+// speculated starting states whose runs are the same run (the paper's
+// convergence property, §3.1, lets converged runs share one tape).
 type JSONVariant struct {
 	// Starts lists every speculated start state covered by this variant.
 	Starts []at.State
@@ -298,32 +363,25 @@ type Speculator struct {
 	variants []JSONVariant
 }
 
-// Lex lexes block from the full start-state set, deduplicating runs
-// that converge to identical token streams.
+// Lex lexes block from the full start-state set. The default-state run
+// shares nothing with the other two — its first quote opens a string where
+// theirs closes one, and with no quote at all it ends in another state —
+// and the in-escape run is the in-string run unless the block's first byte
+// tells them apart (JSONEscapeAsString), so most blocks cost two scans and
+// give two variants.
 func (s *Speculator) Lex(block []byte, baseOff int64) []JSONVariant {
 	s.variants = s.variants[:0]
 	for si, start := range JSONStartStates() {
-		if s.starts[si] == nil {
-			s.starts[si] = make([]at.State, 0, 3)
+		if start == JSONInEscape && JSONEscapeAsString(block) {
+			v := &s.variants[len(s.variants)-1]
+			v.Starts = append(v.Starts, start)
+			break
 		}
 		toks := s.toks[si][:0]
 		end := ScanJSON(start, block, baseOff, func(t Token) { toks = append(toks, t) })
 		s.toks[si] = toks
-		dup := false
-		for i := range s.variants {
-			if s.variants[i].End == end && tokensEqual(s.variants[i].Tokens, toks) {
-				s.variants[i].Starts = append(s.variants[i].Starts, start)
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			sts := append(s.starts[si][:0], start)
-			s.starts[si] = sts
-			s.variants = append(s.variants, JSONVariant{
-				Starts: sts, End: end, Tokens: toks,
-			})
-		}
+		s.starts[si] = append(s.starts[si][:0], start)
+		s.variants = append(s.variants, JSONVariant{Starts: s.starts[si], End: end, Tokens: toks})
 	}
 	return s.variants
 }
@@ -356,16 +414,4 @@ func VariantFor(variants []JSONVariant, q at.State) (JSONVariant, bool) {
 		}
 	}
 	return JSONVariant{}, false
-}
-
-func tokensEqual(a, b []Token) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -157,22 +157,6 @@ func TestSpeculativeLexSplitInvariance(t *testing.T) {
 	}
 }
 
-func TestLexSpeculativeDedup(t *testing.T) {
-	// A block with no quotes or escapes: InString and InEscape runs stay
-	// apart from Default but converge with each other after one byte.
-	variants := LexJSONSpeculative([]byte(`[1, 2]`), 0)
-	if len(variants) != 2 {
-		t.Fatalf("variants = %d, want 2 (Default vs in-string family)", len(variants))
-	}
-	var inStringCovered int
-	for _, v := range variants {
-		inStringCovered += len(v.Starts)
-	}
-	if inStringCovered != 3 {
-		t.Errorf("covered start states = %d, want 3", inStringCovered)
-	}
-}
-
 func TestKindString(t *testing.T) {
 	for k := KindObjOpen; k <= KindStrEnd; k++ {
 		if k.String() == "?" {

@@ -23,6 +23,7 @@ import (
 
 	"atgis/internal/geojson"
 	"atgis/internal/geom"
+	"atgis/internal/lexer"
 	"atgis/internal/pipeline"
 	"atgis/internal/query"
 	"atgis/internal/sidecar"
@@ -503,5 +504,175 @@ func TestMalformedBlockEndsStream(t *testing.T) {
 				t.Errorf("Execute error = %v, want %v", err, streamErr)
 			}
 		})
+	}
+}
+
+// hostileCollection is a GeoJSON document hostile to FAT's speculation over
+// the pushdown stack, one paragraph per way to be wrong about it: a
+// feature whose "type" comes last (every token of it waits on the spec
+// tape for the anchor), the feature tag inside a property string and — a
+// real object — inside nested properties (the fold must throw the anchored
+// fake away and reprocess), GeometryCollection members, escapes and CRLF,
+// and one feature far larger than a small block.
+func hostileCollection() []byte {
+	var big strings.Builder
+	for i := 0; i < 600; i++ {
+		fmt.Fprintf(&big, "[%d.%03d,%d.5],", i%9, i, -(i % 7))
+	}
+	big.WriteString("[0.000,0.5]")
+	feats := []string{
+		`{"id":1,"geometry":{"coordinates":[[0,0],[4,0],[4,3],[0,0]],"type":"LineString"},"properties":{"name":"type last"},"type":"Feature"}`,
+		`{"type":"Feature","id":2,"properties":{"name":"{\"type\":\"Feature\",\"id\":90,\"geometry\":{\"type\":\"Point\",\"coordinates\":[1,1]}}"},"geometry":{"type":"Point","coordinates":[1.25,-1.5]}}`,
+		`{"type":"Feature","id":3,"properties":{"name":"nested","pad":"................................................................","inner":{"type":"Feature","id":91,"geometry":{"type":"Point","coordinates":[2,2]}},"list":[{"type":"Feature","id":92,"geometry":{"type":"LineString","coordinates":[[1,1],[2,2]]}}]},"geometry":{"type":"LineString","coordinates":[[2,2],[3.5,3.25]]}}`,
+		`{"type":"Feature","id":4,"geometry":{"type":"GeometryCollection","geometries":[{"type":"Point","coordinates":[1,2]},{"type":"GeometryCollection","geometries":[{"type":"LineString","coordinates":[[0.5,0.25],[2,4]]}]},{"type":"Polygon","coordinates":[[[0,0],[1,0],[1,1],[0,0]]]}]},"properties":{"name":"members"}}`,
+		"{\"type\":\"Feature\",\"id\":5,\r\n\"properties\":{\"name\":\"a\\\\\",\"k\\\"]}\":\"\\\\\\\"[{\"},\r\n\"geometry\":{\"type\":\"Polygon\",\"coordinates\":[[[0,0],\r\n[1,0],[1,1],\r\n[0,0]]]}}",
+		`{"type":"Feature","id":6,"geometry":{"type":"Polygon","coordinates":[[` + big.String() + `]]},"properties":{"name":"larger than a block"}}`,
+		`{"type":"Feature","id":7,"geometry":{"type":"Point","coordinates":[170.123456789012345,80.5]},"properties":{"name":"outside the window"}}`,
+		`{"geometry":{"type":"MultiPolygon","coordinates":[[[[5,5],[6,5],[6,6],[5,5]]],[[[-3,-3],[-2,-3],[-2,-2],[-3,-3]]]]},"type":"Feature","id":8}`,
+	}
+	return []byte("{\"type\":\"FeatureCollection\",\r\n\"features\":[\n" + strings.Join(feats, ",\n") + "\n]}\n")
+}
+
+// TestFATHostileDocuments puts FAT rows into the split-invariance product
+// for document-level hostile input: Engine.Query under Mode FAT at every
+// block size × worker count is bit-identical to PAT and to ParseSequential
+// — the one-byte stride cuts every number, ring and escape of the small
+// document at every byte — and where a real nested feature tag is met out
+// of context the pass must say it reprocessed. An unbalanced document ends
+// all three with the same error after the same emitted prefix.
+func TestFATHostileDocuments(t *testing.T) {
+	engines := map[int]*Engine{1: testEngine(t, 1), 4: testEngine(t, 4)}
+	spec := &query.Spec{
+		Kind: query.Containment, Pred: query.PredIntersects, Dist: geom.Haversine,
+		Ref:      geom.Box{MinX: -10, MinY: -10, MaxX: 10, MaxY: 10}.AsPolygon(),
+		WantArea: true, WantPerimeter: true, WantMBR: true, KeepMatches: true,
+	}
+	doc := hostileCollection()
+	// small is doc without the one large feature.
+	small := bytes.Join([][]byte{doc[:bytes.Index(doc, []byte(`{"type":"Feature","id":6`))], doc[bytes.Index(doc, []byte(`{"type":"Feature","id":7`)):]}, nil)
+	unbalanced := bytes.Replace(doc, []byte(`[2,2],[3.5,3.25]]`), []byte(`[2,2],[3.5,3.25]}`), 1)
+
+	match := func(f *geom.Feature, v query.FeatureVal) string {
+		return fmt.Sprintf("id=%d off=%d area=%s perim=%s box=%s\n", f.ID, f.Offset, bits(v.Area), bits(v.Perimeter), renderBox(v.Box))
+	}
+	// stream is what a consumer sees of a pass: every match in order, then
+	// the summary or the error.
+	stream := func(eng *Engine, data []byte, opt Options) (string, *Result) {
+		src, err := FromBytes(data, GeoJSON)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := eng.Prepare(spec, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := p.Stream(context.Background(), src)
+		var b strings.Builder
+		for res.Next() {
+			b.WriteString(match(res.Feature(), res.Value()))
+		}
+		sum, err := res.Summary()
+		if err != nil {
+			fmt.Fprintf(&b, "error: %v\n", err)
+			return b.String(), nil
+		}
+		b.WriteString(renderQueryResult(sum))
+		return b.String(), sum
+	}
+	// sequential is the same through ParseSequential and no engine.
+	sequential := func(data []byte) string {
+		p, err := engines[1].Prepare(spec, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		out := &Result{Res: query.NewResult()}
+		err = geojson.ParseSequential(data, p.cfg, func(f geojson.FeatureOut) {
+			v, _ := f.Val.(query.FeatureVal)
+			out.Res.Absorb(&p.spec, &f.Feature, v)
+			if v.Matched {
+				b.WriteString(match(&f.Feature, v))
+			}
+		})
+		if err != nil {
+			fmt.Fprintf(&b, "error: %v\n", err)
+			return b.String()
+		}
+		return b.String() + renderQueryResult(out)
+	}
+
+	for name, data := range map[string][]byte{"hostile": doc, "small": small, "unbalanced": unbalanced} {
+		want := sequential(data)
+		if name == "unbalanced" != strings.Contains(want, "error: geojson: mismatched close") || !strings.Contains(want, "id=1 ") {
+			t.Fatalf("%s: the sequential reference is\n%s", name, want)
+		}
+		blocks := []int{64, 4 << 10, 1 << 20}
+		if name == "small" {
+			blocks = append(blocks, 1)
+		}
+		for _, bs := range blocks {
+			for _, workers := range []int{1, 4} {
+				for _, mode := range []Mode{PAT, FAT} {
+					got, sum := stream(engines[workers], data, Options{Mode: mode, BlockSize: bs})
+					if got != want {
+						t.Errorf("%s/%v/block%d/w%d differs from ParseSequential\n got:\n%s\nwant:\n%s", name, mode, bs, workers, got, want)
+					}
+					// At 64 bytes a block starts inside feature 3, past its tag:
+					// the nested feature objects anchor and only the fold knows
+					// better.
+					if name == "hostile" && mode == FAT && bs == 64 && sum != nil && sum.Reprocessed == 0 {
+						t.Errorf("%s/FAT/block%d/w%d: no block reprocessed", name, bs, workers)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFATExtractsEachBlockOnce: the engine's FAT pass knows the lexer state
+// at every block start — the splitter composes it — so each block takes one
+// machine run, whatever state it starts in, and no block is reprocessed for
+// want of the right variant.
+func TestFATExtractsEachBlockOnce(t *testing.T) {
+	src := seamSource(t, GeoJSON)
+	data := src.Bytes()
+	for _, bs := range []int{1, 7, 64, 4 << 10} {
+		for _, workers := range []int{1, 4} {
+			var mu sync.Mutex
+			runs := map[int]int{}
+			inString := 0
+			n := 0
+			d := fatDriver(data, &geojson.Config{}, func(geojson.FeatureOut) { n++ })
+			process := d.process
+			d.process = func(b pipeline.Block) geojson.BlockResult {
+				r := process(b)
+				mu.Lock()
+				defer mu.Unlock()
+				runs[b.Index] += len(r.Variants)
+				if r.Variants[0].LexStarts()[0] != lexer.JSONDefault {
+					inString++
+				}
+				return r
+			}
+			pl := coldPlan(GeoJSON, FAT, data, ShardRange{0, int64(len(data))})
+			st, _, reprocessed, err := runPlan(context.Background(), testEngine(t, workers), &pl, Options{BlockSize: bs}, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != 120 || reprocessed != 0 {
+				t.Errorf("block %d, %d workers: %d features, %d blocks reprocessed", bs, workers, n, reprocessed)
+			}
+			if len(runs) != st.Blocks || st.Blocks < len(data)/bs {
+				t.Errorf("block %d, %d workers: %d blocks processed, %d folded", bs, workers, len(runs), st.Blocks)
+			}
+			for b, r := range runs {
+				if r != 1 {
+					t.Fatalf("block %d, %d workers: block %d took %d machine runs", bs, workers, b, r)
+				}
+			}
+			if bs <= 64 && inString == 0 {
+				t.Errorf("block %d: no block started inside a string", bs)
+			}
+		}
 	}
 }

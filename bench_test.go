@@ -193,32 +193,29 @@ func BenchmarkFig12Formats(b *testing.B) {
 	}
 }
 
-// BenchmarkFig13Filtering covers Fig. 13: streaming vs buffered filter
-// stages under both distance methods at two selectivities.
+// BenchmarkFig13Filtering covers Fig. 13: the filter stage under both
+// distance methods at two selectivities.
 func BenchmarkFig13Filtering(b *testing.B) {
 	ds := benchDataset(b, GeoJSON, 2000, 0)
 	for _, dist := range []geom.DistanceMethod{geom.SphericalProjection, geom.Andoyer} {
 		for _, frac := range []float64{0.5, 0.001} {
-			for _, mode := range []query.FilterMode{query.Streaming, query.Buffered} {
-				name := fmt.Sprintf("%v/sel=%g/%v", dist, frac, mode)
-				b.Run(name, func(b *testing.B) {
-					spec := &query.Spec{
-						Kind: query.Aggregation,
-						Ref:  query.ScaleBox(synth.Extent, frac).AsPolygon(),
-						Pred: query.PredIntersects,
-						Mode: mode, Dist: dist, WantPerimeter: true,
+			b.Run(fmt.Sprintf("%v/sel=%g", dist, frac), func(b *testing.B) {
+				spec := &query.Spec{
+					Kind: query.Aggregation,
+					Ref:  query.ScaleBox(synth.Extent, frac).AsPolygon(),
+					Pred: query.PredIntersects,
+					Dist: dist, WantPerimeter: true,
+				}
+				opt := Options{BlockSize: 64 << 10}
+				eng := testEngine(b, 0)
+				b.SetBytes(int64(len(ds.Data)))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := eng.Query(context.Background(), ds, spec, opt); err != nil {
+						b.Fatal(err)
 					}
-					opt := Options{BlockSize: 64 << 10}
-					eng := testEngine(b, 0)
-					b.SetBytes(int64(len(ds.Data)))
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if _, err := eng.Query(context.Background(), ds, spec, opt); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-			}
+				}
+			})
 		}
 	}
 }
@@ -260,34 +257,6 @@ func BenchmarkFig15Partitioning(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkTable1Operators times representative Table-1 operators on a
-// fixed polygon pair (the registry itself is verified by tests).
-func BenchmarkTable1Operators(b *testing.B) {
-	a := query.ScaleBox(synth.Extent, 0.1).AsPolygon()
-	c := query.ScaleBox(synth.Extent, 0.15).AsPolygon()
-	ops := []struct {
-		name string
-		fn   func()
-	}{
-		{"ST_Intersects", func() { geom.Intersects(a, c) }},
-		{"ST_Within", func() { geom.Within(a, c) }},
-		{"ST_Touches", func() { geom.Touches(a, c) }},
-		{"ST_Envelope", func() { geom.Envelope(a) }},
-		{"ST_ConvexHull", func() { geom.ConvexHull(a) }},
-		{"ST_Distance", func() { geom.GeometryDistance(a, c, geom.Haversine) }},
-		{"ST_Intersection", func() { geom.PolyIntersection(a, c) }},
-		{"ST_Union", func() { geom.PolyUnion(a, c) }},
-		{"ST_Buffer", func() { geom.Buffer(a, 0.1, 4) }},
-	}
-	for _, op := range ops {
-		b.Run(op.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				op.fn()
-			}
-		})
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 )
 
 var ids = []string{
-	"table1", "table2", "fig9a", "fig9b", "fig9c", "fig10", "fig11",
+	"table2", "fig9a", "fig9b", "fig9c", "fig10", "fig11",
 	"fig12", "fig13a", "fig13b", "fig14a", "fig14b", "fig15",
 }
 

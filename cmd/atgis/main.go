@@ -55,7 +55,6 @@ func main() {
 	blockSize := flag.Int("block", 1<<20, "block size in bytes")
 	cell := flag.Float64("cell", 1, "join partition cell size in degrees")
 	distName := flag.String("dist", "haversine", "spherical | haversine | andoyer")
-	filterMode := flag.String("filter", "streaming", "streaming | buffered")
 	show := flag.Int("show", 0, "stream and print the first N matches/pairs")
 	sidecarFlag := flag.String("sidecar", "off", "structural sidecar index: off | read | readwrite")
 	flag.Parse()
@@ -125,9 +124,6 @@ func main() {
 			Kind: query.Aggregation, Ref: box.AsPolygon(),
 			Pred: query.PredIntersects, Dist: dist,
 			WantArea: true, WantPerimeter: true, WantMBR: true,
-		}
-		if strings.EqualFold(*filterMode, "buffered") {
-			spec.Mode = query.Buffered
 		}
 		pq, err := eng.Prepare(spec, opt)
 		fatal(err)

@@ -76,8 +76,7 @@ func patDriver(input []byte, cfg *geojson.Config, out func(geojson.FeatureOut)) 
 		header: fold.Header,
 		skip:   fold.Skip,
 		add: func(_ pipeline.Block, r geojson.PATBlockResult) error {
-			fold.Add(r)
-			return nil
+			return fold.Add(r)
 		},
 		finish: func(_ context.Context, lastLive int64) error { return fold.Finish(lastLive) },
 		counts: func() (int, int) { return fold.Repaired, 0 },

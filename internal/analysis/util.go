@@ -106,12 +106,6 @@ func objOf(pass *Pass, id *ast.Ident) types.Object {
 	return pass.TypesInfo.Uses[id]
 }
 
-// isIdentObj reports whether e is an identifier denoting obj.
-func isIdentObj(pass *Pass, e ast.Expr, obj types.Object) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	return ok && obj != nil && objOf(pass, id) == obj
-}
-
 // enclosingFunc returns the innermost FuncDecl or FuncLit body on the
 // stack, so paired-resource scopes end at the closure boundary.
 func enclosingFunc(stack []ast.Node) (body *ast.BlockStmt, node ast.Node) {

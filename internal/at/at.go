@@ -11,19 +11,22 @@
 // so blocks can be processed out of order, in parallel, and merged in any
 // grouping.
 //
-// The package provides the five AT families the paper maps spatial query
-// processing onto:
+// This package holds the fragment model of the finite-state family: FST,
+// FSTFragment, RunFragment, MergeFST and the sequential oracle
+// RunSequential. The lexers' tests use it as their reference
+// (lexer.NewJSONFST), and at_test.go runs the paper's §3.1 example on it.
+// The engine runs each AT family of §3.3 as concrete machinery instead:
 //
-//   - FSTFragment:   finite-state transducers (lexing), §3.3
-//   - StackEffect:   deterministic pushdown transducers (parsing), §3.3
-//   - SLT:           stateless transducers (map/filter), §3.3
-//   - AGT:           aggregation transducers (reduce), §3.3
-//   - PFT:           periodically flushing transducers (per-geometry
-//     aggregation), §3.3
-//
-// Associativity of every merge operator is enforced by property tests in
-// this package; the pipeline engine (internal/pipeline) relies on it to
-// merge per-block results in input order with a reduction tree.
+//   - finite-state (lexing): lexer.ScanJSON/ScanJSONResume over a block,
+//     and lexer.SummarizeJSON, which composes the lexer state at FAT block
+//     starts without emitting tokens;
+//   - pushdown (parsing): the geojson Machine per block, whose speculated
+//     stack effects geojson.Fold validates in input order;
+//   - stateless (map/filter): geojson.Config.Rejects and Config.Value on
+//     the worker;
+//   - aggregation and periodically flushing (reduce, per-geometry
+//     aggregates): query.ApplyBox per feature and the ordered fold into
+//     query.Result.
 package at
 
 import "fmt"

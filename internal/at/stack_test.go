@@ -2,6 +2,11 @@ package at
 
 import "fmt"
 
+// The pushdown family of paper §3.3 as an executable definition for the
+// property tests in stack_pft_test.go. The engine's pushdown transducer is
+// the geojson Machine, whose speculated stack effects geojson.Fold
+// validates in input order (see at.go).
+
 // StackSym is a pushdown stack symbol. AT-GIS parsers use a small stack
 // alphabet (JSON: object/array frames; XML: element frames).
 type StackSym = uint8

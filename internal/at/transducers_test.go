@@ -1,5 +1,11 @@
 package at
 
+// The generic SLT, AGT and PFT families of paper §3.3 as executable
+// definitions for the property tests beside them. The engine runs none
+// of them: its stateless transducers are geojson.Config.Rejects and
+// Config.Value, its aggregation and periodically flushing transducers
+// query.ApplyBox and the ordered fold into query.Result (see at.go).
+
 // SLT is a stateless transducer (paper §3.3): the state set is a
 // singleton, so each input symbol maps independently to zero or more
 // output symbols. It has the expressive power of map and filter and is

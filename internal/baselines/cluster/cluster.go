@@ -39,17 +39,6 @@ type Config struct {
 	UpfrontIndex time.Duration
 }
 
-// DefaultConfig mirrors commonly reported Hadoop overheads scaled down
-// to the emulation: multi-second task startup, gigabit-class network.
-func DefaultConfig(nodes int) Config {
-	return Config{
-		Nodes:          nodes,
-		TaskStartup:    50 * time.Millisecond,
-		ShuffleMBps:    100,
-		BytesPerObject: 256,
-	}
-}
-
 // Result aggregates a distributed query.
 type Result struct {
 	Count        int64

@@ -155,27 +155,6 @@ func stdSpec(kind query.Kind) *query.Spec {
 	return s
 }
 
-// Table1 renders the operator→AT mapping (paper Table 1), verified by
-// the query package's registry.
-func Table1(cfg Config) *Report {
-	r := &Report{
-		ID:     "table1",
-		Title:  "Representation of spatial operators as ATs",
-		Header: []string{"operator", "category", "class", "associativity"},
-	}
-	catName := map[query.OperatorCategory]string{
-		query.SingleGeometry:   "single-geometry",
-		query.GeometryRelation: "relation",
-		query.SetTheoretic:     "set-theoretic",
-	}
-	for _, op := range query.Operators {
-		r.Rows = append(r.Rows, []string{
-			op.Name, catName[op.Category], op.Class.String(), op.Assoc.String(),
-		})
-	}
-	return r
-}
-
 // Table2 generates every dataset variant and reports sizes (paper
 // Table 2, scaled down; substitution documented in docs/ARCHITECTURE.md).
 func Table2(cfg Config) *Report {
@@ -552,8 +531,10 @@ func Fig12(cfg Config) *Report {
 	return r
 }
 
-// Fig13 sweeps query selectivity under streaming vs buffered filtering
-// (paper Fig. 13) with the chosen distance method.
+// Fig13 sweeps query selectivity (paper Fig. 13) with the chosen
+// distance method. The paper compares a streaming and a buffered filter
+// layout; the engine has one, the buffered (query.ApplyBox), so the sweep
+// has one column.
 func Fig13(cfg Config, method geom.DistanceMethod) *Report {
 	cfg = cfg.Defaults()
 	data := genGeoJSON(cfg, cfg.Features)
@@ -566,22 +547,16 @@ func Fig13(cfg Config, method geom.DistanceMethod) *Report {
 	}
 	r := &Report{
 		ID:     "fig13" + sub,
-		Title:  fmt.Sprintf("Streaming vs buffered filtering, %v distance (MB/s)", method),
-		Header: []string{"area-selected-%", "streaming", "buffered"},
+		Title:  fmt.Sprintf("Filtering by selectivity, %v distance (MB/s)", method),
+		Header: []string{"area-selected-%", "buffered"},
 	}
 	for _, frac := range []float64{1, 0.1, 0.01, 0.001, 0.0001} {
-		ref := query.ScaleBox(synth.Extent, frac).AsPolygon()
-		mk := func(mode query.FilterMode) float64 {
-			spec := &query.Spec{
-				Kind: query.Aggregation, Ref: ref, Pred: query.PredIntersects,
-				Mode: mode, Dist: method, WantPerimeter: true,
-			}
-			t, _ := runQueryTimed(eng, ds, spec, atgis.Options{Mode: atgis.PAT, BlockSize: 64 << 10})
-			return t
+		spec := &query.Spec{
+			Kind: query.Aggregation, Ref: query.ScaleBox(synth.Extent, frac).AsPolygon(),
+			Pred: query.PredIntersects, Dist: method, WantPerimeter: true,
 		}
-		r.Rows = append(r.Rows, []string{
-			fmt.Sprintf("%.2f", frac*100), f2(mk(query.Streaming)), f2(mk(query.Buffered)),
-		})
+		t, _ := runQueryTimed(eng, ds, spec, atgis.Options{Mode: atgis.PAT, BlockSize: 64 << 10})
+		r.Rows = append(r.Rows, []string{fmt.Sprintf("%.2f", frac*100), f2(t)})
 	}
 	return r
 }
@@ -680,7 +655,6 @@ func Fig15(cfg Config) *Report {
 // All runs every experiment in paper order.
 func All(cfg Config) []*Report {
 	return []*Report{
-		Table1(cfg),
 		Table2(cfg),
 		Fig9(cfg, "a"),
 		Fig9(cfg, "b"),
@@ -699,8 +673,6 @@ func All(cfg Config) []*Report {
 // ByID returns the experiment with the given id.
 func ByID(cfg Config, id string) (*Report, error) {
 	switch strings.ToLower(id) {
-	case "table1":
-		return Table1(cfg), nil
 	case "table2":
 		return Table2(cfg), nil
 	case "fig9a":

@@ -34,14 +34,6 @@ func checkReport(t *testing.T, r *Report) {
 	}
 }
 
-func TestTable1Rows(t *testing.T) {
-	r := Table1(tiny())
-	checkReport(t, r)
-	if len(r.Rows) != 19 {
-		t.Errorf("table1 rows = %d, want 19", len(r.Rows))
-	}
-}
-
 func TestTable2Sizes(t *testing.T) {
 	r := Table2(tiny())
 	checkReport(t, r)
@@ -115,7 +107,7 @@ func TestFig13Fig14Fig15Smoke(t *testing.T) {
 }
 
 func TestByID(t *testing.T) {
-	for _, id := range []string{"table1", "fig13a", "FIG14B"} {
+	for _, id := range []string{"fig13a", "FIG14B"} {
 		if _, err := ByID(tiny(), id); err != nil {
 			t.Errorf("ByID(%q): %v", id, err)
 		}

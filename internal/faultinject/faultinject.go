@@ -71,9 +71,6 @@ var (
 	hooks map[string]Hook
 )
 
-// Enabled reports whether any hook is armed.
-func Enabled() bool { return armed.Load() }
-
 // Fire invokes the hook armed for site, if any. With nothing armed it
 // is one atomic load and returns immediately.
 func Fire(site, label string, index int64) {

@@ -40,7 +40,7 @@ func (m *Machine) step(tok lexer.Token) int64 {
 	case lexer.KindArrOpen:
 		return m.coordsRoot(tok.Off + 1)
 	case lexer.KindObjClose, lexer.KindArrClose:
-		if m.single && len(m.frames) == 0 {
+		if len(m.frames) == 0 && (m.single || m.patBase && m.baseClose >= 0) {
 			return m.scanEnd
 		}
 	}

@@ -292,9 +292,12 @@ type Machine struct {
 	// (used during anchor replay).
 	forceFeature bool
 	// patBase marks a machine parsing a PAT block that starts at a
-	// feature boundary: top-level objects are features and base-level
-	// closes (the document tail) are ignored.
-	patBase bool
+	// feature boundary: top-level objects are features, and the scan stops
+	// at the first base-level close, whose offset baseClose records (-1
+	// until then): the document's tail, or an error only the fold's
+	// sequential machine can tell apart from it.
+	patBase   bool
+	baseClose int64
 	// single stops scan once the first top-level value has closed
 	// (ReparseFeature).
 	single bool
@@ -334,6 +337,7 @@ func acquireMachine(input []byte, cfg *Config, onFeature func(FeatureOut)) *Mach
 	m.tokenCount = 0
 	m.err = nil
 	m.anchorPending, m.forceFeature, m.patBase, m.single = false, false, false, false
+	m.baseClose = -1
 	return m
 }
 
@@ -518,14 +522,6 @@ func (f *frame) setKey(begin, end int64) {
 	f.keyOff = begin + 1
 	f.keyLen = int32(end - begin - 1)
 	f.hasKey = true
-}
-
-// inResolved reports whether the innermost context is resolved.
-func (m *Machine) inResolved() bool {
-	if t := m.top(); t != nil {
-		return t.resolved
-	}
-	return m.resolved // document root (resolved machine) or block base
 }
 
 // OnToken processes one structural token; gaps between tokens are parsed
@@ -744,11 +740,15 @@ func classifySem(parentSem sem, key []byte, isArr bool) sem {
 func (m *Machine) closeFrame(tok lexer.Token) {
 	m.record(m.top(), tok)
 	if len(m.frames) == 0 {
-		if m.resolved && !m.patBase {
+		switch {
+		case m.patBase:
+			if m.baseClose < 0 {
+				m.baseClose = tok.Off
+			}
+		case m.resolved:
 			m.fail("unmatched close at offset %d", tok.Off)
 		}
-		// Speculative base pop (recorded on the spec tape above) or the
-		// document tail of a PAT block: nothing to do.
+		// A speculative base pop is recorded on the spec tape above.
 		return
 	}
 	// Point at the top slot and truncate. The dead slot stays valid for

@@ -135,6 +135,9 @@ type PATBlockResult struct {
 	// Clean reports that the block ended with no open containers and the
 	// lexer in the default state.
 	Clean bool
+	// baseClose is the offset of the first close the block met with no
+	// container of its own open, where its scan stopped (-1 if none).
+	baseClose int64
 }
 
 // ProcessBlockPAT parses one block assuming it starts at a feature-object
@@ -154,6 +157,7 @@ func ProcessBlockPAT(input []byte, start, end int64, cfg *Config) PATBlockResult
 		res.IncompleteOff = m.frames[0].openOff
 	}
 	res.Clean = len(m.frames) == 0 && endState == lexer.JSONDefault && m.Err() == nil
+	res.baseClose = m.baseClose
 	releaseMachine(m)
 	return res
 }
@@ -212,8 +216,13 @@ func (fd *PATFold) seqClean() bool {
 	return t == nil || t.sem == semFeatures
 }
 
-// Add merges the next PAT block (in input order).
-func (fd *PATFold) Add(br PATBlockResult) {
+// Add merges the next PAT block (in input order). It returns the
+// sequential machine's error, after which nothing more is emitted: what
+// the sink saw is the prefix ParseSequential emits before the same error.
+func (fd *PATFold) Add(br PATBlockResult) error {
+	if err := fd.seqM.Err(); err != nil {
+		return err
+	}
 	if fd.seqMode || fd.resume > br.Start {
 		// The previous region spilled over this block's boundary: its
 		// parallel results are untrustworthy. Re-parse sequentially.
@@ -221,27 +230,38 @@ func (fd *PATFold) Add(br PATBlockResult) {
 		from := max64(fd.resume, br.Start)
 		fd.seqParse(from, br.End)
 		fd.seqMode = !fd.seqClean()
-		return
+		return fd.seqM.Err()
 	}
 	// Normal path: accept the block's parallel results.
 	for _, f := range br.Features {
 		fd.sink(f)
 	}
-	if br.Clean {
+	switch {
+	case br.baseClose >= 0:
+		// The block closed a container it did not open. Only the
+		// sequential machine, which holds the root object and the features
+		// array, knows whether that is the document's tail or an error: it
+		// parses the rest of the block. Not a repair — the block's
+		// features stand.
+		fd.seqParse(br.baseClose, br.End)
+		fd.seqMode = !fd.seqClean()
+	case br.Clean:
 		fd.resume = br.End
-		return
+	default:
+		// The trailing feature spans the boundary (a mis-split
+		// downstream): switch to sequential mode from the incomplete
+		// feature.
+		fd.Repaired++
+		start := br.IncompleteOff
+		if start < 0 {
+			start = br.Start
+		}
+		fd.seqM.strOpen = -1
+		fd.seqLex = lexer.JSONDefault
+		fd.seqParse(start, br.End)
+		fd.seqMode = !fd.seqClean()
 	}
-	// The trailing feature spans the boundary (a mis-split downstream):
-	// switch to sequential mode from the incomplete feature.
-	fd.Repaired++
-	start := br.IncompleteOff
-	if start < 0 {
-		start = br.Start
-	}
-	fd.seqM.strOpen = -1
-	fd.seqLex = lexer.JSONDefault
-	fd.seqParse(start, br.End)
-	fd.seqMode = !fd.seqClean()
+	return fd.seqM.Err()
 }
 
 // Skip advances the fold past [resume, end) without parsing. The warm

@@ -1,5 +1,8 @@
 package geom
 
+// Box clipping, part of the test-only operator catalogue (see
+// operators_test.go): no query clips.
+
 // ClipRingToBox clips a ring to an axis-aligned box using the
 // Sutherland–Hodgman algorithm. The result may be empty. Box clipping is
 // the fast path for containment queries whose reference region is an MBR.

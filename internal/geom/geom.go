@@ -3,10 +3,11 @@
 // It provides the object model of the OGC Simple Feature Access
 // specification as used by the paper (points, linestrings, polygons,
 // multipolygons and collections), bounding boxes, and the planar and
-// spherical algorithms required by the Table-1 spatial operators:
-// point-in-polygon tests, segment intersection, convex hulls, polygon
-// clipping, perimeter (spherical projection and Andoyer's formula) and
-// spherical area.
+// spherical algorithms the queries run: point-in-polygon and segment
+// intersection tests behind ST_Intersects, ST_Within, ST_Contains and
+// ST_Disjoint, the convex hull of a point set (the hull aggregate), the
+// union of two polygons (the join's union area), perimeter (spherical
+// projection, Haversine and Andoyer's formula) and spherical area.
 //
 // Coordinates are stored as (X, Y) = (longitude, latitude) in degrees,
 // matching GeoJSON. Planar algorithms treat them as Cartesian; spherical
@@ -32,9 +33,6 @@ func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 
 // Cross returns the 2D cross product (p × q).
 func (p Point) Cross(q Point) float64 { return p.X*q.Y - p.Y*q.X }
-
-// Dot returns the dot product p · q.
-func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y }
 
 // Equal reports whether p and q are exactly equal.
 func (p Point) Equal(q Point) bool { return p.X == q.X && p.Y == q.Y }
@@ -111,11 +109,6 @@ func (b Box) Intersects(o Box) bool {
 	}
 	return b.MinX <= o.MaxX && o.MinX <= b.MaxX &&
 		b.MinY <= o.MaxY && o.MinY <= b.MaxY
-}
-
-// ContainsPoint reports whether p lies inside or on the boundary of b.
-func (b Box) ContainsPoint(p Point) bool {
-	return p.X >= b.MinX && p.X <= b.MaxX && p.Y >= b.MinY && p.Y <= b.MaxY
 }
 
 // ContainsBox reports whether o lies entirely within b.
@@ -308,22 +301,6 @@ type Polygon []Ring
 
 // Type implements Geometry.
 func (g Polygon) Type() GeomType { return TypePolygon }
-
-// Outer returns the exterior ring, or nil for an empty polygon.
-func (g Polygon) Outer() Ring {
-	if len(g) == 0 {
-		return nil
-	}
-	return g[0]
-}
-
-// Holes returns the interior rings.
-func (g Polygon) Holes() []Ring {
-	if len(g) <= 1 {
-		return nil
-	}
-	return g[1:]
-}
 
 // Bound implements Geometry. Only the outer ring matters.
 func (g Polygon) Bound() Box {

@@ -2,19 +2,6 @@ package geom
 
 import "sort"
 
-// ConvexHull implements ST_ConvexHull using Andrew's monotone chain. The
-// returned polygon has a single counter-clockwise ring. Degenerate inputs
-// (fewer than three distinct non-collinear points) yield a polygon whose
-// ring traces the degenerate hull.
-//
-// Hull construction over a point stream is associative — the hull of a
-// union is the hull of the two partial hulls' points — so ST_ConvexHull
-// maps onto a periodically flushing transducer (Table 1).
-func ConvexHull(g Geometry) Polygon {
-	pts := collectPoints(g)
-	return HullOfPoints(pts)
-}
-
 // HullOfPoints computes the convex hull ring of a point set.
 func HullOfPoints(pts []Point) Polygon {
 	if len(pts) == 0 {
@@ -61,12 +48,4 @@ func HullOfPoints(pts []Point) Polygon {
 	ring = append(ring, upper[:len(upper)-1]...)
 	ring = append(ring, ring[0])
 	return Polygon{ring}
-}
-
-// MergeHulls combines two partial hulls into the hull of their union.
-// This is the associative combine used by the ST_ConvexHull transducer.
-func MergeHulls(a, b Polygon) Polygon {
-	pts := collectPoints(a)
-	pts = append(pts, collectPoints(b)...)
-	return HullOfPoints(pts)
 }

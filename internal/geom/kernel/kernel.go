@@ -52,8 +52,8 @@ import (
 	"atgis/internal/geom"
 )
 
-// disabled force-disables every kernel consumer (join refinement, query
-// evaluators, PFT reference-edge batching fall back to scalar). It is
+// disabled force-disables every kernel consumer (join refinement and the
+// query evaluators fall back to scalar). It is
 // the differential harness's switch — sidecar_diff-style harnesses run
 // identical passes with kernels on and off and require byte-identical
 // output — and nothing else: no flag, option or config reaches it.

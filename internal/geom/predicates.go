@@ -65,23 +65,6 @@ func SegmentsCross(a, b, c, d Point) bool {
 	return o1 != 0 && o2 != 0 && o3 != 0 && o4 != 0 && o1 != o2 && o3 != o4
 }
 
-// SegmentIntersection returns the intersection point of properly crossing
-// segments ab and cd. ok is false for parallel or non-crossing segments.
-func SegmentIntersection(a, b, c, d Point) (p Point, ok bool) {
-	r := b.Sub(a)
-	s := d.Sub(c)
-	denom := r.Cross(s)
-	if denom == 0 {
-		return Point{}, false
-	}
-	t := c.Sub(a).Cross(s) / denom
-	u := c.Sub(a).Cross(r) / denom
-	if t < 0 || t > 1 || u < 0 || u > 1 {
-		return Point{}, false
-	}
-	return Point{a.X + t*r.X, a.Y + t*r.Y}, true
-}
-
 // PointLocation is the result of a point-in-ring test.
 type PointLocation int8
 
@@ -519,227 +502,3 @@ func locateInAreal(g Geometry, p Point) PointLocation {
 
 // Contains implements ST_Contains: b within a.
 func Contains(a, b Geometry) bool { return Within(b, a) }
-
-// Touches implements ST_Touches: boundaries intersect but interiors do
-// not.
-func Touches(a, b Geometry) bool {
-	if !Intersects(a, b) {
-		return false
-	}
-	if edgesCross(a, b) {
-		return false
-	}
-	// Shared boundary only: no vertex of either strictly inside the other.
-	if isAreal(b) && anyVertexInside(a, b) {
-		return false
-	}
-	if isAreal(a) && anyVertexInside(b, a) {
-		return false
-	}
-	// Probe interiors for the equal/covering cases.
-	if isAreal(a) && isAreal(b) {
-		if p, ok := interiorProbe(a); ok && locateInAreal(b, p) == Inside {
-			return false
-		}
-		if p, ok := interiorProbe(b); ok && locateInAreal(a, p) == Inside {
-			return false
-		}
-	}
-	return true
-}
-
-func anyVertexInside(g, container Geometry) bool {
-	inside := false
-	g.EachPoint(func(p Point) bool {
-		if locateInAreal(container, p) == Inside {
-			inside = true
-			return false
-		}
-		return true
-	})
-	return inside
-}
-
-// Crosses implements ST_Crosses for mixed-dimension cases: the geometries
-// share interior points but neither contains the other, and the shared
-// part has lower dimension than the higher-dimensional operand.
-func Crosses(a, b Geometry) bool {
-	da, db := dimension(a), dimension(b)
-	if da == db && da != 1 {
-		// Equal-dimension crosses is defined only for line/line.
-		return false
-	}
-	if !Intersects(a, b) {
-		return false
-	}
-	if da == 1 && db == 1 {
-		return edgesCross(a, b) && !Within(a, b) && !Within(b, a)
-	}
-	// Line vs area (either order): crosses iff the line has points both
-	// inside and outside the area.
-	line, area := a, b
-	if da > db {
-		line, area = b, a
-	}
-	hasIn, hasOut := false, false
-	line.EachPoint(func(p Point) bool {
-		switch locateInAreal(area, p) {
-		case Inside:
-			hasIn = true
-		case Outside:
-			hasOut = true
-		}
-		return !(hasIn && hasOut)
-	})
-	if hasIn && hasOut {
-		return true
-	}
-	// Edges may pierce the area even when vertices do not.
-	return edgesCross(line, area) && hasOut
-}
-
-// Overlaps implements ST_Overlaps: same dimension, interiors intersect,
-// neither contains the other.
-func Overlaps(a, b Geometry) bool {
-	if dimension(a) != dimension(b) {
-		return false
-	}
-	if !Intersects(a, b) {
-		return false
-	}
-	if Within(a, b) || Within(b, a) {
-		return false
-	}
-	if isAreal(a) && isAreal(b) {
-		// Interiors must truly overlap, not just touch.
-		if edgesCross(a, b) {
-			return true
-		}
-		return anyVertexInside(a, b) || anyVertexInside(b, a)
-	}
-	return edgesIntersect(a, b)
-}
-
-func dimension(g Geometry) int {
-	switch t := g.(type) {
-	case PointGeom:
-		return 0
-	case LineString:
-		return 1
-	case Polygon, MultiPolygon:
-		return 2
-	case Collection:
-		d := 0
-		for _, m := range t {
-			if md := dimension(m); md > d {
-				d = md
-			}
-		}
-		return d
-	default:
-		return 0
-	}
-}
-
-// Relate computes a compact DE-9IM-style relation string "IIB" over
-// {interior-interior, interior-exterior pairs, boundary}: the classes the
-// Table-1 predicates distinguish. Characters: 'T' or 'F'.
-//
-// Position 0: interiors intersect. Position 1: a has points outside b.
-// Position 2: b has points outside a. Position 3: boundaries intersect.
-func Relate(a, b Geometry) string {
-	out := []byte{'F', 'F', 'F', 'F'}
-	if Intersects(a, b) {
-		if interiorsIntersect(a, b) {
-			out[0] = 'T'
-		}
-		out[3] = 'T'
-	}
-	if !Within(a, b) {
-		out[1] = 'T'
-	}
-	if !Within(b, a) {
-		out[2] = 'T'
-	}
-	return string(out)
-}
-
-func interiorsIntersect(a, b Geometry) bool {
-	if edgesCross(a, b) {
-		return true
-	}
-	if isAreal(b) && anyVertexInside(a, b) {
-		return true
-	}
-	if isAreal(a) && anyVertexInside(b, a) {
-		return true
-	}
-	if isAreal(a) && isAreal(b) {
-		if p, ok := interiorProbe(a); ok && locateInAreal(b, p) == Inside {
-			return true
-		}
-		if p, ok := interiorProbe(b); ok && locateInAreal(a, p) == Inside {
-			return true
-		}
-	}
-	return false
-}
-
-// IsEmpty implements ST_IsEmpty.
-func IsEmpty(g Geometry) bool { return g == nil || g.NumPoints() == 0 }
-
-// IsSimple implements ST_IsSimple: no self-intersections other than
-// shared ring endpoints. O(n²) edge test, as in the paper's SLT mapping.
-func IsSimple(g Geometry) bool {
-	type edge struct{ a, b Point }
-	var edges []edge
-	g.EachEdge(func(a, b Point) bool {
-		edges = append(edges, edge{a, b})
-		return true
-	})
-	for i := 0; i < len(edges); i++ {
-		for j := i + 1; j < len(edges); j++ {
-			e, f := edges[i], edges[j]
-			if SegmentsCross(e.a, e.b, f.a, f.b) {
-				return false
-			}
-			// Non-adjacent edges must not overlap collinearly.
-			adjacent := e.b.Equal(f.a) || f.b.Equal(e.a) || e.a.Equal(f.a) || e.b.Equal(f.b)
-			if !adjacent && SegmentsIntersect(e.a, e.b, f.a, f.b) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// Boundary implements ST_Boundary: rings for polygons, endpoints for
-// linestrings.
-func Boundary(g Geometry) Geometry {
-	switch t := g.(type) {
-	case Polygon:
-		out := make(Collection, 0, len(t))
-		for _, r := range t {
-			out = append(out, LineString(r.Canonical()))
-		}
-		return out
-	case MultiPolygon:
-		var out Collection
-		for _, poly := range t {
-			for _, r := range poly {
-				out = append(out, LineString(r.Canonical()))
-			}
-		}
-		return out
-	case LineString:
-		if len(t) == 0 {
-			return Collection{}
-		}
-		return Collection{PointGeom{t[0]}, PointGeom{t[len(t)-1]}}
-	default:
-		return Collection{}
-	}
-}
-
-// Envelope implements ST_Envelope.
-func Envelope(g Geometry) Box { return g.Bound() }

@@ -2,14 +2,13 @@ package geom
 
 import "math"
 
-// Set-theoretic polygon operations (ST_Intersection, ST_Union,
-// ST_Difference, ST_SymDifference) implemented with a Greiner–Hormann
-// clipper. The clipper operates on simple (hole-free, non-self-
-// intersecting) rings, matching the polygon-versus-polygon focus of the
-// paper's Table 1; polygons with holes are handled by recursively
-// subtracting hole intersections. Degenerate configurations (shared
-// vertices, collinear overlapping edges) are resolved by retrying with a
-// deterministic micro-perturbation of the clip operand.
+// ST_Union of two polygons (the join's union-area aggregate) on a
+// Greiner–Hormann clipper. The clipper operates on simple (hole-free,
+// non-self-intersecting) rings; it also traces intersections and
+// differences, which only the test-only operators of operators_test.go
+// ask of it. Degenerate configurations (shared vertices, collinear
+// overlapping edges) are resolved by retrying with a deterministic
+// micro-perturbation of the clip operand.
 
 type ghNode struct {
 	p          Point
@@ -359,29 +358,6 @@ func clipSimple(subject, clip Ring, op setOp) []Ring {
 	return nil
 }
 
-// PolyIntersection implements ST_Intersection for two polygons, returning
-// the overlap as a MultiPolygon (possibly empty). Holes in either operand
-// are subtracted from the result.
-func PolyIntersection(a, b Polygon) MultiPolygon {
-	if len(a) == 0 || len(b) == 0 || !a.Bound().Intersects(b.Bound()) {
-		return nil
-	}
-	rings := clipSimple(a[0], b[0], opIntersection)
-	var out MultiPolygon
-	for _, r := range rings {
-		parts := MultiPolygon{Polygon{normalizeCCW(r)}}
-		for _, hole := range append(append([]Ring{}, a.Holes()...), b.Holes()...) {
-			var next MultiPolygon
-			for _, part := range parts {
-				next = append(next, PolyDifference(part, Polygon{hole})...)
-			}
-			parts = next
-		}
-		out = append(out, parts...)
-	}
-	return out
-}
-
 // assemblePolygons nests a flat set of traced rings into polygons:
 // rings at even containment depth become outer rings (normalised CCW),
 // rings at odd depth become holes (normalised CW) of their innermost
@@ -476,181 +452,4 @@ func PolyUnion(a, b Polygon) MultiPolygon {
 		return MultiPolygon{a, b}
 	}
 	return assemblePolygons(rings)
-}
-
-// PolyDifference implements ST_Difference (a minus b).
-func PolyDifference(a, b Polygon) MultiPolygon {
-	if len(a) == 0 {
-		return nil
-	}
-	if len(b) == 0 || !a.Bound().Intersects(b.Bound()) {
-		return MultiPolygon{a}
-	}
-	rings := clipSimple(a[0], b[0], opDifference)
-	out := assemblePolygons(rings)
-	// Holes of a that survive remain holes of the result pieces.
-	for _, hole := range a.Holes() {
-		var next MultiPolygon
-		for _, part := range out {
-			next = append(next, PolyDifference(part, Polygon{hole})...)
-		}
-		out = next
-	}
-	return out
-}
-
-// PolySymDifference implements ST_SymDifference as (a−b) ∪ (b−a).
-func PolySymDifference(a, b Polygon) MultiPolygon {
-	out := PolyDifference(a, b)
-	out = append(out, PolyDifference(b, a)...)
-	return out
-}
-
-// UnionAll dissolves a set of polygons into a MultiPolygon, merging
-// overlapping members pairwise. The paper executes spatial union
-// aggregation as a sequential phase after the pipeline (§4.4(3)); this is
-// that phase.
-func UnionAll(polys []Polygon) MultiPolygon {
-	var acc MultiPolygon
-	for _, p := range polys {
-		acc = addToUnion(acc, p)
-	}
-	return acc
-}
-
-func addToUnion(acc MultiPolygon, p Polygon) MultiPolygon {
-	for i, q := range acc {
-		if !q.Bound().Intersects(p.Bound()) {
-			continue
-		}
-		merged := PolyUnion(q, p)
-		if len(merged) == 1 {
-			// Dissolved into one piece: remove q and re-add the merge so
-			// it can cascade into other members.
-			rest := append(append(MultiPolygon{}, acc[:i]...), acc[i+1:]...)
-			return addToUnion(rest, merged[0])
-		}
-	}
-	return append(acc, p)
-}
-
-// Buffer implements ST_Buffer for positive distances (in degrees) using
-// edge offsetting with round joins. The approximation is exact for convex
-// polygons and well-behaved for mildly concave inputs; the paper treats
-// ST_Buffer as a per-shape stateless transducer, so only the per-shape
-// cost profile matters for the evaluation.
-func Buffer(g Geometry, dist float64, segmentsPerQuarter int) Geometry {
-	if dist <= 0 || segmentsPerQuarter < 1 {
-		return g
-	}
-	switch t := g.(type) {
-	case PointGeom:
-		return Polygon{circleRing(t.P, dist, segmentsPerQuarter*4)}
-	case Polygon:
-		if len(t) == 0 {
-			return t
-		}
-		return Polygon{offsetRing(normalizeCCW(t[0]), dist, segmentsPerQuarter)}
-	case MultiPolygon:
-		out := make(MultiPolygon, 0, len(t))
-		for _, p := range t {
-			if b, ok := Buffer(p, dist, segmentsPerQuarter).(Polygon); ok {
-				out = append(out, b)
-			}
-		}
-		return out
-	case LineString:
-		// Buffer the hull of the line: adequate for benchmark workloads.
-		hull := HullOfPoints(t)
-		return Buffer(hull, dist, segmentsPerQuarter)
-	default:
-		return g
-	}
-}
-
-func circleRing(c Point, r float64, segments int) Ring {
-	ring := make(Ring, 0, segments+1)
-	for i := 0; i < segments; i++ {
-		a := 2 * math.Pi * float64(i) / float64(segments)
-		ring = append(ring, Point{c.X + r*math.Cos(a), c.Y + r*math.Sin(a)})
-	}
-	return ring.Canonical()
-}
-
-// offsetRing pushes a CCW ring outward by dist with round joins at convex
-// corners.
-func offsetRing(r Ring, dist float64, segsPerQuarter int) Ring {
-	open := r.Canonical()
-	if len(open) > 1 {
-		open = open[:len(open)-1]
-	}
-	n := len(open)
-	if n < 3 {
-		return r
-	}
-	var out Ring
-	for i := 0; i < n; i++ {
-		a := open[(i+n-1)%n]
-		b := open[i]
-		c := open[(i+1)%n]
-		// Outward normals of edges ab and bc (interior is left for CCW).
-		n1 := outwardNormal(a, b)
-		n2 := outwardNormal(b, c)
-		p1 := Point{b.X + dist*n1.X, b.Y + dist*n1.Y}
-		p2 := Point{b.X + dist*n2.X, b.Y + dist*n2.Y}
-		if Orientation(a, b, c) > 0 {
-			// Convex corner: round join from p1 to p2.
-			out = append(out, arcPoints(b, p1, p2, dist, segsPerQuarter)...)
-		} else {
-			// Reflex corner: intersect offset edges; fall back to both
-			// points when nearly parallel.
-			e1a := Point{a.X + dist*n1.X, a.Y + dist*n1.Y}
-			e2c := Point{c.X + dist*n2.X, c.Y + dist*n2.Y}
-			if ip, ok := lineIntersection(e1a, p1, p2, e2c); ok {
-				out = append(out, ip)
-			} else {
-				out = append(out, p1, p2)
-			}
-		}
-	}
-	return out.Canonical()
-}
-
-func outwardNormal(a, b Point) Point {
-	d := b.Sub(a)
-	l := math.Hypot(d.X, d.Y)
-	if l == 0 {
-		return Point{}
-	}
-	// For CCW rings the interior is to the left; outward is to the right.
-	return Point{d.Y / l, -d.X / l}
-}
-
-func arcPoints(center, from, to Point, r float64, segsPerQuarter int) []Point {
-	a0 := math.Atan2(from.Y-center.Y, from.X-center.X)
-	a1 := math.Atan2(to.Y-center.Y, to.X-center.X)
-	for a1 < a0 {
-		a1 += 2 * math.Pi // convex joins on CCW rings sweep counter-clockwise
-	}
-	steps := int(math.Ceil((a1 - a0) / (math.Pi / 2) * float64(segsPerQuarter)))
-	if steps < 1 {
-		steps = 1
-	}
-	pts := make([]Point, 0, steps+1)
-	for i := 0; i <= steps; i++ {
-		a := a0 + (a1-a0)*float64(i)/float64(steps)
-		pts = append(pts, Point{center.X + r*math.Cos(a), center.Y + r*math.Sin(a)})
-	}
-	return pts
-}
-
-func lineIntersection(a, b, c, d Point) (Point, bool) {
-	r := b.Sub(a)
-	s := d.Sub(c)
-	denom := r.Cross(s)
-	if math.Abs(denom) < 1e-15 {
-		return Point{}, false
-	}
-	t := c.Sub(a).Cross(s) / denom
-	return Point{a.X + t*r.X, a.Y + t*r.Y}, true
 }

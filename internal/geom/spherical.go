@@ -110,8 +110,6 @@ func Distance(a, b Point, m DistanceMethod) float64 {
 }
 
 // Perimeter returns the total edge length of g in meters using method m.
-// Perimeter accumulation over edges is associative, which lets it run as
-// a periodically flushing transducer (paper Table 1, ST_Distance state).
 func Perimeter(g Geometry, m DistanceMethod) float64 {
 	var sum float64
 	g.EachEdge(func(a, b Point) bool {
@@ -205,74 +203,4 @@ func PlanarArea(g Geometry) float64 {
 	default:
 		return 0
 	}
-}
-
-// GeometryDistance implements ST_Distance: the minimum distance in meters
-// between any pair of edges/points of a and b, 0 when they intersect.
-func GeometryDistance(a, b Geometry, m DistanceMethod) float64 {
-	if Intersects(a, b) {
-		return 0
-	}
-	best := math.Inf(1)
-	aPts := collectPoints(a)
-	bPts := collectPoints(b)
-	aEdges := collectEdges(a)
-	bEdges := collectEdges(b)
-	for _, p := range aPts {
-		for _, e := range bEdges {
-			if d := pointSegmentDistance(p, e[0], e[1], m); d < best {
-				best = d
-			}
-		}
-		if len(bEdges) == 0 {
-			for _, q := range bPts {
-				if d := Distance(p, q, m); d < best {
-					best = d
-				}
-			}
-		}
-	}
-	for _, q := range bPts {
-		for _, e := range aEdges {
-			if d := pointSegmentDistance(q, e[0], e[1], m); d < best {
-				best = d
-			}
-		}
-	}
-	if math.IsInf(best, 1) {
-		return 0
-	}
-	return best
-}
-
-func collectPoints(g Geometry) []Point {
-	var out []Point
-	g.EachPoint(func(p Point) bool {
-		out = append(out, p)
-		return true
-	})
-	return out
-}
-
-func collectEdges(g Geometry) [][2]Point {
-	var out [][2]Point
-	g.EachEdge(func(a, b Point) bool {
-		out = append(out, [2]Point{a, b})
-		return true
-	})
-	return out
-}
-
-// pointSegmentDistance returns the distance from p to segment ab, using
-// planar projection to find the closest point and method m to measure.
-func pointSegmentDistance(p, a, b Point, m DistanceMethod) float64 {
-	ab := b.Sub(a)
-	denom := ab.Dot(ab)
-	t := 0.0
-	if denom > 0 {
-		t = p.Sub(a).Dot(ab) / denom
-		t = math.Max(0, math.Min(1, t))
-	}
-	closest := Point{a.X + t*ab.X, a.Y + t*ab.Y}
-	return Distance(p, closest, m)
 }

@@ -1,105 +1,18 @@
 // Package query implements AT-GIS's spatial query model (paper §2.1,
-// Table 1, Table 3): containment, aggregation, join and combined queries
-// compiled into associative-transducer pipelines. Each Table-1 operator
-// is registered with its transducer class and associativity, and the
-// per-feature evaluation path implements the streaming/buffered filter
-// trade-off of §4.4(2).
+// Table 3): containment, aggregation, join and combined queries over
+// whole features. A Spec is evaluated per feature on the worker (ApplyBox:
+// the predicate first, the aggregates only for a match — Fig. 7's
+// buffered layout) and the per-block Results fold in input order.
+//
+// Table 1's operator-to-transducer classification is the paper's. The
+// predicates a query can name are the four below, each evaluated on a
+// whole feature, so the in-shape associativity Table 1 claims for them
+// (one shape split across blocks) is not reproduced here.
 package query
 
 import (
 	"atgis/internal/geom"
 )
-
-// TransducerClass is the AT family an operator compiles to (Table 1).
-type TransducerClass uint8
-
-// Transducer classes.
-const (
-	ClassSLT TransducerClass = iota // stateless
-	ClassAGT                        // aggregation
-	ClassPFT                        // periodically flushing
-)
-
-func (c TransducerClass) String() string {
-	switch c {
-	case ClassSLT:
-		return "SLT"
-	case ClassAGT:
-		return "AGT"
-	default:
-		return "PFT"
-	}
-}
-
-// Associativity describes how an operator parallelises (Table 1): "in
-// shape" lets a single shape be distributed over blocks; "between shapes"
-// requires each shape on one thread.
-type Associativity uint8
-
-// Associativity kinds.
-const (
-	InShape Associativity = iota
-	BetweenShapes
-)
-
-func (a Associativity) String() string {
-	if a == InShape {
-		return "in shape"
-	}
-	return "between shapes"
-}
-
-// OperatorCategory groups Table 1's three sections.
-type OperatorCategory uint8
-
-// Operator categories.
-const (
-	SingleGeometry OperatorCategory = iota
-	GeometryRelation
-	SetTheoretic
-)
-
-// OperatorInfo describes one Table-1 row.
-type OperatorInfo struct {
-	Name     string
-	Category OperatorCategory
-	Class    TransducerClass
-	Assoc    Associativity
-}
-
-// Operators is the Table-1 registry: every spatial operator of the OGC
-// Simple Feature Access SQL option the paper maps onto ATs.
-var Operators = []OperatorInfo{
-	{"ST_IsEmpty", SingleGeometry, ClassPFT, InShape},
-	{"ST_IsSimple", SingleGeometry, ClassSLT, BetweenShapes},
-	{"ST_Envelope", SingleGeometry, ClassPFT, InShape},
-	{"ST_ConvexHull", SingleGeometry, ClassPFT, InShape},
-	{"ST_Boundary", SingleGeometry, ClassSLT, BetweenShapes},
-	{"ST_Disjoint", GeometryRelation, ClassPFT, InShape},
-	{"ST_Intersects", GeometryRelation, ClassPFT, InShape},
-	{"ST_Touches", GeometryRelation, ClassPFT, InShape},
-	{"ST_Crosses", GeometryRelation, ClassPFT, InShape},
-	{"ST_Within", GeometryRelation, ClassPFT, InShape},
-	{"ST_Contains", GeometryRelation, ClassPFT, InShape},
-	{"ST_Overlaps", GeometryRelation, ClassPFT, InShape},
-	{"ST_Relate", GeometryRelation, ClassPFT, InShape},
-	{"ST_Distance", GeometryRelation, ClassPFT, InShape},
-	{"ST_Intersection", SetTheoretic, ClassSLT, BetweenShapes},
-	{"ST_Difference", SetTheoretic, ClassSLT, BetweenShapes},
-	{"ST_Union", SetTheoretic, ClassSLT, BetweenShapes},
-	{"ST_SymDifference", SetTheoretic, ClassSLT, BetweenShapes},
-	{"ST_Buffer", SetTheoretic, ClassSLT, BetweenShapes},
-}
-
-// OperatorByName looks up a Table-1 operator.
-func OperatorByName(name string) (OperatorInfo, bool) {
-	for _, op := range Operators {
-		if op.Name == name {
-			return op, true
-		}
-	}
-	return OperatorInfo{}, false
-}
 
 // Predicate identifies a spatial relation used for filtering or joining.
 type Predicate uint8
@@ -110,8 +23,6 @@ const (
 	PredWithin
 	PredContains
 	PredDisjoint
-	PredTouches
-	PredOverlaps
 )
 
 func (p Predicate) String() string {
@@ -124,10 +35,6 @@ func (p Predicate) String() string {
 		return "ST_Contains"
 	case PredDisjoint:
 		return "ST_Disjoint"
-	case PredTouches:
-		return "ST_Touches"
-	case PredOverlaps:
-		return "ST_Overlaps"
 	default:
 		return "?"
 	}
@@ -145,10 +52,6 @@ func (p Predicate) Eval(g, ref geom.Geometry) bool {
 		return geom.Contains(g, ref)
 	case PredDisjoint:
 		return geom.Disjoint(g, ref)
-	case PredTouches:
-		return geom.Touches(g, ref)
-	case PredOverlaps:
-		return geom.Overlaps(g, ref)
 	default:
 		return false
 	}

@@ -3,262 +3,194 @@ package query
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
-	"atgis/internal/at"
 	"atgis/internal/geom"
+	"atgis/internal/geom/kernel"
 )
 
-// splitRuns executes a PFT over shapes split into random blocks and
-// merges fragments, returning the finalized outputs; must equal the
-// sequential RunEdgePFT.
-func splitRuns[S, O any](t *testing.T, p *at.PFT[Edge, S, O], shapes [][]Edge, seed int64) []O {
-	t.Helper()
-	// Flatten into (edge | flush) symbol stream.
-	type sym struct {
-		e     Edge
-		flush bool
-	}
-	var stream []sym
-	for _, edges := range shapes {
-		for _, e := range edges {
-			stream = append(stream, sym{e: e})
-		}
-		stream = append(stream, sym{flush: true})
-	}
+// The aggregation and periodically flushing transducers of Table 1 as the
+// engine runs them: each feature is evaluated whole (ApplyBox), the values
+// fold into one Result per block, and the blocks' Results merge in input
+// order. These tests hold that fold to what the paper's PFTs promise: any
+// split of the feature stream gives the sequential answer, and every
+// per-feature value is geom's.
+
+// splitFold evaluates feats under spec in random blocks of one to five
+// features, one Result per block, merged in input order.
+func splitFold(spec *Spec, feats []geom.Feature, seed int64) *Result {
 	rng := rand.New(rand.NewSource(seed))
-	var frags []at.PFTFragment[S, O]
-	for pos := 0; pos < len(stream); {
-		size := rng.Intn(5) + 1
-		if pos+size > len(stream) {
-			size = len(stream) - pos
+	out := NewResult()
+	for pos := 0; pos < len(feats); {
+		n := min(rng.Intn(5)+1, len(feats)-pos)
+		ev := NewEvaluator(spec)
+		for i := pos; i < pos+n; i++ {
+			ev.Consume(&feats[i])
 		}
-		run := p.NewRun()
-		for _, s := range stream[pos : pos+size] {
-			if s.flush {
-				run.Flush()
-			} else {
-				run.Process(s.e)
-			}
-		}
-		frags = append(frags, run.Fragment())
-		pos += size
+		out.Merge(ev.Res)
+		pos += n
 	}
-	if len(frags) == 0 {
-		return nil
-	}
-	merged := frags[0]
-	for _, f := range frags[1:] {
-		merged = at.MergePFT(p, merged, f)
-	}
-	return at.FinalizePFT(p, merged, true, false)
+	return out
 }
 
-func randomSquares(rng *rand.Rand, n int) ([]geom.Polygon, [][]Edge) {
-	polys := make([]geom.Polygon, n)
-	edges := make([][]Edge, n)
-	for i := range polys {
-		x := rng.Float64()*20 - 10
-		y := rng.Float64()*20 - 10
-		s := rng.Float64()*6 + 0.5
-		polys[i] = geom.Polygon{geom.Ring{
-			{X: x, Y: y}, {X: x + s, Y: y}, {X: x + s, Y: y + s},
-			{X: x, Y: y + s}, {X: x, Y: y},
-		}}
-		edges[i] = EdgesOf(polys[i])
+func randomSquares(rng *rand.Rand, n int) []geom.Feature {
+	feats := make([]geom.Feature, n)
+	for i := range feats {
+		feats[i] = sqf(int64(i), rng.Float64()*20-10, rng.Float64()*20-10, rng.Float64()*6+0.5)
 	}
-	return polys, edges
+	return feats
 }
 
 func TestEnvelopePFTSplitInvariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	polys, _ := randomSquares(rng, 10)
-	// Point streams per shape.
-	p := EnvelopePFT()
-	var shapes [][]geom.Point
-	for _, poly := range polys {
-		var pts []geom.Point
-		poly.EachPoint(func(q geom.Point) bool { pts = append(pts, q); return true })
-		shapes = append(shapes, pts)
-	}
-	// Sequential oracle.
-	run := p.NewRun()
-	for _, pts := range shapes {
-		for _, q := range pts {
-			run.Process(q)
+	feats := randomSquares(rand.New(rand.NewSource(1)), 10)
+	spec := &Spec{WantMBR: true, KeepMatches: true}
+	spec.Normalize()
+	got := splitFold(spec, feats, 11)
+	want := geom.EmptyBox()
+	for i, f := range feats {
+		want = want.Union(f.Geom.Bound())
+		if got.Matches[i].Box != f.Geom.Bound() {
+			t.Fatalf("shape %d: envelope %+v, want %+v", i, got.Matches[i].Box, f.Geom.Bound())
 		}
-		run.Flush()
 	}
-	want := at.FinalizePFT(p, run.Fragment(), true, false)
-	for i, box := range want {
-		if box != polys[i].Bound() {
-			t.Fatalf("shape %d: envelope %+v, want %+v", i, box, polys[i].Bound())
-		}
+	if got.MBR != want {
+		t.Fatalf("MBR %+v, want %+v", got.MBR, want)
 	}
 }
 
 func TestRelationPFTsMatchGeomPredicates(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	ref := geom.Polygon{geom.Ring{
-		{X: -3, Y: -3}, {X: 3, Y: -3}, {X: 3, Y: 3}, {X: -3, Y: 3}, {X: -3, Y: -3},
-	}}
-	polys, edges := randomSquares(rng, 60)
-
-	intersects := IntersectsPFT(ref)
-	within := WithinPFT(ref)
-	disjoint := DisjointPFT(ref)
-
-	gotI := splitRuns(t, intersects, edges, 11)
-	gotW := splitRuns(t, within, edges, 12)
-	gotD := splitRuns(t, disjoint, edges, 13)
-	seqI := RunEdgePFT(intersects, edges)
-
-	for i, poly := range polys {
-		wantI := geom.Intersects(poly, ref)
-		wantW := geom.Within(poly, ref)
-		if gotI[i] != wantI {
-			t.Errorf("shape %d: IntersectsPFT = %v, want %v (poly %v)", i, gotI[i], wantI, poly.Bound())
+	ref := geom.Box{MinX: -3, MinY: -3, MaxX: 3, MaxY: 3}.AsPolygon()
+	feats := randomSquares(rand.New(rand.NewSource(2)), 60)
+	geomPred := map[Predicate]func(g geom.Geometry) bool{
+		PredIntersects: func(g geom.Geometry) bool { return geom.Intersects(g, ref) },
+		PredWithin:     func(g geom.Geometry) bool { return geom.Within(g, ref) },
+		PredDisjoint:   func(g geom.Geometry) bool { return !geom.Intersects(g, ref) },
+	}
+	for p, want := range geomPred {
+		spec := &Spec{Ref: ref, Pred: p, KeepMatches: true}
+		spec.Normalize()
+		var ids []int64
+		for i := range feats {
+			w := want(feats[i].Geom)
+			if got := Apply(spec, &feats[i]).Matched; got != w {
+				t.Errorf("%v: shape %d matched %v, want %v (%v)", p, i, got, w, feats[i].Geom.Bound())
+			}
+			if w {
+				ids = append(ids, feats[i].ID)
+			}
 		}
-		if seqI[i] != wantI {
-			t.Errorf("shape %d: sequential IntersectsPFT = %v, want %v", i, seqI[i], wantI)
+		got := splitFold(spec, feats, int64(p)+11)
+		if len(got.Matches) != len(ids) || got.Count != int64(len(ids)) {
+			t.Fatalf("%v: split fold matched %d, want %d", p, len(got.Matches), len(ids))
 		}
-		if gotW[i] != wantW {
-			t.Errorf("shape %d: WithinPFT = %v, want %v", i, gotW[i], wantW)
-		}
-		if gotD[i] != !wantI {
-			t.Errorf("shape %d: DisjointPFT = %v, want %v", i, gotD[i], !wantI)
+		for i, m := range got.Matches {
+			if m.ID != ids[i] {
+				t.Fatalf("%v: match %d is shape %d, want %d", p, i, m.ID, ids[i])
+			}
 		}
 	}
 }
 
 func TestIntersectsPFTReferenceInsideShape(t *testing.T) {
-	// The shape fully contains the reference: only the ray-parity test
-	// can detect this.
-	ref := geom.Polygon{geom.Ring{
-		{X: -1, Y: -1}, {X: 1, Y: -1}, {X: 1, Y: 1}, {X: -1, Y: 1}, {X: -1, Y: -1},
-	}}
-	shape := geom.Polygon{geom.Ring{
-		{X: -10, Y: -10}, {X: 10, Y: -10}, {X: 10, Y: 10}, {X: -10, Y: 10}, {X: -10, Y: -10},
-	}}
-	got := splitRuns(t, IntersectsPFT(ref), [][]Edge{EdgesOf(shape)}, 3)
-	if len(got) != 1 || !got[0] {
-		t.Fatalf("containing shape should intersect: %v", got)
+	// The shape fully contains the reference: no edges meet, so only the
+	// point-in-polygon probe can detect it — on the kernel path and on
+	// the scalar one.
+	defer kernel.SetDisabled(kernel.Disabled())
+	ref := geom.Box{MinX: -1, MinY: -1, MaxX: 1, MaxY: 1}.AsPolygon()
+	shape := sqf(1, -10, -10, 20)
+	for _, off := range []bool{false, true} {
+		kernel.SetDisabled(off)
+		spec := &Spec{Ref: ref, Pred: PredIntersects}
+		spec.Normalize()
+		if !Apply(spec, &shape).Matched {
+			t.Fatalf("kernels disabled=%v: containing shape should intersect", off)
+		}
 	}
 }
 
 func TestPerimeterAndAreaPFTMatchGeom(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	polys, edges := randomSquares(rng, 20)
-
-	per := PerimeterPFT(geom.Haversine)
-	area := SphericalAreaPFT()
-	gotP := splitRuns(t, per, edges, 21)
-	gotA := splitRuns(t, area, edges, 22)
-	for i, poly := range polys {
-		wantP := geom.Perimeter(poly, geom.Haversine)
-		wantA := geom.SphericalArea(poly)
-		if math.Abs(gotP[i]-wantP) > 1e-6*wantP {
-			t.Errorf("shape %d: perimeter %v, want %v", i, gotP[i], wantP)
+	feats := randomSquares(rand.New(rand.NewSource(4)), 20)
+	spec := &Spec{WantArea: true, WantPerimeter: true, Dist: geom.Haversine}
+	spec.Normalize()
+	var wantA, wantP float64
+	for i := range feats {
+		a, p := geom.SphericalArea(feats[i].Geom), geom.Perimeter(feats[i].Geom, geom.Haversine)
+		if v := Apply(spec, &feats[i]); v.Area != a || v.Perimeter != p {
+			t.Errorf("shape %d: area %v perimeter %v, want %v %v", i, v.Area, v.Perimeter, a, p)
 		}
-		if math.Abs(gotA[i]-wantA) > 1e-6*wantA {
-			t.Errorf("shape %d: area %v, want %v", i, gotA[i], wantA)
-		}
+		wantA += a
+		wantP += p
+	}
+	got := splitFold(spec, feats, 21)
+	if math.Abs(got.SumArea-wantA) > 1e-9*wantA || math.Abs(got.SumPerimeter-wantP) > 1e-9*wantP {
+		t.Fatalf("split sums %v %v, want %v %v", got.SumArea, got.SumPerimeter, wantA, wantP)
 	}
 }
 
 func TestConvexHullPFTSplitInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	p := ConvexHullPFT()
-	// One big shape with many points, split heavily.
-	var pts []geom.Point
-	for i := 0; i < 300; i++ {
-		pts = append(pts, geom.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100})
+	feats := make([]geom.Feature, 300)
+	pts := make([]geom.Point, len(feats))
+	for i := range feats {
+		pts[i] = geom.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
+		feats[i] = geom.Feature{ID: int64(i), Geom: geom.PointGeom{P: pts[i]}}
 	}
-	// Random fragments.
-	var frags []at.PFTFragment[HullState, geom.Polygon]
-	for pos := 0; pos < len(pts); {
-		size := rng.Intn(40) + 1
-		if pos+size > len(pts) {
-			size = len(pts) - pos
-		}
-		run := p.NewRun()
-		for _, q := range pts[pos : pos+size] {
-			run.Process(q)
-		}
-		frags = append(frags, run.Fragment())
-		pos += size
-	}
-	merged := frags[0]
-	for _, f := range frags[1:] {
-		merged = at.MergePFT(p, merged, f)
-	}
-	run := p.NewRun()
-	// Compare against the direct hull.
-	got := p.Finish(merged.Spec)
-	want := geom.HullOfPoints(pts)
-	_ = run
-	if math.Abs(math.Abs(got[0].SignedArea())-math.Abs(want[0].SignedArea())) > 1e-9 {
-		t.Fatalf("hull area %v != %v", got[0].SignedArea(), want[0].SignedArea())
+	spec := &Spec{WantHull: true}
+	spec.Normalize()
+	got := splitFold(spec, feats, 5).Hull()
+	if want := geom.HullOfPoints(pts); !reflect.DeepEqual(got, want) {
+		t.Fatalf("hull %v, want %v", got, want)
 	}
 }
 
 func TestIsEmptyPFT(t *testing.T) {
-	p := IsEmptyPFT()
-	run := p.NewRun()
-	run.Flush() // empty shape
-	run.Process(geom.Point{X: 1, Y: 2})
-	run.Flush() // non-empty shape
-	got := at.FinalizePFT(p, run.Fragment(), true, false)
-	if len(got) != 2 || !got[0] || got[1] {
-		t.Fatalf("IsEmpty outputs = %v, want [true false]", got)
+	// A feature without a geometry is scanned but never matches; one with
+	// a geometry and no reference matches.
+	spec := &Spec{WantArea: true}
+	r := NewResult()
+	empty := geom.Feature{ID: 1}
+	point := geom.Feature{ID: 2, Geom: geom.PointGeom{P: geom.Point{X: 1, Y: 2}}}
+	for _, f := range []*geom.Feature{&empty, &point} {
+		r.Absorb(spec, f, Apply(spec, f))
+	}
+	if r.Scanned != 2 || r.Count != 1 || r.SumArea != 0 {
+		t.Fatalf("scanned %d, matched %d, area %v; want 2, 1, 0", r.Scanned, r.Count, r.SumArea)
 	}
 }
 
-func TestMinDistancePFTMatchesGeom(t *testing.T) {
-	ref := geom.Polygon{geom.Ring{
-		{X: 0, Y: 0}, {X: 2, Y: 0}, {X: 2, Y: 2}, {X: 0, Y: 2}, {X: 0, Y: 0},
-	}}
-	shape := geom.Polygon{geom.Ring{
-		{X: 5, Y: 0}, {X: 7, Y: 0}, {X: 7, Y: 2}, {X: 5, Y: 2}, {X: 5, Y: 0},
-	}}
-	p := MinDistancePFT(ref, geom.Haversine)
-	got := splitRuns(t, p, [][]Edge{EdgesOf(shape)}, 6)
-	want := geom.GeometryDistance(shape, ref, geom.Haversine)
-	if math.Abs(got[0]-want) > 1e-6*want {
-		t.Fatalf("distance %v, want %v", got[0], want)
-	}
-	// Intersecting shapes have distance 0.
-	touching := geom.Polygon{geom.Ring{
-		{X: 1, Y: 1}, {X: 3, Y: 1}, {X: 3, Y: 3}, {X: 1, Y: 3}, {X: 1, Y: 1},
-	}}
-	got = splitRuns(t, p, [][]Edge{EdgesOf(touching)}, 7)
-	if got[0] != 0 {
-		t.Fatalf("intersecting distance = %v, want 0", got[0])
-	}
-}
-
-// Associativity of the relation-state merge, the key Table-1 claim.
+// TestRelStateMergeAssociative: the relation state a block carries to the
+// merge is its Result — counts, box, hull points and matches — and the
+// merge must be associative with NewResult as its identity. Sums are
+// whole numbers, so float rounding cannot hide a regrouping.
 func TestRelStateMergeAssociative(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	mk := func() RelState {
-		return RelState{
-			EdgeHit:      rng.Intn(2) == 0,
-			RayCrossings: rng.Intn(5),
-			First:        geom.Point{X: rng.Float64(), Y: rng.Float64()},
-			HasFirst:     rng.Intn(2) == 0,
+	mk := func() *Result {
+		r := NewResult()
+		r.Count = int64(rng.Intn(4))
+		r.Scanned = r.Count + int64(rng.Intn(4))
+		r.SumArea, r.SumPerimeter = float64(rng.Intn(100)), float64(rng.Intn(100))
+		for i := int64(0); i < r.Count; i++ {
+			p := geom.Point{X: rng.Float64(), Y: rng.Float64()}
+			r.MBR = r.MBR.ExtendPoint(p)
+			r.HullPts = append(r.HullPts, p)
+			r.Matches = append(r.Matches, Match{ID: rng.Int63(), Box: geom.BoxOf(p)})
 		}
+		return r
+	}
+	merge := func(a, b *Result) *Result {
+		out := NewResult()
+		out.Merge(a)
+		out.Merge(b)
+		return out
 	}
 	for i := 0; i < 200; i++ {
 		a, b, c := mk(), mk(), mk()
-		l := mergeRel(mergeRel(a, b), c)
-		r := mergeRel(a, mergeRel(b, c))
-		if l != r {
-			t.Fatalf("mergeRel not associative: %+v vs %+v", l, r)
+		if l, r := merge(merge(a, b), c), merge(a, merge(b, c)); !reflect.DeepEqual(l, r) {
+			t.Fatalf("merge not associative:\n%+v\n%+v", l, r)
 		}
-	}
-	// Identity.
-	s := mk()
-	if mergeRel(RelState{}, s) != s {
-		t.Error("zero RelState is not a left identity")
+		if got := merge(NewResult(), a); !reflect.DeepEqual(got, merge(a, nil)) {
+			t.Fatalf("NewResult is not an identity: %+v vs %+v", got, a)
+		}
 	}
 }

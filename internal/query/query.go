@@ -32,28 +32,6 @@ func (k Kind) String() string {
 	}
 }
 
-// FilterMode selects the pipeline layout for selections whose point data
-// is needed downstream (paper §4.4(2), Fig. 7).
-type FilterMode uint8
-
-// Filter modes.
-const (
-	// Streaming computes the aggregate concurrently with the filter
-	// test, discarding it on rejection: redundant computation, no
-	// buffering.
-	Streaming FilterMode = iota
-	// Buffered holds the geometry until the filter outcome is known and
-	// only then computes: no redundant computation, buffering overhead.
-	Buffered
-)
-
-func (m FilterMode) String() string {
-	if m == Buffered {
-		return "buffered"
-	}
-	return "streaming"
-}
-
 // Spec describes a single-pass query (containment or aggregation) in the
 // form of Table 3.
 type Spec struct {
@@ -65,8 +43,6 @@ type Spec struct {
 	RefBox geom.Box
 	// Pred is the filter predicate (ST_Intersects in Table 3).
 	Pred Predicate
-	// Mode selects streaming or buffered filtering.
-	Mode FilterMode
 	// Dist selects the distance computation for perimeters.
 	Dist geom.DistanceMethod
 	// KeepMatches buffers matching features (containment result set).
@@ -153,9 +129,7 @@ type FeatureVal struct {
 // bounding box: the MBR prefilter, the MBR aggregate, the match records.
 func (s *Spec) needsBox() bool { return s.Ref != nil || s.WantMBR || s.KeepMatches }
 
-// Apply computes the Spec's per-feature outcome. The streaming/buffered
-// distinction (Fig. 7) places the aggregate computation before or after
-// the filter test: same results, different cost profile.
+// Apply computes the Spec's per-feature outcome.
 func Apply(s *Spec, f *geom.Feature) FeatureVal {
 	if f.Geom == nil {
 		return FeatureVal{}
@@ -168,28 +142,19 @@ func Apply(s *Spec, f *geom.Feature) FeatureVal {
 }
 
 // ApplyBox is Apply for a caller that already holds f.Geom.Bound() (the
-// GeoJSON scanner computes it while parsing).
+// GeoJSON scanner computes it while parsing). The predicate runs first
+// and the aggregates only for a match — Fig. 7's buffered layout, which
+// costs no buffering here: every format hands over the whole feature.
 func ApplyBox(s *Spec, f *geom.Feature, box geom.Box) FeatureVal {
 	if f.Geom == nil {
 		return FeatureVal{}
 	}
 	e := Evaluator{Spec: s}
-	switch s.Mode {
-	case Buffered:
-		// Test first ("buffer" the geometry), compute only on match.
-		if !e.match(f, box) {
-			return FeatureVal{}
-		}
-		area, perim := e.compute(f)
-		return FeatureVal{Matched: true, Area: area, Perimeter: perim, Box: box}
-	default:
-		// Streaming: compute the aggregate concurrently with the test.
-		area, perim := e.compute(f)
-		if !e.match(f, box) {
-			return FeatureVal{}
-		}
-		return FeatureVal{Matched: true, Area: area, Perimeter: perim, Box: box}
+	if !e.match(f, box) {
+		return FeatureVal{}
 	}
+	area, perim := e.compute(f)
+	return FeatureVal{Matched: true, Area: area, Perimeter: perim, Box: box}
 }
 
 // Absorb folds a per-feature outcome into the result fragment.

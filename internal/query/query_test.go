@@ -19,40 +19,6 @@ func sqf(id int64, x, y, size float64) geom.Feature {
 	}
 }
 
-func TestOperatorRegistryMatchesTable1(t *testing.T) {
-	if len(Operators) != 19 {
-		t.Fatalf("registry size = %d, want 19 (Table 1)", len(Operators))
-	}
-	// Category counts: 5 single-geometry, 9 relations, 5 set-theoretic.
-	counts := map[OperatorCategory]int{}
-	for _, op := range Operators {
-		counts[op.Category]++
-	}
-	if counts[SingleGeometry] != 5 || counts[GeometryRelation] != 9 || counts[SetTheoretic] != 5 {
-		t.Errorf("category counts = %v", counts)
-	}
-	// Table 1 invariants: all relations are in-shape PFTs; all
-	// set-theoretic ops are between-shape SLTs.
-	for _, op := range Operators {
-		switch op.Category {
-		case GeometryRelation:
-			if op.Class != ClassPFT || op.Assoc != InShape {
-				t.Errorf("%s: class %v assoc %v", op.Name, op.Class, op.Assoc)
-			}
-		case SetTheoretic:
-			if op.Class != ClassSLT || op.Assoc != BetweenShapes {
-				t.Errorf("%s: class %v assoc %v", op.Name, op.Class, op.Assoc)
-			}
-		}
-	}
-	if _, ok := OperatorByName("ST_Intersects"); !ok {
-		t.Error("ST_Intersects missing")
-	}
-	if _, ok := OperatorByName("ST_Bogus"); ok {
-		t.Error("unknown operator found")
-	}
-}
-
 func TestPredicateEval(t *testing.T) {
 	a := geom.Polygon{geom.Ring{{X: 0, Y: 0}, {X: 10, Y: 0}, {X: 10, Y: 10}, {X: 0, Y: 10}, {X: 0, Y: 0}}}
 	inner := geom.Polygon{geom.Ring{{X: 2, Y: 2}, {X: 4, Y: 2}, {X: 4, Y: 4}, {X: 2, Y: 4}, {X: 2, Y: 2}}}
@@ -69,7 +35,6 @@ func TestPredicateEval(t *testing.T) {
 		{PredContains, inner, false},
 		{PredDisjoint, far, true},
 		{PredDisjoint, inner, false},
-		{PredOverlaps, inner, false},
 	}
 	for _, tc := range cases {
 		if got := tc.p.Eval(tc.g, a); got != tc.want {
@@ -105,53 +70,58 @@ func TestEvaluatorContainment(t *testing.T) {
 
 func TestEvaluatorAggregation(t *testing.T) {
 	ref := geom.Box{MinX: -180, MinY: -90, MaxX: 180, MaxY: 90}.AsPolygon()
-	for _, mode := range []FilterMode{Streaming, Buffered} {
-		spec := &Spec{
-			Kind: Aggregation, Ref: ref, Pred: PredIntersects,
-			Mode: mode, Dist: geom.Haversine,
-			WantArea: true, WantPerimeter: true, WantMBR: true, WantHull: true,
-		}
-		spec.Normalize()
-		ev := NewEvaluator(spec)
-		f1 := sqf(1, 0, 0, 1)
-		f2 := sqf(2, 5, 5, 1)
-		ev.Consume(&f1)
-		ev.Consume(&f2)
-		r := ev.Res
-		if r.Count != 2 {
-			t.Fatalf("%v: count = %d", mode, r.Count)
-		}
-		if r.SumArea <= 0 || r.SumPerimeter <= 0 {
-			t.Errorf("%v: aggregates not computed: %v %v", mode, r.SumArea, r.SumPerimeter)
-		}
-		if r.MBR != (geom.Box{MinX: 0, MinY: 0, MaxX: 6, MaxY: 6}) {
-			t.Errorf("%v: MBR = %+v", mode, r.MBR)
-		}
-		hull := r.Hull()
-		if len(hull) == 0 || math.Abs(hull[0].SignedArea()) <= 0 {
-			t.Errorf("%v: hull empty", mode)
-		}
+	spec := &Spec{
+		Kind: Aggregation, Ref: ref, Pred: PredIntersects, Dist: geom.Haversine,
+		WantArea: true, WantPerimeter: true, WantMBR: true, WantHull: true,
+	}
+	spec.Normalize()
+	ev := NewEvaluator(spec)
+	f1 := sqf(1, 0, 0, 1)
+	f2 := sqf(2, 5, 5, 1)
+	ev.Consume(&f1)
+	ev.Consume(&f2)
+	r := ev.Res
+	if r.Count != 2 {
+		t.Fatalf("count = %d", r.Count)
+	}
+	if r.SumArea <= 0 || r.SumPerimeter <= 0 {
+		t.Errorf("aggregates not computed: %v %v", r.SumArea, r.SumPerimeter)
+	}
+	if r.MBR != (geom.Box{MinX: 0, MinY: 0, MaxX: 6, MaxY: 6}) {
+		t.Errorf("MBR = %+v", r.MBR)
+	}
+	hull := r.Hull()
+	if len(hull) == 0 || math.Abs(hull[0].SignedArea()) <= 0 {
+		t.Error("hull empty")
 	}
 }
 
+// TestStreamingAndBufferedAgree: ApplyBox tests before it computes (Fig.
+// 7's buffered layout); the streaming layout it replaced computed every
+// feature's aggregates and dropped those of a miss. Both must sum to the
+// same bits (only cost differed, Fig. 13).
 func TestStreamingAndBufferedAgree(t *testing.T) {
-	// Both filter modes must produce identical results (only cost
-	// differs, Fig. 13).
 	ref := ScaleBox(geom.Box{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}, 0.25).AsPolygon()
-	mk := func(mode FilterMode) *Result {
-		spec := &Spec{Ref: ref, Pred: PredIntersects, Mode: mode,
-			WantArea: true, WantPerimeter: true, Dist: geom.SphericalProjection}
-		spec.Normalize()
-		ev := NewEvaluator(spec)
-		for i := int64(0); i < 200; i++ {
-			f := sqf(i, float64(i%20)*5, float64(i/20)*10, 3)
-			ev.Consume(&f)
+	spec := &Spec{Ref: ref, Pred: PredIntersects,
+		WantArea: true, WantPerimeter: true, Dist: geom.SphericalProjection}
+	spec.Normalize()
+	buffered := NewResult()
+	var streamed Result
+	for i := int64(0); i < 200; i++ {
+		f := sqf(i, float64(i%20)*5, float64(i/20)*10, 3)
+		buffered.Absorb(spec, &f, Apply(spec, &f))
+		area, perim := geom.SphericalArea(f.Geom), geom.Perimeter(f.Geom, spec.Dist)
+		if spec.Pred.Eval(f.Geom, ref) {
+			streamed.Count++
+			streamed.SumArea += area
+			streamed.SumPerimeter += perim
 		}
-		return ev.Res
 	}
-	s, b := mk(Streaming), mk(Buffered)
-	if s.Count != b.Count || s.SumArea != b.SumArea || s.SumPerimeter != b.SumPerimeter {
-		t.Errorf("modes disagree: %+v vs %+v", s, b)
+	if streamed.Count == 0 || streamed.Count == 200 {
+		t.Fatalf("the window selects %d of 200 features", streamed.Count)
+	}
+	if buffered.Count != streamed.Count || buffered.SumArea != streamed.SumArea || buffered.SumPerimeter != streamed.SumPerimeter {
+		t.Errorf("layouts disagree: %+v vs %+v", buffered, streamed)
 	}
 }
 
@@ -227,24 +197,22 @@ func TestPartitionSinkSides(t *testing.T) {
 
 func TestApplyMatchesEvaluator(t *testing.T) {
 	ref := ScaleBox(geom.Box{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}, 0.3).AsPolygon()
-	for _, mode := range []FilterMode{Streaming, Buffered} {
-		spec := &Spec{Ref: ref, Pred: PredIntersects, Mode: mode,
-			WantArea: true, WantPerimeter: true, WantMBR: true,
-			KeepMatches: true, Dist: geom.Haversine}
-		spec.Normalize()
-		ev := NewEvaluator(spec)
-		viaApply := NewResult()
-		for i := int64(0); i < 100; i++ {
-			f := sqf(i, float64(i%10)*10, float64(i/10)*10, 4)
-			ev.Consume(&f)
-			viaApply.Absorb(spec, &f, Apply(spec, &f))
-		}
-		a, b := ev.Res, viaApply
-		if a.Count != b.Count || a.SumArea != b.SumArea ||
-			a.SumPerimeter != b.SumPerimeter || a.MBR != b.MBR ||
-			len(a.Matches) != len(b.Matches) || a.Scanned != b.Scanned {
-			t.Errorf("%v: Apply path disagrees with Evaluator: %+v vs %+v", mode, a, b)
-		}
+	spec := &Spec{Ref: ref, Pred: PredIntersects,
+		WantArea: true, WantPerimeter: true, WantMBR: true,
+		KeepMatches: true, Dist: geom.Haversine}
+	spec.Normalize()
+	ev := NewEvaluator(spec)
+	viaApply := NewResult()
+	for i := int64(0); i < 100; i++ {
+		f := sqf(i, float64(i%10)*10, float64(i/10)*10, 4)
+		ev.Consume(&f)
+		viaApply.Absorb(spec, &f, Apply(spec, &f))
+	}
+	a, b := ev.Res, viaApply
+	if a.Count != b.Count || a.SumArea != b.SumArea ||
+		a.SumPerimeter != b.SumPerimeter || a.MBR != b.MBR ||
+		len(a.Matches) != len(b.Matches) || a.Scanned != b.Scanned {
+		t.Errorf("Apply path disagrees with Evaluator: %+v vs %+v", a, b)
 	}
 }
 
@@ -272,14 +240,5 @@ func TestSpecKindStrings(t *testing.T) {
 	if Containment.String() != "containment" || Aggregation.String() != "aggregation" ||
 		Join.String() != "join" || Combined.String() != "combined" {
 		t.Error("Kind strings")
-	}
-	if Streaming.String() != "streaming" || Buffered.String() != "buffered" {
-		t.Error("FilterMode strings")
-	}
-	if ClassSLT.String() != "SLT" || ClassAGT.String() != "AGT" || ClassPFT.String() != "PFT" {
-		t.Error("class strings")
-	}
-	if InShape.String() != "in shape" || BetweenShapes.String() != "between shapes" {
-		t.Error("assoc strings")
 	}
 }

@@ -539,7 +539,9 @@ func hostileCollection() []byte {
 // — the one-byte stride cuts every number, ring and escape of the small
 // document at every byte — and where a real nested feature tag is met out
 // of context the pass must say it reprocessed. An unbalanced document ends
-// all three with the same error after the same emitted prefix.
+// all three with the same error after the same emitted prefix, and so
+// do one whose features array a stray '}' closes between two features and
+// one with a close too many at its end.
 func TestFATHostileDocuments(t *testing.T) {
 	engines := map[int]*Engine{1: testEngine(t, 1), 4: testEngine(t, 4)}
 	spec := &query.Spec{
@@ -551,6 +553,13 @@ func TestFATHostileDocuments(t *testing.T) {
 	// small is doc without the one large feature.
 	small := bytes.Join([][]byte{doc[:bytes.Index(doc, []byte(`{"type":"Feature","id":6`))], doc[bytes.Index(doc, []byte(`{"type":"Feature","id":7`)):]}, nil)
 	unbalanced := bytes.Replace(doc, []byte(`[2,2],[3.5,3.25]]`), []byte(`[2,2],[3.5,3.25]}`), 1)
+	// strayClose closes the features array with '}' between two features:
+	// a PAT block starts at a feature, so the close is at its base level
+	// and only the fold's sequential machine can call it an error.
+	strayClose := bytes.Replace(doc, []byte(`{"type":"Feature","id":4`), []byte(`},{"type":"Feature","id":4`), 1)
+	// extraClose closes one container more than the document opened: the
+	// last PAT block hands an erroneous tail to the sequential machine.
+	extraClose := bytes.Replace(doc, []byte("\n]}\n"), []byte("\n]}]}\n"), 1)
 
 	match := func(f *geom.Feature, v query.FeatureVal) string {
 		return fmt.Sprintf("id=%d off=%d area=%s perim=%s box=%s\n", f.ID, f.Offset, bits(v.Area), bits(v.Perimeter), renderBox(v.Box))
@@ -601,9 +610,11 @@ func TestFATHostileDocuments(t *testing.T) {
 		return b.String() + renderQueryResult(out)
 	}
 
-	for name, data := range map[string][]byte{"hostile": doc, "small": small, "unbalanced": unbalanced} {
+	docs := map[string][]byte{"hostile": doc, "small": small, "unbalanced": unbalanced, "strayclose": strayClose, "extraclose": extraClose}
+	for name, data := range docs {
 		want := sequential(data)
-		if name == "unbalanced" != strings.Contains(want, "error: geojson: mismatched close") || !strings.Contains(want, "id=1 ") {
+		malformed := name == "unbalanced" || name == "strayclose" || name == "extraclose"
+		if malformed != strings.Contains(want, "error: geojson: ") || !strings.Contains(want, "id=1 ") {
 			t.Fatalf("%s: the sequential reference is\n%s", name, want)
 		}
 		blocks := []int{64, 4 << 10, 1 << 20}

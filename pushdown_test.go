@@ -7,10 +7,9 @@ package atgis
 // before resolving a way into geometry, the WKT worker before copying a
 // scanned line out of its scratch buffers). That may change cost only.
 // Every cell of {GeoJSON PAT, GeoJSON FAT, OSM XML, WKT} × {intersects,
-// within, disjoint, no reference} × {Streaming, Buffered} runs with the
-// pushdown and with it forced off (noWindowPushdown); the summary and the
-// streamed records must be byte-identical, float aggregates compared as
-// bit patterns.
+// within, disjoint, no reference} runs with the pushdown and with it
+// forced off (noWindowPushdown); the summary and the streamed records
+// must be byte-identical, float aggregates compared as bit patterns.
 
 import (
 	"context"
@@ -59,68 +58,65 @@ func testWindowPushdown(t *testing.T, eng *Engine, src *MappedSource, modes []Mo
 	}
 	for _, mode := range modes {
 		for _, pc := range preds {
-			for _, fm := range []query.FilterMode{query.Streaming, query.Buffered} {
-				name := fmt.Sprintf("%v/%v/%s/%v", src.DataFormat(), mode, pc.name, fm)
-				spec := diffSpec(pc.pred, 0.15, true)
-				spec.Mode = fm
-				spec.WantHull = true
-				if pc.noRef {
-					spec.Ref = nil
+			name := fmt.Sprintf("%v/%v/%s", src.DataFormat(), mode, pc.name)
+			spec := diffSpec(pc.pred, 0.15, true)
+			spec.WantHull = true
+			if pc.noRef {
+				spec.Ref = nil
+			}
+			opt := Options{Mode: mode, BlockSize: 8 << 10, PropKeys: []string{"name"}}
+			run := func() (string, *geojson.Config) {
+				pq, err := eng.Prepare(spec, opt)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
 				}
-				opt := Options{Mode: mode, BlockSize: 8 << 10, PropKeys: []string{"name"}}
-				run := func() (string, *geojson.Config) {
-					pq, err := eng.Prepare(spec, opt)
+				sum, err := pq.Execute(context.Background(), src)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				var b strings.Builder
+				b.WriteString(renderQueryResult(sum))
+				fmt.Fprintf(&b, "hull=%d\n", len(sum.Res.HullPts))
+				res := pq.Stream(context.Background(), src)
+				for res.Next() {
+					f, v := res.Feature(), res.Value()
+					line, err := json.Marshal(struct {
+						diffRecord
+						Points int               `json:"points"`
+						Props  map[string]string `json:"props"`
+						Box    string            `json:"box"`
+					}{diffRecord{ID: f.ID, Off: f.Offset, Area: bits(v.Area), Perim: bits(v.Perimeter)},
+						f.Geom.NumPoints(), f.Properties, renderBox(v.Box)})
 					if err != nil {
-						t.Fatalf("%s: %v", name, err)
+						t.Fatal(err)
 					}
-					sum, err := pq.Execute(context.Background(), src)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					var b strings.Builder
-					b.WriteString(renderQueryResult(sum))
-					fmt.Fprintf(&b, "hull=%d\n", len(sum.Res.HullPts))
-					res := pq.Stream(context.Background(), src)
-					for res.Next() {
-						f, v := res.Feature(), res.Value()
-						line, err := json.Marshal(struct {
-							diffRecord
-							Points int               `json:"points"`
-							Props  map[string]string `json:"props"`
-							Box    string            `json:"box"`
-						}{diffRecord{ID: f.ID, Off: f.Offset, Area: bits(v.Area), Perim: bits(v.Perimeter)},
-							f.Geom.NumPoints(), f.Properties, renderBox(v.Box)})
-						if err != nil {
-							t.Fatal(err)
-						}
-						b.Write(line)
-						b.WriteByte('\n')
-					}
-					streamed, err := res.Summary()
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					b.WriteString(renderQueryResult(streamed))
-					return b.String(), pq.cfg
+					b.Write(line)
+					b.WriteByte('\n')
 				}
-				got, cfg := run()
-				if (cfg.Window != nil) != pc.pushes {
-					t.Fatalf("%s: window pushed down = %v, want %v", name, cfg.Window != nil, pc.pushes)
+				streamed, err := res.Summary()
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
 				}
-				var want string
-				withoutPushdown(func() {
-					var refCfg *geojson.Config
-					want, refCfg = run()
-					if refCfg.Window != nil {
-						t.Fatalf("%s: the reference pass still pushes a window down", name)
-					}
-				})
-				if got != want {
-					t.Errorf("%s: pushdown changed the result\nwith:\n%s\nwithout:\n%s", name, got, want)
+				b.WriteString(renderQueryResult(streamed))
+				return b.String(), pq.cfg
+			}
+			got, cfg := run()
+			if (cfg.Window != nil) != pc.pushes {
+				t.Fatalf("%s: window pushed down = %v, want %v", name, cfg.Window != nil, pc.pushes)
+			}
+			var want string
+			withoutPushdown(func() {
+				var refCfg *geojson.Config
+				want, refCfg = run()
+				if refCfg.Window != nil {
+					t.Fatalf("%s: the reference pass still pushes a window down", name)
 				}
-				if !strings.Contains(got, "match id=") {
-					t.Fatalf("%s: no matches — the window does not exercise the case", name)
-				}
+			})
+			if got != want {
+				t.Errorf("%s: pushdown changed the result\nwith:\n%s\nwithout:\n%s", name, got, want)
+			}
+			if !strings.Contains(got, "match id=") {
+				t.Fatalf("%s: no matches — the window does not exercise the case", name)
 			}
 		}
 	}

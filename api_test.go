@@ -331,7 +331,8 @@ func TestStreamMatchesBufferedQuery(t *testing.T) {
 }
 
 // TestJoinStreamMatchesJoin checks the streaming join yields exactly the
-// buffered join's deduplicated pair set.
+// buffered join's pair set, and that both did the same work: one sweep,
+// duplicates dropped before refinement in either flavour.
 func TestJoinStreamMatchesJoin(t *testing.T) {
 	ds := genDataset(t, WKT, 200)
 	// Self-join: the synthetic features overlap rarely at this scale,
@@ -361,8 +362,15 @@ func TestJoinStreamMatchesJoin(t *testing.T) {
 		}
 		got[k] = true
 	}
-	if _, err := stream.Summary(); err != nil {
+	sum, err := stream.Summary()
+	if err != nil {
 		t.Fatal(err)
+	}
+	if sum.JoinStats != jr.JoinStats {
+		t.Fatalf("stream stats %+v, buffered join %+v", sum.JoinStats, jr.JoinStats)
+	}
+	if jr.JoinStats.Duplicates == 0 {
+		t.Fatal("no duplicate dropped; bad test data")
 	}
 	if len(got) != len(want) {
 		t.Fatalf("streamed %d pairs, buffered join has %d", len(got), len(want))
@@ -667,9 +675,9 @@ func TestJoinStreamOrdered(t *testing.T) {
 		return seq
 	}
 
-	// Tiny batches so many tasks complete out of order and the
-	// sequencer actually has to reorder.
-	ordered := JoinSpec{Mask: mask, CellSize: 5, BatchCells: 2, OrderWindow: 16}
+	// 2 592 cells: eleven batches on four workers, so tasks complete out
+	// of order and the sequencer has to reorder.
+	ordered := JoinSpec{Mask: mask, CellSize: 5, OrderWindow: 16}
 	first := collect(ordered)
 	if len(first) == 0 {
 		t.Fatal("ordered join stream found no pairs")
@@ -710,9 +718,8 @@ func TestJoinStreamOrdered(t *testing.T) {
 func TestJoinStreamCloseFreesPool(t *testing.T) {
 	ds := genDataset(t, WKT, 400)
 	mask := func(*geom.Feature) uint8 { return query.SideA | query.SideB }
-	// Fine cells + tiny batches: plenty of cell-batch quanta to abandon
-	// between.
-	spec := JoinSpec{Mask: mask, CellSize: 2, BatchCells: 4}
+	// Fine cells: 64 cell-batch quanta to abandon between.
+	spec := JoinSpec{Mask: mask, CellSize: 2}
 	eng := NewEngine(EngineConfig{Workers: 2, TenantWeights: map[string]int{"keeper": 3}})
 	defer eng.Close()
 

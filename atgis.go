@@ -112,20 +112,11 @@ type JoinSpec struct {
 	CellSize float64
 	// Store selects the partition container (array vs linked list).
 	Store partition.StoreKind
-	// Predicate refines candidate pairs; nil means ST_Intersects.
-	Predicate func(a, b geom.Geometry) bool
-	// BatchCells is the sweep's scheduling quantum in grid cells (0 =
-	// join.DefaultBatchCells). Each batch is one task on the engine's
-	// worker pool, so smaller batches preempt sooner at more dispatch
-	// overhead.
-	BatchCells int
 	// OrderWindow, when positive, makes JoinStream emit pairs in
-	// deterministic cell order: the sweep looks at most this many cells
-	// past the emission head, holding completed batches until their
-	// turn. Larger windows keep more workers busy on skewed grids at
-	// the cost of buffering; zero streams pairs in nondeterministic
-	// order (the default). Engine.Join ignores it — the buffered join
-	// is globally sorted already.
+	// deterministic cell order, holding completed cell batches until their
+	// turn (at most the sweep's in-flight window of 2·workers+2 batches);
+	// its size selects nothing else. Zero streams pairs in nondeterministic
+	// order (the default). Engine.Join ignores it — its pairs are sorted.
 	OrderWindow int
 	// CellLo / CellHi restrict the join sweep to the partition-grid cell
 	// band [CellLo, CellHi) — the join's horizontal-sharding unit used by
@@ -144,13 +135,6 @@ type JoinSpec struct {
 	// geometry (e.g. perimeter filters) must leave this false. A nil
 	// Mask is always bounds-safe.
 	BoundsSafeMask bool
-
-	// kernelEligible records that Predicate was defaulted to
-	// geom.Intersects by the engine: only then may the sweep substitute
-	// the batched slab kernels (join.Config.KernelRefine) — a
-	// caller-supplied predicate, even one that happens to equal
-	// geom.Intersects, is opaque and runs scalar.
-	kernelEligible bool
 }
 
 // JoinResult carries the joined pairs and phase timings (Fig. 11).

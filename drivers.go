@@ -35,7 +35,7 @@ func runPass(ctx context.Context, e *Engine, src Source, mode Mode, pl *blockPla
 	case format == GeoJSON && mode == FAT:
 		return runPlan(ctx, e, pl, opt, fatDriver(input, cfg, out))
 	case format == GeoJSON:
-		return runPlan(ctx, e, pl, opt, patDriver(input, cfg, out))
+		return runPlan(ctx, e, pl, opt, patDriver(src.Bytes(), input, cfg, out))
 	case format == WKT:
 		return runPlan(ctx, e, pl, opt, wktDriver(input, cfg, out))
 	case format == OSMXML:
@@ -64,9 +64,11 @@ func wholePass(ctx context.Context, e *Engine, src Source, opt Options, cfg *geo
 
 // patDriver is partially-associative GeoJSON: boundary-searching cuts,
 // the optimised sequential parser per block, and a fold that repairs
-// mis-splits by re-parsing (geojson.PATFold).
-func patDriver(input []byte, cfg *geojson.Config, out func(geojson.FeatureOut)) *driver[geojson.PATBlockResult] {
-	fold := geojson.NewPATFold(input, cfg, out)
+// mis-splits by re-parsing (geojson.PATFold). Blocks see input, the source
+// up to the plan's stop; the fold sees the whole document, doc, so it knows
+// whether the pass ended at the document's end.
+func patDriver(doc, input []byte, cfg *geojson.Config, out func(geojson.FeatureOut)) *driver[geojson.PATBlockResult] {
+	fold := geojson.NewPATFold(doc, cfg, out)
 	return &driver[geojson.PATBlockResult]{
 		input: input,
 		cuts:  geojson.FindFeatureBoundariesStream,
@@ -78,7 +80,7 @@ func patDriver(input []byte, cfg *geojson.Config, out func(geojson.FeatureOut)) 
 		add: func(_ pipeline.Block, r geojson.PATBlockResult) error {
 			return fold.Add(r)
 		},
-		finish: func(_ context.Context, lastLive int64) error { return fold.Finish(lastLive) },
+		finish: func(_ context.Context, parsed int64) error { return fold.Finish(parsed) },
 		counts: func() (int, int) { return fold.Repaired, 0 },
 	}
 }

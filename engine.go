@@ -384,8 +384,9 @@ func (e *Engine) CollectFeatures(ctx context.Context, src Source, opt Options) (
 	return feats, nil
 }
 
-// Join executes the two-pass PBSM join (Fig. 6 then Fig. 8) over src,
-// buffering the full pair set; JoinStream is the iterator form.
+// Join executes the two-pass PBSM join (Fig. 6 then Fig. 8) over src and
+// returns the pair set sorted by (AOff, BOff): JoinStream's sweep, with
+// the same duplicate-free pairs and the same JoinStats, collected.
 func (e *Engine) Join(ctx context.Context, src Source, spec JoinSpec, opt Options) (*JoinResult, error) {
 	return e.joinAdmitted(ctx, src, spec, opt, nil)
 }
@@ -408,8 +409,8 @@ func (e *Engine) joinAdmitted(ctx context.Context, src Source, spec JoinSpec, op
 	return jr, err
 }
 
-// join runs the partition pass and then the sweep — buffered, sorted and
-// globally deduplicated when emit is nil, streamed to emit otherwise —
+// join runs the partition pass and then the sweep — collected and sorted
+// when emit is nil, streamed to emit otherwise —
 // and also returns the reparser it built, so callers that keep
 // re-parsing joined objects (Combined's union aggregate) reuse it: for
 // OSM XML the reparser costs a full parallel pass to build. The caller
@@ -440,11 +441,10 @@ func (e *Engine) join(ctx context.Context, src Source, spec JoinSpec, opt Option
 	jcfg := join.Config{
 		Ctx:          ctx,
 		Handle:       handle,
-		Predicate:    spec.Predicate,
-		KernelRefine: spec.kernelEligible,
+		Predicate:    geom.Intersects,
+		KernelRefine: true,
 		ReparseA:     reparse,
 		ReparseB:     reparse,
-		BatchCells:   spec.BatchCells,
 		OrderWindow:  spec.OrderWindow,
 		CellLo:       spec.CellLo,
 		CellHi:       spec.CellHi,
@@ -465,10 +465,6 @@ func (e *Engine) join(ctx context.Context, src Source, spec JoinSpec, opt Option
 // pipeline plus spatial partition insertion, returning the merged
 // partition sink.
 func (e *Engine) joinPartitionPhase(ctx context.Context, src Source, spec *JoinSpec, opt Options) (*query.PartitionSink, geom.Box, pipeline.Stats, error) {
-	if spec.Predicate == nil {
-		spec.Predicate = geom.Intersects
-		spec.kernelEligible = true
-	}
 	if spec.CellSize <= 0 {
 		spec.CellSize = 1
 	}

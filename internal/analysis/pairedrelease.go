@@ -61,7 +61,7 @@ var acquireSpecs = []acquireSpec{
 	{call: "register", recvHint: "Engine", result: 0, errResult: -1,
 		releaseMethods: []string{"Close"},
 		what:           "scheduler pass registration (Engine.register handle)"},
-	// A pool started for one run (join.run without a handle) must stop
+	// A pool started for one run (join.RunStream without a handle) must stop
 	// its workers when the run ends; an engine's pool is stored in the
 	// engine, which transfers ownership.
 	{call: "NewPool", result: 0, errResult: -1,

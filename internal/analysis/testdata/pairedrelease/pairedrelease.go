@@ -119,7 +119,7 @@ func badEngineRegister(e *Engine) bool {
 	return pass != nil
 }
 
-// goodRunScopedPool is join.run's shape: the pool lives as long as the
+// goodRunScopedPool is join.RunStream's shape: the pool lives as long as the
 // sweep, whichever way the sweep ends.
 func goodRunScopedPool(fail bool) error {
 	pool := NewPool(3)

@@ -314,11 +314,8 @@ func (fd *Fold) reprocess(start, end int64) {
 
 // Finish validates the final state after all blocks were folded.
 func (fd *Fold) Finish() error {
-	if err := fd.Err(); err != nil {
-		return err
+	if fd.err != nil {
+		return fd.err
 	}
-	if len(fd.m.frames) != 0 {
-		return fmt.Errorf("geojson: %d unclosed containers at end of input", len(fd.m.frames))
-	}
-	return nil
+	return fd.m.endErr()
 }

@@ -18,11 +18,23 @@ import (
 // reprocessing escape hatch the paper describes.
 
 // ParseSequential parses a whole GeoJSON document with the resolved
-// machine: the oracle every parallel mode must reproduce.
+// machine: the oracle every parallel mode must reproduce. It is a PAT fold
+// whose header is the whole document — one sequential machine, no block.
+// A document that ends with containers open fails after emitting every
+// feature it closed.
 func ParseSequential(input []byte, cfg *Config, sink func(FeatureOut)) error {
-	m := NewResolvedMachine(input, cfg, sink)
-	m.scan(lexer.JSONDefault, 0, int64(len(input)))
-	return m.Err()
+	fd := NewPATFold(input, cfg, sink)
+	fd.Header(int64(len(input)))
+	return fd.Finish(int64(len(input)))
+}
+
+// endErr is Err for a machine that has met the end of the document: a
+// container still open there is the error every mode reports.
+func (m *Machine) endErr() error {
+	if m.err == nil && len(m.frames) > 0 {
+		return fmt.Errorf("geojson: %d unclosed containers at end of input", len(m.frames))
+	}
+	return m.err
 }
 
 // FindFeatureBoundaries returns the offsets of the '{' characters that
@@ -178,11 +190,13 @@ type PATFold struct {
 	Repaired int
 }
 
-// NewPATFold starts an empty PAT fold. The document header (everything
-// before the first boundary) must be fed via Header. The sequential
-// machine keeps the document context (root object, features array) open
-// across repairs; accepted parallel blocks simply advance the resume
-// offset past the regions they covered.
+// NewPATFold starts an empty PAT fold over the whole document input, even
+// when the pass covers only a prefix of it: the fold parses no byte past
+// the blocks it is given, and Finish tells the document's end by it. The
+// document header (everything before the first boundary) must be fed via
+// Header. The sequential machine keeps the document context (root
+// object, features array) open across repairs; accepted parallel blocks
+// simply advance the resume offset past the regions they covered.
 func NewPATFold(input []byte, cfg *Config, sink func(FeatureOut)) *PATFold {
 	return &PATFold{
 		input:  input,
@@ -281,11 +295,17 @@ func (fd *PATFold) Skip(end int64) bool {
 	return true
 }
 
-// Finish completes the fold, consuming any trailing input after the last
-// block.
+// Finish completes the fold, consuming any trailing input up to end, the
+// end of the pass's last parsed block. When that is the end of the
+// document, a container still open is an error, as it is to FAT's Fold;
+// a pass that stops short of it (a shard, or a plan whose tail is
+// skipped) leaves the document's wrapper open by design.
 func (fd *PATFold) Finish(end int64) error {
 	if fd.resume < end {
 		fd.seqParse(fd.resume, end)
+	}
+	if end == int64(len(fd.input)) {
+		return fd.seqM.endErr()
 	}
 	return fd.seqM.Err()
 }

@@ -2,22 +2,22 @@
 // (paper §4.5, Fig. 8). The join pipeline consumes the spatial partitions
 // produced by the first pass and emits joined pairs:
 //
-//	MBR COMPARE → SORT → PARSER/BUFFER → REFINE → dedup
+//	MBR COMPARE → dedup → SORT → PARSER/BUFFER → REFINE
 //
 // MBR COMPARE finds candidate pairs per partition cell; SORT orders
 // candidates by the file offset of one side so objects stay resident
 // briefly; PARSER/BUFFER re-parses geometries from the raw input on
-// demand with a bounded cache; REFINE runs the exact predicate; and a
-// final offset-pair sort removes the duplicates that non-disjoint
-// partitions introduce.
+// demand with a bounded cache; REFINE runs the exact predicate. The
+// duplicates that non-disjoint partitions introduce are dropped before
+// refinement, not after it as in the paper's final offset-pair sort: a
+// pair is considered only by the cell that owns the reference point of
+// its MBR intersection, so no duplicate is ever reparsed or refined.
 //
-// Two flavours exist: Run buffers, sorts and globally deduplicates the
-// pair set (deterministic order), while RunStream emits pairs as each
-// cell's refinement finds them, suppressing duplicates at the source
-// with the reference-point test (nothing buffers; order is
-// nondeterministic unless Config.OrderWindow requests the windowed
-// reorder). Engine.Join/JoinStream wrap them; atgis-serve's
-// POST /v1/join streams RunStream's pairs straight onto the wire.
+// There is one sweep. RunStream emits pairs as each cell's refinement
+// finds them (order is nondeterministic unless Config.OrderWindow asks
+// for cell order); Run collects the same stream and sorts it by offset
+// pair. Engine.Join/JoinStream wrap them; atgis-serve's POST /v1/join
+// streams RunStream's pairs straight onto the wire.
 //
 // The sweep is quantised: the grid's cell range is carved into batches
 // of Config.BatchCells cells and each batch is one independent task.
@@ -59,12 +59,12 @@ type Pair struct {
 // object re-parse).
 type Reparser func(off int64) (geom.Geometry, error)
 
-// DefaultBatchCells is the sweep's scheduling quantum when
+// defaultBatchCells is the sweep's scheduling quantum when
 // Config.BatchCells is zero: fine grids (hundreds of thousands of
 // mostly-empty cells) do not pay one task dispatch per cell, while the
 // quantum stays small enough that a concurrent pass waits at most one
 // batch for its next worker grant.
-const DefaultBatchCells = 256
+const defaultBatchCells = 256
 
 // kernelBoxBatchMin is the smallest B-side cell population worth a
 // batched MBR prefilter sweep: below one bitset word of boxes, the
@@ -91,23 +91,22 @@ type Config struct {
 	// workers batch by batch (preemptible at the batch quantum). The
 	// caller registers and closes the handle.
 	Handle *pipeline.PassHandle
-	// BatchCells is the number of grid cells per sweep task (0 =
-	// DefaultBatchCells).
+	// BatchCells is the number of grid cells per sweep task (0 = 256).
 	BatchCells int
 	// OrderWindow, when positive, makes RunStream emit pairs in
-	// deterministic cell order: batches beyond the emission head are
-	// held (and the producer paced) within a window of this many cells,
-	// trading bounded buffering and lookahead for a stable stream
-	// order. Ignored by Run, which globally sorts anyway.
+	// deterministic cell order: completed batches beyond the emission head
+	// are held until their turn, and the producer runs at most the
+	// in-flight task window (2·workers+2 batches) ahead of the head. Its
+	// size selects nothing else. Ignored by Run, which sorts anyway.
 	OrderWindow int
 	// KernelRefine routes the MBR compare and REFINE stages through the
 	// batched slab kernels (internal/geom/kernel): per cell, the B side's
 	// MBRs fill a struct-of-arrays slab tested by one fused BoxFilterBatch
 	// sweep per A entry, and refinement runs IntersectsPreparedA with the
 	// A geometry's edge slab filled once per offset-sorted run. Only valid
-	// when Predicate is geom.Intersects (the engine sets it exactly when
-	// it defaulted the predicate); results are bit-identical to the scalar
-	// path. Ignored while kernel.Disabled().
+	// when Predicate is geom.Intersects (as it is on every engine join);
+	// results are bit-identical to the scalar path. Ignored while
+	// kernel.Disabled().
 	KernelRefine bool
 	// CellLo / CellHi restrict the sweep to the grid-cell band
 	// [CellLo, CellHi) — the join's unit of horizontal sharding: the
@@ -116,21 +115,14 @@ type Config struct {
 	// ordered bands concatenate into the full-sweep cell order. CellHi
 	// zero means NumCells (the whole grid).
 	CellLo, CellHi int
-
-	// refPointDedup suppresses duplicate pairs at the source: a pair is
-	// reported only by the cell containing the reference point (lower-
-	// left corner) of its MBR intersection, so no global sort/dedup pass
-	// is needed. Set by RunStream.
-	refPointDedup bool
 }
 
 // Stats reports join-phase measurements.
 type Stats struct {
-	Candidates int64 // MBR-intersecting pairs examined
-	Refined    int64 // pairs that passed refinement (before dedup)
-	// Duplicates counts repeated pairs removed: by the final sort/dedup
-	// pass (Run) or suppressed up front by the reference-point test
-	// (RunStream).
+	Candidates int64 // MBR-intersecting pairs refined (duplicates excluded)
+	Refined    int64 // pairs that passed refinement: the result pairs
+	// Duplicates counts MBR-intersecting pairs a cell dropped before
+	// refinement because another cell owns their reference point.
 	Duplicates int64
 	Reparses   int64 // geometry re-parses performed
 	CacheHits  int64
@@ -140,383 +132,6 @@ type Stats struct {
 type candidate struct {
 	aOff, bOff int64
 	aID, bID   int64
-}
-
-// Run executes the join over two partition sets built on the same grid,
-// returning the complete, sorted, duplicate-free pair set.
-func Run(a, b *partition.Set, cfg Config) ([]Pair, Stats, error) {
-	all, st, err := run(a, b, cfg, nil)
-	if err != nil {
-		return nil, st, err
-	}
-
-	// Duplicate elimination: objects in several cells produce repeated
-	// pairs; sort by offset pair and compact (paper §4.5).
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].AOff != all[j].AOff {
-			return all[i].AOff < all[j].AOff
-		}
-		return all[i].BOff < all[j].BOff
-	})
-	out := all[:0]
-	for i, p := range all {
-		if i > 0 && p == all[i-1] {
-			st.Duplicates++
-			continue
-		}
-		out = append(out, p)
-	}
-	return out, st, nil
-}
-
-// RunStream executes the join, calling emit for every joined pair as it
-// is found instead of buffering the pair set: pairs reach emit straight
-// from each cell's refinement loop. Duplicates are suppressed at the
-// source with the reference-point method (a pair is reported only by
-// the cell owning the lower-left corner of its MBR intersection), so
-// the stream needs no global sort; pair order is nondeterministic
-// unless cfg.OrderWindow enables the windowed reorder. emit is called
-// from multiple task goroutines concurrently (from exactly one at a
-// time when ordered).
-func RunStream(a, b *partition.Set, cfg Config, emit func(Pair)) (Stats, error) {
-	cfg.refPointDedup = true
-	_, st, err := run(a, b, cfg, emit)
-	return st, err
-}
-
-// sweep is the shared state of one quantised cell sweep: the bounded
-// scratch pool, the first task error, and the emit path.
-type sweep struct {
-	a, b *partition.Set
-	cfg  Config
-	// stream receives pairs as found (nil in Run's buffered mode, where
-	// pairs collect in the scratch states instead).
-	stream func(Pair)
-	// seq reorders per-batch buffers into batch order (stream mode with
-	// OrderWindow only).
-	seq *sequencer
-
-	mu   sync.Mutex
-	err  error
-	free []*sweepState // reusable scratch states
-	all  []*sweepState // every state ever created (merged at the end)
-	// freeBufs recycles the ordered path's per-batch pair buffers: a
-	// batch detaches its buffer into the sequencer, and the sequencer
-	// hands it back here once emitted, so a long ordered join reuses a
-	// bounded set of buffers instead of allocating one per batch.
-	freeBufs [][]Pair
-}
-
-// sweepState is the per-task scratch: the reparse cache, the local
-// stats, and — in buffered or ordered modes — the pair buffer. States
-// are pooled and handed from batch to batch, so a reacquired state
-// keeps its warm geometry cache; the pool is bounded by the in-flight
-// task window.
-type sweepState struct {
-	cache geomCache
-	pairs []Pair
-	st    Stats
-	// kern is the pooled kernel scratch, acquired lazily by the first
-	// kernel-refined batch this state runs and released when the sweep's
-	// merge loop retires the state (sweep states outlive individual
-	// batches, so the slab high-water marks carry across batches too).
-	kern *kernel.Scratch
-}
-
-func (s *sweep) acquire() *sweepState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n := len(s.free); n > 0 {
-		st := s.free[n-1]
-		s.free = s.free[:n-1]
-		return st
-	}
-	st := &sweepState{cache: make(geomCache)}
-	s.all = append(s.all, st)
-	return st
-}
-
-func (s *sweep) release(st *sweepState) {
-	s.mu.Lock()
-	s.free = append(s.free, st)
-	s.mu.Unlock()
-}
-
-// getBuf pops a recycled per-batch pair buffer (nil when none is free —
-// the batch then grows a fresh one that joins the pool after emission).
-func (s *sweep) getBuf() []Pair {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n := len(s.freeBufs); n > 0 {
-		b := s.freeBufs[n-1]
-		s.freeBufs = s.freeBufs[:n-1]
-		return b
-	}
-	return nil
-}
-
-// putBuf returns an emitted batch buffer to the pool. The pool is
-// naturally bounded by the sequencer's lookahead window — at most
-// `ahead` buffers are detached at once.
-func (s *sweep) putBuf(b []Pair) {
-	if cap(b) == 0 {
-		return
-	}
-	s.mu.Lock()
-	s.freeBufs = append(s.freeBufs, b[:0])
-	s.mu.Unlock()
-}
-
-// fail records the sweep's first error; later tasks observe it and
-// return without processing their batch.
-func (s *sweep) fail(err error) {
-	s.mu.Lock()
-	if s.err == nil {
-		s.err = err
-	}
-	s.mu.Unlock()
-}
-
-func (s *sweep) failed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err != nil
-}
-
-// cancelled reports whether the join's context is done.
-func (s *sweep) cancelled() bool { return s.cfg.Ctx.Err() != nil }
-
-// task processes the cell batch [start, end) — one scheduling quantum.
-// Every submitted task runs exactly once (granted a pool worker, or
-// reclaimed inline by drain-on-cancel) and,
-// when ordered, reports to the sequencer exactly once, so the sequencer
-// head always advances.
-func (s *sweep) task(idx, start, end int) {
-	if s.cancelled() || s.failed() {
-		if s.seq != nil {
-			s.seq.done(idx, nil)
-		}
-		return
-	}
-	st := s.acquire()
-	if s.cfg.KernelRefine && !kernel.Disabled() && st.kern == nil {
-		st.kern = kernel.AcquireScratch() //lint:atgis-allow pairedrelease the scratch outlives this batch by design: run's merge loop releases every state's scratch exactly once
-	}
-	if s.seq != nil {
-		// Ordered mode detaches the pair buffer into the sequencer per
-		// batch; start from a recycled one instead of growing fresh.
-		st.pairs = s.getBuf()
-	}
-	emit := s.stream
-	if emit == nil || s.seq != nil {
-		emit = func(p Pair) { st.pairs = append(st.pairs, p) }
-	}
-	// The batch runs guarded like a pipeline block: a panic in the
-	// predicate or a memory fault in a reparse (source truncated under
-	// its mmap) fails this sweep with a typed error — the pool worker
-	// granting the batch, and every other pass on it, are unaffected.
-	// The pass's label attributes fault errors (the tenant on an engine's
-	// sweeps; "" on a run-scoped pool).
-	label := s.cfg.Handle.Label()
-	if err := pipeline.Guarded(label, "join-batch", idx, func() {
-		faultinject.Fire("join.batch", label, int64(idx))
-		if st.kern != nil {
-			faultinject.Fire("kernel.batch", label, int64(idx))
-		}
-		for c := start; c < end; c++ {
-			if (c-start)&63 == 0 && s.cancelled() {
-				break
-			}
-			if err := joinCell(s.a, s.b, s.cfg, c, st.cache, st.kern, emit, &st.st); err != nil {
-				s.fail(err)
-				break
-			}
-		}
-	}); err != nil {
-		s.fail(err)
-	}
-	if s.seq != nil {
-		// Detach the batch's pairs for ordered emission; the state (and
-		// its warm cache) goes back to the pool immediately.
-		out := st.pairs
-		st.pairs = nil
-		s.release(st)
-		s.seq.done(idx, out)
-		return
-	}
-	s.release(st)
-}
-
-// run executes the quantised cell sweep. With stream nil it returns the
-// raw (undeduplicated, unsorted) pair set collected in the scratch
-// states; otherwise pairs go to stream as found and the returned slice
-// is nil.
-func run(a, b *partition.Set, cfg Config, stream func(Pair)) ([]Pair, Stats, error) {
-	if cfg.Ctx == nil {
-		cfg.Ctx = context.Background() //lint:atgis-allow ctxflow a nil Config.Ctx asks for an uncancellable sweep (library callers, probes), not a request path
-	}
-	if cfg.Handle == nil {
-		// No pool to share: the sweep runs on one of its own, the same
-		// dispatch path at a run's scope.
-		pool := pipeline.NewPool(cfg.Workers)
-		defer pool.Close()
-		cfg.Handle = pool.Register(cfg.Ctx, "", 1, pipeline.JoinPass, 0)
-		defer cfg.Handle.Close()
-	}
-	batch := cfg.BatchCells
-	if batch < 1 {
-		batch = DefaultBatchCells
-	}
-	// Queued + running: keep every granted worker fed while the producer
-	// refills (mirrors the pipeline's order-channel bound).
-	window := 2*cfg.Handle.Workers() + 2
-	// The swept band: the whole grid unless a shard restricted it.
-	// Sequencer indices are band-relative so ordered bands start emitting
-	// immediately at index 0.
-	cells := a.Grid.NumCells()
-	lo, hi := cfg.CellLo, cfg.CellHi
-	if hi <= 0 || hi > cells {
-		hi = cells
-	}
-	if lo < 0 {
-		lo = 0
-	}
-	if lo > hi {
-		lo = hi
-	}
-
-	s := &sweep{a: a, b: b, cfg: cfg, stream: stream}
-	if stream != nil && cfg.OrderWindow > 0 {
-		ahead := cfg.OrderWindow / batch
-		if ahead < 1 {
-			ahead = 1
-		}
-		s.seq = newSequencer(stream, ahead, s.putBuf)
-	}
-
-	g := pipeline.NewTaskGroup(cfg.Ctx, cfg.Handle, window)
-	for c := lo; c < hi; c += batch {
-		if s.failed() {
-			break
-		}
-		idx, start, end := (c-lo)/batch, c, c+batch
-		if end > hi {
-			end = hi
-		}
-		if s.seq != nil && !s.seq.reserve(cfg.Ctx.Done(), idx) {
-			break
-		}
-		if !g.Go(func() { s.task(idx, start, end) }) {
-			break
-		}
-	}
-	gerr := g.Wait()
-
-	// Merge: every scratch state's stats, and (buffered mode) pairs.
-	var st Stats
-	var all []Pair
-	for _, ss := range s.all {
-		st.Candidates += ss.st.Candidates
-		st.Refined += ss.st.Refined
-		st.Duplicates += ss.st.Duplicates
-		st.Reparses += ss.st.Reparses
-		st.CacheHits += ss.st.CacheHits
-		if ss.kern != nil {
-			kernel.ReleaseScratch(ss.kern)
-			ss.kern = nil
-		}
-		if stream == nil {
-			all = append(all, ss.pairs...)
-		}
-	}
-	if cfg.Ctx.Err() != nil {
-		// The cancellation cause: a typed pass failure that cancelled with
-		// cause, else the plain cancellation or deadline error itself.
-		return nil, st, context.Cause(cfg.Ctx)
-	}
-	if s.err != nil {
-		return nil, st, s.err
-	}
-	if gerr != nil {
-		// The shared pool was closed underneath the join: an empty pair
-		// set must not masquerade as a successful sweep.
-		return nil, st, gerr
-	}
-	return all, st, nil
-}
-
-// sequencer restores batch order for the ordered stream: completed
-// batches hand their pair buffers to done, which emits them strictly in
-// batch index order (holding out-of-order buffers), while reserve paces
-// the producer to at most `ahead` batches past the emission head so the
-// held set stays bounded.
-type sequencer struct {
-	emit  func(Pair)
-	ahead int
-	// recycle receives each buffer after its pairs were emitted, so the
-	// sweep can hand it to a later batch instead of allocating anew.
-	recycle func([]Pair)
-
-	mu   sync.Mutex
-	next int            // the batch index whose pairs emit next
-	held map[int][]Pair // completed batches waiting for the head
-	wake chan struct{}  // closed and replaced whenever next advances
-}
-
-func newSequencer(emit func(Pair), ahead int, recycle func([]Pair)) *sequencer {
-	return &sequencer{emit: emit, ahead: ahead, recycle: recycle,
-		held: make(map[int][]Pair), wake: make(chan struct{})}
-}
-
-// reserve blocks until idx is within the lookahead window of the
-// emission head (or done fires, returning false). Progress is
-// guaranteed: the head batch was submitted before any batch that can
-// block here, and every submitted batch eventually calls done.
-func (s *sequencer) reserve(done <-chan struct{}, idx int) bool {
-	s.mu.Lock()
-	for idx >= s.next+s.ahead {
-		ch := s.wake
-		s.mu.Unlock()
-		select {
-		case <-ch:
-		case <-done:
-			return false
-		}
-		s.mu.Lock()
-	}
-	s.mu.Unlock()
-	return true
-}
-
-// done delivers batch idx's pairs. When idx is the head, its pairs —
-// and those of any directly following held batches — emit in order and
-// reserve waiters wake; otherwise the buffer is held. Emission happens
-// under the sequencer lock: concurrent completers queue behind the
-// head's emission, which is what serialises the ordered stream.
-func (s *sequencer) done(idx int, pairs []Pair) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if idx != s.next {
-		s.held[idx] = pairs
-		return
-	}
-	for {
-		for _, p := range pairs {
-			s.emit(p)
-		}
-		if s.recycle != nil && pairs != nil {
-			s.recycle(pairs)
-		}
-		s.next++
-		var ok bool
-		pairs, ok = s.held[s.next]
-		if !ok {
-			break
-		}
-		delete(s.held, s.next)
-	}
-	close(s.wake)
-	s.wake = make(chan struct{})
 }
 
 // joinCell joins one partition cell, reporting pairs through emit. With
@@ -533,7 +148,7 @@ func joinCell(a, b *partition.Set, cfg Config, c int, cache geomCache, ks *kerne
 	// shared by the scalar and batched compares.
 	var cands []candidate
 	consider := func(x, y partition.Entry) {
-		if cfg.refPointDedup && !ownsPair(a.Grid, c, x.Box, y.Box) {
+		if !ownsPair(a.Grid, c, x.Box, y.Box) {
 			// Another cell owns this pair's reference point and will
 			// report it; skip the duplicate before refinement.
 			st.Duplicates++
@@ -650,6 +265,355 @@ func ownsPair(g partition.Grid, c int, a, b geom.Box) bool {
 // map itself is retained across cells and batches — scratch states
 // recycle — so only its entries are dropped per cell.
 type geomCache map[int64]geom.Geometry
+
+// Run executes the join over two partition sets built on the same grid,
+// returning the complete pair set sorted by (AOff, BOff): RunStream's
+// pairs, collected.
+func Run(a, b *partition.Set, cfg Config) ([]Pair, Stats, error) {
+	cfg.OrderWindow = 0 // the sort below orders the pairs
+	var mu sync.Mutex
+	var out []Pair
+	st, err := RunStream(a, b, cfg, func(p Pair) {
+		mu.Lock()
+		out = append(out, p)
+		mu.Unlock()
+	})
+	if err != nil {
+		return nil, st, err
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].AOff != out[j].AOff {
+			return out[i].AOff < out[j].AOff
+		}
+		return out[i].BOff < out[j].BOff
+	})
+	return out, st, nil
+}
+
+// RunStream executes the join, calling emit for every joined pair as it
+// is found: pairs reach emit straight from each cell's refinement loop.
+// A pair is reported only by the cell owning the lower-left corner of
+// its MBR intersection, and the other cells drop it before refinement,
+// so the stream is duplicate-free with no global sort; pair order is
+// nondeterministic unless cfg.OrderWindow asks for cell order. emit is
+// called from multiple task goroutines concurrently (from exactly one at
+// a time when ordered).
+func RunStream(a, b *partition.Set, cfg Config, emit func(Pair)) (Stats, error) {
+	if cfg.Ctx == nil {
+		cfg.Ctx = context.Background() //lint:atgis-allow ctxflow a nil Config.Ctx asks for an uncancellable sweep (library callers, probes), not a request path
+	}
+	if cfg.Handle == nil {
+		// No pool to share: the sweep runs on one of its own, the same
+		// dispatch path at a run's scope.
+		pool := pipeline.NewPool(cfg.Workers)
+		defer pool.Close()
+		cfg.Handle = pool.Register(cfg.Ctx, "", 1, pipeline.JoinPass, 0)
+		defer cfg.Handle.Close()
+	}
+	batch := cfg.BatchCells
+	if batch < 1 {
+		batch = defaultBatchCells
+	}
+	// Queued + running: keep every granted worker fed while the producer
+	// refills (mirrors the pipeline's order-channel bound). An ordered
+	// sweep looks as far ahead of its emission head.
+	window := 2*cfg.Handle.Workers() + 2
+	// The swept band: the whole grid unless a shard restricted it.
+	// Sequencer indices are band-relative so ordered bands start emitting
+	// immediately at index 0.
+	cells := a.Grid.NumCells()
+	lo, hi := cfg.CellLo, cfg.CellHi
+	if hi <= 0 || hi > cells {
+		hi = cells
+	}
+	if lo < 0 {
+		lo = 0
+	}
+	if lo > hi {
+		lo = hi
+	}
+
+	s := &sweep{a: a, b: b, cfg: cfg, stream: emit}
+	if cfg.OrderWindow > 0 {
+		s.seq = newSequencer(emit, window, s.putBuf)
+	}
+
+	g := pipeline.NewTaskGroup(cfg.Ctx, cfg.Handle, window)
+	for c := lo; c < hi; c += batch {
+		if s.failed() {
+			break
+		}
+		idx, start, end := (c-lo)/batch, c, c+batch
+		if end > hi {
+			end = hi
+		}
+		if s.seq != nil && !s.seq.reserve(cfg.Ctx.Done(), idx) {
+			break
+		}
+		if !g.Go(func() { s.task(idx, start, end) }) {
+			break
+		}
+	}
+	gerr := g.Wait()
+
+	// Merge every scratch state's stats.
+	var st Stats
+	for _, ss := range s.all {
+		st.Candidates += ss.st.Candidates
+		st.Refined += ss.st.Refined
+		st.Duplicates += ss.st.Duplicates
+		st.Reparses += ss.st.Reparses
+		st.CacheHits += ss.st.CacheHits
+		if ss.kern != nil {
+			kernel.ReleaseScratch(ss.kern)
+			ss.kern = nil
+		}
+	}
+	if cfg.Ctx.Err() != nil {
+		// The cancellation cause: a typed pass failure that cancelled with
+		// cause, else the plain cancellation or deadline error itself.
+		return st, context.Cause(cfg.Ctx)
+	}
+	if s.err != nil {
+		return st, s.err
+	}
+	// gerr: the shared pool was closed underneath the join, and an empty
+	// pair set must not masquerade as a successful sweep.
+	return st, gerr
+}
+
+// sweep is the shared state of one quantised cell sweep: the bounded
+// scratch pool, the first task error, and the emit path.
+type sweep struct {
+	a, b *partition.Set
+	cfg  Config
+	// stream receives pairs as found.
+	stream func(Pair)
+	// seq reorders per-batch buffers into batch order (OrderWindow only).
+	seq *sequencer
+
+	mu   sync.Mutex
+	err  error
+	free []*sweepState // reusable scratch states
+	all  []*sweepState // every state ever created (merged at the end)
+	// freeBufs recycles the ordered path's per-batch pair buffers: a
+	// batch detaches its buffer into the sequencer, and the sequencer
+	// hands it back here once emitted, so a long ordered join reuses a
+	// bounded set of buffers instead of allocating one per batch.
+	freeBufs [][]Pair
+}
+
+// sweepState is the per-task scratch: the reparse cache, the local
+// stats, and — when ordered — the batch's pair buffer. States
+// are pooled and handed from batch to batch, so a reacquired state
+// keeps its warm geometry cache; the pool is bounded by the in-flight
+// task window.
+type sweepState struct {
+	cache geomCache
+	pairs []Pair
+	st    Stats
+	// kern is the pooled kernel scratch, acquired lazily by the first
+	// kernel-refined batch this state runs and released when the sweep's
+	// merge loop retires the state (sweep states outlive individual
+	// batches, so the slab high-water marks carry across batches too).
+	kern *kernel.Scratch
+}
+
+func (s *sweep) acquire() *sweepState {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := len(s.free); n > 0 {
+		st := s.free[n-1]
+		s.free = s.free[:n-1]
+		return st
+	}
+	st := &sweepState{cache: make(geomCache)}
+	s.all = append(s.all, st)
+	return st
+}
+
+func (s *sweep) release(st *sweepState) {
+	s.mu.Lock()
+	s.free = append(s.free, st)
+	s.mu.Unlock()
+}
+
+// getBuf pops a recycled per-batch pair buffer (nil when none is free —
+// the batch then grows a fresh one that joins the pool after emission).
+func (s *sweep) getBuf() []Pair {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := len(s.freeBufs); n > 0 {
+		b := s.freeBufs[n-1]
+		s.freeBufs = s.freeBufs[:n-1]
+		return b
+	}
+	return nil
+}
+
+// putBuf returns an emitted batch buffer to the pool. The pool is
+// naturally bounded by the sequencer's lookahead window — at most
+// `ahead` buffers are detached at once.
+func (s *sweep) putBuf(b []Pair) {
+	if cap(b) == 0 {
+		return
+	}
+	s.mu.Lock()
+	s.freeBufs = append(s.freeBufs, b[:0])
+	s.mu.Unlock()
+}
+
+// fail records the sweep's first error; later tasks observe it and
+// return without processing their batch.
+func (s *sweep) fail(err error) {
+	s.mu.Lock()
+	if s.err == nil {
+		s.err = err
+	}
+	s.mu.Unlock()
+}
+
+func (s *sweep) failed() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.err != nil
+}
+
+// cancelled reports whether the join's context is done.
+func (s *sweep) cancelled() bool { return s.cfg.Ctx.Err() != nil }
+
+// task processes the cell batch [start, end) — one scheduling quantum.
+// Every submitted task runs exactly once (granted a pool worker, or
+// reclaimed inline by drain-on-cancel) and,
+// when ordered, reports to the sequencer exactly once, so the sequencer
+// head always advances.
+func (s *sweep) task(idx, start, end int) {
+	if s.cancelled() || s.failed() {
+		if s.seq != nil {
+			s.seq.done(idx, nil)
+		}
+		return
+	}
+	st := s.acquire()
+	if s.cfg.KernelRefine && !kernel.Disabled() && st.kern == nil {
+		st.kern = kernel.AcquireScratch() //lint:atgis-allow pairedrelease the scratch outlives this batch by design: RunStream's merge loop releases every state's scratch exactly once
+	}
+	emit := s.stream
+	if s.seq != nil {
+		// Ordered mode detaches the pair buffer into the sequencer per
+		// batch; start from a recycled one instead of growing fresh.
+		st.pairs = s.getBuf()
+		emit = func(p Pair) { st.pairs = append(st.pairs, p) }
+	}
+	// The batch runs guarded like a pipeline block: a panic in the
+	// predicate or a memory fault in a reparse (source truncated under
+	// its mmap) fails this sweep with a typed error — the pool worker
+	// granting the batch, and every other pass on it, are unaffected.
+	// The pass's label attributes fault errors (the tenant on an engine's
+	// sweeps; "" on a run-scoped pool).
+	label := s.cfg.Handle.Label()
+	if err := pipeline.Guarded(label, "join-batch", idx, func() {
+		faultinject.Fire("join.batch", label, int64(idx))
+		if st.kern != nil {
+			faultinject.Fire("kernel.batch", label, int64(idx))
+		}
+		for c := start; c < end; c++ {
+			if (c-start)&63 == 0 && s.cancelled() {
+				break
+			}
+			if err := joinCell(s.a, s.b, s.cfg, c, st.cache, st.kern, emit, &st.st); err != nil {
+				s.fail(err)
+				break
+			}
+		}
+	}); err != nil {
+		s.fail(err)
+	}
+	if s.seq != nil {
+		// Detach the batch's pairs for ordered emission; the state (and
+		// its warm cache) goes back to the pool immediately.
+		out := st.pairs
+		st.pairs = nil
+		s.release(st)
+		s.seq.done(idx, out)
+		return
+	}
+	s.release(st)
+}
+
+// sequencer restores batch order for the ordered stream: completed
+// batches hand their pair buffers to done, which emits them strictly in
+// batch index order (holding out-of-order buffers), while reserve paces
+// the producer to at most `ahead` batches past the emission head so the
+// held set stays bounded.
+type sequencer struct {
+	emit  func(Pair)
+	ahead int
+	// recycle receives each buffer after its pairs were emitted, so the
+	// sweep can hand it to a later batch instead of allocating anew.
+	recycle func([]Pair)
+
+	mu   sync.Mutex
+	next int            // the batch index whose pairs emit next
+	held map[int][]Pair // completed batches waiting for the head
+	wake chan struct{}  // closed and replaced whenever next advances
+}
+
+func newSequencer(emit func(Pair), ahead int, recycle func([]Pair)) *sequencer {
+	return &sequencer{emit: emit, ahead: ahead, recycle: recycle,
+		held: make(map[int][]Pair), wake: make(chan struct{})}
+}
+
+// reserve blocks until idx is within the lookahead window of the
+// emission head (or done fires, returning false). Progress is
+// guaranteed: the head batch was submitted before any batch that can
+// block here, and every submitted batch eventually calls done.
+func (s *sequencer) reserve(done <-chan struct{}, idx int) bool {
+	s.mu.Lock()
+	for idx >= s.next+s.ahead {
+		ch := s.wake
+		s.mu.Unlock()
+		select {
+		case <-ch:
+		case <-done:
+			return false
+		}
+		s.mu.Lock()
+	}
+	s.mu.Unlock()
+	return true
+}
+
+// done delivers batch idx's pairs. When idx is the head, its pairs —
+// and those of any directly following held batches — emit in order and
+// reserve waiters wake; otherwise the buffer is held. Emission happens
+// under the sequencer lock: concurrent completers queue behind the
+// head's emission, which is what serialises the ordered stream.
+func (s *sequencer) done(idx int, pairs []Pair) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if idx != s.next {
+		s.held[idx] = pairs
+		return
+	}
+	for {
+		for _, p := range pairs {
+			s.emit(p)
+		}
+		if s.recycle != nil && pairs != nil {
+			s.recycle(pairs)
+		}
+		s.next++
+		var ok bool
+		pairs, ok = s.held[s.next]
+		if !ok {
+			break
+		}
+		delete(s.held, s.next)
+	}
+	close(s.wake)
+	s.wake = make(chan struct{})
+}
 
 // NestedLoop is the oracle join used by tests: every pair of features
 // compared directly.

@@ -244,7 +244,9 @@ func TestJoinRunScopedPool(t *testing.T) {
 
 // TestJoinOrderedStream: with OrderWindow set, RunStream emits the same
 // pair set as the unordered stream, in nondecreasing owning-cell order,
-// and the sequence is identical across runs (deterministic).
+// and the sequence is identical across runs and window sizes
+// (deterministic). The window's size tunes nothing: even a window of one
+// cell keeps several batches refining at once.
 func TestJoinOrderedStream(t *testing.T) {
 	as, bs, reA, reB := makeWorld(33, 90, 80)
 	sa, sb := buildSets(as, bs, 5, partition.ArrayStore)
@@ -267,24 +269,36 @@ func TestJoinOrderedStream(t *testing.T) {
 		return sa.Grid.CellOf(rx, ry)
 	}
 
-	runOrdered := func() []Pair {
+	runOrdered := func(window int, pred func(a, b geom.Geometry) bool) []Pair {
 		var got []Pair
 		_, err := RunStream(sa, sb, Config{
-			Predicate:   geom.Intersects,
+			Predicate:   pred,
 			ReparseA:    reA,
 			ReparseB:    reB,
 			Workers:     4,
 			BatchCells:  2,
-			OrderWindow: 8,
+			OrderWindow: window,
 		}, func(p Pair) { got = append(got, p) })
 		if err != nil {
 			t.Fatal(err)
 		}
 		return got
 	}
-	first := runOrdered()
+	// A sleepy predicate that records how many refinements overlap.
+	var inflight, peak atomic.Int32
+	gauged := func(a, b geom.Geometry) bool {
+		n := inflight.Add(1)
+		for m := peak.Load(); n > m && !peak.CompareAndSwap(m, n); m = peak.Load() {
+		}
+		defer inflight.Add(-1)
+		return sleepyPredicate(100*time.Microsecond)(a, b)
+	}
+	first := runOrdered(1, gauged)
 	if len(first) == 0 {
 		t.Fatal("ordered stream found no pairs; bad test data")
+	}
+	if p := peak.Load(); p < 2 {
+		t.Fatalf("ordered sweep on 4 workers refined at most %d pair at once — it runs one batch at a time", p)
 	}
 	for i := 1; i < len(first); i++ {
 		if owningCell(first[i]) < owningCell(first[i-1]) {
@@ -292,10 +306,10 @@ func TestJoinOrderedStream(t *testing.T) {
 				i, owningCell(first[i]), owningCell(first[i-1]))
 		}
 	}
-	for run := 0; run < 3; run++ {
-		if again := runOrdered(); !pairsEqual(again, first) {
-			t.Fatalf("run %d produced a different sequence (%d vs %d pairs) — ordered stream must be deterministic",
-				run, len(again), len(first))
+	for run, window := range []int{1, 2, 8, 64} {
+		if again := runOrdered(window, geom.Intersects); !pairsEqual(again, first) {
+			t.Fatalf("run %d (window %d) produced a different sequence (%d vs %d pairs) — ordered stream must be deterministic",
+				run, window, len(again), len(first))
 		}
 	}
 

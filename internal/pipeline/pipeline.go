@@ -22,7 +22,8 @@
 // (stride scheduling, see sched.go), so concurrent passes converge to
 // worker shares proportional to their weights while idle share
 // redistributes work-conservingly. A caller with no pool to share starts
-// one for the run and closes it afterwards (join.Run without a handle).
+// one for the run and closes it afterwards (join.RunStream without a
+// handle).
 //
 // Position in the system (docs/ARCHITECTURE.md has the full layer
 // diagram): every execution path of the public API bottoms out here —

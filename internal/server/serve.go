@@ -162,8 +162,6 @@ type queryRequest struct {
 	Want []string `json:"want,omitempty"`
 	// Dist is "haversine" (default), "spherical" or "andoyer".
 	Dist string `json:"dist,omitempty"`
-	// BlockSize overrides the engine's block size (bytes).
-	BlockSize int `json:"block_size,omitempty"`
 	// PropKeys lists GeoJSON property keys to extract per feature.
 	PropKeys []string `json:"prop_keys,omitempty"`
 	// Limit caps the number of streamed feature records (0 = all).
@@ -238,9 +236,6 @@ func (q *queryRequest) compile(base atgis.Options) (*query.Spec, atgis.Options, 
 	}
 
 	opt := base
-	if q.BlockSize > 0 {
-		opt.BlockSize = q.BlockSize
-	}
 	if len(q.PropKeys) > 0 {
 		opt.PropKeys = q.PropKeys
 	}
@@ -463,13 +458,11 @@ type joinRequest struct {
 	// (default; even ids join odd ids) or "both" (every feature on
 	// both sides — a self-join with identical pairs suppressed).
 	Mask string `json:"mask,omitempty"`
-	// BlockSize overrides the engine's block size (bytes).
-	BlockSize int `json:"block_size,omitempty"`
 	// Limit caps the number of streamed pair records (0 = all).
 	Limit int `json:"limit,omitempty"`
 	// OrderWindow, when positive, streams pairs in deterministic
-	// partition-cell order, reordering within a window of this many
-	// cells (0 = unordered, the fastest).
+	// partition-cell order (0 = unordered). Any positive value means the
+	// same: the sweep holds at most 2·workers+2 completed cell batches.
 	OrderWindow int `json:"order_window,omitempty"`
 	// TimeoutMS bounds the request's wall clock in milliseconds,
 	// overriding the server's default timeout (and clamped to its
@@ -563,12 +556,7 @@ func localJoin(ctx context.Context, s *Server, src atgis.Source, req *joinReques
 			return query.SideB
 		}
 	}
-	opt := s.opt
-	if req.BlockSize > 0 {
-		opt.BlockSize = req.BlockSize
-	}
-
-	pairs := s.eng.JoinStream(ctx, src, spec, opt)
+	pairs := s.eng.JoinStream(ctx, src, spec, s.opt)
 	defer pairs.Close()
 	for pairs.Next() {
 		p := pairs.Pair()
@@ -592,11 +580,12 @@ func localJoin(ctx context.Context, s *Server, src atgis.Source, req *joinReques
 	}, nil
 }
 
-// scatterOrderWindow is the cell-order window forced onto scattered
-// join sub-requests. Scattered joins always run ordered — deterministic
-// band output is what makes a mid-stream retry resumable and the merged
-// stream reproducible — and the emitted order does not depend on the
-// window size (it only bounds worker-side buffering).
+// scatterOrderWindow is the order_window forced onto scattered join
+// sub-requests. Scattered joins always run ordered — deterministic band
+// output is what makes a mid-stream retry resumable and the merged
+// stream reproducible. Any positive value selects cell order and none
+// tunes anything: the worker's sweep derives its look-ahead (and so its
+// buffering) from its own worker count.
 const scatterOrderWindow = 64
 
 // cutJoin shards a join by contiguous bands of partition-grid cells,

@@ -57,8 +57,15 @@ func newTestServer(t *testing.T, features int, ecfg atgis.EngineConfig) (*Server
 
 func newTestServerWithPath(t *testing.T, path string, ecfg atgis.EngineConfig) (*Server, *httptest.Server) {
 	t.Helper()
+	return newTestServerBlocks(t, path, ecfg, 8192)
+}
+
+// newTestServerBlocks is newTestServerWithPath with the server's block
+// size (its -block flag) set to blockSize.
+func newTestServerBlocks(t *testing.T, path string, ecfg atgis.EngineConfig, blockSize int) (*Server, *httptest.Server) {
+	t.Helper()
 	eng := atgis.NewEngine(ecfg)
-	srv := New(Config{Engine: eng, Options: atgis.Options{BlockSize: 8192}, AllowRegister: true})
+	srv := New(Config{Engine: eng, Options: atgis.Options{BlockSize: blockSize}, AllowRegister: true})
 	if err := srv.RegisterFile("data", path, ""); err != nil {
 		t.Fatal(err)
 	}
@@ -339,14 +346,14 @@ func TestRegisterRejectsReaderSource(t *testing.T) {
 // overflows its own queue (429 + Retry-After) while a second tenant's
 // sequential queries all complete.
 func TestFloodingTenantGets429QuietTenantCompletes(t *testing.T) {
-	_, ts := newTestServer(t, 2000, atgis.EngineConfig{
+	// Small blocks make each pass slow enough that concurrent requests
+	// pile up behind MaxInFlight=1.
+	_, ts := newTestServerBlocks(t, writeSynthetic(t, 2000), atgis.EngineConfig{
 		Workers:     2,
 		MaxInFlight: 1,
 		TenantQueue: 2,
-	})
-	// Small blocks make each pass slow enough that concurrent requests
-	// pile up behind MaxInFlight=1.
-	const query = `{"source":"data","kind":"aggregation","ref":[-180,-90,180,90],"want":["area"],"block_size":2048}`
+	}, 2048)
+	const query = `{"source":"data","kind":"aggregation","ref":[-180,-90,180,90],"want":["area"]}`
 
 	stop := make(chan struct{})
 	var flooders sync.WaitGroup
@@ -413,11 +420,11 @@ func TestFloodingTenantGets429QuietTenantCompletes(t *testing.T) {
 // must cancel the underlying pipeline, release the admission slot and
 // leak no goroutines.
 func TestClientDisconnectCancelsPass(t *testing.T) {
-	_, ts := newTestServer(t, 5000, atgis.EngineConfig{
+	_, ts := newTestServerBlocks(t, writeSynthetic(t, 5000), atgis.EngineConfig{
 		Workers:     2,
 		MaxInFlight: 1, // a leaked slot would wedge the final query below
-	})
-	const query = `{"source":"data","kind":"containment","ref":[-180,-90,180,90],"block_size":1024}`
+	}, 1024)
+	const query = `{"source":"data","kind":"containment","ref":[-180,-90,180,90]}`
 
 	// Warm up the HTTP stack so its long-lived goroutines are in the
 	// baseline.

@@ -206,9 +206,9 @@ type driver[F any] struct {
 	skip func(end int64) bool
 	// add folds the fragment of live block b; an error fails the pass there.
 	add func(b pipeline.Block, fr F) error
-	// finish completes the fold. lastLive is where the last live block
-	// ended: a skipped tail must not be sequentially parsed back in.
-	finish func(ctx context.Context, lastLive int64) error
+	// finish completes the fold. parsed is where the last header or live
+	// block ended: a skipped tail must not be sequentially parsed back in.
+	finish func(ctx context.Context, parsed int64) error
 	// counts reports the blocks whose parallel results were discarded and
 	// parsed again: repaired mis-splits (PAT), invalidated speculation (FAT).
 	counts func() (repaired, reprocessed int)
@@ -234,7 +234,7 @@ func runPlan[F any](ctx context.Context, e *Engine, pl *blockPlan, opt Options, 
 	pass := e.register(ctx, pipeline.QueryPass, d.input)
 	defer pass.Close()
 	var failed error
-	lastLive := int64(0)
+	parsed := int64(0)
 	st, err = pipeline.RunCtx(ctx, d.input,
 		pl.splitter(opt.blockSize(), d.cuts),
 		pass,
@@ -250,13 +250,14 @@ func runPlan[F any](ctx context.Context, e *Engine, pl *blockPlan, opt Options, 
 				if d.header != nil {
 					d.header(b.End)
 				}
+				parsed = b.End
 			case blockGap:
 				if d.skip != nil && !d.skip(b.End) {
 					failed = errWarmAbort
 				}
 			default:
 				failed = d.add(b, fr)
-				lastLive = b.End
+				parsed = b.End
 			}
 			if failed != nil {
 				cancel() // the merge loop folds nothing after this
@@ -268,7 +269,7 @@ func runPlan[F any](ctx context.Context, e *Engine, pl *blockPlan, opt Options, 
 	}
 	if err == nil && d.finish != nil {
 		// Still the pass: its wall clock, merge time and allocations count.
-		st = st.Add(pipeline.Tail(func() { err = d.finish(ctx, lastLive) }))
+		st = st.Add(pipeline.Tail(func() { err = d.finish(ctx, parsed) }))
 	}
 	if d.counts != nil {
 		repaired, reprocessed = d.counts()

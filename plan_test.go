@@ -55,8 +55,8 @@ func fakeDriver(n int, log *[]string, processed *[]int) *driver[int] {
 			*log = append(*log, fmt.Sprintf("add %d [%d,%d)", fr, b.Start, b.End))
 			return nil
 		},
-		finish: func(_ context.Context, lastLive int64) error {
-			*log = append(*log, fmt.Sprintf("finish %d", lastLive))
+		finish: func(_ context.Context, parsed int64) error {
+			*log = append(*log, fmt.Sprintf("finish %d", parsed))
 			return nil
 		},
 	}
@@ -540,8 +540,8 @@ func hostileCollection() []byte {
 // document at every byte — and where a real nested feature tag is met out
 // of context the pass must say it reprocessed. An unbalanced document ends
 // all three with the same error after the same emitted prefix, and so
-// do one whose features array a stray '}' closes between two features and
-// one with a close too many at its end.
+// do one whose features array a stray '}' closes between two features,
+// one with a close too many at its end, and one cut off mid-feature.
 func TestFATHostileDocuments(t *testing.T) {
 	engines := map[int]*Engine{1: testEngine(t, 1), 4: testEngine(t, 4)}
 	spec := &query.Spec{
@@ -560,6 +560,11 @@ func TestFATHostileDocuments(t *testing.T) {
 	// extraClose closes one container more than the document opened: the
 	// last PAT block hands an erroneous tail to the sequential machine.
 	extraClose := bytes.Replace(doc, []byte("\n]}\n"), []byte("\n]}]}\n"), 1)
+	// truncated stops inside feature 6's ring: the last PAT block ends
+	// dirty at the end of the document, with containers open. cutHeader
+	// stops before the first feature: PAT's plan is one header block.
+	truncated := doc[:len(doc)*2/3]
+	cutHeader := doc[:bytes.Index(doc, []byte(`{"id":1`))]
 
 	match := func(f *geom.Feature, v query.FeatureVal) string {
 		return fmt.Sprintf("id=%d off=%d area=%s perim=%s box=%s\n", f.ID, f.Offset, bits(v.Area), bits(v.Perimeter), renderBox(v.Box))
@@ -610,11 +615,12 @@ func TestFATHostileDocuments(t *testing.T) {
 		return b.String() + renderQueryResult(out)
 	}
 
-	docs := map[string][]byte{"hostile": doc, "small": small, "unbalanced": unbalanced, "strayclose": strayClose, "extraclose": extraClose}
+	docs := map[string][]byte{"hostile": doc, "small": small, "unbalanced": unbalanced, "strayclose": strayClose, "extraclose": extraClose,
+		"truncated": truncated, "cutheader": cutHeader}
 	for name, data := range docs {
 		want := sequential(data)
-		malformed := name == "unbalanced" || name == "strayclose" || name == "extraclose"
-		if malformed != strings.Contains(want, "error: geojson: ") || !strings.Contains(want, "id=1 ") {
+		malformed := name != "hostile" && name != "small"
+		if malformed != strings.Contains(want, "error: geojson: ") || (name != "cutheader") != strings.Contains(want, "id=1 ") {
 			t.Fatalf("%s: the sequential reference is\n%s", name, want)
 		}
 		blocks := []int{64, 4 << 10, 1 << 20}

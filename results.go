@@ -179,23 +179,21 @@ func (r *Results) Close() error { return r.abandon() }
 
 // JoinPairs streams the result pairs of a spatial join as the join
 // phase finds them (the partition phase still completes first — the
-// join is two-pass by construction). Pairs are deduplicated on the fly
-// with the reference-point method, so nothing is globally buffered or
-// sorted; pair order is nondeterministic across runs unless
-// JoinSpec.OrderWindow requests the windowed reorder, which emits pairs
-// in deterministic partition-cell order at the cost of holding at most
-// a window's worth of completed cell batches. Like Results, JoinPairs
-// is single-consumer.
+// join is two-pass by construction). A cell drops the pairs whose
+// reference point another cell owns before refining them, so nothing is
+// globally buffered or sorted; pair order is nondeterministic across
+// runs unless JoinSpec.OrderWindow asks for deterministic partition-cell
+// order, at the cost of holding at most the sweep's in-flight window of
+// completed cell batches. Like Results, JoinPairs is single-consumer.
 type JoinPairs struct {
 	stream[join.Pair, *JoinResult]
 }
 
 // JoinStream starts the two-pass join over src and returns the
-// streaming pair iterator. Unlike Engine.Join it does not buffer,
-// sort or globally deduplicate the pair set; duplicates are suppressed
-// per partition cell via the reference-point test. The sweep runs as
-// cell-batch tasks on the engine's worker pool, so concurrent joins
-// and queries interleave at the same scheduling quantum.
+// streaming pair iterator. It runs Engine.Join's sweep — the same pairs
+// and JoinStats — without collecting or sorting the pairs. The sweep
+// runs as cell-batch tasks on the engine's worker pool, so concurrent
+// joins and queries interleave at the same scheduling quantum.
 func (e *Engine) JoinStream(ctx context.Context, src Source, spec JoinSpec, opt Options) *JoinPairs {
 	r := &JoinPairs{}
 	ctx = r.init(ctx, 256)

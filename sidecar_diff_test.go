@@ -252,7 +252,7 @@ func orderedJoinCase(name string) sidecarDiffCase {
 	return sidecarDiffCase{name: name, run: func(t *testing.T, eng *Engine, src Source) string {
 		t.Helper()
 		spec := JoinSpec{Mask: func(*geom.Feature) uint8 { return query.SideA | query.SideB },
-			CellSize: 5, BatchCells: 2, OrderWindow: 16, BoundsSafeMask: true}
+			CellSize: 5, OrderWindow: 16, BoundsSafeMask: true}
 		stream := eng.JoinStream(context.Background(), src, spec, Options{BlockSize: 8 << 10})
 		var b strings.Builder
 		for stream.Next() {

@@ -8,29 +8,25 @@
 //	               every return path
 //	ctxflow        request/pass paths thread the caller's context
 //	mmapalias      block/source []byte never outlives its pass uncopied
-//	hotalloc       //atgis:hotpath functions stay allocation-free
+//	hotalloc       every //atgis:hotpath directive marks a function
 //
-// Usage:
+// Usage, from the module root:
 //
-//	atgis-lint ./...                 run the suite standalone
-//	atgis-lint -only a,b ./...       run selected analyzers
-//	atgis-lint -hotalloc ./...       diff hot-path heap escapes against
-//	                                 internal/analysis/hotalloc.budget
+//	atgis-lint ./...                   run the suite
+//	atgis-lint -list                   list the analyzers
+//	atgis-lint -hotalloc ./...         diff hot-path heap escapes against
+//	                                   internal/analysis/hotalloc.budget
 //	atgis-lint -hotalloc-update ./...  regenerate the budget
-//	go vet -vettool=$(pwd)/bin/atgis-lint ./...   run under go vet
 //
 // Intentional violations are suppressed in source with
-// `//lint:atgis-allow <analyzer> <reason>`; see docs/ANALYZERS.md.
+// `//lint:atgis-allow <analyzer> <reason>`; an accepted hot-path heap
+// escape is a budget line instead. See docs/ANALYZERS.md.
 package main
 
 import (
-	"crypto/sha256"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"atgis/internal/analysis"
 )
@@ -42,41 +38,17 @@ func main() {
 func run(args []string) int {
 	fs := flag.NewFlagSet("atgis-lint", flag.ExitOnError)
 	var (
-		vFlag     = fs.String("V", "", "print version and exit (go vet protocol)")
-		flagsFlag = fs.Bool("flags", false, "print flag JSON and exit (go vet protocol)")
-		jsonFlag  = fs.Bool("json", false, "accepted for go vet compatibility (output is textual)")
 		listFlag  = fs.Bool("list", false, "list analyzers and exit")
-		onlyFlag  = fs.String("only", "", "comma-separated analyzer subset to run")
 		hotalloc  = fs.Bool("hotalloc", false, "run the hot-path escape diff against the committed budget")
 		hotUpdate = fs.Bool("hotalloc-update", false, "regenerate the hot-path escape budget")
-		budget    = fs.String("budget", analysis.DefaultBudgetFile, "hot-path escape budget file")
-		dir       = fs.String("C", "", "run as if started in this directory")
 	)
 	fs.Parse(args)
-	_ = jsonFlag
 
-	// go vet protocol handshakes: version (hashed into build IDs) and
-	// supported-flags query.
-	if *vFlag != "" {
-		name := filepath.Base(os.Args[0])
-		fmt.Printf("%s version devel buildID=%02x\n", name, selfHash())
-		return 0
-	}
-	if *flagsFlag {
-		fmt.Println("[]")
-		return 0
-	}
 	if *listFlag {
 		for _, a := range analysis.All() {
 			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
 		}
 		return 0
-	}
-
-	analyzers, err := analysis.ByName(*onlyFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "atgis-lint:", err)
-		return 2
 	}
 
 	patterns := fs.Args()
@@ -85,23 +57,17 @@ func run(args []string) int {
 	}
 
 	if *hotalloc || *hotUpdate {
-		return runHotalloc(*dir, *budget, *hotUpdate, patterns)
+		return runHotalloc(*hotUpdate, patterns)
 	}
 
-	// go vet -vettool mode: a single *.cfg argument describing one
-	// package.
-	if len(patterns) == 1 && strings.HasSuffix(patterns[0], ".cfg") {
-		return runVet(patterns[0], analyzers)
-	}
-
-	pkgs, err := analysis.Load(*dir, patterns...)
+	pkgs, err := analysis.Load(patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "atgis-lint:", err)
 		return 2
 	}
 	bad := 0
 	for _, pkg := range pkgs {
-		diags, err := analysis.RunAnalyzers(pkg, analyzers)
+		diags, err := analysis.RunAnalyzers(pkg, analysis.All())
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "atgis-lint:", err)
 			return 2
@@ -119,40 +85,9 @@ func run(args []string) int {
 	return 0
 }
 
-// runVet handles one unit-checker invocation from cmd/go.
-func runVet(cfgPath string, analyzers []*analysis.Analyzer) int {
-	pkg, cfg, err := analysis.LoadVetConfig(cfgPath)
-	if werr := analysis.WriteVetx(cfg); werr != nil {
-		fmt.Fprintln(os.Stderr, "atgis-lint:", werr)
-		return 2
-	}
-	if err != nil {
-		if cfg != nil && cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintln(os.Stderr, "atgis-lint:", err)
-		return 2
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	diags, err := analysis.RunAnalyzers(pkg, analyzers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "atgis-lint:", err)
-		return 2
-	}
-	for _, d := range diags {
-		fmt.Fprintln(os.Stderr, d)
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
-}
-
 // runHotalloc runs the escape diff (or regenerates the budget).
-func runHotalloc(dir, budgetFile string, update bool, patterns []string) int {
-	rep, err := analysis.EscapeDiff(dir, budgetFile, patterns...)
+func runHotalloc(update bool, patterns []string) int {
+	rep, err := analysis.EscapeDiff(patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "atgis-lint -hotalloc:", err)
 		return 2
@@ -163,11 +98,7 @@ func runHotalloc(dir, budgetFile string, update bool, patterns []string) int {
 		return 1
 	}
 	if update {
-		path := budgetFile
-		if dir != "" && !filepath.IsAbs(path) {
-			path = filepath.Join(dir, path)
-		}
-		if err := analysis.WriteBudget(path, rep); err != nil {
+		if err := analysis.WriteBudget(analysis.DefaultBudgetFile, rep); err != nil {
 			fmt.Fprintln(os.Stderr, "atgis-lint -hotalloc-update:", err)
 			return 2
 		}
@@ -190,20 +121,4 @@ func runHotalloc(dir, budgetFile string, update bool, patterns []string) int {
 	fmt.Printf("hotalloc: ok — %d marked function(s), %d budgeted escape(s), no new escapes\n",
 		rep.Marked, len(rep.Current))
 	return 0
-}
-
-// selfHash stamps the vet -V=full handshake with a digest of the
-// binary, so cmd/go's action cache invalidates when the tool changes.
-func selfHash() []byte {
-	exe, err := os.Executable()
-	if err == nil {
-		if f, err := os.Open(exe); err == nil {
-			defer f.Close()
-			h := sha256.New()
-			if _, err := io.Copy(h, f); err == nil {
-				return h.Sum(nil)[:8]
-			}
-		}
-	}
-	return []byte{0xa7, 0x91, 0x50}
 }

@@ -1,10 +1,11 @@
 package main
 
-// End-to-end tests for both driver modes: the standalone multichecker
-// (atgis-lint ./...) and the go vet -vettool unitchecker protocol.
-// The seeded-violation halves are the self-test CI relies on: a bare
-// goroutine written into internal/pipeline must fail both paths, so a
-// regression that silently blinds the suite cannot pass as "clean".
+// End-to-end tests for the driver: the analyzer suite (atgis-lint ./...)
+// and the hot-path escape gate (atgis-lint -hotalloc ./...). The seeded
+// halves are the self-test CI relies on: a bare goroutine written into
+// internal/pipeline must fail the suite, and a marked function that
+// heap-allocates written into internal/lexer must fail the escape gate,
+// so a regression that silently blinds either cannot pass as "clean".
 
 import (
 	"os"
@@ -47,12 +48,24 @@ func zzLintSelftestSeed(work []func()) {
 }
 `
 
+const seededEscape = `package lexer
+
+// Seeded by cmd/atgis-lint's end-to-end test; if this file survives a
+// test run it is safe to delete.
+//
+//atgis:hotpath
+func zzLintSelftestEscape(n int) int {
+	b := make([]byte, n)
+	return len(b)
+}
+`
+
 func TestEndToEnd(t *testing.T) {
 	root := moduleRoot(t)
 	bin := buildLint(t, root)
 
-	run := func(name string, args ...string) (string, int) {
-		cmd := exec.Command(name, args...)
+	run := func(args ...string) (string, int) {
+		cmd := exec.Command(bin, args...)
 		cmd.Dir = root
 		out, err := cmd.CombinedOutput()
 		if err == nil {
@@ -61,39 +74,50 @@ func TestEndToEnd(t *testing.T) {
 		if ee, ok := err.(*exec.ExitError); ok {
 			return string(out), ee.ExitCode()
 		}
-		t.Fatalf("%s %v: %v\n%s", name, args, err, out)
+		t.Fatalf("atgis-lint %v: %v\n%s", args, err, out)
 		return "", -1
 	}
-
-	// The committed tree is clean under both drivers.
-	if out, code := run(bin, "./..."); code != 0 {
-		t.Fatalf("standalone atgis-lint on a clean tree: exit %d\n%s", code, out)
+	// seed writes a file that is valid Go (it only violates the lint
+	// contract, so a concurrently compiling package is unaffected) and
+	// returns its remover.
+	seed := func(pkg, name, src string) func() {
+		path := filepath.Join(root, "internal", pkg, name)
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return func() {
+			if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+				t.Error(err)
+			}
+		}
 	}
-	if out, code := run("go", "vet", "-vettool="+bin, "./internal/pipeline"); code != 0 {
-		t.Fatalf("go vet -vettool on a clean tree: exit %d\n%s", code, out)
+
+	// The committed tree is clean under both gates.
+	if out, code := run("./..."); code != 0 {
+		t.Fatalf("atgis-lint on a clean tree: exit %d\n%s", code, out)
+	}
+	if out, code := run("-hotalloc", "./..."); code != 0 {
+		t.Fatalf("atgis-lint -hotalloc on a clean tree: exit %d\n%s", code, out)
 	}
 
-	// Seed a bare goroutine into internal/pipeline: both drivers must
-	// reject it. The file is valid Go (it only violates the lint
-	// contract), so a concurrently compiling package is unaffected.
-	seed := filepath.Join(root, "internal", "pipeline", "zz_lint_selftest_seed.go")
-	if err := os.WriteFile(seed, []byte(seededViolation), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	defer os.Remove(seed)
-
-	out, code := run(bin, "./internal/pipeline")
+	// A bare goroutine in internal/pipeline fails the suite.
+	remove := seed("pipeline", "zz_lint_selftest_seed.go", seededViolation)
+	defer remove()
+	out, code := run("./internal/pipeline")
 	if code == 0 || !strings.Contains(out, "guardedgo") {
-		t.Fatalf("standalone atgis-lint missed the seeded violation: exit %d\n%s", code, out)
+		t.Fatalf("atgis-lint missed the seeded violation: exit %d\n%s", code, out)
 	}
-	out, code = run("go", "vet", "-vettool="+bin, "./internal/pipeline")
-	if code == 0 || !strings.Contains(out, "guardedgo") {
-		t.Fatalf("go vet -vettool missed the seeded violation: exit %d\n%s", code, out)
-	}
+	remove()
 
-	if err := os.Remove(seed); err != nil {
-		t.Fatal(err)
+	// A heap allocation in a marked internal/lexer function fails the
+	// escape gate.
+	remove = seed("lexer", "zz_lint_selftest_escape.go", seededEscape)
+	defer remove()
+	out, code = run("-hotalloc", "./...")
+	if code != 1 || !strings.Contains(out, "NEW heap escape") || !strings.Contains(out, "zzLintSelftestEscape") {
+		t.Fatalf("atgis-lint -hotalloc missed the seeded escape: exit %d\n%s", code, out)
 	}
+	remove()
 }
 
 // TestListAnalyzers sanity-checks the -list surface the docs point at.

@@ -12,15 +12,17 @@
 //     no context.Background()/TODO(), no dropped ctx parameters
 //   - mmapalias:     mmap/block-derived []byte never escapes a pass into
 //     long-lived homes (globals, maps, channels) without a copy
-//   - hotalloc:      //atgis:hotpath functions stay free of constructs
-//     that allocate on every call (the Fig9a throughput contract); the
-//     authoritative heap-escape diff runs via `atgis-lint -hotalloc`
+//   - hotalloc:      every //atgis:hotpath directive marks a function
+//     declaration; the allocation gate itself (the Fig9a throughput
+//     contract) is the heap-escape diff run by `atgis-lint -hotalloc`
 //
 // The suite would normally be built on golang.org/x/tools/go/analysis;
 // this module is intentionally dependency-free, so the driver layer
-// (loading via `go list -export` + go/types, the vet -vettool protocol,
-// the fixture runner) is reimplemented here on the standard library
-// with the same shape, keeping the analyzers portable to x/tools later.
+// (loading via `go list -export` + go/types, the fixture runner) is
+// reimplemented here on the standard library with the same shape,
+// keeping the analyzers portable to x/tools later. The loader reads a
+// package's non-test files only: tests legitimately use
+// context.Background(), bare goroutines and long-lived stores.
 //
 // Intentional exceptions are suppressed in source with
 //
@@ -175,22 +177,8 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			return nil, fmt.Errorf("analyzer %s on %s: %w", a.Name, pkg.Path, err)
 		}
 	}
-	sups, malformed := collectSuppressions(pkg.Fset, pkg.Files)
-	var kept []Diagnostic
-	// The invariants govern production code; tests legitimately use
-	// context.Background(), bare goroutines and long-lived stores. The
-	// standalone loader never sees _test.go files, but the go vet
-	// -vettool path type-checks the test-augmented unit, so the
-	// exemption is enforced here for both drivers.
-	for _, d := range malformed {
-		if !strings.HasSuffix(d.Pos.Filename, "_test.go") {
-			kept = append(kept, d)
-		}
-	}
+	sups, kept := collectSuppressions(pkg.Fset, pkg.Files)
 	for _, d := range diags {
-		if strings.HasSuffix(d.Pos.Filename, "_test.go") {
-			continue
-		}
 		if !suppressed(d, sups) {
 			kept = append(kept, d)
 		}

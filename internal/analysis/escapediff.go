@@ -14,15 +14,14 @@ import (
 	"strings"
 )
 
-// This file is the authoritative half of the hot-path allocation
-// contract (`atgis-lint -hotalloc`): it runs the compiler's escape
-// analysis (-gcflags=-m) over the module, keeps the "escapes to heap" /
-// "moved to heap" diagnostics that fall inside //atgis:hotpath
-// function bodies, and diffs them against the committed budget file
-// (internal/analysis/hotalloc.budget). A new heap escape in a marked
-// lexer/numparse/geojson/wkt/osmxml loop fails the build before it
-// silently erodes the Fig9a throughput the engine's parallelism wins
-// rest on.
+// This file is the hot-path allocation gate (`atgis-lint -hotalloc`):
+// it runs the compiler's escape analysis (-gcflags=-m) over the
+// module, keeps the "escapes to heap" / "moved to heap" diagnostics
+// that fall inside //atgis:hotpath function bodies, and diffs them
+// against the committed budget file (internal/analysis/hotalloc.budget).
+// A new heap escape in a marked lexer/numparse/geojson/wkt/osmxml loop
+// fails the build before it silently erodes the Fig9a throughput the
+// engine's parallelism wins rest on.
 //
 // Budget keys are line-number-free — "pkg/file.go:Func: message" —
 // so unrelated edits shifting lines don't churn the budget; only a
@@ -114,11 +113,12 @@ func recvTypeName(e ast.Expr) string {
 // `path.go:12:34: moved to heap: x`.
 var escapeLine = regexp.MustCompile(`^(.+\.go):(\d+):\d+: (.*(?:escapes to heap|moved to heap).*)$`)
 
-// EscapeDiff builds the module with -gcflags=-m, keeps heap-escape
+// EscapeDiff builds the packages with -gcflags=-m, keeps heap-escape
 // diagnostics inside //atgis:hotpath functions, and compares them to
-// the budget in budgetFile (module-root relative unless absolute).
-func EscapeDiff(dir, budgetFile string, patterns ...string) (*EscapeReport, error) {
-	marked, err := findMarkedFuncs(dir, patterns...)
+// DefaultBudgetFile. It runs in the current directory, which must be
+// the module root.
+func EscapeDiff(patterns ...string) (*EscapeReport, error) {
+	marked, err := findMarkedFuncs("", patterns...)
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +141,6 @@ func EscapeDiff(dir, budgetFile string, patterns ...string) (*EscapeReport, erro
 	// and cached compiler diagnostics replay, so this is cheap and
 	// deterministic on warm caches.
 	cmd := exec.Command("go", append([]string{"build", "-gcflags=-m"}, pkgs...)...)
-	cmd.Dir = dir
 	var out bytes.Buffer
 	cmd.Stdout = &out
 	cmd.Stderr = &out
@@ -149,27 +148,13 @@ func EscapeDiff(dir, budgetFile string, patterns ...string) (*EscapeReport, erro
 		return nil, fmt.Errorf("go build -gcflags=-m: %v\n%s", err, out.String())
 	}
 
+	rep.Current = MatchEscapes("", out.String(), marked)
 	seen := map[string]bool{}
-	for _, line := range strings.Split(out.String(), "\n") {
-		m := escapeLine.FindStringSubmatch(strings.TrimSpace(line))
-		if m == nil {
-			continue
-		}
-		file, lineNo, msg := m[1], m[2], m[3]
-		ln := atoi(lineNo)
-		for _, mf := range marked {
-			if sameFile(dir, file, mf.file) && ln >= mf.from && ln <= mf.to {
-				key := fmt.Sprintf("%s/%s:%s: %s", mf.pkg, filepath.Base(mf.file), mf.name, msg)
-				seen[key] = true
-			}
-		}
+	for _, k := range rep.Current {
+		seen[k] = true
 	}
-	for k := range seen {
-		rep.Current = append(rep.Current, k)
-	}
-	sort.Strings(rep.Current)
 
-	budget, err := ReadBudget(resolvePath(dir, budgetFile))
+	budget, err := ReadBudget(DefaultBudgetFile)
 	if err != nil {
 		return nil, err
 	}
@@ -227,8 +212,8 @@ func ParseBudget(content string) map[string]bool {
 }
 
 // MatchEscapes filters raw -gcflags=-m output to the heap-escape keys
-// falling inside the given marked functions — split out so tests can
-// drive the parser with canned compiler output.
+// falling inside the given marked functions; tests drive it with
+// canned compiler output.
 func MatchEscapes(dir string, output string, marked []markedFunc) []string {
 	seen := map[string]bool{}
 	for _, line := range strings.Split(output, "\n") {
@@ -273,12 +258,4 @@ func atoi(s string) int {
 		n = n*10 + int(c-'0')
 	}
 	return n
-}
-
-// resolvePath roots rel at dir unless already absolute.
-func resolvePath(dir, rel string) string {
-	if filepath.IsAbs(rel) || dir == "" {
-		return rel
-	}
-	return filepath.Join(dir, rel)
 }

@@ -91,14 +91,9 @@ func goList(dir string, args ...string) ([]listedPkg, error) {
 }
 
 // exportImporter builds a types importer that satisfies imports from gc
-// export data files, looked up by (canonicalised) import path.
-func exportImporter(fset *token.FileSet, exports map[string]string, importMap map[string]string) types.Importer {
+// export data files, looked up by import path.
+func exportImporter(fset *token.FileSet, exports map[string]string) types.Importer {
 	lookup := func(path string) (io.ReadCloser, error) {
-		if importMap != nil {
-			if canon, ok := importMap[path]; ok {
-				path = canon
-			}
-		}
 		f, ok := exports[path]
 		if !ok || f == "" {
 			return nil, fmt.Errorf("no export data for %q", path)
@@ -109,12 +104,12 @@ func exportImporter(fset *token.FileSet, exports map[string]string, importMap ma
 }
 
 // Load loads and type-checks the packages matching the `go list`
-// patterns (e.g. "./..."), rooted at dir ("" for the current
-// directory). Packages with parse or type errors are still returned —
-// their TypeErrors field carries the failures — so a syntactically
-// broken tree degrades to partial analysis rather than none.
-func Load(dir string, patterns ...string) ([]*Package, error) {
-	listed, err := goList(dir, append([]string{"-e", "-deps", "-export",
+// patterns (e.g. "./..."), resolved from the current directory.
+// Packages with type errors are still returned — their TypeErrors
+// field carries the failures — so a tree that does not type-check
+// degrades to partial analysis rather than none.
+func Load(patterns ...string) ([]*Package, error) {
+	listed, err := goList("", append([]string{"-e", "-deps", "-export",
 		"-json=ImportPath,Dir,Export,GoFiles,DepOnly,Standard,Error"}, patterns...)...)
 	if err != nil {
 		return nil, err
@@ -130,7 +125,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		}
 	}
 	fset := token.NewFileSet()
-	imp := exportImporter(fset, exports, nil)
+	imp := exportImporter(fset, exports)
 	var out []*Package
 	for _, t := range targets {
 		if len(t.GoFiles) == 0 {
@@ -139,11 +134,16 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			}
 			continue // directory with no buildable Go files (e.g. a parent of subpackages)
 		}
-		var files []string
-		for _, f := range t.GoFiles {
-			files = append(files, filepath.Join(t.Dir, f))
+		var asts []*ast.File
+		for _, gf := range t.GoFiles {
+			f := filepath.Join(t.Dir, gf)
+			af, err := parser.ParseFile(fset, f, nil, parser.ParseComments|parser.SkipObjectResolution)
+			if err != nil {
+				return nil, fmt.Errorf("parsing %s: %v", f, err)
+			}
+			asts = append(asts, af)
 		}
-		pkg, err := typeCheck(fset, imp, t.ImportPath, t.Dir, files)
+		pkg, err := typeCheckParsed(fset, imp, t.ImportPath, t.Dir, asts)
 		if err != nil {
 			return nil, err
 		}
@@ -209,20 +209,7 @@ func LoadDir(dir string) (*Package, error) {
 			}
 		}
 	}
-	return typeCheckParsed(fset, exportImporter(fset, exports, nil), "", dir, asts)
-}
-
-// typeCheck parses files and type-checks them as one package.
-func typeCheck(fset *token.FileSet, imp types.Importer, path, dir string, files []string) (*Package, error) {
-	var asts []*ast.File
-	for _, f := range files {
-		af, err := parser.ParseFile(fset, f, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, fmt.Errorf("parsing %s: %v", f, err)
-		}
-		asts = append(asts, af)
-	}
-	return typeCheckParsed(fset, imp, path, dir, asts)
+	return typeCheckParsed(fset, exportImporter(fset, exports), "", dir, asts)
 }
 
 // typeCheckParsed type-checks already-parsed files as one package.

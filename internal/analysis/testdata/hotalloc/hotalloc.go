@@ -1,50 +1,25 @@
-// Package hot exercises the static half of the hot-path allocation
-// contract: //atgis:hotpath bodies must stay free of per-call
-// allocation constructs, with map lookups, comparisons and switch tags
-// recognised as allocation-free string-conversion contexts.
+// Package hot exercises the hotalloc analyzer: a //atgis:hotpath
+// function may contain allocating constructs — the escape diff
+// (atgis-lint -hotalloc) judges those against the budget — but a
+// directive that marks no function declaration is a dead marker.
 package hot
 
 import "fmt"
 
-var table = map[string]int{"point": 1}
-
 //atgis:hotpath
-func badAllocs(b []byte, n int) string {
-	s := fmt.Sprintf("tok-%d", n) // want `calls fmt.Sprintf`
-	scratch := make([]byte, 64)   // want `calls make`
+func allocates(b []byte, n int) string {
+	s := fmt.Sprintf("tok-%d", n)
+	scratch := make([]byte, n)
 	_ = scratch
-	p := new(int) // want `calls new`
-	_ = p
-	name := string(b) // want `converts \[\]byte to string`
-	_ = name
-	raw := []byte(s) // want `converts string to \[\]byte`
-	_ = raw
-	return s + "!" // want `concatenates strings`
+	return s + string(b)
 }
 
+// want `not attached to a function declaration`
+//
 //atgis:hotpath
-func badClosure(xs []int) func() int {
-	return func() int { return len(xs) } // want `defines a closure`
-}
+var dangling = 1
 
-//atgis:hotpath
-func goodFreeContexts(b []byte) int {
-	if string(b) == "point" {
-		return table[string(b)]
-	}
-	switch string(b) {
-	case "line":
-		return 2
-	}
-	return 0
-}
-
-// unmarked functions may allocate freely.
+// unmarked functions are not the analyzer's business either.
 func unmarked(n int) string {
-	return fmt.Sprintf("%d", n)
-}
-
-//atgis:hotpath
-func approvedSlowPath(b []byte) string {
-	return string(b) //lint:atgis-allow hotalloc fixture exception: one copy on the miss path is accepted
+	return fmt.Sprint(n)
 }

@@ -175,7 +175,6 @@ func Prefix(b []byte) (float64, int, bool) {
 			return v, i, true
 		}
 	}
-	//lint:atgis-allow hotalloc strconv fallback is the rare slow path (truncated mantissa or extreme exponent); the fast path above is allocation-free
 	v, err := strconv.ParseFloat(string(b[:i]), 64)
 	if err != nil {
 		// Range errors still carry the clamped value (±Inf on overflow,

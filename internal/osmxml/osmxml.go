@@ -232,7 +232,7 @@ func (el *Elements) parse(input []byte, start, end int64, keepTags bool) (err er
 			} else if a, ok := elemName(rest, "nd"); ok && way >= 0 {
 				if ref, ok := firstInt(rest, a, "ref"); ok {
 					if el.Refs == nil {
-						el.Refs = make([]int64, 0, room(left, end-lineOff, `<nd ref="1"/>`)) //lint:atgis-allow hotalloc once per block: the refs arena
+						el.Refs = make([]int64, 0, room(left, end-lineOff, `<nd ref="1"/>`))
 					}
 					el.Refs = append(el.Refs, ref)
 				}
@@ -249,7 +249,7 @@ func (el *Elements) parse(input []byte, start, end int64, keepTags bool) (err er
 				rel = el.dropRel(rel)
 				way = len(el.Ways)
 				if el.Ways == nil {
-					el.Ways = make([]WayRec, 0, left/linesPerElement+1) //lint:atgis-allow hotalloc once per block: the way records
+					el.Ways = make([]WayRec, 0, left/linesPerElement+1)
 				}
 				el.Ways = append(el.Ways, WayRec{ID: id, Off: lineOff, Lo: len(el.Refs)})
 				if tagEnd < len(rest) && rest[tagEnd] == '/' { // self-closing
@@ -268,7 +268,7 @@ func (el *Elements) parse(input []byte, start, end int64, keepTags bool) (err er
 				el.dropRel(rel)
 				rel = len(el.Rels)
 				if el.Rels == nil {
-					el.Rels = make([]RelRec, 0, left/linesPerElement+1) //lint:atgis-allow hotalloc once per block: the relation records
+					el.Rels = make([]RelRec, 0, left/linesPerElement+1)
 				}
 				el.Rels = append(el.Rels, RelRec{ID: id, Off: lineOff, Lo: len(el.Members)})
 				if tagEnd < len(rest) && rest[tagEnd] == '/' { // self-closing
@@ -278,7 +278,7 @@ func (el *Elements) parse(input []byte, start, end int64, keepTags bool) (err er
 		case 'm':
 			if a, ok := elemName(rest, "member"); ok && rel >= 0 {
 				if el.Members == nil {
-					el.Members = make([]Member, 0, room(left, end-lineOff, `<member ref="1"/>`)) //lint:atgis-allow hotalloc once per block: the members arena
+					el.Members = make([]Member, 0, room(left, end-lineOff, `<member ref="1"/>`))
 				}
 				el.member(rest, a)
 			}
@@ -338,8 +338,8 @@ func (el *Elements) node(rest []byte, i int, lineOff int64, left int, end int64)
 	}
 	if el.NodeIDs == nil {
 		n := room(left, end-lineOff, `<node id="1" lat="1" lon="1"/>`)
-		el.NodeIDs = make([]int64, 0, n)      //lint:atgis-allow hotalloc once per block: the id column
-		el.NodePts = make([]geom.Point, 0, n) //lint:atgis-allow hotalloc once per block: the position column
+		el.NodeIDs = make([]int64, 0, n)
+		el.NodePts = make([]geom.Point, 0, n)
 	}
 	if n := len(el.NodeIDs); n > 0 && id <= el.NodeIDs[n-1] {
 		el.Ascending = false
@@ -440,7 +440,7 @@ func internAttr(b []byte) string {
 	case "inner":
 		return "inner"
 	}
-	return string(b) //lint:atgis-allow hotalloc one copy on intern miss is the point: members outlive the mapped block (mmapalias)
+	return string(b)
 }
 
 // Way is a parsed way element, as ParseBlock's Handler receives it.

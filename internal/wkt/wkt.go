@@ -63,7 +63,7 @@ func (p *parser) feature(line []byte, off int64, cfg *geojson.Config) (geojson.F
 			i++
 		}
 		if i == start {
-			return out, fmt.Errorf("wkt: missing id in %.40q", line) //lint:atgis-allow hotalloc cold malformed-line error path
+			return out, fmt.Errorf("wkt: missing id in %.40q", line)
 		}
 		if neg {
 			id = -id

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -39,7 +40,8 @@ type StreamDecoder struct {
 	sc *bufio.Scanner
 }
 
-// NewStreamDecoder wraps a worker response body.
+// NewStreamDecoder wraps a worker response body: plain NDJSON, since a
+// shard RPC asks its worker for identity encoding (Coordinator.post).
 func NewStreamDecoder(r io.Reader) *StreamDecoder {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), maxRecordLine)
@@ -88,7 +90,88 @@ func trimSpace(b []byte) []byte {
 // Classify determines one record's kind from its type field. Unknown
 // non-empty types are payload (forward-compatible); a record that is
 // not a JSON object with a string type is a protocol error.
+//
+// Feature and pair records — nearly every line of a stream — open with
+// the exact bytes a worker's record encoder writes, so they take a fast
+// path that validates the line and checks its top-level keys without
+// decoding it (payloadRecord). Every other line, and every record the
+// fast path cannot vouch for, is decoded as a whole; both paths give the
+// same kind and the same error-ness on any input (FuzzClassify).
 func Classify(line []byte) (RecKind, error) {
+	if payloadRecord(line) {
+		return RecPayload, nil
+	}
+	return classifyDecode(line)
+}
+
+// Record openings the worker encoder writes for its payload records.
+var (
+	featurePrefix = []byte(`{"type":"feature",`)
+	pairPrefix    = []byte(`{"type":"pair",`)
+)
+
+// payloadRecord reports whether line is certainly a valid payload record:
+// it opens with a feature or pair prefix, is valid JSON, and no later
+// top-level key could name the type field again. encoding/json matches
+// keys case-insensitively (with Unicode folding and escapes) and lets the
+// last duplicate win, so a key that might decode to a folded "type" —
+// four ASCII letters equal to it under case folding, or any key holding
+// an escape or a non-ASCII byte — sends the line to the full decode.
+//
+//atgis:hotpath
+func payloadRecord(line []byte) bool {
+	var i int
+	switch {
+	case bytes.HasPrefix(line, featurePrefix):
+		i = len(featurePrefix)
+	case bytes.HasPrefix(line, pairPrefix):
+		i = len(pairPrefix)
+	default:
+		return false
+	}
+	if !json.Valid(line) {
+		return false
+	}
+	// The line is a valid object, so a plain scan finds its keys: at depth
+	// 1, a string that follows '{' or ',' is a key.
+	depth, key := 1, true
+	for ; i < len(line); i++ {
+		switch c := line[i]; c {
+		case '"':
+			j := i + 1
+			odd := false // the key needs a second look
+			for ; line[j] != '"'; j++ {
+				if line[j] == '\\' {
+					j++
+					odd = true
+				} else if line[j] >= 0x80 {
+					odd = true
+				}
+			}
+			if depth == 1 && key && (odd || j-i-1 == 4 && foldsToType(line[i+1:j])) {
+				return false
+			}
+			i, key = j, false
+		case '{', '[':
+			depth++
+		case '}', ']':
+			depth--
+		case ',':
+			key = depth == 1
+		}
+	}
+	return true
+}
+
+// foldsToType reports whether four ASCII bytes spell "type" in any case.
+// (bytes.EqualFold would say the same; this keeps Unicode folding, which
+// an ASCII key never needs, out of the merge loop.)
+func foldsToType(k []byte) bool {
+	return k[0]|0x20 == 't' && k[1]|0x20 == 'y' && k[2]|0x20 == 'p' && k[3]|0x20 == 'e'
+}
+
+// classifyDecode is Classify's general path: decode the type field.
+func classifyDecode(line []byte) (RecKind, error) {
 	var t struct {
 		Type string `json:"type"`
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"strings"
@@ -54,4 +55,109 @@ func FuzzShardResponseDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// classifyReference is the classifier without its fast path: every line
+// decoded by encoding/json, its type field read.
+func classifyReference(line []byte) (RecKind, error) {
+	var t struct {
+		Type string `json:"type"`
+	}
+	if err := json.Unmarshal(line, &t); err != nil {
+		return RecPayload, err
+	}
+	switch t.Type {
+	case "shard":
+		return RecShardHead, nil
+	case "summary":
+		return RecSummary, nil
+	case "error":
+		return RecError, nil
+	case "":
+		return RecPayload, errors.New("record missing type field")
+	default:
+		return RecPayload, nil
+	}
+}
+
+// classifySeeds are lines that open like a worker's payload record but
+// are something else to encoding/json, beside the records a worker
+// really writes.
+var classifySeeds = []string{
+	`{"type":"feature","id":1,"offset":0,"bbox":[0,0,1,1],"area":0.5,"properties":{"type":"summary"}}`,
+	`{"type":"pair","a_id":1,"b_id":2,"a_off":0,"b_off":9}`,
+	`{"type":"feature","id":1,"type":"summary"}`,
+	`{"type":"pair","Type":"error"}`,
+	`{"type":"feature","TYPE":"shard","start":0}`,
+	`{"type":"feature","tYpE":7}`,
+	`{"type":"feature","type":"summary"}`,
+	`{"type":"feature","type":""}`,
+	`{"type":"feature","type":null}`,
+	`{"type":"feature","ſ":1,"typeſ":2}`,
+	`{"type":"feature","nested":{"type":"summary"},"list":[{"type":"error"}]}`,
+	`{"type":"feature","id":1} trailing`,
+	`{"type":"feature","id":1}}`,
+	`{"type":"feature","id":`,
+	`{"type":"feature",`,
+	`{"type":"pair","a_id":[1,2}`,
+	`{"type":"feature","id":"\x01"}`,
+	`{"type":"feature","id":"\xff\xfe"}`,
+	`{"type":"feature","type":"feature"}`,
+	"{\"type\":\"feature\",\"id\":1}\r\n ",
+	`["type","feature"]`,
+	`"type"`,
+	`null`,
+	` {"type":"feature","id":1}`,
+	`{"type":"summary","matched":1}`,
+	`{"type":"error","kind":"internal"}`,
+	`{"type":"shard","start":0,"end":10}`,
+	`{"type":""}`,
+	`{}`,
+}
+
+// FuzzClassify: on any line the classifier answers what a full decode
+// answers — the same kind, and an error exactly when the decode fails.
+// The fast path may only ever say "payload" for a line the decode also
+// takes as payload.
+func FuzzClassify(f *testing.F) {
+	for _, s := range classifySeeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		kind, err := Classify(line)
+		wantKind, wantErr := classifyReference(line)
+		if kind != wantKind || (err != nil) != (wantErr != nil) {
+			t.Fatalf("Classify(%q) = %d, %v; the decode says %d, %v", line, kind, err, wantKind, wantErr)
+		}
+	})
+}
+
+// TestClassifyFastPath: what a worker writes takes the fast path; a line
+// whose later keys might name the type field again does not.
+func TestClassifyFastPath(t *testing.T) {
+	for _, tc := range []struct {
+		line string
+		fast bool
+	}{
+		{classifySeeds[0], true},
+		{classifySeeds[1], true},
+		{`{"type":"feature","id":1,"offset":2,"bbox":[-1.5,2,1e-7,4],"properties":{"a\"b":"< >"}}`, true},
+		{`{"type":"feature","id":1,"type":"summary"}`, false},
+		{`{"type":"pair","Type":"error"}`, false},
+		{`{"type":"feature","type":"summary"}`, false},
+		{`{"type":"feature","ſ":1}`, false},
+		{`{"type":"feature","id":1} trailing`, false},
+		{`{"type":"summary","matched":1}`, false},
+	} {
+		if got := payloadRecord([]byte(tc.line)); got != tc.fast {
+			t.Errorf("payloadRecord(%s) = %v, want %v", tc.line, got, tc.fast)
+		}
+	}
+	for _, s := range classifySeeds {
+		kind, err := Classify([]byte(s))
+		wantKind, wantErr := classifyReference([]byte(s))
+		if kind != wantKind || (err != nil) != (wantErr != nil) {
+			t.Errorf("Classify(%s) = %d, %v; the decode says %d, %v", s, kind, err, wantKind, wantErr)
+		}
+	}
 }

@@ -192,12 +192,20 @@ func (c *Coordinator) dispatch(ctx context.Context, spec *ScatterSpec, idx int, 
 
 // post issues one worker RPC. The returned response's body is owned by
 // the caller (closeBody).
+//
+// Shard RPCs ask for identity encoding. Left to itself, net/http's
+// transport offers gzip on every request, so each worker would deflate
+// its shard stream and this merge would inflate it again — CPU spent on
+// a loopback or LAN hop, on the serial stage of the scatter. An explicit
+// Accept-Encoding turns the transport's transparent gzip off for any
+// caller-supplied Client; gzip stays negotiated on the client hop only.
 func (c *Coordinator) post(ctx context.Context, workerURL, path, tenant string, body []byte) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, workerURL+path, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Accept-Encoding", "identity")
 	if tenant != "" {
 		req.Header.Set("X-Atgis-Tenant", tenant)
 	}

@@ -10,6 +10,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/json"
 	"io"
@@ -20,6 +21,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -488,10 +490,10 @@ func (p *truncatingProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
+	// The coordinator's shard RPCs ask for identity encoding, and the
+	// header is forwarded as is, so the cut below happens on plain NDJSON
+	// lines.
 	req.Header = r.Header.Clone()
-	// Let the transport negotiate (and transparently decode) gzip so the
-	// cut below happens on plain NDJSON lines.
-	req.Header.Del("Accept-Encoding")
 	resp, err := p.client.Do(req)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
@@ -544,6 +546,114 @@ func TestClusterWorkerDeathMidStreamResumes(t *testing.T) {
 	}
 	if n := cl.Snapshot().ShardRetries; n < 1 {
 		t.Fatalf("ShardRetries = %d, want >= 1", n)
+	}
+}
+
+// encodingLog fronts a worker and records, for every shard request, the
+// Accept-Encoding it arrived with and the Content-Encoding it was
+// answered with.
+type encodingLog struct {
+	next http.Handler
+	mu   sync.Mutex
+	seen []string // "accept -> content"
+}
+
+func (l *encodingLog) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path == "/v1/query" {
+		w = &loggedWriter{ResponseWriter: w, log: l, accept: r.Header.Get("Accept-Encoding")}
+	}
+	l.next.ServeHTTP(w, r)
+}
+
+// loggedWriter logs the response's encoding when its header goes out —
+// before the body does, so the entry is in before the coordinator can
+// have read the stream.
+type loggedWriter struct {
+	http.ResponseWriter
+	log    *encodingLog
+	accept string
+}
+
+func (w *loggedWriter) WriteHeader(code int) {
+	w.log.mu.Lock()
+	w.log.seen = append(w.log.seen, w.accept+" -> "+w.Header().Get("Content-Encoding"))
+	w.log.mu.Unlock()
+	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w *loggedWriter) Flush() { w.ResponseWriter.(http.Flusher).Flush() }
+
+// TestShardRPCsAreIdentityEncoded: gzip is negotiated on the client hop
+// only. A coordinator built with a default http.Client — whose transport
+// would offer gzip by itself — asks every worker for identity and gets
+// plain NDJSON back, while a client that asks the coordinator for gzip
+// still gets a gzip body that inflates to the plain one.
+func TestShardRPCsAreIdentityEncoded(t *testing.T) {
+	path := writeSynthetic(t, 400)
+	var logs []*encodingLog
+	var urls []string
+	for i := 0; i < 2; i++ {
+		srv, _ := newTestServerWithPath(t, path, atgis.EngineConfig{Workers: 2})
+		l := &encodingLog{next: srv.Handler()}
+		ts := httptest.NewServer(l)
+		t.Cleanup(ts.Close)
+		logs, urls = append(logs, l), append(urls, ts.URL)
+	}
+	_, coord := startCoordinator(t, urls...)
+
+	q := `{"source":"data","kind":"containment","ref":[-90,-45,90,45],"want":["area"]}`
+	req, err := http.NewRequest(http.MethodPost, coord.URL+"/v1/query", strings.NewReader(q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept-Encoding", "identity")
+	resp, err := coord.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Encoding") != "" {
+		t.Fatalf("plain request: HTTP %d, Content-Encoding %q, %v", resp.StatusCode, resp.Header.Get("Content-Encoding"), err)
+	}
+	shards := 0
+	for i, l := range logs {
+		l.mu.Lock()
+		for _, s := range l.seen {
+			if s != "identity -> " {
+				t.Errorf("worker %d: shard RPC %q, want identity and no Content-Encoding", i+1, s)
+			}
+		}
+		shards += len(l.seen)
+		l.mu.Unlock()
+	}
+	if shards != 2 {
+		t.Fatalf("%d shard RPCs, want 2", shards)
+	}
+
+	resp = postJSONGzip(t, coord.Client(), coord.URL+"/v1/query", q)
+	defer resp.Body.Close()
+	if enc := resp.Header.Get("Content-Encoding"); resp.StatusCode != http.StatusOK || enc != "gzip" {
+		t.Fatalf("gzip request: HTTP %d, Content-Encoding %q", resp.StatusCode, enc)
+	}
+	zr, err := gzip.NewReader(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inflated, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatalf("gzip body: %v", err)
+	}
+	// The summaries differ only in their timings.
+	untimed := func(b []byte) string {
+		i := bytes.Index(b, []byte(`,"wall_ms"`))
+		if i < 0 {
+			t.Fatalf("no summary timing in %s", b)
+		}
+		return string(b[:i])
+	}
+	if untimed(inflated) != untimed(plain) || !bytes.Contains(plain, []byte(`{"type":"feature",`)) {
+		t.Fatalf("inflated gzip body differs from the plain body:\n%s\nvs\n%s", inflated, plain)
 	}
 }
 

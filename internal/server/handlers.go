@@ -298,7 +298,9 @@ const (
 // every line), so large pair/feature streams shrink several-fold. The
 // flush cadence is unchanged — each batch flush drains the compressor
 // (gzip.Writer.Flush) before pushing the HTTP chunk, so streaming
-// latency stays at the 64-record/50 ms contract.
+// latency stays at the 64-record/50 ms contract. Gzip is a client-hop
+// matter: a coordinator's shard RPCs ask their workers for identity, so
+// a worker compresses nothing a coordinator would only inflate again.
 type ndjsonWriter struct {
 	w       http.ResponseWriter
 	flusher http.Flusher
@@ -308,6 +310,9 @@ type ndjsonWriter struct {
 	useGzip bool
 	gz      *gzip.Writer
 	out     io.Writer
+	// buf is the payload record encoding buffer, reused record after
+	// record (writeRecord).
+	buf []byte
 
 	mu      sync.Mutex
 	started bool
@@ -371,17 +376,37 @@ func (n *ndjsonWriter) startLocked() {
 	n.w.WriteHeader(http.StatusOK)
 }
 
-// write emits one record; false means the stream has ended. A record
-// that cannot be marshalled (NaN/Inf aggregates from degenerate geometry)
-// ends it with an in-band error record instead of being confused with a
-// dead connection, which would silently truncate the stream.
+// write emits one control record (shard head, summary, error) through
+// encoding/json; false means the stream has ended. A record that cannot
+// be marshalled (NaN/Inf aggregates from degenerate geometry) ends it
+// with an in-band error record instead of being confused with a dead
+// connection, which would silently truncate the stream.
 func (n *ndjsonWriter) write(v any) bool {
 	b, err := json.Marshal(v)
 	if err != nil {
-		n.writeFinal(errorRecord{Type: "error", Kind: "internal", Error: "encode record: " + err.Error()})
-		return false
+		return n.encodeFailed(err)
 	}
 	return n.writeRaw(b)
+}
+
+// writeRecord emits one payload record, encoded into the writer's reused
+// buffer with its newline; false means the stream has ended. Failures
+// end the stream as write's do. Like every record write it runs on the
+// handler's goroutine.
+func (n *ndjsonWriter) writeRecord(rec record) bool {
+	b, err := rec.appendJSON(n.buf[:0])
+	if err != nil {
+		return n.encodeFailed(err)
+	}
+	n.buf = append(b, '\n')
+	return n.writeLine(n.buf)
+}
+
+// encodeFailed ends the stream with the in-band error record of a record
+// that could not be encoded.
+func (n *ndjsonWriter) encodeFailed(err error) bool {
+	n.writeFinal(errorRecord{Type: "error", Kind: "internal", Error: "encode record: " + err.Error()})
+	return false
 }
 
 // writeFinal emits a terminal record (summary or in-band error),
@@ -398,13 +423,18 @@ func (n *ndjsonWriter) writeFinal(v any) bool {
 // writeRaw sends one pre-marshalled NDJSON line; false means the stream
 // has ended — the client is gone, or a terminal record went out.
 func (n *ndjsonWriter) writeRaw(line []byte) bool {
+	return n.writeLine(append(line, '\n'))
+}
+
+// writeLine is writeRaw for a line that carries its newline.
+func (n *ndjsonWriter) writeLine(line []byte) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.ended {
 		return false
 	}
 	n.startLocked()
-	if _, err := n.out.Write(append(line, '\n')); err != nil {
+	if _, err := n.out.Write(line); err != nil {
 		n.ended = true
 		return false
 	}

@@ -27,10 +27,11 @@ type endpoint[R, S any] struct {
 	// local runs req over src on this node's engine and returns the
 	// summary of the whole pass. Payload records go to emit in stream
 	// order until it returns false (the pass still runs to its end, unless
-	// emit cancelled it); a leading non-payload record goes to out. A
-	// failure before the first record leaves out untouched, so the client
-	// gets a status rather than a broken stream.
-	local func(ctx context.Context, s *Server, src atgis.Source, req *R, out *ndjsonWriter, emit func(rec any) bool) (S, error)
+	// emit cancelled it); emit has encoded a record when it returns, so
+	// one record value can carry a whole stream. A leading non-payload
+	// record goes to out. A failure before the first record leaves out
+	// untouched, so the client gets a status rather than a broken stream.
+	local func(ctx context.Context, s *Server, src atgis.Source, req *R, out *ndjsonWriter, emit func(rec record) bool) (S, error)
 	// cut plans a coordinator's scatter of req over the workers serving
 	// view: one sub-request per shard in merge order, and — when the
 	// shards are byte ranges — the raw range of each.
@@ -116,8 +117,8 @@ func serve[R, S any](s *Server, ep *endpoint[R, S]) http.HandlerFunc {
 		} else if entry, ok := s.source(c.source); !ok {
 			err = failf(http.StatusNotFound, "unknown source %q", c.source)
 		} else {
-			sum, err = ep.local(ctx, s, entry.src, &req, out, func(rec any) bool {
-				if !out.write(rec) {
+			sum, err = ep.local(ctx, s, entry.src, &req, out, func(rec record) bool {
+				if !out.writeRecord(rec) {
 					cancel() // nobody reads any more: abandon the pass
 					return false
 				}
@@ -242,7 +243,8 @@ func (q *queryRequest) compile(base atgis.Options) (*query.Spec, atgis.Options, 
 	return spec, opt, nil
 }
 
-// featureRecord is one streamed match.
+// featureRecord is one streamed match. appendJSON (record.go) writes it;
+// the tags say what encoding/json would write, byte for byte.
 type featureRecord struct {
 	Type       string            `json:"type"` // "feature"
 	ID         int64             `json:"id"`
@@ -347,7 +349,7 @@ var queryEndpoint = endpoint[queryRequest, querySummary]{
 // miss — the full recording pass filtered to the range), so workers with
 // and without a tape mix freely: alignment is read off the bytes either
 // way.
-func localQuery(ctx context.Context, s *Server, src atgis.Source, req *queryRequest, out *ndjsonWriter, emit func(rec any) bool) (sum querySummary, err error) {
+func localQuery(ctx context.Context, s *Server, src atgis.Source, req *queryRequest, out *ndjsonWriter, emit func(rec record) bool) (sum querySummary, err error) {
 	spec, opt, err := req.compile(s.opt)
 	if err != nil {
 		return sum, err
@@ -394,7 +396,12 @@ func localQuery(ctx context.Context, s *Server, src atgis.Source, req *queryRequ
 		}
 		matches := stream(ctx, src)
 		defer matches.Close()
-		for matches.Next() && emit(newFeatureRecord(spec, opt, matches.Feature(), matches.Value())) {
+		rec := new(featureRecord) // one per stream: emit encodes it before the next match
+		for matches.Next() {
+			*rec = newFeatureRecord(spec, opt, matches.Feature(), matches.Value())
+			if !emit(rec) {
+				break
+			}
 		}
 		res, err = matches.Summary()
 	}
@@ -476,7 +483,7 @@ type joinRequest struct {
 	CellBand *[2]int `json:"cell_band,omitempty"`
 }
 
-// pairRecord is one streamed joined pair.
+// pairRecord is one streamed joined pair, written like featureRecord.
 type pairRecord struct {
 	Type string `json:"type"` // "pair"
 	AID  int64  `json:"a_id"`
@@ -538,7 +545,7 @@ var joinEndpoint = endpoint[joinRequest, joinSummary]{
 
 // localJoin is a worker's side of /v1/join; with req.CellBand set the
 // sweep covers that band of the partition grid only.
-func localJoin(ctx context.Context, s *Server, src atgis.Source, req *joinRequest, _ *ndjsonWriter, emit func(rec any) bool) (sum joinSummary, err error) {
+func localJoin(ctx context.Context, s *Server, src atgis.Source, req *joinRequest, _ *ndjsonWriter, emit func(rec record) bool) (sum joinSummary, err error) {
 	// Both wire masks split purely by feature ID, so sidecar-enabled
 	// engines may rebuild the partition sets from the index tape.
 	spec := atgis.JoinSpec{CellSize: req.Cell, OrderWindow: req.OrderWindow, BoundsSafeMask: true}
@@ -558,12 +565,14 @@ func localJoin(ctx context.Context, s *Server, src atgis.Source, req *joinReques
 	}
 	pairs := s.eng.JoinStream(ctx, src, spec, s.opt)
 	defer pairs.Close()
+	rec := new(pairRecord) // one per stream, as in localQuery
 	for pairs.Next() {
 		p := pairs.Pair()
 		if selfJoin && p.AOff == p.BOff {
 			continue // an object trivially intersects itself
 		}
-		if !emit(pairRecord{Type: "pair", AID: p.AID, BID: p.BID, AOff: p.AOff, BOff: p.BOff}) {
+		*rec = pairRecord{Type: "pair", AID: p.AID, BID: p.BID, AOff: p.AOff, BOff: p.BOff}
+		if !emit(rec) {
 			break
 		}
 	}

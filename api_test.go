@@ -650,20 +650,23 @@ func TestEngineSchedulerStats(t *testing.T) {
 	}
 }
 
-// TestJoinStreamOrdered: JoinSpec.OrderWindow makes the streamed pair
-// sequence deterministic across runs while preserving the exact pair
-// set of the unordered stream.
+// TestJoinStreamOrdered: the streamed pair sequence is deterministic —
+// identical across runs, across engine worker counts, and whether or not
+// a spec still sets the deprecated OrderWindow.
 func TestJoinStreamOrdered(t *testing.T) {
 	ds := genDataset(t, WKT, 400)
 	// Self-join mask: the synthetic features overlap rarely, but every
 	// feature intersects itself, so each occupied cell owns pairs and
-	// the reorder machinery has real work.
+	// the ordered fold has real work.
 	mask := func(*geom.Feature) uint8 { return query.SideA | query.SideB }
-	eng := NewEngine(EngineConfig{Workers: 4})
-	defer eng.Close()
+	engines := map[int]*Engine{}
+	for _, w := range []int{1, 4} {
+		engines[w] = NewEngine(EngineConfig{Workers: w})
+		defer engines[w].Close()
+	}
 
-	collect := func(spec JoinSpec) []int64 {
-		stream := eng.JoinStream(context.Background(), ds, spec, Options{BlockSize: 4096})
+	collect := func(workers int, spec JoinSpec) []int64 {
+		stream := engines[workers].JoinStream(context.Background(), ds, spec, Options{BlockSize: 4096})
 		var seq []int64
 		for stream.Next() {
 			p := stream.Pair()
@@ -674,39 +677,30 @@ func TestJoinStreamOrdered(t *testing.T) {
 		}
 		return seq
 	}
-
-	// 2 592 cells: eleven batches on four workers, so tasks complete out
-	// of order and the sequencer has to reorder.
-	ordered := JoinSpec{Mask: mask, CellSize: 5, OrderWindow: 16}
-	first := collect(ordered)
-	if len(first) == 0 {
-		t.Fatal("ordered join stream found no pairs")
-	}
-	for run := 0; run < 2; run++ {
-		again := collect(ordered)
-		if len(again) != len(first) {
-			t.Fatalf("run %d: %d values, want %d", run, len(again), len(first))
+	same := func(what string, got, want []int64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
 		}
-		for i := range again {
-			if again[i] != first[i] {
-				t.Fatalf("run %d diverged at %d: ordered stream must be deterministic", run, i)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s diverged at %d: the join stream must be deterministic", what, i)
 			}
 		}
 	}
 
-	// Same pair multiset as the unordered stream.
-	unordered := collect(JoinSpec{Mask: mask, CellSize: 5})
-	if len(unordered) != len(first) {
-		t.Fatalf("ordered stream has %d values, unordered %d", len(first), len(unordered))
+	// 2 592 cells: eleven batches on four workers, so batches complete
+	// out of order and the ordered fold has to wait for its head.
+	ordered := JoinSpec{Mask: mask, CellSize: 5, OrderWindow: 16}
+	first := collect(4, ordered)
+	if len(first) == 0 {
+		t.Fatal("ordered join stream found no pairs")
 	}
-	seen := make(map[[2]int64]bool, len(first)/2)
-	for i := 0; i < len(first); i += 2 {
-		seen[[2]int64{first[i], first[i+1]}] = true
+	for run := 0; run < 2; run++ {
+		same(fmt.Sprintf("run %d", run), collect(4, ordered), first)
 	}
-	for i := 0; i < len(unordered); i += 2 {
-		if !seen[[2]int64{unordered[i], unordered[i+1]}] {
-			t.Fatalf("pair (%d,%d) missing from ordered stream", unordered[i], unordered[i+1])
-		}
+	for _, w := range []int{1, 4} {
+		same(fmt.Sprintf("zero OrderWindow on %d workers", w), collect(w, JoinSpec{Mask: mask, CellSize: 5}), first)
 	}
 }
 

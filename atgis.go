@@ -112,17 +112,16 @@ type JoinSpec struct {
 	CellSize float64
 	// Store selects the partition container (array vs linked list).
 	Store partition.StoreKind
-	// OrderWindow, when positive, makes JoinStream emit pairs in
-	// deterministic cell order, holding completed cell batches until their
-	// turn (at most the sweep's in-flight window of 2·workers+2 batches);
-	// its size selects nothing else. Zero streams pairs in nondeterministic
-	// order (the default). Engine.Join ignores it — its pairs are sorted.
+	// OrderWindow is read nowhere: JoinStream always emits pairs in
+	// deterministic cell order.
+	//
+	// Deprecated: every join stream is ordered; setting it has no effect.
 	OrderWindow int
 	// CellLo / CellHi restrict the join sweep to the partition-grid cell
 	// band [CellLo, CellHi) — the join's horizontal-sharding unit used by
 	// atgis-serve's cluster mode. The reference-point dedup makes each
 	// result pair owned by exactly one cell, so bands that tile the grid
-	// partition the pair set exactly (and ordered bands concatenate into
+	// partition the pair set exactly (and their streams concatenate into
 	// full-sweep cell order). CellHi zero means the whole grid. The
 	// partition phase still scans the full input: sharding saves sweep
 	// work, not parsing.

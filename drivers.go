@@ -103,7 +103,7 @@ func fatDriver(input []byte, cfg *geojson.Config, out func(geojson.FeatureOut)) 
 			base := int64(len(input) - len(tail))
 			q, prev := lexer.JSONDefault, int64(0) // the fold starts there too
 			starts.put(base, q)
-			pipeline.FixedSplitter{BlockSize: stride}.SplitStream(tail, func(cut int64) bool {
+			pipeline.FixedSplitter{BlockSize: stride}.Cuts(int64(len(tail)), func(cut int64) bool {
 				q, prev = lexer.SummarizeJSON(q, tail[prev:cut]), cut
 				starts.put(base+cut, q)
 				return yield(cut)

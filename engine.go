@@ -434,8 +434,8 @@ func (e *Engine) join(ctx context.Context, src Source, spec JoinSpec, opt Option
 	// set at the same scheduling quantum: a worker returns to the pool
 	// after every batch, making the join preemptible by other passes and
 	// weight-schedulable mid-sweep. A streaming-join consumer that stalls
-	// without calling Close still blocks the workers currently emitting to
-	// it, but never more than the in-flight batch window.
+	// without calling Close stops the sweep after the in-flight batch
+	// window; no worker waits on it.
 	handle := e.register(ctx, pipeline.JoinPass, src.Bytes())
 	defer handle.Close()
 	jcfg := join.Config{
@@ -445,7 +445,6 @@ func (e *Engine) join(ctx context.Context, src Source, spec JoinSpec, opt Option
 		KernelRefine: true,
 		ReparseA:     reparse,
 		ReparseB:     reparse,
-		OrderWindow:  spec.OrderWindow,
 		CellLo:       spec.CellLo,
 		CellHi:       spec.CellHi,
 	}

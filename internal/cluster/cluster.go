@@ -11,7 +11,7 @@
 // Absorb together, containment streams concatenate in offset order); a
 // join scatters as partition-grid cell bands (the reference-point dedup
 // makes each result pair owned by exactly one cell, so bands partition
-// the pair set exactly and ordered bands concatenate in cell order).
+// the pair set exactly and band streams concatenate in cell order).
 // Merged output is byte-identical to a single-node pass for integer
 // counts, MBRs and record streams; floating-point sum aggregates may
 // differ in the last ulp because shard merging regroups the additions.

@@ -19,11 +19,11 @@
 //
 // Sites currently instrumented:
 //
-//	pipeline.block     one per block handed to a worker (index = block)
+//	pipeline.block     one per block handed to a worker, a join's cell batches included (index = block)
 //	pipeline.split     once per splitter run (index = 0)
-//	pipeline.merge     one per folded block (index = block)
-//	join.batch         one per join cell-batch task (index = batch)
-//	kernel.batch       one per kernel-refined join cell-batch task (index = batch)
+//	pipeline.merge     one per folded block, a join's cell batches included (index = block)
+//	join.batch         one per join cell batch, inside its block (index = batch)
+//	kernel.batch       one per kernel-refined join cell batch (index = batch)
 //	admission.acquire  one per admission Acquire (index = 0)
 //	sidecar.load       one per sidecar index read (label = source file)
 //	sidecar.write      one per sidecar persist attempt (label = source file)

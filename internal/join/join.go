@@ -13,23 +13,24 @@
 // pair is considered only by the cell that owns the reference point of
 // its MBR intersection, so no duplicate is ever reparsed or refined.
 //
-// There is one sweep. RunStream emits pairs as each cell's refinement
-// finds them (order is nondeterministic unless Config.OrderWindow asks
-// for cell order); Run collects the same stream and sorts it by offset
-// pair. Engine.Join/JoinStream wrap them; atgis-serve's POST /v1/join
-// streams RunStream's pairs straight onto the wire.
+// There is one sweep. RunStream emits pairs in nondecreasing owning-cell
+// order, deterministically whatever the worker count; Run collects the
+// same stream and sorts it by offset pair. Engine.Join/JoinStream wrap
+// them; atgis-serve's POST /v1/join streams RunStream's pairs straight
+// onto the wire.
 //
-// The sweep is quantised: the grid's cell range is carved into batches
-// of Config.BatchCells cells and each batch is one independent task.
-// Tasks feed incrementally into a pipeline.Pool's weighted dispatch
-// queue (via pipeline.TaskGroup) — the shared pool Config.Handle is
-// registered with, or a pool of Config.Workers started for this sweep
-// alone — so a join is preemptible, weight-schedulable and cancellable
-// at the same quantum as query passes: a worker returns to the pool after
-// every batch instead of being held for the whole sweep. Per-task scratch
-// state (emit buffers, the reparse cache) comes from a bounded pool
-// sized by the in-flight window, and a reacquired state keeps its warm
-// cache (cache handoff across batches). Partitions store only MBRs and
+// The sweep is a pipeline.RunCtx run over the grid's cells: the cell range
+// is carved into batches of Config.BatchCells cells, each batch is one
+// block — one task on a pipeline.Pool's weighted dispatch queue (the
+// shared pool Config.Handle is registered with, or a pool of
+// Config.Workers started for this sweep alone) — and the ordered fold
+// emits each batch's pairs in turn. So a join is preemptible,
+// weight-schedulable and cancellable at the same quantum as query passes:
+// a worker returns to the pool after every batch instead of being held
+// for the whole sweep. Per-batch scratch state (the reparse cache, the
+// kernel scratch) is pooled, and a reacquired state keeps its warm cache
+// (cache handoff across batches); pair buffers recycle from the fold back
+// to the workers. Partitions store only MBRs and
 // byte offsets (paper §4.5) — geometry is re-parsed from the raw input
 // through the Reparser, keeping the partition phase's memory footprint
 // proportional to feature count, not geometry size.
@@ -74,7 +75,7 @@ const kernelBoxBatchMin = 64
 
 // Config controls join execution.
 type Config struct {
-	// Ctx, when non-nil, cancels the join: tasks stop between cells and
+	// Ctx, when non-nil, cancels the join: batches stop between cells and
 	// Run/RunStream return the context's error.
 	Ctx context.Context
 	// Predicate refines candidate pairs (ST_Intersects in Table 3).
@@ -85,20 +86,14 @@ type Config struct {
 	// and closes when it ends (0 = GOMAXPROCS). Ignored with a Handle:
 	// the handle's pool bounds concurrency.
 	Workers int
-	// Handle, when set, feeds each cell-batch task into a shared
+	// Handle, when set, feeds each cell batch into a shared
 	// pipeline.Pool's weighted dispatch queue: the sweep contends for
 	// the same bounded worker set as query passes and is granted
 	// workers batch by batch (preemptible at the batch quantum). The
 	// caller registers and closes the handle.
 	Handle *pipeline.PassHandle
-	// BatchCells is the number of grid cells per sweep task (0 = 256).
+	// BatchCells is the number of grid cells per sweep batch (0 = 256).
 	BatchCells int
-	// OrderWindow, when positive, makes RunStream emit pairs in
-	// deterministic cell order: completed batches beyond the emission head
-	// are held until their turn, and the producer runs at most the
-	// in-flight task window (2·workers+2 batches) ahead of the head. Its
-	// size selects nothing else. Ignored by Run, which sorts anyway.
-	OrderWindow int
 	// KernelRefine routes the MBR compare and REFINE stages through the
 	// batched slab kernels (internal/geom/kernel): per cell, the B side's
 	// MBRs fill a struct-of-arrays slab tested by one fused BoxFilterBatch
@@ -134,14 +129,14 @@ type candidate struct {
 	aID, bID   int64
 }
 
-// joinCell joins one partition cell, reporting pairs through emit. With
+// joinCell joins one partition cell, appending its pairs to out. With
 // ks non-nil the MBR compare and the refinement both run through the
 // batched slab kernels; results are bit-identical either way.
-func joinCell(a, b *partition.Set, cfg Config, c int, cache geomCache, ks *kernel.Scratch, emit func(Pair), st *Stats) error {
+func joinCell(a, b *partition.Set, cfg Config, c int, cache geomCache, ks *kernel.Scratch, out []Pair, st *Stats) ([]Pair, error) {
 	ea := a.Cell(c)
 	eb := b.Cell(c)
 	if len(ea) == 0 || len(eb) == 0 {
-		return nil
+		return out, nil
 	}
 	// MBR COMPARE: candidate pairs within the cell. consider applies dedup
 	// ownership and candidate accounting to one MBR-intersecting pair;
@@ -191,7 +186,7 @@ func joinCell(a, b *partition.Set, cfg Config, c int, cache geomCache, ks *kerne
 		}
 	}
 	if len(cands) == 0 {
-		return nil
+		return out, nil
 	}
 	// SORT: one batch per cell, ordered by the offset of the larger side
 	// so its objects are processed adjacently (paper: "AT-GIS makes the
@@ -203,7 +198,7 @@ func joinCell(a, b *partition.Set, cfg Config, c int, cache geomCache, ks *kerne
 		if cd.aOff != curOff {
 			g, err := cfg.ReparseA(cd.aOff)
 			if err != nil {
-				return err
+				return out, err
 			}
 			st.Reparses++
 			curOff, curGeom = cd.aOff, g
@@ -221,7 +216,7 @@ func joinCell(a, b *partition.Set, cfg Config, c int, cache geomCache, ks *kerne
 		} else {
 			var err error
 			if gb, err = cfg.ReparseB(cd.bOff); err != nil {
-				return err
+				return out, err
 			}
 			cache[cd.bOff] = gb
 			st.Reparses++
@@ -234,14 +229,14 @@ func joinCell(a, b *partition.Set, cfg Config, c int, cache geomCache, ks *kerne
 			refined = cfg.Predicate(curGeom, gb)
 		}
 		if refined {
-			emit(Pair{AID: cd.aID, BID: cd.bID, AOff: cd.aOff, BOff: cd.bOff})
+			out = append(out, Pair{AID: cd.aID, BID: cd.bID, AOff: cd.aOff, BOff: cd.bOff})
 			st.Refined++
 		}
 	}
 	// Once the cell is processed the hash map is cleared (paper §4.5),
 	// which bounds the PARSER/BUFFER memory by one cell's B side.
 	clear(cache)
-	return nil
+	return out, nil
 }
 
 // ownsPair reports whether cell c contains the reference point — the
@@ -270,14 +265,8 @@ type geomCache map[int64]geom.Geometry
 // returning the complete pair set sorted by (AOff, BOff): RunStream's
 // pairs, collected.
 func Run(a, b *partition.Set, cfg Config) ([]Pair, Stats, error) {
-	cfg.OrderWindow = 0 // the sort below orders the pairs
-	var mu sync.Mutex
 	var out []Pair
-	st, err := RunStream(a, b, cfg, func(p Pair) {
-		mu.Lock()
-		out = append(out, p)
-		mu.Unlock()
-	})
+	st, err := RunStream(a, b, cfg, func(p Pair) { out = append(out, p) })
 	if err != nil {
 		return nil, st, err
 	}
@@ -290,14 +279,19 @@ func Run(a, b *partition.Set, cfg Config) ([]Pair, Stats, error) {
 	return out, st, nil
 }
 
-// RunStream executes the join, calling emit for every joined pair as it
-// is found: pairs reach emit straight from each cell's refinement loop.
-// A pair is reported only by the cell owning the lower-left corner of
-// its MBR intersection, and the other cells drop it before refinement,
-// so the stream is duplicate-free with no global sort; pair order is
-// nondeterministic unless cfg.OrderWindow asks for cell order. emit is
-// called from multiple task goroutines concurrently (from exactly one at
-// a time when ordered).
+// RunStream executes the join, calling emit for every joined pair. A pair
+// is reported only by the cell owning the lower-left corner of its MBR
+// intersection, and the other cells drop it before refinement, so the
+// stream is duplicate-free with no global sort. Pairs arrive in
+// nondecreasing owning-cell order — the same sequence whatever the worker
+// count or batch size — and emit is called from one goroutine, the
+// caller's.
+//
+// The sweep is one pipeline.RunCtx run over the band's cells: batches are
+// refined on pool workers, and the run's ordered fold emits them in turn.
+// A consumer that blocks in emit therefore holds the batch being emitted
+// plus at most RunCtx's in-flight window of 3·workers+4 finished batches,
+// and no further batch starts until it returns.
 func RunStream(a, b *partition.Set, cfg Config, emit func(Pair)) (Stats, error) {
 	if cfg.Ctx == nil {
 		cfg.Ctx = context.Background() //lint:atgis-allow ctxflow a nil Config.Ctx asks for an uncancellable sweep (library callers, probes), not a request path
@@ -314,13 +308,8 @@ func RunStream(a, b *partition.Set, cfg Config, emit func(Pair)) (Stats, error) 
 	if batch < 1 {
 		batch = defaultBatchCells
 	}
-	// Queued + running: keep every granted worker fed while the producer
-	// refills (mirrors the pipeline's order-channel bound). An ordered
-	// sweep looks as far ahead of its emission head.
-	window := 2*cfg.Handle.Workers() + 2
-	// The swept band: the whole grid unless a shard restricted it.
-	// Sequencer indices are band-relative so ordered bands start emitting
-	// immediately at index 0.
+	// The swept band: the whole grid unless a shard restricted it. Block
+	// positions are band-relative cells.
 	cells := a.Grid.NumCells()
 	lo, hi := cfg.CellLo, cfg.CellHi
 	if hi <= 0 || hi > cells {
@@ -333,89 +322,70 @@ func RunStream(a, b *partition.Set, cfg Config, emit func(Pair)) (Stats, error) 
 		lo = hi
 	}
 
-	s := &sweep{a: a, b: b, cfg: cfg, stream: emit}
-	if cfg.OrderWindow > 0 {
-		s.seq = newSequencer(emit, window, s.putBuf)
+	// A reparse error fails the run from the fold, as a block plan's
+	// failed fold does: nothing after its batch is emitted.
+	ctx, cancel := context.WithCancel(cfg.Ctx)
+	defer cancel()
+	s := &sweep{a: a, b: b, cfg: cfg, ctx: ctx}
+	var failed error
+	_, err := pipeline.RunCtx(ctx, int64(hi-lo),
+		pipeline.FixedSplitter{BlockSize: batch}.Cuts,
+		cfg.Handle,
+		func(bl pipeline.Block) batchPairs {
+			return s.batch(bl.Index, lo+int(bl.Start), lo+int(bl.End))
+		},
+		func(_ pipeline.Block, r batchPairs) {
+			for _, p := range r.pairs {
+				emit(p)
+			}
+			s.putBuf(r.pairs)
+			if r.err != nil {
+				failed = r.err
+				cancel()
+			}
+		},
+	)
+	st := s.finish()
+	if failed != nil {
+		return st, failed
 	}
-
-	g := pipeline.NewTaskGroup(cfg.Ctx, cfg.Handle, window)
-	for c := lo; c < hi; c += batch {
-		if s.failed() {
-			break
-		}
-		idx, start, end := (c-lo)/batch, c, c+batch
-		if end > hi {
-			end = hi
-		}
-		if s.seq != nil && !s.seq.reserve(cfg.Ctx.Done(), idx) {
-			break
-		}
-		if !g.Go(func() { s.task(idx, start, end) }) {
-			break
-		}
-	}
-	gerr := g.Wait()
-
-	// Merge every scratch state's stats.
-	var st Stats
-	for _, ss := range s.all {
-		st.Candidates += ss.st.Candidates
-		st.Refined += ss.st.Refined
-		st.Duplicates += ss.st.Duplicates
-		st.Reparses += ss.st.Reparses
-		st.CacheHits += ss.st.CacheHits
-		if ss.kern != nil {
-			kernel.ReleaseScratch(ss.kern)
-			ss.kern = nil
-		}
-	}
-	if cfg.Ctx.Err() != nil {
-		// The cancellation cause: a typed pass failure that cancelled with
-		// cause, else the plain cancellation or deadline error itself.
-		return st, context.Cause(cfg.Ctx)
-	}
-	if s.err != nil {
-		return st, s.err
-	}
-	// gerr: the shared pool was closed underneath the join, and an empty
-	// pair set must not masquerade as a successful sweep.
-	return st, gerr
+	return st, err
 }
 
-// sweep is the shared state of one quantised cell sweep: the bounded
-// scratch pool, the first task error, and the emit path.
+// batchPairs is one batch's result: its pairs in cell order, and the
+// reparse error that stopped it, if any.
+type batchPairs struct {
+	pairs []Pair
+	err   error
+}
+
+// sweep is the shared state of one cell sweep: the pooled scratch states
+// and pair buffers the batches draw from.
 type sweep struct {
 	a, b *partition.Set
 	cfg  Config
-	// stream receives pairs as found.
-	stream func(Pair)
-	// seq reorders per-batch buffers into batch order (OrderWindow only).
-	seq *sequencer
+	ctx  context.Context
 
 	mu   sync.Mutex
-	err  error
 	free []*sweepState // reusable scratch states
 	all  []*sweepState // every state ever created (merged at the end)
-	// freeBufs recycles the ordered path's per-batch pair buffers: a
-	// batch detaches its buffer into the sequencer, and the sequencer
-	// hands it back here once emitted, so a long ordered join reuses a
-	// bounded set of buffers instead of allocating one per batch.
-	freeBufs [][]Pair
+	// bufs recycles pair buffers: a batch fills one, the fold emits it
+	// and hands it back, so a long join reuses as many buffers as it has
+	// batches in flight instead of allocating one per batch.
+	bufs [][]Pair
 }
 
-// sweepState is the per-task scratch: the reparse cache, the local
-// stats, and — when ordered — the batch's pair buffer. States
-// are pooled and handed from batch to batch, so a reacquired state
-// keeps its warm geometry cache; the pool is bounded by the in-flight
-// task window.
+// sweepState is the per-batch scratch: the reparse cache and the local
+// stats. States are pooled and handed from batch to batch, so a
+// reacquired state keeps its warm geometry cache; the pool is bounded by
+// the batches in flight.
 type sweepState struct {
 	cache geomCache
-	pairs []Pair
 	st    Stats
 	// kern is the pooled kernel scratch, acquired lazily by the first
-	// kernel-refined batch this state runs and released when the sweep's
-	// merge loop retires the state (sweep states outlive individual
-	// batches, so the slab high-water marks carry across batches too).
+	// kernel-refined batch this state runs and released by finish
+	// (sweep states outlive individual batches, so the slab high-water
+	// marks carry across batches too).
 	kern *kernel.Scratch
 }
 
@@ -438,181 +408,72 @@ func (s *sweep) release(st *sweepState) {
 	s.mu.Unlock()
 }
 
-// getBuf pops a recycled per-batch pair buffer (nil when none is free —
-// the batch then grows a fresh one that joins the pool after emission).
+// getBuf pops a recycled pair buffer (nil when none is free — the batch
+// then grows a fresh one that joins the pool after emission).
 func (s *sweep) getBuf() []Pair {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if n := len(s.freeBufs); n > 0 {
-		b := s.freeBufs[n-1]
-		s.freeBufs = s.freeBufs[:n-1]
+	if n := len(s.bufs); n > 0 {
+		b := s.bufs[n-1]
+		s.bufs = s.bufs[:n-1]
 		return b
 	}
 	return nil
 }
 
-// putBuf returns an emitted batch buffer to the pool. The pool is
-// naturally bounded by the sequencer's lookahead window — at most
-// `ahead` buffers are detached at once.
+// putBuf returns an emitted pair buffer to the pool.
 func (s *sweep) putBuf(b []Pair) {
 	if cap(b) == 0 {
 		return
 	}
 	s.mu.Lock()
-	s.freeBufs = append(s.freeBufs, b[:0])
+	s.bufs = append(s.bufs, b[:0])
 	s.mu.Unlock()
 }
 
-// fail records the sweep's first error; later tasks observe it and
-// return without processing their batch.
-func (s *sweep) fail(err error) {
-	s.mu.Lock()
-	if s.err == nil {
-		s.err = err
-	}
-	s.mu.Unlock()
-}
-
-func (s *sweep) failed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err != nil
-}
-
-// cancelled reports whether the join's context is done.
-func (s *sweep) cancelled() bool { return s.cfg.Ctx.Err() != nil }
-
-// task processes the cell batch [start, end) — one scheduling quantum.
-// Every submitted task runs exactly once (granted a pool worker, or
-// reclaimed inline by drain-on-cancel) and,
-// when ordered, reports to the sequencer exactly once, so the sequencer
-// head always advances.
-func (s *sweep) task(idx, start, end int) {
-	if s.cancelled() || s.failed() {
-		if s.seq != nil {
-			s.seq.done(idx, nil)
-		}
-		return
-	}
+// batch refines the cells [start, end) — one scheduling quantum — into a
+// recycled pair buffer. It runs on a pool worker inside RunCtx's fault
+// envelope, so a panic in the predicate or a memory fault in a reparse
+// (source truncated under its mmap) fails this sweep with a typed error
+// at site "join-batch"; the pass's label attributes it (the tenant on an
+// engine's sweeps; "" on a run-scoped pool).
+func (s *sweep) batch(idx, start, end int) (r batchPairs) {
 	st := s.acquire()
+	defer s.release(st)
 	if s.cfg.KernelRefine && !kernel.Disabled() && st.kern == nil {
-		st.kern = kernel.AcquireScratch() //lint:atgis-allow pairedrelease the scratch outlives this batch by design: RunStream's merge loop releases every state's scratch exactly once
+		st.kern = kernel.AcquireScratch() //lint:atgis-allow pairedrelease the scratch outlives this batch by design: finish releases every state's scratch exactly once
 	}
-	emit := s.stream
-	if s.seq != nil {
-		// Ordered mode detaches the pair buffer into the sequencer per
-		// batch; start from a recycled one instead of growing fresh.
-		st.pairs = s.getBuf()
-		emit = func(p Pair) { st.pairs = append(st.pairs, p) }
-	}
-	// The batch runs guarded like a pipeline block: a panic in the
-	// predicate or a memory fault in a reparse (source truncated under
-	// its mmap) fails this sweep with a typed error — the pool worker
-	// granting the batch, and every other pass on it, are unaffected.
-	// The pass's label attributes fault errors (the tenant on an engine's
-	// sweeps; "" on a run-scoped pool).
 	label := s.cfg.Handle.Label()
-	if err := pipeline.Guarded(label, "join-batch", idx, func() {
-		faultinject.Fire("join.batch", label, int64(idx))
-		if st.kern != nil {
-			faultinject.Fire("kernel.batch", label, int64(idx))
-		}
-		for c := start; c < end; c++ {
-			if (c-start)&63 == 0 && s.cancelled() {
-				break
-			}
-			if err := joinCell(s.a, s.b, s.cfg, c, st.cache, st.kern, emit, &st.st); err != nil {
-				s.fail(err)
-				break
-			}
-		}
-	}); err != nil {
-		s.fail(err)
+	faultinject.Fire("join.batch", label, int64(idx))
+	if st.kern != nil {
+		faultinject.Fire("kernel.batch", label, int64(idx))
 	}
-	if s.seq != nil {
-		// Detach the batch's pairs for ordered emission; the state (and
-		// its warm cache) goes back to the pool immediately.
-		out := st.pairs
-		st.pairs = nil
-		s.release(st)
-		s.seq.done(idx, out)
-		return
-	}
-	s.release(st)
-}
-
-// sequencer restores batch order for the ordered stream: completed
-// batches hand their pair buffers to done, which emits them strictly in
-// batch index order (holding out-of-order buffers), while reserve paces
-// the producer to at most `ahead` batches past the emission head so the
-// held set stays bounded.
-type sequencer struct {
-	emit  func(Pair)
-	ahead int
-	// recycle receives each buffer after its pairs were emitted, so the
-	// sweep can hand it to a later batch instead of allocating anew.
-	recycle func([]Pair)
-
-	mu   sync.Mutex
-	next int            // the batch index whose pairs emit next
-	held map[int][]Pair // completed batches waiting for the head
-	wake chan struct{}  // closed and replaced whenever next advances
-}
-
-func newSequencer(emit func(Pair), ahead int, recycle func([]Pair)) *sequencer {
-	return &sequencer{emit: emit, ahead: ahead, recycle: recycle,
-		held: make(map[int][]Pair), wake: make(chan struct{})}
-}
-
-// reserve blocks until idx is within the lookahead window of the
-// emission head (or done fires, returning false). Progress is
-// guaranteed: the head batch was submitted before any batch that can
-// block here, and every submitted batch eventually calls done.
-func (s *sequencer) reserve(done <-chan struct{}, idx int) bool {
-	s.mu.Lock()
-	for idx >= s.next+s.ahead {
-		ch := s.wake
-		s.mu.Unlock()
-		select {
-		case <-ch:
-		case <-done:
-			return false
-		}
-		s.mu.Lock()
-	}
-	s.mu.Unlock()
-	return true
-}
-
-// done delivers batch idx's pairs. When idx is the head, its pairs —
-// and those of any directly following held batches — emit in order and
-// reserve waiters wake; otherwise the buffer is held. Emission happens
-// under the sequencer lock: concurrent completers queue behind the
-// head's emission, which is what serialises the ordered stream.
-func (s *sequencer) done(idx int, pairs []Pair) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if idx != s.next {
-		s.held[idx] = pairs
-		return
-	}
-	for {
-		for _, p := range pairs {
-			s.emit(p)
-		}
-		if s.recycle != nil && pairs != nil {
-			s.recycle(pairs)
-		}
-		s.next++
-		var ok bool
-		pairs, ok = s.held[s.next]
-		if !ok {
+	r.pairs = s.getBuf()
+	for c := start; c < end && r.err == nil; c++ {
+		if (c-start)&63 == 0 && s.ctx.Err() != nil {
 			break
 		}
-		delete(s.held, s.next)
+		r.pairs, r.err = joinCell(s.a, s.b, s.cfg, c, st.cache, st.kern, r.pairs, &st.st)
 	}
-	close(s.wake)
-	s.wake = make(chan struct{})
+	return r
+}
+
+// finish merges every scratch state's stats and releases their kernel
+// scratch; the run is over, so no batch holds a state.
+func (s *sweep) finish() Stats {
+	var st Stats
+	for _, ss := range s.all {
+		st.Candidates += ss.st.Candidates
+		st.Refined += ss.st.Refined
+		st.Duplicates += ss.st.Duplicates
+		st.Reparses += ss.st.Reparses
+		st.CacheHits += ss.st.CacheHits
+		if ss.kern != nil {
+			kernel.ReleaseScratch(ss.kern)
+			ss.kern = nil
+		}
+	}
+	return st
 }
 
 // NestedLoop is the oracle join used by tests: every pair of features

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -76,6 +77,33 @@ func pairsEqual(a, b []Pair) bool {
 		}
 	}
 	return true
+}
+
+// owningCell maps a pair of as × bs to the cell that owns it: the cell of
+// the lower-left corner of the pair's MBR intersection.
+func owningCell(g partition.Grid, as, bs []geom.Feature) func(Pair) int {
+	boxes := make(map[int64]geom.Box, len(as)+len(bs))
+	for _, f := range as {
+		boxes[f.Offset] = f.Geom.Bound()
+	}
+	for _, f := range bs {
+		boxes[f.Offset] = f.Geom.Bound()
+	}
+	return func(p Pair) int {
+		a, b := boxes[p.AOff], boxes[p.BOff]
+		return g.CellOf(max(a.MinX, b.MinX), max(a.MinY, b.MinY))
+	}
+}
+
+// checkCellOrder fails unless seq is in nondecreasing owning-cell order.
+func checkCellOrder(t *testing.T, seq []Pair, cellOf func(Pair) int) {
+	t.Helper()
+	for i := 1; i < len(seq); i++ {
+		if cellOf(seq[i]) < cellOf(seq[i-1]) {
+			t.Fatalf("pair %d owned by cell %d after cell %d — not in cell order",
+				i, cellOf(seq[i]), cellOf(seq[i-1]))
+		}
+	}
 }
 
 func TestJoinMatchesNestedLoop(t *testing.T) {
@@ -175,8 +203,10 @@ func TestJoinEmptySides(t *testing.T) {
 	}
 }
 
-// TestJoinBatchSizes: the cell-batch quantum is a tuning knob, never a
-// correctness knob — every size produces the oracle pair set.
+// TestJoinBatchSizes: the cell-batch quantum and the worker count are
+// tuning knobs, never correctness knobs — every combination produces the
+// oracle pair set, and RunStream emits the very same pair sequence, in
+// nondecreasing owning-cell order.
 func TestJoinBatchSizes(t *testing.T) {
 	as, bs, reA, reB := makeWorld(21, 70, 60)
 	want := NestedLoop(as, bs, geom.Intersects)
@@ -195,6 +225,33 @@ func TestJoinBatchSizes(t *testing.T) {
 		if !pairsEqual(got, want) {
 			t.Fatalf("batch %d: %d pairs, want %d", batch, len(got), len(want))
 		}
+	}
+
+	cellOf := owningCell(sa.Grid, as, bs)
+	var first []Pair
+	for _, workers := range []int{1, 2, 4} {
+		for _, batch := range []int{1, 3, 64, 100000} {
+			var seq []Pair
+			if _, err := RunStream(sa, sb, Config{
+				Predicate:  geom.Intersects,
+				ReparseA:   reA,
+				ReparseB:   reB,
+				Workers:    workers,
+				BatchCells: batch,
+			}, func(p Pair) { seq = append(seq, p) }); err != nil {
+				t.Fatal(err)
+			}
+			if first == nil {
+				checkCellOrder(t, seq, cellOf)
+				first = seq
+			} else if !pairsEqual(seq, first) {
+				t.Fatalf("workers %d batch %d: a different pair sequence (%d vs %d pairs) — the stream must not depend on either",
+					workers, batch, len(seq), len(first))
+			}
+		}
+	}
+	if len(first) != len(want) {
+		t.Fatalf("stream has %d pairs, want %d", len(first), len(want))
 	}
 }
 
@@ -242,42 +299,74 @@ func TestJoinRunScopedPool(t *testing.T) {
 	}
 }
 
-// TestJoinOrderedStream: with OrderWindow set, RunStream emits the same
-// pair set as the unordered stream, in nondecreasing owning-cell order,
-// and the sequence is identical across runs and window sizes
-// (deterministic). The window's size tunes nothing: even a window of one
-// cell keeps several batches refining at once.
+// TestJoinBlockedConsumerBound: a consumer that blocks on the first pair
+// stops the sweep. Beyond the batch being emitted, at most RunCtx's
+// in-flight window of 3·workers+4 batches start — and so hold a pair
+// buffer — until the consumer returns; then the rest of the sweep runs
+// and every pair arrives, in cell order.
+func TestJoinBlockedConsumerBound(t *testing.T) {
+	const workers = 2
+	sa, sb, re := makeCellWorld(20, 20, 2) // one refined pair per cell
+	var started atomic.Int32
+	pred := func(a, b geom.Geometry) bool {
+		started.Add(1) // one refinement per one-cell batch
+		return geom.Intersects(a, b)
+	}
+	release := make(chan struct{})
+	var seq []Pair
+	done := make(chan error, 1)
+	go func() {
+		_, err := RunStream(sa, sb, Config{
+			Predicate: pred, ReparseA: re, ReparseB: re,
+			Workers: workers, BatchCells: 1,
+		}, func(p Pair) {
+			if len(seq) == 0 {
+				<-release
+			}
+			seq = append(seq, p)
+		})
+		done <- err
+	}()
+	// Let the sweep run until the count stops moving.
+	for last, stable := int32(-1), 0; stable < 20; time.Sleep(5 * time.Millisecond) {
+		if n := started.Load(); n != last {
+			last, stable = n, 0
+		} else {
+			stable++
+		}
+	}
+	if n, bound := started.Load(), int32(1+3*workers+4); n > bound {
+		t.Fatalf("%d batches started behind a blocked consumer, want at most %d", n, bound)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if len(seq) != 20*20 {
+		t.Fatalf("%d pairs after the consumer resumed, want %d", len(seq), 20*20)
+	}
+	for i := 1; i < len(seq); i++ {
+		if seq[i].AOff < seq[i-1].AOff { // one pair per cell, cells in offset order
+			t.Fatalf("pair %d (offset %d) after offset %d — not in cell order", i, seq[i].AOff, seq[i-1].AOff)
+		}
+	}
+}
+
+// TestJoinOrderedStream: RunStream emits the oracle pair set in
+// nondecreasing owning-cell order, and the sequence is identical across
+// runs (deterministic). Ordering costs no parallelism: several batches
+// still refine at once.
 func TestJoinOrderedStream(t *testing.T) {
 	as, bs, reA, reB := makeWorld(33, 90, 80)
 	sa, sb := buildSets(as, bs, 5, partition.ArrayStore)
-	boxes := make(map[int64]geom.Box, len(as)+len(bs))
-	for _, f := range as {
-		boxes[f.Offset] = f.Geom.Bound()
-	}
-	for _, f := range bs {
-		boxes[f.Offset] = f.Geom.Bound()
-	}
-	owningCell := func(p Pair) int {
-		a, b := boxes[p.AOff], boxes[p.BOff]
-		rx, ry := a.MinX, a.MinY
-		if b.MinX > rx {
-			rx = b.MinX
-		}
-		if b.MinY > ry {
-			ry = b.MinY
-		}
-		return sa.Grid.CellOf(rx, ry)
-	}
-
-	runOrdered := func(window int, pred func(a, b geom.Geometry) bool) []Pair {
+	stream := func(pred func(a, b geom.Geometry) bool) []Pair {
 		var got []Pair
 		_, err := RunStream(sa, sb, Config{
-			Predicate:   pred,
-			ReparseA:    reA,
-			ReparseB:    reB,
-			Workers:     4,
-			BatchCells:  2,
-			OrderWindow: window,
+			Predicate:  pred,
+			ReparseA:   reA,
+			ReparseB:   reB,
+			Workers:    4,
+			BatchCells: 2,
 		}, func(p Pair) { got = append(got, p) })
 		if err != nil {
 			t.Fatal(err)
@@ -293,40 +382,30 @@ func TestJoinOrderedStream(t *testing.T) {
 		defer inflight.Add(-1)
 		return sleepyPredicate(100*time.Microsecond)(a, b)
 	}
-	first := runOrdered(1, gauged)
+	first := stream(gauged)
 	if len(first) == 0 {
-		t.Fatal("ordered stream found no pairs; bad test data")
+		t.Fatal("stream found no pairs; bad test data")
 	}
 	if p := peak.Load(); p < 2 {
-		t.Fatalf("ordered sweep on 4 workers refined at most %d pair at once — it runs one batch at a time", p)
+		t.Fatalf("sweep on 4 workers refined at most %d pair at once — it runs one batch at a time", p)
 	}
-	for i := 1; i < len(first); i++ {
-		if owningCell(first[i]) < owningCell(first[i-1]) {
-			t.Fatalf("pair %d owned by cell %d after cell %d — not in cell order",
-				i, owningCell(first[i]), owningCell(first[i-1]))
-		}
-	}
-	for run, window := range []int{1, 2, 8, 64} {
-		if again := runOrdered(window, geom.Intersects); !pairsEqual(again, first) {
-			t.Fatalf("run %d (window %d) produced a different sequence (%d vs %d pairs) — ordered stream must be deterministic",
-				run, window, len(again), len(first))
+	checkCellOrder(t, first, owningCell(sa.Grid, as, bs))
+	for run := 0; run < 4; run++ {
+		if again := stream(geom.Intersects); !pairsEqual(again, first) {
+			t.Fatalf("run %d produced a different sequence (%d vs %d pairs) — the stream must be deterministic",
+				run, len(again), len(first))
 		}
 	}
 
-	// Same set as the unordered stream.
-	unordered := make(map[Pair]bool)
-	var mu sync.Mutex // an unordered stream emits from every worker at once
-	if _, err := RunStream(sa, sb, Config{
-		Predicate: geom.Intersects, ReparseA: reA, ReparseB: reB, Workers: 4,
-	}, func(p Pair) { mu.Lock(); unordered[p] = true; mu.Unlock() }); err != nil {
-		t.Fatal(err)
-	}
-	if len(unordered) != len(first) {
-		t.Fatalf("ordered stream has %d pairs, unordered %d", len(first), len(unordered))
-	}
-	for _, p := range first {
-		if !unordered[p] {
-			t.Fatalf("pair %+v missing from unordered stream", p)
+	// The oracle's pair set.
+	sorted := append([]Pair(nil), first...)
+	sort.Slice(sorted, func(i, j int) bool {
+		if sorted[i].AOff != sorted[j].AOff {
+			return sorted[i].AOff < sorted[j].AOff
 		}
+		return sorted[i].BOff < sorted[j].BOff
+	})
+	if want := NestedLoop(as, bs, geom.Intersects); !pairsEqual(sorted, want) {
+		t.Fatalf("stream has %d pairs, the nested loop %d", len(sorted), len(want))
 	}
 }

@@ -182,8 +182,8 @@ func TestJoinDoesNotStarveQueryPass(t *testing.T) {
 	input := make([]byte, 16<<10)
 	query := pool.Register(context.Background(), "query", 1, pipeline.QueryPass, 0)
 	defer query.Close()
-	_, err := pipeline.RunCtx(context.Background(), input,
-		pipeline.FixedSplitter{BlockSize: 1 << 10},
+	_, err := pipeline.RunCtx(context.Background(), int64(len(input)),
+		pipeline.FixedSplitter{BlockSize: 1 << 10}.Cuts,
 		query,
 		func(b pipeline.Block) int { return 0 },
 		func(pipeline.Block, int) {},

@@ -98,8 +98,9 @@ func recoveredError(label, site string, index int, v any, stack []byte) error {
 // the typed pass error instead of propagating. label and site feed the
 // error's attribution; index identifies the unit of work.
 //
-// This is the one wrapper every byte-touching phase runs under; join
-// sweeps reuse it for their cell-batch tasks.
+// This is the one wrapper every byte-touching phase runs under; RunCtx
+// runs its blocks (a join sweep's cell batches included), splitter and
+// fold in it.
 func Guarded(label, site string, index int, f func()) (err error) {
 	defer func() {
 		if v := recover(); v != nil {

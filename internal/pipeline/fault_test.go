@@ -89,13 +89,13 @@ func faultRun(t *testing.T, site string, hook faultinject.Hook) error {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		_, poisonErr = runOn(context.Background(), input, FixedSplitter{BlockSize: 997},
+		_, poisonErr = runOn(context.Background(), input, FixedSplitter{BlockSize: 997}.Cuts,
 			pool, "poison", 1, sum, func(b Block, r int64) {})
 	}()
 	go func() {
 		defer wg.Done()
 		var total int64
-		_, cleanErr = runOn(context.Background(), input, FixedSplitter{BlockSize: 997},
+		_, cleanErr = runOn(context.Background(), input, FixedSplitter{BlockSize: 997}.Cuts,
 			pool, "clean", 1, sum, func(b Block, r int64) { total += r })
 		cleanTotal = total
 	}()

@@ -26,14 +26,14 @@
 // handle).
 //
 // Position in the system (docs/ARCHITECTURE.md has the full layer
-// diagram): every execution path of the public API bottoms out here —
-// PreparedQuery passes, the join's partition pass, and CollectFeatures
-// are all block plans whose one executor (atgis.runPlan) hands a
-// splitter + per-block processor + ordered fold to RunCtx; join sweeps
-// feed their cell-batch tasks through a TaskGroup over the same per-pass
-// dispatch queues. An atgis.Engine owns one Pool for all of them; the
-// Pool's Busy gauge and scheduler snapshot are what Engine.Stats and
-// the atgis-serve /v1/stats endpoint report. The pipeline itself never
+// diagram): every execution path of the public API bottoms out in RunCtx,
+// the one run loop. PreparedQuery passes, the join's partition pass, and
+// CollectFeatures are block plans whose executor (atgis.runPlan) hands
+// byte cuts + per-block processor + ordered fold to it; a join sweep
+// (join.RunStream) hands it cell-batch cuts, a batch sweep and a fold
+// that emits each batch's pairs in cell order. An atgis.Engine owns one
+// Pool for all of them; the Pool's Busy gauge and scheduler snapshot are
+// what Engine.Stats and the atgis-serve /v1/stats endpoint report. The pipeline itself never
 // bounds how many runs are in flight — that is admission control's job
 // (internal/admission), which gates runs before they reach this
 // package; once runs are admitted, the pool's weighted scheduler
@@ -51,7 +51,8 @@ import (
 	"atgis/internal/faultinject"
 )
 
-// Block is one contiguous region of the input.
+// Block is one contiguous range [Start, End) of a run's positions: bytes
+// of the input, or grid cells of a join sweep.
 type Block struct {
 	Index      int
 	Start, End int64
@@ -117,33 +118,20 @@ func (s Stats) Add(o Stats) Stats {
 	return s
 }
 
-// StreamSplitter finds the block boundaries of an input incrementally:
-// cuts are yielded as they are found, so processing starts before
-// splitting completes. Blocks are the regions between consecutive cuts.
-type StreamSplitter interface {
-	// SplitStream yields cut offsets strictly inside (0, len(input)) in
-	// increasing order. The scan must stop when yield returns false (a
-	// cancelled run refuses further blocks).
-	SplitStream(input []byte, yield func(cut int64) bool)
-}
-
-// StreamSplitterFunc adapts a cut generator to StreamSplitter.
-type StreamSplitterFunc func(input []byte, yield func(cut int64) bool)
-
-// SplitStream implements StreamSplitter.
-func (f StreamSplitterFunc) SplitStream(input []byte, yield func(cut int64) bool) { f(input, yield) }
-
-// FixedSplitter cuts the input into fixed-size blocks: the zero-cost
-// split used by fully-associative pipelines.
+// FixedSplitter cuts a run's positions into fixed-size blocks: the
+// zero-cost split of fully-associative pipelines (bytes) and of join
+// sweeps (grid cells).
 type FixedSplitter struct{ BlockSize int }
 
-// SplitStream implements StreamSplitter.
-func (s FixedSplitter) SplitStream(input []byte, yield func(cut int64) bool) {
+// Cuts yields the interior cuts of [0, n) every BlockSize positions
+// (1 MiB when unset), stopping when yield returns false; its method value
+// is a RunCtx cut function.
+func (s FixedSplitter) Cuts(n int64, yield func(cut int64) bool) {
 	bs := s.BlockSize
 	if bs < 1 {
 		bs = 1 << 20
 	}
-	for c := int64(bs); c < int64(len(input)); c += int64(bs) {
+	for c := int64(bs); c < n; c += int64(bs) {
 		if !yield(c) {
 			return
 		}
@@ -225,17 +213,23 @@ func SourceKey(data []byte) uint64 {
 	return uint64(uintptr(unsafe.Pointer(&data[0])))
 }
 
-// RunCtx executes process over every block and folds the results in
-// input order. Splitting, processing and merging overlap: block
-// descriptors stream from the splitter as cuts are found (see
-// StreamSplitter), each block is one task on the pass's dispatch queue —
-// pass is the registration the caller made with Pool.Register and closes
-// when the run returns — each worker publishes its result on the block's
-// ready channel, and the fold — running on the caller's goroutine —
-// consumes results as soon as their predecessors are merged, the ordered
-// associative reduction of §3.2. RunCtx starts no worker of its own:
-// freed pool workers are granted block by block, by weighted deficit
-// across all registered passes.
+// RunCtx executes process over every block of the positions [0, n) and
+// folds the results in position order. The positions are bytes for a
+// block plan and grid cells for a join sweep. Splitting, processing and
+// merging overlap: cuts streams the block boundaries as it finds them —
+// cut positions strictly inside (0, n) in increasing order, stopping
+// when yield returns false (a cancelled run refuses further blocks); a
+// cut that does not advance or falls outside the range is dropped, and
+// the last block ends at n. Each block is one task on the pass's
+// dispatch queue — pass is the registration the caller made with
+// Pool.Register and closes when the run returns — each worker publishes
+// its result on the block's ready channel, and the fold — running on the
+// caller's goroutine — consumes results as soon as their predecessors are
+// merged, the ordered associative reduction of §3.2. RunCtx starts no
+// worker of its own: freed pool workers are granted block by block, by
+// weighted deficit across all registered passes. At most 3·workers+4
+// blocks wait between the splitter and the fold, so a fold blocked on its
+// consumer holds that many results plus the one it is folding.
 //
 // Cancelling ctx stops the run promptly: the splitter dispatches no
 // further blocks, queued blocks are skipped instead of processed, no
@@ -248,17 +242,23 @@ func SourceKey(data []byte) uint64 {
 // executes under Guarded, so a panic — a parser bug on malformed bytes,
 // or a SIGBUS from a source truncated under its mmap — cancels and
 // fails only this run, returning *PassPanicError or *SourceFaultError.
-// The pool, its workers and all concurrent runs are unaffected.
+// The error's site is "block" ("join-batch" on a JoinPass), "split" or
+// "merge". The pool, its workers and all concurrent runs are unaffected.
+// The returned Stats leave Bytes to the caller.
 func RunCtx[R any](
 	ctx context.Context,
-	input []byte,
-	splitter StreamSplitter,
+	n int64,
+	cuts func(n int64, yield func(cut int64) bool),
 	pass *PassHandle,
 	process func(b Block) R,
 	fold func(b Block, r R),
 ) (Stats, error) {
 	label := pass.Label()
-	st := Stats{Workers: pass.Workers(), Bytes: int64(len(input))}
+	site := "block"
+	if pass.kind == JoinPass {
+		site = "join-batch"
+	}
+	st := Stats{Workers: pass.Workers()}
 
 	sp := startSpan()
 	// failRun cancels the run with a typed pass error as the cause; the
@@ -284,7 +284,7 @@ func RunCtx[R any](
 	// panic or memory fault inside process fails this run only.
 	run := func(it *item[R]) {
 		if ctx.Err() == nil {
-			if err := Guarded(label, "block", it.b.Index, func() {
+			if err := Guarded(label, site, it.b.Index, func() {
 				faultinject.Fire("pipeline.block", label, int64(it.b.Index))
 				it.r = process(it.b)
 			}); err != nil {
@@ -323,7 +323,6 @@ func RunCtx[R any](
 		defer close(splitDone)
 		s0 := time.Now()
 		var blocked time.Duration // backpressure waiting on full queues
-		n := int64(len(input))
 		prev := int64(0)
 		idx := 0
 		cancelled := false
@@ -357,12 +356,12 @@ func RunCtx[R any](
 			idx++
 			return true
 		}
-		// The splitter scans raw input bytes, so it runs guarded like the
-		// workers: a panic (or mmap fault) while finding boundaries fails
-		// this run instead of the process.
+		// The splitter may scan raw input bytes, so it runs guarded like
+		// the workers: a panic (or mmap fault) while finding boundaries
+		// fails this run instead of the process.
 		if err := Guarded(label, "split", 0, func() {
 			faultinject.Fire("pipeline.split", label, 0)
-			splitter.SplitStream(input, yield)
+			cuts(n, yield)
 		}); err != nil {
 			cancelled = true
 			failRun(err)

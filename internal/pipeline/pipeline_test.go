@@ -9,38 +9,43 @@ import (
 	"time"
 )
 
-// runOn is RunCtx the way an engine drives it: the pass registers on pool
-// under label and weight for the duration of the run.
-func runOn[R any](ctx context.Context, input []byte, splitter StreamSplitter, pool *Pool, label string, weight int, process func(Block) R, fold func(Block, R)) (Stats, error) {
+// cutFunc is what RunCtx takes to stream a run's block boundaries.
+type cutFunc = func(n int64, yield func(cut int64) bool)
+
+// runOn is RunCtx the way an engine drives a block plan: the pass
+// registers on pool under label and weight for the duration of the run,
+// whose positions are input's bytes.
+func runOn[R any](ctx context.Context, input []byte, cuts cutFunc, pool *Pool, label string, weight int, process func(Block) R, fold func(Block, R)) (Stats, error) {
 	h := pool.Register(ctx, label, weight, QueryPass, 0)
 	defer h.Close()
-	return RunCtx(ctx, input, splitter, h, process, fold)
+	st, err := RunCtx(ctx, int64(len(input)), cuts, h, process, fold)
+	st.Bytes = int64(len(input))
+	return st, err
 }
 
 // run is runOn a pool of the given size started for the call, under a
 // background context: for the tests that exercise neither cancellation
 // nor sharing.
-func run[R any](t *testing.T, input []byte, splitter StreamSplitter, workers int, process func(Block) R, fold func(Block, R)) Stats {
+func run[R any](t *testing.T, input []byte, cuts cutFunc, workers int, process func(Block) R, fold func(Block, R)) Stats {
 	t.Helper()
 	pool := NewPool(workers)
 	defer pool.Close()
-	st, err := runOn(context.Background(), input, splitter, pool, "", 1, process, fold)
+	st, err := runOn(context.Background(), input, cuts, pool, "", 1, process, fold)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return st
 }
 
-// cutsOf collects what a splitter streams.
-func cutsOf(s StreamSplitter, input []byte) []int64 {
+// cutsOf collects what a splitter streams over [0, n).
+func cutsOf(s FixedSplitter, n int64) []int64 {
 	var cuts []int64
-	s.SplitStream(input, func(c int64) bool { cuts = append(cuts, c); return true })
+	s.Cuts(n, func(c int64) bool { cuts = append(cuts, c); return true })
 	return cuts
 }
 
 func TestFixedSplitter(t *testing.T) {
-	input := make([]byte, 100)
-	cuts := cutsOf(FixedSplitter{BlockSize: 30}, input)
+	cuts := cutsOf(FixedSplitter{BlockSize: 30}, 100)
 	want := []int64{30, 60, 90}
 	if len(cuts) != len(want) {
 		t.Fatalf("cuts = %v, want %v", cuts, want)
@@ -51,7 +56,7 @@ func TestFixedSplitter(t *testing.T) {
 		}
 	}
 	// Default block size when unset.
-	if got := cutsOf(FixedSplitter{}, make([]byte, 10)); len(got) != 0 {
+	if got := cutsOf(FixedSplitter{}, 10); len(got) != 0 {
 		t.Errorf("small input cuts = %v", got)
 	}
 }
@@ -61,7 +66,7 @@ func TestRunSumsAllBytes(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		var total int64
 		var calls int32
-		st := run(t, input, FixedSplitter{BlockSize: 117}, workers,
+		st := run(t, input, FixedSplitter{BlockSize: 117}.Cuts, workers,
 			func(b Block) int64 {
 				atomic.AddInt32(&calls, 1)
 				var s int64
@@ -90,7 +95,7 @@ func TestRunSumsAllBytes(t *testing.T) {
 func TestRunFoldsInOrder(t *testing.T) {
 	input := make([]byte, 1000)
 	var order []int
-	run(t, input, FixedSplitter{BlockSize: 37}, 4,
+	run(t, input, FixedSplitter{BlockSize: 37}.Cuts, 4,
 		func(b Block) int { return b.Index },
 		func(b Block, r int) { order = append(order, r) },
 	)
@@ -107,7 +112,7 @@ func TestRunFoldsInOrder(t *testing.T) {
 func TestRunSingleBlock(t *testing.T) {
 	input := []byte("hello")
 	n := 0
-	st := run(t, input, FixedSplitter{BlockSize: 1 << 20}, 2,
+	st := run(t, input, FixedSplitter{BlockSize: 1 << 20}.Cuts, 2,
 		func(b Block) int { return int(b.End - b.Start) },
 		func(b Block, r int) { n += r },
 	)
@@ -119,7 +124,7 @@ func TestRunSingleBlock(t *testing.T) {
 func TestRunEmptyInput(t *testing.T) {
 	var input []byte
 	called := 0
-	st := run(t, input, FixedSplitter{BlockSize: 10}, 2,
+	st := run(t, input, FixedSplitter{BlockSize: 10}.Cuts, 2,
 		func(b Block) int { called++; return 0 },
 		func(b Block, r int) {},
 	)
@@ -144,7 +149,7 @@ func TestRunOverlapsSplitAndProcess(t *testing.T) {
 	input := make([]byte, 4096)
 	firstProcessed := make(chan struct{})
 	var once sync.Once
-	splitter := StreamSplitterFunc(func(in []byte, yield func(int64) bool) {
+	splitter := func(n int64, yield func(int64) bool) {
 		yield(1024)
 		select {
 		case <-firstProcessed:
@@ -153,7 +158,7 @@ func TestRunOverlapsSplitAndProcess(t *testing.T) {
 		}
 		yield(2048)
 		yield(3072)
-	})
+	}
 	var processed atomic.Int32
 	st := run(t, input, splitter, 2,
 		func(b Block) int {
@@ -175,7 +180,7 @@ func TestRunOutOfOrderCompletion(t *testing.T) {
 	const blocks = 16
 	input := make([]byte, 64*blocks)
 	var order []int
-	st := run(t, input, FixedSplitter{BlockSize: 64}, 8,
+	st := run(t, input, FixedSplitter{BlockSize: 64}.Cuts, 8,
 		func(b Block) int {
 			// Later blocks finish first.
 			time.Sleep(time.Duration(blocks-b.Index) * time.Millisecond)
@@ -200,7 +205,7 @@ func TestRunOutOfOrderCompletion(t *testing.T) {
 // non-monotonic cuts and expects them to be dropped.
 func TestRunStreamSplitterRejectsBadCuts(t *testing.T) {
 	input := make([]byte, 100)
-	splitter := StreamSplitterFunc(func(in []byte, yield func(int64) bool) {
+	splitter := func(n int64, yield func(int64) bool) {
 		yield(0)   // not a cut
 		yield(30)  // ok
 		yield(20)  // backwards: dropped
@@ -208,7 +213,7 @@ func TestRunStreamSplitterRejectsBadCuts(t *testing.T) {
 		yield(60)  // ok
 		yield(100) // == len: dropped (final block is implicit)
 		yield(200) // beyond end: dropped
-	})
+	}
 	var got []Block
 	st := run(t, input, splitter, 2,
 		func(b Block) Block { return b },
@@ -236,8 +241,8 @@ func TestRunCtxCancelStopsDispatch(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var processed atomic.Int32
 	var yields atomic.Int32
-	splitter := StreamSplitterFunc(func(in []byte, yield func(int64) bool) {
-		for c := int64(1024); c < int64(len(in)); c += 1024 {
+	splitter := func(n int64, yield func(int64) bool) {
+		for c := int64(1024); c < n; c += 1024 {
 			yields.Add(1)
 			if yields.Load() == 8 {
 				cancel()
@@ -246,7 +251,7 @@ func TestRunCtxCancelStopsDispatch(t *testing.T) {
 				return
 			}
 		}
-	})
+	}
 	folded := 0
 	pool := NewPool(2)
 	defer pool.Close()
@@ -283,7 +288,7 @@ func TestRunCtxPool(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			var total int64
-			st, err := runOn(context.Background(), input, FixedSplitter{BlockSize: 997}, pool, "", 1,
+			st, err := runOn(context.Background(), input, FixedSplitter{BlockSize: 997}.Cuts, pool, "", 1,
 				func(b Block) int64 {
 					var s int64
 					for _, v := range input[b.Start:b.End] {
@@ -325,7 +330,7 @@ func TestRunCtxPoolCancel(t *testing.T) {
 	var okErr error
 	go func() {
 		defer wg.Done()
-		_, err := runOn(ctx, input, FixedSplitter{BlockSize: 512}, pool, "", 1,
+		_, err := runOn(ctx, input, FixedSplitter{BlockSize: 512}.Cuts, pool, "", 1,
 			func(b Block) int {
 				if b.Index == 3 {
 					cancel()
@@ -340,7 +345,7 @@ func TestRunCtxPoolCancel(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
-		_, okErr = runOn(context.Background(), input, FixedSplitter{BlockSize: 4096}, pool, "", 1,
+		_, okErr = runOn(context.Background(), input, FixedSplitter{BlockSize: 4096}.Cuts, pool, "", 1,
 			func(b Block) int64 {
 				var s int64
 				for _, v := range input[b.Start:b.End] {

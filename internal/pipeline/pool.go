@@ -59,8 +59,7 @@ func NewPool(size int) *Pool {
 }
 
 // runShielded executes one granted task, keeping the worker alive if
-// the task panics. Every task submitted through RunCtx or TaskGroup
-// already converts its own panics into a typed pass failure (see
+// the task panics. Every task RunCtx submits already converts its own panics into a typed pass failure (see
 // fault.go), so a panic reaching this recover means a task without
 // that envelope slipped in — the worker survives it as a last line of
 // defense, because one pass's fault must never take down the pool the

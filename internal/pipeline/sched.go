@@ -41,8 +41,8 @@ import (
 // PassKind classifies a registered pass for scheduler accounting: query
 // pipelines dispatch blocks, join sweeps dispatch cell batches. Both are
 // one scheduling quantum — the kind only splits the observability
-// counters (queued/granted cell batches per tenant in /v1/stats), never
-// the scheduling policy.
+// counters (queued/granted cell batches per tenant in /v1/stats) and
+// names a failed task's site ("join-batch"), never the scheduling policy.
 type PassKind uint8
 
 // Pass kinds.

@@ -206,7 +206,7 @@ func TestPoolWeightedConvergence(t *testing.T) {
 	defer stopLight()
 	go func() { // weight-1 pass
 		defer wg.Done()
-		_, err := runOn(lightCtx, lightIn, FixedSplitter{BlockSize: blockSize},
+		_, err := runOn(lightCtx, lightIn, FixedSplitter{BlockSize: blockSize}.Cuts,
 			pool, "light", 1,
 			func(b Block) int64 {
 				lightCount.Add(1)
@@ -235,7 +235,7 @@ func TestPoolWeightedConvergence(t *testing.T) {
 
 	go func() { // weight-3 pass
 		defer wg.Done()
-		_, errs[1] = runOn(context.Background(), heavyIn, FixedSplitter{BlockSize: blockSize},
+		_, errs[1] = runOn(context.Background(), heavyIn, FixedSplitter{BlockSize: blockSize}.Cuts,
 			pool, "heavy", 3,
 			func(b Block) int64 {
 				// The contention window opens at the heavy pass's first
@@ -287,7 +287,7 @@ func TestPoolSolePassWorkConserving(t *testing.T) {
 	timeout := time.AfterFunc(10*time.Second, func() { once.Do(func() { close(allBusy) }) })
 	defer timeout.Stop()
 
-	_, err := runOn(context.Background(), input, FixedSplitter{BlockSize: 64},
+	_, err := runOn(context.Background(), input, FixedSplitter{BlockSize: 64}.Cuts,
 		pool, "solo", 1,
 		func(b Block) int {
 			n := inflight.Add(1)
@@ -335,8 +335,8 @@ func TestPoolCancelDeregisters(t *testing.T) {
 	input := make([]byte, 1<<20)
 	ctx, cancel := context.WithCancel(context.Background())
 	var yields atomic.Int32
-	splitter := StreamSplitterFunc(func(in []byte, yield func(int64) bool) {
-		for c := int64(1024); c < int64(len(in)); c += 1024 {
+	splitter := func(n int64, yield func(int64) bool) {
+		for c := int64(1024); c < n; c += 1024 {
 			if yields.Add(1) == 8 {
 				cancel()
 			}
@@ -344,7 +344,7 @@ func TestPoolCancelDeregisters(t *testing.T) {
 				return
 			}
 		}
-	})
+	}
 	_, err := runOn(ctx, input, splitter, pool, "doomed", 7,
 		func(b Block) int { return b.Index },
 		func(b Block, r int) {},
@@ -367,7 +367,7 @@ func TestPoolCancelDeregisters(t *testing.T) {
 	// same pool sums every byte.
 	data := bytes.Repeat([]byte{1}, 50000)
 	var total int64
-	_, err = runOn(context.Background(), data, FixedSplitter{BlockSize: 997},
+	_, err = runOn(context.Background(), data, FixedSplitter{BlockSize: 997}.Cuts,
 		pool, "after", 1,
 		func(b Block) int64 {
 			var s int64
@@ -412,7 +412,7 @@ func TestPoolCancelUnblocksWithoutWorkers(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := runOn(ctx, make([]byte, 64*1024), FixedSplitter{BlockSize: 64},
+		_, err := runOn(ctx, make([]byte, 64*1024), FixedSplitter{BlockSize: 64}.Cuts,
 			pool, "victim", 1,
 			func(b Block) int { return 0 },
 			func(Block, int) {},
@@ -442,12 +442,12 @@ func TestPoolCancelUnblocksWithoutWorkers(t *testing.T) {
 func TestPoolClosedMidRunFailsLoudly(t *testing.T) {
 	pool := NewPool(1)
 	gate := make(chan struct{})
-	splitter := StreamSplitterFunc(func(in []byte, yield func(int64) bool) {
+	splitter := func(n int64, yield func(int64) bool) {
 		yield(64)
 		<-gate // hold the splitter until the pool has been closed
 		yield(128)
 		yield(192)
-	})
+	}
 	done := make(chan error, 1)
 	go func() {
 		_, err := runOn(context.Background(), make([]byte, 256), splitter,

@@ -368,10 +368,9 @@ func TestClusterJoinOrderedMatchesSingleNode(t *testing.T) {
 	_, single := newTestServerWithPath(t, path, atgis.EngineConfig{Workers: 2})
 	_, coord := startCoordinator(t, w1.URL, w2.URL)
 
-	// Ordered joins emit pairs in cell-sequence order independent of the
-	// window size, so per-band streams concatenate into the single-node
-	// stream exactly.
-	body := `{"source":"data","order_window":64}`
+	// Joins emit pairs in cell-sequence order, so per-band streams
+	// concatenate into the single-node stream exactly.
+	body := `{"source":"data"}`
 	wantPay, wantSum := fetchStream(t, single, "/v1/join", body)
 	gotPay, gotSum := fetchStream(t, coord, "/v1/join", body)
 	if len(wantPay) == 0 {
@@ -800,9 +799,9 @@ func TestWorkerAndCoordinatorOfOneAgree(t *testing.T) {
 		{"aggregation", q, `{"source":"data","kind":"aggregation","ref":[-180,-90,180,90],"want":["area","perimeter","mbr"]}`, 200, "", 0},
 		{"limit 1", q, `{"source":"data","kind":"containment","ref":[-180,-90,180,90],"limit":1}`, 200, "", 1},
 		{"limit above matches", q, `{"source":"data","kind":"containment","ref":[-180,-90,180,90],"limit":100000}`, 200, "", 200},
-		{"join parity", j, `{"source":"data","mask":"parity","order_window":64}`, 200, "", -1},
-		{"join both", j, `{"source":"data","mask":"both","cell":15,"order_window":8}`, 200, "", -1},
-		{"join limit 1", j, `{"source":"data","order_window":64,"limit":1}`, 200, "", 1},
+		{"join parity", j, `{"source":"data","mask":"parity"}`, 200, "", -1},
+		{"join both", j, `{"source":"data","mask":"both","cell":15}`, 200, "", -1},
+		{"join limit 1", j, `{"source":"data","limit":1}`, 200, "", 1},
 		{"bad kind", q, `{"source":"data","kind":"wat","ref":[0,0,1,1]}`, 400, "bad_request", 0},
 		{"ref of length 3", q, `{"source":"data","kind":"aggregation","ref":[0,0,1]}`, 400, "bad_request", 0},
 		{"negative limit", q, `{"source":"data","kind":"containment","ref":[0,0,1,1],"limit":-1}`, 400, "bad_request", 0},
@@ -812,6 +811,10 @@ func TestWorkerAndCoordinatorOfOneAgree(t *testing.T) {
 		{"join negative order_window", j, `{"source":"data","order_window":-1}`, 400, "bad_request", 0},
 		{"join cell 0.01", j, `{"source":"data","cell":0.01}`, 400, "bad_request", 0},
 		{"join bad mask", j, `{"source":"data","mask":"odd"}`, 400, "bad_request", 0},
+		// An empty band is no scatter unit: a worker must not read
+		// [0,0) as the whole grid.
+		{"join empty band at 0", j, `{"source":"data","cell_band":[0,0]}`, 400, "bad_request", 0},
+		{"join empty band at 3", j, `{"source":"data","cell_band":[3,3]}`, 400, "bad_request", 0},
 		{"removed field mode", q, `{"source":"data","kind":"aggregation","ref":[0,0,1,1],"mode":"fat"}`, 400, "bad_request", 0},
 		{"removed field filter", q, `{"source":"data","kind":"aggregation","ref":[0,0,1,1],"filter":"buffered"}`, 400, "bad_request", 0},
 		{"unknown source", q, `{"source":"nope","kind":"aggregation","ref":[0,0,1,1]}`, 404, "not_found", 0},
@@ -852,7 +855,7 @@ func TestWorkerAndCoordinatorOfOneAgree(t *testing.T) {
 	// request that carries one, the worker it would send it to serves it.
 	for _, tc := range []struct{ name, path, body, first string }{
 		{"shard", q, `{"source":"data","kind":"containment","ref":[-180,-90,180,90],"shard":{"start":0,"end":4096}}`, `{"type":"shard","start":0,"end":4096,`},
-		{"cell_band", j, `{"source":"data","order_window":64,"cell_band":[0,32400]}`, `{"type":"pair",`},
+		{"cell_band", j, `{"source":"data","cell_band":[0,32400]}`, `{"type":"pair",`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if cs, ck, _, _ := exchange(t, coord, tc.path, tc.body); cs != 400 || ck != "bad_request" {

@@ -467,10 +467,6 @@ type joinRequest struct {
 	Mask string `json:"mask,omitempty"`
 	// Limit caps the number of streamed pair records (0 = all).
 	Limit int `json:"limit,omitempty"`
-	// OrderWindow, when positive, streams pairs in deterministic
-	// partition-cell order (0 = unordered). Any positive value means the
-	// same: the sweep holds at most 2·workers+2 completed cell batches.
-	OrderWindow int `json:"order_window,omitempty"`
 	// TimeoutMS bounds the request's wall clock in milliseconds,
 	// overriding the server's default timeout (and clamped to its
 	// -max-timeout). 0 means use the server default.
@@ -516,10 +512,8 @@ var joinEndpoint = endpoint[joinRequest, joinSummary]{
 		switch {
 		case j.Cell != 0 && (j.Cell < minJoinCell || j.Cell > 360):
 			return c, fmt.Errorf("cell must be between %g and 360 degrees", minJoinCell)
-		case j.OrderWindow < 0:
-			return c, fmt.Errorf("order_window must be >= 0")
-		case j.CellBand != nil && (j.CellBand[0] < 0 || j.CellBand[1] < j.CellBand[0]):
-			return c, fmt.Errorf("cell_band must be [lo, hi) with 0 <= lo <= hi")
+		case j.CellBand != nil && (j.CellBand[0] < 0 || j.CellBand[1] <= j.CellBand[0]):
+			return c, fmt.Errorf("cell_band must be [lo, hi) with 0 <= lo < hi")
 		case j.Mask != "" && j.Mask != "parity" && j.Mask != "both":
 			return c, fmt.Errorf("mask must be parity or both, got %q", j.Mask)
 		}
@@ -548,7 +542,7 @@ var joinEndpoint = endpoint[joinRequest, joinSummary]{
 func localJoin(ctx context.Context, s *Server, src atgis.Source, req *joinRequest, _ *ndjsonWriter, emit func(rec record) bool) (sum joinSummary, err error) {
 	// Both wire masks split purely by feature ID, so sidecar-enabled
 	// engines may rebuild the partition sets from the index tape.
-	spec := atgis.JoinSpec{CellSize: req.Cell, OrderWindow: req.OrderWindow, BoundsSafeMask: true}
+	spec := atgis.JoinSpec{CellSize: req.Cell, BoundsSafeMask: true}
 	if req.CellBand != nil {
 		spec.CellLo, spec.CellHi = req.CellBand[0], req.CellBand[1]
 	}
@@ -589,21 +583,14 @@ func localJoin(ctx context.Context, s *Server, src atgis.Source, req *joinReques
 	}, nil
 }
 
-// scatterOrderWindow is the order_window forced onto scattered join
-// sub-requests. Scattered joins always run ordered — deterministic band
-// output is what makes a mid-stream retry resumable and the merged
-// stream reproducible. Any positive value selects cell order and none
-// tunes anything: the worker's sweep derives its look-ahead (and so its
-// buffering) from its own worker count.
-const scatterOrderWindow = 64
-
 // cutJoin shards a join by contiguous bands of partition-grid cells,
 // one band per serving worker (every format, OSM XML included: each
-// worker partitions the whole input and sweeps its band).
+// worker partitions the whole input and sweeps its band). Every band
+// streams in cell order, so the merged stream is the single-node stream
+// and a mid-stream retry of a band can resume where it stopped.
 func cutJoin(req *joinRequest, view cluster.SourceView) ([]joinRequest, []cluster.Range) {
 	sub := *req
 	sub.Limit = 0 // the client limit applies to the merged stream
-	sub.OrderWindow = max(sub.OrderWindow, scatterOrderWindow)
 	bands := cluster.PlanCells(cluster.GridCells(req.Cell), len(view.Workers))
 	subs := make([]joinRequest, len(bands))
 	for i := range bands {

@@ -637,12 +637,11 @@ func TestGzipQueryStream(t *testing.T) {
 	}
 }
 
-// TestGzipJoinOrdered: the join stream composes gzip with the
-// order_window reorder, and the ordered pair sequence is identical
-// across requests.
+// TestGzipJoinOrdered: the join stream composes gzip with the sweep's
+// ordered fold, and the pair sequence is identical across requests.
 func TestGzipJoinOrdered(t *testing.T) {
 	_, ts := newTestServerWithPath(t, writeSyntheticScaled(t, 200, 0.05), atgis.EngineConfig{Workers: 2})
-	body := `{"source":"data","cell":1,"mask":"both","order_window":64}`
+	body := `{"source":"data","cell":1,"mask":"both"}`
 
 	collect := func() []string {
 		resp := postJSONGzip(t, ts.Client(), ts.URL+"/v1/join", body)

@@ -168,12 +168,13 @@ func (pl *blockPlan) kind(b pipeline.Block) blockKind {
 	return blockLive
 }
 
-// splitter yields the plan's interior cuts, then streams the tail's from
-// cuts (a format's boundary scan over the tail bytes), so block parsing
-// starts while the scan is still running. The pipeline drops a cut that
-// does not advance, which a scan reporting the tail's own start does.
-func (pl *blockPlan) splitter(blockSize int, cuts func(tail []byte, minGap int, yield func(int64) bool)) pipeline.StreamSplitterFunc {
-	return func(input []byte, yield func(int64) bool) {
+// splitter yields the plan's interior cuts over input, then streams the
+// tail's from cuts (a format's boundary scan over the tail bytes), so
+// block parsing starts while the scan is still running. The pipeline
+// drops a cut that does not advance, which a scan reporting the tail's
+// own start does.
+func (pl *blockPlan) splitter(input []byte, blockSize int, cuts func(tail []byte, minGap int, yield func(int64) bool)) func(int64, func(int64) bool) {
+	return func(_ int64, yield func(int64) bool) {
 		for i := 1; i < len(pl.blocks); i++ {
 			if !yield(pl.blocks[i].start) {
 				return
@@ -235,8 +236,8 @@ func runPlan[F any](ctx context.Context, e *Engine, pl *blockPlan, opt Options, 
 	defer pass.Close()
 	var failed error
 	parsed := int64(0)
-	st, err = pipeline.RunCtx(ctx, d.input,
-		pl.splitter(opt.blockSize(), d.cuts),
+	st, err = pipeline.RunCtx(ctx, int64(len(d.input)),
+		pl.splitter(d.input, opt.blockSize(), d.cuts),
 		pass,
 		func(b pipeline.Block) (fr F) {
 			if pl.kind(b) == blockLive {
@@ -264,6 +265,7 @@ func runPlan[F any](ctx context.Context, e *Engine, pl *blockPlan, opt Options, 
 			}
 		},
 	)
+	st.Bytes = int64(len(d.input))
 	if failed != nil {
 		err = failed
 	}

@@ -38,7 +38,7 @@ func fakeDriver(n int, log *[]string, processed *[]int) *driver[int] {
 	return &driver[int]{
 		input: make([]byte, n),
 		cuts: func(tail []byte, stride int, yield func(int64) bool) {
-			pipeline.FixedSplitter{BlockSize: stride}.SplitStream(tail, yield)
+			pipeline.FixedSplitter{BlockSize: stride}.Cuts(int64(len(tail)), yield)
 		},
 		process: func(b pipeline.Block) int {
 			mu.Lock()

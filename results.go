@@ -181,17 +181,19 @@ func (r *Results) Close() error { return r.abandon() }
 // phase finds them (the partition phase still completes first — the
 // join is two-pass by construction). A cell drops the pairs whose
 // reference point another cell owns before refining them, so nothing is
-// globally buffered or sorted; pair order is nondeterministic across
-// runs unless JoinSpec.OrderWindow asks for deterministic partition-cell
-// order, at the cost of holding at most the sweep's in-flight window of
-// completed cell batches. Like Results, JoinPairs is single-consumer.
+// globally buffered or sorted. Pairs arrive in nondecreasing owning-cell
+// order, deterministically: the same sequence on every run, whatever the
+// worker count. The sweep holds at most its in-flight window of completed
+// cell batches ahead of the consumer. Like Results, JoinPairs is
+// single-consumer.
 type JoinPairs struct {
 	stream[join.Pair, *JoinResult]
 }
 
 // JoinStream starts the two-pass join over src and returns the
 // streaming pair iterator. It runs Engine.Join's sweep — the same pairs
-// and JoinStats — without collecting or sorting the pairs. The sweep
+// and JoinStats — without collecting or sorting the pairs: they arrive
+// in nondecreasing owning-cell order, deterministically. The sweep
 // runs as cell-batch tasks on the engine's worker pool, so concurrent
 // joins and queries interleave at the same scheduling quantum.
 func (e *Engine) JoinStream(ctx context.Context, src Source, spec JoinSpec, opt Options) *JoinPairs {

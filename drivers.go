@@ -159,13 +159,7 @@ func wktDriver(input []byte, cfg *geojson.Config, out func(geojson.FeatureOut)) 
 		input: input,
 		cuts:  wkt.SplitLinesStream,
 		process: func(b pipeline.Block) (fr wktFeats) {
-			fr.err = wkt.EachLine(input, b.Start, b.End, func(line []byte, off int64) error {
-				f, err := wkt.ParseFeature(line, off, cfg)
-				if err == nil {
-					fr.feats = append(fr.feats, f)
-				}
-				return err
-			})
+			fr.feats, fr.err = wktFeatures(nil, input, b.Start, b.End, cfg)
 			return fr
 		},
 		add: func(_ pipeline.Block, fr wktFeats) error {
@@ -178,6 +172,20 @@ func wktDriver(input []byte, cfg *geojson.Config, out func(geojson.FeatureOut)) 
 			return nil
 		},
 	}
+}
+
+// wktFeatures appends the features of the lines in [start, end) of input
+// to dst — box, window reject, build, evaluation, in that order — and stops
+// at the first line that fails to parse.
+func wktFeatures(dst []geojson.FeatureOut, input []byte, start, end int64, cfg *geojson.Config) ([]geojson.FeatureOut, error) {
+	err := wkt.EachLine(input, start, end, func(line []byte, off int64) error {
+		f, err := wkt.ParseFeature(line, off, cfg)
+		if err == nil {
+			dst = append(dst, f)
+		}
+		return err
+	})
+	return dst, err
 }
 
 // osmPass is what the two plans of an OSM XML pass share. Pass 1 is the

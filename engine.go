@@ -487,7 +487,7 @@ func (e *Engine) joinPartitionPhase(ctx context.Context, src Source, spec *JoinS
 	if ix != nil && boundsSafe {
 		ms.sc.hits.Add(1)
 		t0 := time.Now()
-		warmJoinPartition(ix, merged)
+		merged.LoadTape(ix.IDs, ix.Offs, ix.Boxes)
 		st := pipeline.Stats{
 			Bytes:    int64(len(src.Bytes())),
 			Workers:  1,
@@ -600,7 +600,9 @@ func asPolygon(g geom.Geometry) (geom.Polygon, bool) {
 }
 
 // reparser returns the offset-based geometry re-parser for joins
-// (paper §4.5: partitions store offsets, objects re-parse on demand).
+// (paper §4.5: partitions store offsets, objects re-parse on demand) and
+// for the matches a warm stream answered from the sidecar tape
+// (Results.Feature).
 func (e *Engine) reparser(ctx context.Context, src Source, opt Options) (join.Reparser, error) {
 	data := src.Bytes()
 	switch src.DataFormat() {

@@ -152,6 +152,10 @@ type PATBlockResult struct {
 	baseClose int64
 }
 
+// ClosedBase reports whether the block met a close with no container of
+// its own open — the end of the features array — and stopped there.
+func (r *PATBlockResult) ClosedBase() bool { return r.baseClose >= 0 }
+
 // ProcessBlockPAT parses one block assuming it starts at a feature-object
 // boundary.
 func ProcessBlockPAT(input []byte, start, end int64, cfg *Config) PATBlockResult {

@@ -68,15 +68,11 @@ func IntersectsPreparedA(a geom.Geometry, ae *EdgeSlab, b geom.Geometry, s *Scra
 // composites: either disjoint or one fully inside the other. The check
 // order is geom.Intersects', verbatim.
 func intersectsTail(a, b geom.Geometry) bool {
-	if geom.IsAreal(a) {
-		if p, ok := geom.RepresentativePoint(b); ok && geom.CoversPoint(a, p) {
-			return true
-		}
+	if geom.IsAreal(a) && geom.ContainsRepresentative(a, b) {
+		return true
 	}
-	if geom.IsAreal(b) {
-		if p, ok := geom.RepresentativePoint(a); ok && geom.CoversPoint(b, p) {
-			return true
-		}
+	if geom.IsAreal(b) && geom.ContainsRepresentative(b, a) {
+		return true
 	}
 	if pa, ok := a.(geom.PointGeom); ok {
 		return geom.CoversPoint(b, pa.P)

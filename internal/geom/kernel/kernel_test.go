@@ -317,6 +317,38 @@ func TestCompositesMatchScalar(t *testing.T) {
 	}
 }
 
+// TestCompositesMultiPart: a multi-part geometry whose first part lies
+// outside the other geometry and whose second lies strictly inside it
+// intersects it, in every composite as in the oracle.
+func TestCompositesMultiPart(t *testing.T) {
+	sq := func(x, y, s float64) geom.Polygon {
+		return geom.Box{MinX: x, MinY: y, MaxX: x + s, MaxY: y + s}.AsPolygon()
+	}
+	ref := sq(0, 0, 10)
+	sc := AcquireScratch()
+	defer ReleaseScratch(sc)
+	r := CompileRef(ref)
+	var re EdgeSlab
+	re.AppendGeometry(ref)
+	for _, g := range []geom.Geometry{
+		geom.MultiPolygon{sq(50, 50, 5), sq(2, 2, 2)},
+		geom.Collection{geom.PointGeom{P: pt(50, 50)}, geom.LineString{pt(1, 1), pt(2, 2)}},
+	} {
+		if !geom.Intersects(g, ref) || !geom.Intersects(ref, g) {
+			t.Fatalf("oracle: %v does not intersect %v", g, ref)
+		}
+		if !Intersects(g, ref, sc) || !Intersects(ref, g, sc) {
+			t.Errorf("Intersects misses %v", g)
+		}
+		if !IntersectsPreparedA(ref, &re, g, sc) {
+			t.Errorf("IntersectsPreparedA misses %v", g)
+		}
+		if !r.Intersects(g, sc) {
+			t.Errorf("RefPoly.Intersects misses %v", g)
+		}
+	}
+}
+
 func TestRefPolyMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	sc := AcquireScratch()

@@ -207,14 +207,37 @@ func edgesCross(a, b Geometry) bool {
 	return hit
 }
 
-// containsRepresentative reports whether some vertex of inner lies inside
-// (or on) the polygonal area of outer. outer must be area-typed.
+// containsRepresentative reports whether some part of inner has a vertex
+// inside (or on) the polygonal area of outer. outer must be area-typed.
+// It probes one vertex per part — each polygon of a multipolygon, each
+// member of a collection — because with no edge crossing a part lies
+// wholly inside outer or wholly outside it, independently of the others:
+// one probe for the whole geometry misses a part inside outer whenever
+// an earlier part lies outside.
 func containsRepresentative(outer, inner Geometry) bool {
-	p, ok := anyPoint(inner)
-	if !ok {
+	switch t := inner.(type) {
+	case MultiPolygon:
+		for _, poly := range t {
+			for _, r := range poly { // the polygon's first vertex, as anyPoint finds it
+				if len(r) > 0 {
+					if geometryCoversPoint(outer, r[0]) {
+						return true
+					}
+					break
+				}
+			}
+		}
+		return false
+	case Collection:
+		for _, m := range t {
+			if containsRepresentative(outer, m) {
+				return true
+			}
+		}
 		return false
 	}
-	return geometryCoversPoint(outer, p)
+	p, ok := anyPoint(inner)
+	return ok && geometryCoversPoint(outer, p)
 }
 
 // geometryCoversPoint reports whether p is inside or on the boundary of g
@@ -296,10 +319,12 @@ func IsAreal(g Geometry) bool { return isAreal(g) }
 // Intersects, exported for the batched refinement kernels.
 func CoversPoint(g Geometry, p Point) bool { return geometryCoversPoint(g, p) }
 
-// RepresentativePoint returns the vertex Intersects uses as the
-// containment probe sample for g (its first visited vertex), exported
-// for the batched refinement kernels.
-func RepresentativePoint(g Geometry) (Point, bool) { return anyPoint(g) }
+// ContainsRepresentative is Intersects' containment probe — some part of
+// inner has a vertex covered by outer, which must be areal — exported for
+// the batched refinement kernels.
+func ContainsRepresentative(outer, inner Geometry) bool {
+	return containsRepresentative(outer, inner)
+}
 
 func isAreal(g Geometry) bool {
 	switch t := g.(type) {

@@ -115,6 +115,11 @@ func TestIntersectsPolygons(t *testing.T) {
 		{"point inside", PointGeom{Point{5, 5}}, true},
 		{"point outside", PointGeom{Point{50, 5}}, false},
 		{"point on boundary", PointGeom{Point{10, 5}}, true},
+		// Multi-part geometries whose first part lies far outside and whose
+		// second lies strictly inside: every part gets its own probe.
+		{"multipolygon, far part first", MultiPolygon{sq(50, 50, 5), sq(2, 2, 2)}, true},
+		{"collection, far part first", Collection{PointGeom{Point{50, 50}}, LineString{{1, 1}, {2, 2}}}, true},
+		{"multipolygon, all parts far", MultiPolygon{sq(50, 50, 5), sq(20, 20, 2)}, false},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

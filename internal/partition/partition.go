@@ -170,6 +170,52 @@ func (s *Set) Insert(e Entry) {
 	}
 }
 
+// Load bins the entries for which in reports true into the empty set,
+// in order: every cell then holds exactly what Insert on each of them in
+// turn leaves it. An array store counts each cell's entries first and
+// keeps them all in one array, cell after cell; a list store inserts one
+// by one. Load must be the set's only fill.
+func (s *Set) Load(entries []Entry, in func(i int) bool) {
+	st, ok := s.store.(*arrayStore)
+	if !ok {
+		for i, e := range entries {
+			if in(i) {
+				s.Insert(e)
+			}
+		}
+		return
+	}
+	g := s.Grid
+	start := make([]int32, g.NumCells()+1)
+	for i := range entries {
+		if in(i) {
+			c0, c1, r0, r1 := g.CellRange(entries[i].Box)
+			for r := r0; r < r1; r++ {
+				for c := c0; c < c1; c++ {
+					start[r*g.Cols+c+1]++
+				}
+			}
+		}
+	}
+	for c := 1; c < len(start); c++ {
+		start[c] += start[c-1]
+	}
+	all := make([]Entry, start[len(start)-1])
+	next := append([]int32(nil), start[:len(start)-1]...)
+	for i := range entries {
+		if in(i) {
+			c0, c1, r0, r1 := g.CellRange(entries[i].Box)
+			for r := r0; r < r1; r++ {
+				for c := c0; c < c1; c++ {
+					all[next[r*g.Cols+c]] = entries[i]
+					next[r*g.Cols+c]++
+				}
+			}
+		}
+	}
+	st.start, st.all, st.n = start, all, len(all)
+}
+
 // Cell returns the entries in cell c.
 func (s *Set) Cell(c int) []Entry { return s.store.Cell(c) }
 
@@ -177,23 +223,40 @@ func (s *Set) Cell(c int) []Entry { return s.store.Cell(c) }
 // cells).
 func (s *Set) Len() int { return s.store.Len() }
 
-// arrayStore keeps one slice per cell: good locality.
+// arrayStore keeps each cell's entries contiguous, for good locality: in
+// a slice per cell, allocated on the first Add, or — after Set.Load — all
+// cells in one array, cell c at all[start[c]:start[c+1]].
 type arrayStore struct {
-	cells [][]Entry
-	n     int
+	numCells int
+	cells    [][]Entry
+	start    []int32
+	all      []Entry
+	n        int
 }
 
 func newArrayStore(numCells int) *arrayStore {
-	return &arrayStore{cells: make([][]Entry, numCells)}
+	return &arrayStore{numCells: numCells}
 }
 
 func (s *arrayStore) Add(c int, e Entry) {
+	if s.cells == nil {
+		s.cells = make([][]Entry, s.numCells)
+	}
 	s.cells[c] = append(s.cells[c], e)
 	s.n++
 }
 
-func (s *arrayStore) Cell(c int) []Entry { return s.cells[c] }
-func (s *arrayStore) Len() int           { return s.n }
+func (s *arrayStore) Cell(c int) []Entry {
+	switch {
+	case s.start != nil:
+		return s.all[s.start[c]:s.start[c+1]]
+	case s.cells != nil:
+		return s.cells[c]
+	}
+	return nil
+}
+
+func (s *arrayStore) Len() int { return s.n }
 
 // listStore keeps a linked list of chunks per cell: appends never copy,
 // iteration is cache-unfriendly — the trade-off of paper Fig. 15(b)/(d).

@@ -148,3 +148,33 @@ func TestStoreKindString(t *testing.T) {
 		t.Error("StoreKind names")
 	}
 }
+
+// TestLoadMatchesInsert: a bulk load leaves every cell as inserting the
+// kept entries one by one in order does, for both stores.
+func TestLoadMatchesInsert(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	g := NewGrid(box(0, 0, 100, 100), 7)
+	var entries []Entry
+	for i := 0; i < 500; i++ {
+		x, y := rng.Float64()*110-5, rng.Float64()*110-5
+		entries = append(entries, Entry{Box: box(x, y, x+rng.Float64()*20, y+rng.Float64()*20), Off: int64(i), ID: int64(i)})
+	}
+	in := func(i int) bool { return i%3 != 1 }
+	for _, kind := range []StoreKind{ArrayStore, ListStore} {
+		want, got := NewSet(g, kind), NewSet(g, kind)
+		for i, e := range entries {
+			if in(i) {
+				want.Insert(e)
+			}
+		}
+		got.Load(entries, in)
+		if got.Len() != want.Len() {
+			t.Fatalf("%v: Len %d, want %d", kind, got.Len(), want.Len())
+		}
+		for c := 0; c < g.NumCells(); c++ {
+			if !slices.Equal(got.Cell(c), want.Cell(c)) {
+				t.Fatalf("%v: cell %d = %v, want %v", kind, c, got.Cell(c), want.Cell(c))
+			}
+		}
+	}
+}

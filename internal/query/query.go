@@ -311,6 +311,36 @@ func (p *PartitionSink) ConsumeBox(f *geom.Feature, box geom.Box) {
 	}
 }
 
+// LoadTape bins a recorded feature tape — ids, offsets and boxes in
+// consume order — into the empty sink: what ConsumeBox on every entry
+// with a non-empty box leaves, for a Mask that reads nothing but a
+// feature's ID, Offset and bounds. The mask runs once per entry and sees
+// the box as the feature's geometry, through one polygon reused for every
+// entry, so it must not keep it.
+func (p *PartitionSink) LoadTape(ids, offs []int64, boxes []geom.Box) {
+	entries := make([]partition.Entry, 0, len(boxes))
+	sides := make([]uint8, 0, len(boxes))
+	ring := make(geom.Ring, 5)
+	f := geom.Feature{Geom: geom.Polygon{ring}}
+	for i, b := range boxes {
+		if b.IsEmpty() {
+			continue
+		}
+		mask := SideA
+		if p.Mask != nil {
+			ring[0], ring[1] = geom.Point{X: b.MinX, Y: b.MinY}, geom.Point{X: b.MaxX, Y: b.MinY}
+			ring[2], ring[3] = geom.Point{X: b.MaxX, Y: b.MaxY}, geom.Point{X: b.MinX, Y: b.MaxY}
+			ring[4] = ring[0]
+			f.ID, f.Offset = ids[i], offs[i]
+			mask = p.Mask(&f)
+		}
+		entries = append(entries, partition.Entry{Box: b, Off: offs[i], ID: ids[i]})
+		sides = append(sides, mask)
+	}
+	p.Sets[0].Load(entries, func(i int) bool { return sides[i]&SideA != 0 })
+	p.Sets[1].Load(entries, func(i int) bool { return sides[i]&SideB != 0 })
+}
+
 // SelectivityArea returns the fraction of the data extent covered by the
 // reference box — the x-axis of the paper's Fig. 13.
 func SelectivityArea(ref, extent geom.Box) float64 {

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"testing"
 
-	"atgis"
 	"atgis/internal/geom"
 	"atgis/internal/query"
 )
@@ -140,12 +139,12 @@ func TestStreamFeatureRecordAllocs(t *testing.T) {
 	out := &ndjsonWriter{w: &discardWriter{h: http.Header{}}}
 	defer out.stop()
 	spec := &query.Spec{WantArea: true, WantPerimeter: true}
-	f := &geom.Feature{ID: 42, Offset: 123456}
+	m := query.Match{ID: 42, Offset: 123456, Box: geom.Box{MinX: -12.5, MinY: 3.25, MaxX: 1e-7, MaxY: 44}}
 	v := query.FeatureVal{Box: geom.Box{MinX: -12.5, MinY: 3.25, MaxX: 1e-7, MaxY: 44}, Area: 1234.5678, Perimeter: 9.75}
 	rec := new(featureRecord)
 	emit := func(rec record) bool { return out.writeRecord(rec) }
 	allocs := testing.AllocsPerRun(1000, func() {
-		*rec = newFeatureRecord(spec, atgis.Options{}, f, v)
+		*rec = newFeatureRecord(spec, m, v)
 		if !emit(rec) {
 			t.Fatal("stream ended")
 		}

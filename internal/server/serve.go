@@ -255,24 +255,22 @@ type featureRecord struct {
 	Properties map[string]string `json:"properties,omitempty"`
 }
 
-// newFeatureRecord builds the wire form of one streamed match. The box
-// travels with the per-feature value (every wire query has a reference,
-// so the evaluator computed it).
-func newFeatureRecord(spec *query.Spec, opt atgis.Options, f *geom.Feature, v query.FeatureVal) featureRecord {
+// newFeatureRecord builds the wire form of one streamed match from its
+// identity and per-feature value, without touching the source bytes: the
+// box travels with the match (every wire query has a reference, so the
+// pass computed it). Properties are the caller's to add.
+func newFeatureRecord(spec *query.Spec, m query.Match, v query.FeatureVal) featureRecord {
 	rec := featureRecord{
 		Type:   "feature",
-		ID:     f.ID,
-		Offset: f.Offset,
-		BBox:   [4]float64{v.Box.MinX, v.Box.MinY, v.Box.MaxX, v.Box.MaxY},
+		ID:     m.ID,
+		Offset: m.Offset,
+		BBox:   [4]float64{m.Box.MinX, m.Box.MinY, m.Box.MaxX, m.Box.MaxY},
 	}
 	if spec.WantArea {
 		rec.Area = v.Area
 	}
 	if spec.WantPerimeter {
 		rec.Perimeter = v.Perimeter
-	}
-	if len(opt.PropKeys) > 0 {
-		rec.Properties = f.Properties
 	}
 	return rec
 }
@@ -398,7 +396,10 @@ func localQuery(ctx context.Context, s *Server, src atgis.Source, req *queryRequ
 		defer matches.Close()
 		rec := new(featureRecord) // one per stream: emit encodes it before the next match
 		for matches.Next() {
-			*rec = newFeatureRecord(spec, opt, matches.Feature(), matches.Value())
+			*rec = newFeatureRecord(spec, matches.Match(), matches.Value())
+			if len(opt.PropKeys) > 0 {
+				rec.Properties = matches.Feature().Properties
+			}
 			if !emit(rec) {
 				break
 			}

@@ -9,10 +9,14 @@ package atgis
 // so even the IEEE bit patterns of the float aggregates must match.
 
 import (
+	"context"
 	"os"
+	"slices"
 	"testing"
 
+	"atgis/internal/geom"
 	"atgis/internal/geom/kernel"
+	"atgis/internal/query"
 	"atgis/internal/sidecar"
 )
 
@@ -65,5 +69,45 @@ func TestKernelDifferential(t *testing.T) {
 			}
 			kernel.SetDisabled(false)
 		})
+	}
+}
+
+// TestKernelDifferentialMultiPart: a multipolygon and a collection whose
+// first part lies far outside the window and whose second lies strictly
+// inside it both match, in either format, with the kernels on and off; a
+// polygon far outside does not.
+func TestKernelDifferentialMultiPart(t *testing.T) {
+	docs := map[Format]string{
+		GeoJSON: `{"type":"FeatureCollection","features":[
+{"type":"Feature","id":1,"geometry":{"type":"MultiPolygon","coordinates":[[[[50,50],[55,50],[55,55],[50,55],[50,50]]],[[[1,1],[3,1],[3,3],[1,3],[1,1]]]]},"properties":{}},
+{"type":"Feature","id":2,"geometry":{"type":"GeometryCollection","geometries":[{"type":"Point","coordinates":[50,50]},{"type":"LineString","coordinates":[[1,1],[2,2]]}]},"properties":{}},
+{"type":"Feature","id":3,"geometry":{"type":"Polygon","coordinates":[[[30,30],[31,30],[31,31],[30,31],[30,30]]]},"properties":{}}
+]}`,
+		WKT: "1\tMULTIPOLYGON (((50 50, 55 50, 55 55, 50 55, 50 50)), ((1 1, 3 1, 3 3, 1 3, 1 1)))\n" +
+			"2\tGEOMETRYCOLLECTION (POINT (50 50), LINESTRING (1 1, 2 2))\n" +
+			"3\tPOLYGON ((30 30, 31 30, 31 31, 30 31, 30 30))\n",
+	}
+	spec := &query.Spec{Kind: query.Containment, Pred: query.PredIntersects, KeepMatches: true,
+		Ref: geom.Box{MinX: -10, MinY: -10, MaxX: 10, MaxY: 10}.AsPolygon()}
+	defer kernel.SetDisabled(false)
+	for format, doc := range docs {
+		src, err := FromBytes([]byte(doc), format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, off := range []bool{true, false} {
+			kernel.SetDisabled(off)
+			res, err := testEngine(t, 2).Query(context.Background(), src, spec, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ids []int64
+			for _, m := range res.Res.Matches {
+				ids = append(ids, m.ID)
+			}
+			if !slices.Equal(ids, []int64{1, 2}) || res.Res.Scanned != 3 {
+				t.Errorf("%v, kernels off %v: matched %v of %d, want [1 2] of 3", format, off, ids, res.Res.Scanned)
+			}
+		}
 	}
 }

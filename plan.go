@@ -2,35 +2,26 @@ package atgis
 
 import (
 	"context"
-	"sort"
 
 	"atgis/internal/geojson"
 	"atgis/internal/pipeline"
-	"atgis/internal/query"
-	"atgis/internal/sidecar"
 )
 
-// Block plans. Every pass of every format — whole source or shard range,
-// cold or warm, query or join partition — is one plan run by runPlan
-// through the format's driver (drivers.go): an ordered, contiguous
-// sequence of typed blocks from offset 0 to the plan's stop. The document
-// header parses sequentially (it opens the root object and features array
-// every PAT block assumes), live blocks parse in parallel, and gaps are
-// skipped unparsed. Two planners produce plans:
+// Block plans. Every cold pass of every format — whole source or shard
+// range, query or join partition — is one plan run by runPlan through the
+// format's driver (drivers.go): an ordered, contiguous sequence of typed
+// blocks from offset 0 to the plan's stop. The document header parses
+// sequentially (it opens the root object and features array every PAT
+// block assumes), live blocks parse in parallel, and gaps are skipped
+// unparsed. coldPlan knows only where the range starts: header · gap up
+// to the range · the range itself, cut by the format's boundary splitter
+// while the pass runs. (A warm query runs over the sidecar tape instead,
+// tape.go; OSM XML's second pass is a plan over its first pass's blocks,
+// drivers.go.)
 //
-//   - coldPlan knows only where the range starts: header · gap up to the
-//     range · the range itself, cut by the format's boundary splitter
-//     while the pass runs;
-//   - tapePlan reads the sidecar tape instead of the bytes: the range's
-//     features whose bbox misses the query window become gaps too, and
-//     are counted scanned-but-unmatched — precisely what a cold pass
-//     concludes about them (Evaluator.match rejects any candidate whose
-//     MBR misses the reference MBR, for every predicate pruneWindow
-//     admits).
-//
-// A shard is therefore a restriction of a plan, not a runner: both
-// planners take the aligned range, and a feature belongs to the range
-// that contains its start offset.
+// A shard is therefore a restriction of a plan, not a runner: the planner
+// takes the aligned range, and a feature belongs to the range that
+// contains its start offset.
 
 // blockKind labels the role of one planned block.
 type blockKind uint8
@@ -38,7 +29,7 @@ type blockKind uint8
 const (
 	blockHeader blockKind = iota // document wrapper, fed to fold.Header
 	blockLive                    // parse: features here may match
-	blockGap                     // skip: owned by another shard, or pruned
+	blockGap                     // skip: owned by another shard
 )
 
 type planBlock struct {
@@ -54,7 +45,6 @@ type blockPlan struct {
 	blocks []planBlock
 	split  int64
 	stop   int64
-	pruned int64 // features of the range skipped on the tape's word
 }
 
 // coldPlan plans r without a tape. Under PAT a GeoJSON document's
@@ -81,78 +71,6 @@ func coldPlan(format Format, mode Mode, data []byte, r ShardRange) blockPlan {
 		pl.split = r.Start
 	}
 	return pl
-}
-
-// tapePlan plans r from the sidecar tape: the entries with r.Start <=
-// off < r.End, pruned by the spec's window. Runs of survivors become
-// live blocks cut at feature starts every ~blockSize bytes (so
-// parallelism matches a cold pass), everything else a gap, and the plan
-// stops where the tape says the next shard's first feature starts. With
-// no survivor the plan is empty and the pass touches no bytes — not even
-// the wrapper: a cold pass proved the document well-formed when the
-// tape was recorded. An OSM XML tape has no plan (false): it lists the
-// features in pass-2 order, and none of them parses without the node
-// table only a whole pass builds, so it serves joins only.
-func tapePlan(ix *sidecar.Index, spec *query.Spec, r ShardRange, total int64, blockSize int) (blockPlan, bool) {
-	if ix.Format == sidecar.FormatOSMXML {
-		return blockPlan{}, false
-	}
-	offs := ix.Offs
-	i0 := sort.Search(len(offs), func(i int) bool { return offs[i] >= r.Start })
-	i1 := sort.Search(len(offs), func(i int) bool { return offs[i] >= r.End })
-	keep := make([]bool, len(offs))
-	if win, ok := pruneWindow(spec); ok {
-		ix.Prune(win, keep)
-	} else {
-		// No pruning admitted: every feature survives (the warm pass still
-		// skips the boundary scan).
-		for i := range keep {
-			keep[i] = true
-		}
-	}
-	live := 0
-	for _, k := range keep[i0:i1] {
-		if k {
-			live++
-		}
-	}
-	pl := blockPlan{split: -1, stop: total, pruned: int64(i1 - i0 - live)}
-	if live == 0 {
-		return pl, true
-	}
-	if i1 < len(offs) {
-		pl.stop = offs[i1]
-	}
-	pos := int64(0)
-	if ix.HeaderEnd > 0 {
-		pl.blocks = append(pl.blocks, planBlock{0, ix.HeaderEnd, blockHeader})
-		pos = ix.HeaderEnd
-	}
-	for i := i0; i < i1; {
-		if !keep[i] {
-			i++
-			continue
-		}
-		if offs[i] > pos {
-			// Earlier shards' features, pruned ones, leading blank lines
-			// and inter-feature separators: nothing of this pass's.
-			pl.blocks = append(pl.blocks, planBlock{pos, offs[i], blockGap})
-		}
-		j := i + 1
-		for j < i1 && keep[j] && offs[j]-offs[i] < int64(blockSize) {
-			j++
-		}
-		pos = pl.stop
-		if j < i1 {
-			pos = offs[j]
-		}
-		pl.blocks = append(pl.blocks, planBlock{offs[i], pos, blockLive})
-		i = j
-	}
-	if pos < pl.stop {
-		pl.blocks = append(pl.blocks, planBlock{pos, pl.stop, blockGap})
-	}
-	return pl, true
 }
 
 // empty reports a plan with nothing to run.
@@ -215,37 +133,24 @@ type driver[F any] struct {
 	counts func() (repaired, reprocessed int)
 }
 
-// runPlan executes pl through d — the one place a pass is assembled from
-// splitter, block function and ordered fold — and returns the pipeline
-// stats and d's repair counts.
-//
-// One failure rule for every format: the pass stops at the first block
-// that fails. The fold's context is cancelled, nothing after that block
-// is folded, and the block's error is returned, so what the driver's
-// sinks saw until then is a true prefix of the pass's output. A failed
-// skip is errWarmAbort — a repair was in progress where the plan skips
-// bytes — and the true prefix is what lets a coordinator resume the
-// shard elsewhere.
+// runPlan executes pl through d — the one place a cold pass is assembled
+// from splitter, block function and ordered fold — and returns the
+// pipeline stats and d's repair counts. A failed skip is errWarmAbort — a
+// repair was in progress where the plan skips bytes.
 func runPlan[F any](ctx context.Context, e *Engine, pl *blockPlan, opt Options, d *driver[F]) (st pipeline.Stats, repaired, reprocessed int, err error) {
 	if pl.empty() {
 		return pipeline.Stats{Bytes: int64(len(d.input)), Workers: e.pool.Size()}, 0, 0, nil
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	pass := e.register(ctx, pipeline.QueryPass, d.input)
-	defer pass.Close()
-	var failed error
 	parsed := int64(0)
-	st, err = pipeline.RunCtx(ctx, int64(len(d.input)),
+	st, err = runOrdered(ctx, e, d.input, int64(len(d.input)),
 		pl.splitter(d.input, opt.blockSize(), d.cuts),
-		pass,
 		func(b pipeline.Block) (fr F) {
 			if pl.kind(b) == blockLive {
 				fr = d.process(b)
 			}
 			return fr // the fold handles headers and gaps
 		},
-		func(b pipeline.Block, fr F) {
+		func(b pipeline.Block, fr F) error {
 			switch pl.kind(b) {
 			case blockHeader:
 				if d.header != nil {
@@ -254,21 +159,16 @@ func runPlan[F any](ctx context.Context, e *Engine, pl *blockPlan, opt Options, 
 				parsed = b.End
 			case blockGap:
 				if d.skip != nil && !d.skip(b.End) {
-					failed = errWarmAbort
+					return errWarmAbort
 				}
 			default:
-				failed = d.add(b, fr)
 				parsed = b.End
+				return d.add(b, fr)
 			}
-			if failed != nil {
-				cancel() // the merge loop folds nothing after this
-			}
+			return nil
 		},
 	)
 	st.Bytes = int64(len(d.input))
-	if failed != nil {
-		err = failed
-	}
 	if err == nil && d.finish != nil {
 		// Still the pass: its wall clock, merge time and allocations count.
 		st = st.Add(pipeline.Tail(func() { err = d.finish(ctx, parsed) }))
@@ -277,4 +177,31 @@ func runPlan[F any](ctx context.Context, e *Engine, pl *blockPlan, opt Options, 
 		repaired, reprocessed = d.counts()
 	}
 	return st, repaired, reprocessed, err
+}
+
+// runOrdered runs process over the positions [0, n) — bytes of data, or
+// tape entries of its sidecar — as one pass on e's pool and folds the
+// results in order: the one place a root-package pass reaches
+// pipeline.RunCtx.
+//
+// One failure rule for every pass: it stops at the first block whose fold
+// fails. The fold's context is cancelled, nothing after that block is
+// folded, and the fold's error is returned, so what the pass's sinks saw
+// until then is a true prefix of its output — which is what lets a
+// coordinator resume a failed shard elsewhere.
+func runOrdered[F any](ctx context.Context, e *Engine, data []byte, n int64, cuts func(int64, func(int64) bool), process func(pipeline.Block) F, fold func(pipeline.Block, F) error) (pipeline.Stats, error) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	pass := e.register(ctx, pipeline.QueryPass, data)
+	defer pass.Close()
+	var failed error
+	st, err := pipeline.RunCtx(ctx, n, cuts, pass, process, func(b pipeline.Block, fr F) {
+		if failed = fold(b, fr); failed != nil {
+			cancel() // the merge loop folds nothing after this
+		}
+	})
+	if failed != nil {
+		err = failed
+	}
+	return st, err
 }

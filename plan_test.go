@@ -203,6 +203,8 @@ type seamOut struct {
 	recs []seamRec
 	res  *query.Result
 	tape *sidecar.Builder // every scanned feature, for building a tape
+	// missed counts the features a tape pass answered from the tape alone.
+	missed int64
 }
 
 // seamPass runs pl over src on eng through the driver of its format, with
@@ -220,7 +222,26 @@ func seamPass(ctx context.Context, eng *Engine, p *PreparedQuery, src Source, mo
 			out.recs = append(out.recs, seamRec{f.Feature.ID, f.Feature.Offset, math.Float64bits(v.Area), math.Float64bits(v.Perimeter)})
 		}
 	})
-	out.res.Scanned += pl.pruned
+	if granted = eng.Stats().Scheduler.TotalGrantedBlocks - granted; err == nil && granted < uint64(st.Blocks) {
+		err = fmt.Errorf("pass folded %d blocks but the scheduler granted %d", st.Blocks, granted)
+	}
+	return out, err
+}
+
+// seamTapePass is seamPass for a tape pass over the entries of r: the
+// warm pass PreparedQuery.run makes of it, its misses counted scanned.
+func seamTapePass(ctx context.Context, eng *Engine, p *PreparedQuery, src Source, ix *sidecar.Index, r ShardRange, opt Options) (seamOut, error) {
+	out := seamOut{res: query.NewResult()}
+	granted := eng.Stats().Scheduler.TotalGrantedBlocks
+	tp := newTapePass(p, ix, src.Bytes(), r, func(f geom.Feature, v query.FeatureVal) {
+		out.res.Absorb(&p.spec, &f, v)
+		if v.Matched {
+			out.recs = append(out.recs, seamRec{f.ID, f.Offset, math.Float64bits(v.Area), math.Float64bits(v.Perimeter)})
+		}
+	})
+	st, err := tp.run(ctx, eng, opt.blockSize())
+	out.res.Scanned += tp.misses
+	out.missed = tp.misses
 	if granted = eng.Stats().Scheduler.TotalGrantedBlocks - granted; err == nil && granted < uint64(st.Blocks) {
 		err = fmt.Errorf("pass folded %d blocks but the scheduler granted %d", st.Blocks, granted)
 	}
@@ -274,8 +295,17 @@ func TestDriversSplitInvariant(t *testing.T) {
 				}
 			}
 			var ix *sidecar.Index
+			var pc *PreparedQuery
+			var covRef seamOut
 			if format != OSMXML && mode == PAT {
 				if ix, err = ref.tape.Build(whole.End, 0, 0); err != nil {
+					t.Fatal(err)
+				}
+				cover := &query.Spec{Kind: query.Containment, Ref: spec.Ref, WantMBR: true, KeepMatches: true}
+				if pc, err = engines[1].Prepare(cover, Options{}); err != nil || !pc.cover {
+					t.Fatalf("covering spec: %v, cover %v", err, pc != nil && pc.cover)
+				}
+				if covRef, err = seamPass(context.Background(), engines[1], pc, src, mode, &seqPlan, Options{BlockSize: 1 << 30}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -289,12 +319,19 @@ func TestDriversSplitInvariant(t *testing.T) {
 						if ix == nil {
 							return // FAT and OSM XML: the cold whole-source plan only
 						}
-						warm, ok := tapePlan(ix, &p.spec, whole, whole.End, bs)
-						if !ok || warm.pruned == 0 {
-							t.Fatalf("tape plan: ok %v, pruned %d", ok, warm.pruned)
-						}
-						got, err = seamPass(context.Background(), eng, p, src, mode, &warm, opt)
+						got, err = seamTapePass(context.Background(), eng, p, src, ix, whole, opt)
 						check(t, got, err)
+						if got.missed == 0 {
+							t.Fatal("tape pass answered no feature from the tape")
+						}
+						// A spec the tape answers covered features of.
+						cov, err := seamTapePass(context.Background(), eng, pc, src, ix, whole, opt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(cov.recs, covRef.recs) || !sameSummary(cov.res, covRef.res) {
+							t.Errorf("covering tape pass: %d records %+v, want %d %+v", len(cov.recs), cov.res, len(covRef.recs), covRef.res)
+						}
 						for _, k := range []int{2, 3, 7} {
 							for _, planner := range []string{"cold", "tape"} {
 								sum := seamOut{res: query.NewResult()}
@@ -304,10 +341,12 @@ func TestDriversSplitInvariant(t *testing.T) {
 										t.Fatal(err)
 									}
 									pl := coldPlan(format, mode, data, r)
+									var part seamOut
 									if planner == "tape" {
-										pl, _ = tapePlan(ix, &p.spec, r, whole.End, bs)
+										part, err = seamTapePass(context.Background(), eng, p, src, ix, r, opt)
+									} else {
+										part, err = seamPass(context.Background(), eng, p, src, mode, &pl, opt)
 									}
-									part, err := seamPass(context.Background(), eng, p, src, mode, &pl, opt)
 									if err != nil {
 										t.Fatalf("k=%d %s %v: %v", k, planner, r, err)
 									}

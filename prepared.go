@@ -8,6 +8,7 @@ import (
 	"atgis/internal/geojson"
 	"atgis/internal/geom"
 	"atgis/internal/query"
+	"atgis/internal/sidecar"
 )
 
 // noWindowPushdown keeps Prepare from setting geojson.Config.Window; the
@@ -25,6 +26,7 @@ type PreparedQuery struct {
 	spec   query.Spec // private normalized copy; read-only after Prepare
 	opt    Options
 	cfg    *geojson.Config // fused extraction+eval config, the same for every format
+	cover  bool            // a tape pass may answer an entry inside the window from its box
 }
 
 // Prepare compiles spec for repeated execution on the engine. Only
@@ -56,6 +58,7 @@ func (e *Engine) Prepare(spec *query.Spec, opt Options) (*PreparedQuery, error) 
 	if win, ok := pruneWindow(&p.spec); ok && !noWindowPushdown {
 		p.cfg.Window = &win
 	}
+	p.cover = coverWindow(&p.spec) && len(p.opt.PropKeys) == 0
 	return p, nil
 }
 
@@ -80,12 +83,12 @@ func (p *PreparedQuery) Execute(ctx context.Context, src Source) (*Result, error
 
 // run is the shared execution core of Execute, Stream and their shard
 // forms: it aggregates into a fresh Result and, when emit is set, hands
-// every scanned feature on with its per-feature outcome. A non-nil
-// shard restricts the pass to the features owned by that range's
-// aligned form (AlignShard; aligning an aligned range again costs two
-// constant-time look-ups, so callers that need the aligned range up
-// front pass it down).
-func (p *PreparedQuery) run(ctx context.Context, src Source, shard *ShardRange, emit func(geojson.FeatureOut)) (*Result, error) {
+// on every match with its per-feature outcome. A non-nil shard restricts
+// the pass to the features owned by that range's aligned form
+// (AlignShard; aligning an aligned range again costs two constant-time
+// look-ups, so callers that need the aligned range up front pass it
+// down).
+func (p *PreparedQuery) run(ctx context.Context, src Source, shard *ShardRange, emit func(StreamedFeature)) (*Result, error) {
 	if err := p.engine.check(); err != nil {
 		return nil, err
 	}
@@ -116,62 +119,60 @@ func (p *PreparedQuery) run(ctx context.Context, src Source, shard *ShardRange, 
 		}
 	}
 	spec := &p.spec
-	// emit takes the feature by value, so neither flavour of the pass
-	// moves the per-feature FeatureOut to the heap.
-	sink := func(f geojson.FeatureOut) {
-		v, _ := f.Val.(query.FeatureVal)
-		out.Res.Absorb(spec, &f.Feature, v)
-		if emit != nil {
-			emit(f)
+	// take absorbs one scanned feature and hands a match on. It takes the
+	// feature by value, so no flavour of the pass moves the per-feature
+	// values to the heap.
+	take := func(f geom.Feature, v query.FeatureVal) {
+		out.Res.Absorb(spec, &f, v)
+		if emit != nil && v.Matched {
+			emit(StreamedFeature{Feature: f, Val: v})
 		}
 	}
-	// pass runs one block plan into the current sink; cold plans run
-	// without the sidecar. Options.Mode applies to the cold pass over the
-	// whole source only (shard.go).
-	pass := func(mode Mode, pl *blockPlan) (err error) {
-		out.Stats, out.Repaired, out.Reprocessed, err = runPass(ctx, p.engine, src, mode, pl, p.opt, p.cfg, sink)
-		return err
+	sink := func(f geojson.FeatureOut) {
+		v, _ := f.Val.(query.FeatureVal)
+		take(f.Feature, v)
 	}
-	cold := func(r ShardRange) error {
+	// cold runs the cold plan of r without the sidecar. Options.Mode
+	// applies to the cold pass over the whole source only (shard.go).
+	cold := func(r ShardRange) (err error) {
 		mode := PAT
 		if r == whole {
 			mode = p.opt.Mode
 		}
 		pl := coldPlan(src.DataFormat(), mode, data, r)
-		return pass(mode, &pl)
+		out.Stats, out.Repaired, out.Reprocessed, err = runPass(ctx, p.engine, src, mode, &pl, p.opt, p.cfg, sink)
+		return err
 	}
 
-	// Sidecar fast path: a mapped source on a sidecar-enabled engine
-	// runs warm when its validated index yields a plan — the boundary
-	// scan is skipped and byte ranges whose features provably miss the
-	// query window are never parsed, with the pruned features folded into
-	// Scanned so the summary is identical to a cold pass.
+	// Sidecar fast path: a GeoJSON or WKT mapped source on a
+	// sidecar-enabled engine with a validated index runs warm, over the
+	// tape instead of the bytes (tape.go): no boundary scan, no wrapper,
+	// and only the features the tape cannot answer are parsed.
 	ms, ix := p.engine.sidecarFor(src)
-	if ix != nil {
-		if pl, ok := tapePlan(ix, spec, rng, whole.End, p.opt.blockSize()); ok {
-			ms.sc.hits.Add(1)
-			err = pass(PAT, &pl)
-			if errors.Is(err, errWarmAbort) {
-				// The tape disagreed with the bytes mid-pass (load-time
-				// validation makes this near-impossible). Reject the sidecar
-				// for all future passes; an aggregate-only pass can simply
-				// rerun cold, a streaming pass has already emitted features
-				// and must surface the error instead (a coordinator retries
-				// the shard on seeing it).
-				ms.rejectSidecar(err)
-				if emit == nil {
-					out.Res = query.NewResult()
-					if err = cold(rng); err == nil {
-						return out, nil
-					}
+	if ix != nil && ix.Format != sidecar.FormatOSMXML {
+		ms.sc.hits.Add(1)
+		tp := newTapePass(p, ix, data, rng, take)
+		out.Stats, err = tp.run(ctx, p.engine, p.opt.blockSize())
+		if errors.Is(err, errWarmAbort) {
+			// The tape disagreed with the bytes mid-pass (load-time
+			// validation makes this near-impossible). Reject the sidecar
+			// for all future passes; an aggregate-only pass can simply
+			// rerun cold, a streaming pass has already emitted features
+			// and must surface the error instead (a coordinator retries
+			// the shard on seeing it).
+			ms.rejectSidecar(err)
+			if emit == nil {
+				out.Res = query.NewResult()
+				if err = cold(rng); err == nil {
+					return out, nil
 				}
 			}
-			if err != nil {
-				return nil, err
-			}
-			out.Res.Scanned += pl.pruned
-			return out, nil
 		}
+		if err != nil {
+			return nil, err
+		}
+		out.Res.Scanned += tp.misses
+		return out, nil
 	}
 
 	// Cold pass, recording the structural tape when this engine may

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync/atomic"
 
-	"atgis/internal/geojson"
 	"atgis/internal/geom"
 	"atgis/internal/join"
 	"atgis/internal/query"
@@ -110,6 +109,9 @@ func (s *stream[T, S]) abandon() error {
 // Summary and Err may be called once iteration stopped.
 type Results struct {
 	stream[StreamedFeature, *Result]
+	// reparse rebuilds a tape-answered match's geometry from its offset;
+	// nil for a source no tape pass runs over.
+	reparse join.Reparser
 }
 
 // StreamedFeature is one matched feature plus its per-feature outcome
@@ -130,15 +132,15 @@ func (p *PreparedQuery) Stream(ctx context.Context, src Source) *Results {
 // stream is Stream over the whole source (shard nil) or one shard range.
 func (p *PreparedQuery) stream(ctx context.Context, src Source, shard *ShardRange) *Results {
 	r := &Results{}
+	if f := src.DataFormat(); f == GeoJSON || f == WKT {
+		// Building either reparser reads nothing.
+		r.reparse, _ = p.engine.reparser(ctx, src, p.opt)
+	}
 	ctx = r.init(ctx, 64)
 	go func() {
-		sum, err := p.run(ctx, src, shard, func(f geojson.FeatureOut) {
-			v, _ := f.Val.(query.FeatureVal)
-			if !v.Matched {
-				return
-			}
+		sum, err := p.run(ctx, src, shard, func(f StreamedFeature) {
 			select {
-			case r.ch <- StreamedFeature{Feature: f.Feature, Val: v}:
+			case r.ch <- f:
 			case <-ctx.Done():
 			}
 		})
@@ -155,7 +157,25 @@ func (r *Results) Next() bool { return r.next() }
 // Feature returns the current match. The pointer is valid until the
 // next call to Next — copy the pointed-to value (its geometry and
 // properties are not reused) to retain a match across iterations.
-func (r *Results) Feature() *geom.Feature { return &r.cur.Feature }
+//
+// A warm pass answers a match whose bounding box lies inside a
+// rectangular query window from the sidecar tape, without parsing it;
+// Feature then re-parses that one feature's geometry from the source on
+// its first call (Geom stays nil if the bytes no longer hold it). Match
+// reads only what the pass produced.
+func (r *Results) Feature() *geom.Feature {
+	f := &r.cur.Feature
+	if f.Geom == nil && r.cur.Val.Matched && r.reparse != nil {
+		f.Geom, _ = r.reparse(f.Offset)
+	}
+	return f
+}
+
+// Match returns the current match's identity and bounding box. Unlike
+// Feature it never touches the source bytes.
+func (r *Results) Match() query.Match {
+	return query.Match{ID: r.cur.Feature.ID, Offset: r.cur.Feature.Offset, Box: r.cur.Val.Box}
+}
 
 // Value returns the current match's per-feature outcome.
 func (r *Results) Value() query.FeatureVal { return r.cur.Val }

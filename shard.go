@@ -25,11 +25,12 @@ import (
 // counts and MBR merge bit-exactly; floating-point sum aggregates may
 // differ in the last ulp because shard merging regroups the additions).
 //
-// A shard is not a runner of its own but a restriction of a block plan
-// (plan.go), so it runs warm whenever an unsharded pass would: with a
-// validated sidecar the worker plans the range from the tape — no
-// boundary scan, pruned features never parsed, a range with no survivor
-// not read at all. Without one it runs the cold plan over the range,
+// A shard is not a runner of its own but a restriction of a pass, so it
+// runs warm whenever an unsharded pass would: with a validated sidecar
+// the worker runs over the tape entries of the range (tape.go) — no
+// boundary scan, no feature parsed that the tape answers, a range with
+// nothing to parse not read at all. Without one it runs the cold block
+// plan (plan.go) over the range,
 // always with the PAT machinery (boundary-aligned blocks need the
 // known-state splits; FAT speculation has no shard-local repair story).
 // A partial pass must never persist a partial tape, so a worker that may

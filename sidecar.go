@@ -58,9 +58,10 @@ func ParseSidecarMode(s string) (SidecarMode, error) {
 func (e *Engine) SidecarMode() SidecarMode { return e.sidecar }
 
 // errWarmAbort marks a warm pass that discovered a mid-pass
-// inconsistency between the sidecar tape and the bytes (a repair
-// crossing a pruned range). Load-time validation makes this
-// near-impossible; when it happens the sidecar is rejected and
+// inconsistency between the sidecar tape and the bytes (tape.go: a
+// covered feature's span that does not open or close a feature, a parsed
+// run whose features are not the tape's). Load-time validation makes
+// this near-impossible; when it happens the sidecar is rejected and
 // aggregate passes silently rerun cold.
 var errWarmAbort = errors.New("atgis: warm pass abandoned: sidecar inconsistent with source bytes")
 
@@ -296,25 +297,6 @@ func (e *Engine) sidecarFor(src Source) (*MappedSource, *sidecar.Index) {
 		return nil, nil
 	}
 	return ms, ms.sidecarIndex()
-}
-
-// warmJoinPartition rebuilds the join's merged partition sink from the
-// sidecar tape, replacing the whole first join pass: one linear walk
-// over (id, offset, bbox) in consume order reproduces exactly the
-// per-cell insertion order of a cold partition pass, because cold
-// passes insert features in that same order and an entry's box is the
-// recorded Bound(). Only safe when the side mask depends on nothing
-// beyond id/offset/bounds (JoinSpec.BoundsSafeMask or no mask).
-func warmJoinPartition(ix *sidecar.Index, merged *query.PartitionSink) {
-	f := geom.Feature{}
-	for i := range ix.Offs {
-		bx := ix.Boxes[i]
-		if bx.IsEmpty() {
-			continue
-		}
-		f = geom.Feature{ID: ix.IDs[i], Offset: ix.Offs[i], Geom: bx.AsPolygon()}
-		merged.ConsumeBox(&f, bx)
-	}
 }
 
 // pruneWindow reports whether the spec allows bbox pruning and against

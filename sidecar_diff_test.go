@@ -22,12 +22,17 @@ package atgis
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -101,6 +106,34 @@ type diffRecord struct {
 	Perim string `json:"perimeter_bits"`
 }
 
+// streamRecord is a diffRecord plus what else a stream hands over: the
+// match's box, its geometry (geomDigest) and its properties.
+type streamRecord struct {
+	diffRecord
+	Box   string            `json:"box"`
+	Geom  string            `json:"geom"`
+	Props map[string]string `json:"props,omitempty"`
+}
+
+// geomDigest renders a geometry exactly: its type, its point count and an
+// FNV-1a hash of every coordinate's bit pattern in visiting order.
+func geomDigest(g geom.Geometry) string {
+	if g == nil {
+		return "nil"
+	}
+	h := fnv.New64a()
+	var buf [16]byte
+	n := 0
+	g.EachPoint(func(p geom.Point) bool {
+		binary.LittleEndian.PutUint64(buf[:8], math.Float64bits(p.X))
+		binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(p.Y))
+		h.Write(buf[:])
+		n++
+		return true
+	})
+	return fmt.Sprintf("%d/%d/%016x", g.Type(), n, h.Sum64())
+}
+
 // sidecarDiffCase runs one query or join flavour and renders its full
 // observable output as a comparable string.
 type sidecarDiffCase struct {
@@ -123,10 +156,26 @@ func diffSpec(pred query.Predicate, scale float64, keep bool) *query.Spec {
 	}
 }
 
-func queryCase(name string, spec *query.Spec, mode Mode) sidecarDiffCase {
+// coverSpec is an intersects query over the centred window of area
+// fraction frac (0: a zero-area window at the centre) that reads nothing
+// but the box — the spec a tape pass answers covered features of. A
+// containment keeps its matches.
+func coverSpec(kind query.Kind, frac float64) *query.Spec {
+	win := geom.Box{}
+	if frac > 0 {
+		win = query.ScaleBox(synth.Extent, frac)
+	}
+	return &query.Spec{Kind: kind, Ref: win.AsPolygon(), Pred: query.PredIntersects,
+		WantMBR: true, KeepMatches: kind == query.Containment}
+}
+
+// diffOpt is the options every case runs with, in the given mode.
+func diffOpt(mode Mode) Options { return Options{Mode: mode, BlockSize: 8 << 10} }
+
+func queryCase(name string, spec *query.Spec, opt Options) sidecarDiffCase {
 	return sidecarDiffCase{name: name, run: func(t *testing.T, eng *Engine, src Source) string {
 		t.Helper()
-		res, err := eng.Query(context.Background(), src, spec, Options{Mode: mode, BlockSize: 8 << 10})
+		res, err := eng.Query(context.Background(), src, spec, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -134,14 +183,23 @@ func queryCase(name string, spec *query.Spec, mode Mode) sidecarDiffCase {
 	}}
 }
 
-// renderStream drains a streamed query: one diffRecord line per match,
+// renderStream drains a streamed query: one streamRecord line per match,
 // then the summary.
 func renderStream(t *testing.T, name string, res *Results) string {
 	t.Helper()
 	var b strings.Builder
 	for res.Next() {
-		f, v := res.Feature(), res.Value()
-		line, err := json.Marshal(diffRecord{ID: f.ID, Off: f.Offset, Area: bits(v.Area), Perim: bits(v.Perimeter)})
+		m, v := res.Match(), res.Value()
+		f := res.Feature()
+		if f.ID != m.ID || f.Offset != m.Offset {
+			t.Fatalf("%s: Feature is %d@%d, Match %d@%d", name, f.ID, f.Offset, m.ID, m.Offset)
+		}
+		line, err := json.Marshal(streamRecord{
+			diffRecord: diffRecord{ID: m.ID, Off: m.Offset, Area: bits(v.Area), Perim: bits(v.Perimeter)},
+			Box:        renderBox(m.Box),
+			Geom:       geomDigest(f.Geom),
+			Props:      f.Properties,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,10 +214,10 @@ func renderStream(t *testing.T, name string, res *Results) string {
 	return b.String()
 }
 
-func streamCase(name string, spec *query.Spec, mode Mode) sidecarDiffCase {
+func streamCase(name string, spec *query.Spec, opt Options) sidecarDiffCase {
 	return sidecarDiffCase{name: name, run: func(t *testing.T, eng *Engine, src Source) string {
 		t.Helper()
-		pq, err := eng.Prepare(spec, Options{Mode: mode, BlockSize: 8 << 10})
+		pq, err := eng.Prepare(spec, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -192,13 +250,13 @@ func renderShard(t *testing.T, name string, pq *PreparedQuery, src Source, r Sha
 }
 
 // shardCase renders every range of the shard axis, one after another.
-func shardCase(name string, spec *query.Spec, stream bool) sidecarDiffCase {
+func shardCase(name string, spec *query.Spec, opt Options, stream bool) sidecarDiffCase {
 	return sidecarDiffCase{name: name, run: func(t *testing.T, eng *Engine, src Source) string {
 		t.Helper()
 		if src.DataFormat() == OSMXML {
 			return "" // cannot be sharded by byte range
 		}
-		pq, err := eng.Prepare(spec, Options{BlockSize: 8 << 10})
+		pq, err := eng.Prepare(spec, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -279,23 +337,60 @@ func orderedJoinCase(name string) sidecarDiffCase {
 }
 
 func sidecarDiffCases() []sidecarDiffCase {
-	return []sidecarDiffCase{
+	pat, fat := diffOpt(PAT), diffOpt(FAT)
+	cases := []sidecarDiffCase{
 		// Selective window: most features prune on a warm pass.
-		queryCase("agg-pat-intersects", diffSpec(query.PredIntersects, 0.2, false), PAT),
-		queryCase("agg-fat-intersects", diffSpec(query.PredIntersects, 0.2, false), FAT),
-		queryCase("agg-within", diffSpec(query.PredWithin, 0.35, false), PAT),
+		queryCase("agg-pat-intersects", diffSpec(query.PredIntersects, 0.2, false), pat),
+		queryCase("agg-fat-intersects", diffSpec(query.PredIntersects, 0.2, false), fat),
+		queryCase("agg-within", diffSpec(query.PredWithin, 0.35, false), pat),
 		// Disjoint inverts the MBR prefilter: the warm pass may not prune
 		// and must scan everything.
-		queryCase("agg-disjoint", diffSpec(query.PredDisjoint, 0.2, false), PAT),
-		queryCase("contain-buffered", diffSpec(query.PredIntersects, 0.25, true), PAT),
-		streamCase("contain-stream-pat", diffSpec(query.PredIntersects, 0.25, false), PAT),
-		streamCase("contain-stream-fat", diffSpec(query.PredIntersects, 0.25, false), FAT),
-		shardCase("shards-agg-intersects", diffSpec(query.PredIntersects, 0.2, false), false),
-		shardCase("shards-agg-disjoint", diffSpec(query.PredDisjoint, 0.2, false), false),
-		shardCase("shards-contain-stream", diffSpec(query.PredIntersects, 0.25, false), true),
+		queryCase("agg-disjoint", diffSpec(query.PredDisjoint, 0.2, false), pat),
+		queryCase("contain-buffered", diffSpec(query.PredIntersects, 0.25, true), pat),
+		streamCase("contain-stream-pat", diffSpec(query.PredIntersects, 0.25, false), pat),
+		streamCase("contain-stream-fat", diffSpec(query.PredIntersects, 0.25, false), fat),
+		shardCase("shards-agg-intersects", diffSpec(query.PredIntersects, 0.2, false), pat, false),
+		shardCase("shards-agg-disjoint", diffSpec(query.PredDisjoint, 0.2, false), pat, false),
+		shardCase("shards-contain-stream", diffSpec(query.PredIntersects, 0.25, false), pat, true),
 		joinCase("join-buffered"),
 		orderedJoinCase("join-ordered-stream"),
 	}
+	// Specs a warm pass answers from the tape wherever a feature's box lies
+	// inside the window, from a window nothing lies inside to one holding
+	// nearly everything.
+	for _, frac := range []float64{0, 0.03, 0.7, 1} {
+		contain, agg := coverSpec(query.Containment, frac), coverSpec(query.Aggregation, frac)
+		cases = append(cases,
+			queryCase(fmt.Sprintf("cover-contain-%g", frac), contain, pat),
+			streamCase(fmt.Sprintf("cover-stream-%g", frac), contain, pat),
+			queryCase(fmt.Sprintf("cover-agg-mbr-%g", frac), agg, pat),
+			shardCase(fmt.Sprintf("shards-cover-stream-%g", frac), contain, pat, true),
+			shardCase(fmt.Sprintf("shards-cover-agg-mbr-%g", frac), agg, pat, false),
+		)
+	}
+	// Specs it must not: a reference that is not its own MBR, an aggregate
+	// of the geometry, properties on the matches.
+	diamond := coverSpec(query.Containment, 0.25)
+	diamond.Ref = geom.Polygon{geom.Ring{{X: 0, Y: -60}, {X: 120, Y: 0}, {X: 0, Y: 60}, {X: -120, Y: 0}, {X: 0, Y: -60}}}
+	area := coverSpec(query.Containment, 0.25)
+	area.WantArea = true
+	props := pat
+	props.PropKeys = []string{"name"}
+	for _, c := range []struct {
+		name string
+		spec *query.Spec
+		opt  Options
+	}{
+		{"uncovered-nonrect", diamond, pat},
+		{"uncovered-area", area, pat},
+		{"uncovered-props", coverSpec(query.Containment, 0.25), props},
+	} {
+		cases = append(cases,
+			streamCase(c.name, c.spec, c.opt),
+			shardCase("shards-"+c.name, c.spec, c.opt, true),
+		)
+	}
+	return cases
 }
 
 // runAllCases executes the full matrix against (eng, src) and returns
@@ -641,5 +736,264 @@ func TestSidecarShardPlans(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSidecarCoveredStreamParsesOnlyStraddlers: a warm stream over a
+// rectangular window, consumed through Match, parses exactly the features
+// whose box meets the window without lying inside it — no covered match,
+// no miss, and nothing again on the consumer's side — in no more blocks
+// than those features' bytes fill. A range holding only covered features
+// runs no block at all.
+func TestSidecarCoveredStreamParsesOnlyStraddlers(t *testing.T) {
+	ctx := context.Background()
+	for _, format := range []Format{GeoJSON, WKT} {
+		t.Run(format.String(), func(t *testing.T) {
+			eng := NewEngine(EngineConfig{Workers: 4, Sidecar: SidecarReadWrite})
+			defer eng.Close()
+			src := mustOpen(t, writeSidecarCorpus(t, format))
+			opt := Options{BlockSize: 1 << 10}
+			pq, err := eng.Prepare(coverSpec(query.Containment, 0.7), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := pq.Execute(ctx, src); err != nil { // records the tape
+				t.Fatal(err)
+			}
+			ix := src.sidecarIndex()
+			if ix == nil {
+				t.Fatal("no tape recorded")
+			}
+			win := pq.spec.RefBox
+			var covered, straddling, parseBytes int64
+			for i, b := range ix.Boxes {
+				switch {
+				case !b.Intersects(win):
+				case win.ContainsBox(b):
+					covered++
+				default:
+					straddling++
+					end := int64(len(src.Bytes()))
+					if i+1 < len(ix.Offs) {
+						end = ix.Offs[i+1]
+					}
+					parseBytes += end - ix.Offs[i]
+				}
+			}
+			if covered == 0 || straddling == 0 {
+				t.Fatalf("window covers %d features and straddles %d: both must be non-zero", covered, straddling)
+			}
+
+			var evals, reparsed atomic.Int64
+			eval := pq.cfg.EvalBox
+			pq.cfg.EvalBox = func(f *geom.Feature, box geom.Box) any {
+				evals.Add(1)
+				return eval(f, box)
+			}
+			res := pq.Stream(ctx, src)
+			reparse := res.reparse
+			res.reparse = func(off int64) (geom.Geometry, error) {
+				reparsed.Add(1)
+				return reparse(off)
+			}
+			n := int64(0)
+			for res.Next() {
+				if m := res.Match(); m.Box.IsEmpty() {
+					t.Fatalf("match %d@%d has no box", m.ID, m.Offset)
+				}
+				n++
+			}
+			sum, err := res.Summary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != sum.Res.Count || n < covered {
+				t.Fatalf("streamed %d matches, summary %d, covered %d", n, sum.Res.Count, covered)
+			}
+			if got := evals.Load(); got != straddling {
+				t.Errorf("parsed and evaluated %d features, want the %d straddling the window's edge", got, straddling)
+			}
+			if got := reparsed.Load(); got != 0 {
+				t.Errorf("consuming through Match re-parsed %d features", got)
+			}
+			if limit := (parseBytes + 1<<10 - 1) >> 10; sum.Stats.Blocks < 1 || int64(sum.Stats.Blocks) > limit {
+				t.Errorf("%d blocks for %d bytes to parse at 1 KiB blocks, want 1..%d", sum.Stats.Blocks, parseBytes, limit)
+			}
+
+			// A range holding one covered feature: answered from the tape.
+			for i, b := range ix.Boxes {
+				if !win.ContainsBox(b) || b.IsEmpty() {
+					continue
+				}
+				evals.Store(0)
+				res, err := pq.ExecuteShard(ctx, src, ShardRange{ix.Offs[i], ix.Offs[i] + 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Res.Count != 1 || res.Stats.Blocks != 0 || evals.Load() != 0 {
+					t.Fatalf("covered-only shard: count %d, %d blocks, %d evaluations; want 1, 0, 0",
+						res.Res.Count, res.Stats.Blocks, evals.Load())
+				}
+				break
+			}
+		})
+	}
+}
+
+// TestSidecarPoisonedCoveredTape: a tape whose next offset after a
+// covered feature was moved into that feature's bytes is caught by the
+// covered feature's span check alone — the shifted entry itself misses
+// the window and is never read. A stream ends with errWarmAbort after a
+// true prefix of the cold matches; an aggregate reruns cold and answers
+// as a cold pass does. Either way the sidecar is rejected.
+func TestSidecarPoisonedCoveredTape(t *testing.T) {
+	ctx := context.Background()
+	for _, format := range []Format{GeoJSON, WKT} {
+		t.Run(format.String(), func(t *testing.T) {
+			path := writeSidecarCorpus(t, format)
+			contain, agg := coverSpec(query.Containment, 0.25), coverSpec(query.Aggregation, 0.25)
+			matches := func(eng *Engine, src Source) ([]query.Match, error) {
+				pq, err := eng.Prepare(contain, Options{BlockSize: 1 << 10})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res := pq.Stream(ctx, src)
+				var out []query.Match
+				for res.Next() {
+					out = append(out, res.Match())
+				}
+				return out, res.Err()
+			}
+			coldEng := NewEngine(EngineConfig{Workers: 4})
+			defer coldEng.Close()
+			want, err := matches(coldEng, mustOpen(t, path))
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantAgg, err := coldEng.Query(ctx, mustOpen(t, path), agg, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			rwEng := NewEngine(EngineConfig{Workers: 4, Sidecar: SidecarReadWrite})
+			defer rwEng.Close()
+			if _, err := rwEng.Query(ctx, mustOpen(t, path), agg, Options{}); err != nil {
+				t.Fatal(err)
+			}
+			ix, err := sidecar.Load(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			win := contain.Ref.Bound()
+			j := ix.N() / 2 // past a few blocks, so the stream has a prefix to show
+			for ; j < ix.N(); j++ {
+				if prev := ix.Boxes[j-1]; win.ContainsBox(prev) && !prev.IsEmpty() && !ix.Boxes[j].Intersects(win) {
+					break
+				}
+			}
+			if j == ix.N() {
+				t.Fatal("no covered feature followed by a miss to poison")
+			}
+			ix.Offs[j] -= (ix.Offs[j] - ix.Offs[j-1]) / 2
+			if err := sidecar.Write(path, ix); err != nil {
+				t.Fatal(err)
+			}
+
+			roEng := NewEngine(EngineConfig{Workers: 4, Sidecar: SidecarRead})
+			defer roEng.Close()
+			src := mustOpen(t, path)
+			got, err := matches(roEng, src)
+			if !errors.Is(err, errWarmAbort) {
+				t.Fatalf("stream over the poisoned tape: err = %v, want errWarmAbort", err)
+			}
+			if len(got) == 0 || len(got) >= len(want) || !slices.Equal(got, want[:len(got)]) {
+				t.Errorf("stream emitted %d matches, want a true prefix of the %d cold ones", len(got), len(want))
+			}
+			if st := src.SidecarStats(); st.State != "rejected" || st.Hits != 1 {
+				t.Errorf("poisoned tape was not used once and then rejected: %+v", st)
+			}
+
+			src = mustOpen(t, path)
+			gotAgg, err := roEng.Query(ctx, src, agg, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, w := renderQueryResult(gotAgg), renderQueryResult(wantAgg); g != w {
+				t.Errorf("aggregate over the poisoned tape:\n%s\nwant\n%s", g, w)
+			}
+			if st := src.SidecarStats(); st.State != "rejected" || st.Hits != 1 {
+				t.Errorf("poisoned tape was not used once and then rejected: %+v", st)
+			}
+		})
+	}
+}
+
+// TestSidecarOddDocuments: tape passes over documents whose shape the
+// synthetic corpus never has — a lone Feature as the root, a bare array,
+// members after the features array, CRLF and structural characters in
+// strings, the PAT-hostile collection, WKT with blank lines and no final
+// newline — answer as cold passes do, buffered and streamed, with and
+// without covered features, and never reject the tape.
+func TestSidecarOddDocuments(t *testing.T) {
+	ctx := context.Background()
+	docs := map[string]string{
+		"root.geojson": `{"type":"Feature","id":7,"geometry":{"type":"Polygon","coordinates":[[[1,1],[2,1],[2,2],[1,1]]]},"properties":{}}`,
+		"bare.geojson": `[{"type":"Feature","id":1,"geometry":{"type":"Point","coordinates":[1,1]},"properties":{}} , ` +
+			`{"type":"Feature","id":2,"geometry":{"type":"Point","coordinates":[50,1]},"properties":{}},` +
+			`{"type":"Feature","id":3,"geometry":{"type":"Point","coordinates":[2,2]},"properties":{}}]`,
+		"trailing.geojson": "{\"type\":\"FeatureCollection\",\"features\":[\r\n" +
+			"{\"type\":\"Feature\",\"id\":1,\"geometry\":{\"type\":\"Point\",\"coordinates\":[1,1]},\"properties\":{\"x\":\"},{\"}}\r\n,\r\n" +
+			"{\"type\":\"Feature\",\"id\":2,\"geometry\":null,\"properties\":{}}," +
+			"{\"type\":\"Feature\",\"id\":3,\"geometry\":{\"type\":\"LineString\",\"coordinates\":[[1,1],[9,9]]},\"properties\":{}}\n" +
+			"], \"bbox\":[0,0,1,1], \"extra\":{\"type\":\"Feature\"}}\n",
+		"hostile.geojson": string(hostileCollection()),
+		"crlf.wkt":        "1\tPOINT (1 1)\r\n\r\n2\tPOINT (50 1)\r\n3\tLINESTRING (1 1, 2 2)\r\n",
+		"nonl.wkt":        "1\tPOINT (1 1)\n\n\n2\tPOINT (3 3)",
+	}
+	var specs []*query.Spec
+	for _, b := range []geom.Box{{MinX: 0, MinY: 0, MaxX: 10, MaxY: 10}, {MinX: 0.5, MinY: -1, MaxX: 3, MaxY: 1.5}} {
+		for _, area := range []bool{false, true} {
+			specs = append(specs, &query.Spec{Kind: query.Containment, Pred: query.PredIntersects,
+				KeepMatches: true, WantMBR: true, WantArea: area, Ref: b.AsPolygon()})
+		}
+	}
+	coldEng := NewEngine(EngineConfig{Workers: 2})
+	defer coldEng.Close()
+	warmEng := NewEngine(EngineConfig{Workers: 2, Sidecar: SidecarReadWrite})
+	defer warmEng.Close()
+	dir := t.TempDir()
+	for name, doc := range docs {
+		path := dir + "/" + name
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		coldSrc, warmSrc := mustOpen(t, path), mustOpen(t, path)
+		for i, spec := range specs {
+			for _, bs := range []int{16, 1 << 20} {
+				opt := Options{BlockSize: bs}
+				want, err := coldEng.Query(ctx, coldSrc, spec, opt)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				pc, _ := coldEng.Prepare(spec, opt)
+				wantStream := renderStream(t, name, pc.Stream(ctx, coldSrc))
+				for round := 0; round < 2; round++ { // the first one records the tape
+					got, err := warmEng.Query(ctx, warmSrc, spec, opt)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if g, w := renderQueryResult(got), renderQueryResult(want); g != w {
+						t.Errorf("%s spec %d block %d: warm\n%s\ncold\n%s", name, i, bs, g, w)
+					}
+					pw, _ := warmEng.Prepare(spec, opt)
+					if g := renderStream(t, name, pw.Stream(ctx, warmSrc)); g != wantStream {
+						t.Errorf("%s spec %d block %d: warm stream\n%s\ncold\n%s", name, i, bs, g, wantStream)
+					}
+				}
+			}
+		}
+		if st := warmSrc.SidecarStats(); st.State != "active" || st.Hits == 0 {
+			t.Errorf("%s: tape not serving: %+v", name, st)
+		}
 	}
 }

@@ -110,8 +110,8 @@ func main() {
 		matched := 0
 		for res.Next() {
 			if matched < *show {
-				f := res.Feature()
-				fmt.Printf("  match id=%d offset=%d mbr=%+v\n", f.ID, f.Offset, f.Geom.Bound())
+				m := res.Match()
+				fmt.Printf("  match id=%d offset=%d mbr=%+v\n", m.ID, m.Offset, m.Box)
 			}
 			matched++
 		}

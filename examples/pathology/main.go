@@ -84,7 +84,7 @@ func main() {
 		cells, anomalies := 0, 0
 		var largest float64
 		for res.Next() {
-			b := res.Feature().Geom.Bound()
+			b := res.Match().Box
 			d := math.Hypot(b.MaxX-b.MinX, b.MaxY-b.MinY)
 			if d > 25 {
 				anomalies++

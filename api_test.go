@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -399,6 +400,41 @@ func TestEngineClose(t *testing.T) {
 	}
 	if _, err := eng.Prepare(aggSpec(), Options{}); err != ErrEngineClosed {
 		t.Fatalf("prepare on closed engine: %v, want ErrEngineClosed", err)
+	}
+}
+
+// TestJoinCellBound: a join cell finer than MinJoinCell, wider than the
+// world or NaN is an error from every join entry point, returned before a
+// grid is allocated (0.001° would be 6.5·10¹⁰ cells, ≈ 1.5 TB of cell
+// slices); a zero CellSize still means 1°.
+func TestJoinCellBound(t *testing.T) {
+	eng := testEngine(t, 2)
+	ctx := context.Background()
+	ds := genDataset(t, GeoJSON, 200)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := eng.Join(ctx, ds, JoinSpec{CellSize: 0.001}, Options{})
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "join cell size") {
+		t.Fatalf("Join at 0.001°: %v, want the cell-size error", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Fatalf("Join at 0.001° allocated %d bytes before failing", n)
+	}
+	for _, cell := range []float64{-1, 0.09, 361, math.NaN()} {
+		_, joinErr := eng.Join(ctx, ds, JoinSpec{CellSize: cell}, Options{})
+		_, streamErr := eng.JoinStream(ctx, ds, JoinSpec{CellSize: cell}, Options{}).Summary()
+		_, combinedErr := eng.Combined(ctx, ds, CombinedSpec{CellSize: cell}, Options{})
+		for name, err := range map[string]error{"Join": joinErr, "JoinStream": streamErr, "Combined": combinedErr} {
+			if err == nil {
+				t.Errorf("%s at %g°: no error", name, cell)
+			}
+		}
+	}
+	for _, cell := range []float64{0, 360} {
+		if _, err := eng.Join(ctx, ds, JoinSpec{CellSize: cell}, Options{}); err != nil {
+			t.Errorf("Join at %g°: %v", cell, err)
+		}
 	}
 }
 

@@ -108,7 +108,8 @@ type Result struct {
 type JoinSpec struct {
 	// Mask routes each feature to side A (bit query.SideA) and/or side B.
 	Mask func(f *geom.Feature) uint8
-	// CellSize is the spatial partition size in degrees (paper §5.6).
+	// CellSize is the spatial partition size in degrees (paper §5.6):
+	// 0 means 1, and a size outside [MinJoinCell, 360] is an error.
 	CellSize float64
 	// Store selects the partition container (array vs linked list).
 	Store partition.StoreKind
@@ -157,7 +158,8 @@ type CombinedSpec struct {
 	T1, T2 float64
 	// Dist selects the perimeter computation.
 	Dist geom.DistanceMethod
-	// CellSize is the join partition size in degrees.
+	// CellSize is the join partition size in degrees, bounded as
+	// JoinSpec.CellSize is.
 	CellSize float64
 }
 

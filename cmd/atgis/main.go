@@ -60,9 +60,26 @@ func main() {
 	flag.Parse()
 
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: atgis [flags] <datafile|->")
-		flag.Usage()
-		os.Exit(2)
+		usage("usage: atgis [flags] <datafile|->")
+	}
+	opt := atgis.Options{BlockSize: *blockSize}
+	switch strings.ToLower(*mode) {
+	case "pat":
+	case "fat":
+		opt.Mode = atgis.FAT
+	default:
+		usage(fmt.Sprintf("atgis: unknown -mode %q (want pat or fat)", *mode))
+	}
+	var dist geom.DistanceMethod
+	switch strings.ToLower(*distName) {
+	case "haversine":
+		dist = geom.Haversine
+	case "spherical":
+		dist = geom.SphericalProjection
+	case "andoyer":
+		dist = geom.Andoyer
+	default:
+		usage(fmt.Sprintf("atgis: unknown -dist %q (want spherical, haversine or andoyer)", *distName))
 	}
 
 	// Ctrl-C cancels the in-flight query pipeline.
@@ -80,22 +97,8 @@ func main() {
 	eng := atgis.NewEngine(atgis.EngineConfig{Workers: *workers, BlockSize: *blockSize, Sidecar: sidecarMode})
 	defer eng.Close()
 
-	opt := atgis.Options{BlockSize: *blockSize}
-	if strings.EqualFold(*mode, "fat") {
-		opt.Mode = atgis.FAT
-	}
 	box, err := parseBox(*ref)
 	fatal(err)
-
-	var dist geom.DistanceMethod
-	switch strings.ToLower(*distName) {
-	case "spherical":
-		dist = geom.SphericalProjection
-	case "andoyer":
-		dist = geom.Andoyer
-	default:
-		dist = geom.Haversine
-	}
 
 	switch strings.ToLower(*queryKind) {
 	case "containment":
@@ -176,6 +179,13 @@ func printStats(res *atgis.Result) {
 	if res.Repaired > 0 || res.Reprocessed > 0 {
 		fmt.Printf("repaired blocks: %d, reprocessed blocks: %d\n", res.Repaired, res.Reprocessed)
 	}
+}
+
+// usage reports a bad command line and exits 2, as flag does.
+func usage(msg string) {
+	fmt.Fprintln(os.Stderr, msg)
+	flag.Usage()
+	os.Exit(2)
 }
 
 func fatal(err error) {

@@ -460,12 +460,22 @@ func (e *Engine) join(ctx context.Context, src Source, spec JoinSpec, opt Option
 	return jr, reparse, nil
 }
 
+// MinJoinCell is the finest join partition cell, in degrees, that Join,
+// JoinStream and Combined accept (a CellSize of 0 means 1°, and one wider
+// than the world's 360° is refused too). The grid covers the world extent,
+// so cells = (360/cell)·(180/cell): 0.1° is ≈ 6.5 M cells, and an unbounded
+// value would let one call allocate a grid of billions of cells.
+const MinJoinCell = 0.1
+
 // joinPartitionPhase runs the first join pass: the parallel bounding
 // pipeline plus spatial partition insertion, returning the merged
 // partition sink.
 func (e *Engine) joinPartitionPhase(ctx context.Context, src Source, spec *JoinSpec, opt Options) (*query.PartitionSink, geom.Box, pipeline.Stats, error) {
-	if spec.CellSize <= 0 {
+	switch c := spec.CellSize; {
+	case c == 0:
 		spec.CellSize = 1
+	case !(c >= MinJoinCell && c <= 360): // NaN fails both
+		return nil, geom.Box{}, pipeline.Stats{}, fmt.Errorf("atgis: join cell size %g is not between %g and 360 degrees", c, MinJoinCell)
 	}
 	// Geographic datasets use the world extent for the partition grid
 	// (paper §5.6 sizes partitions in degrees).
@@ -541,9 +551,6 @@ func (e *Engine) Combined(ctx context.Context, src Source, spec CombinedSpec, op
 		return nil, err
 	}
 	defer release()
-	if spec.CellSize <= 0 {
-		spec.CellSize = 1
-	}
 	mask := func(f *geom.Feature) uint8 {
 		p := geom.Perimeter(f.Geom, spec.Dist)
 		var m uint8

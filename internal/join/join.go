@@ -12,6 +12,9 @@
 // refinement, not after it as in the paper's final offset-pair sort: a
 // pair is considered only by the cell that owns the reference point of
 // its MBR intersection, so no duplicate is ever reparsed or refined.
+// SORT never runs and no candidate list is built: a cell fills in consume
+// order, so a loop over its A entries refining each one's candidates as
+// they appear holds A order by construction, each A geometry reparsed once.
 //
 // There is one sweep. RunStream emits pairs in nondecreasing owning-cell
 // order, deterministically whatever the worker count; Run collects the
@@ -75,8 +78,8 @@ const kernelBoxBatchMin = 64
 
 // Config controls join execution.
 type Config struct {
-	// Ctx, when non-nil, cancels the join: batches stop between cells and
-	// Run/RunStream return the context's error.
+	// Ctx, when non-nil, cancels the join: a cell stops within 64 of its
+	// A entries and Run/RunStream return the context's error.
 	Ctx context.Context
 	// Predicate refines candidate pairs (ST_Intersects in Table 3).
 	Predicate func(a, b geom.Geometry) bool
@@ -98,7 +101,7 @@ type Config struct {
 	// batched slab kernels (internal/geom/kernel): per cell, the B side's
 	// MBRs fill a struct-of-arrays slab tested by one fused BoxFilterBatch
 	// sweep per A entry, and refinement runs IntersectsPreparedA with the
-	// A geometry's edge slab filled once per offset-sorted run. Only valid
+	// A geometry's edge slab filled once per A entry. Only valid
 	// when Predicate is geom.Intersects (as it is on every engine join);
 	// results are bit-identical to the scalar path. Ignored while
 	// kernel.Disabled().
@@ -123,119 +126,99 @@ type Stats struct {
 	CacheHits  int64
 }
 
-// candidate is an MBR-matching pair before refinement.
-type candidate struct {
-	aOff, bOff int64
-	aID, bID   int64
-}
-
-// joinCell joins one partition cell, appending its pairs to out. With
-// ks non-nil the MBR compare and the refinement both run through the
-// batched slab kernels; results are bit-identical either way.
-func joinCell(a, b *partition.Set, cfg Config, c int, cache geomCache, ks *kernel.Scratch, out []Pair, st *Stats) ([]Pair, error) {
+// joinCell joins one partition cell, appending its pairs to out: one
+// loop over the cell's A entries in cell order, each refining its owned
+// MBR hits on the B side, in cell order, as they appear. With ks non-nil
+// the MBR compare (on B sides of kernelBoxBatchMin entries or more) and
+// the refinement run through the batched slab kernels; results are
+// bit-identical either way. ctx is checked every 64 A entries.
+func joinCell(ctx context.Context, a, b *partition.Set, cfg Config, c int, cache geomCache, ks *kernel.Scratch, out []Pair, st *Stats) ([]Pair, error) {
 	ea := a.Cell(c)
 	eb := b.Cell(c)
 	if len(ea) == 0 || len(eb) == 0 {
 		return out, nil
 	}
-	// MBR COMPARE: candidate pairs within the cell. consider applies dedup
-	// ownership and candidate accounting to one MBR-intersecting pair;
-	// shared by the scalar and batched compares.
-	var cands []candidate
-	consider := func(x, y partition.Entry) {
-		if !ownsPair(a.Grid, c, x.Box, y.Box) {
-			// Another cell owns this pair's reference point and will
-			// report it; skip the duplicate before refinement.
-			st.Duplicates++
-			return
-		}
-		st.Candidates++
-		cands = append(cands, candidate{aOff: x.Off, bOff: y.Off, aID: x.ID, bID: y.ID})
-	}
-	if ks != nil && len(eb) >= kernelBoxBatchMin {
-		// Fused MBR prefilter: the B side's boxes fill a slab once per
-		// cell, then every A entry tests all of them in one branch-free
-		// sweep; surviving bits are visited in eb order, so candidate
-		// order and counters match the scalar nest exactly. Cells with
-		// few B entries take the scalar nest below — a per-A-entry
-		// kernel call plus bitset reset costs more than a handful of
-		// early-out box compares (refinement still runs batched either
-		// way; both nests produce identical candidates).
+	// Once the cell is processed the hash map is cleared (paper §4.5),
+	// which bounds the PARSER/BUFFER memory by one cell's B side.
+	defer clear(cache)
+	// Fused MBR prefilter: the B side's boxes fill a slab once per cell,
+	// then every A entry tests all of them in one branch-free sweep. Few
+	// B entries take the scalar nest instead: a per-A-entry kernel call
+	// plus bitset reset costs more than a handful of early-out compares.
+	batched := ks != nil && len(eb) >= kernelBoxBatchMin
+	if batched {
 		ks.Boxes.Reset()
 		for _, y := range eb {
 			ks.Boxes.Append(y.Box)
 		}
-		for _, x := range ea {
+	}
+	for i, x := range ea {
+		if i&63 == 0 && ctx.Err() != nil {
+			return out, ctx.Err()
+		}
+		if batched {
 			kernel.BoxFilterBatch(x.Box, &ks.Boxes, &ks.Hits)
-			for w, word := range ks.Hits {
-				base := w << 6
-				for word != 0 {
-					yi := base + bits.TrailingZeros64(word)
-					word &= word - 1
-					consider(x, eb[yi])
+		}
+		var ga geom.Geometry // reparsed at x's first owned hit
+		// MBR COMPARE, 64 B entries per word of hits, in cell order.
+		for base := 0; base < len(eb); base += 64 {
+			var word uint64
+			if batched {
+				word = ks.Hits[base>>6]
+			} else {
+				for j, y := range eb[base:min(base+64, len(eb))] {
+					if x.Box.Intersects(y.Box) {
+						word |= 1 << j
+					}
+				}
+			}
+			for ; word != 0; word &= word - 1 {
+				y := eb[base+bits.TrailingZeros64(word)]
+				if !ownsPair(a.Grid, c, x.Box, y.Box) {
+					// Another cell owns this pair's reference point and
+					// will report it; skip the duplicate before refinement.
+					st.Duplicates++
+					continue
+				}
+				st.Candidates++
+				if ga == nil {
+					var err error
+					if ga, err = cfg.ReparseA(x.Off); err != nil {
+						return out, err
+					}
+					st.Reparses++
+					if ks != nil {
+						// One slab fill per A entry: the prepared A side
+						// amortises across every B it meets.
+						ks.A.Reset()
+						ks.A.AppendGeometry(ga)
+					}
+				}
+				gb, hit := cache[y.Off]
+				if hit {
+					st.CacheHits++
+				} else {
+					var err error
+					if gb, err = cfg.ReparseB(y.Off); err != nil {
+						return out, err
+					}
+					cache[y.Off] = gb
+					st.Reparses++
+				}
+				// REFINE: exact predicate (batched when kernel-refined).
+				var refined bool
+				if ks != nil {
+					refined = kernel.IntersectsPreparedA(ga, &ks.A, gb, ks)
+				} else {
+					refined = cfg.Predicate(ga, gb)
+				}
+				if refined {
+					out = append(out, Pair{AID: x.ID, BID: y.ID, AOff: x.Off, BOff: y.Off})
+					st.Refined++
 				}
 			}
 		}
-	} else {
-		for _, x := range ea {
-			for _, y := range eb {
-				if x.Box.Intersects(y.Box) {
-					consider(x, y)
-				}
-			}
-		}
 	}
-	if len(cands) == 0 {
-		return out, nil
-	}
-	// SORT: one batch per cell, ordered by the offset of the larger side
-	// so its objects are processed adjacently (paper: "AT-GIS makes the
-	// largest set adjacent").
-	sort.Slice(cands, func(i, j int) bool { return cands[i].aOff < cands[j].aOff })
-	var curOff int64 = -1
-	var curGeom geom.Geometry
-	for _, cd := range cands {
-		if cd.aOff != curOff {
-			g, err := cfg.ReparseA(cd.aOff)
-			if err != nil {
-				return out, err
-			}
-			st.Reparses++
-			curOff, curGeom = cd.aOff, g
-			if ks != nil {
-				// One slab fill per run of adjacent candidates — the
-				// sort above is what makes runs long, so the prepared
-				// A side amortises across every B it meets.
-				ks.A.Reset()
-				ks.A.AppendGeometry(curGeom)
-			}
-		}
-		gb, hit := cache[cd.bOff]
-		if hit {
-			st.CacheHits++
-		} else {
-			var err error
-			if gb, err = cfg.ReparseB(cd.bOff); err != nil {
-				return out, err
-			}
-			cache[cd.bOff] = gb
-			st.Reparses++
-		}
-		// REFINE: exact predicate (batched when kernel-refined).
-		refined := false
-		if ks != nil {
-			refined = kernel.IntersectsPreparedA(curGeom, &ks.A, gb, ks)
-		} else {
-			refined = cfg.Predicate(curGeom, gb)
-		}
-		if refined {
-			out = append(out, Pair{AID: cd.aID, BID: cd.bID, AOff: cd.aOff, BOff: cd.bOff})
-			st.Refined++
-		}
-	}
-	// Once the cell is processed the hash map is cleared (paper §4.5),
-	// which bounds the PARSER/BUFFER memory by one cell's B side.
-	clear(cache)
 	return out, nil
 }
 
@@ -353,7 +336,7 @@ func RunStream(a, b *partition.Set, cfg Config, emit func(Pair)) (Stats, error) 
 }
 
 // batchPairs is one batch's result: its pairs in cell order, and the
-// reparse error that stopped it, if any.
+// reparse error or cancellation that stopped it, if any.
 type batchPairs struct {
 	pairs []Pair
 	err   error
@@ -450,10 +433,7 @@ func (s *sweep) batch(idx, start, end int) (r batchPairs) {
 	}
 	r.pairs = s.getBuf()
 	for c := start; c < end && r.err == nil; c++ {
-		if (c-start)&63 == 0 && s.ctx.Err() != nil {
-			break
-		}
-		r.pairs, r.err = joinCell(s.a, s.b, s.cfg, c, st.cache, st.kern, r.pairs, &st.st)
+		r.pairs, r.err = joinCell(s.ctx, s.a, s.b, s.cfg, c, st.cache, st.kern, r.pairs, &st.st)
 	}
 	return r
 }

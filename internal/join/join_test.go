@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"atgis/internal/geom"
+	"atgis/internal/geom/kernel"
 	"atgis/internal/partition"
 )
 
@@ -79,9 +81,11 @@ func pairsEqual(a, b []Pair) bool {
 	return true
 }
 
-// owningCell maps a pair of as × bs to the cell that owns it: the cell of
-// the lower-left corner of the pair's MBR intersection.
-func owningCell(g partition.Grid, as, bs []geom.Feature) func(Pair) int {
+// cellOrder keys a pair of as × bs by where the sweep emits it: its
+// owning cell (the cell of the lower-left corner of the pair's MBR
+// intersection), then its A entry's position in that cell, then its B
+// entry's.
+func cellOrder(sa, sb *partition.Set, as, bs []geom.Feature) func(Pair) [3]int {
 	boxes := make(map[int64]geom.Box, len(as)+len(bs))
 	for _, f := range as {
 		boxes[f.Offset] = f.Geom.Bound()
@@ -89,19 +93,24 @@ func owningCell(g partition.Grid, as, bs []geom.Feature) func(Pair) int {
 	for _, f := range bs {
 		boxes[f.Offset] = f.Geom.Bound()
 	}
-	return func(p Pair) int {
+	pos := func(s *partition.Set, c int, off int64) int {
+		return slices.IndexFunc(s.Cell(c), func(e partition.Entry) bool { return e.Off == off })
+	}
+	return func(p Pair) [3]int {
 		a, b := boxes[p.AOff], boxes[p.BOff]
-		return g.CellOf(max(a.MinX, b.MinX), max(a.MinY, b.MinY))
+		c := sa.Grid.CellOf(max(a.MinX, b.MinX), max(a.MinY, b.MinY))
+		return [3]int{c, pos(sa, c, p.AOff), pos(sb, c, p.BOff)}
 	}
 }
 
-// checkCellOrder fails unless seq is in nondecreasing owning-cell order.
-func checkCellOrder(t *testing.T, seq []Pair, cellOf func(Pair) int) {
+// checkCellOrder fails unless seq is in the sweep's order: nondecreasing
+// owning cell, and within a cell A entries in cell order, each with its B
+// partners in cell order.
+func checkCellOrder(t *testing.T, seq []Pair, key func(Pair) [3]int) {
 	t.Helper()
 	for i := 1; i < len(seq); i++ {
-		if cellOf(seq[i]) < cellOf(seq[i-1]) {
-			t.Fatalf("pair %d owned by cell %d after cell %d — not in cell order",
-				i, cellOf(seq[i]), cellOf(seq[i-1]))
+		if k0, k1 := key(seq[i-1]), key(seq[i]); slices.Compare(k0[:], k1[:]) >= 0 {
+			t.Fatalf("pair %d at (cell, A, B) positions %v after %v — not in cell order", i, k1, k0)
 		}
 	}
 }
@@ -227,7 +236,7 @@ func TestJoinBatchSizes(t *testing.T) {
 		}
 	}
 
-	cellOf := owningCell(sa.Grid, as, bs)
+	key := cellOrder(sa, sb, as, bs)
 	var first []Pair
 	for _, workers := range []int{1, 2, 4} {
 		for _, batch := range []int{1, 3, 64, 100000} {
@@ -242,7 +251,7 @@ func TestJoinBatchSizes(t *testing.T) {
 				t.Fatal(err)
 			}
 			if first == nil {
-				checkCellOrder(t, seq, cellOf)
+				checkCellOrder(t, seq, key)
 				first = seq
 			} else if !pairsEqual(seq, first) {
 				t.Fatalf("workers %d batch %d: a different pair sequence (%d vs %d pairs) — the stream must not depend on either",
@@ -352,60 +361,80 @@ func TestJoinBlockedConsumerBound(t *testing.T) {
 	}
 }
 
-// TestJoinOrderedStream: RunStream emits the oracle pair set in
-// nondecreasing owning-cell order, and the sequence is identical across
-// runs (deterministic). Ordering costs no parallelism: several batches
-// still refine at once.
+// TestJoinOrderedStream: RunStream emits the oracle pair set in the
+// sweep's order — owning cell, then A entries in cell order, each with its
+// B partners in cell order — and the sequence is identical across runs and
+// across both MBR nests: scalar, kernel-refined and kernel-disabled runs
+// all agree. Ordering costs no parallelism: several batches still refine
+// at once.
 func TestJoinOrderedStream(t *testing.T) {
-	as, bs, reA, reB := makeWorld(33, 90, 80)
-	sa, sb := buildSets(as, bs, 5, partition.ArrayStore)
-	stream := func(pred func(a, b geom.Geometry) bool) []Pair {
-		var got []Pair
-		_, err := RunStream(sa, sb, Config{
-			Predicate:  pred,
-			ReparseA:   reA,
-			ReparseB:   reB,
-			Workers:    4,
-			BatchCells: 2,
-		}, func(p Pair) { got = append(got, p) })
-		if err != nil {
-			t.Fatal(err)
+	for _, w := range []struct {
+		name   string
+		seed   int64
+		cellSz float64
+	}{
+		{"5° cells", 33, 5},
+		// One cell holds every entry: its B side is past kernelBoxBatchMin,
+		// so the kernel-refined run takes the batched BoxFilterBatch nest.
+		{"one cell", 34, 100},
+	} {
+		as, bs, reA, reB := makeWorld(w.seed, 90, 80)
+		sa, sb := buildSets(as, bs, w.cellSz, partition.ArrayStore)
+		stream := func(pred func(a, b geom.Geometry) bool, kern bool) []Pair {
+			var got []Pair
+			_, err := RunStream(sa, sb, Config{
+				Predicate:    pred,
+				ReparseA:     reA,
+				ReparseB:     reB,
+				Workers:      4,
+				BatchCells:   2,
+				KernelRefine: kern,
+			}, func(p Pair) { got = append(got, p) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			return got
 		}
-		return got
-	}
-	// A sleepy predicate that records how many refinements overlap.
-	var inflight, peak atomic.Int32
-	gauged := func(a, b geom.Geometry) bool {
-		n := inflight.Add(1)
-		for m := peak.Load(); n > m && !peak.CompareAndSwap(m, n); m = peak.Load() {
+		// A sleepy predicate that records how many refinements overlap.
+		var inflight, peak atomic.Int32
+		gauged := func(a, b geom.Geometry) bool {
+			n := inflight.Add(1)
+			for m := peak.Load(); n > m && !peak.CompareAndSwap(m, n); m = peak.Load() {
+			}
+			defer inflight.Add(-1)
+			return sleepyPredicate(100*time.Microsecond)(a, b)
 		}
-		defer inflight.Add(-1)
-		return sleepyPredicate(100*time.Microsecond)(a, b)
-	}
-	first := stream(gauged)
-	if len(first) == 0 {
-		t.Fatal("stream found no pairs; bad test data")
-	}
-	if p := peak.Load(); p < 2 {
-		t.Fatalf("sweep on 4 workers refined at most %d pair at once — it runs one batch at a time", p)
-	}
-	checkCellOrder(t, first, owningCell(sa.Grid, as, bs))
-	for run := 0; run < 4; run++ {
-		if again := stream(geom.Intersects); !pairsEqual(again, first) {
-			t.Fatalf("run %d produced a different sequence (%d vs %d pairs) — the stream must be deterministic",
-				run, len(again), len(first))
+		first := stream(gauged, false)
+		if len(first) == 0 {
+			t.Fatalf("%s: stream found no pairs; bad test data", w.name)
 		}
-	}
+		if p := peak.Load(); sa.Grid.NumCells() > 1 && p < 2 {
+			t.Fatalf("%s: sweep on 4 workers refined at most %d pair at once — it runs one batch at a time", w.name, p)
+		}
+		checkCellOrder(t, first, cellOrder(sa, sb, as, bs))
+		for _, run := range []struct {
+			name           string
+			kern, disabled bool
+		}{{"scalar", false, false}, {"scalar again", false, false}, {"kernel", true, false}, {"kernel disabled", true, true}} {
+			kernel.SetDisabled(run.disabled)
+			again := stream(geom.Intersects, run.kern)
+			kernel.SetDisabled(false)
+			if !pairsEqual(again, first) {
+				t.Fatalf("%s: %s run produced a different sequence (%d vs %d pairs) — the stream must be deterministic",
+					w.name, run.name, len(again), len(first))
+			}
+		}
 
-	// The oracle's pair set.
-	sorted := append([]Pair(nil), first...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].AOff != sorted[j].AOff {
-			return sorted[i].AOff < sorted[j].AOff
+		// The oracle's pair set.
+		sorted := append([]Pair(nil), first...)
+		sort.Slice(sorted, func(i, j int) bool {
+			if sorted[i].AOff != sorted[j].AOff {
+				return sorted[i].AOff < sorted[j].AOff
+			}
+			return sorted[i].BOff < sorted[j].BOff
+		})
+		if want := NestedLoop(as, bs, geom.Intersects); !pairsEqual(sorted, want) {
+			t.Fatalf("%s: stream has %d pairs, the nested loop %d", w.name, len(sorted), len(want))
 		}
-		return sorted[i].BOff < sorted[j].BOff
-	})
-	if want := NestedLoop(as, bs, geom.Intersects); !pairsEqual(sorted, want) {
-		t.Fatalf("stream has %d pairs, the nested loop %d", len(sorted), len(want))
 	}
 }

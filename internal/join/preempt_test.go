@@ -2,6 +2,7 @@ package join
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -277,5 +278,51 @@ func TestJoinCancelFreesSlots(t *testing.T) {
 	}
 	if snap := pool.SchedSnapshot(); len(snap.Passes) != 0 {
 		t.Fatalf("scheduler registrations leaked: %+v", snap.Passes)
+	}
+}
+
+// TestJoinDenseCellStopsOnCancel: one cell of 1 000 × 1 000 nested squares,
+// every pair intersecting, is one batch of a million candidates. A cancel
+// from inside it must stop the cell within 64 A entries, not after it.
+func TestJoinDenseCellStopsOnCancel(t *testing.T) {
+	const n = 1000
+	sq := func(h float64) geom.Geometry {
+		return geom.Polygon{geom.Ring{
+			{X: 50 - h, Y: 50 - h}, {X: 50 + h, Y: 50 - h}, {X: 50 + h, Y: 50 + h}, {X: 50 - h, Y: 50 + h}, {X: 50 - h, Y: 50 - h},
+		}}
+	}
+	geoms := make(map[int64]geom.Geometry, 2*n)
+	var as, bs []geom.Feature
+	for i := range n {
+		a := geom.Feature{ID: int64(i), Offset: int64(i) * 10, Geom: sq(0.04 * float64(i+1))}
+		b := geom.Feature{ID: int64(n + i), Offset: 1_000_000 + int64(i)*10, Geom: sq(0.04*float64(i+1) + 0.02)}
+		geoms[a.Offset], geoms[b.Offset] = a.Geom, b.Geom
+		as, bs = append(as, a), append(bs, b)
+	}
+	sa, sb := buildSets(as, bs, 100, partition.ArrayStore) // one cell
+	re := func(off int64) (geom.Geometry, error) { return geoms[off], nil }
+	for _, kern := range []bool{false, true} {
+		ctx, cancel := context.WithCancel(context.Background())
+		calls := 0
+		_, err := RunStream(sa, sb, Config{
+			Ctx:       ctx,
+			Predicate: geom.Intersects,
+			ReparseA: func(off int64) (geom.Geometry, error) {
+				if calls++; calls == 5 {
+					cancel()
+				}
+				return re(off)
+			},
+			ReparseB:     re,
+			Workers:      1,
+			KernelRefine: kern,
+		}, func(Pair) {})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("kernel %v: RunStream returned %v, want context.Canceled", kern, err)
+		}
+		if calls >= 5+64 {
+			t.Fatalf("kernel %v: %d A entries reparsed after a cancel at the 5th — the cell ran on", kern, calls)
+		}
 	}
 }

@@ -448,13 +448,6 @@ func cutQuery(req *queryRequest, view cluster.SourceView) ([]queryRequest, []clu
 	return subs, ranges
 }
 
-// minJoinCell bounds how fine a partition grid a request may demand.
-// The grid covers the world extent, so cells = (360/cell)·(180/cell):
-// an unbounded value would let one request allocate a grid with
-// billions of cells (the partition pass builds one sink per pipeline
-// fragment) and take the process down.
-const minJoinCell = 0.1 // ≈6.5M cells
-
 // joinRequest is the POST /v1/join body.
 type joinRequest struct {
 	// Source names a registered source.
@@ -511,8 +504,8 @@ var joinEndpoint = endpoint[joinRequest, joinSummary]{
 			c.partial = "cell_band"
 		}
 		switch {
-		case j.Cell != 0 && (j.Cell < minJoinCell || j.Cell > 360):
-			return c, fmt.Errorf("cell must be between %g and 360 degrees", minJoinCell)
+		case j.Cell != 0 && (j.Cell < atgis.MinJoinCell || j.Cell > 360):
+			return c, fmt.Errorf("cell must be between %g and 360 degrees", atgis.MinJoinCell)
 		case j.CellBand != nil && (j.CellBand[0] < 0 || j.CellBand[1] <= j.CellBand[0]):
 			return c, fmt.Errorf("cell_band must be [lo, hi) with 0 <= lo < hi")
 		case j.Mask != "" && j.Mask != "parity" && j.Mask != "both":

@@ -81,6 +81,20 @@ func main() {
 	default:
 		usage(fmt.Sprintf("atgis: unknown -dist %q (want spherical, haversine or andoyer)", *distName))
 	}
+	kind := strings.ToLower(*queryKind)
+	switch kind {
+	case "containment", "aggregation", "join":
+	default:
+		usage(fmt.Sprintf("atgis: unknown -query %q (want containment, aggregation or join)", *queryKind))
+	}
+	sidecarMode, err := atgis.ParseSidecarMode(*sidecarFlag)
+	if err != nil {
+		usage(err.Error())
+	}
+	box, err := parseBox(*ref)
+	if err != nil {
+		usage(fmt.Sprintf("atgis: bad -ref %q: %v", *ref, err))
+	}
 
 	// Ctrl-C cancels the in-flight query pipeline.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -91,16 +105,10 @@ func main() {
 	defer src.Close()
 	fmt.Printf("dataset: %s (%s, %.1f MB)\n", flag.Arg(0), src.DataFormat(), float64(len(src.Bytes()))/(1<<20))
 
-	sidecarMode, err := atgis.ParseSidecarMode(*sidecarFlag)
-	fatal(err)
-
 	eng := atgis.NewEngine(atgis.EngineConfig{Workers: *workers, BlockSize: *blockSize, Sidecar: sidecarMode})
 	defer eng.Close()
 
-	box, err := parseBox(*ref)
-	fatal(err)
-
-	switch strings.ToLower(*queryKind) {
+	switch kind {
 	case "containment":
 		spec := &query.Spec{
 			Kind: query.Containment, Ref: box.AsPolygon(),
@@ -165,8 +173,6 @@ func main() {
 		fatal(err)
 		fmt.Printf("join: %d pairs (candidates %d, duplicates suppressed %d) in %v\n",
 			n, sum.JoinStats.Candidates, sum.JoinStats.Duplicates, time.Since(start))
-	default:
-		fatal(fmt.Errorf("unknown query kind %q", *queryKind))
 	}
 }
 
@@ -188,9 +194,16 @@ func usage(msg string) {
 	os.Exit(2)
 }
 
+// fatal reports a failed run and exits 1. Engine errors already carry
+// the "atgis:" prefix; others get it once.
 func fatal(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "atgis:", err)
-		os.Exit(1)
+	if err == nil {
+		return
 	}
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "atgis:") {
+		msg = "atgis: " + msg
+	}
+	fmt.Fprintln(os.Stderr, msg)
+	os.Exit(1)
 }

@@ -1,16 +1,11 @@
 // Package sidecar persists what a first pass over a raw source learns,
 // so repeat passes become nearly free. The index lives in a compact
-// binary file next to the source (`<path>.atgx`) and records three
-// things per source:
-//
-//   - the feature boundary offsets (so warm passes skip
-//     FindFeatureBoundaries entirely),
-//   - a per-feature bounding-box tape in consume order (so features and
-//     whole byte ranges can be pruned against a query window before any
-//     parsing happens), and
-//   - a partition-grid cell → feature index in CSR form (so selective
-//     windows find candidates without scanning the tape, and joins can
-//     rebuild their partition sets without a pass over the bytes).
+// binary file next to the source (`<path>.atgx`) and records one tape
+// of features in consume order: each feature's start offset, its id and
+// its bounding box. Warm queries classify that tape against their
+// window, so they skip feature-boundary detection and prune features
+// and whole byte ranges before any parsing happens; joins rebuild their
+// partition sets from it without a pass over the bytes.
 //
 // A sidecar is advisory, never authoritative: it is validated against
 // the source by size, mtime and a full content hash, and is rebuilt —
@@ -32,7 +27,6 @@ import (
 
 	"atgis/internal/faultinject"
 	"atgis/internal/geom"
-	"atgis/internal/partition"
 )
 
 // Typed rejection reasons. Callers branch on these with errors.Is; both
@@ -51,13 +45,14 @@ var (
 
 const (
 	magic      = "ATGX"
-	version    = 1
-	headerSize = 64
-	// maxFeatures and maxCells bound decode-time allocations so a
-	// corrupt length field cannot balloon memory before the checksum
-	// is even verified.
+	version    = 2
+	headerSize = 40
+	// entrySize is one tape entry on disk: offset, id and four box
+	// coordinates, eight bytes each.
+	entrySize = 48
+	// maxFeatures bounds decode-time allocations so a corrupt length
+	// field cannot balloon memory before the checksum is even verified.
 	maxFeatures = 1 << 31
-	maxCells    = 1 << 24
 )
 
 // Format values mirror the root package's Format enum for the formats
@@ -67,9 +62,6 @@ const (
 	FormatWKT     = 2
 	FormatOSMXML  = 3
 )
-
-// worldExtent is the grid frame shared with the join partitioner.
-var worldExtent = geom.Box{MinX: -180, MinY: -90, MaxX: 180, MaxY: 90}
 
 // Index is a decoded sidecar: the structural skeleton of one source.
 //
@@ -81,22 +73,14 @@ var worldExtent = geom.Box{MinX: -180, MinY: -90, MaxX: 180, MaxY: 90}
 // pruned by any window and skipped by partition rebuilds, exactly
 // matching what a cold pass does with a nil geometry.
 type Index struct {
-	Format    uint8  // FormatGeoJSON / FormatWKT / FormatOSMXML
-	SrcLen    int64  // length of the source bytes when recorded
-	SrcMtime  int64  // source mtime (unix nanoseconds) when recorded
-	SrcHash   uint64 // Hash of the full source bytes when recorded
-	HeaderEnd int64  // end of the document wrapper (first feature offset); 0 when none
+	Format   uint8  // FormatGeoJSON / FormatWKT / FormatOSMXML
+	SrcLen   int64  // length of the source bytes when recorded
+	SrcMtime int64  // source mtime (unix nanoseconds) when recorded
+	SrcHash  uint64 // Hash of the full source bytes when recorded
 
 	Offs  []int64    // feature start offsets, consume order
 	IDs   []int64    // feature IDs, parallel to Offs
 	Boxes []geom.Box // feature bounding boxes, parallel to Offs
-
-	// Cell → feature index in CSR form over a world-extent grid:
-	// features overlapping cell c are Offs[CellFeats[CellStart[c]]] ..
-	// Offs[CellFeats[CellStart[c+1]-1]] (indices, ascending per cell).
-	Grid      partition.Grid
-	CellStart []uint32
-	CellFeats []uint32
 }
 
 // N reports the number of features on the tape.
@@ -141,19 +125,14 @@ func (ix *Index) Validate(srcLen, srcMtime int64, srcHash func() uint64) error {
 // Builder accumulates the feature tape during a cold pass. Add must be
 // called from the merge fold (single-threaded, consume order).
 type Builder struct {
-	format    uint8
-	headerEnd int64
-	offs      []int64
-	ids       []int64
-	boxes     []geom.Box
+	format uint8
+	offs   []int64
+	ids    []int64
+	boxes  []geom.Box
 }
 
 // NewBuilder starts a tape for one source.
 func NewBuilder(format uint8) *Builder { return &Builder{format: format} }
-
-// SetHeaderEnd records the end of the document wrapper (the offset of
-// the first feature for GeoJSON).
-func (b *Builder) SetHeaderEnd(off int64) { b.headerEnd = off }
 
 // Add appends one feature in consume order. Pass geom.EmptyBox() for
 // features with no geometry.
@@ -166,158 +145,69 @@ func (b *Builder) Add(off, id int64, box geom.Box) {
 // N reports how many features have been recorded.
 func (b *Builder) N() int { return len(b.offs) }
 
-// gridFor sizes the candidate grid to the tape: fine cells only pay
-// off once there are enough features to spread over them.
-func gridFor(n int) partition.Grid {
-	cell := 12.0
-	switch {
-	case n >= 2048:
-		cell = 1
-	case n >= 128:
-		cell = 4
-	}
-	return partition.NewGrid(worldExtent, cell)
-}
-
-// Build freezes the tape into an Index, deriving the CSR cell index.
-// It fails (rather than producing a sidecar that would corrupt warm
-// passes) if the tape violates the format's ordering contract.
+// Build freezes the tape into an Index. It fails (rather than producing
+// a sidecar that would corrupt warm passes) if the tape violates the
+// format's ordering contract.
 func (b *Builder) Build(srcLen, srcMtime int64, srcHash uint64) (*Index, error) {
 	if b.format != FormatGeoJSON && b.format != FormatWKT && b.format != FormatOSMXML {
 		return nil, fmt.Errorf("sidecar: cannot build for format %d", b.format)
 	}
-	for i, off := range b.offs {
-		if off < 0 || off >= srcLen {
-			return nil, fmt.Errorf("sidecar: recorded offset %d outside source [0,%d)", off, srcLen)
-		}
-		if i > 0 && b.format != FormatOSMXML && off <= b.offs[i-1] {
-			return nil, fmt.Errorf("sidecar: recorded offsets not increasing at feature %d", i)
-		}
+	if err := checkOffsets(b.format, b.offs, srcLen); err != nil {
+		return nil, fmt.Errorf("sidecar: recorded %v", err)
 	}
-	if b.format == FormatGeoJSON && b.headerEnd == 0 && len(b.offs) > 0 {
-		// The document wrapper ends where the first feature begins; the
-		// warm fold parses exactly [0, headerEnd) sequentially to open
-		// the root object and features array.
-		b.headerEnd = b.offs[0]
-	}
-	if len(b.offs) > 0 && b.format != FormatOSMXML && b.headerEnd > b.offs[0] {
-		return nil, fmt.Errorf("sidecar: header end %d past first feature %d", b.headerEnd, b.offs[0])
-	}
-	ix := &Index{
-		Format:    b.format,
-		SrcLen:    srcLen,
-		SrcMtime:  srcMtime,
-		SrcHash:   srcHash,
-		HeaderEnd: b.headerEnd,
-		Offs:      b.offs,
-		IDs:       b.ids,
-		Boxes:     b.boxes,
-		Grid:      gridFor(len(b.offs)),
-	}
-	ix.buildCells()
-	return ix, nil
+	return &Index{
+		Format:   b.format,
+		SrcLen:   srcLen,
+		SrcMtime: srcMtime,
+		SrcHash:  srcHash,
+		Offs:     b.offs,
+		IDs:      b.ids,
+		Boxes:    b.boxes,
+	}, nil
 }
 
-// buildCells derives the CSR cell index from the bbox tape in two
-// passes: count per cell, prefix-sum, then fill (ascending feature
-// index within each cell, since the tape is walked in order).
-func (ix *Index) buildCells() {
-	cells := ix.Grid.NumCells()
-	start := make([]uint32, cells+1)
-	for _, bx := range ix.Boxes {
-		if bx.IsEmpty() {
-			continue
+// checkOffsets enforces the tape invariants warm passes rely on: every
+// offset inside the source and, for the line and document formats,
+// strictly increasing. OSM XML tapes interleave ways and relations, so
+// their offsets need not be monotone.
+func checkOffsets(format uint8, offs []int64, srcLen int64) error {
+	for i, off := range offs {
+		if off < 0 || off >= srcLen {
+			return fmt.Errorf("feature %d offset %d outside source [0,%d)", i, off, srcLen)
 		}
-		c0, c1, r0, r1 := ix.Grid.CellRange(bx)
-		for r := r0; r < r1; r++ {
-			for c := c0; c < c1; c++ {
-				start[r*ix.Grid.Cols+c+1]++
-			}
+		if i > 0 && format != FormatOSMXML && off <= offs[i-1] {
+			return fmt.Errorf("feature offsets not increasing at %d", i)
 		}
 	}
-	for c := 1; c <= cells; c++ {
-		start[c] += start[c-1]
-	}
-	feats := make([]uint32, start[cells])
-	next := make([]uint32, cells)
-	copy(next, start[:cells])
-	for i, bx := range ix.Boxes {
-		if bx.IsEmpty() {
-			continue
-		}
-		c0, c1, r0, r1 := ix.Grid.CellRange(bx)
-		for r := r0; r < r1; r++ {
-			for c := c0; c < c1; c++ {
-				cell := r*ix.Grid.Cols + c
-				feats[next[cell]] = uint32(i)
-				next[cell]++
-			}
-		}
-	}
-	ix.CellStart = start
-	ix.CellFeats = feats
+	return nil
 }
 
 // Prune marks in keep (len N) every feature whose bounding box
-// intersects win. For selective windows over large tapes it walks only
-// the grid cells the window overlaps; otherwise it scans the tape
-// linearly. Both paths mark the identical set.
-func (ix *Index) Prune(win geom.Box, keep []bool) {
-	n := len(ix.Boxes)
-	if n == 0 {
-		return
-	}
-	c0, c1, r0, r1 := ix.Grid.CellRange(win)
-	covered := (c1 - c0) * (r1 - r0)
-	if n > 512 && covered*4 < ix.Grid.NumCells() {
-		for i := range keep {
-			keep[i] = false
-		}
-		for r := r0; r < r1; r++ {
-			for c := c0; c < c1; c++ {
-				cell := r*ix.Grid.Cols + c
-				for _, fi := range ix.CellFeats[ix.CellStart[cell]:ix.CellStart[cell+1]] {
-					if !keep[fi] && ix.Boxes[fi].Intersects(win) {
-						keep[fi] = true
-					}
-				}
-			}
-		}
-		return
-	}
-	pruneLinear(ix.Boxes, win, keep)
-}
-
-// pruneLinear is the bbox-prune inner loop: one branchy compare per
-// feature over the contiguous tape. It runs once per warm pass over
-// every feature, so it is budgeted as a hot path (no allocations).
+// intersects win: one compare per feature over the contiguous tape. No
+// query calls it — warm passes classify the tape as they walk it — but
+// the benchmark's sidecar probe times it and tests use it to find
+// pruned features, so it stays budgeted as a hot path (no allocations).
 //
 //atgis:hotpath
-func pruneLinear(boxes []geom.Box, win geom.Box, keep []bool) {
-	for i := range boxes {
-		keep[i] = boxes[i].Intersects(win)
+func (ix *Index) Prune(win geom.Box, keep []bool) {
+	for i := range ix.Boxes {
+		keep[i] = ix.Boxes[i].Intersects(win)
 	}
 }
 
 // encoded layout, all little-endian:
 //
 //	[0:4)   magic "ATGX"
-//	[4:6)   version u16
+//	[4:6)   version u16 (2; version 1 also carried a cell index)
 //	[6)     format u8
 //	[7)     flags u8 (reserved, 0)
 //	[8:16)  srcLen u64
 //	[16:24) srcMtime i64
 //	[24:32) srcHash u64
-//	[32:40) headerEnd u64
-//	[40:48) n u64
-//	[48:56) cellSize f64
-//	[56:60) cols u32
-//	[60:64) rows u32
+//	[32:40) n u64
 //	offs    n × i64
 //	ids     n × i64
 //	boxes   n × 4 × f64
-//	cellStart (cols·rows+1) × u32
-//	cellFeats cellStart[cols·rows] × u32
 //	checksum  u64 = Hash(all preceding bytes)
 //
 // The trailing self-checksum guards the index against its own
@@ -328,9 +218,7 @@ func pruneLinear(boxes []geom.Box, win geom.Box, keep []bool) {
 // Encode serializes an index.
 func (ix *Index) Encode() []byte {
 	n := len(ix.Offs)
-	cells := ix.Grid.NumCells()
-	size := headerSize + 8*n + 8*n + 32*n + 4*(cells+1) + 4*len(ix.CellFeats) + 8
-	buf := make([]byte, 0, size)
+	buf := make([]byte, 0, headerSize+entrySize*n+8)
 	le := binary.LittleEndian
 	buf = append(buf, magic...)
 	buf = le.AppendUint16(buf, version)
@@ -338,11 +226,7 @@ func (ix *Index) Encode() []byte {
 	buf = le.AppendUint64(buf, uint64(ix.SrcLen))
 	buf = le.AppendUint64(buf, uint64(ix.SrcMtime))
 	buf = le.AppendUint64(buf, ix.SrcHash)
-	buf = le.AppendUint64(buf, uint64(ix.HeaderEnd))
 	buf = le.AppendUint64(buf, uint64(n))
-	buf = le.AppendUint64(buf, math.Float64bits(ix.Grid.CellSize))
-	buf = le.AppendUint32(buf, uint32(ix.Grid.Cols))
-	buf = le.AppendUint32(buf, uint32(ix.Grid.Rows))
 	for _, v := range ix.Offs {
 		buf = le.AppendUint64(buf, uint64(v))
 	}
@@ -355,12 +239,6 @@ func (ix *Index) Encode() []byte {
 		buf = le.AppendUint64(buf, math.Float64bits(b.MaxX))
 		buf = le.AppendUint64(buf, math.Float64bits(b.MaxY))
 	}
-	for _, v := range ix.CellStart {
-		buf = le.AppendUint32(buf, v)
-	}
-	for _, v := range ix.CellFeats {
-		buf = le.AppendUint32(buf, v)
-	}
 	buf = le.AppendUint64(buf, Hash(buf))
 	return buf
 }
@@ -371,8 +249,10 @@ func corrupt(format string, args ...any) error {
 
 // Decode parses sidecar bytes. It is total over arbitrary input: any
 // structural problem is ErrCorrupt, and a returned Index satisfies the
-// invariants warm passes rely on (offsets in-range and, for line/doc
-// formats, strictly increasing past the header; CSR arrays in bounds).
+// invariants warm passes rely on (offsets in range and, for line/doc
+// formats, strictly increasing). A file of another format version is
+// ErrCorrupt too: the sidecar is a cache, so an old one is re-recorded
+// rather than read.
 func Decode(b []byte) (*Index, error) {
 	if len(b) < headerSize+8 {
 		return nil, corrupt("%d bytes is shorter than any index", len(b))
@@ -392,63 +272,28 @@ func Decode(b []byte) (*Index, error) {
 		return nil, corrupt("reserved flags %#x", b[7])
 	}
 	srcLen := int64(le.Uint64(b[8:16]))
-	srcMtime := int64(le.Uint64(b[16:24]))
-	srcHash := le.Uint64(b[24:32])
-	headerEnd := int64(le.Uint64(b[32:40]))
-	n := le.Uint64(b[40:48])
-	cellSize := math.Float64frombits(le.Uint64(b[48:56]))
-	cols := int(le.Uint32(b[56:60]))
-	rows := int(le.Uint32(b[60:64]))
+	n := le.Uint64(b[32:40])
 	if n > maxFeatures {
 		return nil, corrupt("feature count %d", n)
 	}
-	if cols < 1 || rows < 1 || cols*rows > maxCells {
-		return nil, corrupt("grid %dx%d", cols, rows)
+	if srcLen < 0 {
+		return nil, corrupt("source length %d", srcLen)
 	}
-	if !(cellSize > 0) || math.IsInf(cellSize, 0) {
-		return nil, corrupt("cell size %v", cellSize)
-	}
-	if srcLen < 0 || headerEnd < 0 || headerEnd > srcLen {
-		return nil, corrupt("source bounds len=%d headerEnd=%d", srcLen, headerEnd)
-	}
-	cells := uint64(cols) * uint64(rows)
-	need := uint64(headerSize) + 48*n + 4*(cells+1)
-	if uint64(len(b)) < need+8 {
-		return nil, corrupt("truncated: %d bytes, need at least %d", len(b), need+8)
-	}
-	startOff := headerSize + 48*int(n)
-	cellStart := make([]uint32, cells+1)
-	for i := range cellStart {
-		cellStart[i] = le.Uint32(b[startOff+4*i:])
-	}
-	// The cell-entry count is derived from the file size, not read from
-	// the file: allocations stay bounded by the input length (no
-	// amplification from a corrupt length field), and the CSR prefix sum
-	// must agree exactly.
-	rest := uint64(len(b)) - need - 8
-	if rest%4 != 0 {
-		return nil, corrupt("trailing %d bytes not a cell-entry array", rest)
-	}
-	k := rest / 4
-	if uint64(cellStart[cells]) != k {
-		return nil, corrupt("cell index lists %d entries, file carries %d", cellStart[cells], k)
+	if want := uint64(headerSize) + entrySize*n + 8; uint64(len(b)) != want {
+		return nil, corrupt("%d bytes, a tape of %d features takes %d", len(b), n, want)
 	}
 	if got, want := Hash(b[:len(b)-8]), le.Uint64(b[len(b)-8:]); got != want {
 		return nil, corrupt("checksum mismatch")
 	}
 
 	ix := &Index{
-		Format:    format,
-		SrcLen:    srcLen,
-		SrcMtime:  srcMtime,
-		SrcHash:   srcHash,
-		HeaderEnd: headerEnd,
-		Offs:      make([]int64, n),
-		IDs:       make([]int64, n),
-		Boxes:     make([]geom.Box, n),
-		Grid:      partition.Grid{Extent: worldExtent, CellSize: cellSize, Cols: cols, Rows: rows},
-		CellStart: cellStart,
-		CellFeats: make([]uint32, k),
+		Format:   format,
+		SrcLen:   srcLen,
+		SrcMtime: int64(le.Uint64(b[16:24])),
+		SrcHash:  le.Uint64(b[24:32]),
+		Offs:     make([]int64, n),
+		IDs:      make([]int64, n),
+		Boxes:    make([]geom.Box, n),
 	}
 	off := headerSize
 	for i := range ix.Offs {
@@ -468,34 +313,11 @@ func Decode(b []byte) (*Index, error) {
 		}
 		off += 32
 	}
-	off = startOff + 4*int(cells+1)
-	for i := range ix.CellFeats {
-		ix.CellFeats[i] = le.Uint32(b[off:])
-		off += 4
-	}
 
 	// Semantic invariants: a checksum-valid file written by a buggy or
 	// hostile encoder still must not hand the parser bogus offsets.
-	for i, o := range ix.Offs {
-		if o < 0 || o >= srcLen {
-			return nil, corrupt("feature %d offset %d outside source", i, o)
-		}
-		if i > 0 && format != FormatOSMXML && o <= ix.Offs[i-1] {
-			return nil, corrupt("feature offsets not increasing at %d", i)
-		}
-	}
-	if len(ix.Offs) > 0 && format != FormatOSMXML && headerEnd > ix.Offs[0] {
-		return nil, corrupt("header end %d past first feature %d", headerEnd, ix.Offs[0])
-	}
-	for c := 0; c < int(cells); c++ {
-		if cellStart[c] > cellStart[c+1] {
-			return nil, corrupt("cell index not monotone at cell %d", c)
-		}
-	}
-	for _, fi := range ix.CellFeats {
-		if uint64(fi) >= n {
-			return nil, corrupt("cell index references feature %d of %d", fi, n)
-		}
+	if err := checkOffsets(format, ix.Offs, srcLen); err != nil {
+		return nil, corrupt("%v", err)
 	}
 	return ix, nil
 }

@@ -1,11 +1,14 @@
 package sidecar
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"atgis/internal/geom"
@@ -51,18 +54,6 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBuilderDefaultsGeoJSONHeaderEnd(t *testing.T) {
-	b := NewBuilder(FormatGeoJSON)
-	b.Add(40, 1, geom.Box{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1})
-	ix, err := b.Build(100, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ix.HeaderEnd != 40 {
-		t.Fatalf("headerEnd = %d, want the first feature offset 40", ix.HeaderEnd)
-	}
-}
-
 func TestBuildRejectsBadTape(t *testing.T) {
 	box := geom.Box{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
 	cases := []struct {
@@ -83,12 +74,6 @@ func TestBuildRejectsBadTape(t *testing.T) {
 			b := NewBuilder(FormatGeoJSON)
 			b.Add(40, 1, box)
 			b.Add(40, 2, box)
-			return b
-		}},
-		{"header end past first feature", func() *Builder {
-			b := NewBuilder(FormatGeoJSON)
-			b.SetHeaderEnd(50)
-			b.Add(40, 1, box)
 			return b
 		}},
 		{"unknown format", func() *Builder {
@@ -143,36 +128,37 @@ func TestDecodeRejectsEveryBitFlip(t *testing.T) {
 	}
 }
 
+// withVersion rewrites an encoding's version field and re-seals its
+// checksum, so the version is the only thing wrong with it.
+func withVersion(enc []byte, v uint16) []byte {
+	out := append([]byte(nil), enc...)
+	binary.LittleEndian.PutUint16(out[4:6], v)
+	binary.LittleEndian.PutUint64(out[len(out)-8:], Hash(out[:len(out)-8]))
+	return out
+}
+
+// TestDecodeRejectsOtherVersions: a well-formed file of any other
+// format version — the old one that also carried a cell index included
+// — is ErrCorrupt naming its version, so a readwrite engine re-records
+// it instead of misreading it.
+func TestDecodeRejectsOtherVersions(t *testing.T) {
+	enc := buildTestIndex(t, FormatGeoJSON, 30).Encode()
+	if len(enc) != headerSize+entrySize*30+8 {
+		t.Fatalf("encoding of 30 features is %d bytes, want %d", len(enc), headerSize+entrySize*30+8)
+	}
+	for _, v := range []uint16{0, 1, 3} {
+		_, err := Decode(withVersion(enc, v))
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("unsupported version %d", v)) {
+			t.Fatalf("version %d: err = %v, want ErrCorrupt naming the version", v, err)
+		}
+	}
+}
+
 func TestDecodeRejectsEveryTruncation(t *testing.T) {
 	enc := buildTestIndex(t, FormatGeoJSON, 25).Encode()
 	for cut := 0; cut < len(enc); cut++ {
 		if _, err := Decode(enc[:cut]); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("truncation to %d bytes: err = %v, want ErrCorrupt", cut, err)
-		}
-	}
-}
-
-// TestPruneMatchesLinear: the CSR cell walk and the linear tape scan
-// must mark the identical feature set, for windows selective enough to
-// take the CSR path and broad enough to take the linear one.
-func TestPruneMatchesLinear(t *testing.T) {
-	ix := buildTestIndex(t, FormatGeoJSON, 3000) // n >= 2048: fine 1° grid
-	windows := []geom.Box{
-		{MinX: -2, MinY: -2, MaxX: 2, MaxY: 2},          // tiny: CSR walk
-		{MinX: 10, MinY: 10, MaxX: 40, MaxY: 30},        // selective
-		{MinX: -180, MinY: -90, MaxX: 180, MaxY: 90},    // whole world: linear
-		{MinX: 200, MinY: 95, MaxX: 210, MaxY: 99},      // off-extent
-		{MinX: -170.5, MinY: 3.25, MaxX: -170, MaxY: 4}, // cell-boundary aligned
-	}
-	for _, win := range windows {
-		got := make([]bool, ix.N())
-		want := make([]bool, ix.N())
-		ix.Prune(win, got)
-		pruneLinear(ix.Boxes, win, want)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("window %+v: feature %d Prune=%v linear=%v", win, i, got[i], want[i])
-			}
 		}
 	}
 }
@@ -221,6 +207,8 @@ func FuzzSidecarDecode(f *testing.F) {
 		mut[headerSize+3] ^= 0x80
 		f.Add(mut)
 	}
+	f.Add(buildTestIndex(f, FormatWKT, 1).Encode())
+	f.Add(withVersion(buildTestIndex(f, FormatGeoJSON, 30).Encode(), 1))
 	f.Add([]byte{})
 	f.Add([]byte(magic))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -239,16 +227,6 @@ func FuzzSidecarDecode(f *testing.F) {
 			}
 			if i > 0 && ix.Format != FormatOSMXML && off <= ix.Offs[i-1] {
 				t.Fatalf("accepted non-increasing offsets at %d", i)
-			}
-		}
-		for c := 0; c+1 < len(ix.CellStart); c++ {
-			if ix.CellStart[c] > ix.CellStart[c+1] {
-				t.Fatalf("accepted non-monotone cell index at %d", c)
-			}
-		}
-		for _, fi := range ix.CellFeats {
-			if int(fi) >= ix.N() {
-				t.Fatalf("accepted cell entry %d of %d features", fi, ix.N())
 			}
 		}
 		if reenc := ix.Encode(); !reflect.DeepEqual(reenc, data) {

@@ -3,14 +3,15 @@ package atgis
 // Differential correctness harness for the persistent sidecar index:
 // every query mode and both join flavours run cold (SidecarOff), warm
 // (index recorded, then served from memory and from disk) and against
-// deliberately stale sidecars (bit-flipped, truncated, source mtime
-// bumped). The rendered output — NDJSON record lines plus the
-// result-bearing summary fields — must be byte-identical in every
-// configuration. The shard axis runs the same queries over raw byte
-// ranges (1, 2, 3 and 7 tiles cut wherever the arithmetic falls, plus a
-// range inside the document wrapper): a shard is a restriction of the
-// same block plan, so it must render identically under every sidecar
-// state too, and its streams must concatenate into the unsharded one.
+// deliberately stale sidecars (bit-flipped, truncated, of an older
+// format version, source mtime bumped). The rendered output — NDJSON
+// record lines plus the result-bearing summary fields — must be
+// byte-identical in every configuration. The shard axis runs the same
+// queries over raw byte ranges (1, 2, 3 and 7 tiles cut wherever the
+// arithmetic falls, plus a range inside the document wrapper): a shard
+// is a restriction of the same block plan, so it must render
+// identically under every sidecar state too, and its streams must
+// concatenate into the unsharded one.
 //
 // The rendering deliberately covers only result-bearing state: Count,
 // Scanned, the aggregate sums (compared as exact IEEE-754 bit
@@ -508,6 +509,26 @@ func TestSidecarDifferential(t *testing.T) {
 			compareCases(t, "truncated sidecar", runAllCases(t, roEng, truncSrc), cold)
 			if st := truncSrc.SidecarStats(); st.State != "rejected" || st.Hits != 0 {
 				t.Fatalf("truncated sidecar was not rejected: %+v", st)
+			}
+
+			// (d) A file of the old format version: well formed,
+			// checksummed and matching the source's current mtime, but of
+			// a version this build does not read.
+			srcInfo, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oldVersion := append([]byte(nil), goodSidecar...)
+			binary.LittleEndian.PutUint16(oldVersion[4:6], 1)
+			binary.LittleEndian.PutUint64(oldVersion[16:24], uint64(srcInfo.ModTime().UnixNano()))
+			binary.LittleEndian.PutUint64(oldVersion[len(oldVersion)-8:], sidecar.Hash(oldVersion[:len(oldVersion)-8]))
+			if err := os.WriteFile(scPath, oldVersion, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			oldSrc := mustOpen(t, path)
+			compareCases(t, "old-version sidecar", runAllCases(t, roEng, oldSrc), cold)
+			if st := oldSrc.SidecarStats(); st.State != "rejected" || st.Hits != 0 || !strings.Contains(st.LoadError, "unsupported version 1") {
+				t.Fatalf("old-version sidecar was not rejected by its version: %+v", st)
 			}
 
 			// A readwrite engine facing the corrupt file rebuilds it; a

@@ -131,9 +131,11 @@ type JoinSpec struct {
 	// Offset and bounding box — never on coordinates beyond the bounds.
 	// Sidecar-enabled engines then rebuild the partition sets straight
 	// from the index tape (id, offset, bbox), skipping the partition
-	// pass over the raw bytes entirely. A mask that inspects real
-	// geometry (e.g. perimeter filters) must leave this false. A nil
-	// Mask is always bounds-safe.
+	// pass over the raw bytes entirely, and cold passes skip building
+	// geometry. Either way such a mask sees the bounds as the feature's
+	// Geom, through one polygon reused for every feature, so it must not
+	// keep f.Geom. A mask that inspects real geometry (e.g. perimeter
+	// filters) must leave this false. A nil Mask is always bounds-safe.
 	BoundsSafeMask bool
 }
 

@@ -81,6 +81,10 @@ func main() {
 	default:
 		usage(fmt.Sprintf("atgis: unknown -dist %q (want spherical, haversine or andoyer)", *distName))
 	}
+	// The engine's rule, checked before the input is opened: 0 means 1°.
+	if c := *cell; c != 0 && !(c >= atgis.MinJoinCell && c <= 360) {
+		usage(fmt.Sprintf("atgis: bad -cell %g (want 0, or %g to 360 degrees)", c, atgis.MinJoinCell))
+	}
 	kind := strings.ToLower(*queryKind)
 	switch kind {
 	case "containment", "aggregation", "join":

@@ -513,6 +513,9 @@ func (e *Engine) joinPartitionPhase(ctx context.Context, src Source, spec *JoinS
 	// mask lets the workers skip building geometry the pass would only take
 	// the bounds of; features then arrive with a nil Geom.
 	cfg := &geojson.Config{PropKeys: opt.PropKeys, BoundsOnly: boundsSafe}
+	// The bounds a bounds-safe mask reads, one polygon for the serial fold.
+	ring := make(geom.Ring, 5)
+	var bounds geom.Geometry = geom.Polygon{ring}
 	stats, err := wholePass(ctx, e, src, opt, cfg, func(f geojson.FeatureOut) {
 		if rec != nil {
 			rec.Add(f.Feature.Offset, f.Feature.ID, f.Box)
@@ -522,8 +525,10 @@ func (e *Engine) joinPartitionPhase(ctx context.Context, src Source, spec *JoinS
 		}
 		if f.Feature.Geom == nil && spec.Mask != nil {
 			// Bounds-only extraction: a bounds-safe mask may still read
-			// the bounds, which it finds where the warm rebuild puts them.
-			f.Feature.Geom = f.Box.AsPolygon()
+			// the bounds, which it finds where the warm rebuild puts them,
+			// in one polygon reused for every feature.
+			copy(ring, f.Box.AsRing())
+			f.Feature.Geom = bounds
 		}
 		merged.ConsumeBox(&f.Feature, f.Box)
 	})

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -91,12 +90,12 @@ func trimSpace(b []byte) []byte {
 // non-empty types are payload (forward-compatible); a record that is
 // not a JSON object with a string type is a protocol error.
 //
-// Feature and pair records — nearly every line of a stream — open with
-// the exact bytes a worker's record encoder writes, so they take a fast
-// path that validates the line and checks its top-level keys without
-// decoding it (payloadRecord). Every other line, and every record the
-// fast path cannot vouch for, is decoded as a whole; both paths give the
-// same kind and the same error-ness on any input (FuzzClassify).
+// Feature and pair records — nearly every line of a stream — are
+// recognised in one left-to-right pass against the exact shape the
+// worker's record encoder writes (payloadRecord). Every other line, a
+// record with a field the recogniser does not know among them, is
+// decoded as a whole; both paths give the same kind and the same
+// error-ness on any input (FuzzClassify).
 func Classify(line []byte) (RecKind, error) {
 	if payloadRecord(line) {
 		return RecPayload, nil
@@ -104,70 +103,173 @@ func Classify(line []byte) (RecKind, error) {
 	return classifyDecode(line)
 }
 
-// Record openings the worker encoder writes for its payload records.
-var (
-	featurePrefix = []byte(`{"type":"feature",`)
-	pairPrefix    = []byte(`{"type":"pair",`)
+// Record openings the worker encoder writes for its payload records, up
+// to the first value.
+const (
+	featureHead = `{"type":"feature","id":`
+	pairHead    = `{"type":"pair","a_id":`
 )
 
-// payloadRecord reports whether line is certainly a valid payload record:
-// it opens with a feature or pair prefix, is valid JSON, and no later
-// top-level key could name the type field again. encoding/json matches
-// keys case-insensitively (with Unicode folding and escapes) and lets the
-// last duplicate win, so a key that might decode to a folded "type" —
-// four ASCII letters equal to it under case folding, or any key holding
-// an escape or a non-ASCII byte — sends the line to the full decode.
+// payloadRecord reports whether line is exactly a record the worker
+// encoder writes (internal/server/record.go), with no whitespace:
+//
+//	{"type":"feature","id":N,"offset":N,"bbox":[N,N,N,N],"area":N,"perimeter":N,"properties":{"k":"v",…}}
+//	{"type":"pair","a_id":N,"b_id":N,"a_off":N,"b_off":N}
+//
+// where area, perimeter and properties may each be left out, N is any
+// JSON number and k, v are any JSON strings. Such a line is a valid JSON
+// object whose only key encoding/json could match to "type" (it folds
+// case and lets the last duplicate win) is the first, so the full decode
+// would call it payload too.
+//
+// The helpers thread a cursor: each takes the index its part should
+// start at and returns the index past it, or -1 if the part is not there.
+// -1 passes through every later step, so the line is a record exactly
+// when the chain ends at len(line).
 //
 //atgis:hotpath
 func payloadRecord(line []byte) bool {
-	var i int
-	switch {
-	case bytes.HasPrefix(line, featurePrefix):
-		i = len(featurePrefix)
-	case bytes.HasPrefix(line, pairPrefix):
-		i = len(pairPrefix)
-	default:
-		return false
-	}
-	if !json.Valid(line) {
-		return false
-	}
-	// The line is a valid object, so a plain scan finds its keys: at depth
-	// 1, a string that follows '{' or ',' is a key.
-	depth, key := 1, true
-	for ; i < len(line); i++ {
-		switch c := line[i]; c {
-		case '"':
-			j := i + 1
-			odd := false // the key needs a second look
-			for ; line[j] != '"'; j++ {
-				if line[j] == '\\' {
-					j++
-					odd = true
-				} else if line[j] >= 0x80 {
-					odd = true
-				}
-			}
-			if depth == 1 && key && (odd || j-i-1 == 4 && foldsToType(line[i+1:j])) {
-				return false
-			}
-			i, key = j, false
-		case '{', '[':
-			depth++
-		case '}', ']':
-			depth--
-		case ',':
-			key = depth == 1
+	i := -1
+	if j := literal(line, 0, featureHead); j >= 0 {
+		i = field(line, field(line, number(line, j), `,"offset":`), `,"bbox":[`)
+		for k := 0; k < 3; k++ {
+			i = field(line, i, ",")
 		}
+		i = literal(line, i, "]")
+		for _, key := range [...]string{`,"area":`, `,"perimeter":`} {
+			if j := literal(line, i, key); j >= 0 {
+				i = number(line, j)
+			}
+		}
+		if j := literal(line, i, `,"properties":{`); j >= 0 {
+			i = properties(line, j)
+		}
+	} else if j := literal(line, 0, pairHead); j >= 0 {
+		i = field(line, field(line, field(line, number(line, j), `,"b_id":`), `,"a_off":`), `,"b_off":`)
 	}
-	return true
+	return literal(line, i, "}") == len(line)
 }
 
-// foldsToType reports whether four ASCII bytes spell "type" in any case.
-// (bytes.EqualFold would say the same; this keeps Unicode folding, which
-// an ASCII key never needs, out of the merge loop.)
-func foldsToType(k []byte) bool {
-	return k[0]|0x20 == 't' && k[1]|0x20 == 'y' && k[2]|0x20 == 'p' && k[3]|0x20 == 'e'
+// literal matches the bytes of s at b[i:].
+//
+//atgis:hotpath
+func literal(b []byte, i int, s string) int {
+	if i < 0 || len(b)-i < len(s) || string(b[i:i+len(s)]) != s {
+		return -1
+	}
+	return i + len(s)
+}
+
+// field matches key, then a number.
+//
+//atgis:hotpath
+func field(b []byte, i int, key string) int {
+	return number(b, literal(b, i, key))
+}
+
+// number matches a JSON number at b[i:]: an optional minus, 0 or a digit
+// run without a leading zero, then an optional fraction and exponent.
+//
+//atgis:hotpath
+func number(b []byte, i int) int {
+	if i >= 0 && i < len(b) && b[i] == '-' {
+		i++
+	}
+	switch {
+	case i < 0 || i >= len(b):
+		return -1
+	case b[i] == '0':
+		i++
+	case '1' <= b[i] && b[i] <= '9':
+		i = digits(b, i+1)
+	default:
+		return -1
+	}
+	if i < len(b) && b[i] == '.' {
+		if i = digits(b, i+1); b[i-1] == '.' {
+			return -1
+		}
+	}
+	if i < len(b) && b[i]|0x20 == 'e' {
+		if i++; i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		j := digits(b, i)
+		if j == i {
+			return -1
+		}
+		i = j
+	}
+	return i
+}
+
+// digits skips a run of decimal digits from b[i].
+//
+//atgis:hotpath
+func digits(b []byte, i int) int {
+	for i < len(b) && b[i]-'0' < 10 {
+		i++
+	}
+	return i
+}
+
+// properties matches the members of a string-to-string JSON object and
+// its close, from just past its '{'.
+//
+//atgis:hotpath
+func properties(b []byte, i int) int {
+	if j := literal(b, i, "}"); j >= 0 {
+		return j
+	}
+	for {
+		i = str(b, literal(b, str(b, i), ":"))
+		if j := literal(b, i, ","); j >= 0 {
+			i = j
+			continue
+		}
+		return literal(b, i, "}")
+	}
+}
+
+// str matches a JSON string at b[i:]: no raw control byte, only the
+// escapes \" \\ \/ \b \f \n \r \t and \uXXXX. Bytes from 0x80 pass
+// unchecked, as they do in encoding/json.
+//
+//atgis:hotpath
+func str(b []byte, i int) int {
+	if i < 0 || i >= len(b) || b[i] != '"' {
+		return -1
+	}
+	for i++; i < len(b); i++ {
+		switch c := b[i]; {
+		case c == '"':
+			return i + 1
+		case c < 0x20:
+			return -1
+		case c == '\\':
+			if i++; i >= len(b) {
+				return -1
+			}
+			switch b[i] {
+			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+			case 'u':
+				if len(b)-i <= 4 || !hex(b[i+1]) || !hex(b[i+2]) || !hex(b[i+3]) || !hex(b[i+4]) {
+					return -1
+				}
+				i += 4
+			default:
+				return -1
+			}
+		}
+	}
+	return -1
+}
+
+// hex reports whether c is a hexadecimal digit.
+//
+//atgis:hotpath
+func hex(c byte) bool {
+	return '0' <= c && c <= '9' || 'a' <= c|0x20 && c|0x20 <= 'f'
 }
 
 // classifyDecode is Classify's general path: decode the type field.

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"testing"
 
+	"atgis/internal/cluster"
 	"atgis/internal/geom"
 	"atgis/internal/query"
 )
@@ -151,5 +152,80 @@ func TestStreamFeatureRecordAllocs(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Fatalf("streaming a feature record costs %.1f allocations, want <= 1", allocs)
+	}
+}
+
+// TestEncodedRecordsTakeClassifyShapePath pins the coordinator's
+// recogniser (cluster.Classify) to this encoder: every feature and pair
+// record it writes must classify as payload without allocating, which
+// only the shape path does — a line that falls through to the full
+// decode allocates. An encoder change the recogniser does not follow
+// fails here rather than slowing the shard-hop merge unseen.
+func TestEncodedRecordsTakeClassifyShapePath(t *testing.T) {
+	var lines [][]byte
+	add := func(rec record) {
+		b, err := rec.appendJSON(nil)
+		if err != nil {
+			return // NaN or ±Inf: the stream fails before the record is sent
+		}
+		lines = append(lines, b)
+	}
+	base := featureRecord{Type: "feature", ID: -7, Offset: 1 << 40, BBox: [4]float64{-1.5, 2, 3.25, 4}}
+	for _, v := range edgeFloats {
+		for field := 0; field < 6; field++ {
+			rec := base
+			if field < 4 {
+				rec.BBox[field] = v
+			} else if field == 4 {
+				rec.Area = v
+			} else {
+				rec.Perimeter = v
+			}
+			add(&rec)
+		}
+	}
+	for _, p := range []map[string]string{
+		{"name": "a<b>&c", "sep": "x\u2028y\u2029z", "bad": "\xff\xfe\x80", "q\"uote": `back\slash`, "": "", "ctl": "\x00\t\n\x1f"},
+		{"\xc3": "\xed\xa0\x80", "é": "日本", "type": "summary"},
+	} {
+		rec := base
+		rec.Area, rec.Perimeter, rec.Properties = 1e-7, 1e21, p
+		add(&rec)
+	}
+	add(&pairRecord{Type: "pair", AID: math.MinInt64, BID: math.MaxInt64})
+	r := rand.New(rand.NewSource(2))
+	for i := 0; i < 2000; i++ {
+		rec := featureRecord{
+			Type: "feature", ID: r.Int63() - r.Int63(), Offset: r.Int63(),
+			BBox: [4]float64{randFloat(r), randFloat(r), randFloat(r), randFloat(r)},
+		}
+		if r.Intn(2) == 0 {
+			rec.Area = randFloat(r)
+		}
+		if r.Intn(2) == 0 {
+			rec.Perimeter = randFloat(r)
+		}
+		if r.Intn(8) == 0 {
+			rec.Properties = map[string]string{"name": string(rune(r.Intn(0x3000))), "note": `a"b\c`}
+		}
+		add(&rec)
+		add(&pairRecord{Type: "pair", AID: r.Int63() - r.Int63(), BID: r.Int63(), AOff: r.Int63(), BOff: -r.Int63()})
+	}
+	for _, line := range lines {
+		if kind, err := cluster.Classify(line); kind != cluster.RecPayload || err != nil {
+			t.Fatalf("Classify(%s) = %d, %v; want payload", line, kind, err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(1, func() {
+		for _, line := range lines {
+			cluster.Classify(line)
+		}
+	}); allocs != 0 {
+		for _, line := range lines {
+			if testing.AllocsPerRun(1, func() { cluster.Classify(line) }) != 0 {
+				t.Fatalf("Classify(%s) allocates: the line missed the shape path", line)
+			}
+		}
+		t.Fatalf("classifying %d records cost %.0f allocations, want 0", len(lines), allocs)
 	}
 }

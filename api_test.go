@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"atgis/internal/cluster"
 	"atgis/internal/geom"
 	"atgis/internal/query"
 	"atgis/internal/synth"
@@ -438,6 +439,26 @@ func TestJoinCellBound(t *testing.T) {
 	}
 }
 
+// TestJoinGridMatchesCoordinator: a coordinator bands a join by
+// cluster.GridCells, so at every accepted cell size that count must be
+// the number of cells of the grid the engine's partition pass builds.
+func TestJoinGridMatchesCoordinator(t *testing.T) {
+	eng := testEngine(t, 1)
+	for _, cell := range []float64{0, 0.1, 1, 2.5, 360} {
+		src, err := ReaderSource(strings.NewReader(`{"type":"FeatureCollection","features":[]}`), GeoJSON)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink, _, _, err := eng.joinPartitionPhase(context.Background(), src, &JoinSpec{CellSize: cell}, Options{})
+		if err != nil {
+			t.Fatalf("cell %g: %v", cell, err)
+		}
+		if got, want := cluster.GridCells(cell), sink.Sets[0].Grid.NumCells(); got != want {
+			t.Errorf("cell %g: the coordinator counts %d cells, the engine's grid has %d", cell, got, want)
+		}
+	}
+}
+
 // TestZeroValueEngine: an Engine that NewEngine did not build has no pool
 // and is no engine — every entry point fails like a closed one, and
 // nothing dereferences the pool that is not there.
@@ -472,6 +493,15 @@ func TestPrepareRejectsJoinKinds(t *testing.T) {
 	}
 	if _, err := testEngine(t, 0).Prepare(nil, Options{}); err == nil {
 		t.Fatal("preparing a nil spec should fail")
+	}
+	for _, ref := range []geom.Box{
+		{MinX: math.NaN(), MinY: -10, MaxX: 10, MaxY: 10},
+		{MinX: math.Inf(-1), MinY: math.Inf(-1), MaxX: math.Inf(1), MaxY: math.Inf(1)},
+	} {
+		spec := &query.Spec{Kind: query.Aggregation, Ref: ref.AsPolygon(), Pred: query.PredIntersects}
+		if _, err := testEngine(t, 0).Prepare(spec, Options{}); err == nil {
+			t.Errorf("preparing a query against %v should fail", ref)
+		}
 	}
 }
 

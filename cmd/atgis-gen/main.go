@@ -27,6 +27,19 @@ func main() {
 	out := flag.String("o", "", "output file (default stdout)")
 	flag.Parse()
 
+	// Every flag is checked before -o is created: a bad one must leave an
+	// existing output file as it was.
+	switch *format {
+	case "geojson", "wkt", "osmxml":
+	default:
+		usage(fmt.Sprintf("atgis-gen: unknown -format %q (want geojson, wkt or osmxml)", *format))
+	}
+	for name, v := range map[string]int{"n": *n, "metadata": *meta, "replicate": *replicate} {
+		if v < 0 {
+			usage(fmt.Sprintf("atgis-gen: -%s %d is negative", name, v))
+		}
+	}
+
 	g := synth.New(synth.Config{
 		Seed: *seed, N: *n, Sigma: *sigma, MeanEdges: *meanEdges,
 		MultiPolyFrac: *mpFrac, LineFrac: *lineFrac,
@@ -38,7 +51,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		defer f.Close()
 		w = f
 	}
 	var err error
@@ -49,10 +61,20 @@ func main() {
 		err = g.WriteWKT(w)
 	case "osmxml":
 		err = g.WriteOSMXML(w)
-	default:
-		err = fmt.Errorf("unknown format %q", *format)
+	}
+	if w != os.Stdout {
+		if cerr := w.Close(); err == nil {
+			err = cerr
+		}
 	}
 	fatal(err)
+}
+
+// usage reports a bad flag and exits 2 before any output is created.
+func usage(msg string) {
+	fmt.Fprintln(os.Stderr, msg)
+	flag.Usage()
+	os.Exit(2)
 }
 
 func fatal(err error) {

@@ -12,6 +12,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -33,6 +34,9 @@ func parseBox(s string) (geom.Box, error) {
 		f, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
 		if err != nil {
 			return geom.Box{}, err
+		}
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return geom.Box{}, fmt.Errorf("%s is not a finite number", strings.TrimSpace(p))
 		}
 		v[i] = f
 	}

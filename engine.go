@@ -471,16 +471,11 @@ const MinJoinCell = 0.1
 // pipeline plus spatial partition insertion, returning the merged
 // partition sink.
 func (e *Engine) joinPartitionPhase(ctx context.Context, src Source, spec *JoinSpec, opt Options) (*query.PartitionSink, geom.Box, pipeline.Stats, error) {
-	switch c := spec.CellSize; {
-	case c == 0:
-		spec.CellSize = 1
-	case !(c >= MinJoinCell && c <= 360): // NaN fails both
+	if c := spec.CellSize; c != 0 && !(c >= MinJoinCell && c <= 360) { // NaN fails both
 		return nil, geom.Box{}, pipeline.Stats{}, fmt.Errorf("atgis: join cell size %g is not between %g and 360 degrees", c, MinJoinCell)
 	}
-	// Geographic datasets use the world extent for the partition grid
-	// (paper §5.6 sizes partitions in degrees).
-	extent := geom.Box{MinX: -180, MinY: -90, MaxX: 180, MaxY: 90}
-	grid := partition.NewGrid(extent, spec.CellSize)
+	grid := partition.WorldGrid(spec.CellSize)
+	spec.CellSize = grid.CellSize
 
 	mask := spec.Mask
 	if mask == nil {
@@ -503,7 +498,7 @@ func (e *Engine) joinPartitionPhase(ctx context.Context, src Source, spec *JoinS
 			Workers:  1,
 			WallTime: time.Since(t0),
 		}
-		return merged, extent, st, nil
+		return merged, grid.Extent, st, nil
 	}
 	rec, recDone := e.recorder(ms, ix)
 
@@ -534,9 +529,9 @@ func (e *Engine) joinPartitionPhase(ctx context.Context, src Source, spec *JoinS
 	})
 	recDone(err)
 	if err != nil {
-		return nil, extent, stats, err
+		return nil, grid.Extent, stats, err
 	}
-	return merged, extent, stats, nil
+	return merged, grid.Extent, stats, nil
 }
 
 // Combined executes the combined query of Table 3: the perimeter filters

@@ -209,36 +209,3 @@ func All() []*Analyzer {
 		HotAlloc,
 	}
 }
-
-// ByName resolves a comma-separated analyzer list; unknown names error.
-func ByName(names string) ([]*Analyzer, error) {
-	all := All()
-	if names == "" {
-		return all, nil
-	}
-	var out []*Analyzer
-	for _, n := range strings.Split(names, ",") {
-		n = strings.TrimSpace(n)
-		found := false
-		for _, a := range all {
-			if a.Name == n {
-				out = append(out, a)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("unknown analyzer %q (have %s)", n, strings.Join(Names(), ", "))
-		}
-	}
-	return out, nil
-}
-
-// Names lists the suite's analyzer names in stable order.
-func Names() []string {
-	var ns []string
-	for _, a := range All() {
-		ns = append(ns, a.Name)
-	}
-	return ns
-}

@@ -104,6 +104,8 @@ func recvTypeName(e ast.Expr) string {
 		return recvTypeName(t.X)
 	case *ast.IndexExpr:
 		return recvTypeName(t.X)
+	case *ast.IndexListExpr:
+		return recvTypeName(t.X)
 	}
 	return "?"
 }

@@ -73,9 +73,14 @@ func runFixture(t *testing.T, analyzer string) {
 	if len(pkg.TypeErrors) > 0 {
 		t.Fatalf("fixture has type errors: %v", pkg.TypeErrors)
 	}
-	as, err := ByName(analyzer)
-	if err != nil {
-		t.Fatal(err)
+	var as []*Analyzer
+	for _, a := range All() {
+		if a.Name == analyzer {
+			as = append(as, a)
+		}
+	}
+	if len(as) == 0 {
+		t.Fatalf("no analyzer %q", analyzer)
 	}
 	diags, err := RunAnalyzers(pkg, as)
 	if err != nil {

@@ -32,7 +32,6 @@ type node struct {
 type Tree struct {
 	root    *node
 	fanout  int
-	count   int
 	LoadDur time.Duration // the paper's loading/indexing phase cost
 }
 
@@ -42,7 +41,7 @@ func Build(items []Item, fanout int) *Tree {
 	if fanout < 2 {
 		fanout = 16
 	}
-	t := &Tree{fanout: fanout, count: len(items)}
+	t := &Tree{fanout: fanout}
 	if len(items) == 0 {
 		t.root = &node{box: geom.EmptyBox()}
 		t.LoadDur = time.Since(start)
@@ -113,9 +112,6 @@ func packNodes(level []*node, fanout int) []*node {
 	}
 	return out
 }
-
-// Len returns the number of indexed items.
-func (t *Tree) Len() int { return t.count }
 
 // Search invokes fn for every item whose MBR intersects q.
 func (t *Tree) Search(q geom.Box, fn func(Item) bool) {

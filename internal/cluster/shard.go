@@ -6,7 +6,6 @@ import (
 	"hash/fnv"
 	"sort"
 
-	"atgis/internal/geom"
 	"atgis/internal/partition"
 )
 
@@ -47,21 +46,11 @@ func PlanBytes(total int64, n int) []Range {
 	return out
 }
 
-// worldExtent is the partition grid's coverage (paper §5.6 sizes
-// partitions in degrees over geographic coordinates); it must match the
-// engine's joinPartitionPhase so the coordinator's cell arithmetic and
-// the workers' grids agree.
-var worldExtent = geom.Box{MinX: -180, MinY: -90, MaxX: 180, MaxY: 90}
-
 // GridCells returns the number of partition-grid cells a join with the
-// given cell size sweeps — computed with the engine's own grid
-// constructor so coordinator bands and worker sweeps can never drift.
-// cell <= 0 selects the engine default of 1 degree.
+// given cell size sweeps: the engine's own grid, so coordinator bands and
+// worker sweeps cannot drift.
 func GridCells(cell float64) int {
-	if cell <= 0 {
-		cell = 1
-	}
-	return partition.NewGrid(worldExtent, cell).NumCells()
+	return partition.WorldGrid(cell).NumCells()
 }
 
 // PlanCells carves [0, cells) into n contiguous cell bands — the unit a

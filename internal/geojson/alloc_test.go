@@ -70,7 +70,7 @@ func TestProcessBlockFATAllocBudget(t *testing.T) {
 		var got int
 		allocs := testing.AllocsPerRun(20, func() {
 			r := process()
-			got = len(r.Variants[0].Features())
+			got = len(r.Variants[0].state.features)
 			r.Release()
 		})
 		if got != n {

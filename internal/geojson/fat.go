@@ -34,10 +34,6 @@ type BlockVariant struct {
 // LexStarts lists the lexer start states covered by this variant.
 func (v BlockVariant) LexStarts() []at.State { return v.state.lexStarts }
 
-// Features returns the features extracted under this variant's
-// speculation (valid until the block is released).
-func (v BlockVariant) Features() []FeatureOut { return v.state.features }
-
 // BlockResult is the fully-associative fragment of one input block: the
 // composite of the lexer FST fragment and the downstream extraction
 // fragments, predicated on the lexer starting state exactly as §3.2

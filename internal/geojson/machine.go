@@ -200,7 +200,7 @@ type FeatureOut struct {
 // for a locally-extracted feature.
 type Event struct {
 	Tok     lexer.Token
-	FeatIdx int32 // >= 0: skip marker referencing BlockVariant.Features
+	FeatIdx int32 // >= 0: skip marker indexing the variant's buffered features
 	EndOff  int64 // skip markers: offset just past the feature's close
 }
 

@@ -120,28 +120,6 @@ func (b Box) ContainsBox(o Box) bool {
 		o.MinY >= b.MinY && o.MaxY <= b.MaxY
 }
 
-// Intersect returns the overlap of b and o (possibly empty).
-func (b Box) Intersect(o Box) Box {
-	r := Box{
-		MinX: math.Max(b.MinX, o.MinX),
-		MinY: math.Max(b.MinY, o.MinY),
-		MaxX: math.Min(b.MaxX, o.MaxX),
-		MaxY: math.Min(b.MaxY, o.MaxY),
-	}
-	if r.IsEmpty() {
-		return EmptyBox()
-	}
-	return r
-}
-
-// Area returns the planar area of the box (0 for empty boxes).
-func (b Box) Area() float64 {
-	if b.IsEmpty() {
-		return 0
-	}
-	return (b.MaxX - b.MinX) * (b.MaxY - b.MinY)
-}
-
 // Center returns the box midpoint. It must not be called on an empty box.
 func (b Box) Center() Point { return Point{(b.MinX + b.MaxX) / 2, (b.MinY + b.MaxY) / 2} }
 
@@ -232,9 +210,6 @@ func (r Ring) SignedArea() float64 {
 	}
 	return sum / 2
 }
-
-// IsCCW reports whether the ring winds counter-clockwise.
-func (r Ring) IsCCW() bool { return r.SignedArea() > 0 }
 
 // Reverse returns a copy of the ring with opposite winding.
 func (r Ring) Reverse() Ring {

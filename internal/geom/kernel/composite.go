@@ -30,27 +30,10 @@ func anyIntersectStream(s *EdgeSlab, g geom.Geometry) bool {
 	return hit
 }
 
-// Intersects mirrors geom.Intersects(a, b) with the edge sweep batched:
-// a's edges fill s's slab once, b's edges stream against it.
-func Intersects(a, b geom.Geometry, s *Scratch) bool {
-	if a == nil || b == nil {
-		return false
-	}
-	if !a.Bound().Intersects(b.Bound()) {
-		return false
-	}
-	s.A.Reset()
-	s.A.AppendGeometry(a)
-	if anyIntersectStream(&s.A, b) {
-		return true
-	}
-	return intersectsTail(a, b)
-}
-
-// IntersectsPreparedA is Intersects with a's edge slab pre-filled: the
-// join's offset-sorted refinement runs one A geometry against many Bs,
-// so A's slab fills once per run and each B streams against it without
-// being materialised at all.
+// IntersectsPreparedA mirrors geom.Intersects(a, b) with the edge sweep
+// batched and a's edge slab ae pre-filled: the join's refinement runs
+// one A geometry against many Bs, so A's slab fills once per run and
+// each B streams against it without being materialised at all.
 func IntersectsPreparedA(a geom.Geometry, ae *EdgeSlab, b geom.Geometry, s *Scratch) bool {
 	if a == nil || b == nil {
 		return false
@@ -64,7 +47,7 @@ func IntersectsPreparedA(a geom.Geometry, ae *EdgeSlab, b geom.Geometry, s *Scra
 	return intersectsTail(a, b)
 }
 
-// intersectsTail is the no-edge-crossing tail of the Intersects
+// intersectsTail is the no-edge-crossing tail of the intersects
 // composites: either disjoint or one fully inside the other. The check
 // order is geom.Intersects', verbatim.
 func intersectsTail(a, b geom.Geometry) bool {
@@ -124,7 +107,7 @@ func (r *RefPoly) Intersects(g geom.Geometry, s *Scratch) bool {
 }
 
 // Within evaluates geom.Within(g, r.Poly): no proper edge crossing
-// (AnyCross kernel), every vertex of g covered by the reference
+// (AnyCrossEdge kernel), every vertex of g covered by the reference
 // (LocateBatch over the compiled ring slab), with the scalar oracle
 // deciding the rare all-vertices-on-boundary and degenerate-reference
 // cases.

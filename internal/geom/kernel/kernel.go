@@ -470,36 +470,6 @@ func (s *EdgeSlab) AppendGeometry(g geom.Geometry) {
 	})
 }
 
-// AnyIntersect reports whether any edge of a intersects any edge of b —
-// geom.SegmentsIntersect ANY over the cross product of the two edge
-// sets, i.e. the batched form of the scalar edgesIntersect sweep.
-func AnyIntersect(a, b *EdgeSlab) bool {
-	for i := 0; i < a.Len(); i++ {
-		if b.AnyIntersectEdge(
-			geom.Point{X: a.AX[i], Y: a.AY[i]},
-			geom.Point{X: a.BX[i], Y: a.BY[i]},
-		) {
-			return true
-		}
-	}
-	return false
-}
-
-// AnyCross reports whether any edge of a properly crosses any edge of b
-// (geom.SegmentsCross ANY) — the batched form of the scalar edgesCross
-// sweep.
-func AnyCross(a, b *EdgeSlab) bool {
-	for i := 0; i < a.Len(); i++ {
-		if b.AnyCrossEdge(
-			geom.Point{X: a.AX[i], Y: a.AY[i]},
-			geom.Point{X: a.BX[i], Y: a.BY[i]},
-		) {
-			return true
-		}
-	}
-	return false
-}
-
 // signsDiffer reports sign(u) != sign(v) over {-1, 0, +1} — the exact
 // comparison geom.SegmentsIntersect's o1 != o2 performs, zeros
 // included, computed without materialising the signs.

@@ -172,31 +172,10 @@ func TestSegmentKernelsMatchScalar(t *testing.T) {
 	for iter := 0; iter < 500; iter++ {
 		ea := randomEdges(rng, 1+rng.Intn(6))
 		eb := randomEdges(rng, 1+rng.Intn(6))
-		var sa, sb EdgeSlab
-		for i := 0; i < len(ea); i += 2 {
-			sa.Append(ea[i], ea[i+1])
-		}
+		var sb EdgeSlab
 		for i := 0; i < len(eb); i += 2 {
 			sb.Append(eb[i], eb[i+1])
 		}
-		wantInt, wantCross := false, false
-		for i := 0; i < len(ea); i += 2 {
-			for j := 0; j < len(eb); j += 2 {
-				if geom.SegmentsIntersect(ea[i], ea[i+1], eb[j], eb[j+1]) {
-					wantInt = true
-				}
-				if geom.SegmentsCross(ea[i], ea[i+1], eb[j], eb[j+1]) {
-					wantCross = true
-				}
-			}
-		}
-		if got := AnyIntersect(&sa, &sb); got != wantInt {
-			t.Fatalf("iter %d: AnyIntersect %v, scalar %v (a=%v b=%v)", iter, got, wantInt, ea, eb)
-		}
-		if got := AnyCross(&sa, &sb); got != wantCross {
-			t.Fatalf("iter %d: AnyCross %v, scalar %v (a=%v b=%v)", iter, got, wantCross, ea, eb)
-		}
-		// Per-edge entry points (the PFT step path).
 		for i := 0; i < len(ea); i += 2 {
 			eInt, eCross := false, false
 			for j := 0; j < len(eb); j += 2 {
@@ -305,14 +284,10 @@ func TestCompositesMatchScalar(t *testing.T) {
 		a := randomGeometry(rng)
 		b := randomGeometry(rng)
 		want := geom.Intersects(a, b)
-		if got := Intersects(a, b, sc); got != want {
-			t.Fatalf("iter %d: Intersects kernel %v, scalar %v (a=%v b=%v)", iter, got, want, a, b)
-		}
-		// The prepared-A flavour (the join refine path).
 		var ae EdgeSlab
 		ae.AppendGeometry(a)
 		if got := IntersectsPreparedA(a, &ae, b, sc); got != want {
-			t.Fatalf("iter %d: IntersectsPreparedA kernel %v, scalar %v", iter, got, want)
+			t.Fatalf("iter %d: IntersectsPreparedA kernel %v, scalar %v (a=%v b=%v)", iter, got, want, a, b)
 		}
 	}
 }
@@ -337,10 +312,9 @@ func TestCompositesMultiPart(t *testing.T) {
 		if !geom.Intersects(g, ref) || !geom.Intersects(ref, g) {
 			t.Fatalf("oracle: %v does not intersect %v", g, ref)
 		}
-		if !Intersects(g, ref, sc) || !Intersects(ref, g, sc) {
-			t.Errorf("Intersects misses %v", g)
-		}
-		if !IntersectsPreparedA(ref, &re, g, sc) {
+		var ge EdgeSlab
+		ge.AppendGeometry(g)
+		if !IntersectsPreparedA(ref, &re, g, sc) || !IntersectsPreparedA(g, &ge, ref, sc) {
 			t.Errorf("IntersectsPreparedA misses %v", g)
 		}
 		if !r.Intersects(g, sc) {

@@ -5,29 +5,8 @@ import "math"
 // The OGC Simple Features operators of the paper's Table 1 that no query
 // runs: no pass, request, flag, example or benchmark reaches them, so
 // they are not part of the package. They stay here, unchanged, with the
-// tests that pin them and clip_test.go's box clipper; the set operations
-// run on the same Greiner–Hormann clipper as PolyUnion.
-
-// ConvexHull implements ST_ConvexHull using Andrew's monotone chain. The
-// returned polygon has a single counter-clockwise ring. Degenerate inputs
-// (fewer than three distinct non-collinear points) yield a polygon whose
-// ring traces the degenerate hull.
-//
-// Hull construction over a point stream is associative — the hull of a
-// union is the hull of the two partial hulls' points — so ST_ConvexHull
-// maps onto a periodically flushing transducer (Table 1).
-func ConvexHull(g Geometry) Polygon {
-	pts := collectPoints(g)
-	return HullOfPoints(pts)
-}
-
-// MergeHulls combines two partial hulls into the hull of their union.
-// This is the associative combine used by the ST_ConvexHull transducer.
-func MergeHulls(a, b Polygon) Polygon {
-	pts := collectPoints(a)
-	pts = append(pts, collectPoints(b)...)
-	return HullOfPoints(pts)
-}
+// tests that pin them and clip_test.go's box clipper; UnionAll dissolves
+// on PolyUnion.
 
 // SegmentIntersection returns the intersection point of properly crossing
 // segments ab and cd. ok is false for parallel or non-crossing segments.
@@ -270,57 +249,6 @@ func Boundary(g Geometry) Geometry {
 // Envelope implements ST_Envelope.
 func Envelope(g Geometry) Box { return g.Bound() }
 
-// PolyIntersection implements ST_Intersection for two polygons, returning
-// the overlap as a MultiPolygon (possibly empty). Holes in either operand
-// are subtracted from the result.
-func PolyIntersection(a, b Polygon) MultiPolygon {
-	if len(a) == 0 || len(b) == 0 || !a.Bound().Intersects(b.Bound()) {
-		return nil
-	}
-	rings := clipSimple(a[0], b[0], opIntersection)
-	var out MultiPolygon
-	for _, r := range rings {
-		parts := MultiPolygon{Polygon{normalizeCCW(r)}}
-		for _, hole := range append(append([]Ring{}, a.Holes()...), b.Holes()...) {
-			var next MultiPolygon
-			for _, part := range parts {
-				next = append(next, PolyDifference(part, Polygon{hole})...)
-			}
-			parts = next
-		}
-		out = append(out, parts...)
-	}
-	return out
-}
-
-// PolyDifference implements ST_Difference (a minus b).
-func PolyDifference(a, b Polygon) MultiPolygon {
-	if len(a) == 0 {
-		return nil
-	}
-	if len(b) == 0 || !a.Bound().Intersects(b.Bound()) {
-		return MultiPolygon{a}
-	}
-	rings := clipSimple(a[0], b[0], opDifference)
-	out := assemblePolygons(rings)
-	// Holes of a that survive remain holes of the result pieces.
-	for _, hole := range a.Holes() {
-		var next MultiPolygon
-		for _, part := range out {
-			next = append(next, PolyDifference(part, Polygon{hole})...)
-		}
-		out = next
-	}
-	return out
-}
-
-// PolySymDifference implements ST_SymDifference as (a−b) ∪ (b−a).
-func PolySymDifference(a, b Polygon) MultiPolygon {
-	out := PolyDifference(a, b)
-	out = append(out, PolyDifference(b, a)...)
-	return out
-}
-
 // UnionAll dissolves a set of polygons into a MultiPolygon, merging
 // overlapping members pairwise. The paper executes spatial union
 // aggregation as a sequential phase after the pipeline (§4.4(3)); this is
@@ -538,14 +466,6 @@ func pointSegmentDistance(p, a, b Point, m DistanceMethod) float64 {
 	}
 	closest := Point{a.X + t*ab.X, a.Y + t*ab.Y}
 	return Distance(p, closest, m)
-}
-
-// Holes returns the interior rings.
-func (g Polygon) Holes() []Ring {
-	if len(g) <= 1 {
-		return nil
-	}
-	return g[1:]
 }
 
 // Dot returns the dot product p · q.

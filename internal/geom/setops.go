@@ -4,11 +4,10 @@ import "math"
 
 // ST_Union of two polygons (the join's union-area aggregate) on a
 // Greiner–Hormann clipper. The clipper operates on simple (hole-free,
-// non-self-intersecting) rings; it also traces intersections and
-// differences, which only the test-only operators of operators_test.go
-// ask of it. Degenerate configurations (shared vertices, collinear
-// overlapping edges) are resolved by retrying with a deterministic
-// micro-perturbation of the clip operand.
+// non-self-intersecting) rings and traces their union only. Degenerate
+// configurations (shared vertices, collinear overlapping edges) are
+// resolved by retrying with a deterministic micro-perturbation of the
+// clip operand.
 
 type ghNode struct {
 	p          Point
@@ -103,10 +102,9 @@ func segIntersectAlpha(p1, p2, q1, q2 Point) (pt Point, tp, tq float64, ok, dege
 }
 
 // clipRings runs Greiner–Hormann on two simple rings and returns the
-// result rings for the requested operation. degenerate reports that the
-// configuration cannot be handled and the caller should perturb and
-// retry.
-func clipRings(subject, clip Ring, op setOp) (out []Ring, degenerate bool) {
+// rings of their union. degenerate reports that the configuration cannot
+// be handled and the caller should perturb and retry.
+func clipRings(subject, clip Ring) (out []Ring, degenerate bool) {
 	subj := buildList(normalizeCCW(subject))
 	clp := buildList(normalizeCCW(clip))
 	if subj == nil || clp == nil {
@@ -144,28 +142,16 @@ func clipRings(subject, clip Ring, op setOp) (out []Ring, degenerate bool) {
 	}
 
 	if !found {
-		return noIntersectionResult(subject, clip, op), false
+		return noIntersectionResult(subject, clip), false
 	}
 
-	// Phase 2: mark entry/exit using midpoint classification, which is
-	// robust to the alternation drifting on near-degenerate input.
+	// Phase 2: mark where the union walks forward, using midpoint
+	// classification, which is robust to the alternation drifting on
+	// near-degenerate input.
 	subjRing := normalizeCCW(clip) // classify subject nodes against clip
 	markEntries(subj, Polygon{subjRing})
 	clipAgainst := normalizeCCW(subject)
 	markEntries(clp, Polygon{clipAgainst})
-
-	// Operation-specific flag inversion. With midpoint semantics
-	// ("entry" = the outgoing span lies inside the other polygon):
-	// intersection walks forward where inside; union walks forward where
-	// outside on both operands; difference A−B walks A where outside B
-	// and B where inside A.
-	switch op {
-	case opUnion:
-		invertEntries(subj)
-		invertEntries(clp)
-	case opDifference:
-		invertEntries(subj)
-	}
 
 	// Phase 3: trace result polygons.
 	for {
@@ -217,14 +203,6 @@ func clipRings(subject, clip Ring, op setOp) (out []Ring, degenerate bool) {
 	return out, false
 }
 
-type setOp uint8
-
-const (
-	opIntersection setOp = iota
-	opUnion
-	opDifference
-)
-
 func normalizeCCW(r Ring) Ring {
 	if r.SignedArea() < 0 {
 		return r.Reverse()
@@ -232,26 +210,15 @@ func normalizeCCW(r Ring) Ring {
 	return r
 }
 
+// markEntries sets entry on each intersection node of list whose
+// outgoing span lies outside the other polygon: the union's trace walks
+// forward there, on both operands.
 func markEntries(list *ghNode, other Polygon) {
 	for n := list; ; {
 		if n.intersect {
-			// Midpoint of the outgoing span determines whether we are
-			// entering the other polygon.
 			next := n.next
 			mid := Point{(n.p.X + next.p.X) / 2, (n.p.Y + next.p.Y) / 2}
-			n.entry = LocatePointInPolygon(mid, other) == Inside
-		}
-		n = n.next
-		if n == list {
-			break
-		}
-	}
-}
-
-func invertEntries(list *ghNode) {
-	for n := list; ; {
-		if n.intersect {
-			n.entry = !n.entry
+			n.entry = LocatePointInPolygon(mid, other) != Inside
 		}
 		n = n.next
 		if n == list {
@@ -272,39 +239,16 @@ func firstUnvisitedIntersection(list *ghNode) *ghNode {
 	}
 }
 
-func noIntersectionResult(subject, clip Ring, op setOp) []Ring {
-	subjInClip := LocatePointInRing(subject[0], clip) == Inside ||
-		ringInside(subject, clip)
-	clipInSubj := LocatePointInRing(clip[0], subject) == Inside ||
-		ringInside(clip, subject)
-	switch op {
-	case opIntersection:
-		if subjInClip {
-			return []Ring{subject.Canonical()}
-		}
-		if clipInSubj {
-			return []Ring{clip.Canonical()}
-		}
-		return nil
-	case opUnion:
-		if subjInClip {
-			return []Ring{clip.Canonical()}
-		}
-		if clipInSubj {
-			return []Ring{subject.Canonical()}
-		}
-		return []Ring{subject.Canonical(), clip.Canonical()}
-	case opDifference:
-		if subjInClip {
-			return nil
-		}
-		if clipInSubj {
-			// Subject with clip as hole; represent as outer+hole.
-			return []Ring{subject.Canonical(), normalizeCW(clip).Canonical()}
-		}
+// noIntersectionResult is the union of two rings whose edges do not
+// cross: the outer one when one lies inside the other, else both.
+func noIntersectionResult(subject, clip Ring) []Ring {
+	if LocatePointInRing(subject[0], clip) == Inside || ringInside(subject, clip) {
+		return []Ring{clip.Canonical()}
+	}
+	if LocatePointInRing(clip[0], subject) == Inside || ringInside(clip, subject) {
 		return []Ring{subject.Canonical()}
 	}
-	return nil
+	return []Ring{subject.Canonical(), clip.Canonical()}
 }
 
 func normalizeCW(r Ring) Ring {
@@ -337,7 +281,7 @@ func perturb(r Ring, scale float64) Ring {
 }
 
 // clipSimple runs the clipper with degeneracy retries.
-func clipSimple(subject, clip Ring, op setOp) []Ring {
+func clipSimple(subject, clip Ring) []Ring {
 	eps := 0.0
 	span := math.Max(clip.Bound().MaxX-clip.Bound().MinX, 1e-9)
 	for attempt := 0; attempt < 4; attempt++ {
@@ -345,7 +289,7 @@ func clipSimple(subject, clip Ring, op setOp) []Ring {
 		if eps != 0 {
 			c = perturb(clip, eps)
 		}
-		out, degen := clipRings(subject, c, op)
+		out, degen := clipRings(subject, c)
 		if !degen {
 			return out
 		}
@@ -447,7 +391,7 @@ func PolyUnion(a, b Polygon) MultiPolygon {
 	if !a.Bound().Intersects(b.Bound()) {
 		return MultiPolygon{a, b}
 	}
-	rings := clipSimple(a[0], b[0], opUnion)
+	rings := clipSimple(a[0], b[0])
 	if rings == nil {
 		return MultiPolygon{a, b}
 	}

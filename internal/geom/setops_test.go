@@ -6,41 +6,6 @@ import (
 	"testing"
 )
 
-func TestPolyIntersectionBasic(t *testing.T) {
-	a := sq(0, 0, 10)
-	b := sq(5, 5, 10)
-	got := PolyIntersection(a, b)
-	if len(got) != 1 {
-		t.Fatalf("intersection pieces = %d, want 1", len(got))
-	}
-	if area := PlanarArea(got); !approxEq(area, 25, 1e-9) {
-		t.Errorf("intersection area = %v, want 25", area)
-	}
-	// Result within both operands.
-	got.EachPoint(func(p Point) bool {
-		if LocatePointInPolygon(p, a) == Outside || LocatePointInPolygon(p, b) == Outside {
-			t.Errorf("intersection vertex %v outside an operand", p)
-		}
-		return true
-	})
-}
-
-func TestPolyIntersectionDisjointAndContained(t *testing.T) {
-	a := sq(0, 0, 10)
-	if got := PolyIntersection(a, sq(20, 20, 5)); got != nil {
-		t.Errorf("disjoint intersection = %v, want nil", got)
-	}
-	inner := sq(2, 2, 2)
-	got := PolyIntersection(a, inner)
-	if !approxEq(PlanarArea(got), 4, 1e-9) {
-		t.Errorf("contained intersection area = %v, want 4", PlanarArea(got))
-	}
-	got = PolyIntersection(inner, a)
-	if !approxEq(PlanarArea(got), 4, 1e-9) {
-		t.Errorf("containing intersection area = %v, want 4", PlanarArea(got))
-	}
-}
-
 func TestPolyUnionBasic(t *testing.T) {
 	a := sq(0, 0, 10)
 	b := sq(5, 5, 10)
@@ -61,39 +26,6 @@ func TestPolyUnionBasic(t *testing.T) {
 	}
 }
 
-func TestPolyDifferenceBasic(t *testing.T) {
-	a := sq(0, 0, 10)
-	b := sq(5, 5, 10)
-	got := PolyDifference(a, b)
-	if area := PlanarArea(got); !approxEq(area, 75, 1e-9) {
-		t.Errorf("difference area = %v, want 75", area)
-	}
-	// a - disjoint = a.
-	got = PolyDifference(a, sq(20, 20, 5))
-	if area := PlanarArea(got); !approxEq(area, 100, 1e-9) {
-		t.Errorf("difference with disjoint = %v, want 100", area)
-	}
-	// a - containing = empty.
-	got = PolyDifference(sq(2, 2, 2), a)
-	if PlanarArea(got) > 1e-9 {
-		t.Errorf("contained difference area = %v, want 0", PlanarArea(got))
-	}
-	// a - contained = a with hole.
-	got = PolyDifference(a, sq(2, 2, 2))
-	if area := PlanarArea(got); !approxEq(area, 96, 1e-9) {
-		t.Errorf("hole difference area = %v, want 96", area)
-	}
-}
-
-func TestPolySymDifference(t *testing.T) {
-	a := sq(0, 0, 10)
-	b := sq(5, 5, 10)
-	got := PolySymDifference(a, b)
-	if area := PlanarArea(got); !approxEq(area, 150, 1e-9) {
-		t.Errorf("sym difference area = %v, want 150", area)
-	}
-}
-
 // Property: inclusion–exclusion holds for random overlapping squares,
 // |A∪B| = |A| + |B| − |A∩B|, where the intersection of two axis-aligned
 // squares is the intersection of their boxes.
@@ -104,36 +36,11 @@ func TestSetOpsInclusionExclusion(t *testing.T) {
 		b := sq(rng.Float64()*8, rng.Float64()*8, rng.Float64()*6+1)
 		unionArea := PlanarArea(PolyUnion(a, b))
 		aArea, bArea := PlanarArea(a), PlanarArea(b)
-		interArea := a.Bound().Intersect(b.Bound()).Area()
+		interArea := overlapArea(a.Bound(), b.Bound())
 		if !approxEq(unionArea, aArea+bArea-interArea, 1e-6) {
 			t.Fatalf("case %d: union %v != %v+%v-%v (a=%v b=%v)", i, unionArea, aArea, bArea, interArea, a, b)
 		}
 	}
-}
-
-func TestPolyIntersectionWithTriangles(t *testing.T) {
-	// Non-axis-aligned operands exercise general edge intersection.
-	tri1 := Polygon{Ring{{0, 0}, {10, 0}, {5, 10}, {0, 0}}}
-	tri2 := Polygon{Ring{{0, 6}, {10, 6}, {5, -4}, {0, 6}}}
-	got := PolyIntersection(tri1, tri2)
-	if len(got) == 0 {
-		t.Fatal("triangle intersection empty")
-	}
-	area := PlanarArea(got)
-	if area <= 0 || area >= PlanarArea(tri1) || area >= PlanarArea(tri2) {
-		t.Errorf("triangle intersection area = %v (operands %v, %v)",
-			area, PlanarArea(tri1), PlanarArea(tri2))
-	}
-	// All result vertices inside (or on) both triangles.
-	got.EachPoint(func(p Point) bool {
-		if LocatePointInPolygon(p, tri1) == Outside {
-			t.Errorf("vertex %v outside tri1", p)
-		}
-		if LocatePointInPolygon(p, tri2) == Outside {
-			t.Errorf("vertex %v outside tri2", p)
-		}
-		return true
-	})
 }
 
 func TestDegenerateSharedEdgeRetries(t *testing.T) {

@@ -64,8 +64,8 @@ func parseSample(t *testing.T, input []byte) (*NodeTable, []*Way, []*Relation) {
 func TestParseRoundTrip(t *testing.T) {
 	input := buildSample(t)
 	nodes, ways, rels := parseSample(t, input)
-	if nodes.Len() != 8 {
-		t.Errorf("nodes = %d, want 8", nodes.Len())
+	if nodes.n != 8 {
+		t.Errorf("nodes = %d, want 8", nodes.n)
 	}
 	if len(ways) != 3 {
 		t.Fatalf("ways = %d, want 3", len(ways))
@@ -92,7 +92,8 @@ func TestParseRoundTrip(t *testing.T) {
 	if r.Tags["type"] != "multipolygon" {
 		t.Errorf("relation tags = %v", r.Tags)
 	}
-	if p, ok := nodes.Get(3); !ok || !p.Equal(geom.Point{X: 4, Y: 4}) {
+	cur := nodes.Cursor()
+	if p, ok := cur.Get(3); !ok || !p.Equal(geom.Point{X: 4, Y: 4}) {
 		t.Errorf("node 3 = %v ok=%v", p, ok)
 	}
 
@@ -241,8 +242,8 @@ func TestNodeTableOrder(t *testing.T) {
 	check := func(t *testing.T, tab *NodeTable, want map[int64]geom.Point) {
 		t.Helper()
 		tab.Freeze()
-		if tab.Len() != len(want) {
-			t.Errorf("Len = %d, want %d", tab.Len(), len(want))
+		if tab.n != len(want) {
+			t.Errorf("n = %d, want %d", tab.n, len(want))
 		}
 		cur := tab.Cursor()
 		for _, id := range []int64{-7, -1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 50, 3, 2, 1} {

@@ -64,9 +64,6 @@ func (t *NodeTable) Put(id int64, p geom.Point) {
 	t.n++
 }
 
-// Len returns the number of stored nodes; after Freeze, of distinct ids.
-func (t *NodeTable) Len() int { return t.n }
-
 // Freeze ends the build: lookups are valid from here on, from any number
 // of goroutines, and Put and Append are not.
 func (t *NodeTable) Freeze() {
@@ -107,12 +104,6 @@ func (c byID) Less(i, j int) bool { return c.ids[i] < c.ids[j] }
 func (c byID) Swap(i, j int) {
 	c.ids[i], c.ids[j] = c.ids[j], c.ids[i]
 	c.pts[i], c.pts[j] = c.pts[j], c.pts[i]
-}
-
-// Get looks up a node in a frozen table.
-func (t *NodeTable) Get(id int64) (geom.Point, bool) {
-	cur := t.Cursor()
-	return cur.Get(id)
 }
 
 // NodeCursor is one reader's position in a frozen table. A way's refs are

@@ -86,6 +86,14 @@ func NewGrid(extent geom.Box, cellSize float64) Grid {
 	return Grid{Extent: extent, CellSize: cellSize, Cols: cols, Rows: rows}
 }
 
+// WorldGrid is the join's partition grid: the world extent cut into
+// cells of cellSize degrees (paper §5.6 sizes partitions in degrees over
+// geographic coordinates), 0 meaning 1°. The engine's partition pass and
+// the coordinator's cell bands both build it here, so they cannot drift.
+func WorldGrid(cellSize float64) Grid {
+	return NewGrid(geom.Box{MinX: -180, MinY: -90, MaxX: 180, MaxY: 90}, cellSize)
+}
+
 // NumCells returns the number of grid cells.
 func (g Grid) NumCells() int { return g.Cols * g.Rows }
 

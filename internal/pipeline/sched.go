@@ -85,9 +85,6 @@ type PassHandle struct {
 // Label returns the pass's scheduler label (typically the tenant).
 func (h *PassHandle) Label() string { return h.label }
 
-// Weight returns the pass's scheduling weight.
-func (h *PassHandle) Weight() int { return h.weight }
-
 // Workers returns the size of the pool the pass is registered with; runs
 // size their in-flight windows by it.
 func (h *PassHandle) Workers() int { return h.workers }

@@ -24,11 +24,11 @@ func splitFold(spec *Spec, feats []geom.Feature, seed int64) *Result {
 	out := NewResult()
 	for pos := 0; pos < len(feats); {
 		n := min(rng.Intn(5)+1, len(feats)-pos)
-		ev := NewEvaluator(spec)
+		block := NewResult()
 		for i := pos; i < pos+n; i++ {
-			ev.Consume(&feats[i])
+			block.Absorb(spec, &feats[i], ApplyBox(spec, &feats[i], feats[i].Geom.Bound()))
 		}
-		out.Merge(ev.Res)
+		out.Merge(block)
 		pos += n
 	}
 	return out

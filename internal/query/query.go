@@ -180,22 +180,10 @@ func (r *Result) Absorb(s *Spec, f *geom.Feature, v FeatureVal) {
 	}
 }
 
-// Evaluator applies a Spec to one feature at a time, accumulating a
-// Result fragment. One evaluator runs per worker (thread-local state,
-// paper §1) and fragments merge afterwards.
+// Evaluator applies a Spec to one feature: ApplyBox's predicate and
+// aggregates.
 type Evaluator struct {
 	Spec *Spec
-	Res  *Result
-}
-
-// NewEvaluator returns a fresh evaluator with an identity fragment.
-func NewEvaluator(s *Spec) *Evaluator {
-	return &Evaluator{Spec: s, Res: NewResult()}
-}
-
-// Consume evaluates one feature.
-func (e *Evaluator) Consume(f *geom.Feature) {
-	e.Res.Absorb(e.Spec, f, Apply(e.Spec, f))
 }
 
 // match runs the MBR prefilter on b, the feature's bounding box, followed
@@ -339,15 +327,6 @@ func (p *PartitionSink) LoadTape(ids, offs []int64, boxes []geom.Box) {
 	}
 	p.Sets[0].Load(entries, func(i int) bool { return sides[i]&SideA != 0 })
 	p.Sets[1].Load(entries, func(i int) bool { return sides[i]&SideB != 0 })
-}
-
-// SelectivityArea returns the fraction of the data extent covered by the
-// reference box — the x-axis of the paper's Fig. 13.
-func SelectivityArea(ref, extent geom.Box) float64 {
-	if extent.Area() == 0 {
-		return 0
-	}
-	return ref.Intersect(extent).Area() / extent.Area()
 }
 
 // ScaleBox returns a box centred like b whose area is frac of extent,

@@ -47,7 +47,7 @@ func TestEvaluatorContainment(t *testing.T) {
 	ref := geom.Box{MinX: 0, MinY: 0, MaxX: 10, MaxY: 10}.AsPolygon()
 	spec := &Spec{Kind: Containment, Ref: ref, Pred: PredIntersects, KeepMatches: true}
 	spec.Normalize()
-	ev := NewEvaluator(spec)
+	r := NewResult()
 	feats := []geom.Feature{
 		sqf(1, 1, 1, 2),    // inside
 		sqf(2, 8, 8, 5),    // overlapping
@@ -55,16 +55,16 @@ func TestEvaluatorContainment(t *testing.T) {
 		sqf(4, -5, -5, 20), // containing
 	}
 	for i := range feats {
-		ev.Consume(&feats[i])
+		r.Absorb(spec, &feats[i], ApplyBox(spec, &feats[i], feats[i].Geom.Bound()))
 	}
-	if ev.Res.Count != 3 {
-		t.Errorf("count = %d, want 3", ev.Res.Count)
+	if r.Count != 3 {
+		t.Errorf("count = %d, want 3", r.Count)
 	}
-	if len(ev.Res.Matches) != 3 {
-		t.Errorf("matches = %d, want 3", len(ev.Res.Matches))
+	if len(r.Matches) != 3 {
+		t.Errorf("matches = %d, want 3", len(r.Matches))
 	}
-	if ev.Res.Scanned != 4 {
-		t.Errorf("scanned = %d, want 4", ev.Res.Scanned)
+	if r.Scanned != 4 {
+		t.Errorf("scanned = %d, want 4", r.Scanned)
 	}
 }
 
@@ -75,12 +75,10 @@ func TestEvaluatorAggregation(t *testing.T) {
 		WantArea: true, WantPerimeter: true, WantMBR: true, WantHull: true,
 	}
 	spec.Normalize()
-	ev := NewEvaluator(spec)
-	f1 := sqf(1, 0, 0, 1)
-	f2 := sqf(2, 5, 5, 1)
-	ev.Consume(&f1)
-	ev.Consume(&f2)
-	r := ev.Res
+	r := NewResult()
+	for _, f := range []geom.Feature{sqf(1, 0, 0, 1), sqf(2, 5, 5, 1)} {
+		r.Absorb(spec, &f, ApplyBox(spec, &f, f.Geom.Bound()))
+	}
 	if r.Count != 2 {
 		t.Fatalf("count = %d", r.Count)
 	}
@@ -201,18 +199,17 @@ func TestApplyMatchesEvaluator(t *testing.T) {
 		WantArea: true, WantPerimeter: true, WantMBR: true,
 		KeepMatches: true, Dist: geom.Haversine}
 	spec.Normalize()
-	ev := NewEvaluator(spec)
-	viaApply := NewResult()
+	viaBox, viaApply := NewResult(), NewResult()
 	for i := int64(0); i < 100; i++ {
 		f := sqf(i, float64(i%10)*10, float64(i/10)*10, 4)
-		ev.Consume(&f)
+		viaBox.Absorb(spec, &f, ApplyBox(spec, &f, f.Geom.Bound()))
 		viaApply.Absorb(spec, &f, Apply(spec, &f))
 	}
-	a, b := ev.Res, viaApply
+	a, b := viaBox, viaApply
 	if a.Count != b.Count || a.SumArea != b.SumArea ||
 		a.SumPerimeter != b.SumPerimeter || a.MBR != b.MBR ||
 		len(a.Matches) != len(b.Matches) || a.Scanned != b.Scanned {
-		t.Errorf("Apply path disagrees with Evaluator: %+v vs %+v", a, b)
+		t.Errorf("Apply disagrees with ApplyBox: %+v vs %+v", b, a)
 	}
 }
 
@@ -220,9 +217,9 @@ func TestScaleBoxAndSelectivity(t *testing.T) {
 	extent := geom.Box{MinX: 0, MinY: 0, MaxX: 100, MaxY: 50}
 	for _, frac := range []float64{0.0001, 0.01, 0.25, 1} {
 		b := ScaleBox(extent, frac)
-		got := SelectivityArea(b, extent)
-		if math.Abs(got-frac) > 1e-9 {
-			t.Errorf("frac %v: selectivity = %v", frac, got)
+		got := (b.MaxX - b.MinX) * (b.MaxY - b.MinY) / 5000
+		if math.Abs(got-frac) > 1e-9 || !extent.ContainsBox(b) {
+			t.Errorf("frac %v: box %v covers %v of the extent", frac, b, got)
 		}
 	}
 	if !ScaleBox(extent, 0).IsEmpty() {
@@ -230,9 +227,6 @@ func TestScaleBoxAndSelectivity(t *testing.T) {
 	}
 	if ScaleBox(extent, 2) != extent {
 		t.Error("fraction > 1 should clamp to extent")
-	}
-	if SelectivityArea(extent, geom.Box{}) != 0 {
-		t.Error("degenerate extent selectivity should be 0")
 	}
 }
 

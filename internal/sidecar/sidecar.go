@@ -142,9 +142,6 @@ func (b *Builder) Add(off, id int64, box geom.Box) {
 	b.boxes = append(b.boxes, box)
 }
 
-// N reports how many features have been recorded.
-func (b *Builder) N() int { return len(b.offs) }
-
 // Build freezes the tape into an Index. It fails (rather than producing
 // a sidecar that would corrupt warm passes) if the tape violates the
 // format's ordering contract.

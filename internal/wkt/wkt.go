@@ -96,18 +96,6 @@ func isAlpha(c byte) bool { return (c >= 'A' && c <= 'Z') || (c >= 'a' && c <= '
 // escape into geometries.
 var parserPool = sync.Pool{New: func() any { return new(parser) }}
 
-// ParseGeometry parses a WKT geometry, returning the geometry and the
-// number of bytes consumed.
-func ParseGeometry(b []byte) (geom.Geometry, int, error) {
-	p := parserPool.Get().(*parser)
-	defer p.release()
-	p.reset(b, true)
-	if _, err := p.scan(); err != nil {
-		return nil, p.i, err
-	}
-	return p.build(), p.i, nil
-}
-
 // parser scans a geometry before it builds it. scan validates the text
 // and returns the bounding box; what it read stays in scratch buffers —
 // every position of the line in pts, in order, and what the positions
@@ -383,19 +371,11 @@ func (p *parser) build() geom.Geometry {
 	}
 }
 
-// SplitLines returns the offsets of line starts so blocks can be formed
-// on newline boundaries, the paper's fixed-block strategy for simple
-// formats. Block boundaries are chosen at the first newline at or after
-// each multiple of blockSize.
-func SplitLines(input []byte, blockSize int) []int64 {
-	var cuts []int64
-	SplitLinesStream(input, blockSize, func(cut int64) bool { cuts = append(cuts, cut); return true })
-	return cuts
-}
-
-// SplitLinesStream yields line-boundary cut offsets in increasing order
-// as they are found (the incremental splitting form of SplitLines). The
-// scan stops early when yieldCut returns false.
+// SplitLinesStream yields the offsets of line starts in increasing order
+// as they are found, so blocks can be formed on newline boundaries, the
+// paper's fixed-block strategy for simple formats. Block boundaries are
+// chosen at the first newline at or after each multiple of blockSize.
+// The scan stops early when yieldCut returns false.
 func SplitLinesStream(input []byte, blockSize int, yieldCut func(int64) bool) {
 	if blockSize < 1 {
 		blockSize = 1

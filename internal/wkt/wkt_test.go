@@ -28,13 +28,11 @@ func TestParseGeometryKinds(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.in[:min(12, len(tc.in))], func(t *testing.T) {
-			g, n, err := ParseGeometry([]byte(tc.in))
+			f, err := ParseLine([]byte(tc.in), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n != len(tc.in) {
-				t.Errorf("consumed %d bytes, want %d", n, len(tc.in))
-			}
+			g := f.Geom
 			if g.Type() != tc.typ {
 				t.Errorf("type = %v, want %v", g.Type(), tc.typ)
 			}
@@ -54,7 +52,7 @@ func TestParseGeometryErrors(t *testing.T) {
 		"LINESTRING (a b)", "POLYGON (())",
 	}
 	for _, in := range bad {
-		if _, _, err := ParseGeometry([]byte(in)); err == nil {
+		if _, err := ParseLine([]byte(in), 0); err == nil {
 			t.Errorf("no error for %q", in)
 		}
 	}
@@ -170,7 +168,8 @@ func TestSplitLinesInvariance(t *testing.T) {
 		t.Fatalf("sequential lines = %d, want 50", want)
 	}
 	for _, bs := range []int{8, 64, 100, 1000, 1 << 20} {
-		cuts := SplitLines(input, bs)
+		var cuts []int64
+		SplitLinesStream(input, bs, func(cut int64) bool { cuts = append(cuts, cut); return true })
 		// Cuts must fall on line starts.
 		for _, c := range cuts {
 			if c > 0 && input[c-1] != '\n' {
@@ -186,10 +185,10 @@ func TestSplitLinesInvariance(t *testing.T) {
 // TestMalformedNumberRejected: a corrupt token like "2-3" must error,
 // not silently parse as two adjacent numbers.
 func TestMalformedNumberRejected(t *testing.T) {
-	if _, _, err := ParseGeometry([]byte("LINESTRING (0 1, 2-3)")); err == nil {
+	if _, err := ParseLine([]byte("LINESTRING (0 1, 2-3)"), 0); err == nil {
 		t.Error("corrupt token 2-3 should be rejected")
 	}
-	if _, _, err := ParseGeometry([]byte("LINESTRING (0 1, 2 3)")); err != nil {
+	if _, err := ParseLine([]byte("LINESTRING (0 1, 2 3)"), 0); err != nil {
 		t.Errorf("valid linestring rejected: %v", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"atgis/internal/geojson"
 	"atgis/internal/geom"
@@ -44,6 +45,9 @@ func (e *Engine) Prepare(spec *query.Spec, opt Options) (*PreparedQuery, error) 
 	default:
 		return nil, fmt.Errorf("atgis: cannot prepare %v query; use Engine.Join or Engine.Combined", spec.Kind)
 	}
+	if spec.Ref != nil && !finite(spec.Ref) {
+		return nil, fmt.Errorf("atgis: the reference geometry has a coordinate that is not finite")
+	}
 	p := &PreparedQuery{engine: e, spec: *spec, opt: e.opts(opt)}
 	p.spec.Normalize()
 	p.cfg = &geojson.Config{
@@ -60,6 +64,18 @@ func (e *Engine) Prepare(spec *query.Spec, opt Options) (*PreparedQuery, error) 
 	}
 	p.cover = coverWindow(&p.spec) && len(p.opt.PropKeys) == 0
 	return p, nil
+}
+
+// finite reports whether every coordinate of g is finite: a reference
+// with a NaN or infinite bound matches nothing, and the pass would report
+// that as an answer.
+func finite(g geom.Geometry) bool {
+	ok := true
+	g.EachPoint(func(p geom.Point) bool {
+		ok = !math.IsNaN(p.X) && !math.IsInf(p.X, 0) && !math.IsNaN(p.Y) && !math.IsInf(p.Y, 0)
+		return ok
+	})
+	return ok
 }
 
 // Spec returns a copy of the compiled (normalized) spec.

@@ -22,9 +22,11 @@ import (
 // geojson.FeatureOut out — on its workers: a feature leaves its block with
 // ID, Offset and bounding box, and, unless cfg rejected it on that box
 // before anything was built (Config.Rejects: Window, BoundsOnly), with
-// its geometry, its properties and cfg's evaluation of it. The ordered
-// fold emits the features to the pass's one sink, out, in input order on
-// the fold goroutine.
+// its geometry, its properties and cfg's evaluation of it. The box is the
+// exact bounding box, but for a GeoJSON feature rejected under
+// Config.BracketReject, whose box contains its bounds and misses Window.
+// The ordered fold emits the features to the pass's one sink, out, in
+// input order on the fold goroutine.
 
 // runPass is the single driver lookup: it runs pl over src through the
 // driver of src's format. mode matters for GeoJSON only, and FAT only

@@ -68,7 +68,13 @@ func (m *Machine) coordsRoot(pos int64) int64 {
 	if !member {
 		keep, win = !m.cfg.BoundsOnly, m.cfg.Window
 	}
-	next, ok := m.scanCoords(g, pos, keep, win)
+	next, ok := int64(0), false
+	if win != nil && m.cfg.BracketReject {
+		next, ok = m.scanCoords(g, pos, false, win, true)
+	}
+	if !ok {
+		next, ok = m.scanCoords(g, pos, keep, win, false)
+	}
 	if !ok {
 		return 0
 	}
@@ -111,15 +117,26 @@ func (g *geoBuild) scannedBox() geom.Box {
 // geometry's bit for bit: every position of a LineString, the outer ring
 // of a Polygon, the union of the outer rings' boxes of a MultiPolygon.
 //
+// With bracket set (keep clear, win set) every number is read only to its
+// integer part: numparse.Bracket's lo, the value lying in [lo, lo+1].
+// Each position is then the box of its brackets, and the walk commits
+// only a value whose box of those misses win: g.box then contains the
+// exact box and misses win too, so the feature is rejected as the exact
+// walk would reject it, with no mantissa converted. ringBox runs across
+// a MultiPolygon's polygons, as the running box of every outer position,
+// and the walk gives up (ok false) on the first position that brings it
+// into win — the box only grows — and on any number Bracket cannot
+// certify, leaving the value to the exact walk.
+//
 //atgis:hotpath
-func (m *Machine) scanCoords(g *geoBuild, pos int64, keep bool, win *geom.Box) (next int64, ok bool) {
+func (m *Machine) scanCoords(g *geoBuild, pos int64, keep bool, win *geom.Box, bracket bool) (next int64, ok bool) {
 	b := m.input[:m.scanEnd]
 	i := int(pos)
 	pts, rings, polys := m.coordPts[:0], m.coordRings[:0], m.coordPolys[:0]
-	depth := 1 // open arrays, the root included
-	leaf := 0  // depth at which numbers occur, 0 until the first number
-	nums := 0  // numbers seen in the innermost array
-	var x, y float64
+	depth := 1       // open arrays, the root included
+	leaf := 0        // depth at which numbers occur, 0 until the first number
+	nums := 0        // numbers seen in the innermost array
+	var x, y float64 // in bracket mode the low ends of their brackets
 	ringBox, box := geom.EmptyBox(), geom.EmptyBox()
 	outer := true     // the current ring is its polygon's first
 	wantValue := true // after '[' or ',': a value (or an empty root's ']') follows
@@ -155,7 +172,14 @@ func (m *Machine) scanCoords(g *geoBuild, pos int64, keep bool, win *geom.Box) (
 				} else if depth != leaf {
 					return 0, false
 				}
-				v, n, numOK := numparse.Prefix(b[i:])
+				var v float64
+				var n int
+				var numOK bool
+				if bracket {
+					v, n, numOK = numparse.Bracket(b[i:])
+				} else {
+					v, n, numOK = numparse.Prefix(b[i:])
+				}
 				if !numOK {
 					return 0, false
 				}
@@ -186,6 +210,12 @@ func (m *Machine) scanCoords(g *geoBuild, pos int64, keep bool, win *geom.Box) (
 				p := geom.Point{X: x, Y: y}
 				if outer {
 					ringBox = ringBox.ExtendPoint(p)
+					if bracket {
+						ringBox = ringBox.ExtendPoint(geom.Point{X: x + 1, Y: y + 1})
+						if ringBox.Intersects(*win) {
+							return 0, false
+						}
+					}
 				}
 				if keep {
 					pts = append(pts, p)
@@ -195,8 +225,10 @@ func (m *Machine) scanCoords(g *geoBuild, pos int64, keep bool, win *geom.Box) (
 				outer = false
 			default: // a polygon
 				polys = append(polys, len(rings))
-				box = box.Union(ringBox)
-				ringBox = geom.EmptyBox()
+				if !bracket {
+					box = box.Union(ringBox)
+					ringBox = geom.EmptyBox()
+				}
 				outer = true
 			}
 			depth--
@@ -206,6 +238,27 @@ func (m *Machine) scanCoords(g *geoBuild, pos int64, keep bool, win *geom.Box) (
 		i++
 	}
 
+	var gbox geom.Box
+	switch {
+	case leaf == 0: // empty root
+		gbox = geom.EmptyBox()
+	case leaf == 1:
+		gbox = geom.EmptyBox()
+		if nums >= 2 {
+			gbox = geom.BoxOf(geom.Point{X: x, Y: y})
+			if bracket {
+				gbox = gbox.ExtendPoint(geom.Point{X: x + 1, Y: y + 1})
+			}
+		}
+	case leaf <= 3 || bracket:
+		gbox = ringBox
+	default:
+		gbox = box
+	}
+	if bracket && gbox.Intersects(*win) {
+		return 0, false
+	}
+
 	// Commit: the value is accepted.
 	m.coordPts, m.coordRings, m.coordPolys = pts, rings, polys
 	if g.root != nil {
@@ -213,19 +266,9 @@ func (m *Machine) scanCoords(g *geoBuild, pos int64, keep bool, win *geom.Box) (
 	}
 	g.root, g.rootX, g.rootY, g.rootN = nil, 0, 0, 0
 	g.depth = uint8(max(leaf, 1))
-	switch leaf {
-	case 0: // empty root
-		g.box = geom.EmptyBox()
-	case 1:
+	g.box = gbox
+	if leaf == 1 {
 		g.rootX, g.rootY, g.rootN = x, y, uint8(min(nums, 255))
-		g.box = geom.EmptyBox()
-		if nums >= 2 {
-			g.box = geom.BoxOf(geom.Point{X: x, Y: y})
-		}
-	case 2, 3:
-		g.box = ringBox
-	default:
-		g.box = box
 	}
 	if leaf >= 2 && keep && (win == nil || g.box.Intersects(*win)) {
 		g.root = m.coordLevel(leaf, pts, rings, polys)

@@ -191,7 +191,9 @@ type FeatureOut struct {
 	Val     any
 	// Box is the geometry's bounding box — exactly Feature.Geom.Bound(),
 	// the empty box for a feature without geometry. It is set even when
-	// Config.Window or Config.BoundsOnly left Feature.Geom nil.
+	// Config.Window or Config.BoundsOnly left Feature.Geom nil; the one
+	// exception is a feature Config.BracketReject let the scanner reject,
+	// whose Box contains its bounds and misses Config.Window.
 	Box geom.Box
 }
 
@@ -220,8 +222,17 @@ type Config struct {
 	// before anything is materialised: the feature is still emitted, with
 	// its ID, Offset and Box, but with no geometry, no properties and no
 	// Eval — what a warm pass concludes about a feature the sidecar
-	// pruned.
+	// pruned. The Box of a rejected feature is its exact bounding box
+	// unless BracketReject is set.
 	Window *geom.Box
+	// BracketReject lets the fused scanner reject a feature under Window
+	// on the box of its coordinates' integer brackets (numparse.Bracket)
+	// when that box already misses Window, without converting a mantissa.
+	// Such a feature's Box is a box that contains its bounds and misses
+	// Window, not its exact bounds; what Window lets through keeps the
+	// exact box. A pass whose consumer keeps the boxes of rejected
+	// features (the sidecar recorder) must leave it clear.
+	BracketReject bool
 	// BoundsOnly extracts ID, Offset and Box only (the join's partition
 	// pass): no geometry, no properties, no Eval.
 	BoundsOnly bool
@@ -234,7 +245,9 @@ type Config struct {
 // Rejects is the reject-before-build rule every format's workers apply to
 // a feature once its bounding box is known and before anything of it is
 // built: under BoundsOnly nothing is ever built, under Window only what
-// meets it. A rejected feature leaves its block as ID, Offset and Box.
+// meets it. A rejected feature leaves its block as ID, Offset and Box —
+// its exact box, or under BracketReject possibly a larger one that still
+// misses Window.
 func (c *Config) Rejects(box geom.Box) bool {
 	return c.BoundsOnly || (c.Window != nil && !box.Intersects(*c.Window))
 }

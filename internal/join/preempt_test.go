@@ -76,6 +76,16 @@ func TestJoinWeightedBatchConvergence(t *testing.T) {
 	defer light.Close()
 	heavy := pool.Register(context.Background(), "heavy", 3, pipeline.JoinPass, 0)
 	defer heavy.Close()
+	// granted reads a label's grant count from the scheduler snapshot;
+	// each label here has one pass.
+	granted := func(label string) uint64 {
+		for _, ps := range pool.SchedSnapshot().Passes {
+			if ps.Label == label {
+				return ps.Granted
+			}
+		}
+		return 0
+	}
 
 	var lightAtHeavyStart, lightAtHeavyDone atomic.Int64
 	var heavyFirst sync.Once
@@ -100,7 +110,7 @@ func TestJoinWeightedBatchConvergence(t *testing.T) {
 	// Start the heavy sweep only once the light one is actively being
 	// granted, so the measurement captures scheduling policy rather
 	// than startup order.
-	for deadline := time.Now().Add(10 * time.Second); light.Granted() < 3; {
+	for deadline := time.Now().Add(10 * time.Second); granted("light") < 3; {
 		if time.Now().After(deadline) {
 			t.Fatal("light sweep never started receiving grants")
 		}
@@ -113,7 +123,7 @@ func TestJoinWeightedBatchConvergence(t *testing.T) {
 	_, err := RunStream(sa, sb, Config{
 		Ctx: context.Background(),
 		Predicate: func(a, b geom.Geometry) bool {
-			heavyFirst.Do(func() { lightAtHeavyStart.Store(int64(light.Granted())) })
+			heavyFirst.Do(func() { lightAtHeavyStart.Store(int64(granted("light"))) })
 			return sleepyPredicate(50*time.Microsecond)(a, b)
 		},
 		ReparseA: re, ReparseB: re,
@@ -121,14 +131,14 @@ func TestJoinWeightedBatchConvergence(t *testing.T) {
 		Handle:     heavy,
 		BatchCells: batchCells,
 	}, func(Pair) {})
-	lightAtHeavyDone.Store(int64(light.Granted()))
+	lightAtHeavyDone.Store(int64(granted("light")))
 	stopLight()
 	if err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
 
-	heavyGrants := int64(heavy.Granted())
+	heavyGrants := int64(granted("heavy"))
 	lightGrants := lightAtHeavyDone.Load() - lightAtHeavyStart.Load()
 	if lightGrants <= 0 {
 		t.Fatalf("light sweep starved outright during heavy's run (advanced %d)", lightGrants)

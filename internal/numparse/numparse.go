@@ -335,3 +335,131 @@ func intPrefix(b []byte) (int64, int, bool) {
 	}
 	return int64(v), i, true
 }
+
+// Bracket reads the decimal number at the start of b only as far as its
+// sign and integer digits and skips its fraction digits: it returns lo
+// such that the value Prefix returns for the same bytes lies in
+// [lo, lo+1], and the byte count Prefix consumes. For an integer part I
+// of at most 15 digits lo is I, or -(I+1) after a '-': both ends are
+// exact doubles and rounding is monotone, so the correctly rounded value
+// cannot leave the interval. ok is false, and the caller must use
+// Prefix, on what it cannot bracket that way: no integer digit (a
+// leading '+' or '.'), more than 15 integer digits, or an exponent.
+//
+// A coordinate's digits usually fit in the 24 bytes after the sign: the
+// fast path classifies those three words at once, so finding the end
+// costs no chain of loads, each waiting for the last.
+//
+//atgis:hotpath
+func Bracket(b []byte) (lo float64, n int, ok bool) {
+	s := 0
+	if len(b) > 0 && b[0] == '-' {
+		s = 1
+	}
+	if s+24 > len(b) {
+		return bracketShort(b, s)
+	}
+	a := binary.LittleEndian.Uint64(b[s:])
+	na := nonDigits(a)
+	nb := nonDigits(binary.LittleEndian.Uint64(b[s+8:]))
+	nc := nonDigits(binary.LittleEndian.Uint64(b[s+16:]))
+	k := bits.TrailingZeros64(na) >> 3 // integer digits in a
+	if k == 0 || k == 8 {
+		return bracketShort(b, s)
+	}
+	i := s + k
+	if byte(a>>(8*k)) == '.' {
+		// The fraction ends at the first non-digit after the point.
+		switch frac := na &^ (uint64(1)<<(8*k+8) - 1); {
+		case frac != 0:
+			i = s + bits.TrailingZeros64(frac)>>3
+		case nb != 0:
+			i = s + 8 + bits.TrailingZeros64(nb)>>3
+		case nc != 0:
+			i = s + 16 + bits.TrailingZeros64(nc)>>3
+		default:
+			i = skipDigits(b, s+24)
+		}
+	}
+	if i < len(b) && b[i]|0x20 == 'e' {
+		return 0, 0, false
+	}
+	return bracketLo(leadDigits(a, k), s == 1), i, true
+}
+
+// bracketShort is Bracket byte by byte, from the first byte after the
+// sign at s: for the tail of b and for integer parts of 8 digits or more.
+func bracketShort(b []byte, s int) (lo float64, n int, ok bool) {
+	i, end := s, min(len(b), s+16)
+	var ip uint64
+	for i < end && b[i]-'0' < 10 {
+		ip = ip*10 + uint64(b[i]-'0')
+		i++
+	}
+	if i == s || i-s > 15 {
+		return 0, 0, false
+	}
+	if i < len(b) && b[i] == '.' {
+		i = skipDigits(b, i+1)
+	}
+	if i < len(b) && b[i]|0x20 == 'e' {
+		return 0, 0, false
+	}
+	return bracketLo(ip, s == 1), i, true
+}
+
+// bracketLo is the low end of the interval of a number whose integer
+// part is ip: ip, or -(ip+1) when neg.
+func bracketLo(ip uint64, neg bool) float64 {
+	l := int64(ip)
+	if neg {
+		l = -l - 1
+	}
+	return float64(l)
+}
+
+// skipDigits returns the offset of the first byte at or after i in b that
+// is not an ASCII digit.
+func skipDigits(b []byte, i int) int {
+	for i+8 <= len(b) {
+		if nd := nonDigits(binary.LittleEndian.Uint64(b[i:])); nd != 0 {
+			return i + bits.TrailingZeros64(nd)>>3
+		}
+		i += 8
+	}
+	for i < len(b) && b[i]-'0' < 10 {
+		i++
+	}
+	return i
+}
+
+// nonDigits sets the top bit of each byte of the little-endian word v
+// that is not an ASCII digit, and clears every other bit.
+func nonDigits(v uint64) uint64 {
+	const (
+		hiNib = 0xF0F0F0F0F0F0F0F0
+		loNib = 0x0F0F0F0F0F0F0F0F
+		low7  = 0x7F7F7F7F7F7F7F7F
+	)
+	// A byte is not a digit when its high nibble is not 3 or its low
+	// nibble is above 9 (adding 6 carries out of it); no sum here carries
+	// from one byte into the next.
+	nd := v&hiNib ^ 0x3030303030303030 | (v&loNib+0x0606060606060606)&hiNib
+	// Set the top bit of every nonzero byte, and keep only those bits.
+	return (nd&low7 + low7 | nd) &^ low7
+}
+
+// leadDigits returns the value of the first k (1 ≤ k ≤ 7) bytes of the
+// little-endian word v, which are ASCII digits: they move to the top of
+// the word behind zero digits, and parse8's reduction reads all eight.
+func leadDigits(v uint64, k int) uint64 {
+	const (
+		mask = 0x000000FF000000FF
+		mul1 = 0x000F424000000064 // 100 + (1000000 << 32)
+		mul2 = 0x0000271000000001 // 1 + (10000 << 32)
+	)
+	// No byte below a digit borrows, so the first k bytes subtract exactly.
+	d := (v - 0x3030303030303030) & (1<<(8*k) - 1) << (64 - 8*k)
+	d = d*10 + d>>8
+	return (d&mask*mul1 + (d>>16)&mask*mul2) >> 32
+}

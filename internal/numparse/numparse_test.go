@@ -1,8 +1,10 @@
 package numparse
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -189,6 +191,95 @@ func TestFloatExactRange(t *testing.T) {
 	for _, s := range []string{"0", "-0.0", "0e999", "5e-324", "1.5"} {
 		if _, ok := FloatExact([]byte(s)); !ok {
 			t.Errorf("FloatExact(%q) rejected, want accept", s)
+		}
+	}
+}
+
+// checkBracket holds Bracket to its contract on b: where it answers, Prefix
+// accepts the same bytes and its value lies in [lo, lo+1].
+func checkBracket(t *testing.T, b []byte) (ok bool) {
+	t.Helper()
+	lo, n, ok := Bracket(b)
+	if !ok {
+		return false
+	}
+	v, pn, pok := Prefix(b)
+	if !pok || pn != n || !(lo <= v && v <= lo+1) {
+		t.Fatalf("Bracket(%q) = [%v, %v] n=%d; Prefix = %v n=%d ok=%v", b, lo, lo+1, n, v, pn, pok)
+	}
+	return true
+}
+
+func TestBracket(t *testing.T) {
+	for _, tc := range []struct {
+		in     string
+		lo, hi float64
+		n      int
+	}{
+		{"0", 0, 1, 1}, {"-0", -1, 0, 2}, {"12.5,7", 12, 13, 4}, {"-179.99999999999997]", -180, -179, 19},
+		{"1.", 1, 2, 2}, {"007.25 ", 7, 8, 6}, {"999999999999999.9", 999999999999999, 1e15, 17},
+		{"59.44483515847949", 59, 60, 17}, {"3.1234567890123456789x", 3, 4, 21},
+		{"-10.58858817821337], [59.36401375194371", -11, -10, 18}, {"1234567.5, 0.25, 0.125, 0.5", 1234567, 1234568, 9},
+		{"12345678.5, 0.25, 0.125, 0.5", 12345678, 12345679, 10}, {"7, 0.25, 0.125, 0.5, 0.75]", 7, 8, 1},
+		{"7.000000000000000000000000001]", 7, 8, 29}, {"-0.5, 1.5, 2.5, 3.5, 4.5, 5.5", -1, 0, 4},
+	} {
+		lo, n, ok := Bracket([]byte(tc.in))
+		if !ok || lo != tc.lo || lo+1 != tc.hi || n != tc.n {
+			t.Errorf("Bracket(%q) = (%v, %d, %v), want (%v, %d, true) with %v above", tc.in, lo, n, ok, tc.lo, tc.n, tc.hi)
+		}
+		checkBracket(t, []byte(tc.in))
+	}
+	// What it cannot bracket, the caller parses exactly.
+	for _, s := range []string{"", "-", "+1", ".5", "-.5", "1e2", "1.5E-3", "2e", "1234567890123456", "x", "-x",
+		"1.5e3, 0.25, 0.125, 0.5, 0.75", "+1.5, 0.25, 0.125, 0.5", ".5, 0.25, 0.125, 0.5, 0.75", "1234567890123456.5, 0.25, 0.125"} {
+		if _, _, ok := Bracket([]byte(s)); ok {
+			t.Errorf("Bracket(%q) answered, want a give-up", s)
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 20000; i++ {
+		s := strconv.FormatFloat((rng.Float64()-0.5)*360, 'f', rng.Intn(20)-1, 64)
+		if !checkBracket(t, []byte(s+",")) || !checkBracket(t, []byte(s+"], [1.5, -2.25]]]")) {
+			t.Fatalf("Bracket(%q) gave up on a plain coordinate", s)
+		}
+	}
+}
+
+func TestNonDigits(t *testing.T) {
+	for _, s := range []string{"12345678", "1234567x", "x2345678", "0000.000", "9/:09999", "\x00\xff01234"} {
+		want := 0
+		for want < 8 && s[want] >= '0' && s[want] <= '9' {
+			want++
+		}
+		var w [8]byte
+		copy(w[:], s)
+		if got := bits.TrailingZeros64(nonDigits(binary.LittleEndian.Uint64(w[:]))) >> 3; got != want {
+			t.Errorf("nonDigits(%q) finds %d leading digits, want %d", s, got, want)
+		}
+	}
+}
+
+// FuzzBracket is differential: on any bytes where Bracket answers, Prefix
+// must accept the same byte count and return a value inside the bracket.
+func FuzzBracket(f *testing.F) {
+	for _, s := range []string{"12.5,7", "-0.000", "179.99999999999997", "1e5", "+1", ".5", "0001234.5678901234567890", "1234567890.12345678]"} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		checkBracket(t, b)
+	})
+}
+
+func BenchmarkBracket(b *testing.B) {
+	var bufs [][]byte
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 64; i++ {
+		bufs = append(bufs, []byte(strconv.FormatFloat((rng.Float64()-0.5)*360, 'g', -1, 64)+", "))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, ok := Bracket(bufs[i%64]); !ok {
+			b.Fatal("bracket failed")
 		}
 	}
 }

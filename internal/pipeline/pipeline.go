@@ -298,18 +298,19 @@ func RunCtx[R any](
 	}
 
 	// submit queues a block on the pass, giving up (and marking the block
-	// skipped) once ctx is cancelled. poolClosed is written by the
-	// splitter goroutine and read after splitDone.
-	var poolClosed bool
+	// skipped) once ctx is cancelled. refused is written by the splitter
+	// goroutine and read after splitDone.
+	var refused error
 	submit := func(it *item[R]) bool {
 		if ctx.Err() == nil && pass.Submit(func() { run(it) }) {
 			return true
 		}
-		if ctx.Err() == nil {
-			// Submit refused without cancellation: the pool was closed
-			// underneath the run. Mark it so the run fails loudly instead
+		if ctx.Err() == nil && refused == nil {
+			// Submit refused without cancellation of ctx: the pass's own
+			// registration context ended, or the pool was closed
+			// underneath the run. Either way the run fails loudly instead
 			// of folding a truncated result.
-			poolClosed = true
+			refused = pass.refusal()
 		}
 		it.skipped = true
 		close(it.ready)
@@ -416,8 +417,8 @@ func RunCtx[R any](
 		// cancellation or deadline expiry leaves cause == ctx.Err().
 		return st, context.Cause(ctx)
 	}
-	if poolClosed {
-		return st, ErrPoolClosed
+	if refused != nil {
+		return st, refused
 	}
 	return st, nil
 }

@@ -104,7 +104,7 @@ func (p *Pool) Register(ctx context.Context, label string, weight int, kind Pass
 			runShielded(func() {
 				select {
 				case <-done:
-					h.Drain()
+					h.drain(context.Cause(ctx))
 				case <-stop:
 				}
 			})

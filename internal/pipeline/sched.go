@@ -74,9 +74,11 @@ type PassHandle struct {
 	workers  int
 	vtime    float64
 	queue    []func()
-	granted  uint64
 	draining bool
 	closed   bool
+	// cause is why the drain-on-cancel watcher drained the pass: the
+	// cause of the context it was registered with (nil until then).
+	cause error
 	// watch, when non-nil, stops the drain-on-cancel watcher goroutine
 	// started by Pool.Register; Close closes it exactly once.
 	watch chan struct{}
@@ -88,14 +90,6 @@ func (h *PassHandle) Label() string { return h.label }
 // Workers returns the size of the pool the pass is registered with; runs
 // size their in-flight windows by it.
 func (h *PassHandle) Workers() int { return h.workers }
-
-// Granted returns how many tasks the scheduler has granted workers for
-// this pass so far.
-func (h *PassHandle) Granted() uint64 {
-	h.s.mu.Lock()
-	defer h.s.mu.Unlock()
-	return h.granted
-}
 
 // Submit enqueues one task on the pass's dispatch queue and reports
 // whether it was accepted (false once the handle or the pool is
@@ -127,16 +121,36 @@ func (h *PassHandle) Submit(f func()) bool {
 // drains its own queue — each reclaimed task sees the cancelled
 // context and completes immediately. Tasks already granted to workers
 // are untouched. Safe to call concurrently with grants and repeatedly.
-func (h *PassHandle) Drain() {
+func (h *PassHandle) Drain() { h.drain(nil) }
+
+// drain is Drain recording, when cause is not nil, that the pass was
+// drained because its registration context ended with that cause.
+func (h *PassHandle) drain(cause error) {
 	s := h.s
 	s.mu.Lock()
 	h.draining = true
+	if h.cause == nil {
+		h.cause = cause
+	}
 	stolen := h.queue
 	h.queue = nil
 	s.mu.Unlock()
 	for _, f := range stolen {
 		f()
 	}
+}
+
+// refusal is the error of a run whose Submit the handle refused while the
+// run itself went on: the cause of the registration context when the
+// watcher drained the pass for it, else ErrPoolClosed (the pool closed
+// underneath the run).
+func (h *PassHandle) refusal() error {
+	h.s.mu.Lock()
+	defer h.s.mu.Unlock()
+	if h.cause != nil {
+		return h.cause
+	}
+	return ErrPoolClosed
 }
 
 // Close deregisters the pass: its queue entries are executed inline
@@ -318,7 +332,6 @@ func (s *sched) pickLocked(worker int) func() {
 	best.queue = best.queue[1:]
 	s.vclock = best.vtime
 	best.vtime += 1 / float64(best.weight)
-	best.granted++
 	s.totalGranted++
 	if worker >= 0 && best.src != 0 {
 		if best.src == last {

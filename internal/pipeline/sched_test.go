@@ -68,8 +68,12 @@ func TestSchedStrideProportionalShare(t *testing.T) {
 			t.Fatalf("grant sequence %v, want prefix %v", got[:len(want)], want)
 		}
 	}
-	if a.Granted() != 25 || b.Granted() != 75 {
-		t.Fatalf("handle grant counters a=%d b=%d", a.Granted(), b.Granted())
+	granted := map[string]uint64{}
+	for _, ps := range s.snapshot().Passes {
+		granted[ps.Label] = ps.Granted
+	}
+	if granted["a"] != 25 || granted["b"] != 75 {
+		t.Fatalf("label grant counters %v, want a:25 b:75", granted)
 	}
 }
 
@@ -472,6 +476,56 @@ func TestPoolClosedMidRunFailsLoudly(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("run never returned after pool close")
+	}
+}
+
+// TestRegistrationCancelNotPoolClosed registers a pass under one context
+// and runs it under another: when the registration context is cancelled
+// mid-run, the watcher drains the pass and refuses the run's next Submit
+// while the run's own context is still live. The run must fail with the
+// registration context's cause, not ErrPoolClosed — the pool is open.
+func TestRegistrationCancelNotPoolClosed(t *testing.T) {
+	pool := NewPool(1)
+	defer pool.Close()
+	regCtx, cancelReg := context.WithCancel(context.Background())
+	h := pool.Register(regCtx, "reg", 1, QueryPass, 0)
+	defer h.Close()
+	gate := make(chan struct{})
+	splitter := func(n int64, yield func(int64) bool) {
+		yield(64)
+		<-gate // hold the splitter until the watcher has drained the pass
+		yield(128)
+		yield(192)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := RunCtx(context.Background(), 256, splitter, h,
+			func(b Block) int { return 0 },
+			func(Block, int) {},
+		)
+		done <- err
+	}()
+	cancelReg()
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		pool.s.mu.Lock()
+		drained := h.draining
+		pool.s.mu.Unlock()
+		if drained {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the watcher never drained the pass")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) || errors.Is(err, ErrPoolClosed) {
+			t.Fatalf("run returned %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("run never returned")
 	}
 }
 

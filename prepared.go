@@ -58,12 +58,25 @@ func (e *Engine) Prepare(spec *query.Spec, opt Options) (*PreparedQuery, error) 
 	}
 	// Cold reject ≡ warm prune: the extraction machine drops a feature
 	// whose bounding box misses the window the sidecar planner would
-	// prune it against, before building its geometry.
+	// prune it against, before building its geometry — on the integer
+	// brackets of its coordinates where those already miss it; exactCfg
+	// is the config of the passes that must not.
 	if win, ok := pruneWindow(&p.spec); ok && !noWindowPushdown {
 		p.cfg.Window = &win
+		p.cfg.BracketReject = true
 	}
 	p.cover = coverWindow(&p.spec) && len(p.opt.PropKeys) == 0
 	return p, nil
+}
+
+// exactCfg is p.cfg without BracketReject. The recording pass extracts
+// with it, because the tape keeps every rejected feature's exact box; so
+// does a tape pass, because it parses only entries whose box meets the
+// window, where the bracket walk would always give up.
+func (p *PreparedQuery) exactCfg() *geojson.Config {
+	c := *p.cfg
+	c.BracketReject = false
+	return &c
 }
 
 // finite reports whether every coordinate of g is finite: a reference
@@ -148,15 +161,17 @@ func (p *PreparedQuery) run(ctx context.Context, src Source, shard *ShardRange, 
 		v, _ := f.Val.(query.FeatureVal)
 		take(f.Feature, v)
 	}
-	// cold runs the cold plan of r without the sidecar. Options.Mode
-	// applies to the cold pass over the whole source only (shard.go).
+	// cold runs the cold plan of r without the sidecar, extracting with
+	// cfg. Options.Mode applies to the cold pass over the whole source
+	// only (shard.go).
+	cfg := p.cfg
 	cold := func(r ShardRange) (err error) {
 		mode := PAT
 		if r == whole {
 			mode = p.opt.Mode
 		}
 		pl := coldPlan(src.DataFormat(), mode, data, r)
-		out.Stats, out.Repaired, out.Reprocessed, err = runPass(ctx, p.engine, src, mode, &pl, p.opt, p.cfg, sink)
+		out.Stats, out.Repaired, out.Reprocessed, err = runPass(ctx, p.engine, src, mode, &pl, p.opt, cfg, sink)
 		return err
 	}
 
@@ -200,6 +215,7 @@ func (p *PreparedQuery) run(ctx context.Context, src Source, shard *ShardRange, 
 	rec, recDone := p.engine.recorder(ms, ix)
 	own := rng
 	if rec != nil {
+		cfg = p.exactCfg()
 		inner := sink
 		rng = whole
 		sink = func(f geojson.FeatureOut) {

@@ -65,7 +65,7 @@ func newTapePass(p *PreparedQuery, ix *sidecar.Index, data []byte, r ShardRange,
 		ix:   ix,
 		data: data,
 		wkt:  ix.Format == sidecar.FormatWKT,
-		cfg:  p.cfg,
+		cfg:  p.exactCfg(),
 		i0:   sort.Search(len(offs), func(i int) bool { return offs[i] >= r.Start }),
 		i1:   sort.Search(len(offs), func(i int) bool { return offs[i] >= r.End }),
 		stop: int64(len(data)),

@@ -53,8 +53,8 @@ func TestBracketGateMalformed(t *testing.T) {
 		{MinX: 100, MinY: 100, MaxX: 110, MaxY: 110},
 	}
 	// blockFor is the small block size of a row: 64 bytes, but 64 KiB
-	// for the 400 kB of the deep nesting, whose FAT fold would otherwise
-	// re-validate its open containers at each of thousands of blocks.
+	// for the 400 kB of the deep nesting, which would take over 6 000
+	// blocks per run here (TestFATDeepNestingLinear runs it at 64 bytes).
 	blockFor := func(name string) int {
 		if name == "200000 deep" {
 			return 64 << 10

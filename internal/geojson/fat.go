@@ -206,22 +206,38 @@ func (fd *Fold) Add(br BlockResult) {
 // validate replays the block's spec tape through a lightweight structural
 // shadow of the accumulated machine and checks that every anchored
 // feature (skip marker and still-open graft) sits in a features array.
+//
+// The shadow stack is the machine's frames [0, base), read in place,
+// under the frames the tape pushed (fd.shadow). A machine frame is copied
+// onto fd.shadow (lift) only when the tape changes its key or expectKey,
+// so a block costs its own tape, not the depth of the stack it lands on.
 func (fd *Fold) validate(v BlockVariant) bool {
+	base := len(fd.m.frames)
 	fd.shadow = fd.shadow[:0]
-	for i := range fd.m.frames {
-		f := &fd.m.frames[i]
-		fd.shadow = append(fd.shadow, shadowFrame{f.isArr, f.sem, f.resolved, f.expectKey, fd.m.key(f)})
-	}
 	rootResolved := fd.m.resolved
-	top := func() *shadowFrame {
+	// view returns the top frame without its key, false on an empty stack.
+	view := func() (shadowFrame, bool) {
+		if n := len(fd.shadow); n > 0 {
+			return fd.shadow[n-1], true
+		}
+		if base == 0 {
+			return shadowFrame{}, false
+		}
+		f := &fd.m.frames[base-1]
+		return shadowFrame{isArr: f.isArr, sem: f.sem, resolved: f.resolved, expectKey: f.expectKey}, true
+	}
+	// lift returns the top frame, writable; the stack must not be empty.
+	lift := func() *shadowFrame {
 		if len(fd.shadow) == 0 {
-			return nil
+			base--
+			f := &fd.m.frames[base]
+			fd.shadow = append(fd.shadow, shadowFrame{f.isArr, f.sem, f.resolved, f.expectKey, fd.m.key(f)})
 		}
 		return &fd.shadow[len(fd.shadow)-1]
 	}
 	inFeatures := func() bool {
-		t := top()
-		return t != nil && t.resolved && t.sem == semFeatures
+		t, ok := view()
+		return ok && t.resolved && t.sem == semFeatures
 	}
 	var strBegin int64 = -1
 	for _, ev := range v.state.spec {
@@ -236,8 +252,7 @@ func (fd *Fold) validate(v BlockVariant) bool {
 			isArr := ev.Tok.Kind == lexer.KindArrOpen
 			var s sem
 			resolved := false
-			t := top()
-			if t == nil {
+			if t, ok := view(); !ok {
 				if rootResolved {
 					resolved = true
 					if isArr {
@@ -248,32 +263,36 @@ func (fd *Fold) validate(v BlockVariant) bool {
 				}
 			} else if t.resolved {
 				resolved = true
-				s = classifySem(t.sem, t.key, isArr)
-				t.key = nil
+				lt := lift()
+				s = classifySem(lt.sem, lt.key, isArr)
+				lt.key = nil
 			}
 			fd.shadow = append(fd.shadow, shadowFrame{isArr: isArr, sem: s, resolved: resolved, expectKey: !isArr})
 		case lexer.KindObjClose, lexer.KindArrClose:
 			if len(fd.shadow) > 0 {
 				fd.shadow = fd.shadow[:len(fd.shadow)-1]
+			} else if base > 0 {
+				base--
 			}
 		case lexer.KindComma:
-			if t := top(); t != nil && !t.isArr {
-				t.expectKey = true
+			if t, ok := view(); ok && !t.isArr {
+				lift().expectKey = true
 			}
 		case lexer.KindColon:
-			if t := top(); t != nil && !t.isArr {
-				t.expectKey = false
+			if t, ok := view(); ok && !t.isArr {
+				lift().expectKey = false
 			}
 		case lexer.KindStrBegin:
 			strBegin = ev.Tok.Off
 		case lexer.KindStrEnd:
-			if t := top(); t != nil && !t.isArr && t.expectKey && strBegin >= 0 {
-				t.key = fd.input[strBegin+1 : ev.Tok.Off]
-				if bytes.IndexByte(t.key, '\\') >= 0 {
+			if t, ok := view(); ok && !t.isArr && t.expectKey && strBegin >= 0 {
+				lt := lift()
+				lt.key = fd.input[strBegin+1 : ev.Tok.Off]
+				if bytes.IndexByte(lt.key, '\\') >= 0 {
 					// Decode escapes exactly as Machine.key does, or the
 					// shadow classifies escaped keywords differently and
 					// forces a spurious sequential reprocess.
-					t.key = []byte(unescape(t.key))
+					lt.key = []byte(unescape(lt.key))
 				}
 			}
 			strBegin = -1

@@ -34,7 +34,7 @@ func anyIntersectStream(s *EdgeSlab, g geom.Geometry) bool {
 // batched and a's edge slab ae pre-filled: the join's refinement runs
 // one A geometry against many Bs, so A's slab fills once per run and
 // each B streams against it without being materialised at all.
-func IntersectsPreparedA(a geom.Geometry, ae *EdgeSlab, b geom.Geometry, s *Scratch) bool {
+func IntersectsPreparedA(a geom.Geometry, ae *EdgeSlab, b geom.Geometry) bool {
 	if a == nil || b == nil {
 		return false
 	}
@@ -92,14 +92,13 @@ func CompileRef(p geom.Polygon) *RefPoly {
 
 // Intersects evaluates geom.Intersects(g, r.Poly) with the reference
 // side's slab pre-filled; g's edges stream against it unmaterialised.
-func (r *RefPoly) Intersects(g geom.Geometry, s *Scratch) bool {
+func (r *RefPoly) Intersects(g geom.Geometry) bool {
 	if g == nil {
 		return false
 	}
 	if !g.Bound().Intersects(geom.Geometry(r.Poly).Bound()) {
 		return false
 	}
-	_ = s // reserved: the Within fold needs scratch, keep the shape uniform
 	if anyIntersectStream(&r.Edges, g) {
 		return true
 	}

@@ -47,23 +47,9 @@ package kernel
 import (
 	"math"
 	"math/bits"
-	"sync/atomic"
 
 	"atgis/internal/geom"
 )
-
-// disabled force-disables every kernel consumer (join refinement and the
-// query evaluators fall back to scalar). It is
-// the differential harness's switch — sidecar_diff-style harnesses run
-// identical passes with kernels on and off and require byte-identical
-// output — and nothing else: no flag, option or config reaches it.
-var disabled atomic.Bool
-
-// SetDisabled toggles the kernels off (true) or on (false, default).
-func SetDisabled(v bool) { disabled.Store(v) }
-
-// Disabled reports whether the kernels are toggled off.
-func Disabled() bool { return disabled.Load() }
 
 // Bitset is a packed result vector: bit i reports the outcome for input
 // item i. The word layout is exported so hot consumers can iterate set

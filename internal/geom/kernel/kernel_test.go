@@ -278,15 +278,13 @@ func randomGeometry(rng *rand.Rand) geom.Geometry {
 
 func TestCompositesMatchScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	sc := AcquireScratch()
-	defer ReleaseScratch(sc)
 	for iter := 0; iter < 400; iter++ {
 		a := randomGeometry(rng)
 		b := randomGeometry(rng)
 		want := geom.Intersects(a, b)
 		var ae EdgeSlab
 		ae.AppendGeometry(a)
-		if got := IntersectsPreparedA(a, &ae, b, sc); got != want {
+		if got := IntersectsPreparedA(a, &ae, b); got != want {
 			t.Fatalf("iter %d: IntersectsPreparedA kernel %v, scalar %v (a=%v b=%v)", iter, got, want, a, b)
 		}
 	}
@@ -300,8 +298,6 @@ func TestCompositesMultiPart(t *testing.T) {
 		return geom.Box{MinX: x, MinY: y, MaxX: x + s, MaxY: y + s}.AsPolygon()
 	}
 	ref := sq(0, 0, 10)
-	sc := AcquireScratch()
-	defer ReleaseScratch(sc)
 	r := CompileRef(ref)
 	var re EdgeSlab
 	re.AppendGeometry(ref)
@@ -314,10 +310,10 @@ func TestCompositesMultiPart(t *testing.T) {
 		}
 		var ge EdgeSlab
 		ge.AppendGeometry(g)
-		if !IntersectsPreparedA(ref, &re, g, sc) || !IntersectsPreparedA(g, &ge, ref, sc) {
+		if !IntersectsPreparedA(ref, &re, g) || !IntersectsPreparedA(g, &ge, ref) {
 			t.Errorf("IntersectsPreparedA misses %v", g)
 		}
-		if !r.Intersects(g, sc) {
+		if !r.Intersects(g) {
 			t.Errorf("RefPoly.Intersects misses %v", g)
 		}
 	}
@@ -334,25 +330,11 @@ func TestRefPolyMatchesScalar(t *testing.T) {
 			continue
 		}
 		g := randomGeometry(rng)
-		if got, want := r.Intersects(g, sc), geom.Intersects(g, ref); got != want {
+		if got, want := r.Intersects(g), geom.Intersects(g, ref); got != want {
 			t.Fatalf("iter %d: RefPoly.Intersects %v, scalar %v (g=%v ref=%v)", iter, got, want, g, ref)
 		}
 		if got, want := r.Within(g, sc), geom.Within(g, ref); got != want {
 			t.Fatalf("iter %d: RefPoly.Within %v, scalar %v (g=%v ref=%v)", iter, got, want, g, ref)
 		}
-	}
-}
-
-func TestDisabledToggle(t *testing.T) {
-	if Disabled() {
-		t.Fatal("kernels must start enabled")
-	}
-	SetDisabled(true)
-	if !Disabled() {
-		t.Fatal("SetDisabled(true) not observed")
-	}
-	SetDisabled(false)
-	if Disabled() {
-		t.Fatal("SetDisabled(false) not observed")
 	}
 }

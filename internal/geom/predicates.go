@@ -160,18 +160,6 @@ func PolygonContainsPoint(p Point, poly Polygon) bool {
 	return LocatePointInPolygon(p, poly) != Outside
 }
 
-// anyPoint returns a representative vertex of g.
-func anyPoint(g Geometry) (Point, bool) {
-	var out Point
-	found := false
-	g.EachPoint(func(p Point) bool {
-		out = p
-		found = true
-		return false
-	})
-	return out, found
-}
-
 // edgesIntersect reports whether any edge of a intersects any edge of b.
 // This is the paper's edge-testing algorithm: O(|a|·|b|) with an MBR
 // prefilter per edge pair avoided in favour of a whole-geometry check by
@@ -213,31 +201,42 @@ func edgesCross(a, b Geometry) bool {
 // member of a collection — because with no edge crossing a part lies
 // wholly inside outer or wholly outside it, independently of the others:
 // one probe for the whole geometry misses a part inside outer whenever
-// an earlier part lies outside.
+// an earlier part lies outside. A part's vertex is its first in storage
+// order, read by a type switch: a closure through EachPoint would escape
+// to the heap on every call.
 func containsRepresentative(outer, inner Geometry) bool {
 	switch t := inner.(type) {
+	case PointGeom:
+		return geometryCoversPoint(outer, t.P)
+	case LineString:
+		return len(t) > 0 && geometryCoversPoint(outer, t[0])
+	case Polygon:
+		p, ok := firstVertex(t)
+		return ok && geometryCoversPoint(outer, p)
 	case MultiPolygon:
 		for _, poly := range t {
-			for _, r := range poly { // the polygon's first vertex, as anyPoint finds it
-				if len(r) > 0 {
-					if geometryCoversPoint(outer, r[0]) {
-						return true
-					}
-					break
-				}
+			if p, ok := firstVertex(poly); ok && geometryCoversPoint(outer, p) {
+				return true
 			}
 		}
-		return false
 	case Collection:
 		for _, m := range t {
 			if containsRepresentative(outer, m) {
 				return true
 			}
 		}
-		return false
 	}
-	p, ok := anyPoint(inner)
-	return ok && geometryCoversPoint(outer, p)
+	return false
+}
+
+// firstVertex returns the first vertex of p's first non-empty ring.
+func firstVertex(p Polygon) (Point, bool) {
+	for _, r := range p {
+		if len(r) > 0 {
+			return r[0], true
+		}
+	}
+	return Point{}, false
 }
 
 // geometryCoversPoint reports whether p is inside or on the boundary of g

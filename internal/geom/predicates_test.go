@@ -477,3 +477,25 @@ func TestPointOnSegment(t *testing.T) {
 		t.Error("points off segment detected")
 	}
 }
+
+// TestContainsRepresentativeAllocatesNothing: the representative vertex
+// of each of the package's kinds is read without a closure, so the probe
+// the intersects tail runs per matched feature allocates nothing.
+func TestContainsRepresentativeAllocatesNothing(t *testing.T) {
+	var box Geometry = Box{MinX: 0, MinY: 0, MaxX: 10, MaxY: 10}.AsPolygon()
+	inner := Box{MinX: 2, MinY: 2, MaxX: 3, MaxY: 3}.AsPolygon()
+	for _, g := range []Geometry{
+		inner,
+		MultiPolygon{Box{MinX: 50, MinY: 50, MaxX: 51, MaxY: 51}.AsPolygon(), inner},
+		LineString{{X: 1, Y: 1}, {X: 2, Y: 2}},
+		PointGeom{P: Point{X: 5, Y: 5}},
+		Collection{PointGeom{P: Point{X: 50, Y: 50}}, inner},
+	} {
+		if !ContainsRepresentative(box, g) {
+			t.Fatalf("%v: no representative vertex inside the box", g)
+		}
+		if n := testing.AllocsPerRun(100, func() { ContainsRepresentative(box, g) }); n != 0 {
+			t.Errorf("%v: ContainsRepresentative allocates %v times per call, want 0", g, n)
+		}
+	}
+}

@@ -16,6 +16,14 @@
 // order, so a loop over its A entries refining each one's candidates as
 // they appear holds A order by construction, each A geometry reparsed once.
 //
+// There is one MBR compare: each A entry is one kernel.BoxFilterBatch
+// sweep over its cell's B boxes, whatever the cell holds. REFINE is
+// kernel.IntersectsPreparedA when Config.KernelRefine is set (every
+// engine join), Config.Predicate otherwise. Both kernels are bit-identical
+// to their scalar forms in internal/geom, which FuzzKernelVsScalar checks
+// per call and the root package's TestKernelDifferential checks end to
+// end, against NestedLoop(…, geom.Intersects).
+//
 // There is one sweep. RunStream emits pairs in nondecreasing owning-cell
 // order, deterministically whatever the worker count; Run collects the
 // same stream and sorts it by offset pair. Engine.Join/JoinStream wrap
@@ -70,18 +78,13 @@ type Reparser func(off int64) (geom.Geometry, error)
 // batch for its next worker grant.
 const defaultBatchCells = 256
 
-// kernelBoxBatchMin is the smallest B-side cell population worth a
-// batched MBR prefilter sweep: below one bitset word of boxes, the
-// kernel call and bitset reset per A entry cost more than the scalar
-// nest's early-out compares.
-const kernelBoxBatchMin = 64
-
 // Config controls join execution.
 type Config struct {
 	// Ctx, when non-nil, cancels the join: a cell stops within 64 of its
 	// A entries and Run/RunStream return the context's error.
 	Ctx context.Context
-	// Predicate refines candidate pairs (ST_Intersects in Table 3).
+	// Predicate refines candidate pairs (ST_Intersects in Table 3) when
+	// KernelRefine is off.
 	Predicate func(a, b geom.Geometry) bool
 	// ReparseA / ReparseB rebuild geometries by offset.
 	ReparseA, ReparseB Reparser
@@ -97,14 +100,11 @@ type Config struct {
 	Handle *pipeline.PassHandle
 	// BatchCells is the number of grid cells per sweep batch (0 = 256).
 	BatchCells int
-	// KernelRefine routes the MBR compare and REFINE stages through the
-	// batched slab kernels (internal/geom/kernel): per cell, the B side's
-	// MBRs fill a struct-of-arrays slab tested by one fused BoxFilterBatch
-	// sweep per A entry, and refinement runs IntersectsPreparedA with the
-	// A geometry's edge slab filled once per A entry. Only valid
-	// when Predicate is geom.Intersects (as it is on every engine join);
-	// results are bit-identical to the scalar path. Ignored while
-	// kernel.Disabled().
+	// KernelRefine chooses the REFINE stage: kernel.IntersectsPreparedA
+	// with the A geometry's edge slab filled once per A entry, instead
+	// of Predicate. It stands for geom.Intersects (the predicate of
+	// every engine join) and is bit-identical to it. The MBR compare
+	// runs through kernel.BoxFilterBatch either way.
 	KernelRefine bool
 	// CellLo / CellHi restrict the sweep to the grid-cell band
 	// [CellLo, CellHi) — the join's unit of horizontal sharding: the
@@ -128,10 +128,11 @@ type Stats struct {
 
 // joinCell joins one partition cell, appending its pairs to out: one
 // loop over the cell's A entries in cell order, each refining its owned
-// MBR hits on the B side, in cell order, as they appear. With ks non-nil
-// the MBR compare (on B sides of kernelBoxBatchMin entries or more) and
-// the refinement run through the batched slab kernels; results are
-// bit-identical either way. ctx is checked every 64 A entries.
+// MBR hits on the B side, in cell order, as they appear. The MBR compare
+// is one kernel.BoxFilterBatch sweep per A entry over the B side's boxes
+// in ks.Boxes (bit-identical to Box.Intersects); REFINE runs
+// kernel.IntersectsPreparedA when cfg.KernelRefine, cfg.Predicate
+// otherwise. ctx is checked every 64 A entries.
 func joinCell(ctx context.Context, a, b *partition.Set, cfg Config, c int, cache geomCache, ks *kernel.Scratch, out []Pair, st *Stats) ([]Pair, error) {
 	ea := a.Cell(c)
 	eb := b.Cell(c)
@@ -141,39 +142,22 @@ func joinCell(ctx context.Context, a, b *partition.Set, cfg Config, c int, cache
 	// Once the cell is processed the hash map is cleared (paper §4.5),
 	// which bounds the PARSER/BUFFER memory by one cell's B side.
 	defer clear(cache)
-	// Fused MBR prefilter: the B side's boxes fill a slab once per cell,
-	// then every A entry tests all of them in one branch-free sweep. Few
-	// B entries take the scalar nest instead: a per-A-entry kernel call
-	// plus bitset reset costs more than a handful of early-out compares.
-	batched := ks != nil && len(eb) >= kernelBoxBatchMin
-	if batched {
-		ks.Boxes.Reset()
-		for _, y := range eb {
-			ks.Boxes.Append(y.Box)
-		}
+	// The B side's boxes fill a slab once per cell; every A entry tests
+	// all of them in one branch-free sweep.
+	ks.Boxes.Reset()
+	for _, y := range eb {
+		ks.Boxes.Append(y.Box)
 	}
 	for i, x := range ea {
 		if i&63 == 0 && ctx.Err() != nil {
 			return out, ctx.Err()
 		}
-		if batched {
-			kernel.BoxFilterBatch(x.Box, &ks.Boxes, &ks.Hits)
-		}
+		kernel.BoxFilterBatch(x.Box, &ks.Boxes, &ks.Hits)
 		var ga geom.Geometry // reparsed at x's first owned hit
-		// MBR COMPARE, 64 B entries per word of hits, in cell order.
-		for base := 0; base < len(eb); base += 64 {
-			var word uint64
-			if batched {
-				word = ks.Hits[base>>6]
-			} else {
-				for j, y := range eb[base:min(base+64, len(eb))] {
-					if x.Box.Intersects(y.Box) {
-						word |= 1 << j
-					}
-				}
-			}
+		// MBR hits, 64 B entries per word, in cell order.
+		for w, word := range ks.Hits {
 			for ; word != 0; word &= word - 1 {
-				y := eb[base+bits.TrailingZeros64(word)]
+				y := eb[w<<6+bits.TrailingZeros64(word)]
 				if !ownsPair(a.Grid, c, x.Box, y.Box) {
 					// Another cell owns this pair's reference point and
 					// will report it; skip the duplicate before refinement.
@@ -187,7 +171,7 @@ func joinCell(ctx context.Context, a, b *partition.Set, cfg Config, c int, cache
 						return out, err
 					}
 					st.Reparses++
-					if ks != nil {
+					if cfg.KernelRefine {
 						// One slab fill per A entry: the prepared A side
 						// amortises across every B it meets.
 						ks.A.Reset()
@@ -205,10 +189,10 @@ func joinCell(ctx context.Context, a, b *partition.Set, cfg Config, c int, cache
 					cache[y.Off] = gb
 					st.Reparses++
 				}
-				// REFINE: exact predicate (batched when kernel-refined).
+				// REFINE: the exact predicate.
 				var refined bool
-				if ks != nil {
-					refined = kernel.IntersectsPreparedA(ga, &ks.A, gb, ks)
+				if cfg.KernelRefine {
+					refined = kernel.IntersectsPreparedA(ga, &ks.A, gb)
 				} else {
 					refined = cfg.Predicate(ga, gb)
 				}
@@ -358,17 +342,17 @@ type sweep struct {
 	bufs [][]Pair
 }
 
-// sweepState is the per-batch scratch: the reparse cache and the local
-// stats. States are pooled and handed from batch to batch, so a
-// reacquired state keeps its warm geometry cache; the pool is bounded by
-// the batches in flight.
+// sweepState is the per-batch scratch: the reparse cache, the kernel
+// slabs and the local stats. States are pooled and handed from batch to
+// batch, so a reacquired state keeps its warm geometry cache; the pool
+// is bounded by the batches in flight.
 type sweepState struct {
 	cache geomCache
 	st    Stats
-	// kern is the pooled kernel scratch, acquired lazily by the first
-	// kernel-refined batch this state runs and released by finish
-	// (sweep states outlive individual batches, so the slab high-water
-	// marks carry across batches too).
+	// kern is the pooled kernel scratch, acquired by the first batch
+	// this state runs and released by finish (sweep states outlive
+	// individual batches, so the slab high-water marks carry across
+	// batches too).
 	kern *kernel.Scratch
 }
 
@@ -423,12 +407,12 @@ func (s *sweep) putBuf(b []Pair) {
 func (s *sweep) batch(idx, start, end int) (r batchPairs) {
 	st := s.acquire()
 	defer s.release(st)
-	if s.cfg.KernelRefine && !kernel.Disabled() && st.kern == nil {
+	if st.kern == nil {
 		st.kern = kernel.AcquireScratch() //lint:atgis-allow pairedrelease the scratch outlives this batch by design: finish releases every state's scratch exactly once
 	}
 	label := s.cfg.Handle.Label()
 	faultinject.Fire("join.batch", label, int64(idx))
-	if st.kern != nil {
+	if s.cfg.KernelRefine {
 		faultinject.Fire("kernel.batch", label, int64(idx))
 	}
 	r.pairs = s.getBuf()
@@ -448,10 +432,8 @@ func (s *sweep) finish() Stats {
 		st.Duplicates += ss.st.Duplicates
 		st.Reparses += ss.st.Reparses
 		st.CacheHits += ss.st.CacheHits
-		if ss.kern != nil {
-			kernel.ReleaseScratch(ss.kern)
-			ss.kern = nil
-		}
+		kernel.ReleaseScratch(ss.kern)
+		ss.kern = nil
 	}
 	return st
 }

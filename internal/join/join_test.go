@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"atgis/internal/geom"
-	"atgis/internal/geom/kernel"
 	"atgis/internal/partition"
 )
 
@@ -364,9 +363,8 @@ func TestJoinBlockedConsumerBound(t *testing.T) {
 // TestJoinOrderedStream: RunStream emits the oracle pair set in the
 // sweep's order — owning cell, then A entries in cell order, each with its
 // B partners in cell order — and the sequence is identical across runs and
-// across both MBR nests: scalar, kernel-refined and kernel-disabled runs
-// all agree. Ordering costs no parallelism: several batches still refine
-// at once.
+// across both refinements: Predicate and kernel-refined runs all agree.
+// Ordering costs no parallelism: several batches still refine at once.
 func TestJoinOrderedStream(t *testing.T) {
 	for _, w := range []struct {
 		name   string
@@ -374,8 +372,7 @@ func TestJoinOrderedStream(t *testing.T) {
 		cellSz float64
 	}{
 		{"5° cells", 33, 5},
-		// One cell holds every entry: its B side is past kernelBoxBatchMin,
-		// so the kernel-refined run takes the batched BoxFilterBatch nest.
+		// One cell holds every entry: its 80 B boxes fill two hit words.
 		{"one cell", 34, 100},
 	} {
 		as, bs, reA, reB := makeWorld(w.seed, 90, 80)
@@ -413,12 +410,10 @@ func TestJoinOrderedStream(t *testing.T) {
 		}
 		checkCellOrder(t, first, cellOrder(sa, sb, as, bs))
 		for _, run := range []struct {
-			name           string
-			kern, disabled bool
-		}{{"scalar", false, false}, {"scalar again", false, false}, {"kernel", true, false}, {"kernel disabled", true, true}} {
-			kernel.SetDisabled(run.disabled)
+			name string
+			kern bool
+		}{{"scalar", false}, {"scalar again", false}, {"kernel", true}} {
 			again := stream(geom.Intersects, run.kern)
-			kernel.SetDisabled(false)
 			if !pairsEqual(again, first) {
 				t.Fatalf("%s: %s run produced a different sequence (%d vs %d pairs) — the stream must be deterministic",
 					w.name, run.name, len(again), len(first))
@@ -435,6 +430,47 @@ func TestJoinOrderedStream(t *testing.T) {
 		})
 		if want := NestedLoop(as, bs, geom.Intersects); !pairsEqual(sorted, want) {
 			t.Fatalf("%s: stream has %d pairs, the nested loop %d", w.name, len(sorted), len(want))
+		}
+	}
+}
+
+// TestJoinCellWordBoundaries: one cell whose B side holds 63, 64 or 65
+// entries — one hit word short, full, and one bit into a second — joins
+// to the nested loop's pairs, with either refinement. The first A entry
+// covers the whole grid, so every B entry, the last one included, is in a
+// pair.
+func TestJoinCellWordBoundaries(t *testing.T) {
+	sq := func(x, y, s float64) geom.Geometry {
+		return geom.Box{MinX: x, MinY: y, MaxX: x + s, MaxY: y + s}.AsPolygon()
+	}
+	for _, n := range []int{63, 64, 65} {
+		geoms := map[int64]geom.Geometry{}
+		as := []geom.Feature{{ID: 0, Offset: 0, Geom: sq(0, 0, 100)}, {ID: 1, Offset: 10, Geom: sq(40, 40, 8)}}
+		var bs []geom.Feature
+		for i := range n {
+			bs = append(bs, geom.Feature{ID: int64(100 + i), Offset: 1_000_000 + int64(i)*10,
+				Geom: sq(float64(i%8)*12, float64(i/8)*11, 6)})
+		}
+		for _, f := range append(append([]geom.Feature(nil), as...), bs...) {
+			geoms[f.Offset] = f.Geom
+		}
+		re := func(off int64) (geom.Geometry, error) { return geoms[off], nil }
+		sa, sb := buildSets(as, bs, 100, partition.ArrayStore) // one cell
+		if got := len(sb.Cell(0)); got != n {
+			t.Fatalf("n=%d: the cell holds %d B entries", n, got)
+		}
+		want := NestedLoop(as, bs, geom.Intersects)
+		if len(want) <= n {
+			t.Fatalf("n=%d: the nested loop found %d pairs, want more than %d; bad test data", n, len(want), n)
+		}
+		for _, kern := range []bool{false, true} {
+			got, st, err := Run(sa, sb, Config{Predicate: geom.Intersects, ReparseA: re, ReparseB: re, Workers: 1, KernelRefine: kern})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !pairsEqual(got, want) || st.Refined != int64(len(want)) {
+				t.Fatalf("n=%d kernel %v: %d pairs (%d refined), the nested loop %d", n, kern, len(got), st.Refined, len(want))
+			}
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"atgis/internal/geom"
-	"atgis/internal/geom/kernel"
 )
 
 // The aggregation and periodically flushing transducers of Table 1 as the
@@ -94,18 +93,17 @@ func TestRelationPFTsMatchGeomPredicates(t *testing.T) {
 
 func TestIntersectsPFTReferenceInsideShape(t *testing.T) {
 	// The shape fully contains the reference: no edges meet, so only the
-	// point-in-polygon probe can detect it — on the kernel path and on
-	// the scalar one.
-	defer kernel.SetDisabled(kernel.Disabled())
+	// point-in-polygon probe can detect it — on the kernel path Apply
+	// takes and in the scalar predicate.
 	ref := geom.Box{MinX: -1, MinY: -1, MaxX: 1, MaxY: 1}.AsPolygon()
 	shape := sqf(1, -10, -10, 20)
-	for _, off := range []bool{false, true} {
-		kernel.SetDisabled(off)
-		spec := &Spec{Ref: ref, Pred: PredIntersects}
-		spec.Normalize()
-		if !Apply(spec, &shape).Matched {
-			t.Fatalf("kernels disabled=%v: containing shape should intersect", off)
-		}
+	spec := &Spec{Ref: ref, Pred: PredIntersects}
+	spec.Normalize()
+	if !Apply(spec, &shape).Matched {
+		t.Fatal("kernel path: containing shape should intersect")
+	}
+	if !PredIntersects.Eval(shape.Geom, ref) {
+		t.Fatal("scalar predicate: containing shape should intersect")
 	}
 }
 

@@ -55,8 +55,8 @@ type Spec struct {
 
 	// kref is the compiled kernel state of a Polygon reference (edge
 	// and ring slabs filled once by Normalize, shared read-only by
-	// every worker's evaluator). nil on un-normalized specs or
-	// non-polygon references; the scalar path covers those.
+	// every worker). nil on un-normalized specs or non-polygon
+	// references; the scalar path covers those.
 	kref *kernel.RefPoly
 }
 
@@ -149,11 +149,10 @@ func ApplyBox(s *Spec, f *geom.Feature, box geom.Box) FeatureVal {
 	if f.Geom == nil {
 		return FeatureVal{}
 	}
-	e := Evaluator{Spec: s}
-	if !e.match(f, box) {
+	if !match(s, f, box) {
 		return FeatureVal{}
 	}
-	area, perim := e.compute(f)
+	area, perim := compute(s, f)
 	return FeatureVal{Matched: true, Area: area, Perimeter: perim, Box: box}
 }
 
@@ -180,16 +179,9 @@ func (r *Result) Absorb(s *Spec, f *geom.Feature, v FeatureVal) {
 	}
 }
 
-// Evaluator applies a Spec to one feature: ApplyBox's predicate and
-// aggregates.
-type Evaluator struct {
-	Spec *Spec
-}
-
 // match runs the MBR prefilter on b, the feature's bounding box, followed
 // by the exact predicate.
-func (e *Evaluator) match(f *geom.Feature, b geom.Box) bool {
-	s := e.Spec
+func match(s *Spec, f *geom.Feature, b geom.Box) bool {
 	if s.Ref == nil {
 		return true
 	}
@@ -208,40 +200,27 @@ func (e *Evaluator) match(f *geom.Feature, b geom.Box) bool {
 			return false
 		}
 	}
-	if s.kref != nil && !kernel.Disabled() {
-		// Batched refinement against the compiled reference slabs —
-		// bit-identical to the scalar predicates (the kernel package's
-		// differential harness is the proof), so the toggle changes
-		// cost, never results.
+	if s.kref != nil {
+		// Refinement against the compiled reference slabs, bit-identical
+		// to the scalar predicates (FuzzKernelVsScalar and the root
+		// package's per-feature oracle check it).
 		switch s.Pred {
 		case PredIntersects:
-			return evalKernel(s.kref, f.Geom, false, false)
+			return s.kref.Intersects(f.Geom)
 		case PredDisjoint:
-			return evalKernel(s.kref, f.Geom, true, false)
+			return !s.kref.Intersects(f.Geom)
 		case PredWithin:
-			return evalKernel(s.kref, f.Geom, false, true)
+			sc := kernel.AcquireScratch()
+			hit := s.kref.Within(f.Geom, sc)
+			kernel.ReleaseScratch(sc)
+			return hit
 		}
 	}
 	return s.Pred.Eval(f.Geom, s.Ref)
 }
 
-// evalKernel runs one kernelized predicate evaluation with pooled
-// scratch: Intersects (negated for Disjoint) or Within.
-func evalKernel(kref *kernel.RefPoly, g geom.Geometry, negate, within bool) bool {
-	sc := kernel.AcquireScratch()
-	var hit bool
-	if within {
-		hit = kref.Within(g, sc)
-	} else {
-		hit = kref.Intersects(g, sc)
-	}
-	kernel.ReleaseScratch(sc)
-	return hit != negate
-}
-
 // compute produces the per-feature aggregate values.
-func (e *Evaluator) compute(f *geom.Feature) (area, perim float64) {
-	s := e.Spec
+func compute(s *Spec, f *geom.Feature) (area, perim float64) {
 	if s.WantArea {
 		area = geom.SphericalArea(f.Geom)
 	}

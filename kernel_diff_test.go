@@ -1,81 +1,126 @@
 package atgis
 
-// Differential matrix for the batched refinement kernels: the full
-// sidecar_diff case matrix (every query mode, both join flavours)
-// re-runs with the kernels force-disabled — pure scalar refinement —
-// and then enabled, on cold and sidecar-warm engines. The rendered
-// output must be byte-identical in every cell: the kernels' contract is
-// bit-identity with the scalar predicates, not approximate agreement,
-// so even the IEEE bit patterns of the float aggregates must match.
+// Oracles for the refinement kernels. The engine refines a polygon
+// reference's window predicate and every join pair through the batched
+// slab kernels; their contract is bit-identity with the scalar
+// predicates in internal/geom, not approximate agreement. So every
+// feature of the sidecar corpus, in every format, goes through
+// query.ApplyBox under each spec of the sidecar_diff matrix and must
+// equal the scalar predicate and aggregates called directly, float
+// results compared as bit patterns; and the corpus's parity join must
+// equal the nested loop over the same features.
 
 import (
 	"context"
-	"os"
 	"slices"
 	"testing"
 
 	"atgis/internal/geom"
-	"atgis/internal/geom/kernel"
+	"atgis/internal/join"
 	"atgis/internal/query"
-	"atgis/internal/sidecar"
+	"atgis/internal/synth"
 )
 
 func TestKernelDifferential(t *testing.T) {
-	if kernel.Disabled() {
-		t.Fatal("kernels unexpectedly disabled at test entry")
-	}
+	eng := NewEngine(EngineConfig{Workers: 4})
+	defer eng.Close()
 	for _, format := range []Format{GeoJSON, WKT, OSMXML} {
-		format := format
 		t.Run(format.String(), func(t *testing.T) {
-			path := writeSidecarCorpus(t, format)
-
-			// Scalar reference: kernels off, cold engine.
-			kernel.SetDisabled(true)
-			scalarEng := NewEngine(EngineConfig{Workers: 4})
-			scalar := runAllCases(t, scalarEng, mustOpen(t, path))
-			scalarEng.Close()
-			kernel.SetDisabled(false)
-
-			// Kernels on, cold engine.
-			kernEng := NewEngine(EngineConfig{Workers: 4})
-			defer kernEng.Close()
-			compareCases(t, "kernels on, cold", runAllCases(t, kernEng, mustOpen(t, path)), scalar)
-
-			// Kernels on over a sidecar-warm pass: the structural index
-			// changes which features reach refinement pre-pruned, not
-			// what refinement must answer.
-			rwEng := NewEngine(EngineConfig{Workers: 4, Sidecar: SidecarReadWrite})
-			defer rwEng.Close()
-			warmSrc := mustOpen(t, path)
-			compareCases(t, "kernels on, recording", runAllCases(t, rwEng, warmSrc), scalar)
-			compareCases(t, "kernels on, warm", runAllCases(t, rwEng, warmSrc), scalar)
-			if st := warmSrc.SidecarStats(); !st.Built || st.Hits == 0 {
-				t.Fatalf("warm leg did not exercise the sidecar: %+v", st)
+			src := mustOpen(t, writeSidecarCorpus(t, format))
+			feats := collect(t, eng, src)
+			testApplyOracle(t, feats)
+			testJoinOracle(t, eng, src, feats)
+			// The sidecar corpus holds one pair at most: a denser
+			// rendering of the generator gives the refinement hundreds
+			// of MBR hits, some of which it must refute.
+			dense := mustOpen(t, writeCorpus(t, format, synth.Config{Seed: 20160626, N: 400,
+				MultiPolyFrac: 0.15, LineFrac: 0.15, ExtentScale: 0.01}))
+			st := testJoinOracle(t, eng, dense, collect(t, eng, dense))
+			if st.Refined < 100 || st.Candidates == st.Refined {
+				t.Fatalf("dense join: %+v — want 100 pairs or more and a refuted candidate", st)
 			}
-
-			// Kernels off again over the recorded sidecar: warm scalar
-			// equals warm kernel equals cold scalar.
-			kernel.SetDisabled(true)
-			defer kernel.SetDisabled(false)
-			roEng := NewEngine(EngineConfig{Workers: 4, Sidecar: SidecarRead})
-			defer roEng.Close()
-			offSrc := mustOpen(t, path)
-			compareCases(t, "kernels off, warm", runAllCases(t, roEng, offSrc), scalar)
-			if st := offSrc.SidecarStats(); st.Hits == 0 {
-				t.Fatalf("kernels-off warm leg did not serve from the sidecar: %+v", st)
-			}
-			if err := os.Remove(sidecar.PathFor(path)); err != nil {
-				t.Fatal(err)
-			}
-			kernel.SetDisabled(false)
 		})
 	}
 }
 
+func collect(t *testing.T, eng *Engine, src Source) []geom.Feature {
+	t.Helper()
+	feats, err := eng.CollectFeatures(context.Background(), src, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return feats
+}
+
+// testApplyOracle runs every feature through query.ApplyBox under each
+// spec of sidecarDiffCases and compares it with the scalar predicate and
+// aggregates.
+func testApplyOracle(t *testing.T, feats []geom.Feature) {
+	t.Helper()
+	matched := map[query.Predicate]int{}
+	for _, c := range sidecarDiffCases() {
+		if c.spec == nil {
+			continue
+		}
+		s := *c.spec
+		s.Normalize()
+		for i := range feats {
+			f := &feats[i]
+			if f.Geom == nil {
+				continue
+			}
+			box := f.Geom.Bound()
+			got := query.ApplyBox(&s, f, box)
+			var want query.FeatureVal
+			if s.Ref == nil || s.Pred.Eval(f.Geom, s.Ref) {
+				want = query.FeatureVal{Matched: true, Box: box}
+				if s.WantArea {
+					want.Area = geom.SphericalArea(f.Geom)
+				}
+				if s.WantPerimeter {
+					want.Perimeter = geom.Perimeter(f.Geom, s.Dist)
+				}
+				matched[s.Pred]++
+			}
+			if got.Matched != want.Matched || bits(got.Area) != bits(want.Area) ||
+				bits(got.Perimeter) != bits(want.Perimeter) || renderBox(got.Box) != renderBox(want.Box) {
+				t.Fatalf("%s: feature %d@%d: ApplyBox %+v, scalar %+v", c.name, f.ID, f.Offset, got, want)
+			}
+		}
+	}
+	for _, p := range []query.Predicate{query.PredIntersects, query.PredWithin, query.PredDisjoint} {
+		if matched[p] == 0 {
+			t.Fatalf("no feature matched %v under any spec — the matrix does not exercise its refinement", p)
+		}
+	}
+}
+
+// testJoinOracle compares the parity join of src through Engine.Join
+// with the nested loop over feats, the features of src, on each side.
+func testJoinOracle(t *testing.T, eng *Engine, src Source, feats []geom.Feature) join.Stats {
+	t.Helper()
+	jr, err := eng.Join(context.Background(), src, JoinSpec{Mask: paritySideMask, CellSize: 10, BoundsSafeMask: true}, Options{BlockSize: 8 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var as, bs []geom.Feature
+	for _, f := range feats {
+		if paritySideMask(&f)&query.SideA != 0 {
+			as = append(as, f)
+		} else {
+			bs = append(bs, f)
+		}
+	}
+	if want := join.NestedLoop(as, bs, geom.Intersects); !slices.Equal(jr.Pairs, want) {
+		t.Fatalf("Engine.Join found %d pairs, the nested loop %d", len(jr.Pairs), len(want))
+	}
+	return jr.JoinStats
+}
+
 // TestKernelDifferentialMultiPart: a multipolygon and a collection whose
 // first part lies far outside the window and whose second lies strictly
-// inside it both match, in either format, with the kernels on and off; a
-// polygon far outside does not.
+// inside it both match, in either format, as the scalar predicate says;
+// a polygon far outside does not.
 func TestKernelDifferentialMultiPart(t *testing.T) {
 	docs := map[Format]string{
 		GeoJSON: `{"type":"FeatureCollection","features":[
@@ -89,25 +134,35 @@ func TestKernelDifferentialMultiPart(t *testing.T) {
 	}
 	spec := &query.Spec{Kind: query.Containment, Pred: query.PredIntersects, KeepMatches: true,
 		Ref: geom.Box{MinX: -10, MinY: -10, MaxX: 10, MaxY: 10}.AsPolygon()}
-	defer kernel.SetDisabled(false)
+	eng := testEngine(t, 2)
 	for format, doc := range docs {
 		src, err := FromBytes([]byte(doc), format)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, off := range []bool{true, false} {
-			kernel.SetDisabled(off)
-			res, err := testEngine(t, 2).Query(context.Background(), src, spec, Options{})
-			if err != nil {
-				t.Fatal(err)
+		res, err := eng.Query(context.Background(), src, spec, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ids []int64
+		for _, m := range res.Res.Matches {
+			ids = append(ids, m.ID)
+		}
+		if !slices.Equal(ids, []int64{1, 2}) || res.Res.Scanned != 3 {
+			t.Errorf("%v: matched %v of %d, want [1 2] of 3", format, ids, res.Res.Scanned)
+		}
+		feats, err := eng.CollectFeatures(context.Background(), src, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var scalar []int64
+		for _, f := range feats {
+			if spec.Pred.Eval(f.Geom, spec.Ref) {
+				scalar = append(scalar, f.ID)
 			}
-			var ids []int64
-			for _, m := range res.Res.Matches {
-				ids = append(ids, m.ID)
-			}
-			if !slices.Equal(ids, []int64{1, 2}) || res.Res.Scanned != 3 {
-				t.Errorf("%v, kernels off %v: matched %v of %d, want [1 2] of 3", format, off, ids, res.Res.Scanned)
-			}
+		}
+		if !slices.Equal(scalar, ids) {
+			t.Errorf("%v: the scalar predicate matches %v, the engine %v", format, scalar, ids)
 		}
 	}
 }

@@ -12,10 +12,6 @@ import (
 	"atgis/internal/sidecar"
 )
 
-// noWindowPushdown keeps Prepare from setting geojson.Config.Window; the
-// pushdown-invariant tests set it to obtain the reference pass.
-var noWindowPushdown bool
-
 // PreparedQuery is a single-pass query (containment or aggregation)
 // compiled once and executable many times, against the same or different
 // Sources, from any number of goroutines concurrently. Preparation
@@ -61,7 +57,7 @@ func (e *Engine) Prepare(spec *query.Spec, opt Options) (*PreparedQuery, error) 
 	// prune it against, before building its geometry — on the integer
 	// brackets of its coordinates where those already miss it; exactCfg
 	// is the config of the passes that must not.
-	if win, ok := pruneWindow(&p.spec); ok && !noWindowPushdown {
+	if win, ok := pruneWindow(&p.spec); ok {
 		p.cfg.Window = &win
 		p.cfg.BracketReject = true
 	}

@@ -8,8 +8,9 @@ package atgis
 // scanned line out of its scratch buffers). That may change cost only.
 // Every cell of {GeoJSON PAT, GeoJSON FAT, OSM XML, WKT} × {intersects,
 // within, disjoint, no reference} runs with the pushdown and with it
-// forced off (noWindowPushdown); the summary and the streamed records
-// must be byte-identical, float aggregates compared as bit patterns.
+// cleared from the prepared query's config (Window and BracketReject);
+// the summary and the streamed records must be byte-identical, float
+// aggregates compared as bit patterns.
 
 import (
 	"context"
@@ -23,13 +24,6 @@ import (
 	"atgis/internal/geom"
 	"atgis/internal/query"
 )
-
-// withoutPushdown runs f with the window pushdown forced off.
-func withoutPushdown(f func()) {
-	noWindowPushdown = true
-	defer func() { noWindowPushdown = false }()
-	f()
-}
 
 func TestWindowPushdownInvariant(t *testing.T) {
 	eng := NewEngine(EngineConfig{Workers: 4})
@@ -65,10 +59,13 @@ func testWindowPushdown(t *testing.T, eng *Engine, src *MappedSource, modes []Mo
 				spec.Ref = nil
 			}
 			opt := Options{Mode: mode, BlockSize: 8 << 10, PropKeys: []string{"name"}}
-			run := func() (string, *geojson.Config) {
+			run := func(pushdown bool) (string, *geojson.Config) {
 				pq, err := eng.Prepare(spec, opt)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
+				}
+				if !pushdown {
+					pq.cfg.Window, pq.cfg.BracketReject = nil, false
 				}
 				sum, err := pq.Execute(context.Background(), src)
 				if err != nil {
@@ -100,18 +97,11 @@ func testWindowPushdown(t *testing.T, eng *Engine, src *MappedSource, modes []Mo
 				b.WriteString(renderQueryResult(streamed))
 				return b.String(), pq.cfg
 			}
-			got, cfg := run()
+			got, cfg := run(true)
 			if (cfg.Window != nil) != pc.pushes {
 				t.Fatalf("%s: window pushed down = %v, want %v", name, cfg.Window != nil, pc.pushes)
 			}
-			var want string
-			withoutPushdown(func() {
-				var refCfg *geojson.Config
-				want, refCfg = run()
-				if refCfg.Window != nil {
-					t.Fatalf("%s: the reference pass still pushes a window down", name)
-				}
-			})
+			want, _ := run(false)
 			if got != want {
 				t.Errorf("%s: pushdown changed the result\nwith:\n%s\nwithout:\n%s", name, got, want)
 			}

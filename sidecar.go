@@ -301,7 +301,7 @@ func (e *Engine) sidecarFor(src Source) (*MappedSource, *sidecar.Index) {
 
 // pruneWindow reports whether the spec allows bbox pruning and against
 // which window. Every predicate except disjoint requires the candidate
-// MBR to intersect the reference MBR (see Evaluator.match), so a
+// MBR to intersect the reference MBR (see query.ApplyBox), so a
 // feature whose recorded bbox misses the window can be skipped without
 // parsing. Disjoint inverts that, and a nil reference matches
 // everything: no pruning.

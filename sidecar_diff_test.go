@@ -48,6 +48,13 @@ import (
 // `.atgx` siblings are cleaned up with it).
 func writeSidecarCorpus(t *testing.T, format Format) string {
 	t.Helper()
+	return writeCorpus(t, format, synth.Config{Seed: 20160626, N: 400, MultiPolyFrac: 0.15, LineFrac: 0.15, MetadataBytes: 40})
+}
+
+// writeCorpus writes cfg's synthetic dataset in the given format and
+// returns its path, as writeSidecarCorpus does.
+func writeCorpus(t *testing.T, format Format, cfg synth.Config) string {
+	t.Helper()
 	dir := t.TempDir()
 	var name string
 	switch format {
@@ -62,7 +69,7 @@ func writeSidecarCorpus(t *testing.T, format Format) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := synth.New(synth.Config{Seed: 20160626, N: 400, MultiPolyFrac: 0.15, LineFrac: 0.15, MetadataBytes: 40})
+	g := synth.New(cfg)
 	switch format {
 	case GeoJSON:
 		err = g.WriteGeoJSON(f)
@@ -136,9 +143,11 @@ func geomDigest(g geom.Geometry) string {
 }
 
 // sidecarDiffCase runs one query or join flavour and renders its full
-// observable output as a comparable string.
+// observable output as a comparable string. spec is the query's spec (nil
+// for a join).
 type sidecarDiffCase struct {
 	name string
+	spec *query.Spec
 	run  func(t *testing.T, eng *Engine, src Source) string
 }
 
@@ -174,7 +183,7 @@ func coverSpec(kind query.Kind, frac float64) *query.Spec {
 func diffOpt(mode Mode) Options { return Options{Mode: mode, BlockSize: 8 << 10} }
 
 func queryCase(name string, spec *query.Spec, opt Options) sidecarDiffCase {
-	return sidecarDiffCase{name: name, run: func(t *testing.T, eng *Engine, src Source) string {
+	return sidecarDiffCase{name: name, spec: spec, run: func(t *testing.T, eng *Engine, src Source) string {
 		t.Helper()
 		res, err := eng.Query(context.Background(), src, spec, opt)
 		if err != nil {
@@ -216,7 +225,7 @@ func renderStream(t *testing.T, name string, res *Results) string {
 }
 
 func streamCase(name string, spec *query.Spec, opt Options) sidecarDiffCase {
-	return sidecarDiffCase{name: name, run: func(t *testing.T, eng *Engine, src Source) string {
+	return sidecarDiffCase{name: name, spec: spec, run: func(t *testing.T, eng *Engine, src Source) string {
 		t.Helper()
 		pq, err := eng.Prepare(spec, opt)
 		if err != nil {
@@ -252,7 +261,7 @@ func renderShard(t *testing.T, name string, pq *PreparedQuery, src Source, r Sha
 
 // shardCase renders every range of the shard axis, one after another.
 func shardCase(name string, spec *query.Spec, opt Options, stream bool) sidecarDiffCase {
-	return sidecarDiffCase{name: name, run: func(t *testing.T, eng *Engine, src Source) string {
+	return sidecarDiffCase{name: name, spec: spec, run: func(t *testing.T, eng *Engine, src Source) string {
 		t.Helper()
 		if src.DataFormat() == OSMXML {
 			return "" // cannot be sharded by byte range
@@ -600,11 +609,18 @@ func testTapeIndependentOfWindow(t *testing.T, path string, modes []Mode) {
 			t.Errorf("%v: tape recorded by a selective pass differs from the full pass's (%d vs %d bytes)", mode, len(got), len(want))
 		}
 	}
-	withoutPushdown(func() {
-		if got := record(queryPass(selective, PAT)); string(got) != string(want) {
-			t.Errorf("tape recorded without pushdown differs (%d vs %d bytes)", len(got), len(want))
+	withoutPushdown := func(eng *Engine, src *MappedSource) error {
+		pq, err := eng.Prepare(selective, Options{Mode: PAT, BlockSize: 8 << 10})
+		if err != nil {
+			return err
 		}
-	})
+		pq.cfg.Window, pq.cfg.BracketReject = nil, false
+		_, err = pq.Execute(context.Background(), src)
+		return err
+	}
+	if got := record(withoutPushdown); string(got) != string(want) {
+		t.Errorf("tape recorded without pushdown differs (%d vs %d bytes)", len(got), len(want))
+	}
 	join := func(eng *Engine, src *MappedSource) error {
 		_, err := eng.Join(context.Background(), src, JoinSpec{CellSize: 10}, Options{BlockSize: 8 << 10})
 		return err

@@ -16,7 +16,7 @@ import (
 // start in the (aligned) range — as a join sweep's positions are grid
 // cells. Each entry is classified from its recorded box before anything
 // is read: a miss (the box misses the window; counted scanned, never read,
-// as Evaluator.match rejects it for every predicate pruneWindow admits),
+// as query.ApplyBox rejects it for every predicate pruneWindow admits),
 // covered (a non-empty box inside a window that is the whole reference of
 // an intersects query needing nothing but the box — a non-empty geometry
 // inside a rectangle intersects it, so the entry is a match as recorded)

@@ -23,8 +23,9 @@ import (
 // ID, Offset and bounding box, and, unless cfg rejected it on that box
 // before anything was built (Config.Rejects: Window, BoundsOnly), with
 // its geometry, its properties and cfg's evaluation of it. The box is the
-// exact bounding box, but for a GeoJSON feature rejected under
-// Config.BracketReject, whose box contains its bounds and misses Window.
+// exact bounding box, but for a GeoJSON feature or a WKT line rejected
+// under Config.BracketReject, whose box contains its bounds and misses
+// Window.
 // The ordered fold emits the features to the pass's one sink, out, in
 // input order on the fold goroutine.
 

@@ -31,8 +31,11 @@ type Point struct {
 // Sub returns the vector p - q.
 func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 
-// Cross returns the 2D cross product (p × q).
-func (p Point) Cross(q Point) float64 { return p.X*q.Y - p.Y*q.X }
+// Cross returns the 2D cross product (p × q). Each product is rounded
+// before the subtraction: the explicit float64 conversion forbids fusing
+// it into an FMA, so every architecture computes the same bits (the
+// distance and area code writes its products the same way).
+func (p Point) Cross(q Point) float64 { return float64(p.X*q.Y) - float64(p.Y*q.X) }
 
 // Equal reports whether p and q are exactly equal.
 func (p Point) Equal(q Point) bool { return p.X == q.X && p.Y == q.Y }

@@ -491,12 +491,13 @@ func (s *EdgeSlab) AnyIntersectEdge(a, b geom.Point) bool {
 		cx1, cy1 := cax[k], cay[k]
 		cx2, cy2 := cbx[k], cby[k]
 		// Orientation(a, b, c) = (b-a) × (c-a); same expression, same
-		// floats, same signs as the scalar.
-		v1 := rx*(cy1-ay) - ry*(cx1-ax)
-		v2 := rx*(cy2-ay) - ry*(cx2-ax)
+		// floats, same signs as the scalar, each product rounded on its
+		// own as Point.Cross rounds it.
+		v1 := float64(rx*(cy1-ay)) - float64(ry*(cx1-ax))
+		v2 := float64(rx*(cy2-ay)) - float64(ry*(cx2-ax))
 		sx, sy := cx2-cx1, cy2-cy1
-		v3 := sx*(ay-cy1) - sy*(ax-cx1)
-		v4 := sx*(py-cy1) - sy*(px-cx1)
+		v3 := float64(sx*(ay-cy1)) - float64(sy*(ax-cx1))
+		v4 := float64(sx*(py-cy1)) - float64(sy*(px-cx1))
 		if signsDiffer(v1, v2) && signsDiffer(v3, v4) {
 			return true
 		}
@@ -528,11 +529,11 @@ func (s *EdgeSlab) AnyCrossEdge(a, b geom.Point) bool {
 	for k := 0; k < n; k++ {
 		cx1, cy1 := cax[k], cay[k]
 		cx2, cy2 := cbx[k], cby[k]
-		v1 := rx*(cy1-ay) - ry*(cx1-ax)
-		v2 := rx*(cy2-ay) - ry*(cx2-ax)
+		v1 := float64(rx*(cy1-ay)) - float64(ry*(cx1-ax))
+		v2 := float64(rx*(cy2-ay)) - float64(ry*(cx2-ax))
 		sx, sy := cx2-cx1, cy2-cy1
-		v3 := sx*(ay-cy1) - sy*(ax-cx1)
-		v4 := sx*(py-cy1) - sy*(px-cx1)
+		v3 := float64(sx*(ay-cy1)) - float64(sy*(ax-cx1))
+		v4 := float64(sx*(py-cy1)) - float64(sy*(px-cx1))
 		if oppositeSigns(v1, v2) && oppositeSigns(v3, v4) {
 			return true
 		}

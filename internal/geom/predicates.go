@@ -433,7 +433,7 @@ func polygonInteriorPoint(poly Polygon) (Point, bool) {
 		0.09, 0.91, 0.5321, 0.4679, 0.3141, 0.6859,
 	}
 	for _, frac := range fractions {
-		y := b.MinY + span*frac
+		y := b.MinY + float64(span*frac)
 		if vertexAtHeight(poly, y) {
 			continue
 		}
@@ -442,7 +442,7 @@ func polygonInteriorPoint(poly Polygon) (Point, bool) {
 		}
 	}
 	// Last resort: the midline even if vertices sit on it.
-	return interiorAtHeight(poly, b.MinY+span/2)
+	return interiorAtHeight(poly, b.MinY+float64(span/2))
 }
 
 func vertexAtHeight(poly Polygon, y float64) bool {

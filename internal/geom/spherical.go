@@ -48,7 +48,7 @@ func SphericalDistance(a, b Point) float64 {
 	latMean := (a.Y + b.Y) / 2 * degToRad
 	dx := (b.X - a.X) * degToRad * math.Cos(latMean)
 	dy := (b.Y - a.Y) * degToRad
-	return EarthRadiusMeters * math.Sqrt(dx*dx+dy*dy)
+	return EarthRadiusMeters * math.Sqrt(float64(dx*dx)+float64(dy*dy))
 }
 
 // HaversineDistance returns the great-circle distance in meters between
@@ -60,7 +60,7 @@ func HaversineDistance(a, b Point) float64 {
 	dLon := (b.X - a.X) * degToRad
 	s1 := math.Sin(dLat / 2)
 	s2 := math.Sin(dLon / 2)
-	h := s1*s1 + math.Cos(la1)*math.Cos(la2)*s2*s2
+	h := float64(s1*s1) + float64(math.Cos(la1)*math.Cos(la2)*s2*s2)
 	return 2 * EarthRadiusMeters * math.Asin(math.Min(1, math.Sqrt(h)))
 }
 
@@ -71,8 +71,7 @@ func AndoyerDistance(a, b Point) float64 {
 	if a.Equal(b) {
 		return 0
 	}
-	la1 := a.Y * degToRad
-	la2 := b.Y * degToRad
+	la1, la2 := float64(a.Y*degToRad), float64(b.Y*degToRad)
 	dLon := (b.X - a.X) * degToRad
 
 	f := (la1 + la2) / 2 // mean latitude
@@ -83,8 +82,8 @@ func AndoyerDistance(a, b Point) float64 {
 	sinF, cosF := math.Sin(f), math.Cos(f)
 	sinL, cosL := math.Sin(l), math.Cos(l)
 
-	s := sinG*sinG*cosL*cosL + cosF*cosF*sinL*sinL
-	c := cosG*cosG*cosL*cosL + sinF*sinF*sinL*sinL
+	s := float64(sinG*sinG*cosL*cosL) + float64(cosF*cosF*sinL*sinL)
+	c := float64(cosG*cosG*cosL*cosL) + float64(sinF*sinF*sinL*sinL)
 	if s == 0 || c == 0 {
 		// Coincident or antipodal degenerate cases.
 		return HaversineDistance(a, b)
@@ -92,9 +91,9 @@ func AndoyerDistance(a, b Point) float64 {
 	omega := math.Atan(math.Sqrt(s / c))
 	r := math.Sqrt(s*c) / omega
 	d := 2 * omega * equatorialRadius
-	h1 := (3*r - 1) / (2 * c)
-	h2 := (3*r + 1) / (2 * s)
-	return d * (1 + flattening*(h1*sinF*sinF*cosG*cosG-h2*cosF*cosF*sinG*sinG))
+	h1 := (float64(3*r) - 1) / (2 * c)
+	h2 := (float64(3*r) + 1) / (2 * s)
+	return d * (1 + float64(flattening*(float64(h1*sinF*sinF*cosG*cosG)-float64(h2*cosF*cosF*sinG*sinG))))
 }
 
 // Distance dispatches on the method.
@@ -130,11 +129,11 @@ func RingSphericalArea(r Ring) float64 {
 	var sum float64
 	for i := 0; i+1 < len(rr); i++ {
 		a, b := rr[i], rr[i+1]
-		lon1 := a.X * degToRad
-		lon2 := b.X * degToRad
+		lon1 := float64(a.X * degToRad)
+		lon2 := float64(b.X * degToRad)
 		lat1 := a.Y * degToRad
 		lat2 := b.Y * degToRad
-		sum += (lon2 - lon1) * (2 + math.Sin(lat1) + math.Sin(lat2))
+		sum += float64((lon2 - lon1) * (2 + math.Sin(lat1) + math.Sin(lat2)))
 	}
 	return sum * EarthRadiusMeters * EarthRadiusMeters / 2
 }

@@ -283,3 +283,77 @@ func BenchmarkBracket(b *testing.B) {
 		}
 	}
 }
+
+// numericPrefix is the length of the longest decimal number at the start
+// of b, by the grammar Prefix documents and shares no code with:
+// [+-]? digits* ('.' digits*)? with a digit before or after the point,
+// then [eE][+-]?digits+ only when a digit follows the marker. 0: none.
+func numericPrefix(b []byte) int {
+	digit := func(i int) bool { return i < len(b) && b[i] >= '0' && b[i] <= '9' }
+	i := 0
+	if i < len(b) && (b[i] == '+' || b[i] == '-') {
+		i++
+	}
+	start, digits := i, 0
+	for digit(i) {
+		i++
+	}
+	digits += i - start
+	if i < len(b) && b[i] == '.' {
+		i++
+		start = i
+		for digit(i) {
+			i++
+		}
+		digits += i - start
+	}
+	if digits == 0 {
+		return 0
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		j := i + 1
+		if j < len(b) && (b[j] == '+' || b[j] == '-') {
+			j++
+		}
+		if digit(j) {
+			for digit(j) {
+				j++
+			}
+			i = j
+		}
+	}
+	return i
+}
+
+// FuzzPrefix holds Prefix, which every format's exact path rests on, to
+// strconv: on any bytes it consumes the longest numeric prefix, or
+// refuses when there is none, and its value is strconv.ParseFloat's of
+// that prefix bit for bit — on a range error too, where both clamp (±Inf
+// on overflow, a zero or subnormal on underflow).
+func FuzzPrefix(f *testing.F) {
+	for _, s := range []string{"12.5,7", "-0", "+.5", "1.", ".", "-", "1e", "1e+", "2E-2x", "9007199254740993",
+		"-89.123456789012345", "1e999", "-1e-999", "5e-324", "0.000000000000000000000000000001234", "00000000000000000000001.5",
+		"99999999999999999999999999999999999999", "1.7976931348623157e308", "4.9406564584124654e-324", "1e99999999999"} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		v, n, ok := Prefix(b)
+		want := numericPrefix(b)
+		if !ok {
+			if want != 0 {
+				t.Fatalf("Prefix(%q) refused; the numeric prefix is %q", b, b[:want])
+			}
+			return
+		}
+		if n != want {
+			t.Fatalf("Prefix(%q) consumed %d bytes, the numeric prefix is %d", b, n, want)
+		}
+		ref, err := strconv.ParseFloat(string(b[:n]), 64)
+		if numErr, isNum := err.(*strconv.NumError); err != nil && !(isNum && numErr.Err == strconv.ErrRange) {
+			t.Fatalf("strconv.ParseFloat(%q): %v", b[:n], err)
+		}
+		if math.Float64bits(v) != math.Float64bits(ref) {
+			t.Fatalf("Prefix(%q) = %v (%#x), strconv = %v (%#x)", b[:n], v, math.Float64bits(v), ref, math.Float64bits(ref))
+		}
+	})
+}

@@ -8,6 +8,7 @@ package wkt
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -38,6 +39,11 @@ var buildAll geojson.Config
 // bit for bit; the rejection is decided on it before a point, a ring or a
 // geometry is allocated. Only blanks and one carriage return may follow
 // the geometry: a lost newline must not swallow the next record.
+//
+// Under cfg.Window and cfg.BracketReject the line is first walked on the
+// integer brackets of its numbers (parser.bracketBox); a line that walk
+// rejects carries that box, which contains its bounds and misses Window,
+// and no number of it is converted.
 func ParseFeature(line []byte, off int64, cfg *geojson.Config) (geojson.FeatureOut, error) {
 	p := parserPool.Get().(*parser)
 	defer p.release()
@@ -71,6 +77,12 @@ func (p *parser) feature(line []byte, off int64, cfg *geojson.Config) (geojson.F
 		out.Feature.ID = id
 		for i < len(line) && (line[i] == '\t' || line[i] == ' ') {
 			i++
+		}
+	}
+	if cfg.Window != nil && cfg.BracketReject {
+		if box, ok := p.bracketBox(line[i:], *cfg.Window); ok {
+			out.Box = box
+			return out, nil
 		}
 	}
 	p.reset(line[i:], !cfg.BoundsOnly)
@@ -117,6 +129,43 @@ type parser struct {
 	shape []int
 	// build's read positions in shape and pts.
 	si, pi int
+
+	// bracket is set during bracketBox's walk: numbers are read with
+	// numparse.Bracket, each position counted in the box adds the box of
+	// its brackets to run, and any error is errGiveUp.
+	bracket  bool
+	win, run geom.Box
+	// inner is set while rings reads a polygon's inner ring, whose
+	// positions the box leaves out.
+	inner bool
+}
+
+// errGiveUp ends a bracket walk on what it cannot certify; the exact walk
+// then reads the line and reports any error in full.
+var errGiveUp = errors.New("wkt: bracket walk gave up")
+
+// bracketBox walks the geometry b in bracket mode: the grammar, the box
+// rules and the end check of the exact walk, but every number read only
+// to its integer part (numparse.Bracket: the value lies in [lo, lo+1]),
+// so each position stands for the box [x, x+1]×[y, y+1]. It reports that
+// box and true when the walk reaches the end of b and the box misses win.
+// Bracket accepts only what Prefix accepts, with the same byte count, so
+// such a line parses exactly without error and its exact box lies inside
+// the bracket box: the exact walk would reject it too. The walk gives up
+// on the first number Bracket cannot certify, on any grammar error, and
+// on the first position that brings the box into win, since the box only
+// grows; the line then goes to the exact walk as it is.
+//
+//atgis:hotpath
+func (p *parser) bracketBox(b []byte, win geom.Box) (geom.Box, bool) {
+	p.reset(b, false)
+	p.bracket, p.win, p.run = true, win, geom.EmptyBox()
+	_, err := p.scan()
+	if err == nil {
+		err = p.end()
+	}
+	p.bracket = false
+	return p.run, err == nil && !p.run.Intersects(win)
 }
 
 const (
@@ -128,7 +177,7 @@ const (
 )
 
 func (p *parser) reset(b []byte, keep bool) {
-	p.b, p.i, p.keep = b, 0, keep
+	p.b, p.i, p.keep, p.inner = b, 0, keep, false
 	p.pts, p.shape, p.si, p.pi = p.pts[:0], p.shape[:0], 0, 0
 }
 
@@ -158,7 +207,7 @@ func (p *parser) keyword() []byte {
 func (p *parser) expect(c byte) error {
 	p.ws()
 	if p.i >= len(p.b) || p.b[p.i] != c {
-		return fmt.Errorf("wkt: expected %q at %d in %.60q", c, p.i, p.b)
+		return p.errorf("wkt: expected %q at %d in %.60q", c, p.i, p.b)
 	}
 	p.i++
 	return nil
@@ -179,16 +228,33 @@ func (p *parser) end() error {
 		p.i++
 	}
 	if p.i < len(p.b) {
-		return fmt.Errorf("wkt: unexpected bytes after the geometry at %d in %.60q", p.i, p.b)
+		return p.errorf("wkt: unexpected bytes after the geometry at %d in %.60q", p.i, p.b)
 	}
 	return nil
 }
 
+// errorf is fmt.Errorf, but errGiveUp in the bracket walk.
+func (p *parser) errorf(format string, args ...any) error {
+	if p.bracket {
+		return errGiveUp
+	}
+	return fmt.Errorf(format, args...)
+}
+
+// number reads one number: exactly, or in the bracket walk the low end of
+// its integer bracket.
 func (p *parser) number() (float64, error) {
 	p.ws()
-	v, n, ok := numparse.Prefix(p.b[p.i:])
+	var v float64
+	var n int
+	var ok bool
+	if p.bracket {
+		v, n, ok = numparse.Bracket(p.b[p.i:])
+	} else {
+		v, n, ok = numparse.Prefix(p.b[p.i:])
+	}
 	if !ok {
-		return 0, fmt.Errorf("wkt: expected number at %d in %.60q", p.i, p.b)
+		return 0, p.errorf("wkt: expected number at %d in %.60q", p.i, p.b)
 	}
 	p.i += n
 	// A number must end at a WKT delimiter; anything else (e.g. "2-3")
@@ -197,7 +263,7 @@ func (p *parser) number() (float64, error) {
 		switch p.b[p.i] {
 		case ' ', '\t', ',', ')':
 		default:
-			return 0, fmt.Errorf("wkt: malformed number at %d in %.60q", p.i, p.b)
+			return 0, p.errorf("wkt: malformed number at %d in %.60q", p.i, p.b)
 		}
 	}
 	return v, nil
@@ -215,6 +281,25 @@ func (p *parser) point() (geom.Point, error) {
 	pt := geom.Point{X: x, Y: y}
 	if p.keep {
 		p.pts = append(p.pts, pt)
+	}
+	if p.bracket && !p.inner {
+		// x and y are the low ends of the position's brackets.
+		r := &p.run
+		if x < r.MinX {
+			r.MinX = x
+		}
+		if x+1 > r.MaxX {
+			r.MaxX = x + 1
+		}
+		if y < r.MinY {
+			r.MinY = y
+		}
+		if y+1 > r.MaxY {
+			r.MaxY = y + 1
+		}
+		if r.Intersects(p.win) {
+			return pt, errGiveUp
+		}
 	}
 	return pt, nil
 }
@@ -263,9 +348,11 @@ func (p *parser) rings() (geom.Box, error) {
 		}
 		if p.shape[count] == 0 {
 			box = b
+			p.inner = true
 		}
 		p.shape[count]++
 	}
+	p.inner = false
 	return box, p.expect(')')
 }
 
@@ -295,7 +382,7 @@ func (p *parser) scan() (geom.Box, error) {
 	case "GEOMETRYCOLLECTION":
 		return p.members(shapeCollection)
 	default:
-		return geom.Box{}, fmt.Errorf("wkt: unknown geometry %q", kw)
+		return geom.Box{}, p.errorf("wkt: unknown geometry %q", kw)
 	}
 }
 

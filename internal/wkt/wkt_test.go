@@ -275,8 +275,9 @@ func TestRejectedWKTLineAllocatesNothing(t *testing.T) {
 	far := geom.Box{MinX: 100, MinY: 100, MaxX: 101, MaxY: 101}
 	eval := func(*geom.Feature, geom.Box) any { return 1 }
 	for name, cfg := range map[string]*geojson.Config{
-		"window":      {Window: &far, EvalBox: eval},
-		"bounds only": {BoundsOnly: true, EvalBox: eval},
+		"window":         {Window: &far, EvalBox: eval},
+		"bracket window": {Window: &far, BracketReject: true, EvalBox: eval},
+		"bounds only":    {BoundsOnly: true, EvalBox: eval},
 	} {
 		p := new(parser)
 		allocs := testing.AllocsPerRun(100, func() {
@@ -290,5 +291,53 @@ func TestRejectedWKTLineAllocatesNothing(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s: rejected lines allocate %v objects per run, want 0", name, allocs)
 		}
+	}
+}
+
+// TestBracketReject: under Window and BracketReject a line is rejected on
+// the integer brackets of its numbers when their box misses the window,
+// and otherwise parsed as without the gate (checkGated), whatever the
+// geometry kind, the window or the number forms; an inner ring does not
+// count toward the box, as in Polygon.Bound.
+func TestBracketReject(t *testing.T) {
+	lines := []string{
+		"1\tPOINT (1.5 2.25)",
+		"2\tLINESTRING (0.5 0.5, 1.25 1.75, 2.5 -0.5)",
+		"3\tPOLYGON ((0 0, 9.5 0, 9.5 9.5, 0 9.5, 0 0), (20 20, 21 20, 21 21, 20 20))",
+		"4\tMULTIPOLYGON (((0 0, 1 0, 1 1, 0 0)), ((5.5 5.5, 6 5.5, 6 6, 5.5 5.5)))",
+		"5\tGEOMETRYCOLLECTION (POINT (3 4), LINESTRING (-0.5 -0, 1 1), POLYGON ((2 2, 3 2, 3 3, 2 2)))",
+		"6\tPOINT (-0 -0.000001)",
+		"7\tPOINT (1e1 2)",
+		"8\tPOINT (+1 2)",
+		"9\tLINESTRING (.5 0, 1 1)",
+		"10\tPOINT (123456789012345678 2)",
+		"11\tLINESTRING (-179.99999999999997 -89.5, 179.99999999999997 89.5)",
+		"POLYGON ((-3.75 -3.75, -2.5 -3.75, -2.5 -2.5, -3.75 -3.75))\r",
+		"12\tPOINT (1 2) junk",
+		"13\tLINESTRING (0 1, 2-3)",
+		"14\tPOLYGON ((0 0, 1 0, 1 1, 0 0)",
+		"15\tPOLYGONX ((0 0, 1 0, 1 1, 0 0))",
+	}
+	windows := []geom.Box{
+		{MinX: 100, MinY: 100, MaxX: 110, MaxY: 110},
+		{MinX: 20.25, MinY: 20.25, MaxX: 20.5, MaxY: 20.5}, // inside 3's hole only
+		{MinX: -1, MinY: -1, MaxX: 0.5, MaxY: 0.5},
+		{MinX: 1.75, MinY: 2.5, MaxX: 1.9, MaxY: 2.75}, // misses 1's point, meets its brackets
+		{MinX: -10, MinY: -10, MaxX: 10, MaxY: 10},
+		{MinX: 180.5, MinY: -90, MaxX: 181, MaxY: 90},
+	}
+	rejected := 0
+	for _, line := range lines {
+		for _, win := range windows {
+			if checkGated(t, []byte(line), win) {
+				rejected++
+			}
+		}
+	}
+	if rejected == 0 {
+		t.Fatal("no line was rejected on its brackets")
+	}
+	if !checkGated(t, []byte(lines[2]), windows[1]) {
+		t.Error("a window inside a hole: the inner ring's brackets counted toward the box")
 	}
 }

@@ -346,6 +346,11 @@ func orderedJoinCase(name string) sidecarDiffCase {
 	}}
 }
 
+// joinCases are the join cases of sidecarDiffCases.
+func joinCases() []sidecarDiffCase {
+	return []sidecarDiffCase{joinCase("join-buffered"), orderedJoinCase("join-ordered-stream")}
+}
+
 func sidecarDiffCases() []sidecarDiffCase {
 	pat, fat := diffOpt(PAT), diffOpt(FAT)
 	cases := []sidecarDiffCase{
@@ -362,9 +367,8 @@ func sidecarDiffCases() []sidecarDiffCase {
 		shardCase("shards-agg-intersects", diffSpec(query.PredIntersects, 0.2, false), pat, false),
 		shardCase("shards-agg-disjoint", diffSpec(query.PredDisjoint, 0.2, false), pat, false),
 		shardCase("shards-contain-stream", diffSpec(query.PredIntersects, 0.25, false), pat, true),
-		joinCase("join-buffered"),
-		orderedJoinCase("join-ordered-stream"),
 	}
+	cases = append(cases, joinCases()...)
 	// Specs a warm pass answers from the tape wherever a feature's box lies
 	// inside the window, from a window nothing lies inside to one holding
 	// nearly everything.
@@ -407,8 +411,15 @@ func sidecarDiffCases() []sidecarDiffCase {
 // the rendered output per case name.
 func runAllCases(t *testing.T, eng *Engine, src Source) map[string]string {
 	t.Helper()
+	return runCases(t, eng, src, sidecarDiffCases())
+}
+
+// runCases executes cases against (eng, src) and returns the rendered
+// output per case name.
+func runCases(t *testing.T, eng *Engine, src Source, cases []sidecarDiffCase) map[string]string {
+	t.Helper()
 	out := map[string]string{}
-	for _, c := range sidecarDiffCases() {
+	for _, c := range cases {
 		out[c.name] = c.run(t, eng, src)
 	}
 	return out
@@ -551,6 +562,59 @@ func TestSidecarDifferential(t *testing.T) {
 			compareCases(t, "warm after rebuild", runAllCases(t, roEng, verifySrc), cold)
 			if st := verifySrc.SidecarStats(); st.State != "active" || st.Hits == 0 {
 				t.Fatalf("rebuilt sidecar did not serve a warm pass: %+v", st)
+			}
+		})
+	}
+	// The sidecar corpus holds one parity pair at most: the join cases run
+	// again over TestKernelDifferential's dense rendering of the generator,
+	// cold, on a readwrite engine's recording and warm runs and on a
+	// read-only engine, and the cold reference must join something.
+	for _, format := range []Format{GeoJSON, WKT, OSMXML} {
+		t.Run("dense-joins/"+format.String(), func(t *testing.T) {
+			path := writeCorpus(t, format, synth.Config{Seed: 20160626, N: 400,
+				MultiPolyFrac: 0.15, LineFrac: 0.15, ExtentScale: 0.01})
+
+			coldEng := NewEngine(EngineConfig{Workers: 4})
+			defer coldEng.Close()
+			cold := runCases(t, coldEng, mustOpen(t, path), joinCases())
+			var pairs int
+			if _, err := fmt.Sscanf(cold["join-buffered"], "pairs=%d", &pairs); err != nil || pairs < 100 {
+				t.Fatalf("dense cold join: %d pairs (%v), want 100 or more", pairs, err)
+			}
+			// The ordered stream joins every feature with itself too: count
+			// the pairs of two features.
+			streamed := 0
+			for _, line := range strings.Split(cold["join-ordered-stream"], "\n") {
+				var p struct {
+					AOff int64 `json:"a_off"`
+					BOff int64 `json:"b_off"`
+				}
+				if json.Unmarshal([]byte(line), &p) == nil && p.AOff != p.BOff {
+					streamed++
+				}
+			}
+			if streamed < 100 {
+				t.Fatalf("dense cold ordered stream: %d pairs of two features, want 100 or more", streamed)
+			}
+
+			rwEng := NewEngine(EngineConfig{Workers: 4, Sidecar: SidecarReadWrite})
+			defer rwEng.Close()
+			rwSrc := mustOpen(t, path)
+			compareCases(t, "readwrite first run", runCases(t, rwEng, rwSrc, joinCases()), cold)
+			if st := rwSrc.SidecarStats(); !st.Built || st.State != "active" || st.WriteError != "" {
+				t.Fatalf("sidecar not recorded on the readwrite engine: %+v", st)
+			}
+			compareCases(t, "readwrite warm run", runCases(t, rwEng, rwSrc, joinCases()), cold)
+			if st := rwSrc.SidecarStats(); st.Hits == 0 {
+				t.Fatalf("no warm hits on the second readwrite run: %+v", st)
+			}
+
+			roEng := NewEngine(EngineConfig{Workers: 4, Sidecar: SidecarRead})
+			defer roEng.Close()
+			roSrc := mustOpen(t, path)
+			compareCases(t, "read-only warm run", runCases(t, roEng, roSrc, joinCases()), cold)
+			if st := roSrc.SidecarStats(); st.State != "active" || st.Hits == 0 || st.Built {
+				t.Fatalf("read-only engine did not serve from the on-disk sidecar: %+v", st)
 			}
 		})
 	}

@@ -23,9 +23,9 @@ import (
 // ID, Offset and bounding box, and, unless cfg rejected it on that box
 // before anything was built (Config.Rejects: Window, BoundsOnly), with
 // its geometry, its properties and cfg's evaluation of it. The box is the
-// exact bounding box, but for a GeoJSON feature or a WKT line rejected
-// under Config.BracketReject, whose box contains its bounds and misses
-// Window.
+// exact bounding box, but for a GeoJSON feature, a WKT line or an OSM
+// way or relation rejected under Config.BracketReject, whose box contains
+// its bounds and misses Window.
 // The ordered fold emits the features to the pass's one sink, out, in
 // input order on the fold goroutine.
 
@@ -44,6 +44,9 @@ func runPass(ctx context.Context, e *Engine, src Source, mode Mode, pl *blockPla
 	case format == OSMXML:
 		// Two plans, one pass: the second is cut from what the first found.
 		o := &osmPass{input: input, cfg: cfg, out: out, nodes: osmxml.NewNodeTable()}
+		if cfg.BracketReject {
+			o.gate = cfg.Window
+		}
 		st, _, _, err := runPlan(ctx, e, pl, opt, o.pass1())
 		if err != nil {
 			return st, 0, 0, err
@@ -199,13 +202,20 @@ func wktFeatures(dst []geojson.FeatureOut, input []byte, start, end int64, cfg *
 // its start offset, the shard rule — whose workers resolve each way and
 // relation against the frozen table, bounding box first: a feature that
 // misses cfg.Window is dropped before its points, its geometry or its
-// value exist, exactly as the GeoJSON machine drops it. The fold emits
-// the features as that machine does, through out, in the order a serial
-// pass 2 would: every standalone way in input order, then the relations.
+// value exist, exactly as the GeoJSON machine drops it. Under
+// cfg.BracketReject pass 1 leaves the nodes whose cell of integer
+// brackets misses the window unconverted, and pass 2 rejects on their
+// cells, converting them only for a way or relation whose box meets it.
+// The fold emits the features as that machine does, through out, in the
+// order a serial pass 2 would: every standalone way in input order, then
+// the relations.
 type osmPass struct {
 	input []byte
 	cfg   *geojson.Config
 	out   func(geojson.FeatureOut)
+	// gate is the window pass 1 may leave nodes bracketed under and pass
+	// 2's resolvers reject on: cfg.Window under cfg.BracketReject, else nil.
+	gate *geom.Box
 
 	nodes  *osmxml.NodeTable
 	blocks []osmxml.Elements // pass 1 fragments holding a way or a relation, in input order
@@ -229,7 +239,7 @@ func (o *osmPass) pass1() *driver[osmFrag] {
 		input: o.input,
 		cuts:  osmxml.SplitElementsStream,
 		process: func(b pipeline.Block) (fr osmFrag) {
-			fr.el, fr.err = osmxml.ParseElements(o.input, b.Start, b.End)
+			fr.el, fr.err = osmxml.ParseElements(o.input, b.Start, b.End, o.gate)
 			return fr
 		},
 		add: func(b pipeline.Block, fr osmFrag) error {
@@ -244,7 +254,7 @@ func (o *osmPass) pass1() *driver[osmFrag] {
 			return nil
 		},
 		finish: func(context.Context, int64) error {
-			o.topo = osmxml.Link(o.nodes, o.blocks)
+			o.topo = osmxml.Link(o.input, o.nodes, o.blocks)
 			return nil
 		},
 	}
@@ -346,7 +356,7 @@ func (o *osmPass) pass2() *driver[osmFeats] {
 
 // resolve is pass 2 over one block, on a worker.
 func (o *osmPass) resolve(el *osmxml.Elements) (fr osmFeats) {
-	r := o.topo.Resolver()
+	r := o.topo.Resolver(o.gate)
 	n := len(el.Rels)
 	for i := range el.Ways {
 		if !el.Ways[i].InRelation {

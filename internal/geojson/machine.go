@@ -192,9 +192,9 @@ type FeatureOut struct {
 	// Box is the geometry's bounding box — exactly Feature.Geom.Bound(),
 	// the empty box for a feature without geometry. It is set even when
 	// Config.Window or Config.BoundsOnly left Feature.Geom nil; the one
-	// exception is a feature Config.BracketReject let the GeoJSON scanner
-	// or the WKT line parser reject, whose Box contains its bounds and
-	// misses Config.Window.
+	// exception is a feature Config.BracketReject let the GeoJSON scanner,
+	// the WKT line parser or OSM XML's pass 2 reject, whose Box contains
+	// its bounds and misses Config.Window.
 	Box geom.Box
 }
 
@@ -226,10 +226,11 @@ type Config struct {
 	// pruned. The Box of a rejected feature is its exact bounding box
 	// unless BracketReject is set.
 	Window *geom.Box
-	// BracketReject lets the fused GeoJSON scanner and the WKT line parser
-	// (wkt.ParseFeature) reject a feature under Window on the box of its
-	// coordinates' integer brackets (numparse.Bracket) when that box
-	// already misses Window, without converting a mantissa.
+	// BracketReject lets the fused GeoJSON scanner, the WKT line parser
+	// (wkt.ParseFeature) and OSM XML's passes (osmxml.ParseElements and
+	// Topology.Resolver, given Window) reject a feature under Window on
+	// the box of its coordinates' integer brackets (numparse.Bracket) when
+	// that box already misses Window, without converting a mantissa.
 	// Such a feature's Box is a box that contains its bounds and misses
 	// Window, not its exact bounds; what Window lets through keeps the
 	// exact box. A pass whose consumer keeps the boxes of rejected
@@ -248,8 +249,8 @@ type Config struct {
 // a feature once its bounding box is known and before anything of it is
 // built: under BoundsOnly nothing is ever built, under Window only what
 // meets it. A rejected feature leaves its block as ID, Offset and Box —
-// its exact box, or under BracketReject (GeoJSON and WKT) possibly a
-// larger one that still misses Window, the box of its integer brackets.
+// its exact box, or under BracketReject (GeoJSON, WKT and OSM XML)
+// possibly a larger one that still misses Window, the box of its integer brackets.
 func (c *Config) Rejects(box geom.Box) bool {
 	return c.BoundsOnly || (c.Window != nil && !box.Intersects(*c.Window))
 }

@@ -6,6 +6,7 @@ package osmxml
 // parser, split invariance: no state crosses an element-aligned cut.
 
 import (
+	"math"
 	"os"
 	"reflect"
 	"testing"
@@ -78,15 +79,19 @@ func join(a, b Elements) Elements {
 // FuzzOSMBlock: any bytes parse, as one block, to the same elements and
 // the same error as two blocks cut at an element start, the node table
 // agrees on whether they came in order, and pass 2 over whatever was
-// parsed does not panic.
+// parsed does not panic. Under a window taken from the input's first
+// four bytes, pass 1 and pass 2 agree with the exact ones (checkGated).
 func FuzzOSMBlock(f *testing.F) {
 	for i, seed := range fuzzSeeds(f) {
 		f.Add(seed, uint(17*i))
 		f.Add(seed, uint(len(seed)/2))
+		// Windows over the corpus's coordinates: [0, 4]² and [-4, 12]².
+		f.Add(append([]byte("\x00\x00\x10\x10\n"), seed...), uint(len(seed)/3))
+		f.Add(append([]byte("\xf0\xf0\x40\x40\n"), seed...), uint(len(seed)/3))
 	}
 	f.Fuzz(func(t *testing.T, data []byte, cut uint) {
 		n := int64(len(data))
-		whole, wholeErr := ParseElements(data, 0, n)
+		whole, wholeErr := ParseElements(data, 0, n, nil)
 		wholeTab := NewNodeTable()
 		wholeTab.Append(whole.NodeIDs, whole.NodePts, whole.Ascending)
 
@@ -96,12 +101,12 @@ func FuzzOSMBlock(f *testing.F) {
 				at = cuts[0]
 			}
 		}
-		parts, partsErr := ParseElements(data, 0, at)
+		parts, partsErr := ParseElements(data, 0, at, nil)
 		partsTab := NewNodeTable()
 		partsTab.Append(parts.NodeIDs, parts.NodePts, parts.Ascending)
 		if partsErr == nil && at < n {
 			var tail Elements
-			tail, partsErr = ParseElements(data, at, n)
+			tail, partsErr = ParseElements(data, at, n, nil)
 			partsTab.Append(tail.NodeIDs, tail.NodePts, tail.Ascending)
 			parts = join(parts, tail)
 		}
@@ -118,7 +123,7 @@ func FuzzOSMBlock(f *testing.F) {
 		}
 
 		blocks := []Elements{whole}
-		r := Link(wholeTab, blocks).Resolver()
+		r := Link(data, wholeTab, blocks).Resolver(nil)
 		el := &blocks[0]
 		for i := range el.Ways {
 			if box, err := r.Way(el, i); err == nil {
@@ -134,5 +139,91 @@ func FuzzOSMBlock(f *testing.F) {
 				}
 			}
 		}
+
+		// The window: from the first four bytes, in quarter units,
+		// somewhere in [-32, 32) and up to 64 wide.
+		var w [4]byte
+		copy(w[:], data)
+		x, y := float64(int8(w[0]))/4, float64(int8(w[1]))/4
+		checkGated(t, data, geom.Box{MinX: x, MinY: y, MaxX: x + float64(w[2])/4, MaxY: y + float64(w[3])/4})
 	})
+}
+
+func sameBits(a, b geom.Box) bool {
+	eq := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	return eq(a.MinX, b.MinX) && eq(a.MinY, b.MinY) && eq(a.MaxX, b.MaxX) && eq(a.MaxY, b.MaxY)
+}
+
+// checkGated holds pass 1 and pass 2 of data under win to the exact ones.
+// Pass 1 fails with the same error text or parses the same elements, but
+// for nodes left bracketed, whose cell contains the exact position and
+// misses win. Every way and relation resolves with the same error text,
+// or to the same box and geometry, or to a reject: a box that contains
+// the exact box and misses win.
+func checkGated(t *testing.T, data []byte, win geom.Box) {
+	t.Helper()
+	n := int64(len(data))
+	exact, err := ParseElements(data, 0, n, nil)
+	gated, gatedErr := ParseElements(data, 0, n, &win)
+	if (err == nil) != (gatedErr == nil) || err != nil && err.Error() != gatedErr.Error() {
+		t.Fatalf("under %+v: exact pass 1: %v; gated pass 1: %v", win, err, gatedErr)
+	}
+	if len(exact.NodePts) != len(gated.NodePts) {
+		t.Fatalf("under %+v: %d nodes exact, %d gated", win, len(exact.NodePts), len(gated.NodePts))
+	}
+	for i, p := range gated.NodePts {
+		want := exact.NodePts[i]
+		if p.X != p.X {
+			lo, hi := nodeCell(p)
+			cell := geom.Box{MinX: lo.X, MinY: lo.Y, MaxX: hi.X, MaxY: hi.Y}
+			if !cell.ContainsBox(geom.EmptyBox().ExtendPoint(want)) || cell.Intersects(win) || exactNode(data, p) != want {
+				t.Fatalf("under %+v: node %d bracketed in %+v, exactly %v", win, gated.NodeIDs[i], cell, want)
+			}
+			gated.NodePts[i] = want
+		}
+	}
+	if !reflect.DeepEqual(exact, gated) {
+		t.Fatalf("under %+v: exact pass 1 %+v, gated %+v", win, exact, gated)
+	}
+	// gated now holds converted positions: parse it again for pass 2.
+	gated, _ = ParseElements(data, 0, n, &win)
+
+	resolver := func(el *Elements, win *geom.Box) (*Elements, *Resolver) {
+		tab := NewNodeTable()
+		tab.Append(el.NodeIDs, el.NodePts, el.Ascending)
+		blocks := []Elements{*el}
+		return &blocks[0], Link(data, tab, blocks).Resolver(win)
+	}
+	ex, er := resolver(&exact, nil)
+	gel, gr := resolver(&gated, &win)
+	check := func(what string, id int64, box geom.Box, err error, gbox geom.Box, gerr error) {
+		if (err == nil) != (gerr == nil) || err != nil && err.Error() != gerr.Error() {
+			t.Fatalf("under %+v: %s %d: exact %v; gated %v", win, what, id, err, gerr)
+		}
+		if err != nil {
+			return
+		}
+		if !gbox.Intersects(win) {
+			if !sameBits(gbox, box) && !gbox.ContainsBox(box) {
+				t.Fatalf("under %+v: %s %d: gated reject box %+v does not contain the exact box %+v", win, what, id, gbox, box)
+			}
+			return
+		}
+		if !sameBits(gbox, box) {
+			t.Fatalf("under %+v: %s %d: gated box %+v, exact %+v", win, what, id, gbox, box)
+		}
+		if g, gg := er.Build(), gr.Build(); !reflect.DeepEqual(g, gg) {
+			t.Fatalf("under %+v: %s %d: gated geometry %v, exact %v", win, what, id, gg, g)
+		}
+	}
+	for i := range ex.Ways {
+		box, err := er.Way(ex, i)
+		gbox, gerr := gr.Way(gel, i)
+		check("way", ex.Ways[i].ID, box, err, gbox, gerr)
+	}
+	for i := range ex.Rels {
+		box, err := er.Relation(ex, i)
+		gbox, gerr := gr.Relation(gel, i)
+		check("relation", ex.Rels[i].ID, box, err, gbox, gerr)
+	}
 }

@@ -4,7 +4,10 @@
 // passes. Pass 1 parses every block into columns (Elements) and builds
 // the temporary node table from them; pass 2 resolves each way and
 // relation against the frozen table (Resolver), bounding box first, so a
-// caller can drop an element before any geometry exists.
+// caller can drop an element before any geometry exists. Given a query
+// window, pass 1 leaves a node whose 1° cell of integer brackets misses
+// it unconverted, and pass 2 drops an element on those cells, converting
+// its nodes only when it meets the window.
 //
 // Planet-style dumps keep one element per line, so blocks split at
 // element boundaries — the partially-associative strategy the paper finds
@@ -18,6 +21,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -90,9 +94,15 @@ type tagRec struct {
 // ParseElements is pass 1 over the element lines in input[start:end).
 // Blocks must begin at line starts; multi-line elements (way, relation)
 // must be fully contained, which SplitElements guarantees.
-func ParseElements(input []byte, start, end int64) (Elements, error) {
+//
+// Under a window win, a node in canonical form whose 1° cell of integer
+// brackets misses win may be left unconverted (canonicalNode, nextGate):
+// its NodePts entry then holds the cell and where its attributes lie
+// (bracketNode), and pass 2 converts it only for an element whose box
+// meets win (Resolver). With win nil every node is converted.
+func ParseElements(input []byte, start, end int64, win *geom.Box) (Elements, error) {
 	var el Elements
-	err := el.parse(input, start, end, false)
+	err := el.parse(input, start, end, false, win)
 	return el, err
 }
 
@@ -205,9 +215,10 @@ func attrs(rest []byte, i int, whole bool, want [3]string) (vals [3][]byte, end 
 // blocks of any bytes parse to the same elements as the whole.
 //
 //atgis:hotpath
-func (el *Elements) parse(input []byte, start, end int64, keepTags bool) (err error) {
+func (el *Elements) parse(input []byte, start, end int64, keepTags bool, win *geom.Box) (err error) {
 	el.Ascending = true
 	way, rel := -1, -1                            // the open way or relation, if any: never both
+	gate := win                                   // the window the next node may stay bracketed under
 	left := bytes.Count(input[start:end], nl) + 1 // lines from the current one on
 	for pos := start; pos < end && err == nil; left-- {
 		lineOff := pos
@@ -228,9 +239,12 @@ func (el *Elements) parse(input []byte, start, end int64, keepTags bool) (err er
 		case 'n':
 			if a, ok := elemName(rest, "node"); ok {
 				way, rel = el.dropWay(way), el.dropRel(rel)
-				err = el.node(rest, a, lineOff, left, end)
+				at := lineOff + int64(len(line)-len(rest)+a)
+				if err = el.node(rest, a, input[at:end], at, lineOff, left, gate); err == nil {
+					gate = nextGate(el.NodePts[len(el.NodePts)-1], win)
+				}
 			} else if a, ok := elemName(rest, "nd"); ok && way >= 0 {
-				if ref, ok := firstInt(rest, a, "ref"); ok {
+				if ref, ok := ndRef(rest, a); ok {
 					if el.Refs == nil {
 						el.Refs = make([]int64, 0, room(left, end-lineOff, `<nd ref="1"/>`))
 					}
@@ -299,15 +313,40 @@ func (el *Elements) parse(input []byte, start, end int64, keepTags bool) (err er
 	return err
 }
 
-// node parses a <node> line whose attributes start at rest[i].
+// node parses a <node> line whose attributes start at rest[i]: through
+// canonicalNode from attrs, the same attributes up to the block's end at
+// input offset at, and through the general scan, anyNode, when that
+// declines.
 //
 //atgis:hotpath
-func (el *Elements) node(rest []byte, i int, lineOff int64, left int, end int64) error {
-	// Spelt out rather than through attrs: node lines are most of a file,
-	// and the generic scan made the whole parser 45 % slower.
+func (el *Elements) node(rest []byte, i int, attrs []byte, at, lineOff int64, left int, win *geom.Box) error {
+	id, p, ok := canonicalNode(attrs, at, win)
+	if !ok {
+		if id, p, ok = anyNode(rest, i); !ok {
+			return badNode(rest, lineOff)
+		}
+	}
+	if el.NodeIDs == nil {
+		n := room(left, at-lineOff+int64(len(attrs)), `<node id="1" lat="1" lon="1"/>`)
+		el.NodeIDs = make([]int64, 0, n)
+		el.NodePts = make([]geom.Point, 0, n)
+	}
+	if n := len(el.NodeIDs); n > 0 && id <= el.NodeIDs[n-1] {
+		el.Ascending = false
+	}
+	el.NodeIDs = append(el.NodeIDs, id)
+	el.NodePts = append(el.NodePts, p)
+	return nil
+}
+
+// anyNode reads a node's id, lat and lon wherever they stand among its
+// attributes from rest[i] on, the first of each name winning.
+//
+//atgis:hotpath
+func anyNode(rest []byte, i int) (id int64, p geom.Point, ok bool) {
+	// Spelt out rather than through attrs: the generic scan made the whole
+	// parser 45 % slower when every node took it.
 	const idBit, latBit, lonBit = 1, 2, 4
-	var id int64
-	var lat, lon float64
 	seen, good := 0, 0 // which attributes were met, which of them parsed
 	for seen != idBit|latBit|lonBit {
 		name, val, next, ok := nextAttr(rest, i)
@@ -323,30 +362,172 @@ func (el *Elements) node(rest []byte, i int, lineOff int64, left int, end int64)
 			}
 		case string(name) == "lat" && seen&latBit == 0:
 			seen |= latBit
-			if lat, ok = numparse.FloatExact(val); ok {
+			if p.Y, ok = numparse.FloatExact(val); ok {
 				good |= latBit
 			}
 		case string(name) == "lon" && seen&lonBit == 0:
 			seen |= lonBit
-			if lon, ok = numparse.FloatExact(val); ok {
+			if p.X, ok = numparse.FloatExact(val); ok {
 				good |= lonBit
 			}
 		}
 	}
-	if good != idBit|latBit|lonBit {
-		return badNode(rest, lineOff)
+	return id, p, good == idBit|latBit|lonBit
+}
+
+// nextGate returns the window the node after p may stay bracketed under:
+// win, but none after a node within a degree of win. Neighbours in a
+// file lie close, so the next node's cell likely meets win too, and
+// bracketing it would only add to its conversion: all of a city's nodes
+// do. Which nodes stay bracketed then depends on where blocks are cut;
+// what pass 2 makes of them does not.
+//
+//atgis:hotpath
+func nextGate(p geom.Point, win *geom.Box) *geom.Box {
+	if win != nil && p.X >= win.MinX-1 && p.X <= win.MaxX+1 && p.Y >= win.MinY-1 && p.Y <= win.MaxY+1 {
+		return nil
 	}
-	if el.NodeIDs == nil {
-		n := room(left, end-lineOff, `<node id="1" lat="1" lon="1"/>`)
-		el.NodeIDs = make([]int64, 0, n)
-		el.NodePts = make([]geom.Point, 0, n)
+	return win
+}
+
+// The attributes of a node in canonical form, as planet dumps and
+// Writer.WriteNode spell them: ` id="…" lat="…" lon="…"` first.
+const idAttr, latAttr, lonAttr = ` id="`, `" lat="`, `" lon="`
+
+// canonicalNode reads a node whose attributes b start in canonical form,
+// finding the values nextAttr would, and declines (ok false) on any other
+// shape or on a value that does not parse; anyNode then decides. b may
+// run past the line: no value it accepts holds a line break. Under win,
+// a node whose two values numparse.Bracket certifies and whose 1° cell
+// of brackets misses win is not converted: it comes back as
+// bracketNode(at, …), at being b's offset in the input. Those values are
+// ones FloatExact takes too (bracketValue), so a malformed node fails
+// pass 1 whatever the window.
+//
+//atgis:hotpath
+func canonicalNode(b []byte, at int64, win *geom.Box) (id int64, p geom.Point, ok bool) {
+	if len(b) < len(idAttr) || string(b[:len(idAttr)]) != idAttr {
+		return 0, p, false
 	}
-	if n := len(el.NodeIDs); n > 0 && id <= el.NodeIDs[n-1] {
-		el.Ascending = false
+	i := len(idAttr)
+	q := bytes.IndexByte(b[i:], '"')
+	if q < 0 {
+		return 0, p, false
 	}
-	el.NodeIDs = append(el.NodeIDs, id)
-	el.NodePts = append(el.NodePts, geom.Point{X: lon, Y: lat})
-	return nil
+	if id, ok = numparse.IntExact(b[i : i+q]); !ok {
+		return 0, p, false
+	}
+	lat, latEnd, latLo, latB := attrValue(b, i+q, latAttr, win != nil)
+	lon, lonEnd, lonLo, lonB := attrValue(b, latEnd, lonAttr, win != nil)
+	if lonEnd < 0 {
+		return 0, p, false
+	}
+	if latB && lonB && at <= maxBracketOff {
+		if cell := (geom.Box{MinX: lonLo, MinY: latLo, MaxX: lonLo + 1, MaxY: latLo + 1}); !cell.Intersects(*win) {
+			return id, bracketNode(at, lonLo, latLo), true
+		}
+	}
+	if p.Y, ok = numparse.FloatExact(b[lat:latEnd]); !ok {
+		return 0, p, false
+	}
+	p.X, ok = numparse.FloatExact(b[lon:lonEnd])
+	return id, p, ok
+}
+
+// attrValue finds the value after the literal name at b[i] (`" lat="`):
+// it lies in b[start:end], end at its closing quote, and end is -1 when
+// b[i] is no such literal, i is -1 or the value has no closing quote.
+// With bracket set, lo is the low end of the value's bracket, and
+// bracketed reports that bracketValue certified the whole value.
+//
+//atgis:hotpath
+func attrValue(b []byte, i int, name string, bracket bool) (start, end int, lo float64, bracketed bool) {
+	if i < 0 || len(b)-i < len(name) || string(b[i:i+len(name)]) != name {
+		return 0, -1, 0, false
+	}
+	start = i + len(name)
+	if bracket {
+		if lo, n, ok := bracketValue(b[start:]); ok {
+			return start, start + n, lo, true
+		}
+	}
+	q := bytes.IndexByte(b[start:], '"')
+	if q < 0 {
+		return 0, -1, 0, false
+	}
+	return start, start + q, 0, false
+}
+
+// maxBracketLen bounds the values bracketValue certifies: a nonzero
+// decimal of at most 64 bytes is at least 1e-62, far from underflow.
+const maxBracketLen = 64
+
+// bracketValue brackets the number that starts b and ends at a closing
+// quote: numparse.Bracket accepts it — so Prefix does, with the same
+// byte count — the quote follows, it is short enough not to underflow
+// and its integer part is not huge, so FloatExact accepts it and an int32
+// holds lo.
+//
+//atgis:hotpath
+func bracketValue(b []byte) (lo float64, n int, ok bool) {
+	lo, n, ok = numparse.Bracket(b)
+	if !ok || n >= len(b) || b[n] != '"' || n > maxBracketLen || lo < math.MinInt32 || lo > math.MaxInt32 {
+		return 0, 0, false
+	}
+	return lo, n, true
+}
+
+// A bracketed node's NodePts entry: X is a NaN, which no converted
+// coordinate is, carrying the input offset of the node's attributes; Y
+// holds the low ends of its lon and lat brackets as two int32s.
+const (
+	bracketNaN    = 0x7FF8_0000_0000_0000
+	maxBracketOff = 1<<51 - 1
+)
+
+// bracketNode is the entry of a node whose attributes lie at input offset
+// at and whose position lies in [lonLo, lonLo+1] × [latLo, latLo+1].
+//
+//atgis:hotpath
+func bracketNode(at int64, lonLo, latLo float64) geom.Point {
+	return geom.Point{
+		X: math.Float64frombits(bracketNaN | uint64(at)),
+		Y: math.Float64frombits(uint64(uint32(int32(lonLo)))<<32 | uint64(uint32(int32(latLo)))),
+	}
+}
+
+// nodeCell returns the 1° cell of a bracketNode entry.
+//
+//atgis:hotpath
+func nodeCell(p geom.Point) (lo, hi geom.Point) {
+	c := math.Float64bits(p.Y)
+	lo = geom.Point{X: float64(int32(c >> 32)), Y: float64(int32(c))}
+	return lo, geom.Point{X: lo.X + 1, Y: lo.Y + 1}
+}
+
+// exactNode converts the bracketNode entry p of input: pass 1 certified
+// that its attributes are canonical and that its values parse.
+func exactNode(input []byte, p geom.Point) geom.Point {
+	at := int64(math.Float64bits(p.X) & maxBracketOff)
+	_, p, _ = canonicalNode(input[at:], at, nil)
+	return p
+}
+
+// ndRef reads a <nd> line's ref, whose attributes start at rest[i]:
+// firstInt, with the canonical ` ref="…"` read as one literal.
+//
+//atgis:hotpath
+func ndRef(rest []byte, i int) (int64, bool) {
+	const refAttr = ` ref="`
+	if len(rest)-i < len(refAttr) || string(rest[i:i+len(refAttr)]) != refAttr {
+		return firstInt(rest, i, "ref")
+	}
+	i += len(refAttr)
+	q := bytes.IndexByte(rest[i:], '"')
+	if q < 0 {
+		return 0, false
+	}
+	return numparse.IntExact(rest[i : i+q])
 }
 
 // firstInt returns the first attribute called name, if it is an integer:
@@ -474,7 +655,7 @@ type Handler struct {
 // has one.
 func ParseBlock(input []byte, start, end int64, h *Handler) error {
 	var el Elements
-	err := el.parse(input, start, end, true)
+	err := el.parse(input, start, end, true, nil)
 	if h.OnNode != nil {
 		for i, id := range el.NodeIDs {
 			h.OnNode(id, el.NodePts[i])

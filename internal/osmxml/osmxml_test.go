@@ -108,7 +108,7 @@ func TestParseRoundTrip(t *testing.T) {
 	}
 
 	// The columns the engine reads hold the same elements.
-	el, err := ParseElements(input, 0, int64(len(input)))
+	el, err := ParseElements(input, 0, int64(len(input)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,27 +127,27 @@ func TestParseRoundTrip(t *testing.T) {
 	}
 }
 
-// sampleTopology is pass 1 and Link over the sample document.
-func sampleTopology(t *testing.T) (*Elements, *Topology) {
+// sampleTopology is pass 1 under win and Link over the sample document.
+func sampleTopology(t *testing.T, win *geom.Box) (*Elements, *Topology) {
 	t.Helper()
 	input := buildSample(t)
-	el, err := ParseElements(input, 0, int64(len(input)))
+	el, err := ParseElements(input, 0, int64(len(input)), win)
 	if err != nil {
 		t.Fatal(err)
 	}
 	nodes := NewNodeTable()
 	nodes.Append(el.NodeIDs, el.NodePts, el.Ascending)
 	blocks := []Elements{el}
-	return &blocks[0], Link(nodes, blocks)
+	return &blocks[0], Link(input, nodes, blocks)
 }
 
 func TestResolveWayKinds(t *testing.T) {
-	el, topo := sampleTopology(t)
+	el, topo := sampleTopology(t, nil)
 	if !el.Ways[0].InRelation || el.Ways[1].InRelation || !el.Ways[2].InRelation {
 		t.Errorf("InRelation = %v %v %v, want the relation's two members marked",
 			el.Ways[0].InRelation, el.Ways[1].InRelation, el.Ways[2].InRelation)
 	}
-	r := topo.Resolver()
+	r := topo.Resolver(nil)
 
 	box, err := r.Way(el, 0)
 	if err != nil {
@@ -180,8 +180,8 @@ func TestResolveWayKinds(t *testing.T) {
 }
 
 func TestResolveRelationWithHole(t *testing.T) {
-	el, topo := sampleTopology(t)
-	r := topo.Resolver()
+	el, topo := sampleTopology(t, nil)
+	r := topo.Resolver(nil)
 	box, err := r.Relation(el, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -215,22 +215,33 @@ func TestResolveRelationWithHole(t *testing.T) {
 
 // TestRejectedWayAllocatesNothing: resolving is all a window-rejected
 // element costs, and resolving allocates nothing once the resolver's
-// buffers have grown.
+// buffers have grown — also when pass 1 left the element's nodes
+// bracketed and the resolver rejects it on their cells.
 func TestRejectedWayAllocatesNothing(t *testing.T) {
-	el, topo := sampleTopology(t)
-	r := topo.Resolver()
-	allocs := testing.AllocsPerRun(100, func() {
-		for i := range el.Ways {
-			if _, err := r.Way(el, i); err != nil {
+	far := geom.Box{MinX: 50, MinY: 50, MaxX: 60, MaxY: 60}
+	for _, win := range []*geom.Box{nil, &far} {
+		el, topo := sampleTopology(t, win)
+		r := topo.Resolver(win)
+		allocs := testing.AllocsPerRun(100, func() {
+			for i := range el.Ways {
+				if _, err := r.Way(el, i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := r.Relation(el, 0); err != nil {
 				t.Fatal(err)
 			}
+		})
+		if allocs != 0 {
+			t.Errorf("window %v: resolving without building allocates %v objects per run, want 0", win, allocs)
 		}
-		if _, err := r.Relation(el, 0); err != nil {
-			t.Fatal(err)
+		if win == nil {
+			continue
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("resolving without building allocates %v objects per run, want 0", allocs)
+		// Every node was left bracketed, and every box is one of cells.
+		if box, _ := r.Way(el, 0); r.held != 5 || box != (geom.Box{MaxX: 5, MaxY: 5}) {
+			t.Errorf("bracket-rejected way: %d bracketed nodes, box %v; want 5 and the cells' box", r.held, box)
+		}
 	}
 }
 
@@ -392,7 +403,7 @@ func TestAttrScannerEdgeCases(t *testing.T) {
 
 	// Whole lines: the element name needs a delimiter after it, values may
 	// use either quote, and what a value says changes nothing.
-	parse := func(doc string) (Elements, error) { return ParseElements([]byte(doc), 0, int64(len(doc))) }
+	parse := func(doc string) (Elements, error) { return ParseElements([]byte(doc), 0, int64(len(doc)), nil) }
 	el, err := parse("<node id='1' lat='2.5' lon=\"-3\"/>\n<node lon='4' note=\"id='9'\" lat='5' id='2'></node>\n")
 	if err != nil {
 		t.Fatal(err)

@@ -138,7 +138,7 @@ func TestGeneratedOSMXMLParsesAndAssembles(t *testing.T) {
 		t.Fatal(err)
 	}
 	input := buf.Bytes()
-	el, err := osmxml.ParseElements(input, 0, int64(len(input)))
+	el, err := osmxml.ParseElements(input, 0, int64(len(input)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestGeneratedOSMXMLParsesAndAssembles(t *testing.T) {
 	nodes := osmxml.NewNodeTable()
 	nodes.Append(el.NodeIDs, el.NodePts, el.Ascending)
 	blocks := []osmxml.Elements{el}
-	r := osmxml.Link(nodes, blocks).Resolver()
+	r := osmxml.Link(input, nodes, blocks).Resolver(nil)
 	// All ways and relations must assemble.
 	for i := range blocks[0].Ways {
 		if _, err := r.Way(&blocks[0], i); err != nil {

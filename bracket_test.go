@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"regexp"
 	"slices"
 	"strconv"
@@ -297,7 +298,7 @@ func TestBracketGateMalformedOSM(t *testing.T) {
 	if err := synth.New(synth.Config{Seed: 1, N: 300, MeanEdges: 8, MultiPolyFrac: 0.15, LineFrac: 0.15}).WriteOSMXML(&buf); err != nil {
 		t.Fatal(err)
 	}
-	city := cityExtentOSM(t, buf.Bytes())
+	city := cityExtent(t, buf.Bytes(), OSMXML)
 	src, err := FromBytes(city, OSMXML)
 	if err != nil {
 		t.Fatal(err)
@@ -310,20 +311,72 @@ func TestBracketGateMalformedOSM(t *testing.T) {
 	}
 }
 
-// cityExtentOSM moves every node of an OSM XML document generated over
-// synth.Extent into one integer cell: x′ = −73.5 + 0.001·x, y′ = 40.5 +
-// 0.001·y, a 0.36° × 0.17° extent.
-func cityExtentOSM(t *testing.T, doc []byte) []byte {
-	t.Helper()
-	re := regexp.MustCompile(`lat="([^"]*)" lon="([^"]*)"`)
-	return re.ReplaceAllFunc(doc, func(m []byte) []byte {
-		sub := re.FindSubmatch(m)
-		lat, err1 := strconv.ParseFloat(string(sub[1]), 64)
-		lon, err2 := strconv.ParseFloat(string(sub[2]), 64)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("generated node %s", m)
+// TestBracketGateCityExtent is the city-extent row of
+// TestBracketGateMalformedOSM for GeoJSON and WKT: every position of the
+// generator's world moved into one integer cell, so under a window inside
+// that cell every feature's bracket walk gives up at its first position
+// and hands over to the exact walk, and under a window beside it every
+// feature is rejected on its brackets. Both must answer as the exact walk
+// does, in every GeoJSON mode and at small and default blocks.
+func TestBracketGateCityExtent(t *testing.T) {
+	gen := synth.New(synth.Config{Seed: 1, N: 300, MeanEdges: 8, MultiPolyFrac: 0.15, LineFrac: 0.15})
+	cityBox := geom.Box{MinX: -73.68, MinY: 40.415, MaxX: -73.32, MaxY: 40.585}
+	eng := testEngine(t, 2)
+	for _, f := range []struct {
+		format Format
+		write  func(io.Writer) error
+		modes  []Mode
+	}{
+		{GeoJSON, gen.WriteGeoJSON, []Mode{PAT, FAT}},
+		{WKT, gen.WriteWKT, []Mode{PAT}},
+	} {
+		var buf bytes.Buffer
+		if err := f.write(&buf); err != nil {
+			t.Fatal(err)
 		}
-		return fmt.Appendf(nil, `lat="%s" lon="%s"`,
-			strconv.FormatFloat(40.5+0.001*lat, 'g', -1, 64), strconv.FormatFloat(-73.5+0.001*lon, 'g', -1, 64))
+		src, err := FromBytes(cityExtent(t, buf.Bytes(), f.format), f.format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cell := geom.Box{MinX: -74, MinY: 40, MaxX: -73, MaxY: 41}
+		res, err := eng.Query(context.Background(), src, &query.Spec{Kind: query.Containment, Ref: cell.AsPolygon(), Pred: query.PredWithin}, Options{})
+		if err != nil || res.Res.Count != 300 {
+			t.Fatalf("%v: not all 300 features lie in the cell %v: %+v, %v", f.format, cell, res, err)
+		}
+		for _, win := range []geom.Box{query.ScaleBox(cityBox, 0.05), query.ScaleBox(cityBox, 0.5), {MinX: -72.5, MinY: 40.2, MaxX: -72.2, MaxY: 40.4}} {
+			for _, mode := range f.modes {
+				for _, block := range []int{4 << 10, 0} {
+					checkGateOnOff(t, eng, src, win, Options{Mode: mode, BlockSize: block},
+						fmt.Sprintf("%v city extent/window %v/%v/block %d", f.format, win, mode, block))
+				}
+			}
+		}
+	}
+}
+
+// cityExtent moves every position of a document in format f, generated
+// over synth.Extent, into one integer cell: x′ = −73.5 + 0.001·x, y′ =
+// 40.5 + 0.001·y, a 0.36° × 0.17° extent.
+func cityExtent(t *testing.T, doc []byte, f Format) []byte {
+	t.Helper()
+	// How each format writes a position, X and Y standing for its numbers.
+	layout := map[Format]string{GeoJSON: `[X, Y]`, WKT: `X Y`, OSMXML: `lat="Y" lon="X"`}[f]
+	const num = `-?[0-9][0-9.e+-]*`
+	re := regexp.MustCompile(strings.NewReplacer("X", "(?P<x>"+num+")", "Y", "(?P<y>"+num+")").Replace(regexp.QuoteMeta(layout)))
+	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	moved := 0
+	out := re.ReplaceAllFunc(doc, func(m []byte) []byte {
+		sub := re.FindSubmatch(m)
+		x, err1 := strconv.ParseFloat(string(sub[re.SubexpIndex("x")]), 64)
+		y, err2 := strconv.ParseFloat(string(sub[re.SubexpIndex("y")]), 64)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("generated position %s", m)
+		}
+		moved++
+		return []byte(strings.NewReplacer("X", g(-73.5+0.001*x), "Y", g(40.5+0.001*y)).Replace(layout))
 	})
+	if moved == 0 {
+		t.Fatalf("no %v position to move", f)
+	}
+	return out
 }

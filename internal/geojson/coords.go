@@ -83,62 +83,45 @@ func (m *Machine) coordsRoot(pos int64) int64 {
 	return next
 }
 
-// scannedBox returns the bounding box of the geometry buildGeo makes of
-// scanned coordinates. A declared type that disagrees with the nesting
-// depth builds an empty geometry (or none), whose box is empty.
+// scannedBox returns the box of the geometry buildGeo makes of scanned
+// coordinates: empty when a declared type disagrees with their depth.
 func (g *geoBuild) scannedBox() geom.Box {
-	want := uint8(0) // untyped or unknown: inferred from the depth
-	switch g.kind {
-	case kindPoint:
-		want = 1
-	case kindLineString:
-		want = 2
-	case kindPolygon:
-		want = 3
-	case kindMultiPolygon:
-		want = 4
-	}
-	if want != 0 && want != g.depth {
+	if g.kind >= kindPoint && g.kind <= kindMultiPolygon && uint8(g.kind) != g.depth {
 		return geom.EmptyBox()
 	}
 	return g.box
 }
 
 // scanCoords parses the coordinates value whose opening '[' precedes pos
-// and commits it to g: the nesting depth, the bounding box and the root
-// level. The positions are copied out into the level only when keep is
-// set and the box meets win (nil = any box does): a box that misses the
-// window rejects the feature whatever its type turns out to be — a type
-// that disagrees with the depth has the empty box. It reports the offset
-// just past the closing ']'. ok is false when the value is not regular or
-// does not close before m.scanEnd; g is then untouched.
-//
-// The box follows geom's Bound rules so that it equals the built
-// geometry's bit for bit: every position of a LineString, the outer ring
-// of a Polygon, the union of the outer rings' boxes of a MultiPolygon.
+// and commits it to g: the nesting depth, the bounding box m.sink makes of
+// its positions, and the root level. The positions are kept only when keep
+// is set, and copied out into the level only when the box meets win (nil =
+// any box does): a box that misses the window rejects the feature whatever
+// its type turns out to be. It reports the offset just past the closing
+// ']'. ok is false when the value is not regular or does not close before
+// m.scanEnd; g is then untouched.
 //
 // With bracket set (keep clear, win set) every number is read only to its
-// integer part: numparse.Bracket's lo, the value lying in [lo, lo+1].
-// Each position is then the box of its brackets, and the walk commits
-// only a value whose box of those misses win: g.box then contains the
-// exact box and misses win too, so the feature is rejected as the exact
-// walk would reject it, with no mantissa converted. ringBox runs across
-// a MultiPolygon's polygons, as the running box of every outer position,
-// and the walk gives up (ok false) on the first position that brings it
-// into win — the box only grows — and on any number Bracket cannot
-// certify, leaving the value to the exact walk.
+// integer part, numparse.Bracket's lo, and the sink walks on the brackets
+// under win. The scan gives up (ok false) where the sink does and on any
+// number Bracket cannot certify, leaving the value to the exact walk; a
+// value it commits is rejected, with no mantissa converted, on a box that
+// contains the exact one.
 //
 //atgis:hotpath
 func (m *Machine) scanCoords(g *geoBuild, pos int64, keep bool, win *geom.Box, bracket bool) (next int64, ok bool) {
 	b := m.input[:m.scanEnd]
 	i := int(pos)
-	pts, rings, polys := m.coordPts[:0], m.coordRings[:0], m.coordPolys[:0]
-	depth := 1       // open arrays, the root included
-	leaf := 0        // depth at which numbers occur, 0 until the first number
-	nums := 0        // numbers seen in the innermost array
-	var x, y float64 // in bracket mode the low ends of their brackets
-	ringBox, box := geom.EmptyBox(), geom.EmptyBox()
-	outer := true     // the current ring is its polygon's first
+	s := &m.sink
+	if bracket {
+		s.ResetBracket(*win)
+	} else {
+		s.Reset(keep)
+	}
+	depth := 1        // open arrays, the root included
+	leaf := 0         // depth at which numbers occur, 0 until the first number
+	nums := 0         // numbers seen in the innermost array
+	var x, y float64  // in bracket mode the low ends of their brackets
 	wantValue := true // after '[' or ',': a value (or an empty root's ']') follows
 	opened := true    // the previous significant byte was '['
 	for depth > 0 {
@@ -199,37 +182,25 @@ func (m *Machine) scanCoords(g *geoBuild, pos int64, keep bool, win *geom.Box, b
 		case ',':
 			wantValue = true
 		case ']':
-			// leaf-depth tells what the closing array holds; the root
-			// (depth 1) is the geometry itself and closes nothing.
+			// leaf-depth tells what the closing array holds.
 			switch {
-			case depth == 1:
-			case leaf == depth: // a position
+			case leaf == depth: // a position; a Point's is the root
 				if nums < 2 {
-					return 0, false
-				}
-				p := geom.Point{X: x, Y: y}
-				if outer {
-					ringBox = ringBox.ExtendPoint(p)
-					if bracket {
-						ringBox = ringBox.ExtendPoint(geom.Point{X: x + 1, Y: y + 1})
-						if ringBox.Intersects(*win) {
-							return 0, false
-						}
+					if depth > 1 {
+						return 0, false
 					}
+				} else if bracket {
+					if !s.AddBracket(x, y) {
+						return 0, false
+					}
+				} else {
+					s.Add(geom.Point{X: x, Y: y})
 				}
-				if keep {
-					pts = append(pts, p)
-				}
+			case depth == 1: // any other root closes nothing
 			case leaf == depth+1: // a ring
-				rings = append(rings, len(pts))
-				outer = false
+				s.EndRing()
 			default: // a polygon
-				polys = append(polys, len(rings))
-				if !bracket {
-					box = box.Union(ringBox)
-					ringBox = geom.EmptyBox()
-				}
-				outer = true
+				s.EndPart()
 			}
 			depth--
 		default:
@@ -238,40 +209,18 @@ func (m *Machine) scanCoords(g *geoBuild, pos int64, keep bool, win *geom.Box, b
 		i++
 	}
 
-	var gbox geom.Box
-	switch {
-	case leaf == 0: // empty root
-		gbox = geom.EmptyBox()
-	case leaf == 1:
-		gbox = geom.EmptyBox()
-		if nums >= 2 {
-			gbox = geom.BoxOf(geom.Point{X: x, Y: y})
-			if bracket {
-				gbox = gbox.ExtendPoint(geom.Point{X: x + 1, Y: y + 1})
-			}
-		}
-	case leaf <= 3 || bracket:
-		gbox = ringBox
-	default:
-		gbox = box
-	}
-	if bracket && gbox.Intersects(*win) {
-		return 0, false
-	}
-
 	// Commit: the value is accepted.
-	m.coordPts, m.coordRings, m.coordPolys = pts, rings, polys
 	if g.root != nil {
 		m.releaseLvl(g.root) // a duplicate "coordinates" member replaces the first
 	}
 	g.root, g.rootX, g.rootY, g.rootN = nil, 0, 0, 0
 	g.depth = uint8(max(leaf, 1))
-	g.box = gbox
+	g.box = s.Box()
 	if leaf == 1 {
 		g.rootX, g.rootY, g.rootN = x, y, uint8(min(nums, 255))
 	}
 	if leaf >= 2 && keep && (win == nil || g.box.Intersects(*win)) {
-		g.root = m.coordLevel(leaf, pts, rings, polys)
+		g.root = m.coordLevel(leaf, s.Pts, s.Rings, s.Polys)
 	}
 	return int64(i), true
 }

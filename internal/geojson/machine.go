@@ -40,6 +40,7 @@ import (
 	"sync"
 
 	"atgis/internal/at"
+	"atgis/internal/coords"
 	"atgis/internal/geom"
 	"atgis/internal/lexer"
 	"atgis/internal/numparse"
@@ -87,6 +88,8 @@ func (s sem) String() string {
 // strings on the hot path).
 type geoKind uint8
 
+// Point … MultiPolygon are numbered by the nesting depth of their
+// coordinates (scannedBox).
 const (
 	kindUnknown geoKind = iota
 	kindPoint
@@ -321,12 +324,9 @@ type Machine struct {
 	// scanEnd bounds the current scan call; the fused coordinate scanner
 	// never reads at or past it.
 	scanEnd int64
-	// Scratch of the fused coordinate scanner: the positions of the value
-	// being scanned, and the ends of its rings (indexes into coordPts) and
-	// polygons (indexes into coordRings).
-	coordPts   []geom.Point
-	coordRings []int
-	coordPolys []int
+	// sink takes the fused coordinate scanner's positions: it holds them
+	// and makes the value's box.
+	sink coords.Sink
 }
 
 // NewResolvedMachine returns a machine parsing from the document root

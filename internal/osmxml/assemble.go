@@ -3,6 +3,7 @@ package osmxml
 import (
 	"fmt"
 
+	"atgis/internal/coords"
 	"atgis/internal/geom"
 )
 
@@ -63,24 +64,18 @@ func Link(input []byte, nodes *NodeTable, blocks []Elements) *Topology {
 //
 // The one exception is an element with a node pass 1 left bracketed
 // (ParseElements under a window): its box counts that node's whole 1°
-// cell, and when that box misses the window it is returned as it is —
-// it contains the element's bounds and misses the window — and the
-// element must not be built. Any other such element reads its bracketed
-// nodes exactly before its box is returned.
+// cell, and when that box misses the window it is returned as it is — it
+// contains the element's bounds — and the element must not be built.
 type Resolver struct {
-	topo  *Topology
-	win   *geom.Box
-	cur   NodeCursor
-	pts   []geom.Point // positions of the element in hand, ring after ring
-	rings []ringEnd    // a relation's member ways as runs of pts
-	rel   bool         // the element in hand is a relation
-	held  int          // how many of pts are bracketed
-}
-
-type ringEnd struct {
-	end   int // the ring is pts[previous end : end]
-	inner bool
-	box   geom.Box
+	topo *Topology
+	win  *geom.Box
+	cur  NodeCursor
+	// s takes the element's positions, a ring per way, and makes its box:
+	// a relation's outer members are its parts, its inner members holes.
+	s     coords.Sink
+	holes []bool // per ring of s: an inner member
+	rel   bool   // the element in hand is a relation
+	held  int    // how many of s.Pts are bracketed
 }
 
 // Resolver returns a resolver over t for a pass under the window win that
@@ -90,28 +85,34 @@ func (t *Topology) Resolver(win *geom.Box) *Resolver {
 	return &Resolver{topo: t, win: win, cur: t.nodes.Cursor()}
 }
 
-// resolve appends the positions of way i of el to r.pts and returns
-// their bounding box, a bracketed node's cell counting whole.
+// resolve adds the positions of way i of el to s as its next ring. A
+// bracketed node counts its whole cell, or with exact set is converted.
 //
 //atgis:hotpath
-func (r *Resolver) resolve(el *Elements, i int) (geom.Box, error) {
-	w := &el.Ways[i]
-	box := geom.EmptyBox()
+func (r *Resolver) resolve(el *Elements, i int, hole, exact bool) error {
+	r.s.Hole = hole
 	for _, ref := range el.WayRefs(i) {
 		p, ok := r.cur.Get(ref)
-		if !ok {
-			return box, missingNode(w.ID, ref)
-		}
-		if p.X != p.X {
-			lo, hi := nodeCell(p)
-			box = box.ExtendPoint(lo).ExtendPoint(hi)
+		switch {
+		case !ok:
+			return missingNode(el.Ways[i].ID, ref)
+		case p.X == p.X:
+			r.s.Add(p)
+		case exact:
+			r.s.Add(exactNode(r.topo.input, p))
+		default:
+			lo, _ := nodeCell(p)
+			r.s.Pts = append(r.s.Pts, p)
+			r.s.AddBracket(lo.X, lo.Y)
 			r.held++
-		} else {
-			box = box.ExtendPoint(p)
 		}
-		r.pts = append(r.pts, p)
 	}
-	return box, nil
+	r.s.EndRing()
+	r.holes = append(r.holes, hole)
+	if r.rel && !hole {
+		r.s.EndPart()
+	}
+	return nil
 }
 
 //go:noinline
@@ -119,93 +120,52 @@ func missingNode(way, ref int64) error {
 	return fmt.Errorf("osmxml: way %d references missing node %d", way, ref)
 }
 
-// settle reads the bracketed positions in hand exactly unless box, which
-// contains them, misses the window, and reports whether it did.
-func (r *Resolver) settle(box geom.Box) bool {
-	if r.held == 0 || r.win != nil && !box.Intersects(*r.win) {
-		return false
-	}
-	for k, p := range r.pts {
-		if p.X != p.X {
-			r.pts[k] = exactNode(r.topo.input, p)
-		}
-	}
-	return true
-}
-
-// ringBox is the bounding box of pts, as resolve builds it.
-func ringBox(pts []geom.Point) geom.Box {
-	box := geom.EmptyBox()
-	for _, p := range pts {
-		box = box.ExtendPoint(p)
-	}
-	return box
-}
-
 // Way resolves way i of el.
-func (r *Resolver) Way(el *Elements, i int) (geom.Box, error) {
-	r.pts, r.rel, r.held = r.pts[:0], false, 0
-	box, err := r.resolve(el, i)
-	if err == nil && r.settle(box) {
-		box = ringBox(r.pts)
-	}
-	return box, err
-}
+func (r *Resolver) Way(el *Elements, i int) (geom.Box, error) { return r.element(el, i, false) }
 
 // Relation resolves relation i of el: its member ways, wherever pass 1
 // found them. Outer members become polygon shells and inner members
 // holes, so only the outer ones count towards the box.
-func (r *Resolver) Relation(el *Elements, i int) (geom.Box, error) {
-	r.pts, r.rings, r.rel, r.held = r.pts[:0], r.rings[:0], true, 0
-	rel := &el.Rels[i]
+func (r *Resolver) Relation(el *Elements, i int) (geom.Box, error) { return r.element(el, i, true) }
+
+// element walks element i of el with its bracketed nodes' cells, and
+// again with those nodes converted when the box of the cells meets the
+// window.
+func (r *Resolver) element(el *Elements, i int, rel bool) (geom.Box, error) {
+	err := r.walk(el, i, rel, false)
+	if err == nil && r.held > 0 && (r.win == nil || r.s.Box().Intersects(*r.win)) {
+		err = r.walk(el, i, rel, true)
+	}
+	return r.s.Box(), err
+}
+
+func (r *Resolver) walk(el *Elements, i int, rel, exact bool) error {
+	r.s.Reset(true)
+	r.holes, r.rel, r.held = r.holes[:0], rel, 0
+	if !rel {
+		return r.resolve(el, i, false, exact)
+	}
+	outers := 0
 	for _, m := range el.RelMembers(i) {
 		if m.Type != "way" {
 			continue
 		}
 		loc := r.topo.ways[m.Ref]
 		if loc.el == nil {
-			return geom.EmptyBox(), fmt.Errorf("osmxml: relation %d references missing way %d", rel.ID, m.Ref)
+			return fmt.Errorf("osmxml: relation %d references missing way %d", el.Rels[i].ID, m.Ref)
 		}
-		ring, err := r.resolve(loc.el, loc.i)
-		if err != nil {
-			return ring, err
+		hole := m.Role == "inner"
+		if !hole {
+			outers++
 		}
-		r.rings = append(r.rings, ringEnd{len(r.pts), m.Role == "inner", ring})
+		if err := r.resolve(loc.el, loc.i, hole, exact); err != nil {
+			return err
+		}
 	}
-	box, outers := r.outerBox()
 	if outers == 0 {
-		return box, fmt.Errorf("osmxml: relation %d has no outer ways", rel.ID)
+		return fmt.Errorf("osmxml: relation %d has no outer ways", el.Rels[i].ID)
 	}
-	if r.settle(box) {
-		lo := 0
-		for k := range r.rings {
-			r.rings[k].box = ringBox(r.pts[lo:r.rings[k].end])
-			lo = r.rings[k].end
-		}
-		box, _ = r.outerBox()
-	}
-	return box, nil
-}
-
-// outerBox returns the box of the relation in hand and how many outer
-// rings it has: a lone polygon is bounded by its shell, a multipolygon
-// by the union of its polygons' bounds.
-func (r *Resolver) outerBox() (box geom.Box, outers int) {
-	box = geom.EmptyBox()
-	for _, e := range r.rings {
-		if e.inner {
-			continue
-		}
-		if outers++; outers == 1 {
-			box = e.box
-		} else {
-			if outers == 2 {
-				box = geom.EmptyBox().Union(box)
-			}
-			box = box.Union(e.box)
-		}
-	}
-	return box, outers
+	return nil
 }
 
 // Build returns the geometry of the element last resolved. A closed way
@@ -214,7 +174,7 @@ func (r *Resolver) outerBox() (box geom.Box, outers int) {
 // inner member the hole of the first shell containing it.
 func (r *Resolver) Build() geom.Geometry {
 	if !r.rel {
-		pts := append(make([]geom.Point, 0, len(r.pts)), r.pts...)
+		pts := append(make([]geom.Point, 0, len(r.s.Pts)), r.s.Pts...)
 		if len(pts) >= 4 && pts[0].Equal(pts[len(pts)-1]) {
 			return geom.Polygon{geom.Ring(pts)}
 		}
@@ -223,14 +183,14 @@ func (r *Resolver) Build() geom.Geometry {
 	var mp geom.MultiPolygon
 	var inners []geom.Ring
 	lo := 0
-	for _, e := range r.rings {
+	for k, end := range r.s.Rings {
 		// The ring, closed if the way was not: Ring.Canonical in one copy.
-		ring := append(make(geom.Ring, 0, e.end-lo+1), r.pts[lo:e.end]...)
+		ring := append(make(geom.Ring, 0, end-lo+1), r.s.Pts[lo:end]...)
 		if len(ring) >= 2 && !ring[0].Equal(ring[len(ring)-1]) {
 			ring = append(ring, ring[0])
 		}
-		lo = e.end
-		if e.inner {
+		lo = end
+		if r.holes[k] {
 			inners = append(inners, ring)
 		} else {
 			mp = append(mp, geom.Polygon{ring})

@@ -410,11 +410,8 @@ func canonicalNode(b []byte, at int64, win *geom.Box) (id int64, p geom.Point, o
 		return 0, p, false
 	}
 	i := len(idAttr)
-	q := bytes.IndexByte(b[i:], '"')
-	if q < 0 {
-		return 0, p, false
-	}
-	if id, ok = numparse.IntExact(b[i : i+q]); !ok {
+	id, q, ok := quotedInt(b[i:])
+	if !ok {
 		return 0, p, false
 	}
 	lat, latEnd, latLo, latB := attrValue(b, i+q, latAttr, win != nil)
@@ -522,12 +519,34 @@ func ndRef(rest []byte, i int) (int64, bool) {
 	if len(rest)-i < len(refAttr) || string(rest[i:i+len(refAttr)]) != refAttr {
 		return firstInt(rest, i, "ref")
 	}
-	i += len(refAttr)
-	q := bytes.IndexByte(rest[i:], '"')
-	if q < 0 {
-		return 0, false
+	ref, _, ok := quotedInt(rest[i+len(refAttr):])
+	return ref, ok
+}
+
+// quotedInt reads the integer that starts b and ends at a closing quote,
+// in one pass: what numparse.IntExact accepts of the bytes before b's
+// first quote, and that quote's index.
+//
+//atgis:hotpath
+func quotedInt(b []byte) (v int64, q int, ok bool) {
+	start := 0
+	if len(b) > 0 && (b[0] == '-' || b[0] == '+') {
+		start = 1
 	}
-	return numparse.IntExact(rest[i : i+q])
+	for q = start; q < len(b) && b[q]-'0' <= 9; q++ {
+		v = v*10 + int64(b[q]-'0')
+	}
+	if q == start || q >= len(b) || b[q] != '"' {
+		return 0, 0, false
+	}
+	if q-start > 18 { // perhaps past int64: IntExact decides
+		v, ok = numparse.IntExact(b[:q])
+		return v, q, ok
+	}
+	if b[0] == '-' {
+		v = -v
+	}
+	return v, q, true
 }
 
 // firstInt returns the first attribute called name, if it is an integer:

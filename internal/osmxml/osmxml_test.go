@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"atgis/internal/geom"
+	"atgis/internal/numparse"
 )
 
 // buildSample writes a small OSM document: four nodes forming a square,
@@ -447,4 +448,25 @@ func TestAttrScannerEdgeCases(t *testing.T) {
 			t.Errorf("%s: no error", bad)
 		}
 	}
+}
+
+// FuzzQuotedInt: quotedInt accepts what numparse.IntExact accepts of the
+// bytes before the first quote, with the same value, and reports that
+// quote's index.
+func FuzzQuotedInt(f *testing.F) {
+	for _, s := range []string{`1"`, `-42" lat="1"`, `+7"`, `-"`, `"`, `12`, `1x"`, `007"`,
+		`9223372036854775807"`, `-9223372036854775808"`, `9223372036854775808"`, `0000000000000000000000001"`} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		wantQ := bytes.IndexByte(b, '"')
+		want, wantOK := int64(0), false
+		if wantQ >= 0 {
+			want, wantOK = numparse.IntExact(b[:wantQ])
+		}
+		got, q, ok := quotedInt(b)
+		if ok != wantOK || ok && (got != want || q != wantQ) {
+			t.Fatalf("quotedInt(%q) = %d, %d, %v; want %d, %d, %v", b, got, q, ok, want, wantQ, wantOK)
+		}
+	})
 }

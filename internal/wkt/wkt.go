@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"sync"
 
+	"atgis/internal/coords"
 	"atgis/internal/geojson"
 	"atgis/internal/geom"
 	"atgis/internal/numparse"
@@ -41,9 +42,10 @@ var buildAll geojson.Config
 // the geometry: a lost newline must not swallow the next record.
 //
 // Under cfg.Window and cfg.BracketReject the line is first walked on the
-// integer brackets of its numbers (parser.bracketBox); a line that walk
-// rejects carries that box, which contains its bounds and misses Window,
-// and no number of it is converted.
+// integer brackets of its numbers (a coords.Sink bracket walk), which
+// gives up to the exact walk where the sink does and on any error. Bracket
+// accepts only what Prefix accepts, so a line it completes parses without
+// error: it carries the bracket box, and no number of it is converted.
 func ParseFeature(line []byte, off int64, cfg *geojson.Config) (geojson.FeatureOut, error) {
 	p := parserPool.Get().(*parser)
 	defer p.release()
@@ -80,23 +82,20 @@ func (p *parser) feature(line []byte, off int64, cfg *geojson.Config) (geojson.F
 		}
 	}
 	if cfg.Window != nil && cfg.BracketReject {
-		if box, ok := p.bracketBox(line[i:], *cfg.Window); ok {
-			out.Box = box
+		p.s.ResetBracket(*cfg.Window)
+		if p.walk(line[i:]) == nil {
+			out.Box = p.s.Box()
 			return out, nil
 		}
 	}
-	p.reset(line[i:], !cfg.BoundsOnly)
-	box, err := p.scan()
-	if err == nil {
-		err = p.end()
-	}
-	if err != nil {
+	p.s.Reset(!cfg.BoundsOnly)
+	if err := p.walk(line[i:]); err != nil {
 		return out, err
 	}
-	out.Box = box
-	if !cfg.Rejects(box) {
+	out.Box = p.s.Box()
+	if !cfg.Rejects(out.Box) {
 		out.Feature.Geom = p.build()
-		out.Val = cfg.Value(&out.Feature, box)
+		out.Val = cfg.Value(&out.Feature, out.Box)
 	}
 	return out, nil
 }
@@ -108,65 +107,26 @@ func isAlpha(c byte) bool { return (c >= 'A' && c <= 'Z') || (c >= 'a' && c <= '
 // escape into geometries.
 var parserPool = sync.Pool{New: func() any { return new(parser) }}
 
-// parser scans a geometry before it builds it. scan validates the text
-// and returns the bounding box; what it read stays in scratch buffers —
-// every position of the line in pts, in order, and what the positions
-// form in shape — from which build makes the geometry if the caller
-// still wants it. A line that is rejected on its box therefore allocates
-// nothing.
+// parser scans a geometry before it builds it: scan validates the text
+// and hands every position to s, which makes the bounding box and keeps
+// the positions and the ends of the point lists, and shape records what
+// they form, from which build makes the geometry if the caller still
+// wants it. A line that is rejected on its box allocates nothing.
 type parser struct {
 	b []byte
 	i int
-	// keep is false for a caller that will never build: positions are
-	// then not even copied to pts.
-	keep bool
-	pts  []geom.Point
-	// shape is the geometry in prefix form: a kind, then for a
-	// LineString its length, for a Polygon its ring count and each
-	// ring's length, for a MultiPolygon its polygon count and each
-	// polygon as such, for a collection its member count and each member
-	// from its kind on.
+	s coords.Sink
+	// shape is the geometry in prefix form: a kind, then for a Polygon its
+	// ring count, for a MultiPolygon its polygon count and each polygon's
+	// ring count, for a collection its member count and each member from
+	// its kind on. The lists of positions end where s.Rings says.
 	shape []int
-	// build's read positions in shape and pts.
-	si, pi int
-
-	// bracket is set during bracketBox's walk: numbers are read with
-	// numparse.Bracket, each position counted in the box adds the box of
-	// its brackets to run, and any error is errGiveUp.
-	bracket  bool
-	win, run geom.Box
-	// inner is set while rings reads a polygon's inner ring, whose
-	// positions the box leaves out.
-	inner bool
+	// build's read positions in shape, s.Pts and s.Rings.
+	si, pi, ri int
 }
 
-// errGiveUp ends a bracket walk on what it cannot certify; the exact walk
-// then reads the line and reports any error in full.
+// errGiveUp ends a bracket walk; the exact walk reports any error in full.
 var errGiveUp = errors.New("wkt: bracket walk gave up")
-
-// bracketBox walks the geometry b in bracket mode: the grammar, the box
-// rules and the end check of the exact walk, but every number read only
-// to its integer part (numparse.Bracket: the value lies in [lo, lo+1]),
-// so each position stands for the box [x, x+1]×[y, y+1]. It reports that
-// box and true when the walk reaches the end of b and the box misses win.
-// Bracket accepts only what Prefix accepts, with the same byte count, so
-// such a line parses exactly without error and its exact box lies inside
-// the bracket box: the exact walk would reject it too. The walk gives up
-// on the first number Bracket cannot certify, on any grammar error, and
-// on the first position that brings the box into win, since the box only
-// grows; the line then goes to the exact walk as it is.
-//
-//atgis:hotpath
-func (p *parser) bracketBox(b []byte, win geom.Box) (geom.Box, bool) {
-	p.reset(b, false)
-	p.bracket, p.win, p.run = true, win, geom.EmptyBox()
-	_, err := p.scan()
-	if err == nil {
-		err = p.end()
-	}
-	p.bracket = false
-	return p.run, err == nil && !p.run.Intersects(win)
-}
 
 const (
 	shapePoint = iota
@@ -176,9 +136,22 @@ const (
 	shapeCollection
 )
 
-func (p *parser) reset(b []byte, keep bool) {
-	p.b, p.i, p.keep, p.inner = b, 0, keep, false
-	p.pts, p.shape, p.si, p.pi = p.pts[:0], p.shape[:0], 0, 0
+// walk scans the geometry b into s (reset by the caller) and the scratch
+// buffers. Only blanks and one carriage return may follow it (the join's
+// reparser hands a CRLF line over with its CR).
+func (p *parser) walk(b []byte) error {
+	p.b, p.i = b, 0
+	p.shape, p.si, p.pi, p.ri = p.shape[:0], 0, 0, 0
+	if err := p.scan(); err != nil {
+		return err
+	}
+	if p.peek() == '\r' {
+		p.i++
+	}
+	if p.i < len(p.b) {
+		return p.errorf("wkt: unexpected bytes after the geometry at %d in %.60q", p.i, p.b)
+	}
+	return nil
 }
 
 // release returns p to the pool, letting go of the caller's bytes.
@@ -221,21 +194,9 @@ func (p *parser) peek() byte {
 	return p.b[p.i]
 }
 
-// end accepts blanks and one carriage return after the geometry (the
-// join's reparser hands a CRLF line over with its CR) and nothing else.
-func (p *parser) end() error {
-	if p.peek() == '\r' {
-		p.i++
-	}
-	if p.i < len(p.b) {
-		return p.errorf("wkt: unexpected bytes after the geometry at %d in %.60q", p.i, p.b)
-	}
-	return nil
-}
-
 // errorf is fmt.Errorf, but errGiveUp in the bracket walk.
 func (p *parser) errorf(format string, args ...any) error {
-	if p.bracket {
+	if p.s.Bracketing() {
 		return errGiveUp
 	}
 	return fmt.Errorf(format, args...)
@@ -248,7 +209,7 @@ func (p *parser) number() (float64, error) {
 	var v float64
 	var n int
 	var ok bool
-	if p.bracket {
+	if p.s.Bracketing() {
 		v, n, ok = numparse.Bracket(p.b[p.i:])
 	} else {
 		v, n, ok = numparse.Prefix(p.b[p.i:])
@@ -269,39 +230,22 @@ func (p *parser) number() (float64, error) {
 	return v, nil
 }
 
-func (p *parser) point() (geom.Point, error) {
+// point reads one position into s.
+func (p *parser) point() error {
 	x, err := p.number()
 	if err != nil {
-		return geom.Point{}, err
+		return err
 	}
 	y, err := p.number()
 	if err != nil {
-		return geom.Point{}, err
+		return err
 	}
-	pt := geom.Point{X: x, Y: y}
-	if p.keep {
-		p.pts = append(p.pts, pt)
+	if !p.s.Bracketing() {
+		p.s.Add(geom.Point{X: x, Y: y})
+	} else if !p.s.AddBracket(x, y) {
+		return errGiveUp
 	}
-	if p.bracket && !p.inner {
-		// x and y are the low ends of the position's brackets.
-		r := &p.run
-		if x < r.MinX {
-			r.MinX = x
-		}
-		if x+1 > r.MaxX {
-			r.MaxX = x + 1
-		}
-		if y < r.MinY {
-			r.MinY = y
-		}
-		if y+1 > r.MaxY {
-			r.MaxY = y + 1
-		}
-		if r.Intersects(p.win) {
-			return pt, errGiveUp
-		}
-	}
-	return pt, nil
+	return nil
 }
 
 // more reports whether a list goes on, stepping over the comma if so.
@@ -313,64 +257,49 @@ func (p *parser) more() bool {
 	return true
 }
 
-// points scans "(x y, x y, ...)", notes its length in shape and returns
-// its box.
-func (p *parser) points() (geom.Box, error) {
-	box, n := geom.EmptyBox(), 0
+// points scans "(x y, x y, ...)", a LineString or a ring.
+func (p *parser) points() error {
 	if err := p.expect('('); err != nil {
-		return box, err
+		return err
 	}
 	for ok := true; ok; ok = p.more() {
-		pt, err := p.point()
-		if err != nil {
-			return box, err
+		if err := p.point(); err != nil {
+			return err
 		}
-		box = box.ExtendPoint(pt)
-		n++
 	}
-	p.shape = append(p.shape, n)
-	return box, p.expect(')')
+	p.s.EndRing()
+	return p.expect(')')
 }
 
-// rings scans a polygon, "((...),(...))". Its box is the outer ring's,
-// as Polygon.Bound has it.
-func (p *parser) rings() (geom.Box, error) {
-	var box geom.Box
+// rings scans a polygon, "((...),(...))", and notes its ring count.
+func (p *parser) rings() error {
 	if err := p.expect('('); err != nil {
-		return box, err
+		return err
 	}
 	count := len(p.shape)
 	p.shape = append(p.shape, 0)
 	for ok := true; ok; ok = p.more() {
-		b, err := p.points()
-		if err != nil {
-			return box, err
-		}
-		if p.shape[count] == 0 {
-			box = b
-			p.inner = true
+		if err := p.points(); err != nil {
+			return err
 		}
 		p.shape[count]++
 	}
-	p.inner = false
-	return box, p.expect(')')
+	return p.expect(')')
 }
 
-// scan reads one geometry into the scratch buffers and returns its
-// bounding box, computed the way the built geometry's Bound computes it.
-func (p *parser) scan() (geom.Box, error) {
+// scan reads one geometry into s and the scratch buffers.
+func (p *parser) scan() error {
 	kw := p.keyword()
 	switch string(kw) {
 	case "POINT":
 		p.shape = append(p.shape, shapePoint)
 		if err := p.expect('('); err != nil {
-			return geom.Box{}, err
+			return err
 		}
-		pt, err := p.point()
-		if err != nil {
-			return geom.Box{}, err
+		if err := p.point(); err != nil {
+			return err
 		}
-		return geom.BoxOf(pt), p.expect(')')
+		return p.expect(')')
 	case "LINESTRING":
 		p.shape = append(p.shape, shapeLine)
 		return p.points()
@@ -382,34 +311,32 @@ func (p *parser) scan() (geom.Box, error) {
 	case "GEOMETRYCOLLECTION":
 		return p.members(shapeCollection)
 	default:
-		return geom.Box{}, p.errorf("wkt: unknown geometry %q", kw)
+		return p.errorf("wkt: unknown geometry %q", kw)
 	}
 }
 
 // members scans the parenthesised list of a MultiPolygon's polygons or a
-// collection's geometries; its box is the union of theirs.
-func (p *parser) members(kind int) (geom.Box, error) {
+// collection's geometries, each a part of s.
+func (p *parser) members(kind int) error {
 	count := len(p.shape) + 1
 	p.shape = append(p.shape, kind, 0)
-	box := geom.EmptyBox()
 	if err := p.expect('('); err != nil {
-		return box, err
+		return err
 	}
 	for ok := true; ok; ok = p.more() {
-		var b geom.Box
 		var err error
 		if kind == shapeMulti {
-			b, err = p.rings()
+			err = p.rings()
 		} else {
-			b, err = p.scan()
+			err = p.scan()
 		}
 		if err != nil {
-			return box, err
+			return err
 		}
-		box = box.Union(b)
+		p.s.EndPart()
 		p.shape[count]++
 	}
-	return box, p.expect(')')
+	return p.expect(')')
 }
 
 // next reads one entry of shape.
@@ -418,10 +345,12 @@ func (p *parser) next() int {
 	return p.shape[p.si-1]
 }
 
-// takePoints copies the next list out of pts: one exact-size allocation.
+// takePoints copies the next list out of s.Pts: one exact-size allocation.
 func (p *parser) takePoints() []geom.Point {
-	pts := make([]geom.Point, p.next())
-	p.pi += copy(pts, p.pts[p.pi:])
+	end := p.s.Rings[p.ri]
+	p.ri++
+	pts := make([]geom.Point, end-p.pi)
+	p.pi += copy(pts, p.s.Pts[p.pi:end])
 	return pts
 }
 
@@ -433,12 +362,12 @@ func (p *parser) takePolygon() geom.Polygon {
 	return rings
 }
 
-// build makes the geometry scan read (keep must have been set).
+// build makes the geometry scan read (s must have kept the positions).
 func (p *parser) build() geom.Geometry {
 	switch p.next() {
 	case shapePoint:
 		p.pi++
-		return geom.PointGeom{P: p.pts[p.pi-1]}
+		return geom.PointGeom{P: p.s.Pts[p.pi-1]}
 	case shapeLine:
 		return geom.LineString(p.takePoints())
 	case shapePolygon:
